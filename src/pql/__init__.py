@@ -11,8 +11,6 @@ from .binder import BoundQuery, TaskSpec, TaskType, Timeframe, bind, extract_pre
 from .engine import (
     PredictionTable,
     TrainingTable,
-    eval_aggregation,
-    eval_condition,
     evaluate_pairs,
     materialize_prediction,
     materialize_training,
@@ -30,7 +28,6 @@ from .store import (
     RowRef,
     Schema,
     build_row_graph,
-    children_in_window,
     load_database,
     load_schema,
     load_table_data,
@@ -68,11 +65,8 @@ __all__ = [
     "bind",
     "build_request",
     "build_row_graph",
-    "children_in_window",
     "collect",
     "compute_on_subgraph",
-    "eval_aggregation",
-    "eval_condition",
     "evaluate_pairs",
     "explain",
     "extract_prediction_filter",

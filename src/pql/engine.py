@@ -1,15 +1,12 @@
-"""Batch execution engine.
+"""Plan execution over the vectorized kernels.
 
-Two halves live here:
-
-* a scalar per-(entity, anchor) evaluator over the row graph — the
-  reference semantics, also used by the subgraph sampler and by leakage
-  instrumentation (it can record every row it consumes);
-* the plan executor, which materializes training and prediction tables.
-  Optimized plans run stage by stage with the restricted vectorized
-  kernels; the unoptimized baseline materializes the full entity-anchor
-  cross product and full-table scans, filtering last. Both produce
-  identical tables.
+Training and prediction tables, and the training rows of explicit
+(entity, anchor) pairs, all run one anchor's entity rows at a time through
+the same stages: validity, static and temporal conjuncts, ASSUMING, then
+the target, with every drop counted by cause. Optimized plans use the
+restricted kernels on the selected rows; the unoptimized baseline
+materializes the full entity-anchor cross product with full-table scans
+and filters last. All paths produce identical tables.
 
 Undefined values: aggregations over an empty (or all-null) set are
 undefined for SUM/AVG/MIN/MAX/FIRST/LAST, zero for COUNT/COUNT_DISTINCT,
@@ -24,239 +21,17 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .ast import AggKind, RelOp, NULL_OPS
-from .binder import (
-    BoundAggregation,
-    BoundColumn,
-    BoundCompare,
-    BoundCondition,
-    BoundNot,
-    BoundAnd,
-    BoundOr,
-    BoundQuery,
-    BoundTarget,
-    TaskType,
-)
+from .binder import BoundCondition, BoundQuery, TaskType
 from .errors import ExecutionError
-from .kernels import (
-    VecCtx,
-    eval_condition_vec,
-    eval_target_vec,
-    like_regex,
-)
+from .kernels import VecCtx, eval_condition_vec, eval_target_vec
 from .planner import LogicalPlan, resolve_anchors
 from .splits import SplitPolicy, split_for_anchor_rank, split_for_key
 from .store import Database, ListType, RowGraph, RowRef, build_row_graph
 from .times import format_timestamp
-
-
-# ---------------------------------------------------------------------------
-# Touch recording (leakage instrumentation / sampler verification)
-
-
-@dataclass
-class TouchRecorder:
-    """Rows consumed during scalar evaluation.
-
-    `window_rows` holds rows gathered by aggregation windows (these are the
-    time-scoped reads the leakage invariants constrain); `touched` holds
-    every consumed row including attribute reads resolved through FK hops.
-    """
-
-    touched: Set[RowRef] = field(default_factory=set)
-    window_rows: Set[RowRef] = field(default_factory=set)
-
-    def record(self, ref: RowRef):
-        self.touched.add(ref)
-
-    def record_window(self, refs):
-        for r in refs:
-            self.window_rows.add(r)
-            self.touched.add(r)
-
-
-class _PairCtx:
-    __slots__ = ("db", "g", "recorder", "regexes")
-
-    def __init__(self, db: Database, g: RowGraph, recorder: Optional[TouchRecorder] = None):
-        self.db = db
-        self.g = g
-        self.recorder = recorder
-        self.regexes: Dict[int, object] = {}
-
-
-# ---------------------------------------------------------------------------
-# Scalar evaluation
-
-
-def _fetch_scalar(ctx: _PairCtx, bc: BoundColumn, row: RowRef):
-    cur = row
-    for edge in bc.hops:
-        parent = ctx.g.parent_of(edge, cur.index)
-        if parent is None:
-            return None
-        cur = RowRef(edge.parent_table, parent)
-        if ctx.recorder:
-            ctx.recorder.record(cur)
-    if ctx.recorder:
-        ctx.recorder.record(cur)
-    return ctx.db.value(cur, bc.column)
-
-
-def _compare_scalar(ctx: _PairCtx, cmp: BoundCompare, value) -> bool:
-    op, rhs = cmp.op, cmp.rhs
-    if op is RelOp.IS:
-        return value is None
-    if op is RelOp.IS_NOT:
-        return value is not None
-    if value is None:
-        return False
-    const = rhs.value
-    if op is RelOp.EQ:
-        return value == const
-    if op is RelOp.NE:
-        return value != const
-    if op is RelOp.LT:
-        return value < const
-    if op is RelOp.LE:
-        return value <= const
-    if op is RelOp.GT:
-        return value > const
-    if op is RelOp.GE:
-        return value >= const
-    if op in (RelOp.IN, RelOp.IS_IN):
-        return any(value == e.value for e in const)
-    if op in (RelOp.LIKE, RelOp.NOT_LIKE):
-        pat = ctx.regexes.get(id(cmp))
-        if pat is None:
-            pat = like_regex(const)
-            ctx.regexes[id(cmp)] = pat
-        hit = pat.fullmatch(value) is not None
-        return hit if op is RelOp.LIKE else not hit
-    if op is RelOp.CONTAINS:
-        return const in value
-    if op is RelOp.NOT_CONTAINS:
-        return const not in value
-    if op is RelOp.STARTS_WITH:
-        return value.startswith(const)
-    if op is RelOp.ENDS_WITH:
-        return value.endswith(const)
-    raise AssertionError(op)
-
-
-def _eval_condition(ctx: _PairCtx, cond: BoundCondition, row: RowRef, anchor, nullflag=None) -> bool:
-    # Both branches of a connective are always evaluated so that the set of
-    # rows a query touches is deterministic (the sampler relies on it).
-    if isinstance(cond, BoundCompare):
-        if isinstance(cond.lhs, BoundAggregation):
-            value = _eval_aggregation(ctx, cond.lhs, row, anchor)
-        else:
-            value = _fetch_scalar(ctx, cond.lhs, row)
-            if nullflag is not None and value is None and cond.op not in NULL_OPS:
-                nullflag[0] = True
-        return _compare_scalar(ctx, cond, value)
-    if isinstance(cond, BoundNot):
-        return not _eval_condition(ctx, cond.operand, row, anchor, nullflag)
-    if isinstance(cond, BoundAnd):
-        left = _eval_condition(ctx, cond.left, row, anchor, nullflag)
-        right = _eval_condition(ctx, cond.right, row, anchor, nullflag)
-        return left and right
-    if isinstance(cond, BoundOr):
-        left = _eval_condition(ctx, cond.left, row, anchor, nullflag)
-        right = _eval_condition(ctx, cond.right, row, anchor, nullflag)
-        return left or right
-    raise AssertionError(type(cond))
-
-
-def _gather_scalar(ctx: _PairCtx, agg: BoundAggregation, base: RowRef, anchor) -> List[RowRef]:
-    parent = RowRef(agg.group_edge.parent_table, base.index)
-    if agg.window is not None:
-        start = agg.window.start_micros
-        lo = None if start is None else anchor + start
-        hi = anchor + agg.window.end_micros
-        children = ctx.g.children_in_window(parent, agg.group_edge, lo, hi)
-    else:
-        children = ctx.g.all_children(parent, agg.group_edge)
-    if ctx.recorder:
-        ctx.recorder.record_window(children)
-    return children
-
-
-def _eval_aggregation(ctx: _PairCtx, agg: BoundAggregation, base: RowRef, anchor):
-    if (anchor is None) == (agg.window is not None):
-        raise ExecutionError(
-            f"{agg.kind.value} over {agg.table}: anchor must be supplied exactly "
-            f"when the aggregation is windowed"
-        )
-    children = _gather_scalar(ctx, agg, base, anchor)
-    if agg.where is not None:
-        children = [c for c in children if _eval_condition(ctx, agg.where, c, anchor)]
-    kind = agg.kind
-    if kind is AggKind.COUNT:
-        return len(children)
-
-    column = agg.column
-    values = [ctx.db.value(c, column) for c in children]
-    if kind is AggKind.COUNT_DISTINCT:
-        return len({v for v in values if v is not None})
-    if kind is AggKind.LIST_DISTINCT:
-        return tuple(sorted({v for v in values if v is not None}))
-    if kind in (AggKind.FIRST, AggKind.LAST):
-        time_col = ctx.db.table(agg.table).definition.time_column
-        dated = [(c, v) for c, v in zip(children, values) if ctx.db.value(c, time_col) is not None]
-        if not dated:
-            return None
-        if kind is AggKind.FIRST:
-            return dated[0][1]
-        last_time = ctx.db.value(dated[-1][0], time_col)
-        for c, v in dated:  # ties resolve to the lowest row index (load order)
-            if ctx.db.value(c, time_col) == last_time:
-                return v
-        raise AssertionError("unreachable")
-    present = [v for v in values if v is not None]
-    if not present:
-        return None
-    if kind is AggKind.SUM:
-        return sum(present)
-    if kind is AggKind.AVG:
-        return float(sum(present)) / len(present)
-    if kind is AggKind.MIN:
-        return min(present)
-    if kind is AggKind.MAX:
-        return max(present)
-    raise AssertionError(kind)
-
-
-def _eval_target(ctx: _PairCtx, target: BoundTarget, row: RowRef, anchor) -> Tuple[object, bool]:
-    """(value, defined) for one entity row."""
-    if isinstance(target, BoundColumn):
-        v = _fetch_scalar(ctx, target, row)
-        return v, v is not None
-    if isinstance(target, BoundAggregation):
-        v = _eval_aggregation(ctx, target, row, anchor)
-        if target.kind is AggKind.LIST_DISTINCT:
-            return v, True
-        return v, v is not None
-    flag = [False]
-    value = _eval_condition(ctx, target, row, anchor, nullflag=flag)
-    return value, not flag[0]
-
-
-# Public scalar operations (reference semantics, one pair at a time).
-
-
-def eval_aggregation(db: Database, g: RowGraph, agg: BoundAggregation, entity: RowRef, anchor=None):
-    """Aggregate one entity's children; `anchor` required iff windowed."""
-    return _eval_aggregation(_PairCtx(db, g), agg, entity, anchor)
-
-
-def eval_condition(db: Database, g: RowGraph, cond: BoundCondition, row: RowRef, anchor=None) -> bool:
-    """Two-valued condition evaluation for one row."""
-    return _eval_condition(_PairCtx(db, g), cond, row, anchor)
 
 
 # ---------------------------------------------------------------------------
@@ -280,13 +55,6 @@ class PredictionTable:
     rows: List[Tuple]  # (entity_key, anchor_micros | None)
     candidates: Optional[List] = None
     metadata: dict = field(default_factory=dict)
-
-
-def _sort_rows(rows: List[Tuple], temporal: bool) -> List[Tuple]:
-    # Canonical output order: anchor descending, then entity key ascending.
-    if temporal:
-        return sorted(rows, key=lambda r: (-r[1], r[0]))
-    return sorted(rows, key=lambda r: r[0])
 
 
 def _drop_empty_labels(task, keep_empty_labels: Optional[bool]) -> bool:
@@ -323,16 +91,6 @@ class _Drops:
             "empty_label": self.empty_label,
         }
 
-    def total(self) -> int:
-        return (
-            self.validity
-            + self.static_filter
-            + self.temporal_filter
-            + self.assuming
-            + self.undefined_target
-            + self.empty_label
-        )
-
 
 def _validity_mask(
     ctx: VecCtx, bound: BoundQuery, sel: Optional[np.ndarray], anchor: int
@@ -352,6 +110,37 @@ def _validity_mask(
         null = col.null if sel is None else col.null[sel]
         mask &= null | (anchor < vals)
     return mask
+
+
+def _filter_rows(
+    ctx: VecCtx,
+    bound: BoundQuery,
+    sel: np.ndarray,
+    anchor: Optional[int],
+    drops: _Drops,
+    static: Sequence[BoundCondition] = (),
+    temporal: Sequence[BoundCondition] = (),
+    assuming: Optional[BoundCondition] = None,
+) -> np.ndarray:
+    """The filter stages over one anchor's entity rows, in order: validity
+    (anchored rows only), the given static and temporal conjuncts, then
+    ASSUMING. Each row dropped is counted once, under the first stage that
+    drops it; returns the surviving rows."""
+    if anchor is not None and bound.entity_validity is not None and len(sel):
+        mask = _validity_mask(ctx, bound, sel, anchor)
+        drops.validity += int(len(sel) - mask.sum())
+        sel = sel[mask]
+    stages = [(c, None, "static_filter") for c in static]
+    stages += [(c, anchor, "temporal_filter") for c in temporal]
+    if assuming is not None:
+        stages.append((assuming, anchor, "assuming"))
+    for cond, at, cause in stages:
+        if len(sel) == 0:
+            break
+        mask = eval_condition_vec(ctx, cond, bound.entity_table, sel, at)
+        setattr(drops, cause, getattr(drops, cause) + int(len(sel) - mask.sum()))
+        sel = sel[mask]
+    return sel
 
 
 def _target_keep(
@@ -434,12 +223,9 @@ def materialize_training(
     anchor_rank = {a: i for i, a in enumerate(sorted(anchors, reverse=True))}
 
     if plan.optimized:
-        survivors = all_rows
-        for cond in bound.static_conjuncts:
-            if len(survivors) == 0:
-                break
-            mask = eval_condition_vec(ctx, cond, bound.entity_table, survivors, None)
-            survivors = survivors[mask]
+        # Static conjuncts run before anchor expansion, so their drops are
+        # not pairs and are not counted.
+        survivors = _filter_rows(ctx, bound, all_rows, None, _Drops(), bound.static_conjuncts)
         pairs_expanded = len(survivors) if bound.is_static else len(survivors) * len(anchors)
         if bound.is_static:
             sel, values = _target_keep(ctx, bound, survivors, None, drop_empty, drops)
@@ -448,21 +234,10 @@ def materialize_training(
 
             def run_anchor(anchor: int):
                 local = _Drops()
-                sel = survivors
-                if bound.entity_validity is not None and len(sel):
-                    mask = _validity_mask(ctx, bound, sel, anchor)
-                    local.validity += int(len(sel) - mask.sum())
-                    sel = sel[mask]
-                for cond in bound.temporal_conjuncts:
-                    if len(sel) == 0:
-                        break
-                    mask = eval_condition_vec(ctx, cond, bound.entity_table, sel, anchor)
-                    local.temporal_filter += int(len(sel) - mask.sum())
-                    sel = sel[mask]
-                if bound.assuming is not None and len(sel):
-                    mask = eval_condition_vec(ctx, bound.assuming, bound.entity_table, sel, anchor)
-                    local.assuming += int(len(sel) - mask.sum())
-                    sel = sel[mask]
+                sel = _filter_rows(
+                    ctx, bound, survivors, anchor, local,
+                    temporal=bound.temporal_conjuncts, assuming=bound.assuming,
+                )
                 sel, values = _target_keep(ctx, bound, sel, anchor, drop_empty, local)
                 split_name = split_for_anchor_rank(anchor_rank[anchor])
                 return _assemble(ctx, bound, sel, values, anchor, split_name), local
@@ -585,13 +360,6 @@ def materialize_prediction(
     ctx = VecCtx(db, g)
     etable = bound.entity_table
 
-    sel = np.arange(db.nrows(etable), dtype=np.int64)
-    for cond in bound.static_conjuncts:
-        if len(sel) == 0:
-            break
-        mask = eval_condition_vec(ctx, cond, etable, sel, None)
-        sel = sel[mask]
-
     anchor: Optional[int] = None
     if not bound.is_static:
         anchor = plan.prediction_at
@@ -599,14 +367,11 @@ def materialize_prediction(
             anchor = db.max_event_time()
             if anchor is None:
                 raise ExecutionError("temporal query over a database with no dated rows")
-        if bound.entity_validity is not None and len(sel):
-            sel = sel[_validity_mask(ctx, bound, sel, anchor)]
-        for cond in bound.temporal_conjuncts:
-            if len(sel) == 0:
-                break
-            mask = eval_condition_vec(ctx, cond, etable, sel, anchor)
-            sel = sel[mask]
-    else:
+    sel = _filter_rows(
+        ctx, bound, np.arange(db.nrows(etable), dtype=np.int64), anchor, _Drops(),
+        bound.static_conjuncts, bound.temporal_conjuncts,
+    )
+    if bound.is_static:
         # Static tables predict exactly the entities whose label could not
         # be computed during training (their values are to be imputed).
         drop_empty = _drop_empty_labels(bound.task, None)
@@ -621,7 +386,7 @@ def materialize_prediction(
             sel = sel[~defined]
 
     keys = db.table(bound.entity_table).column(bound.entity_column).values[sel].tolist()
-    rows = _sort_rows([(k, anchor) for k in keys], temporal=False)
+    rows = [(k, anchor) for k in sorted(keys)]
 
     candidates = None
     if bound.task.task_type is TaskType.LINK_PREDICTION:
@@ -661,67 +426,44 @@ def evaluate_pairs(
     anchors_for_split: Optional[Sequence[int]] = None,
     split: Optional[SplitPolicy] = None,
     keep_empty_labels: Optional[bool] = None,
-    recorder: Optional[TouchRecorder] = None,
 ) -> TrainingTable:
-    """Scalar-path materialization restricted to the given pairs.
+    """Training rows for the given (entity, anchor) pairs only.
 
     Produces exactly the rows the batch engine would emit for those pairs:
-    filters, validity pruning, drops and splits all apply. Used by the
-    low-latency sampler and by the verification suites.
+    filters, validity pruning, drops and splits all apply. Pairs are grouped
+    by anchor and each group runs through the same stages as a batch anchor,
+    on the restricted kernels over the shared store. Used by the low-latency
+    sampler and by the verification suites.
     """
     split = split or SplitPolicy()
-    ctx = _PairCtx(db, g, recorder)
+    ctx = VecCtx(db, g)
     drop_empty = _drop_empty_labels(bound.task, keep_empty_labels)
     pairs = list(dict.fromkeys(pairs))  # (entity, anchor) rows are unique
     if anchors_for_split is None:
         anchors_for_split = sorted({a for _, a in pairs if a is not None}, reverse=True)
     rank = {a: i for i, a in enumerate(sorted(anchors_for_split, reverse=True))}
 
-    etable_def = db.table(bound.entity_table)
-    pk_col = bound.entity_column
-    rows: List[Tuple] = []
-    drops = _Drops()
+    by_anchor: Dict[Optional[int], List[int]] = {}
     for ref, anchor in pairs:
         if ref.table.upper() != bound.entity_table:
             raise ExecutionError(f"pair entity {ref} is not from {bound.entity_table}")
-        if anchor is not None and bound.entity_validity is not None:
-            if not _validity_ok(db, bound, ref, anchor):
-                drops.validity += 1
-                continue
-        ok = True
-        for cond in bound.static_conjuncts:
-            if not _eval_condition(ctx, cond, ref, None):
-                drops.static_filter += 1
-                ok = False
-                break
-        if not ok:
-            continue
-        for cond in bound.temporal_conjuncts:
-            if not _eval_condition(ctx, cond, ref, anchor):
-                drops.temporal_filter += 1
-                ok = False
-                break
-        if not ok:
-            continue
-        if bound.assuming is not None and not _eval_condition(ctx, bound.assuming, ref, anchor):
-            drops.assuming += 1
-            continue
-        value, defined = _eval_target(ctx, bound.target, ref, anchor)
-        if _is_list_target(bound):
-            if drop_empty and len(value) == 0:
-                drops.empty_label += 1
-                continue
-        elif not defined:
-            drops.undefined_target += 1
-            continue
-        key = etable_def.column(pk_col).get(ref.index)
-        if anchor is None:
-            rows.append((key, None, value, split_for_key(key, split)))
-        else:
-            rows.append((key, anchor, value, split_for_anchor_rank(rank[anchor])))
+        if (anchor is None) != bound.is_static:
+            raise ExecutionError(
+                "static query takes no anchor" if bound.is_static else "temporal query needs an anchor"
+            )
+        by_anchor.setdefault(anchor, []).append(ref.index)
 
-    temporal = not bound.is_static
-    rows = _sort_rows(rows, temporal)
+    rows: List[Tuple] = []
+    drops = _Drops()
+    for anchor in sorted(by_anchor, reverse=True):  # newest anchor first: canonical order
+        sel = _filter_rows(
+            ctx, bound, np.array(by_anchor[anchor], dtype=np.int64), anchor, drops,
+            bound.static_conjuncts, bound.temporal_conjuncts, bound.assuming,
+        )
+        sel, values = _target_keep(ctx, bound, sel, anchor, drop_empty, drops)
+        split_name = None if anchor is None else split_for_anchor_rank(rank[anchor])
+        rows.extend(_assemble(ctx, bound, sel, values, anchor, split_name, split))
+
     metadata = {
         "mode": "training",
         "strategy": "pairwise",
@@ -732,16 +474,3 @@ def evaluate_pairs(
     }
     columns = ("ENTITY",) + (() if bound.is_static else ("TIMESTAMP",)) + ("TARGET", "SPLIT")
     return TrainingTable(columns, rows, metadata)
-
-
-def _validity_ok(db: Database, bound: BoundQuery, ref: RowRef, anchor: int) -> bool:
-    start_col, end_col = bound.entity_validity
-    if start_col is not None:
-        v = db.value(ref, start_col)
-        if v is not None and not (v <= anchor):
-            return False
-    if end_col is not None:
-        v = db.value(ref, end_col)
-        if v is not None and not (anchor < v):
-            return False
-    return True

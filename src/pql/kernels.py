@@ -3,12 +3,15 @@
 Everything here computes per-row numpy arrays for a batch of base rows at
 one anchor. Two gather modes drive the two execution strategies:
 
-* restricted — children are sliced per parent out of the CSR adjacency
-  (binary search per parent), so work scales with the selected parents;
+* restricted — each selected parent's (dated) child slice is taken out of
+  the CSR adjacency in one vectorized pass and then masked by the window's
+  time bounds, so work scales with the selected parents' children;
 * full scan — one boolean mask over a whole child table per anchor, the
   shape of the baseline cross-product strategy.
 
-Null semantics match the scalar evaluator: a comparison with a null or
+These kernels are the one production definition of PQL semantics: the
+batch engine, the pairwise evaluator and the sampler all run on them, and
+`pql.oracle` is the independent check. A comparison with a null or
 undefined operand is false (IS / IS NOT excepted), connectives are
 two-valued.
 """
@@ -32,6 +35,7 @@ from .binder import (
     BoundOr,
     BoundTarget,
 )
+from .errors import ExecutionError
 from .store import Database, DataType, EdgeIndex, RowGraph
 
 _INT_MIN = np.iinfo(np.int64).min
@@ -122,7 +126,8 @@ def gather_children(
     idx = ctx.g.edge_index(agg.group_edge)
     windowed = agg.window is not None
     if windowed:
-        assert anchor is not None
+        if anchor is None:
+            raise ExecutionError("windowed gather requires an anchor")
         start = agg.window.start_micros
         lo = None if start is None else anchor + start
         hi = anchor + agg.window.end_micros
@@ -349,8 +354,7 @@ def _fold(ctx: VecCtx, agg: BoundAggregation, gth: Gather, parents) -> Tuple[np.
     m = ~null
     if kind is AggKind.SUM:
         if col.dtype is DataType.INT64:
-            out = np.zeros(n, dtype=np.int64)
-            np.add.at(out, seg[m], vals[m])
+            out = _int_sums(seg[m], vals[m], n)
         else:
             out = np.bincount(seg[m], weights=vals[m].astype(np.float64), minlength=n)
         defined = np.bincount(seg[m], minlength=n) > 0
@@ -382,6 +386,24 @@ def _fold(ctx: VecCtx, agg: BoundAggregation, gth: Gather, parents) -> Tuple[np.
         return lists, np.ones(n, dtype=np.bool_)
 
     raise AssertionError(kind)
+
+
+def _int_sums(seg: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
+    """Exact per-segment sums of int64 values; ExecutionError when a true
+    sum falls outside int64."""
+    out = np.zeros(n, dtype=np.int64)
+    if len(vals) and max(-int(vals.min()), int(vals.max())) * len(vals) > _INT_MAX:
+        # A partial sum could wrap. Sum the low and high 32-bit halves
+        # apart (neither can overflow), carry, and range-check the high part.
+        low = np.zeros(n, dtype=np.int64)
+        np.add.at(low, seg, vals & 0xFFFFFFFF)
+        np.add.at(out, seg, vals >> 32)
+        out += low >> 32
+        if out.min() < -(1 << 31) or out.max() >= 1 << 31:
+            raise ExecutionError("SUM leaves the int64 range")
+        return (out << 32) | (low & 0xFFFFFFFF)
+    np.add.at(out, seg, vals)
+    return out
 
 
 def _distinct_counts(seg: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:

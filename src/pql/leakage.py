@@ -2,7 +2,7 @@
 
 For one (entity, anchor) pair the mask is the union of
 
-* every row consumed while computing the label (target and ASSUMING
+* every row read while computing the label (target and ASSUMING
   evaluation, including parent rows resolved for their filters), and
 * every row timestamped at or after the anchor in any time-annotated table
   reachable from the entity table — those rows did not exist at prediction
@@ -14,13 +14,16 @@ target value itself.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional, Set
 
 import numpy as np
 
-from .binder import BoundQuery
-from .engine import TouchRecorder, _eval_condition, _eval_target, _PairCtx, _validity_ok
+from .binder import BoundQuery, iter_bound_columns
+from .engine import _validity_mask
 from .errors import ExecutionError
+from .kernels import VecCtx
+from .sampler import _reached_rows, build_request
 from .store import Database, RowRef
 
 
@@ -50,19 +53,24 @@ def leakage_rows(
             raise ExecutionError("static query takes no anchor")
     elif anchor is None:
         raise ExecutionError("temporal query needs an anchor")
+    g = db.row_graph()
     if anchor is not None and bound.entity_validity is not None:
-        if not _validity_ok(db, bound, entity, anchor):
+        if not _validity_mask(VecCtx(db, g), bound, np.array([entity.index]), anchor)[0]:
             raise ExecutionError(
                 f"anchor {anchor} is outside the validity interval of {entity}"
             )
 
-    g = db.row_graph()
-    recorder = TouchRecorder()
-    ctx = _PairCtx(db, g, recorder)
-    _eval_target(ctx, bound.target, entity, anchor)
-    if bound.assuming is not None:
-        _eval_condition(ctx, bound.assuming, entity, anchor)
-    mask: Set[RowRef] = set(recorder.touched)
+    # The rows the label parts (target and ASSUMING) read, collected as
+    # the sampler collects them. The entity row itself counts only when a
+    # label part reads one of its columns directly.
+    label_only = replace(bound, conjuncts=())
+    reached, entities = _reached_rows(g, build_request(label_only, [(entity, anchor)]))
+    labels = (bound.target, bound.assuming)
+    if any(not c.hops for part in labels for c in iter_bound_columns(part)):
+        reached.setdefault(bound.entity_table, []).extend(entities)
+    mask: Set[RowRef] = {
+        RowRef(table, i) for table, arrays in reached.items() for rows in arrays for i in rows.tolist()
+    }
 
     if anchor is not None:
         for name in reachable_tables(db, bound.entity_table):

@@ -27,9 +27,10 @@ from .binder import (
     BoundTarget,
 )
 from .engine import TrainingTable, _drop_empty_labels, _is_list_target
+from .errors import ExecutionError
 from .kernels import like_regex
 from .splits import SplitPolicy, split_for_anchor_rank, split_for_key
-from .store import Database, RowRef
+from .store import Database, DataType, RowRef
 from .times import format_timestamp
 
 
@@ -198,7 +199,10 @@ def _eval_agg(
     if not present:
         return None
     if kind is AggKind.SUM:
-        return sum(present)
+        total = sum(present)
+        if agg.column_dtype is DataType.INT64 and not -(2**63) <= total < 2**63:
+            raise ExecutionError("SUM leaves the int64 range")
+        return total
     if kind is AggKind.AVG:
         return float(sum(present)) / len(present)
     if kind is AggKind.MIN:

@@ -4,41 +4,44 @@ Instead of scanning tables, this path walks the row graph from the
 requested entities and collects exactly the rows the query can touch: each
 aggregation contributes a time-sliced child expansion (all qualifying
 neighbors, no fan-out cap), each filter column a chain of single-row parent
-hops, nested aggregations recurse. The collected rows are materialized as a
-small standalone database on which the scalar evaluator runs, so results
-match the batch engine row for row.
-
-Row order is preserved when slicing tables (selected indices stay sorted),
-which keeps time-tie resolution identical to the full database.
+hops, nested aggregations recurse. The collected row sets account for the
+work a request does and can be exported as the entities' subgraph; labels
+are computed for the requested pairs by the restricted kernels on the
+shared store, so results match the batch engine row for row.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from .binder import (
     BoundAggregation,
+    BoundAnd,
+    BoundCompare,
+    BoundNot,
+    BoundOr,
     BoundQuery,
     HopChain,
+    iter_bound_aggregations,
     iter_bound_columns,
 )
 from .engine import TrainingTable, evaluate_pairs
 from .errors import ExecutionError
+from .kernels import VecCtx, _edge_slot_arrays, gather_children
 from .splits import SplitPolicy
-from .store import Column, Database, FkEdge, RowGraph, RowRef, TableData, build_row_graph
+from .store import Database, FkEdge, RowGraph, RowRef, build_row_graph
 
 
 @dataclass(frozen=True)
 class GatherNode:
-    """One aggregation's child expansion: the edge to follow, its window
-    (relative to the anchor), the parent-hop chains its filter reads, and
-    the nested expansions below it."""
+    """One aggregation's child expansion: the aggregation (its edge and
+    window), the parent-hop chains its filter reads, and the nested
+    expansions below it."""
 
-    edge: FkEdge
-    window: Optional[Tuple[Optional[int], int]]  # (lo, hi) micros rel. anchor
+    agg: BoundAggregation
     hop_chains: Tuple[HopChain, ...]
     nested: Tuple["GatherNode", ...]
 
@@ -57,7 +60,7 @@ class SampleRequest:
         out: Set[FkEdge] = set()
 
         def walk(node: GatherNode):
-            out.add(node.edge)
+            out.add(node.agg.group_edge)
             for chain in node.hop_chains:
                 out.update(chain)
             for sub in node.nested:
@@ -74,17 +77,12 @@ def _gather_nodes(condition_or_agg) -> List[GatherNode]:
     """GatherNodes for every aggregation at the top level of a condition."""
 
     def from_agg(agg: BoundAggregation) -> GatherNode:
-        window = None
-        if agg.window is not None:
-            window = (agg.window.start_micros, agg.window.end_micros)
         chains: List[HopChain] = []
         nested: List[GatherNode] = []
         if agg.where is not None:
             chains = [c.hops for c in iter_bound_columns(agg.where) if c.hops]
             nested = _gather_nodes(agg.where)
-        return GatherNode(agg.group_edge, window, tuple(chains), tuple(nested))
-
-    from .binder import BoundAnd, BoundCompare, BoundNot, BoundOr
+        return GatherNode(agg, tuple(chains), tuple(nested))
 
     out: List[GatherNode] = []
 
@@ -138,53 +136,28 @@ class Subgraph:
     db: Database
     rows: Dict[str, np.ndarray]
     touched_rows: int = 0
-    _sub: Optional[Database] = field(default=None, repr=False)
-    _maps: Optional[Dict[str, Dict[int, int]]] = field(default=None, repr=False)
 
     def row_count(self, table: str) -> int:
         arr = self.rows.get(table.upper())
         return 0 if arr is None else len(arr)
 
 
-def _gather_rows(
-    g: RowGraph,
-    edge: FkEdge,
-    parents: np.ndarray,
-    anchor: Optional[int],
-    window: Optional[Tuple[Optional[int], int]],
-) -> np.ndarray:
-    """Child rows of `parents` along `edge`, window-sliced; vectorized."""
-    from .kernels import _multiarange
-
-    idx = g.edge_index(edge)
-    starts = idx.indptr[parents]
-    ends = idx.indptr[parents + 1] if window is None else idx.dated_end[parents]
-    pos = _multiarange(starts, ends - starts)
-    if window is not None and len(pos):
-        if anchor is None:
-            raise ExecutionError("windowed gather requires an anchor")
-        lo_rel, hi_rel = window
-        t = idx.times[pos]
-        mask = t < anchor + hi_rel
-        if lo_rel is not None:
-            mask &= t >= anchor + lo_rel
-        pos = pos[mask]
-    return idx.order[pos]
-
-
-def collect(g: RowGraph, request: SampleRequest) -> Subgraph:
-    """Breadth-first collection of the connected row subgraph the request
-    touches: child expansions are time-sliced per window (every qualifying
-    neighbor, no fan-out cap), parent hops pull single rows unconditionally.
-    Pairs sharing an anchor expand together, one array pass per edge."""
-    db = g.db
+def _reached_rows(
+    g: RowGraph, request: SampleRequest
+) -> Tuple[Dict[str, List[np.ndarray]], List[np.ndarray]]:
+    """Rows the request reads, apart from its entity rows, by table; and the
+    entity rows, one sorted array per anchor. Child expansions are
+    time-sliced per window (every qualifying neighbor, no fan-out cap),
+    parent hops pull single rows unconditionally. Pairs sharing an anchor
+    expand together, one array pass per edge."""
+    ctx = VecCtx(g.db, g)
     acc: Dict[str, List[np.ndarray]] = {}
 
     def add(table: str, rows: np.ndarray):
         if len(rows):
             acc.setdefault(table, []).append(rows)
 
-    def walk_chain(table: str, rows: np.ndarray, chain: HopChain):
+    def walk_chain(rows: np.ndarray, chain: HopChain):
         cur = rows
         for edge in chain:
             fwd = g.edge_index(edge).forward
@@ -193,11 +166,11 @@ def collect(g: RowGraph, request: SampleRequest) -> Subgraph:
             add(edge.parent_table, cur)
 
     def expand(node: GatherNode, base_rows: np.ndarray, anchor: Optional[int]):
-        children = _gather_rows(g, node.edge, base_rows, anchor, node.window)
-        add(node.edge.child_table, children)
+        children = gather_children(ctx, node.agg, base_rows, anchor).child_rows
+        add(node.agg.table, children)
         if len(children):
             for chain in node.hop_chains:
-                walk_chain(node.edge.child_table, children, chain)
+                walk_chain(children, chain)
             for sub in node.nested:
                 expand(sub, children, anchor)
 
@@ -206,39 +179,26 @@ def collect(g: RowGraph, request: SampleRequest) -> Subgraph:
         if ref.table.upper() != request.entity_table:
             raise ExecutionError(f"pair entity {ref} is not from {request.entity_table}")
         by_anchor.setdefault(anchor, []).append(ref.index)
+    entities = []
     for anchor, indices in by_anchor.items():
-        base = np.array(sorted(set(indices)), dtype=np.int64)
-        add(request.entity_table, base)
+        base = np.unique(np.array(indices, dtype=np.int64))
+        entities.append(base)
         for chain in request.entity_hops:
-            walk_chain(request.entity_table, base, chain)
+            walk_chain(base, chain)
         for node in request.gathers:
             expand(node, base, anchor)
+    return acc, entities
 
+
+def collect(g: RowGraph, request: SampleRequest) -> Subgraph:
+    """Breadth-first collection of the connected row subgraph the request
+    touches: the entity rows plus every row `_reached_rows` finds."""
+    acc, entities = _reached_rows(g, request)
+    if entities:
+        acc.setdefault(request.entity_table, []).extend(entities)
     packed = {t: np.unique(np.concatenate(arrays)) for t, arrays in acc.items()}
     touched = sum(len(v) for v in packed.values())
-    return Subgraph(db, packed, touched)
-
-
-def _sub_database(sub: Subgraph) -> Tuple[Database, Dict[str, Dict[int, int]]]:
-    if sub._sub is not None:
-        return sub._sub, sub._maps
-    db = sub.db
-    out = Database(db.schema)
-    maps: Dict[str, Dict[int, int]] = {}
-    for name, tdata in db.tables.items():
-        idx = sub.rows.get(name, np.empty(0, dtype=np.int64))
-        cols = {
-            cname: Column(col.dtype, col.values[idx], col.null[idx])
-            for cname, col in tdata.columns.items()
-        }
-        new = TableData(tdata.definition, cols, len(idx))
-        if tdata.definition.primary_key:
-            pkcol = new.columns[tdata.definition.primary_key]
-            new.pk_index = dict(zip(pkcol.values.tolist(), range(len(idx))))
-        out.tables[name] = new
-        maps[name] = dict(zip(idx.tolist(), range(len(idx))))
-    sub._sub, sub._maps = out, maps
-    return out, maps
+    return Subgraph(g.db, packed, touched)
 
 
 def compute_on_subgraph(
@@ -250,23 +210,22 @@ def compute_on_subgraph(
     split: Optional[SplitPolicy] = None,
     keep_empty_labels: Optional[bool] = None,
 ) -> TrainingTable:
-    """Run the scalar evaluator over the collected rows only; emits exactly
-    the batch engine's rows for the same pairs."""
-    sub_db, maps = _sub_database(sub)
-    emap = maps.get(bound.entity_table, {})
-    remapped = []
-    for ref, anchor in pairs:
-        local = emap.get(ref.index)
-        if local is None:
-            raise ExecutionError(
-                f"entity row {ref} was not collected; build the request from the same pairs"
-            )
-        remapped.append((RowRef(bound.entity_table, local), anchor))
+    """Training rows for pairs whose subgraph was collected: the restricted
+    kernels evaluate exactly these pairs on the shared store, so the rows
+    are the batch engine's rows for the same pairs."""
+    collected = sub.rows.get(bound.entity_table, np.empty(0, dtype=np.int64))
+    indices = np.fromiter((ref.index for ref, _ in pairs), dtype=np.int64, count=len(pairs))
+    missing = np.nonzero(~np.isin(indices, collected))[0]
+    if len(missing):
+        ref = pairs[int(missing[0])][0]
+        raise ExecutionError(
+            f"entity row {ref} was not collected; build the request from the same pairs"
+        )
     return evaluate_pairs(
-        sub_db,
-        build_row_graph(sub_db),
+        sub.db,
+        build_row_graph(sub.db),
         bound,
-        remapped,
+        pairs,
         anchors_for_split=anchors_for_split,
         split=split,
         keep_empty_labels=keep_empty_labels,
@@ -299,8 +258,6 @@ def sample_pairs(
     edges = {a.group_edge for a in _request_edges(bound) if a.group_edge.parent_table == etable}
     for edge in edges:
         idx = g.edge_index(edge)
-        from .kernels import _edge_slot_arrays
-
         slot_parent, slot_dated = _edge_slot_arrays(idx)
         mask = slot_dated & (idx.times < anchor)
         np.maximum.at(latest, slot_parent[mask], idx.times[mask])
@@ -311,8 +268,6 @@ def sample_pairs(
 
 
 def _request_edges(bound: BoundQuery) -> List[BoundAggregation]:
-    from .binder import iter_bound_aggregations
-
     aggs = list(iter_bound_aggregations(bound.target))
     for conj in bound.conjuncts:
         aggs.extend(iter_bound_aggregations(conj.condition))

@@ -2,8 +2,9 @@
 
 Schema metadata, columnar table storage with null bitmaps, and a derived
 row graph: one CSR adjacency per foreign-key edge, with each parent's
-children sorted by their event time so that time windows slice by binary
-search. Undated children sit after the dated ones in load order.
+children sorted by their event time, so that a time window covers one
+contiguous run of the parent's dated children. Undated children sit after
+the dated ones in load order.
 
 Identifiers are case-insensitive and canonicalized to upper case. A table's
 time column and validity columns must hold timestamps (stored as integer
@@ -466,9 +467,12 @@ def load_table_data(
     """
     tdef = db.schema.table(table)
     if isinstance(rows, Path):
-        rows = rows.read_text().splitlines()
-    elif isinstance(rows, str):
-        rows = rows.splitlines()
+        # newline="" hands line breaks inside quoted cells to the csv
+        # reader intact; only \r and \n end records, never U+2028 etc.
+        with open(rows, newline="") as fh:
+            return load_table_data(db, table, fh, strict=strict)
+    if isinstance(rows, str):
+        rows = io.StringIO(rows, newline="")
     reader = csv.reader(rows)
     try:
         header = next(reader)
@@ -690,60 +694,9 @@ class RowGraph:
             raise DataError(f"no such foreign-key edge: {edge}")
         return self.edges[edge]
 
-    def parent_of(self, edge: FkEdge, child_row: int) -> Optional[int]:
-        p = self.edge_index(edge).forward[child_row]
-        return None if p < 0 else int(p)
-
-    def children_in_window(
-        self,
-        parent: RowRef,
-        edge: FkEdge,
-        lo: Optional[int],
-        hi: Optional[int],
-    ) -> List[RowRef]:
-        """Dated children of `parent` with lo <= time < hi, in time order.
-
-        `lo` None means unbounded past, `hi` None unbounded future.
-        """
-        idx = self.edge_index(edge)
-        if parent.table.upper() != edge.parent_table:
-            raise DataError(
-                f"row of table {parent.table} cannot be a parent for edge {edge}"
-            )
-        lo_pos, hi_pos = self._window_slice(idx, parent.index, lo, hi)
-        return [RowRef(edge.child_table, int(r)) for r in idx.order[lo_pos:hi_pos]]
-
-    def _window_slice(self, idx: EdgeIndex, parent_row: int, lo, hi) -> Tuple[int, int]:
-        start = idx.indptr[parent_row]
-        end = idx.dated_end[parent_row]
-        seg = idx.times[start:end]
-        lo_pos = start + (0 if lo is None else np.searchsorted(seg, lo, side="left"))
-        hi_pos = start + (len(seg) if hi is None else np.searchsorted(seg, hi, side="left"))
-        return int(lo_pos), int(hi_pos)
-
-    def all_children(self, parent: RowRef, edge: FkEdge) -> List[RowRef]:
-        """Every child of `parent`, dated first in time order, undated after."""
-        idx = self.edge_index(edge)
-        if parent.table.upper() != edge.parent_table:
-            raise DataError(
-                f"row of table {parent.table} cannot be a parent for edge {edge}"
-            )
-        start, end = idx.indptr[parent.index], idx.indptr[parent.index + 1]
-        return [RowRef(edge.child_table, int(r)) for r in idx.order[start:end]]
-
 
 def build_row_graph(db: Database) -> RowGraph:
     """Build (or return the cached) row graph for a loaded database."""
     if db._graph is None:
         db._graph = RowGraph(db)
     return db._graph
-
-
-def children_in_window(
-    g: RowGraph,
-    parent: RowRef,
-    edge: FkEdge,
-    lo: Optional[int],
-    hi: Optional[int],
-) -> List[RowRef]:
-    return g.children_in_window(parent, edge, lo, hi)

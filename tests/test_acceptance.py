@@ -19,17 +19,9 @@ from pql.ast import unparse
 from pql.bench import run_bench
 from pql.binder import TaskType, bind
 from pql.cli import main
-from pql.engine import (
-    TouchRecorder,
-    _PairCtx,
-    _eval_condition,
-    _eval_target,
-    _validity_ok,
-    materialize_prediction,
-    materialize_training,
-)
+from pql.engine import materialize_prediction, materialize_training
 from pql.leakage import leakage_rows
-from pql.oracle import oracle_training
+from pql.oracle import _eval_cond, _eval_target, _Tables, _Touches, _validity_ok, oracle_training
 from pql.parser import parse
 from pql.planner import AnchorPolicy, plan_prediction, plan_training, resolve_anchors
 from pql.sampler import build_request, collect, compute_on_subgraph
@@ -99,44 +91,45 @@ def test_criterion_3_oracle_equivalence():
 
 
 def test_criterion_4_leakage_invariants():
+    # Label and filter reads come from the brute-force oracle, so the mask
+    # built by the production code is checked against an independent record.
     violations = 0
     pairs_checked = 0
     for seed in range(N_TRIPLES):
         _, db, bound = _triple(seed)
-        g = build_row_graph(db)
         anchors = resolve_anchors(bound, AnchorPolicy(count=4), db)
         alist, n = _pair_domain(db, bound, anchors)
         if not alist or not n:
             continue
+        t = _Tables(db)
+        etable = bound.entity_table
         rnd = random.Random(seed)
         tf = bound.timeframe
         for _ in range(6):
-            ref = RowRef(bound.entity_table, rnd.randrange(n))
+            ref = RowRef(etable, rnd.randrange(n))
             anchor = rnd.choice(alist)
             if anchor is not None and bound.entity_validity is not None:
-                if not _validity_ok(db, bound, ref, anchor):
+                if not _validity_ok(t, bound, ref.index, anchor):
                     continue
             pairs_checked += 1
-            label_rec = TouchRecorder()
-            ctx = _PairCtx(db, g, label_rec)
-            _eval_target(ctx, bound.target, ref, anchor)
+            label = _Touches()
+            _eval_target(t, bound.target, etable, ref.index, anchor, label)
             if bound.assuming is not None:
-                _eval_condition(ctx, bound.assuming, ref, anchor)
-            filter_rec = TouchRecorder()
-            ctx = _PairCtx(db, g, filter_rec)
+                _eval_cond(t, bound.assuming, etable, ref.index, anchor, label)
+            filters = _Touches()
             for conj in bound.conjuncts:
-                _eval_condition(ctx, conj.condition, ref, anchor)
+                _eval_cond(t, conj.condition, etable, ref.index, anchor, filters)
             if anchor is not None:
-                for row in label_rec.window_rows:
-                    t = db.value(row, db.table(row.table).definition.time_column)
-                    if not (anchor <= t < anchor + tf.future):
+                for row in label.window_rows:
+                    when = db.value(row, db.table(row.table).definition.time_column)
+                    if not (anchor <= when < anchor + tf.future):
                         violations += 1
-                for row in filter_rec.window_rows:
-                    t = db.value(row, db.table(row.table).definition.time_column)
-                    if t >= anchor or (tf.past is not None and t < anchor - tf.past):
+                for row in filters.window_rows:
+                    when = db.value(row, db.table(row.table).definition.time_column)
+                    if when >= anchor or (tf.past is not None and when < anchor - tf.past):
                         violations += 1
             mask = leakage_rows(bound, db, ref, anchor)
-            if not label_rec.touched <= mask:
+            if not label.rows <= mask:
                 violations += 1
     assert violations == 0
     print(f"ACCEPTANCE 4 PASS leakage invariants: 0 violations over {pairs_checked} pairs")
@@ -270,11 +263,11 @@ def test_criterion_9_assuming_semantics():
     assert set(t_assume.rows) <= set(t_plain.rows)
     # The rows removed are exactly those failing the notification condition.
     removed = set(t_plain.rows) - set(t_assume.rows)
-    ctx = _PairCtx(db, g, None)
+    t = _Tables(db)
     key_to_row = db.table("CUSTOMERS").pk_index
     for key, anchor, _, _ in removed:
-        ref = RowRef("CUSTOMERS", key_to_row[key])
-        assert _eval_condition(ctx, assuming.assuming, ref, anchor) is False
+        row = key_to_row[key]
+        assert _eval_cond(t, assuming.assuming, "CUSTOMERS", row, anchor, None) is False
 
     p_plain = materialize_prediction(plan_prediction(plain), db, g)
     p_assume = materialize_prediction(plan_prediction(assuming), db, g)

@@ -357,16 +357,16 @@ class TestPredictionFilter:
 
     def test_soundness_on_toy_data(self, toy_db, toy_graph):
         # No labelled article may be excluded by the extracted candidate filter.
-        from pql.engine import eval_aggregation
-        from pql.kernels import VecCtx, eval_condition_vec
+        from pql.kernels import VecCtx, eval_agg_vec, eval_condition_vec
         import numpy as np
 
         b = bind_text(CORPUS_BY_NAME["blue_articles"].text)
         anchor = parse_timestamp("2024-01-01")
+        ctx = VecCtx(toy_db, toy_graph)
         labels = set()
         for c in range(toy_db.nrows("CUSTOMERS")):
-            labels |= set(eval_aggregation(toy_db, toy_graph, b.target, RowRef("CUSTOMERS", c), anchor))
-        ctx = VecCtx(toy_db, toy_graph)
+            values, _ = eval_agg_vec(ctx, b.target, "CUSTOMERS", np.array([c]), anchor)
+            labels |= set(values[0])
         all_articles = np.arange(toy_db.nrows("ARTICLES"))
         passing = all_articles[eval_condition_vec(ctx, b.prediction_filter, "ARTICLES", all_articles, None)]
         candidate_keys = {toy_db.value(RowRef("ARTICLES", int(i)), "ARTICLE_ID") for i in passing}
@@ -393,11 +393,49 @@ class TestLeakageRows:
         assert mask == {RowRef("TRANSACTIONS", 0)}
 
     def test_covers_engine_reads(self, toy_db, toy_graph):
-        from pql.engine import TouchRecorder, _PairCtx, _eval_target
+        from pql.oracle import _eval_target, _Tables, _Touches
 
         b = bind_text(CORPUS_BY_NAME["active_spender_notified"].text)
         anchor = parse_timestamp("2024-01-01")
         mask = leakage_rows(b, toy_db, RowRef("CUSTOMERS", 0), anchor)
-        rec = TouchRecorder()
-        _eval_target(_PairCtx(toy_db, toy_graph, rec), b.target, RowRef("CUSTOMERS", 0), anchor)
-        assert rec.touched <= mask
+        touch = _Touches()
+        _eval_target(_Tables(toy_db), b.target, "CUSTOMERS", 0, anchor, touch)
+        assert touch.rows <= mask
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_equals_oracle_label_reads_plus_future_rows(self, seed):
+        import random
+
+        from pql.leakage import reachable_tables
+        from pql.oracle import _eval_cond, _eval_target, _Tables, _Touches, _validity_ok
+        from pql.planner import AnchorPolicy, resolve_anchors
+        from pql.synth import random_database, random_query, random_schema
+
+        sch = random_schema(seed % 20)
+        db = random_database(seed, sch)
+        b = bind(random_query(seed * 11 + 3, sch), sch)
+        anchors = resolve_anchors(b, AnchorPolicy(count=3), db)
+        alist = [None] if b.is_static else anchors
+        n = db.nrows(b.entity_table)
+        if not alist or not n:
+            return
+        t = _Tables(db)
+        tables = reachable_tables(db, b.entity_table)
+        rnd = random.Random(seed)
+        for _ in range(8):
+            row, anchor = rnd.randrange(n), rnd.choice(alist)
+            if anchor is not None and b.entity_validity is not None:
+                if not _validity_ok(t, b, row, anchor):
+                    continue
+            touch = _Touches()
+            _eval_target(t, b.target, b.entity_table, row, anchor, touch)
+            if b.assuming is not None:
+                _eval_cond(t, b.assuming, b.entity_table, row, anchor, touch)
+            want = set(touch.rows)
+            if anchor is not None:
+                for name in tables:
+                    tc = t.defs[name].time_column
+                    if tc is not None:
+                        want |= {RowRef(name, i) for i, when in enumerate(t.cols[name][tc])
+                                 if when is not None and when >= anchor}
+            assert leakage_rows(b, db, RowRef(b.entity_table, row), anchor) == want

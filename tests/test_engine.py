@@ -1,19 +1,15 @@
-"""Batch engine: scalar evaluation semantics, materialization, splits,
+"""Batch engine: kernel semantics on single rows, materialization, splits,
 drop accounting, strategy equivalence, determinism, prediction tables."""
 
+import numpy as np
 import pytest
 
 from corpus import CORPUS_BY_NAME, schema
 
 from pql.binder import bind
-from pql.engine import (
-    eval_aggregation,
-    eval_condition,
-    evaluate_pairs,
-    materialize_prediction,
-    materialize_training,
-)
+from pql.engine import evaluate_pairs, materialize_prediction, materialize_training
 from pql.errors import ExecutionError
+from pql.kernels import VecCtx, eval_agg_vec, eval_condition_vec
 from pql.oracle import oracle_training
 from pql.parser import parse
 from pql.planner import AnchorPolicy, plan_prediction, plan_training, resolve_anchors
@@ -34,6 +30,18 @@ def target_of(text, key="retail"):
 
 
 CUSTOMER = lambda i: RowRef("CUSTOMERS", i)  # noqa: E731
+
+
+def eval_aggregation(db, g, agg, entity, anchor=None):
+    """One aggregation for one entity, as a one-row kernel batch; None when
+    undefined."""
+    values, defined = eval_agg_vec(VecCtx(db, g), agg, entity.table, np.array([entity.index]), anchor)
+    return values.tolist()[0] if defined[0] else None
+
+
+def eval_condition(db, g, cond, row, anchor=None):
+    """One condition for one row, as a one-row kernel batch."""
+    return bool(eval_condition_vec(VecCtx(db, g), cond, row.table, np.array([row.index]), anchor)[0])
 
 
 class TestEvalAggregation:
@@ -408,3 +416,78 @@ class TestEvaluatePairs:
         bad_anchor = cust.column(start_col).get(row) - MICROS_PER_DAY
         got = evaluate_pairs(db, g, b, [(RowRef("CUSTOMERS", row), bad_anchor)])
         assert got.rows == [] and got.metadata["dropped"]["validity_pruned"] == 1
+
+
+class TestInt64Sum:
+    """SUM over an int64 column is exact, and raises when the true sum
+    leaves int64, in the kernels and the oracle alike."""
+
+    DOC = {
+        "tables": [
+            {"name": "C", "columns": [{"name": "ID", "dtype": "int64", "stype": "key"}],
+             "primary_key": "ID"},
+            {
+                "name": "T",
+                "columns": [
+                    {"name": "ID", "dtype": "int64", "stype": "key"},
+                    {"name": "C_ID", "dtype": "int64", "stype": "key"},
+                    {"name": "V", "dtype": "int64", "stype": "numerical"},
+                    {"name": "AT", "dtype": "timestamp", "stype": "temporal"},
+                ],
+                "primary_key": "ID",
+                "time_column": "AT",
+                "foreign_keys": [{"column": "C_ID", "references": "C"}],
+            },
+        ]
+    }
+    QUERY = "PREDICT SUM(T.V, 0, 30, days) FOR EACH C.ID"
+
+    def db_with(self, values_by_customer):
+        from pql.store import load_schema, load_table_data, new_database
+
+        db = new_database(load_schema(self.DOC))
+        load_table_data(db, "C", "ID\n" + "".join(f"{c}\n" for c in values_by_customer))
+        lines, tid = ["ID,C_ID,V,AT"], 0
+        for c, values in values_by_customer.items():
+            for day, v in enumerate(values, start=1):
+                tid += 1
+                lines.append(f"{tid},{c},{v},2024-01-{day:02d}")
+        load_table_data(db, "T", "\n".join(lines) + "\n")
+        return db
+
+    def run_all(self, db):
+        b = bind(parse(self.QUERY), db.schema)
+        policy = AnchorPolicy(count=1, latest=ANCHOR)
+        anchors = resolve_anchors(b, policy, db)
+        batch = materialize_training(plan_training(b, policy), db)
+        naive = materialize_training(plan_training(b, policy, optimized=False), db)
+        pairs = [(RowRef("C", i), ANCHOR) for i in range(db.nrows("C"))]
+        pairwise = evaluate_pairs(db, db.row_graph(), b, pairs, anchors_for_split=anchors)
+        oracle = oracle_training(b, db, anchors)
+        return batch.rows, naive.rows, pairwise.rows, oracle.rows
+
+    def test_overflow_raises_everywhere(self):
+        db = self.db_with({1: [2**62, 2**62]})
+        b = bind(parse(self.QUERY), db.schema)
+        policy = AnchorPolicy(count=1, latest=ANCHOR)
+        with pytest.raises(ExecutionError, match="int64"):
+            materialize_training(plan_training(b, policy), db)
+        with pytest.raises(ExecutionError, match="int64"):
+            materialize_training(plan_training(b, policy, optimized=False), db)
+        with pytest.raises(ExecutionError, match="int64"):
+            evaluate_pairs(db, db.row_graph(), b, [(RowRef("C", 0), ANCHOR)])
+        with pytest.raises(ExecutionError, match="int64"):
+            oracle_training(b, db, [ANCHOR])
+
+    def test_sums_at_the_int64_bounds_are_exact(self):
+        top, bottom = 2**63 - 1, -(2**63)
+        db = self.db_with({
+            1: [2**62, 2**62 - 1],  # exactly the maximum
+            2: [-(2**62), -(2**62)],  # exactly the minimum
+            3: [2**62, 2**62, -5],  # a running sum leaves int64, the total does not
+            4: [7, -3],
+        })
+        want = [(1, ANCHOR, top, "test"), (2, ANCHOR, bottom, "test"),
+                (3, ANCHOR, top - 4, "test"), (4, ANCHOR, 4, "test")]
+        for rows in self.run_all(db):
+            assert rows == want

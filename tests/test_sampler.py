@@ -8,7 +8,8 @@ from corpus import CORPUS_BY_NAME, schema
 
 from pql.binder import bind
 from pql.engine import evaluate_pairs, materialize_training
-from pql.oracle import oracle_touches
+from pql.errors import ExecutionError
+from pql.oracle import oracle_touches, oracle_training
 from pql.parser import parse
 from pql.planner import AnchorPolicy, plan_training, resolve_anchors
 from pql.sampler import build_request, collect, compute_on_subgraph, sample_pairs
@@ -88,6 +89,14 @@ class TestComputeOnSubgraph:
         want = evaluate_pairs(toy_db, toy_graph, b, pairs, anchors_for_split=anchors)
         assert got.rows == want.rows
 
+    def test_uncollected_entity_is_refused(self, toy_db, toy_graph):
+        b = bind_text(CORPUS_BY_NAME["next_month_spend"].text)
+        collected = [(RowRef("CUSTOMERS", 0), ANCHOR)]
+        sub = collect(toy_graph, build_request(b, collected))
+        assert len(compute_on_subgraph(b, sub, collected).rows) == 1
+        with pytest.raises(ExecutionError, match="CUSTOMERS.*was not collected"):
+            compute_on_subgraph(b, sub, collected + [(RowRef("CUSTOMERS", 1), ANCHOR)])
+
     @pytest.mark.parametrize("seed", range(40))
     def test_differential_against_batch(self, seed):
         sch = random_schema(seed % 14)
@@ -113,6 +122,10 @@ class TestComputeOnSubgraph:
         requested = {(pk.get(ref.index), a) for ref, a in pairs}
         restricted = [r for r in batch.rows if (r[0], r[1]) in requested]
         assert got.rows == restricted
+        # The sampler and the batch engine share the kernels; the oracle is
+        # the independent reference for the sampler's rows.
+        oracle = oracle_training(b, db, anchors)
+        assert got.rows == [r for r in oracle.rows if (r[0], r[1]) in requested]
 
 
 class TestSamplePairs:
