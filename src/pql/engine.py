@@ -27,7 +27,7 @@ import numpy as np
 
 from .binder import BoundCondition, BoundQuery, TaskType
 from .errors import ExecutionError
-from .kernels import VecCtx, eval_condition_vec, eval_target_vec
+from .kernels import SumOverflow, VecCtx, eval_condition_vec, eval_target_vec
 from .planner import LogicalPlan, resolve_anchors
 from .splits import SplitPolicy, split_for_anchor_rank, split_for_key
 from .store import Database, ListType, RowGraph, RowRef, build_row_graph
@@ -289,17 +289,45 @@ def _map_anchors(fn, anchors: List[int], workers: int):
         return list(pool.map(fn, anchors))
 
 
+def _spare_overflow(fn, n: int):
+    """Run the batch kernel `fn(rows)` over all `n` entity rows, setting
+    aside rows whose int64 SUM leaves the range instead of failing the
+    batch. Returns (result over the other rows, those rows or None for all,
+    mask of the rows set aside)."""
+    over = np.zeros(n, dtype=np.bool_)
+    rows = None
+    while True:
+        try:
+            return fn(rows), rows, over
+        except SumOverflow as exc:
+            over[exc.segments if rows is None else rows[exc.segments]] = True
+            rows = np.nonzero(~over)[0]
+
+
+def _widen(mask: np.ndarray, rows: Optional[np.ndarray], n: int) -> np.ndarray:
+    if rows is None:
+        return mask
+    full = np.zeros(n, dtype=np.bool_)
+    full[rows] = mask
+    return full
+
+
 def _run_naive(ctx, bound, all_rows, anchors, anchor_rank, split, drop_empty, drops, workers):
-    """Cross-product execution: one full-table pass per anchor, targets first."""
+    """Cross-product execution: one full-table pass per anchor, targets
+    first. A row whose SUM leaves int64 fails the run only when the stages
+    before it keep the row, as in the staged plan."""
     etable = bound.entity_table
+    n = len(all_rows)
     ctx.fullscan = True
 
     def run_anchor(anchor: Optional[int]):
         local = _Drops()
         # Target computation for every entity, before any filtering.
-        values, defined = eval_target_vec(ctx, bound.target, etable, None, anchor)
-        keep = np.ones(len(all_rows), dtype=np.bool_)
-        kept = len(all_rows)
+        (values, defined), live, target_over = _spare_overflow(
+            lambda r: eval_target_vec(ctx, bound.target, etable, r, anchor), n
+        )
+        keep = np.ones(n, dtype=np.bool_)
+        kept = n
 
         def apply(mask, bucket):
             nonlocal keep, kept
@@ -308,23 +336,35 @@ def _run_naive(ctx, bound, all_rows, anchors, anchor_rank, split, drop_empty, dr
             setattr(local, bucket, getattr(local, bucket) + kept - now)
             kept = now
 
+        def refuse_overflow(over):
+            if (keep & over).any():
+                raise ExecutionError("SUM leaves the int64 range")
+
+        def apply_cond(cond, at, bucket):
+            mask, rows, over = _spare_overflow(
+                lambda r: eval_condition_vec(ctx, cond, etable, r, at), n
+            )
+            refuse_overflow(over)
+            apply(_widen(mask, rows, n), bucket)
+
         for cond in bound.static_conjuncts:
-            apply(eval_condition_vec(ctx, cond, etable, None, None), "static_filter")
+            apply_cond(cond, None, "static_filter")
         if anchor is not None and bound.entity_validity is not None:
             apply(_validity_mask(ctx, bound, None, anchor), "validity")
         if anchor is not None:
             for cond in bound.temporal_conjuncts:
-                apply(eval_condition_vec(ctx, cond, etable, None, anchor), "temporal_filter")
+                apply_cond(cond, anchor, "temporal_filter")
             if bound.assuming is not None:
-                apply(eval_condition_vec(ctx, bound.assuming, etable, None, anchor), "assuming")
+                apply_cond(bound.assuming, anchor, "assuming")
+        refuse_overflow(target_over)
         if _is_list_target(bound):
             empty = np.fromiter((len(v) == 0 for v in values), np.bool_, count=len(values))
             if drop_empty:
-                apply(~empty, "empty_label")
+                apply(_widen(~empty, live, n), "empty_label")
         else:
-            apply(defined, "undefined_target")
+            apply(_widen(defined, live, n), "undefined_target")
         sel = np.nonzero(keep)[0]
-        kept_vals = values[sel]
+        kept_vals = values[sel if live is None else np.searchsorted(live, sel)]
         if anchor is None:
             return _assemble(ctx, bound, sel, kept_vals, None, None, split), local
         split_name = split_for_anchor_rank(anchor_rank[anchor])

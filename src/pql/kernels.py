@@ -53,6 +53,15 @@ class VecCtx:
     fullscan: bool = False
 
 
+class SumOverflow(ExecutionError):
+    """An int64 SUM left the int64 range; `segments` masks the base rows of
+    the batch whose sum did."""
+
+    def __init__(self, segments: np.ndarray):
+        super().__init__("SUM leaves the int64 range")
+        self.segments = segments
+
+
 def like_regex(pattern: str) -> "re.Pattern":
     """Translate a LIKE pattern (% = any run, _ = one char) to a regex."""
     out = []
@@ -309,7 +318,12 @@ def eval_agg_vec(
     """Aggregate values per base row. Returns (values, defined)."""
     gathered = gather_children(ctx, agg, rows, anchor)
     if agg.where is not None:
-        keep = eval_condition_vec(ctx, agg.where, agg.table, gathered.child_rows, anchor)
+        try:
+            keep = eval_condition_vec(ctx, agg.where, agg.table, gathered.child_rows, anchor)
+        except SumOverflow as exc:
+            # A nested SUM overflowed for some children: report their parents.
+            parents = np.bincount(gathered.seg[exc.segments], minlength=gathered.n_seg) > 0
+            raise SumOverflow(parents) from None
         gathered = gathered.keep(keep)
     return _fold(ctx, agg, gathered, rows)
 
@@ -354,7 +368,9 @@ def _fold(ctx: VecCtx, agg: BoundAggregation, gth: Gather, parents) -> Tuple[np.
     m = ~null
     if kind is AggKind.SUM:
         if col.dtype is DataType.INT64:
-            out = _int_sums(seg[m], vals[m], n)
+            out, over = _int_sums(seg[m], vals[m], n)
+            if over.any():
+                raise SumOverflow(over)
         else:
             out = np.bincount(seg[m], weights=vals[m].astype(np.float64), minlength=n)
         defined = np.bincount(seg[m], minlength=n) > 0
@@ -388,22 +404,19 @@ def _fold(ctx: VecCtx, agg: BoundAggregation, gth: Gather, parents) -> Tuple[np.
     raise AssertionError(kind)
 
 
-def _int_sums(seg: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
-    """Exact per-segment sums of int64 values; ExecutionError when a true
-    sum falls outside int64."""
-    out = np.zeros(n, dtype=np.int64)
-    if len(vals) and max(-int(vals.min()), int(vals.max())) * len(vals) > _INT_MAX:
-        # A partial sum could wrap. Sum the low and high 32-bit halves
-        # apart (neither can overflow), carry, and range-check the high part.
-        low = np.zeros(n, dtype=np.int64)
-        np.add.at(low, seg, vals & 0xFFFFFFFF)
-        np.add.at(out, seg, vals >> 32)
-        out += low >> 32
-        if out.min() < -(1 << 31) or out.max() >= 1 << 31:
-            raise ExecutionError("SUM leaves the int64 range")
-        return (out << 32) | (low & 0xFFFFFFFF)
-    np.add.at(out, seg, vals)
-    return out
+def _int_sums(seg: np.ndarray, vals: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Exact per-segment sums of int64 values, and the mask of segments whose
+    true sum falls outside int64 (their sum reads 0).
+
+    The low and high 32-bit halves are summed apart, where neither can
+    overflow, then carried and range-checked."""
+    low = np.zeros(n, dtype=np.int64)
+    high = np.zeros(n, dtype=np.int64)
+    np.add.at(low, seg, vals & 0xFFFFFFFF)
+    np.add.at(high, seg, vals >> 32)
+    high += low >> 32
+    over = (high < -(1 << 31)) | (high >= 1 << 31)
+    return np.where(over, 0, (high << 32) | (low & 0xFFFFFFFF)), over
 
 
 def _distinct_counts(seg: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:

@@ -554,12 +554,22 @@ def load_table_data(
 def save_table_csv(db: Database, table: str, path: Path) -> None:
     data = db.table(table)
     tdef = data.definition
+    cols = [data.column(n) for n in tdef.column_names]
+    # The writer quotes only cells holding a character of its "\n" line
+    # terminator, so a row with a lone "\r" in a string is quoted whole.
+    cr_rows = {
+        i
+        for c in cols
+        if c.dtype is DataType.STRING
+        for i, v in enumerate(c.values)
+        if v is not None and "\r" in v
+    }
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
+        quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
         writer.writerow(tdef.column_names)
-        cols = [data.column(n) for n in tdef.column_names]
         for i in range(data.nrows):
-            writer.writerow(_format_cell(c.get(i), c.dtype) for c in cols)
+            (quoted if i in cr_rows else writer).writerow(_format_cell(c.get(i), c.dtype) for c in cols)
 
 
 def save_database(db: Database, directory: Path) -> None:

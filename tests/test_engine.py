@@ -442,42 +442,48 @@ class TestInt64Sum:
     }
     QUERY = "PREDICT SUM(T.V, 0, 30, days) FOR EACH C.ID"
 
-    def db_with(self, values_by_customer):
+    def db_with(self, values_by_customer, earlier=None):
+        """T rows on 2024-01-01, -02, ... (inside the target window) and, from
+        `earlier`, on 2023-12-10, -11, ... (inside a 30-day look-back)."""
         from pql.store import load_schema, load_table_data, new_database
 
+        earlier = earlier or {}
         db = new_database(load_schema(self.DOC))
-        load_table_data(db, "C", "ID\n" + "".join(f"{c}\n" for c in values_by_customer))
+        customers = sorted(set(values_by_customer) | set(earlier))
+        load_table_data(db, "C", "ID\n" + "".join(f"{c}\n" for c in customers))
         lines, tid = ["ID,C_ID,V,AT"], 0
-        for c, values in values_by_customer.items():
-            for day, v in enumerate(values, start=1):
-                tid += 1
-                lines.append(f"{tid},{c},{v},2024-01-{day:02d}")
+        for month, first, by_customer in (("2024-01", 1, values_by_customer), ("2023-12", 10, earlier)):
+            for c, values in by_customer.items():
+                for day, v in enumerate(values, start=first):
+                    tid += 1
+                    lines.append(f"{tid},{c},{v},{month}-{day:02d}")
         load_table_data(db, "T", "\n".join(lines) + "\n")
         return db
 
-    def run_all(self, db):
-        b = bind(parse(self.QUERY), db.schema)
+    def paths(self, db, query):
+        """The staged, cross-product, pairwise and oracle evaluations of
+        `query` at ANCHOR over every customer, as thunks."""
+        b = bind(parse(query), db.schema)
         policy = AnchorPolicy(count=1, latest=ANCHOR)
         anchors = resolve_anchors(b, policy, db)
-        batch = materialize_training(plan_training(b, policy), db)
-        naive = materialize_training(plan_training(b, policy, optimized=False), db)
         pairs = [(RowRef("C", i), ANCHOR) for i in range(db.nrows("C"))]
-        pairwise = evaluate_pairs(db, db.row_graph(), b, pairs, anchors_for_split=anchors)
-        oracle = oracle_training(b, db, anchors)
-        return batch.rows, naive.rows, pairwise.rows, oracle.rows
+        return [
+            lambda: materialize_training(plan_training(b, policy), db),
+            lambda: materialize_training(plan_training(b, policy, optimized=False), db),
+            lambda: evaluate_pairs(db, db.row_graph(), b, pairs, anchors_for_split=anchors),
+            lambda: oracle_training(b, db, anchors),
+        ]
+
+    def run_all(self, db, query=QUERY):
+        return [run().rows for run in self.paths(db, query)]
+
+    def assert_raises_everywhere(self, db, query=QUERY):
+        for run in self.paths(db, query):
+            with pytest.raises(ExecutionError, match="int64"):
+                run()
 
     def test_overflow_raises_everywhere(self):
-        db = self.db_with({1: [2**62, 2**62]})
-        b = bind(parse(self.QUERY), db.schema)
-        policy = AnchorPolicy(count=1, latest=ANCHOR)
-        with pytest.raises(ExecutionError, match="int64"):
-            materialize_training(plan_training(b, policy), db)
-        with pytest.raises(ExecutionError, match="int64"):
-            materialize_training(plan_training(b, policy, optimized=False), db)
-        with pytest.raises(ExecutionError, match="int64"):
-            evaluate_pairs(db, db.row_graph(), b, [(RowRef("C", 0), ANCHOR)])
-        with pytest.raises(ExecutionError, match="int64"):
-            oracle_training(b, db, [ANCHOR])
+        self.assert_raises_everywhere(self.db_with({1: [2**62, 2**62]}))
 
     def test_sums_at_the_int64_bounds_are_exact(self):
         top, bottom = 2**63 - 1, -(2**63)
@@ -491,3 +497,49 @@ class TestInt64Sum:
                 (3, ANCHOR, top - 4, "test"), (4, ANCHOR, 4, "test")]
         for rows in self.run_all(db):
             assert rows == want
+
+    def test_overflow_in_a_filtered_out_target_fails_no_path(self):
+        # Customer 1's target overflows, but the filter drops it first; the
+        # cross-product baseline computes that target too and must not fail.
+        db = self.db_with({1: [2**62, 2**62], 2: [5]}, earlier={2: [1]})
+        query = self.QUERY + " WHERE COUNT(T.*, -30, 0, days) > 0"
+        for rows in self.run_all(db, query):
+            assert rows == [(2, ANCHOR, 5, "test")]
+
+    def test_overflow_in_a_filter_fails_only_for_a_row_that_reaches_it(self):
+        query = self.QUERY + " WHERE COUNT(T.*, -30, 0, days) != 2 AND SUM(T.V, -30, 0, days) > 0"
+        # Customer 1's two look-back rows make the first conjunct drop it
+        # before its overflowing look-back SUM.
+        db = self.db_with({1: [3], 2: [5]}, earlier={1: [2**62, 2**62], 2: [1]})
+        for rows in self.run_all(db, query):
+            assert rows == [(2, ANCHOR, 5, "test")]
+        db = self.db_with({1: [3], 2: [5]}, earlier={1: [2**62, 2**62, 1], 2: [1]})
+        self.assert_raises_everywhere(db, query)
+
+    def test_nested_overflow_is_charged_to_its_entity(self):
+        from pql.store import load_schema, load_table_data, new_database
+
+        key = {"dtype": "int64", "stype": "key"}
+        at = {"name": "AT", "dtype": "timestamp", "stype": "temporal"}
+        doc = {"tables": [
+            {"name": "C", "columns": [{"name": "ID", **key}], "primary_key": "ID"},
+            {"name": "T", "columns": [{"name": "ID", **key}, {"name": "C_ID", **key}, at],
+             "primary_key": "ID", "time_column": "AT",
+             "foreign_keys": [{"column": "C_ID", "references": "C"}]},
+            {"name": "U", "columns": [{"name": "ID", **key}, {"name": "T_ID", **key},
+                                      {"name": "V", "dtype": "int64", "stype": "numerical"}, at],
+             "primary_key": "ID", "time_column": "AT",
+             "foreign_keys": [{"column": "T_ID", "references": "T"}]},
+        ]}
+        db = new_database(load_schema(doc))
+        load_table_data(db, "C", "ID\n1\n2\n3\n")
+        # Customer 1's order has two 2^62 items; customers 2 and 3 are small,
+        # and only customer 3 has an order in the look-back window.
+        load_table_data(db, "T", "ID,C_ID,AT\n1,1,2024-01-02\n2,2,2024-01-02\n"
+                        "3,3,2023-12-20\n4,3,2024-01-02\n")
+        load_table_data(db, "U", f"ID,T_ID,V,AT\n1,1,{2**62},2024-01-03\n"
+                        f"2,1,{2**62},2024-01-04\n3,2,5,2024-01-03\n4,4,1,2024-01-03\n")
+        target = "PREDICT COUNT(T.* WHERE SUM(U.V, 0, 30, days) > 0, 0, 30, days) FOR EACH C.ID"
+        self.assert_raises_everywhere(db, target)
+        for rows in self.run_all(db, target + " WHERE COUNT(T.*, -30, 0, days) > 0"):
+            assert rows == [(3, ANCHOR, 1, "test")]

@@ -298,6 +298,7 @@ class TestCsvRoundTrip:
         awkward = [
             "line\nbreak",
             "crlf\r\nbreak",
+            "a\rb",
             "para\u2028separator",
             "next\u0085line",
             'say "hi"',
@@ -305,7 +306,7 @@ class TestCsvRoundTrip:
             '"quoted",\n"and, more"',
         ]
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
+        writer = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL)
         writer.writerow(["CUSTOMER_ID", "LOCATION_ID", "SIGNUP_DATE", "MEMBERSHIP_TYPE"])
         writer.writerows([i, text, "", text] for i, text in enumerate(awkward, start=1))
         db = new_database(retail_schema)
