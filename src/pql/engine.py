@@ -29,7 +29,7 @@ from .binder import BoundCondition, BoundQuery, TaskType
 from .errors import ExecutionError
 from .kernels import SumOverflow, VecCtx, eval_condition_vec, eval_target_vec
 from .planner import LogicalPlan, resolve_anchors
-from .splits import SplitPolicy, split_for_anchor_rank, split_for_key
+from .splits import SplitPolicy, split_for_anchor_rank, split_for_keys
 from .store import Database, ListType, RowGraph, RowRef, build_row_graph
 from .times import format_timestamp
 
@@ -183,7 +183,8 @@ def _assemble(
     keys_l = keys[order].tolist()
     vals_l = values[order].tolist() if len(values) else []
     if split_name is None:  # static split hashes each key
-        return [(k, anchor, v, split_for_key(k, split_policy)) for k, v in zip(keys_l, vals_l)]
+        splits = split_for_keys(keys_l, split_policy)
+        return [(k, anchor, v, s) for k, v, s in zip(keys_l, vals_l, splits)]
     return [(k, anchor, v, split_name) for k, v in zip(keys_l, vals_l)]
 
 

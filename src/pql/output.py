@@ -8,6 +8,7 @@ cell. Identical tables produce identical bytes regardless of worker count.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 from pathlib import Path
 from typing import List
@@ -42,13 +43,15 @@ def write_training_table(table: TrainingTable, out_dir: Path, basename: str = "t
     meta_path = out_dir / f"{basename}.meta.json"
     fmt = _target_formatter(table.metadata["task"]["target_dtype"])
     temporal = "TIMESTAMP" in table.columns
+    # A table has a few tens of anchors at most, repeated on every row.
+    format_anchor = functools.lru_cache(maxsize=None)(format_timestamp)
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(table.columns)
         for key, anchor, target, split in table.rows:
             rec = [str(key)]
             if temporal:
-                rec.append(format_timestamp(anchor))
+                rec.append(format_anchor(anchor))
             rec.append(fmt(target))
             rec.append(split)
             writer.writerow(rec)
@@ -64,13 +67,15 @@ def write_prediction_table(
     csv_path = out_dir / f"{basename}.csv"
     meta_path = out_dir / f"{basename}.meta.json"
     temporal = "TIMESTAMP" in table.columns
+    # A table has a few tens of anchors at most, repeated on every row.
+    format_anchor = functools.lru_cache(maxsize=None)(format_timestamp)
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(table.columns)
         for key, anchor in table.rows:
             rec = [str(key)]
             if temporal:
-                rec.append(format_timestamp(anchor))
+                rec.append(format_anchor(anchor))
             writer.writerow(rec)
     paths = [csv_path, meta_path]
     if table.candidates is not None:

@@ -9,10 +9,15 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from typing import List, Sequence
+
+import numpy as np
 
 from .errors import ExecutionError
 
 TRAIN, VAL, TEST = "train", "val", "test"
+# Keys hashed per block in `split_for_keys`; bounds the digests alive at once.
+_HASH_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -47,3 +52,20 @@ def split_for_key(key, policy: SplitPolicy) -> str:
     if u < policy.train + policy.val:
         return VAL
     return TEST
+
+
+def split_for_keys(keys: Sequence, policy: SplitPolicy) -> List[str]:
+    """`split_for_key` for many keys: the hashes of a block of keys are
+    joined and read as big-endian uint64 by numpy. A uint64 converts to the
+    nearest float64, and dividing by 2**64 is exact, so each fraction equals
+    `int.from_bytes(...) / 2**64` bit for bit."""
+    prefix = f"{policy.seed}|"
+    u = np.empty(len(keys), dtype=np.float64)
+    for lo in range(0, len(keys), _HASH_BLOCK):
+        digests = b"".join(
+            hashlib.sha256((prefix + repr(k)).encode()).digest()[:8] for k in keys[lo : lo + _HASH_BLOCK]
+        )
+        u[lo : lo + _HASH_BLOCK] = np.frombuffer(digests, dtype=">u8")
+    u /= 2**64
+    slot = (u >= policy.train).astype(np.intp) + (u >= policy.train + policy.val)
+    return np.array([TRAIN, VAL, TEST], dtype=object)[slot].tolist()

@@ -9,7 +9,17 @@ the dated ones in load order.
 Identifiers are case-insensitive and canonicalized to upper case. A table's
 time column and validity columns must hold timestamps (stored as integer
 microseconds since epoch, UTC). Databases are immutable once loaded; the
-row graph is built lazily and cached.
+row graph and each table's primary-key index are built lazily and cached.
+
+CSV load and save work column at a time. Loading reads records in chunks
+of `_CHUNK_ROWS` rows, transposes each chunk and converts every column
+slice with numpy (`int`/`float` over the whole slice, canonical timestamps
+parsed by `times.parse_canonical_timestamps`); a slice the fast path
+refuses is parsed cell by cell with `_parse_cell`, which defines the
+accepted values and the error text. The first error in row order raises
+`DataError` with its row number. Saving formats each column of a chunk
+in one pass. `_resolve_fk` maps foreign keys to parent rows for both the
+load check and the row graph.
 """
 
 from __future__ import annotations
@@ -17,6 +27,7 @@ from __future__ import annotations
 import csv
 import enum
 import io
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -26,7 +37,7 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
 import numpy as np
 
 from .errors import DataError, SchemaError
-from .times import format_timestamp, parse_timestamp
+from .times import format_timestamps, parse_canonical_timestamps, parse_timestamp
 
 
 class DataType(enum.Enum):
@@ -329,12 +340,18 @@ _NUMPY_DTYPE = {
 }
 
 
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+
+
 def _parse_cell(text: str, dtype: DataType):
     """Parse one CSV cell; '' means null. Returns None for null."""
     if text == "":
         return None
     if dtype is DataType.INT64:
-        return int(text)
+        value = int(text)
+        if not _INT64_MIN <= value <= _INT64_MAX:
+            raise OverflowError(f"{text!r} does not fit in int64")
+        return value
     if dtype is DataType.FLOAT64:
         v = float(text)
         return None if math.isnan(v) else v
@@ -350,16 +367,102 @@ def _parse_cell(text: str, dtype: DataType):
     return text
 
 
-def _format_cell(value, dtype: DataType) -> str:
-    if value is None:
-        return ""
-    if dtype is DataType.TIMESTAMP:
-        return format_timestamp(value)
-    if dtype is DataType.BOOL:
-        return "true" if value else "false"
+# Rows converted per batch: bounds the Python objects alive at once while
+# loading and saving, so peak memory stays near that of the final arrays.
+_CHUNK_ROWS = 16384
+# A null cell's stand-in for the numeric and timestamp conversions; each
+# becomes the column's fill value (0, 0.0, False, the epoch).
+_NULL_STANDIN = {
+    DataType.INT64: "0",
+    DataType.FLOAT64: "0",
+    DataType.BOOL: "0",
+    DataType.TIMESTAMP: "1970-01-01T00:00:00Z",
+}
+_BOOL_CELLS = {"true": True, "1": True, "t": True, "false": False, "0": False, "f": False}
+
+
+class _CellError(Exception):
+    """The first bad cell of a column slice: its offset and the reason."""
+
+    def __init__(self, offset: int, detail: str):
+        super().__init__(detail)
+        self.offset = offset
+
+
+def _convert_fast(cells: Tuple[str, ...], dtype: DataType, null: Optional[np.ndarray]) -> np.ndarray:
+    """Values of one column slice in one pass; raises ValueError, OverflowError
+    or KeyError for any slice that `_parse_cell` must read cell by cell."""
+    if dtype is DataType.STRING:
+        values = np.array(cells, dtype=object)
+        if null is not None:
+            values[null] = None
+        return values
+    if null is not None:
+        standin = _NULL_STANDIN[dtype]
+        cells = [c or standin for c in cells]
+    if dtype is DataType.INT64:
+        return np.fromiter(map(int, cells), np.int64, len(cells))
     if dtype is DataType.FLOAT64:
-        return repr(float(value))
-    return str(value)
+        return np.fromiter(map(float, cells), np.float64, len(cells))
+    if dtype is DataType.BOOL:
+        return np.fromiter(map(_BOOL_CELLS.__getitem__, cells), np.bool_, len(cells))
+    return parse_canonical_timestamps(cells)
+
+
+def _convert_by_cell(cells: Tuple[str, ...], cdef: ColumnDef) -> Tuple[np.ndarray, np.ndarray]:
+    """`_convert_slice` through `_parse_cell`, one cell at a time."""
+    parsed = []
+    for offset, cell in enumerate(cells):
+        try:
+            value = _parse_cell(cell, cdef.dtype)
+        except (ValueError, OverflowError) as exc:
+            raise _CellError(offset, str(exc))
+        if value is None and not cdef.nullable:
+            raise _CellError(offset, "null not allowed")
+        parsed.append(value)
+    null = np.array([v is None for v in parsed], dtype=np.bool_)
+    if cdef.dtype is DataType.STRING:
+        return np.array(parsed, dtype=object), null
+    fill = 0 if cdef.dtype is not DataType.BOOL else False
+    values = np.array([fill if v is None else v for v in parsed], dtype=_NUMPY_DTYPE[cdef.dtype])
+    return values, null
+
+
+def _convert_slice(cells: Tuple[str, ...], cdef: ColumnDef) -> Tuple[np.ndarray, np.ndarray]:
+    """(values, null mask) of one column slice, as `_parse_cell` reads each
+    cell; raises `_CellError` at the slice's first bad or disallowed cell."""
+    null = np.array(cells, dtype=object) == "" if "" in cells else None
+    try:
+        values = _convert_fast(cells, cdef.dtype, null)
+    except (ValueError, OverflowError, KeyError):
+        return _convert_by_cell(cells, cdef)
+    if null is None:
+        null = np.zeros(len(cells), dtype=np.bool_)
+    if cdef.dtype is DataType.FLOAT64:
+        nan = np.isnan(values)
+        if nan.any():
+            null |= nan
+            values[nan] = 0.0
+    if not cdef.nullable and null.any():
+        raise _CellError(int(np.argmax(null)), "null not allowed")
+    return values, null
+
+
+def _format_slice(col: Column, lo: int, hi: int) -> list:
+    """CSV cells of rows lo..hi of one column: '' at nulls, canonical
+    timestamps, `repr` floats, `str` ints, true/false."""
+    values = col.values[lo:hi]
+    if col.dtype is DataType.STRING:
+        cells = values.tolist()
+    elif col.dtype is DataType.TIMESTAMP:
+        cells = format_timestamps(values)
+    elif col.dtype is DataType.BOOL:
+        cells = np.where(values, "true", "false").tolist()
+    else:
+        cells = list(map(repr if col.dtype is DataType.FLOAT64 else str, values.tolist()))
+    for i in np.flatnonzero(col.null[lo:hi]).tolist():
+        cells[i] = ""
+    return cells
 
 
 @dataclass
@@ -367,10 +470,19 @@ class TableData:
     definition: TableDef
     columns: Dict[str, Column]
     nrows: int
-    pk_index: Dict[object, int] = field(default_factory=dict)
+    _pk_index: Optional[Dict[object, int]] = field(default=None, repr=False)
 
     def column(self, name: str) -> Column:
         return self.columns[name.upper()]
+
+    @property
+    def pk_index(self) -> Dict[object, int]:
+        """Primary key value -> row; built on first use (load checks the keys)."""
+        if self._pk_index is None:
+            pk = self.definition.primary_key
+            keys = self.column(pk).values.tolist() if pk is not None else []
+            self._pk_index = dict(zip(keys, range(len(keys))))
+        return self._pk_index
 
 
 @dataclass
@@ -485,64 +597,25 @@ def load_table_data(
             f"{list(tdef.column_names)}"
         )
 
-    raw: Dict[str, list] = {name: [] for name in tdef.column_names}
-    nrows = 0
-    for rownum, record in enumerate(reader, start=1):
-        if len(record) != len(header):
-            raise DataError(f"table {tdef.name}: row {rownum}: expected {len(header)} fields")
-        for name, cell in zip(header, record):
-            cdef = tdef.column(name)
-            try:
-                value = _parse_cell(cell, cdef.dtype)
-            except (ValueError, OverflowError) as exc:
-                raise DataError(f"table {tdef.name}: row {rownum}, column {name}: {exc}")
-            if value is None and not cdef.nullable:
-                raise DataError(f"table {tdef.name}: row {rownum}, column {name}: null not allowed")
-            raw[name].append(value)
-        nrows += 1
-
-    columns: Dict[str, Column] = {}
-    for cdef in tdef.columns:
-        vals = raw[cdef.name]
-        null = np.array([v is None for v in vals], dtype=np.bool_)
-        if cdef.dtype is DataType.STRING:
-            arr = np.array(vals, dtype=object)
-        else:
-            fill = 0 if cdef.dtype is not DataType.BOOL else False
-            arr = np.array([fill if v is None else v for v in vals], dtype=_NUMPY_DTYPE[cdef.dtype])
-        columns[cdef.name] = Column(cdef.dtype, arr, null)
-
+    columns, nrows = _read_columns(tdef, header, reader)
     data = TableData(tdef, columns, nrows)
-
     report = LoadReport(tdef.name, nrows)
     if tdef.primary_key is not None:
-        pkcol = columns[tdef.primary_key]
-        index: Dict[object, int] = {}
-        for i in range(nrows):
-            v = pkcol.get(i)
-            if v is None:
-                raise DataError(f"table {tdef.name}: row {i + 1}: null primary key")
-            if v in index:
-                raise DataError(f"table {tdef.name}: duplicate primary key {v!r}")
-            index[v] = i
-        data.pk_index = index
+        _check_primary_key(tdef, columns[tdef.primary_key])
 
     for fk in tdef.foreign_keys:
-        parent = db.tables.get(fk.references)
-        parent_index = parent.pk_index if parent is not None else {}
         fkcol = columns[fk.column]
-        for i in range(nrows):
-            v = fkcol.get(i)
-            if v is None or v in parent_index:
-                continue
-            report.dangling_fk += 1
-            if strict:
-                raise DataError(
-                    f"table {tdef.name}: row {i + 1}: foreign key {fk.column}={v!r} "
-                    f"has no match in {fk.references}"
-                )
-            if len(report.samples) < 5:
-                report.samples.append(f"{fk.column}={v!r}")
+        dangling = np.flatnonzero((_resolve_fk(fkcol, db.tables.get(fk.references)) < 0) & ~fkcol.null)
+        if not len(dangling):
+            continue
+        if strict:
+            raise DataError(
+                f"table {tdef.name}: row {dangling[0] + 1}: foreign key "
+                f"{fk.column}={fkcol.get(dangling[0])!r} has no match in {fk.references}"
+            )
+        report.dangling_fk += len(dangling)
+        for i in dangling[: 5 - len(report.samples)].tolist():
+            report.samples.append(f"{fk.column}={fkcol.get(i)!r}")
 
     db.tables[tdef.name] = data
     db.reports.append(report)
@@ -551,25 +624,108 @@ def load_table_data(
     return db
 
 
+def _read_columns(tdef: TableDef, header: List[str], reader) -> Tuple[Dict[str, Column], int]:
+    """Convert the CSV records after the header, a chunk of rows and one
+    column slice at a time. The first error in row order (a short or long
+    record, a bad cell, a disallowed null, a record the csv module refuses)
+    raises `DataError` with its 1-based row."""
+    cdefs = [tdef.column(name) for name in header]
+    parts: Dict[str, list] = {name: [] for name in header}
+    nrows = 0
+    while True:
+        chunk: List[list] = []
+        try:
+            chunk.extend(itertools.islice(reader, _CHUNK_ROWS))
+            pending = None
+        except csv.Error as exc:  # reported after the rows read before it
+            pending = exc
+        if not chunk and pending is None:
+            break
+        short = None
+        if set(map(len, chunk)) - {len(header)}:
+            short = next(i for i, record in enumerate(chunk) if len(record) != len(header))
+            del chunk[short:]
+        first: Optional[Tuple[int, str]] = None
+        for cdef, cells in zip(cdefs, zip(*chunk)):
+            try:
+                values, null = _convert_slice(cells, cdef)
+            except _CellError as err:
+                if first is None or err.offset < first[0]:
+                    first = (err.offset, f"column {cdef.name}: {err}")
+                continue
+            parts[cdef.name].append((values, null))
+        if first is not None:
+            raise DataError(f"table {tdef.name}: row {nrows + first[0] + 1}, {first[1]}")
+        if short is not None:
+            raise DataError(f"table {tdef.name}: row {nrows + short + 1}: expected {len(header)} fields")
+        nrows += len(chunk)
+        if pending is not None:
+            raise DataError(f"table {tdef.name}: row {nrows + 1}: {pending}")
+
+    columns: Dict[str, Column] = {}
+    for cdef in tdef.columns:
+        chunks = parts[cdef.name]
+        if not chunks:
+            empty = np.empty(0, dtype=_NUMPY_DTYPE[cdef.dtype])
+            chunks = [(empty, np.empty(0, dtype=np.bool_))]
+        values = np.concatenate([v for v, _ in chunks])
+        null = np.concatenate([n for _, n in chunks])
+        columns[cdef.name] = Column(cdef.dtype, values, null)
+    return columns, nrows
+
+
+def _check_primary_key(tdef: TableDef, col: Column) -> None:
+    """Raise at the first null or repeated key, in row order."""
+    if len(set(col.values.tolist())) == len(col.values) and not col.null.any():
+        return
+    seen: set = set()
+    for i, (key, null) in enumerate(zip(col.values.tolist(), col.null.tolist())):
+        if null:
+            raise DataError(f"table {tdef.name}: row {i + 1}: null primary key")
+        if key in seen:
+            raise DataError(f"table {tdef.name}: duplicate primary key {key!r}")
+        seen.add(key)
+
+
+def _resolve_fk(fkcol: Column, parent: Optional[TableData]) -> np.ndarray:
+    """Parent row of each child row, -1 where the key is null or dangling."""
+    forward = np.full(len(fkcol.values), -1, dtype=np.int64)
+    if parent is None or not parent.nrows or not len(forward):
+        return forward
+    if fkcol.dtype is DataType.INT64:
+        pk = parent.column(parent.definition.primary_key).values
+        sorter = np.argsort(pk, kind="stable")
+        sorted_pk = pk[sorter]
+        pos = np.minimum(np.searchsorted(sorted_pk, fkcol.values), len(sorted_pk) - 1)
+        hit = (sorted_pk[pos] == fkcol.values) & ~fkcol.null
+        forward[hit] = sorter[pos[hit]]
+    else:
+        pk_index = parent.pk_index
+        forward[:] = [pk_index.get(v, -1) for v in fkcol.values.tolist()]
+        forward[fkcol.null] = -1
+    return forward
+
+
 def save_table_csv(db: Database, table: str, path: Path) -> None:
     data = db.table(table)
     tdef = data.definition
     cols = [data.column(n) for n in tdef.column_names]
-    # The writer quotes only cells holding a character of its "\n" line
-    # terminator, so a row with a lone "\r" in a string is quoted whole.
-    cr_rows = {
-        i
-        for c in cols
-        if c.dtype is DataType.STRING
-        for i, v in enumerate(c.values)
-        if v is not None and "\r" in v
-    }
+    strings = [i for i, c in enumerate(cols) if c.dtype is DataType.STRING]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
         writer.writerow(tdef.column_names)
-        for i in range(data.nrows):
-            (quoted if i in cr_rows else writer).writerow(_format_cell(c.get(i), c.dtype) for c in cols)
+        for lo in range(0, data.nrows, _CHUNK_ROWS):
+            hi = min(lo + _CHUNK_ROWS, data.nrows)
+            cells = [_format_slice(c, lo, hi) for c in cols]
+            # The writer quotes only cells holding a character of its "\n"
+            # line terminator, so a row with a lone "\r" in a string is
+            # quoted whole.
+            if not any("\r" in "".join(cells[i]) for i in strings):
+                writer.writerows(zip(*cells))
+                continue
+            for row in zip(*cells):
+                (quoted if any("\r" in row[i] for i in strings) else writer).writerow(row)
 
 
 def save_database(db: Database, directory: Path) -> None:
@@ -649,25 +805,10 @@ class RowGraph:
         n_child = child.nrows if child else 0
         n_parent = parent.nrows if parent else 0
 
-        forward = np.full(n_child, -1, dtype=np.int64)
-        if child and parent and n_child and n_parent:
-            fkcol = child.column(edge.fk_column)
-            pkcol = parent.column(parent.definition.primary_key)
-            if fkcol.dtype is DataType.INT64:
-                # Vectorized lookup through the sorted parent keys.
-                sorter = np.argsort(pkcol.values, kind="stable")
-                sorted_pk = pkcol.values[sorter]
-                pos = np.searchsorted(sorted_pk, fkcol.values)
-                pos_c = np.minimum(pos, len(sorted_pk) - 1)
-                hit = (sorted_pk[pos_c] == fkcol.values) & ~fkcol.null
-                forward[hit] = sorter[pos_c[hit]]
-            else:
-                pk_index = parent.pk_index
-                for i in range(n_child):
-                    v = fkcol.get(i)
-                    if v is not None:
-                        forward[i] = pk_index.get(v, -1)
-
+        if child:
+            forward = _resolve_fk(child.column(edge.fk_column), parent)
+        else:
+            forward = np.empty(0, dtype=np.int64)
         linked = np.nonzero(forward >= 0)[0]
         tdef = child.definition if child else None
         if tdef is not None and tdef.time_column is not None and len(linked):

@@ -340,10 +340,7 @@ def generate(spec: GenSpec) -> Database:
 
     def put(name: str, cols: Dict[str, Column], nrows: int):
         tdef = schema.table(name)
-        data = TableData(tdef, cols, nrows)
-        if tdef.primary_key:
-            data.pk_index = dict(zip(cols[tdef.primary_key].values.tolist(), range(nrows)))
-        db.tables[name] = data
+        db.tables[name] = TableData(tdef, cols, nrows)
 
     put("CUSTOMERS", cust_cols, n_c)
     put("ARTICLES", art_cols, n_a)
@@ -482,10 +479,7 @@ def random_database(seed: int, schema: Schema, scale: float = 1.0) -> Database:
             cols[tdef.validity[1]].values = start + rng.integers(
                 5 * MICROS_PER_DAY, 400 * MICROS_PER_DAY, n, dtype=np.int64
             )
-        data = TableData(tdef, cols, n)
-        if tdef.primary_key:
-            data.pk_index = dict(zip(cols[tdef.primary_key].values.tolist(), range(n)))
-        db.tables[name] = data
+        db.tables[name] = TableData(tdef, cols, n)
     return db
 
 

@@ -2,12 +2,19 @@
 
 All timestamps are integers: microseconds since the Unix epoch, UTC.
 Input accepts ISO-8601 dates and datetimes (naive values are taken as UTC,
-offsets are honored, a trailing ``Z`` is accepted on Python 3.10).
+offsets are honored, a trailing ``Z`` is accepted on Python 3.10). The
+canonical form, which `format_timestamp` writes, is
+``YYYY-MM-DDTHH:MM:SS[.ffffff]Z``; `parse_canonical_timestamps` and
+`format_timestamps` convert whole columns of it with numpy.
 """
 
 from __future__ import annotations
 
+import warnings
 from datetime import datetime, timedelta, timezone
+from typing import List, Sequence
+
+import numpy as np
 
 MICROS_PER_SECOND = 1_000_000
 MICROS_PER_MINUTE = 60 * MICROS_PER_SECOND
@@ -38,9 +45,46 @@ def format_timestamp(micros: int) -> str:
     Sub-second digits are omitted when zero so common timestamps stay short.
     """
     dt = _EPOCH + timedelta(microseconds=int(micros))
+    text = f"{dt.year:04d}-{dt.month:02d}-{dt.day:02d}T{dt.hour:02d}:{dt.minute:02d}:{dt.second:02d}"
     if dt.microsecond:
-        return dt.strftime("%Y-%m-%dT%H:%M:%S.%f") + "Z"
-    return dt.strftime("%Y-%m-%dT%H:%M:%S") + "Z"
+        return f"{text}.{dt.microsecond:06d}Z"
+    return text + "Z"
+
+
+_MIN_MICROS = -62135596800 * MICROS_PER_SECOND  # 0001-01-01T00:00:00Z
+_MAX_MICROS = 253402300800 * MICROS_PER_SECOND - 1  # 9999-12-31T23:59:59.999999Z
+
+
+def parse_canonical_timestamps(cells: Sequence[str]) -> np.ndarray:
+    """Parse cells of the canonical form to epoch microseconds (int64).
+
+    A column is canonical when `format_timestamps` writes every cell back
+    unchanged; otherwise this raises ValueError, and callers parse cell by
+    cell with `parse_timestamp`, whose results this function matches
+    wherever it returns.
+    """
+    with warnings.catch_warnings():
+        # numpy warns on a timezone offset and drops it; refuse the column.
+        warnings.simplefilter("error")
+        try:
+            micros = np.array([c[:-1] for c in cells], dtype=str).astype("datetime64[us]").view(np.int64)
+            canonical = format_timestamps(micros) == list(cells)
+        except (Warning, OverflowError):  # an offset; a year outside 0001-9999
+            canonical = False
+    if not canonical:
+        raise ValueError("not canonical timestamps")
+    return micros
+
+
+def format_timestamps(micros: np.ndarray) -> List[str]:
+    """`format_timestamp` over an int64 array, in one numpy pass."""
+    micros = np.asarray(micros, dtype=np.int64)
+    # Outside years 0001-9999 numpy would still format; `format_timestamp` raises.
+    if len(micros) and not (_MIN_MICROS <= micros.min() and micros.max() <= _MAX_MICROS):
+        return [format_timestamp(m) for m in micros.tolist()]
+    text = np.datetime_as_string(micros.view("datetime64[us]"), unit="us")
+    whole = np.char.add(text.astype("<U19"), "Z")  # cut ".ffffff" off whole seconds
+    return np.where(micros % MICROS_PER_SECOND == 0, whole, np.char.add(text, "Z")).tolist()
 
 
 def format_duration(micros: int) -> str:

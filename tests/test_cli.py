@@ -7,6 +7,7 @@ import pytest
 from corpus import CORPUS_BY_NAME, SCHEMA_DOCS
 
 from pql.cli import main
+from pql.store import load_database, save_database
 from conftest import ARTICLES_CSV, CUSTOMERS_CSV, NOTIFICATIONS_CSV, TRANSACTIONS_CSV
 
 
@@ -212,6 +213,17 @@ class TestSampleAndGenData:
             assert main(["gen-data", "--out-dir", str(out), "--scale", "0.0002", "--seed", "3"]) == 0
         for path in sorted(a.iterdir()):
             assert path.read_bytes() == (b / path.name).read_bytes()
+
+
+    @pytest.mark.parametrize("validity", [[], ["--validity"]], ids=["plain", "validity"])
+    def test_generated_data_survives_load_and_save(self, tmp_path, validity):
+        data, again = tmp_path / "data", tmp_path / "again"
+        assert main(["gen-data", "--out-dir", str(data), "--scale", "0.001", "--seed", "2"] + validity) == 0
+        save_database(load_database(data / "schema.json", data), again)
+        written = sorted(p.name for p in data.iterdir() if p.name != "genspec.json")
+        assert written == sorted(p.name for p in again.iterdir())
+        for name in written:
+            assert (again / name).read_bytes() == (data / name).read_bytes(), name
 
 
 class TestBenchCommand:

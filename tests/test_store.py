@@ -1,5 +1,7 @@
 """Relational store: schema validation, CSV loading, row graph, windows."""
 
+import csv
+import io
 from dataclasses import replace
 
 import numpy as np
@@ -15,9 +17,11 @@ from pql.binder import bind
 from pql.errors import DataError, ExecutionError, SchemaError
 from pql.kernels import VecCtx, gather_children
 from pql.parser import parse
+from pql import store
 from pql.store import (
     FkEdge,
     RowRef,
+    _parse_cell,
     build_row_graph,
     load_schema,
     load_table_data,
@@ -292,9 +296,6 @@ class TestRowGraph:
 
 class TestCsvRoundTrip:
     def test_save_load_keeps_string_cells(self, retail_schema, tmp_path):
-        import csv
-        import io
-
         awkward = [
             "line\nbreak",
             "crlf\r\nbreak",
@@ -321,3 +322,332 @@ class TestCsvRoundTrip:
             assert table.nrows == len(awkward)
             assert table.column("LOCATION_ID").to_pylist() == awkward
             assert table.column("MEMBERSHIP_TYPE").to_pylist() == awkward
+
+    def test_timestamps_before_year_1000(self, retail_schema, tmp_path):
+        stamps = [
+            "0001-01-01T00:00:00Z",
+            "0005-01-01T00:00:00Z",
+            "0999-12-31T23:59:59.000001Z",
+            "9999-12-31T23:59:59.999999Z",
+        ]
+        text = "CUSTOMER_ID,LOCATION_ID,SIGNUP_DATE,MEMBERSHIP_TYPE\n"
+        text += "".join(f"{i},x,{t},y\n" for i, t in enumerate(stamps))
+        db = new_database(retail_schema)
+        load_table_data(db, "CUSTOMERS", text)
+        assert db.table("CUSTOMERS").column("SIGNUP_DATE").to_pylist() == [T(t) for t in stamps]
+        path = tmp_path / "customers.csv"
+        save_table_csv(db, "CUSTOMERS", path)
+        assert path.read_text() == text
+        again = new_database(retail_schema)
+        load_table_data(again, "CUSTOMERS", path)
+        save_table_csv(again, "CUSTOMERS", path)
+        assert path.read_text() == text
+
+
+# ---------------------------------------------------------------------------
+# The columnar loader against the per-cell reference
+
+
+def _table_doc(name, columns, primary_key=None, foreign_keys=()):
+    return {
+        "name": name,
+        "columns": [
+            {"name": c, "dtype": d, "stype": st, "nullable": nullable} for c, d, st, nullable in columns
+        ],
+        "primary_key": primary_key,
+        "foreign_keys": [{"column": c, "references": r} for c, r in foreign_keys],
+    }
+
+
+ADVERSARIAL = load_schema(
+    {
+        "tables": [
+            _table_doc(
+                "A",
+                [
+                    ("I", "int64", "numerical", True),
+                    ("F", "float64", "numerical", True),
+                    ("B", "bool", "categorical", True),
+                    ("T", "timestamp", "temporal", True),
+                    ("S", "string", "text", True),
+                    ("N", "int64", "numerical", False),
+                ],
+            ),
+            _table_doc("P", [("ID", "int64", "key", True)], "ID"),
+            _table_doc(
+                "C",
+                [("ID", "int64", "key", True), ("P1", "int64", "key", True), ("P2", "int64", "key", True)],
+                "ID",
+                [("P1", "P"), ("P2", "P")],
+            ),
+            _table_doc("SP", [("ID", "string", "key", True)], "ID"),
+            _table_doc(
+                "SC",
+                [("ID", "string", "key", True), ("P1", "string", "key", True), ("P2", "string", "key", True)],
+                "ID",
+                [("P1", "SP"), ("P2", "SP")],
+            ),
+        ]
+    }
+)
+
+# Cells per column of table A; each is also loaded on its own, between
+# valid neighbours, so a bad cell sends only its own slice down the
+# per-cell path.
+ADVERSARIAL_CELLS = {
+    "I": ["9223372036854775807", "-9223372036854775807", "-9223372036854775808",
+          "9223372036854775808", "-9223372036854775809", "1_000", " 3", "+5", "-0",
+          "\u0663", "1.0", "x", ""],
+    "F": ["nan", "NaN", "-nan", "inf", "-inf", "1e400", " 2.5 ", "-0.0", "1_0.5", "0.1",
+          "5e-324", "x", ""],
+    "B": ["true", "false", "1", "0", "t", "f", "True", "FALSE", " t ", "yes", ""],
+    "T": ["2022-03-04T05:06:07Z", "2022-03-04T05:06:07.123456Z", "2022-03-04T05:06:07.000000Z",
+          "2022-03-04T05:06:07+02:00", "2022-03-04T05:06:07z", "2022-03-04", "2022-03-04T05:06:07",
+          " 2022-03-04T05:06:07Z ", "0000-01-01T00:00:00Z", "0001-01-01T00:00:00Z",
+          "0005-06-07T08:09:10Z", "2022-12-31T23:59:60Z", "2022-02-29T00:00:00Z",
+          "2024-02-29T00:00:00.5Z", "2022-03-04T05:06:07.1234567Z", "2022-03-04T05+01:00Z",
+          "2022-03-04 05:06:07Z", "NaTZ", "yesterday", ""],
+    "S": ["plain", " padded ", "\u00e9\u4e2d", "a,b", 'q"uote', "line\nbreak", ""],
+    "N": ["7", "-7", ""],
+}
+VALID = {"I": "1", "F": "1.5", "B": "true", "T": "2020-01-01T00:00:00Z", "S": "s", "N": "1"}
+GOOD = list(VALID.values())
+
+
+def load_by_cell(db, table, text, strict=True):
+    """The row-at-a-time loader the columnar one replaced: `_parse_cell` per
+    cell in row order, then the PK and FK checks row by row. Returns the
+    column values as lists (None = null) and the load report's fields."""
+    tdef = db.schema.table(table)
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = [h.upper() for h in next(reader)]
+    raw = {name: [] for name in header}
+    for rownum, record in enumerate(reader, start=1):
+        if len(record) != len(header):
+            raise DataError(f"table {tdef.name}: row {rownum}: expected {len(header)} fields")
+        for name, cell in zip(header, record):
+            cdef = tdef.column(name)
+            try:
+                value = _parse_cell(cell, cdef.dtype)
+            except (ValueError, OverflowError) as exc:
+                raise DataError(f"table {tdef.name}: row {rownum}, column {name}: {exc}")
+            if value is None and not cdef.nullable:
+                raise DataError(f"table {tdef.name}: row {rownum}, column {name}: null not allowed")
+            raw[name].append(value)
+    if tdef.primary_key is not None:
+        seen = set()
+        for i, v in enumerate(raw[tdef.primary_key]):
+            if v is None:
+                raise DataError(f"table {tdef.name}: row {i + 1}: null primary key")
+            if v in seen:
+                raise DataError(f"table {tdef.name}: duplicate primary key {v!r}")
+            seen.add(v)
+    dangling, samples = 0, []
+    for fk in tdef.foreign_keys:
+        parent_index = db.table(fk.references).pk_index
+        for i, v in enumerate(raw[fk.column]):
+            if v is None or v in parent_index:
+                continue
+            dangling += 1
+            if strict:
+                raise DataError(
+                    f"table {tdef.name}: row {i + 1}: foreign key {fk.column}={v!r} "
+                    f"has no match in {fk.references}"
+                )
+            if len(samples) < 5:
+                samples.append(f"{fk.column}={v!r}")
+    return raw, (dangling, samples)
+
+
+def load_both(db_factory, table, text, strict=True):
+    """Load `text` with both loaders; return (reference, columnar) outcomes,
+    each either ("error", message) or ("ok", columns, report)."""
+    outcomes = []
+    for columnar in (False, True):
+        db = db_factory()
+        try:
+            if columnar:
+                load_table_data(db, table, text, strict=strict)
+                data, report = db.table(table), db.reports[-1]
+                cols = {n: data.column(n).to_pylist() for n in data.definition.column_names}
+                outcomes.append(("ok", repr(cols), (report.dangling_fk, report.samples)))
+            else:
+                cols, report = load_by_cell(db, table, text, strict)
+                outcomes.append(("ok", repr(cols), report))
+        except DataError as exc:
+            outcomes.append(("error", str(exc)))
+    return outcomes
+
+
+def csv_text(header, rows):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def adversarial_rows(column, cells):
+    return [[cell if name == column else VALID[name] for name in VALID] for cell in cells]
+
+
+@pytest.fixture(params=[3, store._CHUNK_ROWS], ids=["chunk3", "chunk_default"])
+def chunk_rows(request, monkeypatch):
+    monkeypatch.setattr(store, "_CHUNK_ROWS", request.param)
+    return request.param
+
+
+class TestColumnarLoader:
+    @pytest.mark.parametrize("column", sorted(ADVERSARIAL_CELLS))
+    def test_matches_per_cell_reference(self, column, chunk_rows):
+        cells = ADVERSARIAL_CELLS[column]
+        valid = VALID[column]
+        cases = [[c] for c in cells] + [[valid, c, valid] for c in cells] + [cells]
+        for case in cases:
+            text = csv_text(list(VALID), adversarial_rows(column, case))
+            reference, columnar = load_both(lambda: new_database(ADVERSARIAL), "A", text)
+            assert columnar == reference, case
+
+    def test_saved_cells_need_no_per_cell_parsing(self, monkeypatch):
+        rows = [
+            ["-9223372036854775808", "-0.0", "false", "0001-01-01T00:00:00Z", "", "0"],
+            ["9223372036854775807", "5e-324", "true", "9999-12-31T23:59:59.999999Z", "\u00e9", "1"],
+            ["", "inf", "", "2022-03-04T05:06:07Z", "x", "2"],
+            ["3", "", "true", "", "y", "3"],
+        ]
+        text = csv_text(list(VALID), rows)
+        reference = load_both(lambda: new_database(ADVERSARIAL), "A", text)[0]
+
+        def refuse(cells, cdef):
+            raise AssertionError(f"column {cdef.name} parsed cell by cell")
+
+        monkeypatch.setattr(store, "_convert_by_cell", refuse)
+        assert load_both(lambda: new_database(ADVERSARIAL), "A", text)[1] == reference
+
+    def test_header_order_is_free(self, chunk_rows):
+        names = list(VALID)[::-1]  # N, S, T, B, F, I
+        rows = [[VALID[n] for n in names], ["7", "", "x", "", "", "y"], [VALID[n] for n in names]]
+        reference, columnar = load_both(lambda: new_database(ADVERSARIAL), "A", csv_text(names, rows))
+        assert columnar == reference
+        assert columnar[1] == "table A: row 2, column T: Invalid isoformat string: 'x'"
+        rows[1][2] = rows[1][5] = ""
+        db = new_database(ADVERSARIAL)
+        load_table_data(db, "A", csv_text(names, rows))
+        assert list(db.table("A").columns) == list(VALID)
+        assert db.table("A").column("N").to_pylist() == [1, 7, 1]
+        assert db.table("A").column("S").to_pylist() == ["s", None, "s"]
+
+    def test_nulls_and_fills(self):
+        db = new_database(ADVERSARIAL)
+        load_table_data(db, "A", csv_text(list(VALID), [["", "nan", "", "", "", "0"]]))
+        data = db.table("A")
+        for name, fill in [("I", 0), ("F", 0.0), ("B", False), ("T", 0), ("S", None)]:
+            col = data.column(name)
+            assert col.null.tolist() == [True]
+            assert col.values.dtype == store._NUMPY_DTYPE[col.dtype]
+            assert col.values.tolist() == [fill]
+
+    def test_empty_table_keeps_dtypes(self):
+        db = new_database(ADVERSARIAL)
+        load_table_data(db, "A", ",".join(VALID) + "\n")
+        for name, col in db.table("A").columns.items():
+            assert len(col.values) == len(col.null) == 0
+            assert col.values.dtype == store._NUMPY_DTYPE[col.dtype]
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            # The first problem in row order wins, whatever its column.
+            [GOOD, ["x", "1", "true", "", "s", "1"], ["1", "y", "true", "", "s", ""]],
+            [GOOD, ["1", "1", "true", "", "s", ""], ["x", "1", "true", "", "s", "1"]],
+            [["1", "1", "maybe", "", "s", "1"], ["1", "x", "true", "", "s", "1"]],
+            [GOOD, ["1", "x", "maybe", "", "s", ""]],
+            # A record of the wrong width after, and before, a bad cell.
+            [GOOD, ["x", "1", "true", "", "s", "1"], ["1"]],
+            [GOOD, ["1", "1"], ["x", "1", "true", "", "s", "1"]],
+            [GOOD, GOOD + ["1"]],
+        ],
+    )
+    def test_first_error_in_row_order(self, rows, chunk_rows):
+        text = csv_text(list(VALID), rows)
+        reference, columnar = load_both(lambda: new_database(ADVERSARIAL), "A", text)
+        assert reference[0] == "error"
+        assert columnar == reference
+
+    @pytest.mark.parametrize("column,cell", [("I", "x"), ("T", "2022-02-29T00:00:00Z"), ("N", "")])
+    def test_errors_past_the_first_chunk_carry_absolute_rows(self, column, cell):
+        rows = [GOOD] * 20000 + adversarial_rows(column, [cell])
+        text = csv_text(list(VALID), rows)
+        reference, columnar = load_both(lambda: new_database(ADVERSARIAL), "A", text)
+        assert columnar == reference
+        assert columnar[1].startswith(f"table A: row 20001, column {column}: ")
+
+    def test_short_record_past_the_first_chunk(self):
+        text = csv_text(list(VALID), [GOOD] * 20000 + [["1"]])
+        with pytest.raises(DataError, match=r"^table A: row 20001: expected 6 fields$"):
+            load_table_data(new_database(ADVERSARIAL), "A", text)
+
+    def test_unreadable_record_is_a_data_error(self, chunk_rows):
+        huge = "x" * (csv.field_size_limit() + 1)
+        text = csv_text(list(VALID), [GOOD] * 4 + [["1", "1", "true", "", huge, "1"]])
+        with pytest.raises(DataError, match=r"^table A: row 5: field larger than field limit"):
+            load_table_data(new_database(ADVERSARIAL), "A", text)
+        bad_first = csv_text(list(VALID), [["x"] + GOOD[1:]] * 4)
+        with pytest.raises(DataError, match=r"^table A: row 1, column I: invalid literal"):
+            load_table_data(new_database(ADVERSARIAL), "A", bad_first + text.split("\n", 1)[1])
+
+    @pytest.mark.parametrize(
+        "table,keys",
+        [
+            ("P", ["1", "2", "3"]),
+            ("P", ["1", "", "2"]),
+            ("P", ["1", "", "1"]),
+            ("P", ["1", "2", "1", ""]),
+            ("P", ["-9223372036854775808", "9223372036854775807", "-9223372036854775808"]),
+            ("SP", ["a", "b", "'a'", "a"]),
+            ("SP", ["a", "", "b"]),
+            ("SP", ["a", "", "a"]),
+            ("SP", ["\u00e9", "e\u0301", "\u00e9"]),
+        ],
+    )
+    def test_primary_keys(self, table, keys, chunk_rows):
+        text = csv_text(["ID"], [[k] for k in keys])
+        reference, columnar = load_both(lambda: new_database(ADVERSARIAL), table, text)
+        assert columnar == reference
+        if columnar[0] == "ok":
+            db = new_database(ADVERSARIAL)
+            load_table_data(db, table, text)
+            data = db.table(table)
+            assert data.pk_index == {v: i for i, v in enumerate(data.column("ID").to_pylist())}
+
+    @pytest.mark.parametrize("strict", [True, False], ids=["strict", "lenient"])
+    @pytest.mark.parametrize("parent,child", [("P", "C"), ("SP", "SC")])
+    def test_foreign_keys(self, parent, child, strict, chunk_rows):
+        def parent_loaded():
+            db = new_database(ADVERSARIAL)
+            load_table_data(db, parent, csv_text(["ID"], [["10"], ["-3"], ["30"]]))
+            return db
+
+        fks = [
+            ["10", "30"],
+            ["", "99"],  # null P1 is no dangling key; P2 dangles
+            ["11", "10"],
+            ["", ""],
+            ["12", "13"],
+            ["-3", "14"],
+            ["15", "16"],
+            ["17", ""],
+        ]
+        text = csv_text(["ID", "P1", "P2"], [[str(i)] + pair for i, pair in enumerate(fks)])
+        reference, columnar = load_both(parent_loaded, child, text, strict=strict)
+        assert columnar == reference
+        if strict:
+            assert columnar[0] == "error"
+        else:
+            assert columnar[2][0] == 8 and len(columnar[2][1]) == 5
+
+    def test_foreign_keys_without_parent_rows(self, chunk_rows):
+        text = csv_text(["ID", "P1", "P2"], [["1", "5", ""], ["2", "", ""]])
+        for strict in (True, False):
+            reference, columnar = load_both(lambda: new_database(ADVERSARIAL), "C", text, strict)
+            assert columnar == reference

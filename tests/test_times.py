@@ -1,5 +1,8 @@
 """Timestamp parsing, formatting and duration helpers."""
 
+import warnings
+
+import numpy as np
 import pytest
 
 from pql.times import (
@@ -8,6 +11,8 @@ from pql.times import (
     MICROS_PER_MINUTE,
     format_duration,
     format_timestamp,
+    format_timestamps,
+    parse_canonical_timestamps,
     parse_duration,
     parse_timestamp,
 )
@@ -32,6 +37,59 @@ def test_microseconds_preserved():
 def test_format_parse_round_trip():
     for text in ("2023-01-01T00:00:00Z", "1999-12-31T23:59:59Z", "2024-02-29T10:00:00Z"):
         assert format_timestamp(parse_timestamp(text)) == text
+
+
+@pytest.mark.parametrize("year", [1, 5, 999, 1000, 9999])
+def test_years_are_zero_padded(year):
+    for rest in ("-01-01T00:00:00Z", "-12-31T23:59:59.999999Z"):
+        text = f"{year:04d}{rest}"
+        assert format_timestamp(parse_timestamp(text)) == text
+
+
+def test_columns_match_the_scalar_functions():
+    rng = np.random.default_rng(0)
+    lo, hi = parse_timestamp("0001-01-01T00:00:00Z"), parse_timestamp("9999-12-31T23:59:59.999999Z")
+    micros = np.concatenate(
+        [
+            rng.integers(lo, hi, 2000, endpoint=True),
+            rng.integers(lo // 10**6, hi // 10**6, 2000) * 10**6,  # whole seconds
+            np.array([lo, hi, 0, -1, 1, 10**6, -(10**6)]),
+        ]
+    )
+    texts = format_timestamps(micros)
+    assert texts == [format_timestamp(m) for m in micros.tolist()]
+    assert parse_canonical_timestamps(texts).tolist() == micros.tolist()
+    assert format_timestamps(micros[:0]) == []
+    assert parse_canonical_timestamps([]).tolist() == []
+
+
+@pytest.mark.parametrize(
+    "cells",
+    [
+        ["2022-03-04"],
+        ["2022-03-04T05:06:07+00:00"],
+        ["2022-03-04T05:06:07z"],
+        ["2022-03-04T05:06:07Z", "2022-03-04T05:06:07.12345Z"],
+        ["2022-03-04T05:06:07Z\x00"],
+        ["0000-01-01T00:00:00Z"],
+        ["2022-12-31T23:59:60Z"],
+        ["2022-02-29T00:00:00Z"],
+        ["\u0662022-03-04T05:06:07Z"],
+        ["2022-03-04T05+01:00Z"],
+        ["2022-03-04T05:06:07-01:00Z"],
+        ["2022-03-04T05:06:07.000000Z"],
+        [" 2022-03-04T05:06:07Z"],
+        ["+2022-03-04T05:06:07Z"],
+        ["2022-03-04 05:06:07Z"],
+        ["NaTZ"],
+    ],
+)
+def test_non_canonical_columns_are_refused(cells):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError):
+            parse_canonical_timestamps(cells)
+    assert not caught  # numpy's timezone warning must not escape
 
 
 def test_bad_timestamp_raises():
