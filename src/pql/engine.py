@@ -1,12 +1,18 @@
 """Plan execution over the vectorized kernels.
 
-Training and prediction tables, and the training rows of explicit
-(entity, anchor) pairs, all run one anchor's entity rows at a time through
-the same stages: validity, static and temporal conjuncts, ASSUMING, then
-the target, with every drop counted by cause. Optimized plans use the
-restricted kernels on the selected rows; the unoptimized baseline
-materializes the full entity-anchor cross product with full-table scans
-and filters last. All paths produce identical tables.
+One executor runs every plan: training tables under both strategies,
+prediction tables, and the training rows of explicit (entity, anchor)
+pairs. It walks `LogicalPlan.nodes` in order, the plan `pql plan` prints,
+and runs each node as one kernel call over a block: one anchor's entity
+rows, plus their target values once TargetCompute has run (the Volcano
+operator-tree design, a column at a time). The leading scan and static
+filters run once over the entity table; the expansion node fans that block
+out over the anchors, and every later node runs per block, on worker
+threads when asked. Each row a node drops is counted by cause, once, under
+the first node that drops it. Optimized plans use the restricted kernels
+on the selected rows; the cross-product baseline gathers with full-table
+scans and computes targets for every pair before any filter. All paths
+produce identical tables.
 
 Undefined values: aggregations over an empty (or all-null) set are
 undefined for SUM/AVG/MIN/MAX/FIRST/LAST, zero for COUNT/COUNT_DISTINCT,
@@ -21,14 +27,14 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .binder import BoundCondition, BoundQuery, TaskType
+from .binder import BoundQuery, TaskType
 from .errors import ExecutionError
 from .kernels import SumOverflow, VecCtx, eval_condition_vec, eval_target_vec
-from .planner import LogicalPlan, resolve_anchors
+from .planner import LogicalPlan, PlanNode, plan_training, resolve_anchors
 from .splits import SplitPolicy, split_for_anchor_rank, split_for_keys
 from .store import Database, ListType, RowGraph, RowRef, build_row_graph
 from .times import format_timestamp
@@ -69,123 +75,260 @@ def _is_list_target(bound: BoundQuery) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Shared assembly helpers
+# The plan executor
+
+# Drop causes, in the order `dropped` reports them.
+_CAUSES = (
+    "validity_pruned",
+    "static_filtered",
+    "temporal_filtered",
+    "assuming_filtered",
+    "undefined_target",
+    "empty_label",
+)
 
 
 @dataclass
-class _Drops:
-    validity: int = 0
-    static_filter: int = 0
-    temporal_filter: int = 0
-    assuming: int = 0
-    undefined_target: int = 0
-    empty_label: int = 0
+class _Block:
+    """One anchor's (entity, anchor) pairs on their way through the plan."""
 
-    def to_json(self) -> dict:
-        return {
-            "validity_pruned": self.validity,
-            "static_filtered": self.static_filter,
-            "temporal_filtered": self.temporal_filter,
-            "assuming_filtered": self.assuming,
-            "undefined_target": self.undefined_target,
-            "empty_label": self.empty_label,
-        }
+    anchor: Optional[int]
+    sel: Optional[np.ndarray]  # entity rows; None before ScanEntities
+    drops: Dict[str, int] = field(default_factory=lambda: dict.fromkeys(_CAUSES, 0))
+    # Set by TargetCompute, aligned with `sel`: the target values, whether
+    # the row has a label to keep, and (None when no row did) whether its
+    # int64 SUM overflowed.
+    values: Optional[np.ndarray] = None
+    labelled: Optional[np.ndarray] = None
+    overflow: Optional[np.ndarray] = None
+    rows: List[Tuple] = field(default_factory=list)  # set by Project
+    candidates: Optional[List] = None  # set by CandidateSet
+
+    def keep(self, mask: np.ndarray, cause: Optional[str]):
+        dropped = int(len(mask) - mask.sum())
+        if cause is not None:
+            self.drops[cause] += dropped
+        if not dropped:
+            return
+        self.sel = self.sel[mask]
+        if self.values is not None:
+            self.values = self.values[mask]
+            self.labelled = self.labelled[mask]
+        if self.overflow is not None:
+            self.overflow = self.overflow[mask]
 
 
-def _validity_mask(
-    ctx: VecCtx, bound: BoundQuery, sel: Optional[np.ndarray], anchor: int
-) -> np.ndarray:
+@dataclass
+class _Run:
+    """What the node handlers of one execution share."""
+
+    plan: LogicalPlan
+    ctx: VecCtx
+    drop_empty: bool
+    split: Optional[SplitPolicy] = None
+    anchor_rank: Dict[int, int] = field(default_factory=dict)
+    bound: BoundQuery = field(init=False)
+    list_target: bool = field(init=False)
+
+    def __post_init__(self):
+        self.bound = self.plan.bound
+        self.list_target = _is_list_target(self.bound)
+
+
+def _anchor_ranks(anchors: Sequence[int]) -> Dict[int, int]:
+    return {a: i for i, a in enumerate(sorted(anchors, reverse=True))}
+
+
+def _execute(
+    run: _Run,
+    anchors: Sequence[int] = (),
+    blocks: Optional[List[_Block]] = None,
+    workers: int = 1,
+) -> Tuple[List[_Block], List[Tuple], Dict[str, int], int]:
+    """Walk the plan's nodes over the entity table, or over pre-anchored
+    `blocks` of pairs. Returns the finished blocks, newest anchor first,
+    their rows, their drops by cause, and the number of pairs that entered
+    them.
+
+    Without blocks the leading scan and static filters run once, and their
+    drops go uncounted: those rows are not pairs yet. The expansion node
+    then fans the survivors out over `anchors`. Pre-anchored blocks are
+    pairs already, so every node, the leading ones included, runs on them
+    and counts its drops; the expansion node only prunes by validity."""
+    # The list for the rows of several blocks is made before the walk, so
+    # the garbage collector has aged it by the time it fills: made after,
+    # it would still be young when the caller goes on, and the caller's
+    # young-generation collections would read every row of it.
+    rows: List[Tuple] = []
+    nodes = run.plan.nodes
+    if blocks is None:
+        head = _Block(None, None)
+        while nodes[0].kind in ("ScanEntities", "StaticEntityFilter"):
+            _HANDLERS[nodes[0].kind](run, head, nodes[0])
+            nodes = nodes[1:]
+        if nodes[0].kind in ("AnchorExpand", "CrossJoinAnchors"):
+            blocks = [_Block(a, head.sel) for a in anchors]
+        else:
+            blocks = [_Block(None, head.sel)]
+    pairs = sum(len(b.sel) for b in blocks)
+    steps = [(_HANDLERS[node.kind], node) for node in nodes]
+
+    def walk(block: _Block) -> _Block:
+        for handler, node in steps:
+            handler(run, block, node)
+        return block
+
+    blocks = _map_anchors(walk, blocks, workers)
+    if len(blocks) == 1:  # no copy of a large static table's rows
+        rows = blocks[0].rows
+    else:
+        for block in blocks:
+            rows.extend(block.rows)
+    drops = {cause: sum(b.drops[cause] for b in blocks) for cause in _CAUSES}
+    return blocks, rows, drops, pairs
+
+
+def _map_anchors(fn, blocks: List[_Block], workers: int) -> List[_Block]:
+    if workers <= 1 or len(blocks) <= 1:
+        return [fn(b) for b in blocks]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, blocks))
+
+
+# -- node handlers: each runs one node over one block -----------------------
+
+
+def _scan(run: _Run, block: _Block, node: PlanNode):
+    if block.sel is None:  # pre-anchored blocks hold their rows already
+        block.sel = np.arange(run.ctx.db.nrows(run.bound.entity_table), dtype=np.int64)
+
+
+def _filter(cause: str, at_anchor: bool) -> Callable:
+    def handler(run: _Run, block: _Block, node: PlanNode):
+        if len(block.sel):
+            at = block.anchor if at_anchor else None
+            mask = eval_condition_vec(run.ctx, node.payload, run.bound.entity_table, block.sel, at)
+            block.keep(mask, cause)
+
+    return handler
+
+
+def _validity_mask(ctx: VecCtx, bound: BoundQuery, sel: np.ndarray, anchor: int) -> np.ndarray:
     start_col, end_col = bound.entity_validity
     table = ctx.db.table(bound.entity_table)
-    n = table.nrows if sel is None else len(sel)
-    mask = np.ones(n, dtype=np.bool_)
+    mask = np.ones(len(sel), dtype=np.bool_)
     if start_col is not None:
         col = table.column(start_col)
-        vals = col.values if sel is None else col.values[sel]
-        null = col.null if sel is None else col.null[sel]
-        mask &= null | (vals <= anchor)
+        mask &= col.null[sel] | (col.values[sel] <= anchor)
     if end_col is not None:
         col = table.column(end_col)
-        vals = col.values if sel is None else col.values[sel]
-        null = col.null if sel is None else col.null[sel]
-        mask &= null | (anchor < vals)
+        mask &= col.null[sel] | (anchor < col.values[sel])
     return mask
 
 
-def _filter_rows(
-    ctx: VecCtx,
-    bound: BoundQuery,
-    sel: np.ndarray,
-    anchor: Optional[int],
-    drops: _Drops,
-    static: Sequence[BoundCondition] = (),
-    temporal: Sequence[BoundCondition] = (),
-    assuming: Optional[BoundCondition] = None,
-) -> np.ndarray:
-    """The filter stages over one anchor's entity rows, in order: validity
-    (anchored rows only), the given static and temporal conjuncts, then
-    ASSUMING. Each row dropped is counted once, under the first stage that
-    drops it; returns the surviving rows."""
-    if anchor is not None and bound.entity_validity is not None and len(sel):
-        mask = _validity_mask(ctx, bound, sel, anchor)
-        drops.validity += int(len(sel) - mask.sum())
-        sel = sel[mask]
-    stages = [(c, None, "static_filter") for c in static]
-    stages += [(c, anchor, "temporal_filter") for c in temporal]
-    if assuming is not None:
-        stages.append((assuming, anchor, "assuming"))
-    for cond, at, cause in stages:
-        if len(sel) == 0:
+def _validity(run: _Run, block: _Block, node: PlanNode):
+    if block.anchor is not None and run.bound.entity_validity is not None and len(block.sel):
+        block.keep(_validity_mask(run.ctx, run.bound, block.sel, block.anchor), "validity_pruned")
+
+
+def _cross_join(run: _Run, block: _Block, node: PlanNode):
+    """The fan-out is the whole node; validity is pruned late."""
+
+
+def _target(run: _Run, block: _Block, node: PlanNode):
+    """Target values for every row of the block. A row whose int64 SUM
+    leaves the range is set aside, and fails the run only if it reaches
+    Project, so a row a later filter drops cannot fail it."""
+    sel, n = block.sel, len(block.sel)
+    over: Optional[np.ndarray] = None
+    live: Optional[np.ndarray] = None  # None: every row
+    while True:
+        try:
+            rows = sel if live is None else sel[live]
+            values, defined = eval_target_vec(
+                run.ctx, node.payload, run.bound.entity_table, rows, block.anchor
+            )
             break
-        mask = eval_condition_vec(ctx, cond, bound.entity_table, sel, at)
-        setattr(drops, cause, getattr(drops, cause) + int(len(sel) - mask.sum()))
-        sel = sel[mask]
-    return sel
-
-
-def _target_keep(
-    ctx: VecCtx,
-    bound: BoundQuery,
-    sel: np.ndarray,
-    anchor: Optional[int],
-    drop_empty: bool,
-    drops: _Drops,
-):
-    """Evaluate targets over `sel`; returns (kept sel, kept value array)."""
-    values, defined = eval_target_vec(ctx, bound.target, bound.entity_table, sel, anchor)
-    if _is_list_target(bound):
+        except SumOverflow as exc:
+            if over is None:
+                over = np.zeros(n, dtype=np.bool_)
+            over[exc.segments if live is None else live[exc.segments]] = True
+            live = np.nonzero(~over)[0]
+    if run.list_target:
         empty = np.fromiter((len(v) == 0 for v in values), np.bool_, count=len(values))
-        if drop_empty:
-            keep = ~empty
-            drops.empty_label += int(empty.sum())
-        else:
-            keep = np.ones(len(sel), dtype=np.bool_)
+        labelled = ~empty if run.drop_empty else np.ones(len(values), dtype=np.bool_)
     else:
-        keep = defined
-        drops.undefined_target += int(len(sel) - keep.sum())
-    return sel[keep], values[keep]
+        labelled = defined
+    if live is not None:
+        values, labelled = _widen(values, live, n), _widen(labelled, live, n)
+    block.values, block.labelled, block.overflow = values, labelled, over
 
 
-def _assemble(
-    ctx: VecCtx,
-    bound: BoundQuery,
-    sel: np.ndarray,
-    values: np.ndarray,
-    anchor,
-    split_name: Optional[str],
-    split_policy: Optional[SplitPolicy] = None,
-) -> List[Tuple]:
-    """Rows for one anchor block, sorted by entity key (keys are unique per
-    block, and blocks are produced newest-anchor-first, so concatenated
-    blocks come out in canonical order with no global sort)."""
-    keys = ctx.db.table(bound.entity_table).column(bound.entity_column).values[sel]
+def _widen(arr: np.ndarray, live: np.ndarray, n: int) -> np.ndarray:
+    out = np.zeros(n, dtype=arr.dtype)
+    out[live] = arr
+    return out
+
+
+def _refuse_overflow(block: _Block):
+    if block.overflow is not None and block.overflow.any():
+        raise ExecutionError("SUM leaves the int64 range")
+
+
+def _select_missing_target(run: _Run, block: _Block, node: PlanNode):
+    """Keep the rows a training table drops for their label."""
+    _target(run, block, node)
+    _refuse_overflow(block)
+    block.keep(~block.labelled, None)
+
+
+def _candidate_set(run: _Run, block: _Block, node: PlanNode):
+    link_table = run.bound.task.link_target_table
+    ltable = run.ctx.db.table(link_table)
+    sel = np.arange(ltable.nrows, dtype=np.int64)
+    if node.payload is not None and len(sel):
+        sel = sel[eval_condition_vec(run.ctx, node.payload, link_table, sel, None)]
+    pk = ltable.column(ltable.definition.primary_key)
+    block.candidates = sorted(pk.values[sel].tolist())
+
+
+def _project(run: _Run, block: _Block, node: PlanNode):
+    """Emit the block's rows, sorted by entity key (keys are unique per
+    block, and blocks run newest anchor first, so concatenated blocks come
+    out in canonical order with no global sort). A training row without a
+    label leaves here, after every filter."""
+    keys = run.ctx.db.table(run.bound.entity_table).column(run.bound.entity_column).values
+    if run.plan.mode == "prediction":
+        block.rows = [(k, block.anchor) for k in sorted(keys[block.sel].tolist())]
+        return
+    _refuse_overflow(block)
+    block.keep(block.labelled, "empty_label" if run.list_target else "undefined_target")
+    keys = keys[block.sel]
     order = np.argsort(keys, kind="stable")
     keys_l = keys[order].tolist()
-    vals_l = values[order].tolist() if len(values) else []
-    if split_name is None:  # static split hashes each key
-        splits = split_for_keys(keys_l, split_policy)
-        return [(k, anchor, v, s) for k, v, s in zip(keys_l, vals_l, splits)]
-    return [(k, anchor, v, split_name) for k, v in zip(keys_l, vals_l)]
+    vals_l = block.values[order].tolist() if len(block.values) else []
+    if block.anchor is None:  # static split hashes each key
+        splits = split_for_keys(keys_l, run.split)
+    else:
+        splits = [split_for_anchor_rank(run.anchor_rank[block.anchor])] * len(keys_l)
+    block.rows = list(zip(keys_l, [block.anchor] * len(keys_l), vals_l, splits))
+
+
+_HANDLERS: Dict[str, Callable[[_Run, _Block, PlanNode], None]] = {
+    "ScanEntities": _scan,
+    "StaticEntityFilter": _filter("static_filtered", at_anchor=False),
+    "AnchorExpand": _validity,
+    "CrossJoinAnchors": _cross_join,
+    "TemporalEntityFilter": _filter("temporal_filtered", at_anchor=True),
+    "AssumingFilter": _filter("assuming_filtered", at_anchor=True),
+    "TargetCompute": _target,
+    "LateEntityFilter": _filter("static_filtered", at_anchor=False),
+    "LateValidityFilter": _validity,
+    "LateTemporalFilter": _filter("temporal_filtered", at_anchor=True),
+    "SelectMissingTarget": _select_missing_target,
+    "CandidateSet": _candidate_set,
+    "Project": _project,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -207,13 +350,6 @@ def materialize_training(
     bound = plan.bound
     g = g or build_row_graph(db)
     split = split or SplitPolicy()
-    ctx = VecCtx(db, g)
-    drop_empty = _drop_empty_labels(bound.task, keep_empty_labels)
-    drops = _Drops()
-
-    n_entities = db.nrows(bound.entity_table)
-    all_rows = np.arange(n_entities, dtype=np.int64)
-
     anchors: List[int] = []
     if not bound.is_static:
         anchors = resolve_anchors(bound, plan.policy, db)
@@ -221,37 +357,14 @@ def materialize_training(
             raise ExecutionError(
                 "no feasible anchors: the data span is shorter than one anchor stride"
             )
-    anchor_rank = {a: i for i, a in enumerate(sorted(anchors, reverse=True))}
-
-    if plan.optimized:
-        # Static conjuncts run before anchor expansion, so their drops are
-        # not pairs and are not counted.
-        survivors = _filter_rows(ctx, bound, all_rows, None, _Drops(), bound.static_conjuncts)
-        pairs_expanded = len(survivors) if bound.is_static else len(survivors) * len(anchors)
-        if bound.is_static:
-            sel, values = _target_keep(ctx, bound, survivors, None, drop_empty, drops)
-            rows = _assemble(ctx, bound, sel, values, None, None, split)
-        else:
-
-            def run_anchor(anchor: int):
-                local = _Drops()
-                sel = _filter_rows(
-                    ctx, bound, survivors, anchor, local,
-                    temporal=bound.temporal_conjuncts, assuming=bound.assuming,
-                )
-                sel, values = _target_keep(ctx, bound, sel, anchor, drop_empty, local)
-                split_name = split_for_anchor_rank(anchor_rank[anchor])
-                return _assemble(ctx, bound, sel, values, anchor, split_name), local
-
-            rows = []
-            for partial, local in _map_anchors(run_anchor, anchors, workers):
-                rows.extend(partial)
-                _merge_drops(drops, local)
-    else:
-        # Baseline: full cross product, targets for everything, filters last.
-        rows, pairs_expanded = _run_naive(
-            ctx, bound, all_rows, anchors, anchor_rank, split, drop_empty, drops, workers
-        )
+    run = _Run(
+        plan,
+        VecCtx(db, g, fullscan=not plan.optimized),
+        _drop_empty_labels(bound.task, keep_empty_labels),
+        split,
+        _anchor_ranks(anchors),
+    )
+    _, rows, drops, pairs_expanded = _execute(run, anchors, workers=workers)
     split_counts: Dict[str, int] = {}
     for r in rows:
         split_counts[r[3]] = split_counts.get(r[3], 0) + 1
@@ -263,126 +376,14 @@ def materialize_training(
         "entity_table": bound.entity_table,
         "entity_column": bound.entity_column,
         "anchors": [format_timestamp(a) for a in sorted(anchors, reverse=True)],
-        "entities_scanned": n_entities,
+        "entities_scanned": db.nrows(bound.entity_table),
         "pairs_expanded": pairs_expanded,
         "row_count": len(rows),
         "split_counts": split_counts,
-        "dropped": drops.to_json(),
+        "dropped": drops,
         "split_policy": {"train": split.train, "val": split.val, "test": split.test, "seed": split.seed},
     }
-    columns = ("ENTITY",) + (() if bound.is_static else ("TIMESTAMP",)) + ("TARGET", "SPLIT")
-    return TrainingTable(columns, rows, metadata)
-
-
-def _merge_drops(total: _Drops, local: _Drops):
-    total.validity += local.validity
-    total.static_filter += local.static_filter
-    total.temporal_filter += local.temporal_filter
-    total.assuming += local.assuming
-    total.undefined_target += local.undefined_target
-    total.empty_label += local.empty_label
-
-
-def _map_anchors(fn, anchors: List[int], workers: int):
-    if workers <= 1 or len(anchors) <= 1:
-        return [fn(a) for a in anchors]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, anchors))
-
-
-def _spare_overflow(fn, n: int):
-    """Run the batch kernel `fn(rows)` over all `n` entity rows, setting
-    aside rows whose int64 SUM leaves the range instead of failing the
-    batch. Returns (result over the other rows, those rows or None for all,
-    mask of the rows set aside)."""
-    over = np.zeros(n, dtype=np.bool_)
-    rows = None
-    while True:
-        try:
-            return fn(rows), rows, over
-        except SumOverflow as exc:
-            over[exc.segments if rows is None else rows[exc.segments]] = True
-            rows = np.nonzero(~over)[0]
-
-
-def _widen(mask: np.ndarray, rows: Optional[np.ndarray], n: int) -> np.ndarray:
-    if rows is None:
-        return mask
-    full = np.zeros(n, dtype=np.bool_)
-    full[rows] = mask
-    return full
-
-
-def _run_naive(ctx, bound, all_rows, anchors, anchor_rank, split, drop_empty, drops, workers):
-    """Cross-product execution: one full-table pass per anchor, targets
-    first. A row whose SUM leaves int64 fails the run only when the stages
-    before it keep the row, as in the staged plan."""
-    etable = bound.entity_table
-    n = len(all_rows)
-    ctx.fullscan = True
-
-    def run_anchor(anchor: Optional[int]):
-        local = _Drops()
-        # Target computation for every entity, before any filtering.
-        (values, defined), live, target_over = _spare_overflow(
-            lambda r: eval_target_vec(ctx, bound.target, etable, r, anchor), n
-        )
-        keep = np.ones(n, dtype=np.bool_)
-        kept = n
-
-        def apply(mask, bucket):
-            nonlocal keep, kept
-            keep &= mask
-            now = int(keep.sum())
-            setattr(local, bucket, getattr(local, bucket) + kept - now)
-            kept = now
-
-        def refuse_overflow(over):
-            if (keep & over).any():
-                raise ExecutionError("SUM leaves the int64 range")
-
-        def apply_cond(cond, at, bucket):
-            mask, rows, over = _spare_overflow(
-                lambda r: eval_condition_vec(ctx, cond, etable, r, at), n
-            )
-            refuse_overflow(over)
-            apply(_widen(mask, rows, n), bucket)
-
-        for cond in bound.static_conjuncts:
-            apply_cond(cond, None, "static_filter")
-        if anchor is not None and bound.entity_validity is not None:
-            apply(_validity_mask(ctx, bound, None, anchor), "validity")
-        if anchor is not None:
-            for cond in bound.temporal_conjuncts:
-                apply_cond(cond, anchor, "temporal_filter")
-            if bound.assuming is not None:
-                apply_cond(bound.assuming, anchor, "assuming")
-        refuse_overflow(target_over)
-        if _is_list_target(bound):
-            empty = np.fromiter((len(v) == 0 for v in values), np.bool_, count=len(values))
-            if drop_empty:
-                apply(_widen(~empty, live, n), "empty_label")
-        else:
-            apply(_widen(defined, live, n), "undefined_target")
-        sel = np.nonzero(keep)[0]
-        kept_vals = values[sel if live is None else np.searchsorted(live, sel)]
-        if anchor is None:
-            return _assemble(ctx, bound, sel, kept_vals, None, None, split), local
-        split_name = split_for_anchor_rank(anchor_rank[anchor])
-        return _assemble(ctx, bound, sel, kept_vals, anchor, split_name), local
-
-    rows: List[Tuple] = []
-    if bound.is_static:
-        partial, local = run_anchor(None)
-        rows.extend(partial)
-        _merge_drops(drops, local)
-        pairs = len(all_rows)
-    else:
-        for partial, local in _map_anchors(run_anchor, anchors, workers):
-            rows.extend(partial)
-            _merge_drops(drops, local)
-        pairs = len(all_rows) * len(anchors)
-    return rows, pairs
+    return TrainingTable(plan.output_columns, rows, metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -397,61 +398,27 @@ def materialize_prediction(
     if plan.mode != "prediction":
         raise ExecutionError("materialize_prediction needs a prediction-mode plan")
     bound = plan.bound
-    g = g or build_row_graph(db)
-    ctx = VecCtx(db, g)
-    etable = bound.entity_table
-
-    anchor: Optional[int] = None
+    anchors: List[int] = []
     if not bound.is_static:
         anchor = plan.prediction_at
         if anchor is None:
             anchor = db.max_event_time()
             if anchor is None:
                 raise ExecutionError("temporal query over a database with no dated rows")
-    sel = _filter_rows(
-        ctx, bound, np.arange(db.nrows(etable), dtype=np.int64), anchor, _Drops(),
-        bound.static_conjuncts, bound.temporal_conjuncts,
-    )
-    if bound.is_static:
-        # Static tables predict exactly the entities whose label could not
-        # be computed during training (their values are to be imputed).
-        drop_empty = _drop_empty_labels(bound.task, None)
-        values, defined = eval_target_vec(ctx, bound.target, etable, sel, None)
-        if _is_list_target(bound):
-            if drop_empty:
-                empty = np.fromiter((len(v) == 0 for v in values), np.bool_, count=len(values))
-                sel = sel[empty]
-            else:
-                sel = sel[:0]
-        else:
-            sel = sel[~defined]
-
-    keys = db.table(bound.entity_table).column(bound.entity_column).values[sel].tolist()
-    rows = [(k, anchor) for k in sorted(keys)]
-
-    candidates = None
-    if bound.task.task_type is TaskType.LINK_PREDICTION:
-        link_table = bound.task.link_target_table
-        ltable = db.table(link_table)
-        cand_sel = np.arange(ltable.nrows, dtype=np.int64)
-        if bound.prediction_filter is not None and len(cand_sel):
-            mask = eval_condition_vec(ctx, bound.prediction_filter, link_table, cand_sel, None)
-            cand_sel = cand_sel[mask]
-        pk = ltable.column(ltable.definition.primary_key)
-        candidates = sorted(pk.values[cand_sel].tolist())
-
+        anchors = [anchor]
+    run = _Run(plan, VecCtx(db, g or build_row_graph(db)), _drop_empty_labels(bound.task, None))
+    (block,), _, _, _ = _execute(run, anchors)
     metadata = {
         "mode": "prediction",
         "task": bound.task.to_json(),
         "timeframe": bound.timeframe.to_json(),
         "entity_table": bound.entity_table,
         "entity_column": bound.entity_column,
-        "anchor": None if anchor is None else format_timestamp(anchor),
-        "row_count": len(rows),
-        "candidate_count": None if candidates is None else len(candidates),
+        "anchor": None if block.anchor is None else format_timestamp(block.anchor),
+        "row_count": len(block.rows),
+        "candidate_count": None if block.candidates is None else len(block.candidates),
     }
-    columns = ("ENTITY",) if bound.is_static else ("ENTITY", "TIMESTAMP")
-    return PredictionTable(columns, rows, candidates, metadata)
+    return PredictionTable(plan.output_columns, block.rows, block.candidates, metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -472,18 +439,13 @@ def evaluate_pairs(
 
     Produces exactly the rows the batch engine would emit for those pairs:
     filters, validity pruning, drops and splits all apply. Pairs are grouped
-    by anchor and each group runs through the same stages as a batch anchor,
-    on the restricted kernels over the shared store. Used by the low-latency
-    sampler and by the verification suites.
+    by anchor, and each group runs as a pre-anchored block through the
+    optimized training plan, on the restricted kernels over the shared
+    store. Used by the low-latency sampler and by the verification suites.
     """
-    split = split or SplitPolicy()
-    ctx = VecCtx(db, g)
-    drop_empty = _drop_empty_labels(bound.task, keep_empty_labels)
     pairs = list(dict.fromkeys(pairs))  # (entity, anchor) rows are unique
     if anchors_for_split is None:
         anchors_for_split = sorted({a for _, a in pairs if a is not None}, reverse=True)
-    rank = {a: i for i, a in enumerate(sorted(anchors_for_split, reverse=True))}
-
     by_anchor: Dict[Optional[int], List[int]] = {}
     for ref, anchor in pairs:
         if ref.table.upper() != bound.entity_table:
@@ -494,24 +456,25 @@ def evaluate_pairs(
             )
         by_anchor.setdefault(anchor, []).append(ref.index)
 
-    rows: List[Tuple] = []
-    drops = _Drops()
-    for anchor in sorted(by_anchor, reverse=True):  # newest anchor first: canonical order
-        sel = _filter_rows(
-            ctx, bound, np.array(by_anchor[anchor], dtype=np.int64), anchor, drops,
-            bound.static_conjuncts, bound.temporal_conjuncts, bound.assuming,
-        )
-        sel, values = _target_keep(ctx, bound, sel, anchor, drop_empty, drops)
-        split_name = None if anchor is None else split_for_anchor_rank(rank[anchor])
-        rows.extend(_assemble(ctx, bound, sel, values, anchor, split_name, split))
-
+    plan = plan_training(bound)
+    run = _Run(
+        plan,
+        VecCtx(db, g),
+        _drop_empty_labels(bound.task, keep_empty_labels),
+        split or SplitPolicy(),
+        _anchor_ranks(anchors_for_split),
+    )
+    blocks = [  # newest anchor first: canonical order
+        _Block(a, np.array(by_anchor[a], dtype=np.int64))
+        for a in sorted(by_anchor, reverse=True)
+    ]
+    _, rows, drops, _ = _execute(run, blocks=blocks)
     metadata = {
         "mode": "training",
         "strategy": "pairwise",
         "task": bound.task.to_json(),
         "pairs_expanded": len(pairs),
         "row_count": len(rows),
-        "dropped": drops.to_json(),
+        "dropped": drops,
     }
-    columns = ("ENTITY",) + (() if bound.is_static else ("TIMESTAMP",)) + ("TARGET", "SPLIT")
-    return TrainingTable(columns, rows, metadata)
+    return TrainingTable(plan.output_columns, rows, metadata)

@@ -75,17 +75,16 @@ def like_regex(pattern: str) -> "re.Pattern":
     return re.compile("".join(out), re.DOTALL)
 
 
-def _edge_slot_arrays(idx: EdgeIndex):
-    """Lazy per-slot parent ids and dated flags for full-scan gathers."""
-    if not hasattr(idx, "_slot_parent"):
+def _edge_slot_arrays(idx: EdgeIndex) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-slot parent ids and dated flags for full-scan gathers, built on
+    first use and kept on the edge index."""
+    if idx.slot_parent is None:
         n_parent = len(idx.indptr) - 1
-        counts = np.diff(idx.indptr)
-        slot_parent = np.repeat(np.arange(n_parent, dtype=np.int64), counts)
+        slot_parent = np.repeat(np.arange(n_parent, dtype=np.int64), np.diff(idx.indptr))
         slot_pos = np.arange(len(idx.order), dtype=np.int64)
-        slot_dated = slot_pos < idx.dated_end[slot_parent]
-        idx._slot_parent = slot_parent  # type: ignore[attr-defined]
-        idx._slot_dated = slot_dated  # type: ignore[attr-defined]
-    return idx._slot_parent, idx._slot_dated  # type: ignore[attr-defined]
+        idx.slot_dated = slot_pos < idx.dated_end[slot_parent]
+        idx.slot_parent = slot_parent
+    return idx.slot_parent, idx.slot_dated
 
 
 def _multiarange(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:

@@ -1,7 +1,10 @@
-"""Logical planning: lower a bound query into a staged plan DAG.
+"""Logical planning: lower a bound query into a staged plan of operator nodes.
 
-The optimized training plan has four stages with materialization barriers
-between them:
+A plan is a chain of nodes, each fed by the one before it, grouped into
+stages for display. `pql.engine` runs a plan by walking its nodes in order,
+one column-at-a-time kernel call per node, so the plan `explain` prints is
+the plan that runs. The optimized training plan has four stages with
+materialization barriers between them:
 
   1. static entity filters       (anchor-independent conjuncts, pushed down)
   2. anchor expansion            (entity x anchor generator, validity-pruned)
@@ -10,10 +13,15 @@ between them:
 
 Static queries skip stages 2-3. The unoptimized variant used as a benchmark
 baseline materializes a genuine entity-by-anchor cross product, computes
-targets for every pair, and applies all filters at the end.
+targets for every pair, and then filters in the order it lists: static
+conjuncts, validity, temporal conjuncts, ASSUMING. In both, a row whose
+target gives no label (undefined, or an empty list where those are
+dropped) leaves at the final Project, after every filter.
 
 Prediction plans have a single anchor, never compute targets, and never
-apply ASSUMING; link-prediction plans carry the candidate filter.
+apply ASSUMING. Static ones keep exactly the entities whose label training
+drops (SelectMissingTarget); link-prediction plans carry the candidate
+filter.
 """
 
 from __future__ import annotations
@@ -21,13 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple, Union
 
-import numpy as np
-
-from .binder import (
-    BoundQuery,
-    TaskType,
-)
+from .binder import BoundQuery, TaskType
 from .errors import PlanError
+from .store import ListType
 from .times import format_duration, format_timestamp
 from .unparse_bound import describe_condition, describe_target
 
@@ -80,22 +84,35 @@ class LogicalPlan:
 
     @property
     def output_columns(self) -> Tuple[str, ...]:
-        cols: Tuple[str, ...] = ("ENTITY",)
-        if not self.bound.is_static:
-            cols += ("TIMESTAMP",)
-        if self.mode == "training":
-            cols += ("TARGET", "SPLIT")
-        return cols
+        """The columns of the final Project node."""
+        return self.nodes[-1].payload
+
+
+_STATIC_SKIPS = (
+    Stage("anchor expansion", (), note="skipped: static query"),
+    Stage("temporal filters", (), note="skipped: static query"),
+)
+
+
+def _append(nodes: List[PlanNode], kind: str, detail: str = "", payload: object = None) -> int:
+    """Append a node fed by the previous one; returns its id."""
+    nid = len(nodes)
+    nodes.append(PlanNode(kind, detail, payload, (nid - 1,) if nid else ()))
+    return nid
+
+
+def _append_project(nodes: List[PlanNode], bound: BoundQuery, mode: str) -> int:
+    cols: Tuple[str, ...] = ("ENTITY",) if bound.is_static else ("ENTITY", "TIMESTAMP")
+    if mode == "training":
+        cols += ("TARGET", "SPLIT")
+    return _append(nodes, "Project", ", ".join(cols), cols)
 
 
 def _entity_stage_nodes(bound: BoundQuery, nodes: List[PlanNode]) -> List[int]:
-    ids = [len(nodes)]
-    nodes.append(PlanNode("ScanEntities", bound.entity_table))
-    for cond in bound.static_conjuncts:
-        nid = len(nodes)
-        nodes.append(PlanNode("StaticEntityFilter", describe_condition(cond), cond, (nid - 1,)))
-        ids.append(nid)
-    return ids
+    return [_append(nodes, "ScanEntities", bound.entity_table)] + [
+        _append(nodes, "StaticEntityFilter", describe_condition(c), c)
+        for c in bound.static_conjuncts
+    ]
 
 
 def plan_training(
@@ -103,89 +120,53 @@ def plan_training(
 ) -> LogicalPlan:
     """Lower a bound query to a training-table plan."""
     policy = policy or AnchorPolicy()
-    nodes: List[PlanNode] = []
-    stages: List[Stage] = []
-
     if not optimized:
         return _plan_training_naive(bound, policy)
 
-    stage1 = _entity_stage_nodes(bound, nodes)
-    stages.append(Stage("static entity filters", tuple(stage1)))
-
+    nodes: List[PlanNode] = []
+    stages = [Stage("static entity filters", tuple(_entity_stage_nodes(bound, nodes)))]
     if bound.is_static:
-        stages.append(Stage("anchor expansion", (), note="skipped: static query"))
-        stages.append(Stage("temporal filters", (), note="skipped: static query"))
-        last = stage1[-1]
+        stages += _STATIC_SKIPS
     else:
-        nid = len(nodes)
         validity = "validity-pruned" if bound.entity_validity else "no validity columns"
-        nodes.append(
-            PlanNode(
-                "AnchorExpand",
-                f"count={policy.count} stride={_fmt_stride(policy)} "
-                f"latest={_fmt_latest(policy)} ({validity})",
-                policy,
-                (stage1[-1],),
-            )
+        detail = (
+            f"count={policy.count} stride={_fmt_stride(policy)} "
+            f"latest={_fmt_latest(policy)} ({validity})"
         )
-        stages.append(Stage("anchor expansion", (nid,)))
-        last = nid
-
-        stage3: List[int] = []
-        for cond in bound.temporal_conjuncts:
-            nid = len(nodes)
-            nodes.append(PlanNode("TemporalEntityFilter", describe_condition(cond), cond, (last,)))
-            stage3.append(nid)
-            last = nid
+        stages.append(Stage("anchor expansion", (_append(nodes, "AnchorExpand", detail, policy),)))
+        stage3 = [
+            _append(nodes, "TemporalEntityFilter", describe_condition(c), c)
+            for c in bound.temporal_conjuncts
+        ]
         if bound.assuming is not None:
-            nid = len(nodes)
-            nodes.append(
-                PlanNode("AssumingFilter", describe_condition(bound.assuming), bound.assuming, (last,))
+            stage3.append(
+                _append(nodes, "AssumingFilter", describe_condition(bound.assuming), bound.assuming)
             )
-            stage3.append(nid)
-            last = nid
         stages.append(Stage("temporal filters", tuple(stage3)))
 
-    target_id = len(nodes)
-    nodes.append(PlanNode("TargetCompute", describe_target(bound.target), bound.target, (last,)))
-    project_id = len(nodes)
-    nodes.append(PlanNode("Project", ", ".join(_output_cols(bound, "training")), None, (target_id,)))
-    stages.append(Stage("target computation", (target_id, project_id)))
+    target = _append(nodes, "TargetCompute", describe_target(bound.target), bound.target)
+    stages.append(Stage("target computation", (target, _append_project(nodes, bound, "training"))))
     return LogicalPlan("training", True, bound, policy, tuple(nodes), tuple(stages))
 
 
 def _plan_training_naive(bound: BoundQuery, policy: AnchorPolicy) -> LogicalPlan:
-    """Baseline plan: real cross product, late filtering, no stage barriers."""
-    nodes: List[PlanNode] = [PlanNode("ScanEntities", bound.entity_table)]
-    last = 0
+    """Baseline plan: real cross product, targets for every pair, then the
+    filters in the order they run, no stage barriers."""
+    nodes: List[PlanNode] = []
+    _append(nodes, "ScanEntities", bound.entity_table)
     if not bound.is_static:
-        nodes.append(
-            PlanNode(
-                "CrossJoinAnchors",
-                f"count={policy.count} stride={_fmt_stride(policy)} (materialized cross product)",
-                policy,
-                (last,),
-            )
-        )
-        last = 1
-    tid = len(nodes)
-    nodes.append(PlanNode("TargetCompute", describe_target(bound.target) + " (all pairs)", bound.target, (last,)))
-    last = tid
-    for conj in bound.conjuncts:
-        nid = len(nodes)
-        nodes.append(
-            PlanNode("LateEntityFilter", describe_condition(conj.condition), conj.condition, (last,))
-        )
-        last = nid
-    if bound.assuming is not None:
-        nid = len(nodes)
-        nodes.append(PlanNode("AssumingFilter", describe_condition(bound.assuming), bound.assuming, (last,)))
-        last = nid
+        detail = f"count={policy.count} stride={_fmt_stride(policy)} (materialized cross product)"
+        _append(nodes, "CrossJoinAnchors", detail, policy)
+    _append(nodes, "TargetCompute", describe_target(bound.target) + " (all pairs)", bound.target)
+    for cond in bound.static_conjuncts:
+        _append(nodes, "LateEntityFilter", describe_condition(cond), cond)
     if bound.entity_validity and not bound.is_static:
-        nid = len(nodes)
-        nodes.append(PlanNode("LateValidityFilter", "drop anchors outside entity validity", None, (last,)))
-        last = nid
-    nodes.append(PlanNode("Project", ", ".join(_output_cols(bound, "training")), None, (last,)))
+        _append(nodes, "LateValidityFilter", "drop anchors outside entity validity")
+    for cond in bound.temporal_conjuncts:
+        _append(nodes, "LateTemporalFilter", describe_condition(cond), cond)
+    if bound.assuming is not None:
+        _append(nodes, "AssumingFilter", describe_condition(bound.assuming), bound.assuming)
+    _append_project(nodes, bound, "training")
     return LogicalPlan(
         "training",
         False,
@@ -199,65 +180,46 @@ def _plan_training_naive(bound: BoundQuery, policy: AnchorPolicy) -> LogicalPlan
 def plan_prediction(bound: BoundQuery, at: Optional[int] = None) -> LogicalPlan:
     """Prediction-table plan: one anchor, no target computation, no ASSUMING."""
     nodes: List[PlanNode] = []
-    stages: List[Stage] = []
     stage1 = _entity_stage_nodes(bound, nodes)
-    last = stage1[-1]
-
     if bound.is_static:
-        if bound.task.task_type is not TaskType.LINK_PREDICTION:
-            nid = len(nodes)
-            nodes.append(
-                PlanNode(
-                    "SelectMissingTarget",
-                    f"keep entities whose target {describe_target(bound.target)} is undefined",
-                    bound.target,
-                    (last,),
-                )
-            )
-            stage1.append(nid)
-            last = nid
-        stages.append(Stage("static entity filters", tuple(stage1)))
-        stages.append(Stage("anchor expansion", (), note="skipped: static query"))
-        stages.append(Stage("temporal filters", (), note="skipped: static query"))
+        stage1.append(
+            _append(nodes, "SelectMissingTarget", _missing_target_detail(bound), bound.target)
+        )
+        stages = [Stage("static entity filters", tuple(stage1)), *_STATIC_SKIPS]
     else:
-        stages.append(Stage("static entity filters", tuple(stage1)))
-        nid = len(nodes)
         at_text = "latest event time" if at is None else format_timestamp(at)
-        nodes.append(PlanNode("AnchorExpand", f"single anchor = {at_text}", None, (last,)))
-        stages.append(Stage("anchor expansion", (nid,)))
-        last = nid
-        stage3: List[int] = []
-        for cond in bound.temporal_conjuncts:
-            nid = len(nodes)
-            nodes.append(PlanNode("TemporalEntityFilter", describe_condition(cond), cond, (last,)))
-            stage3.append(nid)
-            last = nid
-        stages.append(Stage("temporal filters", tuple(stage3)))
+        expand = _append(nodes, "AnchorExpand", f"single anchor = {at_text}")
+        stage3 = [
+            _append(nodes, "TemporalEntityFilter", describe_condition(c), c)
+            for c in bound.temporal_conjuncts
+        ]
+        stages = [
+            Stage("static entity filters", tuple(stage1)),
+            Stage("anchor expansion", (expand,)),
+            Stage("temporal filters", tuple(stage3)),
+        ]
 
     extra: List[int] = []
     if bound.task.task_type is TaskType.LINK_PREDICTION:
-        nid = len(nodes)
-        cand = bound.task.link_target_table
-        detail = f"candidates = {cand}"
+        detail = f"candidates = {bound.task.link_target_table}"
         if bound.prediction_filter is not None:
             detail += f" where {describe_condition(bound.prediction_filter)}"
-        nodes.append(PlanNode("CandidateSet", detail, bound.prediction_filter, (last,)))
-        extra.append(nid)
-        last = nid
-    nid = len(nodes)
-    nodes.append(PlanNode("Project", ", ".join(_output_cols(bound, "prediction")), None, (last,)))
-    extra.append(nid)
+        extra.append(_append(nodes, "CandidateSet", detail, bound.prediction_filter))
+    extra.append(_append_project(nodes, bound, "prediction"))
     stages.append(Stage("target computation", tuple(extra), note="skipped: labels are predicted"))
     return LogicalPlan("prediction", True, bound, None, tuple(nodes), tuple(stages), prediction_at=at)
 
 
-def _output_cols(bound: BoundQuery, mode: str) -> Tuple[str, ...]:
-    cols: Tuple[str, ...] = ("ENTITY",)
-    if not bound.is_static:
-        cols += ("TIMESTAMP",)
-    if mode == "training":
-        cols += ("TARGET", "SPLIT")
-    return cols
+def _missing_target_detail(bound: BoundQuery) -> str:
+    """The entities a static prediction keeps: those whose training row is
+    dropped for its label. A ranking drops an empty list; a multilabel task
+    keeps it as an all-negative label, so it predicts for no entity."""
+    target = describe_target(bound.target)
+    if not isinstance(bound.task.target_dtype, ListType):
+        return f"keep entities whose target {target} is undefined"
+    if bound.task.task_type is TaskType.LINK_PREDICTION:
+        return f"keep entities whose target {target} is an empty list"
+    return f"keep no entities: an empty {target} is a label"
 
 
 def _fmt_stride(policy: AnchorPolicy) -> str:

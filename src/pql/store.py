@@ -370,6 +370,11 @@ def _parse_cell(text: str, dtype: DataType):
 # Rows converted per batch: bounds the Python objects alive at once while
 # loading and saving, so peak memory stays near that of the final arrays.
 _CHUNK_ROWS = 16384
+# The csv module refuses a field over 131,072 characters by default, while
+# `save_table_csv` writes cells of any length. The limit is process-wide in
+# the csv module, so it is raised once here, to the largest C long on every
+# platform, for every saved table to load back.
+csv.field_size_limit(2**31 - 1)
 # A null cell's stand-in for the numeric and timestamp conversions; each
 # becomes the column's fill value (0, 0.0, False, the epoch).
 _NULL_STANDIN = {
@@ -787,6 +792,10 @@ class EdgeIndex:
     dated_end: np.ndarray  # parent row -> end of the dated prefix
     order: np.ndarray
     times: np.ndarray
+    # Per-slot parent row and dated flag for full-scan gathers, aligned with
+    # `order`; `kernels._edge_slot_arrays` builds them on first use.
+    slot_parent: Optional[np.ndarray] = None
+    slot_dated: Optional[np.ndarray] = None
 
 
 class RowGraph:

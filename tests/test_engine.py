@@ -4,8 +4,9 @@ drop accounting, strategy equivalence, determinism, prediction tables."""
 import numpy as np
 import pytest
 
-from corpus import CORPUS_BY_NAME, schema
+from corpus import CORPUS, CORPUS_BY_NAME, schema
 
+from pql import engine
 from pql.binder import bind
 from pql.engine import evaluate_pairs, materialize_prediction, materialize_training
 from pql.errors import ExecutionError
@@ -15,7 +16,14 @@ from pql.parser import parse
 from pql.planner import AnchorPolicy, plan_prediction, plan_training, resolve_anchors
 from pql.splits import SplitPolicy
 from pql.store import RowRef
-from pql.synth import random_database, random_query, random_schema
+from pql.synth import (
+    generate,
+    hm_genspec,
+    random_database,
+    random_query,
+    random_schema,
+    template_schema,
+)
 from pql.times import MICROS_PER_DAY, parse_timestamp
 
 ANCHOR = parse_timestamp("2024-01-01")
@@ -543,3 +551,61 @@ class TestInt64Sum:
         self.assert_raises_everywhere(db, target)
         for rows in self.run_all(db, target + " WHERE COUNT(T.*, -30, 0, days) > 0"):
             assert rows == [(3, ANCHOR, 1, "test")]
+
+
+class TestPlanExecutor:
+    """One executor walks the nodes of every plan the planner builds."""
+
+    MIXED = (
+        "PREDICT COUNT(TRANSACTIONS.*, 0, 7, days) FOR EACH CUSTOMERS.CUSTOMER_ID "
+        "WHERE CUSTOMERS.AGE > 30 AND COUNT(TRANSACTIONS.*, -30, 0, days) > 0 "
+        "ASSUMING COUNT(NOTIFICATIONS.*, 0, 7, days) > 0"
+    )
+
+    @pytest.fixture(scope="class")
+    def validity_case(self):
+        """Generated data with validity columns, the MIXED query (a static
+        and a temporal conjunct plus ASSUMING) and its anchors."""
+        db = generate(hm_genspec(scale=0.0005, seed=4, validity=True))
+        b = bind(parse(self.MIXED), db.schema)
+        policy = AnchorPolicy(count=3)
+        return db, b, policy, resolve_anchors(b, policy, db)
+
+    def test_handles_exactly_the_node_kinds_the_planner_emits(self):
+        # Every corpus query on its own schema, and the retail ones again on
+        # the generated schema with validity columns.
+        bindings = [(e.text, schema(e.schema_key)) for e in CORPUS]
+        validity = template_schema(validity=True)
+        bindings += [(e.text, validity) for e in CORPUS if e.schema_key in ("retail", "hm_bench")]
+        kinds = set()
+        for text, sch in bindings:
+            b = bind(parse(text), sch)
+            for plan in (plan_training(b), plan_training(b, optimized=False), plan_prediction(b)):
+                kinds.update(node.kind for node in plan.nodes)
+        assert set(engine._HANDLERS) == kinds
+
+    def test_pairs_over_the_cross_product_match_the_naive_strategy(self, validity_case):
+        # Drops fall under the first node of the plan that makes them, so
+        # the pairwise path counts them as the cross product does.
+        db, b, policy, anchors = validity_case
+        naive = materialize_training(plan_training(b, policy, optimized=False), db)
+        pairs = [(RowRef("CUSTOMERS", i), a) for a in anchors for i in range(db.nrows("CUSTOMERS"))]
+        got = evaluate_pairs(db, db.row_graph(), b, pairs, anchors_for_split=anchors)
+        assert got.rows == naive.rows
+        assert got.metadata["dropped"] == naive.metadata["dropped"]
+        assert got.metadata["pairs_expanded"] == naive.metadata["pairs_expanded"]
+        assert naive.metadata["dropped"]["validity_pruned"] > 0
+
+    def test_pushed_down_static_filters_drop_entities_not_pairs(self, validity_case):
+        # The staged plan filters entities before expanding them over the
+        # anchors: those drops are not pairs and go uncounted.
+        db, b, policy, anchors = validity_case
+        age = db.table("CUSTOMERS").column("AGE")
+        old = int((~age.null & (age.values > 30)).sum())
+        staged = materialize_training(plan_training(b, policy), db).metadata
+        naive = materialize_training(plan_training(b, policy, optimized=False), db).metadata
+        assert staged["pairs_expanded"] == old * len(anchors)
+        assert naive["pairs_expanded"] == db.nrows("CUSTOMERS") * len(anchors)
+        assert staged["dropped"]["static_filtered"] == 0
+        for meta in (staged, naive):
+            assert meta["pairs_expanded"] == meta["row_count"] + sum(meta["dropped"].values())

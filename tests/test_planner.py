@@ -20,10 +20,17 @@ from pql.planner import (
     resolve_anchors,
     resolve_stride,
 )
-from pql.synth import GenSpec, generate
+from pql.synth import GenSpec, generate, hm_genspec
 from pql.times import MICROS_PER_DAY, parse_timestamp
 
 GOLDEN = Path(__file__).parent / "golden"
+
+
+NAIVE_ORDER_QUERY = (
+    "PREDICT COUNT(TRANSACTIONS.*, 0, 7, days) FOR EACH CUSTOMERS.CUSTOMER_ID "
+    "WHERE CUSTOMERS.AGE > 30 AND COUNT(TRANSACTIONS.*, -30, 0, days) > 0 "
+    "ASSUMING COUNT(NOTIFICATIONS.*, 0, 7, days) > 0"
+)
 
 
 def bind_corpus(name):
@@ -198,7 +205,9 @@ class TestExplain:
         got = explain(plan_training(b, AnchorPolicy()))
         assert got == (GOLDEN / f"{entry.name}.train.txt").read_text()
 
-    @pytest.mark.parametrize("name", ["blue_articles", "impute_value", "active_spender_notified"])
+    @pytest.mark.parametrize(
+        "name", ["blue_articles", "impute_value", "active_spender_notified", "top_pages"]
+    )
     def test_prediction_goldens(self, name):
         got = explain(plan_prediction(bind_corpus(name)))
         assert got == (GOLDEN / f"{name}.predict.txt").read_text()
@@ -207,6 +216,36 @@ class TestExplain:
         b = bind_corpus("weekly_transactions")
         got = explain(plan_training(b, AnchorPolicy(), optimized=False))
         assert got == (GOLDEN / "weekly_transactions.naive.txt").read_text()
+
+    def test_naive_plan_lists_late_filters_in_run_order(self):
+        # The cross-product plan drops a pair under the first late filter,
+        # in the order printed: static conjuncts, validity, temporal
+        # conjuncts, ASSUMING.
+        db = generate(hm_genspec(scale=0.0005, seed=4, validity=True))
+        b = bind(parse(NAIVE_ORDER_QUERY), db.schema)
+        policy = AnchorPolicy(count=3)
+        plan = plan_training(b, policy, optimized=False)
+        assert [n.kind for n in plan.nodes] == [
+            "ScanEntities", "CrossJoinAnchors", "TargetCompute", "LateEntityFilter",
+            "LateValidityFilter", "LateTemporalFilter", "AssumingFilter", "Project",
+        ]
+        text = explain(plan)
+        assert text.index("CUSTOMERS.AGE > 30") < text.index("LateValidityFilter")
+        assert text.index("LateValidityFilter") < text.index("COUNT(TRANSACTIONS.*, -30, 0, days)")
+
+        dropped = materialize_training(plan, db).metadata["dropped"]
+        anchors = resolve_anchors(b, policy, db)
+        cust = db.table("CUSTOMERS")
+        age = cust.column("AGE")
+        old = ~age.null & (age.values > 30)
+        start, end = (cust.column(c) for c in cust.definition.validity)
+        invalid = 0
+        for a in anchors:
+            valid = (start.null | (start.values <= a)) & (end.null | (a < end.values))
+            invalid += int((old & ~valid).sum())
+        assert dropped["static_filtered"] == int((~old).sum()) * len(anchors)
+        assert dropped["validity_pruned"] == invalid > 0
+        assert dropped["temporal_filtered"] > 0 and dropped["assuming_filtered"] > 0
 
     def test_json_dump_shape(self):
         plan = plan_training(bind_corpus("active_spender_notified"), AnchorPolicy())
