@@ -20,7 +20,7 @@ from typing import List, Optional
 from .bench import format_report, run_bench
 from .binder import bind
 from .engine import materialize_prediction, materialize_training
-from .errors import ExecutionError, PqlError
+from .errors import ExecutionError, PlanError, PqlError
 from .output import write_prediction_table, write_training_table
 from .parser import parse
 from .planner import AnchorPolicy, explain, plan_prediction, plan_to_json, plan_training, resolve_anchors
@@ -29,7 +29,7 @@ from .splits import SplitPolicy
 from .store import build_row_graph, load_database, load_schema
 from .synth import GenSpec, generate, hm_genspec
 from .store import save_database
-from .times import parse_duration, parse_timestamp
+from .times import format_duration, format_timestamp, parse_duration, parse_timestamp
 
 EXIT_OK, EXIT_VALIDATION, EXIT_EMPTY, EXIT_IO = 0, 1, 2, 3
 
@@ -226,11 +226,15 @@ def cmd_sample(cfg: RunConfig, args) -> int:
     bound, _ = _bound(cfg, db.schema)
     g = build_row_graph(db)
     anchor = parse_timestamp(cfg.at) if cfg.at else None
+    anchors = resolve_anchors(bound, _policy(cfg), db) if not bound.is_static else []
+    if anchor is not None and not bound.is_static and anchor not in anchors:
+        # Splits rank anchors on this grid, so an anchor off it has no split.
+        raise PlanError(f"--at {format_timestamp(anchor)} is not on the anchor grid ({_describe_grid(anchors)}); "
+                        "pick one of its anchors, or move the grid with --latest and --stride")
     pair_list = sample_pairs(db, g, bound, cfg.pairs, anchor=anchor)
     if not pair_list:
         print("no active entities to sample", file=sys.stderr)
         return EXIT_EMPTY
-    anchors = resolve_anchors(bound, _policy(cfg), db) if not bound.is_static else []
     request = build_request(bound, pair_list)
     sub = collect(g, request)
     table = compute_on_subgraph(
@@ -246,6 +250,15 @@ def cmd_sample(cfg: RunConfig, args) -> int:
     for p in paths:
         print(f"wrote {p}")
     return EXIT_OK if table.row_count else EXIT_EMPTY
+
+
+def _describe_grid(anchors: List[int]) -> str:
+    if not anchors:
+        return "no anchors"
+    text = f"{len(anchors)} anchor{'s' if len(anchors) > 1 else ''}, newest {format_timestamp(anchors[0])}"
+    if len(anchors) > 1:
+        text += f", every {format_duration(anchors[0] - anchors[1])} back to {format_timestamp(anchors[-1])}"
+    return text
 
 
 def cmd_gen_data(cfg: RunConfig, args) -> int:

@@ -11,24 +11,38 @@ time column and validity columns must hold timestamps (stored as integer
 microseconds since epoch, UTC). Databases are immutable once loaded; the
 row graph and each table's primary-key index are built lazily and cached.
 
-CSV load and save work column at a time. Loading reads records in chunks
-of `_CHUNK_ROWS` rows, transposes each chunk and converts every column
-slice with numpy (`int`/`float` over the whole slice, canonical timestamps
-parsed by `times.parse_canonical_timestamps`); a slice the fast path
-refuses is parsed cell by cell with `_parse_cell`, which defines the
-accepted values and the error text. The first error in row order raises
-`DataError` with its row number. Saving formats each column of a chunk
-in one pass. `_resolve_fk` maps foreign keys to parent rows for both the
-load check and the row graph.
+CSV load works column at a time, by one of two tokenizers and one set of
+converters. A file given as a `Path` goes to the byte tokenizer
+(`_read_file`): it reads blocks of about `_CHUNK_ROWS` records cut after a
+line break, numpy finds the offsets of each block's commas and line
+breaks, one check confirms that every record has one field per column, and
+the converters turn each column's cells into values straight from their
+bytes (int64, float64, bool, canonical timestamps via
+`times.canonical_micros`; strings are cut from the block's decoded text).
+Anything the byte tokenizer does not fully accept (a quote, carriage
+return or NUL byte, a blank line, a missing final line break, a wrong
+field count, a cell a converter refuses, a disallowed null, text that is
+not UTF-8) sends the whole table to the csv tokenizer (`_read_csv`), which
+reads text and file objects too: the `csv` module splits records, a chunk
+of them at a time, and each column slice goes to the same converters as
+one cell per line; `_parse_cell`, which defines the accepted values and
+the error text, reads each cell they refuse. The first error in row order
+raises `DataError` with its row number, so errors never depend on the
+tokenizer. Saving formats each column of a chunk in one pass.
+`_resolve_fk` maps foreign keys to parent rows once, for the load check;
+the row graph reuses that mapping while its parent table is still the one
+loaded.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
 import enum
 import io
 import itertools
 import json
+import locale
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -37,7 +51,7 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
 import numpy as np
 
 from .errors import DataError, SchemaError
-from .times import format_timestamps, parse_canonical_timestamps, parse_timestamp
+from .times import canonical_micros, format_timestamps, parse_timestamp
 
 
 class DataType(enum.Enum):
@@ -367,23 +381,20 @@ def _parse_cell(text: str, dtype: DataType):
     return text
 
 
-# Rows converted per batch: bounds the Python objects alive at once while
-# loading and saving, so peak memory stays near that of the final arrays.
+# Records converted per batch: bounds the Python objects and numpy
+# temporaries alive at once while loading and saving, so peak memory stays
+# near that of the final arrays.
 _CHUNK_ROWS = 16384
 # The csv module refuses a field over 131,072 characters by default, while
 # `save_table_csv` writes cells of any length. The limit is process-wide in
 # the csv module, so it is raised once here, to the largest C long on every
 # platform, for every saved table to load back.
 csv.field_size_limit(2**31 - 1)
-# A null cell's stand-in for the numeric and timestamp conversions; each
-# becomes the column's fill value (0, 0.0, False, the epoch).
-_NULL_STANDIN = {
-    DataType.INT64: "0",
-    DataType.FLOAT64: "0",
-    DataType.BOOL: "0",
-    DataType.TIMESTAMP: "1970-01-01T00:00:00Z",
-}
 _BOOL_CELLS = {"true": True, "1": True, "t": True, "false": False, "0": False, "f": False}
+_NL, _COMMA, _MINUS, _PLUS, _DOT, _EXP = b"\n,-+.e"
+_POW10_INT = 10 ** np.arange(20, dtype=np.uint64)
+_POW10_FLOAT = 10.0 ** np.arange(20)  # every one exact in float64
+_INT64_LIMIT = np.uint64(2**63 - 1)
 
 
 class _CellError(Exception):
@@ -394,62 +405,157 @@ class _CellError(Exception):
         self.offset = offset
 
 
-def _convert_fast(cells: Tuple[str, ...], dtype: DataType, null: Optional[np.ndarray]) -> np.ndarray:
-    """Values of one column slice in one pass; raises ValueError, OverflowError
-    or KeyError for any slice that `_parse_cell` must read cell by cell."""
-    if dtype is DataType.STRING:
-        values = np.array(cells, dtype=object)
-        if null is not None:
-            values[null] = None
-        return values
-    if null is not None:
-        standin = _NULL_STANDIN[dtype]
-        cells = [c or standin for c in cells]
-    if dtype is DataType.INT64:
-        return np.fromiter(map(int, cells), np.int64, len(cells))
-    if dtype is DataType.FLOAT64:
-        return np.fromiter(map(float, cells), np.float64, len(cells))
-    if dtype is DataType.BOOL:
-        return np.fromiter(map(_BOOL_CELLS.__getitem__, cells), np.bool_, len(cells))
-    return parse_canonical_timestamps(cells)
+# Converters: the values of the cells buf[starts[i]:ends[i]] of one column
+# slice, and a mask of the nonempty cells the converter refuses. Each
+# accepts only text that `_parse_cell` reads to the same value, and every
+# cell `save_table_csv` writes. Empty cells (nulls) read as the column's
+# fill value (0, 0.0, False, the epoch); a refused cell's value is unset.
 
 
-def _convert_by_cell(cells: Tuple[str, ...], cdef: ColumnDef) -> Tuple[np.ndarray, np.ndarray]:
-    """`_convert_slice` through `_parse_cell`, one cell at a time."""
-    parsed = []
-    for offset, cell in enumerate(cells):
-        try:
-            value = _parse_cell(cell, cdef.dtype)
-        except (ValueError, OverflowError) as exc:
-            raise _CellError(offset, str(exc))
-        if value is None and not cdef.nullable:
-            raise _CellError(offset, "null not allowed")
-        parsed.append(value)
-    null = np.array([v is None for v in parsed], dtype=np.bool_)
-    if cdef.dtype is DataType.STRING:
-        return np.array(parsed, dtype=object), null
-    fill = 0 if cdef.dtype is not DataType.BOOL else False
-    values = np.array([fill if v is None else v for v in parsed], dtype=_NUMPY_DTYPE[cdef.dtype])
-    return values, null
+def _fixed_width(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray, width: int) -> np.ndarray:
+    """(width, n) uint8 array: row k holds byte k of every cell, 0 past a
+    cell's end. Rows keep each byte position's operations contiguous."""
+    k = np.arange(width, dtype=starts.dtype)[:, None]
+    index = starts + k
+    cells = buf[np.minimum(index, len(buf) - 1, out=index)]
+    cells[k >= lengths] = 0
+    return cells
+
+
+def _ints(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """`[-]digits` with at most 19 digits and within int64."""
+    neg = (buf[np.minimum(starts, len(buf) - 1)] == _MINUS) & (ends > starts)
+    ndigits = ends - starts - neg
+    refused = (ends > starts) & ((ndigits < 1) | (ndigits > 19))
+    width = min(int(ndigits.max()), 19)
+    # Right-aligned: row k holds the digit of place value 10**(width-1-k).
+    k = np.arange(width, dtype=ends.dtype)[:, None]
+    digits = buf[np.maximum(ends - width + k, 0)] - np.uint8(48)
+    digits[k < width - ndigits] = 0
+    refused |= (digits > 9).any(axis=0)
+    magnitude = _POW10_INT[:width][::-1] @ digits
+    refused |= magnitude > _INT64_LIMIT + neg
+    return np.where(neg, np.uint64(0) - magnitude, magnitude).view(np.int64), refused
+
+
+def _floats(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """`[-]digits[.digits][e[+|-]digits]` and `[-]inf`, the forms `repr`
+    writes. Without an exponent, a mantissa of at most 19 digits and at
+    most 2**53 is divided by a power of ten, both exact in float64
+    (Clinger's fast path, so the quotient is the correctly rounded value
+    `float` gives); numpy's bytes-to-float64 cast, which is `float`, reads
+    the rest."""
+    lengths = ends - starts
+    width = max(int(lengths.max()), 4)
+    cells = _fixed_width(buf, starts, lengths, width)
+    k = np.arange(width)[:, None]
+    neg = cells[0] == _MINUS
+    digit = cells - np.uint8(48) <= 9
+    dot, exp = cells == _DOT, cells == _EXP
+    n_dot, n_exp = dot.sum(axis=0), exp.sum(axis=0)
+    p_exp = np.where(n_exp > 0, exp.argmax(axis=0), lengths)
+    p_dot = np.where(n_dot > 0, dot.argmax(axis=0), p_exp)
+    exp_sign = (k == p_exp + 1) & ((cells == _MINUS) | (cells == _PLUS))
+    allowed = digit | dot | exp | exp_sign | (k >= lengths)
+    allowed[0] |= neg
+    fraction = np.maximum(p_exp - p_dot - 1, 0)
+    number = allowed.all(axis=0) & (n_dot <= 1) & (n_exp <= 1) & (p_dot <= p_exp)
+    number &= (p_dot - neg >= 1) & ((n_dot == 0) | (fraction >= 1))
+    number &= (n_exp == 0) | (lengths - p_exp - 1 - exp_sign.any(axis=0) >= 1)
+
+    mantissa = digit & (k < p_exp)
+    fast = number & (n_exp == 0) & (mantissa.sum(axis=0) <= 19)
+    m = np.zeros(len(starts), dtype=np.uint64)
+    for row, take in zip(cells, mantissa):
+        m = np.where(take, m * np.uint64(10) + (row - np.uint8(48)), m)
+    fast &= m <= 2**53
+    values = m / _POW10_FLOAT[np.minimum(fraction, 19)]
+    values[neg] *= -1
+    body, cols = neg.astype(np.intp), np.arange(len(starts))
+    inf = lengths == body + 3
+    for i, byte in enumerate(b"inf"):
+        inf &= cells[body + i, cols] == byte
+    rest = np.flatnonzero((number & ~fast) | inf)
+    if len(rest):
+        text = [buf[a:b].tobytes() for a, b in zip(starts[rest].tolist(), ends[rest].tolist())]
+        values[rest] = np.array(text).astype(np.float64)
+    return values, (lengths > 0) & ~number & ~inf
+
+
+def _bools(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The six spellings of `_BOOL_CELLS`, exactly."""
+    lengths = ends - starts
+    cells = _fixed_width(buf, starts, lengths, 5)
+    values, known = np.zeros(len(starts), dtype=np.bool_), lengths == 0
+    for spelling, value in _BOOL_CELLS.items():
+        hit = lengths == len(spelling)
+        for row, byte in zip(cells, spelling.encode()):
+            hit &= row == byte
+        values |= hit & value
+        known |= hit
+    return values, ~known
+
+
+def _timestamps(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The canonical form of `times.canonical_micros`."""
+    lengths = ends - starts
+    micros, ok = canonical_micros(_fixed_width(buf, starts, lengths, 27), lengths)
+    return micros, (lengths > 0) & ~ok
+
+
+_CONVERTERS = {
+    DataType.INT64: _ints,
+    DataType.FLOAT64: _floats,
+    DataType.BOOL: _bools,
+    DataType.TIMESTAMP: _timestamps,
+}
+
+
+def _shared(cells: Iterable[str]) -> List[str]:
+    """The cells, equal strings sharing one object. A categorical column
+    holds a few distinct values, so most of its cells cost a pointer."""
+    memo: Dict[str, str] = {}
+    return [memo.setdefault(c, c) for c in cells]
 
 
 def _convert_slice(cells: Tuple[str, ...], cdef: ColumnDef) -> Tuple[np.ndarray, np.ndarray]:
-    """(values, null mask) of one column slice, as `_parse_cell` reads each
-    cell; raises `_CellError` at the slice's first bad or disallowed cell."""
-    null = np.array(cells, dtype=object) == "" if "" in cells else None
-    try:
-        values = _convert_fast(cells, cdef.dtype, null)
-    except (ValueError, OverflowError, KeyError):
-        return _convert_by_cell(cells, cdef)
-    if null is None:
-        null = np.zeros(len(cells), dtype=np.bool_)
-    if cdef.dtype is DataType.FLOAT64:
-        nan = np.isnan(values)
-        if nan.any():
-            null |= nan
-            values[nan] = 0.0
+    """(values, null mask) of one column slice of the csv tokenizer, as
+    `_parse_cell` reads each cell; raises `_CellError` at the slice's first
+    bad or disallowed cell. The converters read the slice's text as bytes,
+    one cell per line; `_parse_cell` reads each cell they refuse."""
+    if cdef.dtype is DataType.STRING:
+        values = np.array(_shared(cells), dtype=object)
+        null = values == ""
+        values[null] = None
+        refused: Iterable[int] = ()
+    else:
+        # An unencodable character becomes "?", which every converter refuses.
+        buf = np.frombuffer(("\n".join(cells) + "\n").encode(errors="replace"), dtype=np.uint8)
+        ends = np.flatnonzero(buf == _NL)
+        if len(ends) == len(cells):
+            starts = np.concatenate(([0], ends[:-1] + 1))
+            values, refused_mask = _CONVERTERS[cdef.dtype](buf, starts, ends)
+            null = starts == ends
+            refused = np.flatnonzero(refused_mask).tolist()
+        else:  # a cell holds a line break
+            values = np.zeros(len(cells), dtype=_NUMPY_DTYPE[cdef.dtype])
+            null = np.zeros(len(cells), dtype=np.bool_)
+            refused = range(len(cells))
+    bad = None
+    for i in refused:
+        try:
+            value = _parse_cell(cells[i], cdef.dtype)
+        except (ValueError, OverflowError) as exc:
+            bad = (i, str(exc))
+            break
+        null[i] = value is None
+        values[i] = 0 if value is None else value
     if not cdef.nullable and null.any():
-        raise _CellError(int(np.argmax(null)), "null not allowed")
+        first = int(np.argmax(null))
+        if bad is None or first < bad[0]:
+            bad = (first, "null not allowed")
+    if bad is not None:
+        raise _CellError(*bad)
     return values, null
 
 
@@ -476,6 +582,10 @@ class TableData:
     columns: Dict[str, Column]
     nrows: int
     _pk_index: Optional[Dict[object, int]] = field(default=None, repr=False)
+    # Foreign-key column -> (the parent TableData the load check resolved
+    # it against, child row -> parent row); the row graph reuses it while
+    # that parent is still the loaded one.
+    fk_forward: Dict[str, Tuple[Optional["TableData"], np.ndarray]] = field(default_factory=dict, repr=False)
 
     def column(self, name: str) -> Column:
         return self.columns[name.upper()]
@@ -583,26 +693,10 @@ def load_table_data(
     Checks run against parents loaded so far, so load parent tables first.
     """
     tdef = db.schema.table(table)
-    if isinstance(rows, Path):
-        # newline="" hands line breaks inside quoted cells to the csv
-        # reader intact; only \r and \n end records, never U+2028 etc.
-        with open(rows, newline="") as fh:
-            return load_table_data(db, table, fh, strict=strict)
-    if isinstance(rows, str):
-        rows = io.StringIO(rows, newline="")
-    reader = csv.reader(rows)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DataError(f"table {tdef.name}: empty input, header row required")
-    header = [h.upper() for h in header]
-    if sorted(header) != sorted(tdef.column_names):
-        raise DataError(
-            f"table {tdef.name}: header {header} does not match schema columns "
-            f"{list(tdef.column_names)}"
-        )
-
-    columns, nrows = _read_columns(tdef, header, reader)
+    loaded = _read_file(tdef, rows) if isinstance(rows, Path) else None
+    if loaded is None:
+        loaded = _read_csv(tdef, rows)
+    columns, nrows = loaded
     data = TableData(tdef, columns, nrows)
     report = LoadReport(tdef.name, nrows)
     if tdef.primary_key is not None:
@@ -610,7 +704,10 @@ def load_table_data(
 
     for fk in tdef.foreign_keys:
         fkcol = columns[fk.column]
-        dangling = np.flatnonzero((_resolve_fk(fkcol, db.tables.get(fk.references)) < 0) & ~fkcol.null)
+        parent = db.tables.get(fk.references)
+        forward = _resolve_fk(fkcol, parent)
+        data.fk_forward[fk.column] = (parent, forward)
+        dangling = np.flatnonzero((forward < 0) & ~fkcol.null)
         if not len(dangling):
             continue
         if strict:
@@ -627,6 +724,139 @@ def load_table_data(
     db._graph = None
     db._time_range = None
     return db
+
+
+def _read_file(tdef: TableDef, path: Path) -> Optional[Tuple[Dict[str, Column], int]]:
+    """The byte tokenizer: the columns of a CSV file, or None when the file
+    needs the csv tokenizer. That is when the header does not match the
+    schema, when the text encoding `open` uses is not UTF-8, and when a
+    block fails `_convert_block`; the file then loads as if this function
+    did not exist, errors and row numbers included.
+
+    A first pass counts the line breaks, so each column is allocated once
+    at its final size; the second reads blocks of about `_CHUNK_ROWS`
+    records, cut after a line break, and converts them into place. Only
+    one block's temporaries are alive at a time."""
+    if codecs.lookup(locale.getpreferredencoding(False)).name != "utf-8":
+        return None
+    with open(path, "rb") as fh:
+        line = fh.readline()
+        if not line.endswith(b"\n") or any(b in line for b in (b'"', b"\r", b"\0")):
+            return None
+        try:
+            header = line[:-1].decode().upper().split(",")
+        except UnicodeDecodeError:
+            return None
+        if sorted(header) != sorted(tdef.column_names):
+            return None
+        total = sum(piece.count(b"\n") for piece in iter(lambda: fh.read(1 << 20), b""))
+        fh.seek(len(line))
+        columns = {
+            c.name: Column(c.dtype, np.empty(total, dtype=_NUMPY_DTYPE[c.dtype]), np.empty(total, dtype=np.bool_))
+            for c in tdef.columns
+        }
+        cdefs = [tdef.column(name) for name in header]
+        nrows, row_bytes, tail = 0, len(line), b""
+        while True:
+            data = fh.read(max(_CHUNK_ROWS * row_bytes, 2 * len(tail)))
+            if not data:
+                if tail:  # no line break after the last record
+                    return None
+                break
+            data = tail + data
+            cut = data.rfind(b"\n") + 1
+            block, tail = data[:cut], data[cut:]
+            if not block:
+                continue
+            count = _convert_block(block, cdefs, columns, nrows)
+            if count is None:
+                return None
+            nrows += count
+            row_bytes = -(-len(block) // count)
+    return (columns, nrows) if nrows == total else None
+
+
+def _convert_block(block: bytes, cdefs: List[ColumnDef], columns: Dict[str, Column], offset: int) -> Optional[int]:
+    """Convert whole CSV records into rows `offset`.. of `columns` and
+    return their number, or None when the csv module could read them
+    differently or `_parse_cell` must read a cell: any quote, carriage
+    return or NUL byte, a blank line, a record without exactly one field
+    per column, a cell a converter refuses, a null where none is allowed,
+    or text that is not UTF-8."""
+    if any(b in block for b in (b'"', b"\r", b"\0", b"\n\n")) or block[0] == _NL:
+        return None
+    buf = np.frombuffer(block, dtype=np.uint8)
+    ncols, nrecords = len(cdefs), block.count(b"\n")
+    offsets = np.int32 if len(block) < 2**31 else np.int64
+    ends = np.flatnonzero((buf == _COMMA) | (buf == _NL)).astype(offsets)
+    if len(ends) != nrecords * ncols or offset + nrecords > len(columns[cdefs[0].name].null):
+        return None
+    starts = np.empty_like(ends)
+    starts[0], starts[1:] = 0, ends[:-1] + 1
+    ends, starts = ends.reshape(nrecords, ncols), starts.reshape(nrecords, ncols)
+    # Every record's last delimiter is a line break; with the count above,
+    # each record holds exactly ncols fields.
+    if (buf[ends[:, -1]] != _NL).any():
+        return None
+    rows = slice(offset, offset + nrecords)
+    text = before = None
+    for j, cdef in enumerate(cdefs):
+        s, e = starts[:, j], ends[:, j]
+        null = s == e
+        if not cdef.nullable and null.any():
+            return None
+        column = columns[cdef.name]
+        if cdef.dtype is DataType.STRING:
+            if text is None:
+                try:
+                    text, before = _decode_block(block, buf, offsets)
+                except UnicodeDecodeError:
+                    return None
+            if before is not None:  # byte offsets to character offsets
+                s, e = s - before[s], e - before[e]
+            column.values[rows] = _shared(map(text.__getitem__, map(slice, s.tolist(), e.tolist())))
+            column.values[rows][null] = None
+        else:
+            values, refused = _CONVERTERS[cdef.dtype](buf, s, e)
+            if refused.any():
+                return None
+            column.values[rows] = values
+        column.null[rows] = null
+    return nrecords
+
+
+def _decode_block(block: bytes, buf: np.ndarray, offsets: type) -> Tuple[str, Optional[np.ndarray]]:
+    """The block's UTF-8 text and, unless it is ASCII, the number of UTF-8
+    continuation bytes before each byte offset (0..len(block))."""
+    text = block.decode()
+    if len(text) == len(block):
+        return text, None
+    before = np.zeros(len(block) + 1, dtype=offsets)
+    np.cumsum((buf & 0xC0) == 0x80, out=before[1:])
+    return text, before
+
+
+def _read_csv(tdef: TableDef, rows) -> Tuple[Dict[str, Column], int]:
+    """The csv tokenizer: the columns of CSV text, read by the csv module."""
+    if isinstance(rows, Path):
+        # newline="" hands line breaks inside quoted cells to the csv
+        # reader intact; only \r and \n end records, never U+2028 etc.
+        with open(rows, newline="") as fh:
+            return _read_csv(tdef, fh)
+    if isinstance(rows, str):
+        rows = io.StringIO(rows, newline="")
+    reader = csv.reader(rows)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError(f"table {tdef.name}: empty input, header row required")
+    header = [h.upper() for h in header]
+    if sorted(header) != sorted(tdef.column_names):
+        raise DataError(
+            f"table {tdef.name}: header {header} does not match schema columns "
+            f"{list(tdef.column_names)}"
+        )
+    return _read_columns(tdef, header, reader)
 
 
 def _read_columns(tdef: TableDef, header: List[str], reader) -> Tuple[Dict[str, Column], int]:
@@ -669,7 +899,7 @@ def _read_columns(tdef: TableDef, header: List[str], reader) -> Tuple[Dict[str, 
 
     columns: Dict[str, Column] = {}
     for cdef in tdef.columns:
-        chunks = parts[cdef.name]
+        chunks = parts.pop(cdef.name)  # freed column by column
         if not chunks:
             empty = np.empty(0, dtype=_NUMPY_DTYPE[cdef.dtype])
             chunks = [(empty, np.empty(0, dtype=np.bool_))]
@@ -815,7 +1045,9 @@ class RowGraph:
         n_parent = parent.nrows if parent else 0
 
         if child:
-            forward = _resolve_fk(child.column(edge.fk_column), parent)
+            resolved_against, forward = child.fk_forward.get(edge.fk_column, (None, None))
+            if forward is None or resolved_against is not parent:
+                forward = _resolve_fk(child.column(edge.fk_column), parent)
         else:
             forward = np.empty(0, dtype=np.int64)
         linked = np.nonzero(forward >= 0)[0]

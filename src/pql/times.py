@@ -4,15 +4,20 @@ All timestamps are integers: microseconds since the Unix epoch, UTC.
 Input accepts ISO-8601 dates and datetimes (naive values are taken as UTC,
 offsets are honored, a trailing ``Z`` is accepted on Python 3.10). The
 canonical form, which `format_timestamp` writes, is
-``YYYY-MM-DDTHH:MM:SS[.ffffff]Z``; `parse_canonical_timestamps` and
-`format_timestamps` convert whole columns of it with numpy.
+``YYYY-MM-DDTHH:MM:SS[.ffffff]Z``; `format_timestamps` writes a whole
+column of it with numpy, and `canonical_micros` reads a whole column of
+its bytes back with integer arithmetic (days from the civil date), for
+the CSV loader in `pql.store`. `parse_timestamp` defines the accepted
+text: `canonical_micros` accepts only the canonical form, which it reads
+as `parse_timestamp` does, and refuses every other cell (offsets, dates
+without a time, spaces, ``.000000``), which the loader then hands to
+`parse_timestamp` one cell at a time.
 """
 
 from __future__ import annotations
 
-import warnings
 from datetime import datetime, timedelta, timezone
-from typing import List, Sequence
+from typing import List, Tuple
 
 import numpy as np
 
@@ -55,25 +60,52 @@ _MIN_MICROS = -62135596800 * MICROS_PER_SECOND  # 0001-01-01T00:00:00Z
 _MAX_MICROS = 253402300800 * MICROS_PER_SECOND - 1  # 9999-12-31T23:59:59.999999Z
 
 
-def parse_canonical_timestamps(cells: Sequence[str]) -> np.ndarray:
-    """Parse cells of the canonical form to epoch microseconds (int64).
+# The canonical form's bytes; "0" marks a digit. A cell without a
+# fraction is the first 19 bytes and "Z".
+_CANONICAL = np.frombuffer(b"0000-00-00T00:00:00.000000Z", dtype=np.uint8)
+_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
 
-    A column is canonical when `format_timestamps` writes every cell back
-    unchanged; otherwise this raises ValueError, and callers parse cell by
-    cell with `parse_timestamp`, whose results this function matches
-    wherever it returns.
+
+def canonical_micros(cells: np.ndarray, lengths: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Epoch microseconds of canonical timestamp cells, and which cells are.
+
+    `cells` is a (27, n) uint8 array whose row k holds byte k of each of n
+    cells, 0 past a cell's end; `lengths` holds each cell's length in
+    bytes. A cell is canonical when it is exactly ``YYYY-MM-DDTHH:MM:SSZ``
+    or ``YYYY-MM-DDTHH:MM:SS.ffffffZ`` with ASCII digits, a year of
+    0001-9999, a day that exists in its month and year, hours 00-23,
+    minutes and seconds 00-59, and a nonzero fraction. Canonical cells
+    read as `parse_timestamp` reads them; other cells read 0.
     """
-    with warnings.catch_warnings():
-        # numpy warns on a timezone offset and drops it; refuse the column.
-        warnings.simplefilter("error")
-        try:
-            micros = np.array([c[:-1] for c in cells], dtype=str).astype("datetime64[us]").view(np.int64)
-            canonical = format_timestamps(micros) == list(cells)
-        except (Warning, OverflowError):  # an offset; a year outside 0001-9999
-            canonical = False
-    if not canonical:
-        raise ValueError("not canonical timestamps")
-    return micros
+    short, long = lengths == 20, lengths == 27
+    digits = cells - np.uint8(48)  # any other byte wraps past 9
+    ok = short | long
+    for k, byte in enumerate(_CANONICAL[:19]):
+        ok &= digits[k] <= 9 if byte == 48 else cells[k] == byte
+    ok &= np.where(long, (cells[19] == 46) & (cells[26] == 90), cells[19] == 90)
+    ok &= ~long | (digits[20:26] <= 9).all(axis=0)
+
+    def number(lo: int, hi: int) -> np.ndarray:
+        value = np.zeros(cells.shape[1], dtype=np.int64)
+        for row in digits[lo:hi]:
+            value = value * 10 + row
+        return value
+
+    year, month, day = number(0, 4), number(5, 7), number(8, 10)
+    hour, minute, second = number(11, 13), number(14, 16), number(17, 19)
+    fraction = np.where(long, number(20, 26), 0)
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    month_days = _MONTH_DAYS[np.clip(month, 0, 12)] + ((month == 2) & leap)
+    ok &= (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (day <= month_days)
+    ok &= (hour < 24) & (minute < 60) & (second < 60) & (~long | (fraction > 0))
+    # Days from the civil date (H. Hinnant), with years starting in March.
+    y = year - (month <= 2)
+    era = y // 400
+    yoe = y - era * 400
+    doy = (153 * ((month + 9) % 12) + 2) // 5 + day - 1
+    days = era * 146097 + yoe * 365 + yoe // 4 - yoe // 100 + doy - 719468
+    seconds = ((days * 24 + hour) * 60 + minute) * 60 + second
+    return np.where(ok, seconds * MICROS_PER_SECOND + fraction, 0), ok
 
 
 def format_timestamps(micros: np.ndarray) -> List[str]:

@@ -207,6 +207,21 @@ class TestSampleAndGenData:
         assert "rows_touched" in capsys.readouterr().out
         assert (out / "sample.csv").exists()
 
+    def test_sample_at_off_the_anchor_grid_is_a_typed_error(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert main(["gen-data", "--out-dir", str(data), "--scale", "0.0003", "--seed", "5"]) == 0
+        capsys.readouterr()
+        args = ["sample", "--data-dir", str(data), "--out-dir", str(tmp_path / "s"), "--pairs", "5",
+                "--query", "PREDICT COUNT(TRANSACTIONS.*, 0, 7, days) FOR EACH CUSTOMERS.CUSTOMER_ID"]
+        assert main(args + ["--at", "2023-06-03"]) == 1
+        err = capsys.readouterr().err
+        assert "--at 2023-06-03T00:00:00Z is not on the anchor grid (10 anchors, newest " in err
+        assert "Traceback" not in err and "KeyError" not in err
+        assert not (tmp_path / "s").exists()
+        # Moving the grid onto the anchor makes it a valid request.
+        assert main(args + ["--at", "2023-06-03", "--latest", "2023-06-03"]) == 0
+        assert (tmp_path / "s" / "sample.csv").exists()
+
     def test_gen_data_determinism(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):

@@ -2,7 +2,9 @@
 
 import csv
 import io
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from pql.store import (
     new_database,
     save_table_csv,
 )
+from pql.synth import random_database, random_schema
 from pql.times import MICROS_PER_DAY, MICROS_PER_SECOND, parse_timestamp
 
 T = parse_timestamp
@@ -484,24 +487,51 @@ def load_by_cell(db, table, text, strict=True):
     return raw, (dangling, samples)
 
 
+def loaded_outcome(db, table):
+    data, report = db.table(table), db.reports[-1]
+    cols = {n: data.column(n).to_pylist() for n in data.definition.column_names}
+    return ("ok", repr(cols), (report.dangling_fk, report.samples))
+
+
+def load_source(db_factory, table, source, strict=True):
+    """Load `source` (CSV text or a file path) with `load_table_data`;
+    ("error", message) or ("ok", columns, report)."""
+    db = db_factory()
+    try:
+        load_table_data(db, table, source, strict=strict)
+    except DataError as exc:
+        return ("error", str(exc))
+    return loaded_outcome(db, table)
+
+
+def load_raw(db_factory, table, raw, strict=True):
+    """Outcomes of the per-cell reference, of the CSV text `raw` itself and
+    of a file holding exactly `raw`; the file takes the byte tokenizer
+    unless that refuses it."""
+    try:
+        cols, report = load_by_cell(db_factory(), table, raw, strict)
+        reference = ("ok", repr(cols), report)
+    except DataError as exc:
+        reference = ("error", str(exc))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.csv"
+        path.write_bytes(raw.encode())
+        from_file = load_source(db_factory, table, path, strict)
+    return reference, load_source(db_factory, table, raw, strict), from_file
+
+
 def load_both(db_factory, table, text, strict=True):
-    """Load `text` with both loaders; return (reference, columnar) outcomes,
-    each either ("error", message) or ("ok", columns, report)."""
-    outcomes = []
-    for columnar in (False, True):
-        db = db_factory()
-        try:
-            if columnar:
-                load_table_data(db, table, text, strict=strict)
-                data, report = db.table(table), db.reports[-1]
-                cols = {n: data.column(n).to_pylist() for n in data.definition.column_names}
-                outcomes.append(("ok", repr(cols), (report.dangling_fk, report.samples)))
-            else:
-                cols, report = load_by_cell(db, table, text, strict)
-                outcomes.append(("ok", repr(cols), report))
-        except DataError as exc:
-            outcomes.append(("error", str(exc)))
-    return outcomes
+    """Load `text` with the per-cell reference and with both tokenizers:
+    the quoted text itself takes the csv tokenizer, and the same records
+    written unquoted to a file take the byte tokenizer unless it refuses
+    them. Checks that the tokenizers agree and returns (reference,
+    columnar), each either ("error", message) or ("ok", columns, report)."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(csv.reader(io.StringIO(text, newline="")))
+    reference, columnar, quoted_file = load_raw(db_factory, table, text, strict)
+    unquoted_file = load_raw(db_factory, table, buf.getvalue(), strict)[2]
+    assert unquoted_file == quoted_file == columnar
+    return reference, columnar
 
 
 def csv_text(header, rows):
@@ -533,21 +563,32 @@ class TestColumnarLoader:
             reference, columnar = load_both(lambda: new_database(ADVERSARIAL), "A", text)
             assert columnar == reference, case
 
-    def test_saved_cells_need_no_per_cell_parsing(self, monkeypatch):
+    def test_saved_cells_need_no_per_cell_parsing(self, monkeypatch, tmp_path):
         rows = [
             ["-9223372036854775808", "-0.0", "false", "0001-01-01T00:00:00Z", "", "0"],
             ["9223372036854775807", "5e-324", "true", "9999-12-31T23:59:59.999999Z", "\u00e9", "1"],
             ["", "inf", "", "2022-03-04T05:06:07Z", "x", "2"],
             ["3", "", "true", "", "y", "3"],
+            ["-1", "-inf", "f", "2022-03-04T05:06:07.500000Z", "z", "4"],
+            ["0", "1.7976931348623157e+308", "t", "1969-12-31T23:59:59.999999Z", "w", "5"],
+            ["7", "0.30000000000000004", "1", "2024-02-29T00:00:00Z", "v", "6"],
+            ["8", "1e-05", "0", "2000-02-29T12:00:00Z", "u", "7"],
+            ["9", "123456789012345.67", "true", "1999-12-31T23:59:59Z", "t", "8"],
         ]
         text = csv_text(list(VALID), rows)
         reference = load_both(lambda: new_database(ADVERSARIAL), "A", text)[0]
+        db = new_database(ADVERSARIAL)
+        load_table_data(db, "A", text)
+        path = tmp_path / "a.csv"
+        save_table_csv(db, "A", path)
 
-        def refuse(cells, cdef):
-            raise AssertionError(f"column {cdef.name} parsed cell by cell")
+        def refuse(*args):
+            raise AssertionError("a cell was parsed by _parse_cell or the csv module")
 
-        monkeypatch.setattr(store, "_convert_by_cell", refuse)
+        monkeypatch.setattr(store, "_parse_cell", refuse)
         assert load_both(lambda: new_database(ADVERSARIAL), "A", text)[1] == reference
+        monkeypatch.setattr(store, "_read_csv", refuse)
+        assert load_source(lambda: new_database(ADVERSARIAL), "A", path) == reference
 
     def test_header_order_is_free(self, chunk_rows):
         names = list(VALID)[::-1]  # N, S, T, B, F, I
@@ -682,3 +723,191 @@ class TestColumnarLoader:
         for strict in (True, False):
             reference, columnar = load_both(lambda: new_database(ADVERSARIAL), "C", text, strict)
             assert columnar == reference
+
+
+# ---------------------------------------------------------------------------
+# The byte tokenizer: what it refuses, what it reads, foreign keys resolved once
+
+HEADER_A = ",".join(VALID) + "\n"
+ROW_A = ",".join(GOOD) + "\n"
+
+
+def row_a(**cells):
+    return ",".join(cells.get(name, VALID[name]) for name in VALID) + "\n"
+
+
+class TestByteTokenizer:
+    @pytest.mark.parametrize(
+        "table,raw",
+        [
+            # Blank lines: the csv module reads [], a record of no fields.
+            ("A", HEADER_A + ROW_A + "\n" + ROW_A),
+            ("A", HEADER_A + "\n" + ROW_A),
+            ("P", "ID\n1\n\n2\n"),
+            ("P", "ID\n1\n2\n\n"),
+            ("SP", "ID\na\n\nb\n"),
+            # Line ends.
+            ("A", HEADER_A + ROW_A + ROW_A[:-1]),
+            ("P", "ID\n1\n2"),
+            ("P", "ID"),
+            ("A", (HEADER_A + ROW_A + ROW_A).replace("\n", "\r\n")),
+            ("P", "ID\r\n1\r\n2\r\n"),
+            ("P", "ID\n1\r\n2\n"),
+            # Quotes and NUL bytes.
+            ("A", HEADER_A + row_a(S="a\0b")),
+            ("A", HEADER_A + row_a(I="1\0")),
+            ("A", HEADER_A + row_a(S='a"b')),
+            ("A", HEADER_A + row_a(S='"a,b"')),
+            # Field counts.
+            ("A", HEADER_A + ROW_A + "1,2\n" + ROW_A),
+            ("A", HEADER_A + ROW_A + ROW_A[:-1] + ",x\n"),
+            ("A", HEADER_A + ROW_A + ",,,,,\n"),
+            # One record a field long and the next a field short: the block
+            # still holds one delimiter per field.
+            ("A", HEADER_A + ROW_A + ROW_A[:-1] + ",1\n" + ROW_A.split(",", 1)[1] + ROW_A),
+            # Non-ASCII text, before and after other cells of the block.
+            ("A", HEADER_A + row_a(S="é中") + row_a(S="x") + row_a(S="\U0001f600")),
+            ("A", HEADER_A + row_a(S="é中", I="7") + row_a(S="s t")),
+            ("A", HEADER_A + row_a(I="٣")),
+            ("SP", "ID\né\né\n"),
+            # Integers: 19 digits fit when in range, 20 never do.
+            ("A", HEADER_A + row_a(I="9223372036854775807") + row_a(I="-9223372036854775808")),
+            ("A", HEADER_A + row_a(I="9223372036854775808")),
+            ("A", HEADER_A + row_a(I="-9223372036854775809")),
+            ("A", HEADER_A + row_a(I="9999999999999999999")),
+            ("A", HEADER_A + row_a(I="12345678901234567890")),
+            ("A", HEADER_A + row_a(I="00000000000000000000001")),
+            ("A", HEADER_A + row_a(I="-") + ROW_A),
+            # Floats of 16 or more significant digits, or past 2**53.
+            ("A", HEADER_A + row_a(F="0.30000000000000004") + row_a(F="1234567890123456.5")),
+            ("A", HEADER_A + row_a(F="9007199254740993") + row_a(F="12345678901234567890.5")),
+            ("A", HEADER_A + row_a(F="0.1000000000000000000000001") + row_a(F="1." + "0" * 30)),
+            ("A", HEADER_A + row_a(F="1e400") + row_a(F="-1E5") + row_a(F=".5")),
+            ("A", HEADER_A + row_a(F="nan") + row_a(F="1e") + row_a(F="1.e5")),
+            # Timestamps the canonical form excludes.
+            ("A", HEADER_A + row_a(T="2022-02-29T00:00:00Z")),
+            ("A", HEADER_A + row_a(T="2022-03-04T24:00:00Z")),
+            ("A", HEADER_A + row_a(T="2022-12-31T23:59:60Z")),
+            ("A", HEADER_A + row_a(T="0000-01-01T00:00:00Z")),
+            ("A", HEADER_A + row_a(T="2022-03-04T05:06:07.000000Z")),
+            ("A", HEADER_A + row_a(T="2022-03-04")),
+            # Nulls where none is allowed, and a repeated key.
+            ("A", HEADER_A + ROW_A + row_a(N="")),
+            ("P", "ID\n1\n2\n1\n"),
+        ],
+    )
+    def test_refusals_match_the_per_cell_reference(self, table, raw, chunk_rows):
+        reference, from_text, from_file = load_raw(lambda: new_database(ADVERSARIAL), table, raw)
+        assert from_text == reference
+        assert from_file == reference
+
+    def test_empty_file_needs_a_header(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_bytes(b"")
+        with pytest.raises(DataError, match=r"^table P: empty input, header row required$"):
+            load_table_data(new_database(ADVERSARIAL), "P", path)
+
+    def test_undecodable_file_fails_as_the_csv_path_does(self, tmp_path):
+        path = tmp_path / "sp.csv"
+        path.write_bytes(b"ID\na\n\xff\n")
+        with pytest.raises(UnicodeDecodeError):
+            load_table_data(new_database(ADVERSARIAL), "SP", path)
+
+    def test_unquoted_files_take_the_byte_path(self, monkeypatch, chunk_rows, tmp_path):
+        rows = [row_a(I=str(i), S=f"s{i}é" * (i % 3)) for i in range(50)]
+        path = tmp_path / "a.csv"
+        path.write_text(HEADER_A + "".join(rows), encoding="utf-8")
+        reference = load_raw(lambda: new_database(ADVERSARIAL), "A", path.read_text())[0]
+
+        def refuse(*args):
+            raise AssertionError("read by the csv tokenizer")
+
+        monkeypatch.setattr(store, "_read_csv", refuse)
+        assert load_source(lambda: new_database(ADVERSARIAL), "A", path) == reference
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(allow_nan=False).map(repr),
+                st.integers(-(10**20), 10**20).map(str),
+                st.decimals(allow_nan=False, allow_infinity=False, places=4).map(str),
+                st.from_regex(r"-?[0-9]{1,20}(\.[0-9]{1,25})?(e[+-]?[0-9]{1,3})?", fullmatch=True),
+            ),
+            min_size=1,
+            max_size=20,
+        )
+    )
+    def test_numeric_cells_read_as_parse_cell_reads_them(self, cells):
+        for dtype in (store.DataType.INT64, store.DataType.FLOAT64):
+            cdef = store.ColumnDef("X", dtype, store.SemanticType.NUMERICAL)
+            expected = []
+            for cell in cells:
+                try:
+                    expected.append(_parse_cell(cell, dtype))
+                except (ValueError, OverflowError):
+                    expected.append("error")
+            try:
+                values, null = store._convert_slice(tuple(cells), cdef)
+            except store._CellError as err:
+                assert expected[err.offset] == "error"
+                assert "error" not in expected[: err.offset]
+                continue
+            got = [None if n else v for v, n in zip(values.tolist(), null.tolist())]
+            assert repr(got) == repr(expected)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 10_000))
+    def test_random_databases_round_trip_byte_identically(self, seed):
+        schema = random_schema(seed)
+        db = random_database(seed, schema, scale=1.0 + seed % 3)
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp) / "a", Path(tmp) / "b"
+            store.save_database(db, first)
+            again = store.load_database(first / "schema.json", first)
+            store.save_database(again, second)
+            for path in sorted(first.iterdir()):
+                assert path.read_bytes() == (second / path.name).read_bytes(), path.name
+
+
+class TestForeignKeysResolvedOnce:
+    def count_resolutions(self, monkeypatch):
+        calls = []
+        real = store._resolve_fk
+
+        def counting(fkcol, parent):
+            calls.append(parent)
+            return real(fkcol, parent)
+
+        monkeypatch.setattr(store, "_resolve_fk", counting)
+        return calls
+
+    def test_load_and_row_graph_resolve_each_key_once(self, retail_schema, tmp_path, monkeypatch):
+        store.save_database(build_toy_db(retail_schema), tmp_path)
+        calls = self.count_resolutions(monkeypatch)
+        db = store.load_database(tmp_path / "schema.json", tmp_path)
+        graph = build_row_graph(db)
+        assert len(retail_schema.edges()) == 3
+        assert len(calls) == 3
+        for edge, idx in graph.edges.items():
+            fkcol = db.table(edge.child_table).column(edge.fk_column)
+            assert idx.forward.tolist() == real_forward(fkcol, db.table(edge.parent_table))
+
+    def test_reloaded_parent_rebuilds_the_edges(self, monkeypatch):
+        db = new_database(ADVERSARIAL)
+        load_table_data(db, "P", csv_text(["ID"], [["10"], ["-3"], ["30"]]))
+        load_table_data(db, "C", csv_text(["ID", "P1", "P2"], [["1", "10", "30"], ["2", "30", ""]]))
+        calls = self.count_resolutions(monkeypatch)
+        load_table_data(db, "P", csv_text(["ID"], [["30"], ["7"], ["10"], ["-3"]]))
+        graph = build_row_graph(db)
+        # Both edges into the reloaded P resolve again, against the new P;
+        # the empty SC table's edges were never resolved at load.
+        assert [parent.definition.name for parent in calls].count("P") == 2
+        assert all(parent is db.table(parent.definition.name) for parent in calls)
+        assert graph.edge_index(FkEdge("C", "P1", "P")).forward.tolist() == [2, 0]
+        assert graph.edge_index(FkEdge("C", "P2", "P")).forward.tolist() == [0, -1]
+
+
+def real_forward(fkcol, parent):
+    index = parent.pk_index
+    return [-1 if v is None else index.get(v, -1) for v in fkcol.to_pylist()]
