@@ -315,13 +315,16 @@ def _unparse_condition(node: Condition, prec: int) -> str:
     raise AssertionError(type(node))
 
 
+def unparse_expr(node: Target) -> str:
+    """Render a target or condition subtree as canonical query text."""
+    if isinstance(node, (ColumnRef, Aggregation)):
+        return _unparse_operand(node)
+    return _unparse_condition(node, 0)
+
+
 def unparse(query: Query) -> str:
     """Render a query as canonical single-line text that reparses identically."""
-    if isinstance(query.target, (ColumnRef, Aggregation)):
-        target = _unparse_operand(query.target)
-    else:
-        target = _unparse_condition(query.target, 0)
-    parts = ["PREDICT", target]
+    parts = ["PREDICT", unparse_expr(query.target)]
     if query.hint is not None:
         parts.append(query.hint.value)
     if query.top_k is not None:

@@ -3,7 +3,9 @@
 Commands: validate, infer, plan, train-table, predict-table, sample,
 gen-data, bench. Options resolve as flags > config file > defaults; the
 config file is a JSON object whose keys mirror the long option names with
-underscores (e.g. {"schema": "s.json", "anchors": 12}).
+underscores (e.g. {"schema": "s.json", "anchors": 12}). A malformed option
+value, from a flag or the config file, is a validation failure that names
+the option.
 
 Exit codes: 0 success, 1 validation failure, 2 empty result, 3 I/O error.
 """
@@ -15,7 +17,7 @@ import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional
+from typing import Callable, List, Optional, get_args, get_type_hints
 
 from .bench import format_report, run_bench
 from .binder import bind
@@ -57,6 +59,7 @@ class RunConfig:
 
 
 _CONFIG_FIELDS = set(RunConfig.__dataclass_fields__)
+_CONFIG_TYPES = {name: get_args(hint) or hint for name, hint in get_type_hints(RunConfig).items()}
 
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
@@ -67,6 +70,8 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         if unknown:
             raise PqlError(f"unknown config keys: {sorted(unknown)}")
         for key, value in doc.items():
+            if not isinstance(value, _CONFIG_TYPES[key]):
+                raise PqlError(f"config key {key!r} has the wrong type: {value!r}")
             setattr(cfg, key, value)
     for key in _CONFIG_FIELDS:
         value = getattr(args, key, None)
@@ -105,17 +110,34 @@ def _load_db(cfg: RunConfig):
     return load_database(Path(cfg.schema), Path(cfg.data_dir), strict=not cfg.lenient_fk)
 
 
+def _option(name: str, parse: Callable, text: Optional[str], default=None):
+    """`parse(text)`, or `default` when the option is not given; a malformed
+    value fails as a `PqlError` that names the option."""
+    if not text:
+        return default
+    try:
+        return parse(text)
+    except (ValueError, OverflowError) as exc:
+        raise PqlError(f"--{name}: {exc}") from None
+
+
 def _policy(cfg: RunConfig) -> AnchorPolicy:
-    stride = parse_duration(cfg.stride) if cfg.stride else "auto"
-    latest = parse_timestamp(cfg.latest) if cfg.latest else "auto"
+    stride = _option("stride", parse_duration, cfg.stride, "auto")
+    latest = _option("latest", parse_timestamp, cfg.latest, "auto")
     return AnchorPolicy(count=cfg.anchors, stride=stride, latest=latest)
 
 
 def _split(cfg: RunConfig) -> SplitPolicy:
-    parts = [float(x) for x in cfg.split.split(",")]
+    parts = _option("split", lambda text: [float(x) for x in text.split(",")], cfg.split, [])
     if len(parts) != 3:
-        raise PqlError("--split needs three comma-separated ratios")
-    return SplitPolicy(parts[0], parts[1], parts[2], seed=cfg.seed)
+        raise PqlError(f"--split needs three comma-separated ratios, got {cfg.split!r}")
+    return SplitPolicy(*parts, seed=cfg.seed)
+
+
+def _pairs(cfg: RunConfig) -> int:
+    if cfg.pairs < 1:
+        raise PqlError(f"--pairs must be at least 1, got {cfg.pairs}")
+    return cfg.pairs
 
 
 def _workers(cfg: RunConfig) -> int:
@@ -169,7 +191,7 @@ def cmd_infer(cfg: RunConfig, args) -> int:
 def cmd_plan(cfg: RunConfig, args) -> int:
     bound, _ = _bound(cfg)
     if cfg.mode == "prediction":
-        plan = plan_prediction(bound, parse_timestamp(cfg.at) if cfg.at else None)
+        plan = plan_prediction(bound, _option("at", parse_timestamp, cfg.at))
     else:
         plan = plan_training(bound, _policy(cfg), optimized=cfg.strategy != "naive")
     if args.json:
@@ -207,7 +229,7 @@ def cmd_train_table(cfg: RunConfig, args) -> int:
 def cmd_predict_table(cfg: RunConfig, args) -> int:
     db = _load_db(cfg)
     bound, _ = _bound(cfg, db.schema)
-    plan = plan_prediction(bound, parse_timestamp(cfg.at) if cfg.at else None)
+    plan = plan_prediction(bound, _option("at", parse_timestamp, cfg.at))
     table = materialize_prediction(plan, db)
     paths = write_prediction_table(table, Path(cfg.out_dir))
     cand = table.metadata.get("candidate_count")
@@ -222,16 +244,17 @@ def cmd_predict_table(cfg: RunConfig, args) -> int:
 
 
 def cmd_sample(cfg: RunConfig, args) -> int:
+    pairs = _pairs(cfg)
     db = _load_db(cfg)
     bound, _ = _bound(cfg, db.schema)
     g = build_row_graph(db)
-    anchor = parse_timestamp(cfg.at) if cfg.at else None
+    anchor = _option("at", parse_timestamp, cfg.at)
     anchors = resolve_anchors(bound, _policy(cfg), db) if not bound.is_static else []
     if anchor is not None and not bound.is_static and anchor not in anchors:
         # Splits rank anchors on this grid, so an anchor off it has no split.
         raise PlanError(f"--at {format_timestamp(anchor)} is not on the anchor grid ({_describe_grid(anchors)}); "
                         "pick one of its anchors, or move the grid with --latest and --stride")
-    pair_list = sample_pairs(db, g, bound, cfg.pairs, anchor=anchor)
+    pair_list = sample_pairs(db, g, bound, pairs, anchor=anchor)
     if not pair_list:
         print("no active entities to sample", file=sys.stderr)
         return EXIT_EMPTY
@@ -288,7 +311,7 @@ def cmd_bench(cfg: RunConfig, args) -> int:
         query,
         paths=paths,
         runs=cfg.runs,
-        pairs=cfg.pairs,
+        pairs=_pairs(cfg),
         anchors=cfg.anchors,
         seed=cfg.seed,
         # Timing comparisons run single-threaded unless asked otherwise.

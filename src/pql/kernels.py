@@ -114,9 +114,8 @@ class Gather:
     def times(self) -> np.ndarray:
         return self.idx.times[self.pos]
 
-    def dated_mask(self, parents: Optional[np.ndarray]) -> np.ndarray:
-        parent_rows = self.seg if parents is None else parents[self.seg]
-        return self.pos < self.idx.dated_end[parent_rows]
+    def dated_mask(self, parents: np.ndarray) -> np.ndarray:
+        return self.pos < self.idx.dated_end[parents[self.seg]]
 
     def keep(self, mask: np.ndarray) -> "Gather":
         return Gather(self.idx, self.pos[mask], self.seg[mask], self.n_seg)
@@ -125,12 +124,12 @@ class Gather:
 def gather_children(
     ctx: VecCtx,
     agg: BoundAggregation,
-    parents: Optional[np.ndarray],
+    parents: np.ndarray,
     anchor: Optional[int],
 ) -> Gather:
-    """Collect child slots for each parent (None = every row of the parent
-    table). Windowed gathers slice the dated prefix; unwindowed gathers take
-    every child, undated included."""
+    """Collect child slots for each of the given parent rows. Windowed
+    gathers slice the dated prefix; unwindowed gathers take every child,
+    undated included."""
     idx = ctx.g.edge_index(agg.group_edge)
     windowed = agg.window is not None
     if windowed:
@@ -140,7 +139,7 @@ def gather_children(
         lo = None if start is None else anchor + start
         hi = anchor + agg.window.end_micros
 
-    if parents is None or ctx.fullscan:
+    if ctx.fullscan:
         slot_parent, slot_dated = _edge_slot_arrays(idx)
         if windowed:
             mask = slot_dated.copy()
@@ -151,11 +150,8 @@ def gather_children(
             mask = np.ones(len(idx.order), dtype=np.bool_)
         pos = np.nonzero(mask)[0]
         seg = slot_parent[pos]
-        n_parent = len(idx.indptr) - 1
-        if parents is None:
-            return Gather(idx, pos, seg, n_parent)
         # Remap global parent rows onto the requested selection.
-        local = np.full(n_parent, -1, dtype=np.int64)
+        local = np.full(len(idx.indptr) - 1, -1, dtype=np.int64)
         local[parents] = np.arange(len(parents), dtype=np.int64)
         seg_local = local[seg]
         inside = seg_local >= 0
@@ -182,23 +178,17 @@ def gather_children(
 # Column fetch
 
 
-def fetch_rows(
-    ctx: VecCtx, bc: BoundColumn, rows: Optional[np.ndarray]
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Values and null mask of a bound column for a batch of base rows
-    (None = every row of the base table), walking child-to-parent hops; an
-    unresolvable hop yields null."""
+def fetch_rows(ctx: VecCtx, bc: BoundColumn, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Values and null mask of a bound column for a batch of base rows,
+    walking child-to-parent hops; an unresolvable hop yields null."""
     cur = rows
     null: Optional[np.ndarray] = None
     for edge in bc.hops:
-        fwd = ctx.g.edge_index(edge).forward
-        nxt = fwd if cur is None else fwd[cur]
+        nxt = ctx.g.edge_index(edge).forward[cur]
         bad = nxt < 0
         null = bad if null is None else (null | bad)
         cur = np.where(bad, 0, nxt)
     col = ctx.db.table(bc.table).column(bc.column)
-    if cur is None:
-        return col.values, col.null if null is None else (null | col.null)
     if len(cur):
         vals = col.values[cur]
         null = col.null[cur] if null is None else (null | col.null[cur])
@@ -311,7 +301,7 @@ def eval_agg_vec(
     ctx: VecCtx,
     agg: BoundAggregation,
     table: str,
-    rows: Optional[np.ndarray],
+    rows: np.ndarray,
     anchor: Optional[int],
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Aggregate values per base row. Returns (values, defined)."""
@@ -487,10 +477,9 @@ def _flag_leaves(cond: BoundCondition) -> list:
 
 
 def eval_target_vec(
-    ctx: VecCtx, target: BoundTarget, table: str, rows: Optional[np.ndarray], anchor: Optional[int]
+    ctx: VecCtx, target: BoundTarget, table: str, rows: np.ndarray, anchor: Optional[int]
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Target values and definedness for a batch of entity rows (None =
-    every row of the entity table).
+    """Target values and definedness for a batch of entity rows.
 
     A plain column target is undefined where the column is null; an
     aggregation target where the aggregate is undefined; a condition target
@@ -503,8 +492,7 @@ def eval_target_vec(
         return vals, ~null
     if isinstance(target, BoundAggregation):
         return eval_agg_vec(ctx, target, table, rows, anchor)
-    n = ctx.db.nrows(table) if rows is None else len(rows)
-    flags = np.zeros(n, dtype=np.bool_)
+    flags = np.zeros(len(rows), dtype=np.bool_)
     for leaf in _flag_leaves(target):
         _, null = fetch_rows(ctx, leaf, rows)
         flags = flags | null

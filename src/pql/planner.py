@@ -29,11 +29,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple, Union
 
-from .binder import BoundQuery, TaskType
+from .ast import Aggregation, And, ColumnRef, Compare, Constant, Not, Or, unparse_expr
+from .binder import BoundAggregation, BoundAnd, BoundColumn, BoundCompare, BoundNot, BoundQuery, TaskType
 from .errors import PlanError
 from .store import ListType
 from .times import format_duration, format_timestamp
-from .unparse_bound import describe_condition, describe_target
 
 
 @dataclass(frozen=True)
@@ -94,6 +94,25 @@ _STATIC_SKIPS = (
 )
 
 
+def _as_ast(node):
+    """The parse tree a bound target or condition renders as."""
+    if isinstance(node, BoundColumn):
+        return ColumnRef(node.table, node.column)
+    if isinstance(node, BoundAggregation):
+        where = None if node.where is None else _as_ast(node.where)
+        return Aggregation(node.kind, ColumnRef(node.table, node.column or "*"), where, node.window)
+    if isinstance(node, BoundCompare):
+        return Compare(_as_ast(node.lhs), node.op, Constant(node.rhs.kind, node.rhs.value))
+    if isinstance(node, BoundNot):
+        return Not(_as_ast(node.operand))
+    return (And if isinstance(node, BoundAnd) else Or)(_as_ast(node.left), _as_ast(node.right))
+
+
+def _describe(node) -> str:
+    """A bound target or condition as canonical query text."""
+    return unparse_expr(_as_ast(node))
+
+
 def _append(nodes: List[PlanNode], kind: str, detail: str = "", payload: object = None) -> int:
     """Append a node fed by the previous one; returns its id."""
     nid = len(nodes)
@@ -110,7 +129,7 @@ def _append_project(nodes: List[PlanNode], bound: BoundQuery, mode: str) -> int:
 
 def _entity_stage_nodes(bound: BoundQuery, nodes: List[PlanNode]) -> List[int]:
     return [_append(nodes, "ScanEntities", bound.entity_table)] + [
-        _append(nodes, "StaticEntityFilter", describe_condition(c), c)
+        _append(nodes, "StaticEntityFilter", _describe(c), c)
         for c in bound.static_conjuncts
     ]
 
@@ -135,16 +154,16 @@ def plan_training(
         )
         stages.append(Stage("anchor expansion", (_append(nodes, "AnchorExpand", detail, policy),)))
         stage3 = [
-            _append(nodes, "TemporalEntityFilter", describe_condition(c), c)
+            _append(nodes, "TemporalEntityFilter", _describe(c), c)
             for c in bound.temporal_conjuncts
         ]
         if bound.assuming is not None:
             stage3.append(
-                _append(nodes, "AssumingFilter", describe_condition(bound.assuming), bound.assuming)
+                _append(nodes, "AssumingFilter", _describe(bound.assuming), bound.assuming)
             )
         stages.append(Stage("temporal filters", tuple(stage3)))
 
-    target = _append(nodes, "TargetCompute", describe_target(bound.target), bound.target)
+    target = _append(nodes, "TargetCompute", _describe(bound.target), bound.target)
     stages.append(Stage("target computation", (target, _append_project(nodes, bound, "training"))))
     return LogicalPlan("training", True, bound, policy, tuple(nodes), tuple(stages))
 
@@ -157,15 +176,15 @@ def _plan_training_naive(bound: BoundQuery, policy: AnchorPolicy) -> LogicalPlan
     if not bound.is_static:
         detail = f"count={policy.count} stride={_fmt_stride(policy)} (materialized cross product)"
         _append(nodes, "CrossJoinAnchors", detail, policy)
-    _append(nodes, "TargetCompute", describe_target(bound.target) + " (all pairs)", bound.target)
+    _append(nodes, "TargetCompute", _describe(bound.target) + " (all pairs)", bound.target)
     for cond in bound.static_conjuncts:
-        _append(nodes, "LateEntityFilter", describe_condition(cond), cond)
+        _append(nodes, "LateEntityFilter", _describe(cond), cond)
     if bound.entity_validity and not bound.is_static:
         _append(nodes, "LateValidityFilter", "drop anchors outside entity validity")
     for cond in bound.temporal_conjuncts:
-        _append(nodes, "LateTemporalFilter", describe_condition(cond), cond)
+        _append(nodes, "LateTemporalFilter", _describe(cond), cond)
     if bound.assuming is not None:
-        _append(nodes, "AssumingFilter", describe_condition(bound.assuming), bound.assuming)
+        _append(nodes, "AssumingFilter", _describe(bound.assuming), bound.assuming)
     _append_project(nodes, bound, "training")
     return LogicalPlan(
         "training",
@@ -190,7 +209,7 @@ def plan_prediction(bound: BoundQuery, at: Optional[int] = None) -> LogicalPlan:
         at_text = "latest event time" if at is None else format_timestamp(at)
         expand = _append(nodes, "AnchorExpand", f"single anchor = {at_text}")
         stage3 = [
-            _append(nodes, "TemporalEntityFilter", describe_condition(c), c)
+            _append(nodes, "TemporalEntityFilter", _describe(c), c)
             for c in bound.temporal_conjuncts
         ]
         stages = [
@@ -203,7 +222,7 @@ def plan_prediction(bound: BoundQuery, at: Optional[int] = None) -> LogicalPlan:
     if bound.task.task_type is TaskType.LINK_PREDICTION:
         detail = f"candidates = {bound.task.link_target_table}"
         if bound.prediction_filter is not None:
-            detail += f" where {describe_condition(bound.prediction_filter)}"
+            detail += f" where {_describe(bound.prediction_filter)}"
         extra.append(_append(nodes, "CandidateSet", detail, bound.prediction_filter))
     extra.append(_append_project(nodes, bound, "prediction"))
     stages.append(Stage("target computation", tuple(extra), note="skipped: labels are predicted"))
@@ -214,7 +233,7 @@ def _missing_target_detail(bound: BoundQuery) -> str:
     """The entities a static prediction keeps: those whose training row is
     dropped for its label. A ranking drops an empty list; a multilabel task
     keeps it as an all-negative label, so it predicts for no entity."""
-    target = describe_target(bound.target)
+    target = _describe(bound.target)
     if not isinstance(bound.task.target_dtype, ListType):
         return f"keep entities whose target {target} is undefined"
     if bound.task.task_type is TaskType.LINK_PREDICTION:

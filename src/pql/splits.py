@@ -13,7 +13,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from .errors import ExecutionError
+from .errors import PlanError
 
 TRAIN, VAL, TEST = "train", "val", "test"
 # Keys hashed per block in `split_for_keys`; bounds the digests alive at once.
@@ -30,9 +30,9 @@ class SplitPolicy:
     def __post_init__(self):
         total = self.train + self.val + self.test
         if abs(total - 1.0) > 1e-9:
-            raise ExecutionError(f"split ratios must sum to 1, got {total}")
+            raise PlanError(f"split ratios must sum to 1, got {total}")
         if min(self.train, self.val, self.test) < 0:
-            raise ExecutionError("split ratios must be non-negative")
+            raise PlanError("split ratios must be non-negative")
 
 
 def split_for_anchor_rank(rank: int) -> str:

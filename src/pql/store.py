@@ -28,7 +28,9 @@ of them at a time, and each column slice goes to the same converters as
 one cell per line; `_parse_cell`, which defines the accepted values and
 the error text, reads each cell they refuse. The first error in row order
 raises `DataError` with its row number, so errors never depend on the
-tokenizer. Saving formats each column of a chunk in one pass.
+tokenizer. `write_csv` writes every CSV file pql writes, tables and
+results alike: `_format_cells` spells each column of a chunk in one pass,
+and a row holding a lone carriage return is quoted whole.
 `_resolve_fk` maps foreign keys to parent rows once, for the load check;
 the row graph reuses that mapping while its parent table is still the one
 loaded.
@@ -46,7 +48,7 @@ import locale
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -559,20 +561,23 @@ def _convert_slice(cells: Tuple[str, ...], cdef: ColumnDef) -> Tuple[np.ndarray,
     return values, null
 
 
-def _format_slice(col: Column, lo: int, hi: int) -> list:
-    """CSV cells of rows lo..hi of one column: '' at nulls, canonical
-    timestamps, `repr` floats, `str` ints, true/false."""
-    values = col.values[lo:hi]
-    if col.dtype is DataType.STRING:
-        cells = values.tolist()
-    elif col.dtype is DataType.TIMESTAMP:
+def _format_cells(dtype: DataType, values, null: Optional[np.ndarray]) -> list:
+    """CSV cells of one column slice, given as a numpy array or a sequence
+    of Python values: '' at nulls, canonical timestamps, `repr` floats,
+    `str` ints, true/false."""
+    if dtype is DataType.TIMESTAMP:
         cells = format_timestamps(values)
-    elif col.dtype is DataType.BOOL:
+    elif dtype is DataType.BOOL:
         cells = np.where(values, "true", "false").tolist()
     else:
-        cells = list(map(repr if col.dtype is DataType.FLOAT64 else str, values.tolist()))
-    for i in np.flatnonzero(col.null[lo:hi]).tolist():
-        cells[i] = ""
+        if isinstance(values, np.ndarray):
+            values = values.tolist()
+        if dtype is not DataType.STRING:
+            values = map(repr if dtype is DataType.FLOAT64 else str, values)
+        cells = list(values)
+    if null is not None:
+        for i in np.flatnonzero(null).tolist():
+            cells[i] = ""
     return cells
 
 
@@ -941,18 +946,18 @@ def _resolve_fk(fkcol: Column, parent: Optional[TableData]) -> np.ndarray:
     return forward
 
 
-def save_table_csv(db: Database, table: str, path: Path) -> None:
-    data = db.table(table)
-    tdef = data.definition
-    cols = [data.column(n) for n in tdef.column_names]
-    strings = [i for i, c in enumerate(cols) if c.dtype is DataType.STRING]
+def write_csv(path: Path, header: Sequence[str], dtypes: Sequence[DataType], chunks: Iterable[list]) -> None:
+    """Write an RFC-4180 file with LF line endings: the header, then the
+    rows of each chunk. A chunk holds one `(values, null)` pair per column,
+    the values of that column's dtype and a bool null mask or None. Every
+    CSV file pql writes goes through here."""
+    strings = [i for i, dtype in enumerate(dtypes) if dtype is DataType.STRING]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
-        writer.writerow(tdef.column_names)
-        for lo in range(0, data.nrows, _CHUNK_ROWS):
-            hi = min(lo + _CHUNK_ROWS, data.nrows)
-            cells = [_format_slice(c, lo, hi) for c in cols]
+        writer.writerow(header)
+        for chunk in chunks:
+            cells = [_format_cells(dtype, values, null) for dtype, (values, null) in zip(dtypes, chunk)]
             # The writer quotes only cells holding a character of its "\n"
             # line terminator, so a row with a lone "\r" in a string is
             # quoted whole.
@@ -961,6 +966,16 @@ def save_table_csv(db: Database, table: str, path: Path) -> None:
                 continue
             for row in zip(*cells):
                 (quoted if any("\r" in row[i] for i in strings) else writer).writerow(row)
+
+
+def save_table_csv(db: Database, table: str, path: Path) -> None:
+    data = db.table(table)
+    cols = [data.column(n) for n in data.definition.column_names]
+    chunks = (
+        [(c.values[lo : lo + _CHUNK_ROWS], c.null[lo : lo + _CHUNK_ROWS]) for c in cols]
+        for lo in range(0, data.nrows, _CHUNK_ROWS)
+    )
+    write_csv(path, data.definition.column_names, [c.dtype for c in cols], chunks)
 
 
 def save_database(db: Database, directory: Path) -> None:

@@ -173,6 +173,43 @@ class TestTrainTable:
         assert meta["anchors"] == ["2024-01-01T00:00:00Z"]  # flag wins over config
 
 
+# Malformed option values: (command, flags, the option the error names);
+# a "config" flag value is written to a config file first.
+BAD_OPTIONS = {
+    "split_words": ("train-table", ["--split", "a,b,c"], "--split"),
+    "split_sum": ("train-table", ["--split", "1,1,1"], "split ratios must sum to 1"),
+    "split_count": ("train-table", ["--split", "0.5,0.5"], "--split"),
+    "stride": ("train-table", ["--stride", "5x"], "--stride"),
+    "latest": ("train-table", ["--latest", "notadate"], "--latest"),
+    "predict_at": ("predict-table", ["--at", "yesterday"], "--at"),
+    "sample_at": ("sample", ["--at", "yesterday"], "--at"),
+    "plan_at": ("plan", ["--mode", "prediction", "--at", "yesterday"], "--at"),
+    "config_anchors": ("train-table", ["--config", {"anchors": "ten"}], "'anchors'"),
+    "config_split": ("train-table", ["--config", {"split": 0.8}], "'split'"),
+    "pairs_negative": ("sample", ["--pairs", "-5"], "--pairs"),
+    "pairs_zero": ("sample", ["--pairs", "0"], "--pairs"),
+    "bench_pairs": ("bench", ["--pairs", "-1", "--paths", "sampler"], "--pairs"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_OPTIONS))
+def test_malformed_option_is_a_typed_error(case, retail_dir, tmp_path, capsys):
+    command, flags, option = BAD_OPTIONS[case]
+    if isinstance(flags[-1], dict):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(flags[-1]))
+        flags = flags[:-1] + [str(config)]
+    args = [command, *flags, "--query", CORPUS_BY_NAME["ny_monthly_spend"].text]
+    if command == "plan":
+        args += schema_arg(retail_dir)
+    else:
+        args += ["--data-dir", str(retail_dir), "--out-dir", str(tmp_path / "out")]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert option in err and "Traceback" not in err, err
+    assert not (tmp_path / "out").exists()
+
+
 class TestPredictTable:
     def test_latest_default_and_at_override(self, retail_dir, tmp_path, capsys):
         out = tmp_path / "p"
