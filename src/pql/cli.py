@@ -330,12 +330,14 @@ def cmd_bench(cfg: RunConfig, args) -> int:
 # Argument parsing
 
 
-def _add_common(p: argparse.ArgumentParser, *, data: bool = False):
+def _add_common(p: argparse.ArgumentParser, *, query: bool = True, data: bool = False, seed: bool = False):
     p.add_argument("--config", help="JSON config file; flags override it")
-    p.add_argument("--schema", help="schema JSON path")
-    p.add_argument("--query", help="query text")
-    p.add_argument("--query-file", dest="query_file", help="file containing the query")
-    p.add_argument("--seed", type=int, default=None)
+    if query:
+        p.add_argument("--schema", help="schema JSON path")
+        p.add_argument("--query", help="query text")
+        p.add_argument("--query-file", dest="query_file", help="file containing the query")
+    if seed:
+        p.add_argument("--seed", type=int, default=None)
     if data:
         p.add_argument("--data-dir", dest="data_dir", help="directory of <table>.csv files")
         p.add_argument("--out-dir", dest="out_dir", default=None)
@@ -348,6 +350,9 @@ def _add_anchor_flags(p: argparse.ArgumentParser):
     p.add_argument("--anchors", type=int, default=None, help="anchor count (default 10)")
     p.add_argument("--stride", default=None, help="anchor spacing, e.g. 45d (default: one timeframe)")
     p.add_argument("--latest", default=None, help="latest anchor timestamp (ISO-8601)")
+
+
+def _add_label_flags(p: argparse.ArgumentParser):
     p.add_argument("--split", default=None, help="train,val,test ratios for static splits")
     p.add_argument(
         "--keep-empty-labels",
@@ -386,25 +391,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_plan)
 
     p = sub.add_parser("train-table", help="materialize the training table")
-    _add_common(p, data=True)
+    _add_common(p, data=True, seed=True)
     _add_anchor_flags(p)
+    _add_label_flags(p)
     p.add_argument("--strategy", choices=["optimized", "naive"], default=None)
     p.set_defaults(fn=cmd_train_table)
 
     p = sub.add_parser("predict-table", help="materialize the prediction table")
+    # --workers is accepted and unused (prediction runs on one thread), so
+    # callers can pass the same flags to every data command.
     _add_common(p, data=True)
     p.add_argument("--at", default=None, help="prediction anchor (ISO-8601, default: latest event)")
     p.set_defaults(fn=cmd_predict_table)
 
     p = sub.add_parser("sample", help="low-latency labels for the most recently active entities")
-    _add_common(p, data=True)
+    # --workers is accepted and unused (sampling runs on one thread), so
+    # callers can pass the same flags to every data command.
+    _add_common(p, data=True, seed=True)
     _add_anchor_flags(p)
+    _add_label_flags(p)
     p.add_argument("--pairs", type=int, default=None, help="number of (entity, anchor) pairs")
     p.add_argument("--at", default=None, help="anchor override (ISO-8601)")
     p.set_defaults(fn=cmd_sample)
 
     p = sub.add_parser("gen-data", help="generate a synthetic retail-shaped database")
-    _add_common(p, data=True)
+    _add_common(p, query=False, seed=True)
+    p.add_argument("--out-dir", dest="out_dir", default=None)
     p.add_argument("--scale", type=float, default=0.001,
                    help="template scale; 1.0 = 31M transactions (default 0.001)")
     p.add_argument("--genspec", default=None, help="generator spec JSON file")
@@ -414,12 +426,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_gen_data)
 
     p = sub.add_parser("bench", help="compare execution paths on one query")
-    _add_common(p, data=True)
+    # --out-dir is accepted and unused (--out names the report file), so
+    # callers can pass the same flags to every data command.
+    _add_common(p, data=True, seed=True)
     p.add_argument("--paths", default="optimized,unoptimized,sampler,oracle",
                    help="comma list: optimized,unoptimized,sampler,oracle")
     p.add_argument("--runs", type=int, default=None, help="timed runs per path (median reported)")
     p.add_argument("--pairs", type=int, default=None, help="pairs for the sampler path")
-    _add_anchor_flags(p)
+    p.add_argument("--anchors", type=int, default=None, help="anchor count (default 10)")
     p.add_argument("--scale", type=float, default=0.001,
                    help="template scale when no --data-dir is given")
     p.add_argument("--out", default=None, help="write the JSON report here")

@@ -14,7 +14,6 @@ target value itself.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Optional, Set
 
 import numpy as np
@@ -23,8 +22,8 @@ from .binder import BoundQuery, iter_bound_columns
 from .engine import _validity_mask
 from .errors import ExecutionError
 from .kernels import VecCtx
-from .sampler import _reached_rows, build_request
-from .store import Database, RowRef
+from .sampler import SampleRequest, _reached_rows
+from .store import Database, RowRef, build_row_graph
 
 
 def reachable_tables(db: Database, start: str) -> Set[str]:
@@ -53,7 +52,7 @@ def leakage_rows(
             raise ExecutionError("static query takes no anchor")
     elif anchor is None:
         raise ExecutionError("temporal query needs an anchor")
-    g = db.row_graph()
+    g = build_row_graph(db)
     if anchor is not None and bound.entity_validity is not None:
         if not _validity_mask(VecCtx(db, g), bound, np.array([entity.index]), anchor)[0]:
             raise ExecutionError(
@@ -63,9 +62,8 @@ def leakage_rows(
     # The rows the label parts (target and ASSUMING) read, collected as
     # the sampler collects them. The entity row itself counts only when a
     # label part reads one of its columns directly.
-    label_only = replace(bound, conjuncts=())
-    reached, entities = _reached_rows(g, build_request(label_only, [(entity, anchor)]))
     labels = (bound.target, bound.assuming)
+    reached, entities = _reached_rows(g, SampleRequest(bound.entity_table, ((entity, anchor),), labels))
     if any(not c.hops for part in labels for c in iter_bound_columns(part)):
         reached.setdefault(bound.entity_table, []).extend(entities)
     mask: Set[RowRef] = {

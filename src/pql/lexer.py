@@ -1,14 +1,31 @@
 """Tokenizer for the query language.
 
-Keywords are case-insensitive. Qualified column names (``TABLE.COLUMN`` or
-``TABLE.*``) are recognized as single tokens, so keyword-spelled words are
-legal as name parts. String literals take single or double quotes with the
-delimiter doubled to escape it.
+One regular expression reads every token; the alternatives are tried in
+this order at each position:
+
+* whitespace: space, tab, CR and LF, skipped (LF starts a new line);
+* a string: single or double quotes, the delimiter doubled to escape it;
+* a number: ``-?D+(.D+)?([eE][+-]?D+)?`` with D a decimal digit (any
+  Unicode ``Nd`` digit, as ``int`` reads them): INT, or FLOAT when it has a
+  fraction or an exponent;
+* ``-`` and a word: ``-INF`` in any case, else an error;
+* a name, ``WORD``, ``WORD.WORD`` or ``WORD.*``: a qualified column is one
+  token, so its parts may be spelled like keywords (the dot binds tighter);
+  a bare word is an aggregation, a keyword or an identifier. Keywords are
+  case-insensitive and names are upper-cased;
+* an operator ``!= <= >= < > =``, or one of ``( ) [ ] ,``.
+
+A word (a name part, or the word after ``-``) is a run of Unicode word
+characters (letters, digits, numerals and ``_``) that starts with a letter
+(``str.isalpha``) or ``_``, so ``²``, ``½`` or ``Ⅻ`` start no name; nor is
+such a numeral an exponent digit (``1e²``). Anything else is an illegal
+character. Spans are 1-based line:column positions counted in characters.
 """
 
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 from typing import List
 
@@ -73,177 +90,91 @@ class Token:
         return f"Token({self.type.name}, {self.text!r}@{self.span})"
 
 
-def _is_ident_start(ch: str) -> bool:
-    return ch.isalpha() or ch == "_"
+# `(?!')` after a closing quote stops a doubled quote at the end of the
+# input from matching as a shorter string plus a stray quote.
+_TOKEN = re.compile(
+    r"""
+      (?P<space>[ \t\r\n]+)
+    | (?P<string>'(?:[^']|'')*'(?!')|"(?:[^"]|"")*"(?!"))
+    | (?P<unterminated>['"])
+    | (?P<number>-?\d+(?P<fraction>\.\d+)?(?P<exponent>[eE][+-]?\d+)?)
+    | (?P<minus>-(?P<minus_word>\w+)?)
+    | (?P<name>(?P<word>\w+)(?:\.(?P<part>\*|\w+))?)
+    | (?P<op>[!<>]=|[<>=])
+    | (?P<bang>!)
+    | (?P<punct>[()\[\],])
+    | (?P<illegal>.)
+    """,
+    re.VERBOSE | re.DOTALL,
+)
 
 
-def _is_ident_char(ch: str) -> bool:
-    return ch.isalnum() or ch == "_"
-
-
-class _Scanner:
-    def __init__(self, source: str):
-        self.src = source
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-
-    def span(self) -> Span:
-        return Span(self.line, self.col)
-
-    def peek(self, ahead: int = 0) -> str:
-        i = self.pos + ahead
-        return self.src[i] if i < len(self.src) else ""
-
-    def advance(self) -> str:
-        ch = self.src[self.pos]
-        self.pos += 1
-        if ch == "\n":
-            self.line += 1
-            self.col = 1
-        else:
-            self.col += 1
-        return ch
-
-    def take_while(self, pred) -> str:
-        start = self.pos
-        while self.pos < len(self.src) and pred(self.src[self.pos]):
-            self.advance()
-        return self.src[start : self.pos]
+def _is_name(part: str) -> bool:
+    return part[0].isalpha() or part[0] == "_"
 
 
 def tokenize(source: str) -> List[Token]:
     """Tokenize `source`, returning a token list terminated by EOF."""
-    sc = _Scanner(source)
     out: List[Token] = []
-    while sc.pos < len(sc.src):
-        ch = sc.peek()
-        if ch in " \t\r\n":
-            sc.advance()
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(source):
+        kind, text, pos = m.lastgroup, m.group(), m.start()
+        span = Span(line, pos - line_start + 1)
+        if kind in ("space", "string") and "\n" in text:
+            line += text.count("\n")
+            line_start = pos + text.rindex("\n") + 1
+        if kind == "space":
             continue
-        span = sc.span()
-        if ch in "('\"":
-            if ch == "(":
-                sc.advance()
-                out.append(Token(TokenType.LPAREN, "(", span))
-                continue
-            out.append(_scan_string(sc, span))
-            continue
-        if ch == ")":
-            sc.advance()
-            out.append(Token(TokenType.RPAREN, ")", span))
-            continue
-        if ch == "[":
-            sc.advance()
-            out.append(Token(TokenType.LBRACKET, "[", span))
-            continue
-        if ch == "]":
-            sc.advance()
-            out.append(Token(TokenType.RBRACKET, "]", span))
-            continue
-        if ch == ",":
-            sc.advance()
-            out.append(Token(TokenType.COMMA, ",", span))
-            continue
-        if ch in "!<>=":
-            out.append(_scan_operator(sc, span))
-            continue
-        if ch == "-":
-            out.append(_scan_signed(sc, span))
-            continue
-        if ch.isdigit():
-            out.append(_scan_number(sc, span, ""))
-            continue
-        if _is_ident_start(ch):
-            out.append(_scan_word(sc, span))
-            continue
-        raise LexError(f"illegal character {ch!r}", span)
-    out.append(Token(TokenType.EOF, "", sc.span()))
-    return out
-
-
-def _scan_string(sc: _Scanner, span: Span) -> Token:
-    quote = sc.advance()
-    parts: List[str] = []
-    while True:
-        if sc.pos >= len(sc.src):
+        if kind == "string":
+            quote = text[0]
+            value = text[1:-1].replace(quote + quote, quote)
+            out.append(Token(TokenType.STRING, value, span, value=value))
+        elif kind == "number":
+            end = m.end()
+            if source[end : end + 1] in ("e", "E") and source[end + 1 : end + 2].isdigit():
+                # An exponent in a numeral that is no decimal digit (`1e²`).
+                raise LexError(f"illegal character {source[end + 1]!r}", Span(line, end + 2 - line_start))
+            if m["fraction"] or m["exponent"]:
+                out.append(Token(TokenType.FLOAT, text, span, value=float(text)))
+            else:
+                try:
+                    value = int(text)
+                except ValueError:  # beyond int()'s digit limit
+                    raise LexError(f"integer literal has too many digits ({len(text)})", span) from None
+                out.append(Token(TokenType.INT, text, span, value=value))
+        elif kind == "name":
+            word, part = m["word"], m["part"]
+            if not _is_name(word):
+                raise LexError(f"illegal character {word[0]!r}", span)
+            upper = word.upper()
+            if part == "*":
+                out.append(Token(TokenType.WILDCARD_COLUMN, upper + ".*", span, value=(upper, "*")))
+            elif part is not None and _is_name(part):
+                col = part.upper()
+                out.append(Token(TokenType.COLUMN, f"{upper}.{col}", span, value=(upper, col)))
+            elif part is not None:  # a dot that starts no column part
+                raise LexError("illegal character '.'", Span(line, m.start("part") - line_start))
+            elif upper in AGG_KINDS:
+                out.append(Token(TokenType.AGGR, upper, span, value=AggKind(upper)))
+            elif upper in KEYWORDS:
+                out.append(Token(TokenType.KEYWORD, upper, span))
+            else:
+                out.append(Token(TokenType.IDENT, upper, span, value=upper))
+        elif kind == "op":
+            out.append(Token(TokenType.OP, text, span))
+        elif kind == "punct":
+            out.append(Token(TokenType(text), text, span))
+        elif kind == "minus" and text.upper() == "-INF":
+            out.append(Token(TokenType.MINUS_INF, "-INF", span))
+        elif kind == "minus" and m["minus_word"] and _is_name(m["minus_word"]):
+            raise LexError(f"unexpected '{text}'", span)
+        elif kind == "minus":
+            raise LexError("unexpected '-'", span)
+        elif kind == "unterminated":
             raise LexError("unterminated string literal", span)
-        ch = sc.advance()
-        if ch == quote:
-            if sc.peek() == quote:  # doubled delimiter = literal quote
-                sc.advance()
-                parts.append(quote)
-                continue
-            break
-        parts.append(ch)
-    text = "".join(parts)
-    return Token(TokenType.STRING, text, span, value=text)
-
-
-def _scan_operator(sc: _Scanner, span: Span) -> Token:
-    ch = sc.advance()
-    if ch in "!<>" and sc.peek() == "=":
-        sc.advance()
-        return Token(TokenType.OP, ch + "=", span)
-    if ch == "!":
-        raise LexError("expected '=' after '!'", span)
-    return Token(TokenType.OP, ch, span)
-
-
-def _scan_signed(sc: _Scanner, span: Span) -> Token:
-    sc.advance()  # consume '-'
-    nxt = sc.peek()
-    if nxt.isdigit():
-        return _scan_number(sc, span, "-")
-    if _is_ident_start(nxt):
-        word = sc.take_while(_is_ident_char)
-        if word.upper() == "INF":
-            return Token(TokenType.MINUS_INF, "-INF", span)
-        raise LexError(f"unexpected '-{word}'", span)
-    raise LexError("unexpected '-'", span)
-
-
-def _scan_number(sc: _Scanner, span: Span, sign: str) -> Token:
-    digits = sc.take_while(str.isdigit)
-    text = sign + digits
-    is_float = False
-    if sc.peek() == "." and sc.peek(1).isdigit():
-        sc.advance()
-        text += "." + sc.take_while(str.isdigit)
-        is_float = True
-    if sc.peek() in "eE" and (sc.peek(1).isdigit() or (sc.peek(1) in "+-" and sc.peek(2).isdigit())):
-        text += sc.advance()
-        if sc.peek() in "+-":
-            text += sc.advance()
-        text += sc.take_while(str.isdigit)
-        is_float = True
-    if is_float:
-        return Token(TokenType.FLOAT, text, span, value=float(text))
-    return Token(TokenType.INT, text, span, value=int(text))
-
-
-def _scan_word(sc: _Scanner, span: Span) -> Token:
-    word = sc.take_while(_is_ident_char)
-    # A dot immediately after a word makes a qualified column token; the
-    # parts may be spelled like keywords (the dot binds tighter).
-    if sc.peek() == ".":
-        nxt = sc.peek(1)
-        if nxt == "*":
-            sc.advance()
-            sc.advance()
-            return Token(TokenType.WILDCARD_COLUMN, word.upper() + ".*", span, value=(word.upper(), "*"))
-        if _is_ident_start(nxt):
-            sc.advance()
-            col = sc.take_while(_is_ident_char)
-            return Token(
-                TokenType.COLUMN,
-                f"{word.upper()}.{col.upper()}",
-                span,
-                value=(word.upper(), col.upper()),
-            )
-    upper = word.upper()
-    if upper in AGG_KINDS:
-        return Token(TokenType.AGGR, upper, span, value=AggKind(upper))
-    if upper in KEYWORDS:
-        return Token(TokenType.KEYWORD, upper, span)
-    return Token(TokenType.IDENT, upper, span, value=upper)
+        elif kind == "bang":
+            raise LexError("expected '=' after '!'", span)
+        else:
+            raise LexError(f"illegal character {text!r}", span)
+    out.append(Token(TokenType.EOF, "", Span(line, len(source) - line_start + 1)))
+    return out

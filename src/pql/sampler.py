@@ -1,130 +1,66 @@
 """Low-latency label computation via connected-subgraph collection.
 
 Instead of scanning tables, this path walks the row graph from the
-requested entities and collects exactly the rows the query can touch: each
-aggregation contributes a time-sliced child expansion (all qualifying
-neighbors, no fan-out cap), each filter column a chain of single-row parent
-hops, nested aggregations recurse. The collected row sets account for the
-work a request does and can be exported as the entities' subgraph; labels
-are computed for the requested pairs by the restricted kernels on the
-shared store, so results match the batch engine row for row.
+requested entities and collects exactly the rows the query can touch.
+`_reached_rows` walks the bound query's parts (the target, each WHERE
+conjunct's condition and ASSUMING) from the entity rows of each anchor:
+
+* a column read follows its FK hops and pulls each hop's parent row;
+* an aggregation gathers its window's children (every qualifying neighbor,
+  no fan-out cap), then walks its filter over all of them, so filter
+  columns pull parent rows and nested aggregations gather again;
+* a comparison walks its left side, NOT its operand, AND and OR both.
+
+The collected row sets account for the work a request does and can be
+exported as the entities' subgraph; labels are computed for the requested
+pairs by the restricted kernels on the shared store, so results match the
+batch engine row for row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .binder import (
     BoundAggregation,
     BoundAnd,
+    BoundColumn,
     BoundCompare,
     BoundNot,
     BoundOr,
     BoundQuery,
-    HopChain,
+    BoundTarget,
     iter_bound_aggregations,
-    iter_bound_columns,
 )
 from .engine import TrainingTable, evaluate_pairs
 from .errors import ExecutionError
 from .kernels import VecCtx, _edge_slot_arrays, gather_children
 from .splits import SplitPolicy
-from .store import Database, FkEdge, RowGraph, RowRef, build_row_graph
-
-
-@dataclass(frozen=True)
-class GatherNode:
-    """One aggregation's child expansion: the aggregation (its edge and
-    window), the parent-hop chains its filter reads, and the nested
-    expansions below it."""
-
-    agg: BoundAggregation
-    hop_chains: Tuple[HopChain, ...]
-    nested: Tuple["GatherNode", ...]
+from .store import Database, RowGraph, RowRef
 
 
 @dataclass(frozen=True)
 class SampleRequest:
-    """Everything `collect` needs: the pairs plus the shape of the reads."""
+    """Everything `collect` needs: the pairs and the query parts whose reads
+    it follows (a None part, such as a missing ASSUMING, reads nothing)."""
 
     entity_table: str
     pairs: Tuple[Tuple[RowRef, Optional[int]], ...]
-    entity_hops: Tuple[HopChain, ...]
-    gathers: Tuple[GatherNode, ...]
-
-    @property
-    def required_edges(self) -> Set[FkEdge]:
-        out: Set[FkEdge] = set()
-
-        def walk(node: GatherNode):
-            out.add(node.agg.group_edge)
-            for chain in node.hop_chains:
-                out.update(chain)
-            for sub in node.nested:
-                walk(sub)
-
-        for g in self.gathers:
-            walk(g)
-        for chain in self.entity_hops:
-            out.update(chain)
-        return out
-
-
-def _gather_nodes(condition_or_agg) -> List[GatherNode]:
-    """GatherNodes for every aggregation at the top level of a condition."""
-
-    def from_agg(agg: BoundAggregation) -> GatherNode:
-        chains: List[HopChain] = []
-        nested: List[GatherNode] = []
-        if agg.where is not None:
-            chains = [c.hops for c in iter_bound_columns(agg.where) if c.hops]
-            nested = _gather_nodes(agg.where)
-        return GatherNode(agg, tuple(chains), tuple(nested))
-
-    out: List[GatherNode] = []
-
-    def walk(n):
-        if isinstance(n, BoundAggregation):
-            out.append(from_agg(n))
-        elif isinstance(n, BoundCompare):
-            walk(n.lhs)
-        elif isinstance(n, BoundNot):
-            walk(n.operand)
-        elif isinstance(n, (BoundAnd, BoundOr)):
-            walk(n.left)
-            walk(n.right)
-
-    if condition_or_agg is not None:
-        walk(condition_or_agg)
-    return out
+    parts: Tuple[Optional[BoundTarget], ...]
 
 
 def build_request(
     bound: BoundQuery, pairs: Sequence[Tuple[RowRef, Optional[int]]]
 ) -> SampleRequest:
-    """Derive the sampling shape from a bound query: only the edges and
-    windows the label computation and filters actually use."""
-    gathers: List[GatherNode] = []
-    entity_hops: List[HopChain] = []
-
-    def entity_level(node):
-        gathers.extend(_gather_nodes(node))
-        entity_hops.extend(c.hops for c in iter_bound_columns(node) if c.hops)
-
-    entity_level(bound.target)
-    for conj in bound.conjuncts:
-        entity_level(conj.condition)
-    if bound.assuming is not None:
-        entity_level(bound.assuming)
-
+    """The request for `pairs` over every query part that reads rows: the
+    target, each WHERE conjunct's condition and ASSUMING."""
     return SampleRequest(
         entity_table=bound.entity_table,
         pairs=tuple((RowRef(r.table.upper(), r.index), a) for r, a in pairs),
-        entity_hops=tuple(dict.fromkeys(entity_hops)),
-        gathers=tuple(gathers),
+        parts=(bound.target, *(c.condition for c in bound.conjuncts), bound.assuming),
     )
 
 
@@ -133,23 +69,17 @@ class Subgraph:
     """Per-table row index sets (sorted), closed under the request's
     hop/window specification and connected to the requested entities."""
 
-    db: Database
+    g: RowGraph
     rows: Dict[str, np.ndarray]
     touched_rows: int = 0
-
-    def row_count(self, table: str) -> int:
-        arr = self.rows.get(table.upper())
-        return 0 if arr is None else len(arr)
 
 
 def _reached_rows(
     g: RowGraph, request: SampleRequest
 ) -> Tuple[Dict[str, List[np.ndarray]], List[np.ndarray]]:
     """Rows the request reads, apart from its entity rows, by table; and the
-    entity rows, one sorted array per anchor. Child expansions are
-    time-sliced per window (every qualifying neighbor, no fan-out cap),
-    parent hops pull single rows unconditionally. Pairs sharing an anchor
-    expand together, one array pass per edge."""
+    entity rows, one sorted array per anchor. Pairs sharing an anchor walk
+    the query together, one array pass per edge."""
     ctx = VecCtx(g.db, g)
     acc: Dict[str, List[np.ndarray]] = {}
 
@@ -157,22 +87,24 @@ def _reached_rows(
         if len(rows):
             acc.setdefault(table, []).append(rows)
 
-    def walk_chain(rows: np.ndarray, chain: HopChain):
-        cur = rows
-        for edge in chain:
-            fwd = g.edge_index(edge).forward
-            cur = fwd[cur]
-            cur = cur[cur >= 0]
-            add(edge.parent_table, cur)
-
-    def expand(node: GatherNode, base_rows: np.ndarray, anchor: Optional[int]):
-        children = gather_children(ctx, node.agg, base_rows, anchor).child_rows
-        add(node.agg.table, children)
-        if len(children):
-            for chain in node.hop_chains:
-                walk_chain(children, chain)
-            for sub in node.nested:
-                expand(sub, children, anchor)
+    def walk(node, rows: np.ndarray, anchor: Optional[int]):
+        if isinstance(node, BoundColumn):
+            for edge in node.hops:
+                rows = g.edge_index(edge).forward[rows]
+                rows = rows[rows >= 0]
+                add(edge.parent_table, rows)
+        elif isinstance(node, BoundAggregation):
+            children = gather_children(ctx, node, rows, anchor).child_rows
+            add(node.table, children)
+            if len(children) and node.where is not None:
+                walk(node.where, children, anchor)
+        elif isinstance(node, BoundCompare):
+            walk(node.lhs, rows, anchor)
+        elif isinstance(node, BoundNot):
+            walk(node.operand, rows, anchor)
+        elif isinstance(node, (BoundAnd, BoundOr)):
+            walk(node.left, rows, anchor)
+            walk(node.right, rows, anchor)
 
     by_anchor: Dict[Optional[int], List[int]] = {}
     for ref, anchor in request.pairs:
@@ -183,10 +115,8 @@ def _reached_rows(
     for anchor, indices in by_anchor.items():
         base = np.unique(np.array(indices, dtype=np.int64))
         entities.append(base)
-        for chain in request.entity_hops:
-            walk_chain(base, chain)
-        for node in request.gathers:
-            expand(node, base, anchor)
+        for part in request.parts:
+            walk(part, base, anchor)
     return acc, entities
 
 
@@ -198,7 +128,7 @@ def collect(g: RowGraph, request: SampleRequest) -> Subgraph:
         acc.setdefault(request.entity_table, []).extend(entities)
     packed = {t: np.unique(np.concatenate(arrays)) for t, arrays in acc.items()}
     touched = sum(len(v) for v in packed.values())
-    return Subgraph(g.db, packed, touched)
+    return Subgraph(g, packed, touched)
 
 
 def compute_on_subgraph(
@@ -222,8 +152,8 @@ def compute_on_subgraph(
             f"entity row {ref} was not collected; build the request from the same pairs"
         )
     return evaluate_pairs(
-        sub.db,
-        build_row_graph(sub.db),
+        sub.g.db,
+        sub.g,
         bound,
         pairs,
         anchors_for_split=anchors_for_split,

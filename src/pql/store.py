@@ -300,7 +300,9 @@ def schema_to_json(schema: Schema) -> dict:
         raw = {
             "name": t.name,
             "columns": [
+                # `nullable` is written only when false, so nullable schemas keep their bytes.
                 {"name": c.name, "dtype": c.dtype.value, "stype": c.stype.value}
+                | ({} if c.nullable else {"nullable": False})
                 for c in t.columns
             ],
         }
@@ -636,11 +638,6 @@ class Database:
 
     def value(self, ref: RowRef, column: str):
         return self.table(ref.table).column(column).get(ref.index)
-
-    def row_graph(self) -> "RowGraph":
-        if self._graph is None:
-            self._graph = build_row_graph(self)
-        return self._graph
 
     def _event_time_range(self) -> tuple:
         # Cached; the database is immutable once loaded.

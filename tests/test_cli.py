@@ -6,7 +6,7 @@ import pytest
 
 from corpus import CORPUS_BY_NAME, SCHEMA_DOCS
 
-from pql.cli import main
+from pql.cli import build_parser, main
 from pql.store import load_database, save_database
 from conftest import ARTICLES_CSV, CUSTOMERS_CSV, NOTIFICATIONS_CSV, TRANSACTIONS_CSV
 
@@ -208,6 +208,37 @@ def test_malformed_option_is_a_typed_error(case, retail_dir, tmp_path, capsys):
     err = capsys.readouterr().err
     assert option in err and "Traceback" not in err, err
     assert not (tmp_path / "out").exists()
+
+
+# Flags a command does not read: argparse refuses them rather than letting
+# them be ignored. `--workers` on predict-table and sample, and `--out-dir` on
+# bench, stay accepted: callers pass them to every data command alike.
+DROPPED_FLAGS = [
+    ("gen-data", ["--schema", "s.json"]),
+    ("gen-data", ["--query", "q"]),
+    ("gen-data", ["--query-file", "q.pql"]),
+    ("gen-data", ["--data-dir", "d"]),
+    ("gen-data", ["--lenient-fk"]),
+    ("gen-data", ["--workers", "1"]),
+    ("plan", ["--split", "0.8,0.1,0.1"]),
+    ("plan", ["--keep-empty-labels"]),
+    ("plan", ["--seed", "1"]),
+    ("bench", ["--stride", "30d"]),
+    ("bench", ["--latest", "2024-01-01"]),
+    ("bench", ["--split", "0.8,0.1,0.1"]),
+    ("bench", ["--keep-empty-labels"]),
+    ("validate", ["--seed", "1"]),
+    ("infer", ["--seed", "1"]),
+    ("predict-table", ["--seed", "1"]),
+]
+
+
+@pytest.mark.parametrize("command,flag", DROPPED_FLAGS, ids=[f"{c}{f[0]}" for c, f in DROPPED_FLAGS])
+def test_unread_flag_is_refused(command, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args([command, *flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
 
 
 class TestPredictTable:

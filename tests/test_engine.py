@@ -15,7 +15,7 @@ from pql.oracle import oracle_training
 from pql.parser import parse
 from pql.planner import AnchorPolicy, plan_prediction, plan_training, resolve_anchors
 from pql.splits import SplitPolicy
-from pql.store import RowRef
+from pql.store import RowRef, build_row_graph
 from pql.synth import (
     generate,
     hm_genspec,
@@ -417,7 +417,7 @@ class TestEvaluatePairs:
                               notifications=10, validity=True))
         b = bind(parse("PREDICT SUM(TRANSACTIONS.VALUE, 0, 30, days) FOR EACH CUSTOMERS.CUSTOMER_ID"),
                  db.schema)
-        g = db.row_graph()
+        g = build_row_graph(db)
         cust = db.table("CUSTOMERS")
         start_col = cust.definition.validity[0]
         row = next(i for i in range(cust.nrows) if cust.column(start_col).get(i) is not None)
@@ -478,7 +478,7 @@ class TestInt64Sum:
         return [
             lambda: materialize_training(plan_training(b, policy), db),
             lambda: materialize_training(plan_training(b, policy, optimized=False), db),
-            lambda: evaluate_pairs(db, db.row_graph(), b, pairs, anchors_for_split=anchors),
+            lambda: evaluate_pairs(db, build_row_graph(db), b, pairs, anchors_for_split=anchors),
             lambda: oracle_training(b, db, anchors),
         ]
 
@@ -590,7 +590,7 @@ class TestPlanExecutor:
         db, b, policy, anchors = validity_case
         naive = materialize_training(plan_training(b, policy, optimized=False), db)
         pairs = [(RowRef("CUSTOMERS", i), a) for a in anchors for i in range(db.nrows("CUSTOMERS"))]
-        got = evaluate_pairs(db, db.row_graph(), b, pairs, anchors_for_split=anchors)
+        got = evaluate_pairs(db, build_row_graph(db), b, pairs, anchors_for_split=anchors)
         assert got.rows == naive.rows
         assert got.metadata["dropped"] == naive.metadata["dropped"]
         assert got.metadata["pairs_expanded"] == naive.metadata["pairs_expanded"]

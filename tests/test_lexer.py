@@ -87,3 +87,31 @@ def test_string_quote_styles_and_escaping():
 def test_bang_requires_equals():
     with pytest.raises(LexError, match="expected '='"):
         tokenize("a.b ! 3")
+
+
+# Unicode numerals and quoting at token boundaries: (source, the LexError
+# message or the first token's type, the token value, the 1-based position).
+EDGE_CASES = [
+    ("²", "illegal character '²'", None, (1, 1)),
+    ("x.y > ²", "illegal character '²'", None, (1, 7)),
+    ("½x", "illegal character '½'", None, (1, 1)),
+    ("Ⅻ", "illegal character 'Ⅻ'", None, (1, 1)),
+    ("-½", "unexpected '-'", None, (1, 1)),
+    ("1e²", "illegal character '²'", None, (1, 3)),
+    ("'ab''", "unterminated string literal", None, (1, 1)),
+    ("a.²", "illegal character '.'", None, (1, 2)),
+    ("9" * 5000, "integer literal has too many digits (5000)", None, (1, 1)),
+    ("é.ß", TokenType.COLUMN, ("É", "SS"), (1, 1)),
+    ("٣", TokenType.INT, 3, (1, 1)),
+]
+
+
+@pytest.mark.parametrize("source,kind,value,pos", EDGE_CASES, ids=[c[0][:8] for c in EDGE_CASES])
+def test_edge_cases(source, kind, value, pos):
+    if isinstance(kind, str):
+        with pytest.raises(LexError) as exc:
+            tokenize(source)
+        assert (exc.value.message, (exc.value.span.line, exc.value.span.col)) == (kind, pos)
+    else:
+        tok = tokenize(source)[0]
+        assert (tok.type, tok.value, (tok.span.line, tok.span.col)) == (kind, value, pos)

@@ -13,7 +13,7 @@ from pql.oracle import oracle_touches, oracle_training
 from pql.parser import parse
 from pql.planner import AnchorPolicy, plan_training, resolve_anchors
 from pql.sampler import build_request, collect, compute_on_subgraph, sample_pairs
-from pql.store import FkEdge, RowRef, build_row_graph
+from pql.store import RowRef, build_row_graph
 from pql.synth import GenSpec, generate, random_database, random_query, random_schema
 from pql.times import MICROS_PER_DAY, parse_timestamp
 
@@ -39,14 +39,6 @@ class TestCollect:
         sub = collect(toy_graph, build_request(b, pairs))
         assert sub.rows["TRANSACTIONS"].tolist() == [3, 4, 5]
         assert sub.rows["ARTICLES"].tolist() == [0, 1, 2]  # parents of those rows
-
-    def test_required_edges_derived_from_query(self):
-        b = bind_text(CORPUS_BY_NAME["blue_articles"].text)
-        req = build_request(b, [])
-        assert req.required_edges == {
-            FkEdge("TRANSACTIONS", "CUSTOMER_ID", "CUSTOMERS"),
-            FkEdge("TRANSACTIONS", "ARTICLE_ID", "ARTICLES"),
-        }
 
     @pytest.mark.parametrize("seed", range(30))
     def test_equals_oracle_touch_set(self, seed):

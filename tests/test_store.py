@@ -153,6 +153,24 @@ class TestLoadSchema:
         with pytest.raises(SchemaError, match="must be a timestamp"):
             load_schema(doc)
 
+    def test_not_null_survives_schema_json_round_trip(self):
+        doc = {
+            "tables": [
+                {
+                    "name": "A",
+                    "columns": [
+                        {"name": "ID", "dtype": "int64", "stype": "key", "nullable": False},
+                        {"name": "X", "dtype": "int64", "stype": "numerical"},
+                    ],
+                    "primary_key": "ID",
+                }
+            ]
+        }
+        raw = store.schema_to_json(load_schema(doc))
+        # Nullable columns are written as before, without the key.
+        assert raw["tables"][0]["columns"][1] == {"name": "X", "dtype": "int64", "stype": "numerical"}
+        assert [c.nullable for c in load_schema(raw).table("A").columns] == [False, True]
+
 
 class TestLoadData:
     def test_row_counts(self, toy_db):
