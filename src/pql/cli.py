@@ -1,11 +1,13 @@
 """Command-line interface.
 
 Commands: validate, infer, plan, train-table, predict-table, sample,
-gen-data, bench. Options resolve as flags > config file > defaults; the
-config file is a JSON object whose keys mirror the long option names with
-underscores (e.g. {"schema": "s.json", "anchors": 12}). A malformed option
-value, from a flag or the config file, is a validation failure that names
-the option.
+gen-data, bench. `build_parser` is the one definition of every command's
+options: their names, defaults and types. `--config run.json` names a JSON
+object whose keys are long options in snake_case (e.g. {"schema": "s.json",
+"anchors": 12}). Its values become the running command's defaults, so
+explicit flags win, and a key that only another command takes is ignored.
+A malformed option value, from a flag or the config file, is a validation
+failure that names the option.
 
 Exit codes: 0 success, 1 validation failure, 2 empty result, 3 I/O error.
 """
@@ -14,10 +16,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, List, Optional, get_args, get_type_hints
+from typing import Callable, Dict, List, Optional
 
 from .bench import format_report, run_bench
 from .binder import bind
@@ -25,89 +28,44 @@ from .engine import materialize_prediction, materialize_training
 from .errors import ExecutionError, PlanError, PqlError
 from .output import write_prediction_table, write_training_table
 from .parser import parse
-from .planner import AnchorPolicy, explain, plan_prediction, plan_to_json, plan_training, resolve_anchors
+from .planner import AnchorPolicy, explain, feasible_anchors, plan_prediction, plan_to_json, plan_training
 from .sampler import build_request, collect, compute_on_subgraph, sample_pairs
 from .splits import SplitPolicy
-from .store import build_row_graph, load_database, load_schema
+from .store import build_row_graph, load_database, load_schema, save_database
 from .synth import GenSpec, generate, hm_genspec
-from .store import save_database
 from .times import format_duration, format_timestamp, parse_duration, parse_timestamp
 
 EXIT_OK, EXIT_VALIDATION, EXIT_EMPTY, EXIT_IO = 0, 1, 2, 3
 
 
-@dataclass
-class RunConfig:
-    schema: Optional[str] = None
-    data_dir: Optional[str] = None
-    query: Optional[str] = None
-    query_file: Optional[str] = None
-    out_dir: str = "out"
-    anchors: int = 10
-    stride: Optional[str] = None
-    latest: Optional[str] = None
-    at: Optional[str] = None
-    split: str = "0.8,0.1,0.1"
-    seed: int = 0
-    workers: int = 0  # 0 = available parallelism
-    strategy: str = "optimized"
-    mode: str = "training"
-    lenient_fk: bool = False
-    pairs: int = 100
-    runs: int = 5
-    keep_empty_labels: Optional[bool] = None
-
-
-_CONFIG_FIELDS = set(RunConfig.__dataclass_fields__)
-_CONFIG_TYPES = {name: get_args(hint) or hint for name, hint in get_type_hints(RunConfig).items()}
-
-
-def _merge_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    if getattr(args, "config", None):
-        doc = json.loads(Path(args.config).read_text())
-        unknown = set(doc) - _CONFIG_FIELDS
-        if unknown:
-            raise PqlError(f"unknown config keys: {sorted(unknown)}")
-        for key, value in doc.items():
-            if not isinstance(value, _CONFIG_TYPES[key]):
-                raise PqlError(f"config key {key!r} has the wrong type: {value!r}")
-            setattr(cfg, key, value)
-    for key in _CONFIG_FIELDS:
-        value = getattr(args, key, None)
-        if value is not None:
-            setattr(cfg, key, value)
-    return cfg
-
-
-def _query_text(cfg: RunConfig) -> str:
-    if cfg.query and cfg.query_file:
+def _query_text(args) -> str:
+    if args.query and args.query_file:
         raise PqlError("give exactly one of --query / --query-file")
-    if cfg.query:
-        return cfg.query
-    if cfg.query_file:
-        return Path(cfg.query_file).read_text()
+    if args.query:
+        return args.query
+    if args.query_file:
+        return Path(args.query_file).read_text(encoding="utf-8")
     raise PqlError("no query given; use --query or --query-file")
 
 
-def _load_schema(cfg: RunConfig):
-    if not cfg.schema:
-        raise PqlError("no schema given; use --schema")
-    return load_schema(Path(cfg.schema))
-
-
-def _load_db(cfg: RunConfig):
-    if not cfg.data_dir:
+def _load_db(args):
+    if not args.data_dir:
         raise PqlError("no data directory given; use --data-dir")
-    if not Path(cfg.data_dir).is_dir():
-        raise FileNotFoundError(f"data directory {cfg.data_dir} does not exist")
-    if not cfg.schema:
-        candidate = Path(cfg.data_dir) / "schema.json"
-        if candidate.exists():
-            cfg.schema = str(candidate)
-    if not cfg.schema:
+    data_dir = Path(args.data_dir)
+    if not data_dir.is_dir():
+        raise FileNotFoundError(f"data directory {data_dir} does not exist")
+    schema = args.schema
+    if not schema and (data_dir / "schema.json").exists():
+        schema = data_dir / "schema.json"
+    if not schema:
         raise PqlError("no schema given; use --schema")
-    return load_database(Path(cfg.schema), Path(cfg.data_dir), strict=not cfg.lenient_fk)
+    db = load_database(Path(schema), data_dir, strict=not args.lenient_fk)
+    for report in db.reports:
+        if report.dangling_fk:
+            many = "s" if report.dangling_fk > 1 else ""
+            print(f"--lenient-fk: kept {report.dangling_fk} dangling foreign key{many} in {report.table}: "
+                  f"{', '.join(report.samples)}", file=sys.stderr)
+    return db
 
 
 def _option(name: str, parse: Callable, text: Optional[str], default=None):
@@ -121,46 +79,46 @@ def _option(name: str, parse: Callable, text: Optional[str], default=None):
         raise PqlError(f"--{name}: {exc}") from None
 
 
-def _policy(cfg: RunConfig) -> AnchorPolicy:
-    stride = _option("stride", parse_duration, cfg.stride, "auto")
-    latest = _option("latest", parse_timestamp, cfg.latest, "auto")
-    return AnchorPolicy(count=cfg.anchors, stride=stride, latest=latest)
+def _at_least_one(args, name: str) -> int:
+    value = getattr(args, name)
+    if value < 1:
+        raise PqlError(f"--{name} must be at least 1, got {value}")
+    return value
 
 
-def _split(cfg: RunConfig) -> SplitPolicy:
-    parts = _option("split", lambda text: [float(x) for x in text.split(",")], cfg.split, [])
+def _scale(args) -> float:
+    if not (math.isfinite(args.scale) and args.scale > 0):
+        raise PqlError(f"--scale must be a finite number above 0, got {args.scale}")
+    return args.scale
+
+
+def _policy(args) -> AnchorPolicy:
+    stride = _option("stride", parse_duration, args.stride, "auto")
+    latest = _option("latest", parse_timestamp, args.latest, "auto")
+    return AnchorPolicy(count=args.anchors, stride=stride, latest=latest)
+
+
+def _split(args) -> SplitPolicy:
+    parts = _option("split", lambda text: [float(x) for x in text.split(",")], args.split, [])
     if len(parts) != 3:
-        raise PqlError(f"--split needs three comma-separated ratios, got {cfg.split!r}")
-    return SplitPolicy(*parts, seed=cfg.seed)
+        raise PqlError(f"--split needs three comma-separated ratios, got {args.split!r}")
+    return SplitPolicy(*parts, seed=args.seed)
 
 
-def _pairs(cfg: RunConfig) -> int:
-    if cfg.pairs < 1:
-        raise PqlError(f"--pairs must be at least 1, got {cfg.pairs}")
-    return cfg.pairs
-
-
-def _workers(cfg: RunConfig) -> int:
-    if cfg.workers and cfg.workers > 0:
-        return cfg.workers
-    import os
-
-    return os.cpu_count() or 1
-
-
-def _bound(cfg: RunConfig, schema=None):
-    text = _query_text(cfg)
-    schema = schema or _load_schema(cfg)
-    return bind(parse(text), schema), text
+def _bound(args, schema=None):
+    text = _query_text(args)
+    if schema is None and not args.schema:
+        raise PqlError("no schema given; use --schema")
+    return bind(parse(text), schema or load_schema(Path(args.schema)))
 
 
 # ---------------------------------------------------------------------------
 # Commands
 
 
-def cmd_validate(cfg: RunConfig, args) -> int:
+def cmd_validate(args) -> int:
     try:
-        bound, _ = _bound(cfg)
+        bound = _bound(args)
     except PqlError as exc:
         if args.json:
             print(json.dumps([exc.diagnostic().to_json()], indent=2))
@@ -176,8 +134,8 @@ def cmd_validate(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def cmd_infer(cfg: RunConfig, args) -> int:
-    bound, _ = _bound(cfg)
+def cmd_infer(args) -> int:
+    bound = _bound(args)
     doc = {
         "task": bound.task.to_json(),
         "timeframe": bound.timeframe.to_json(),
@@ -188,12 +146,12 @@ def cmd_infer(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def cmd_plan(cfg: RunConfig, args) -> int:
-    bound, _ = _bound(cfg)
-    if cfg.mode == "prediction":
-        plan = plan_prediction(bound, _option("at", parse_timestamp, cfg.at))
+def cmd_plan(args) -> int:
+    bound = _bound(args)
+    if args.mode == "prediction":
+        plan = plan_prediction(bound, _option("at", parse_timestamp, args.at))
     else:
-        plan = plan_training(bound, _policy(cfg), optimized=cfg.strategy != "naive")
+        plan = plan_training(bound, _policy(args), optimized=args.strategy != "naive")
     if args.json:
         print(json.dumps(plan_to_json(plan), indent=2))
     else:
@@ -201,56 +159,54 @@ def cmd_plan(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def cmd_train_table(cfg: RunConfig, args) -> int:
-    db = _load_db(cfg)
-    bound, _ = _bound(cfg, db.schema)
-    plan = plan_training(bound, _policy(cfg), optimized=cfg.strategy != "naive")
-    table = materialize_training(
-        plan,
-        db,
-        split=_split(cfg),
-        workers=_workers(cfg),
-        keep_empty_labels=cfg.keep_empty_labels,
-    )
-    paths = write_training_table(table, Path(cfg.out_dir))
+def cmd_train_table(args) -> int:
+    db = _load_db(args)
+    bound = _bound(args, db.schema)
+    plan = plan_training(bound, _policy(args), optimized=args.strategy != "naive")
+    workers = args.workers if args.workers > 0 else os.cpu_count() or 1
+    table = materialize_training(plan, db, split=_split(args), workers=workers,
+                                 keep_empty_labels=args.keep_empty_labels)
+    paths = write_training_table(table, Path(args.out_dir))
     dropped = table.metadata["dropped"]
     print(
         f"rows={table.row_count} splits={table.metadata['split_counts']} "
         f"dropped={ {k: v for k, v in dropped.items() if v} or '{}' }"
     )
-    for p in paths:
-        print(f"wrote {p}")
-    if table.row_count == 0:
-        print("empty result: no entity passed the filters", file=sys.stderr)
-        return EXIT_EMPTY
-    return EXIT_OK
+    return _wrote(paths, table.row_count)
 
 
-def cmd_predict_table(cfg: RunConfig, args) -> int:
-    db = _load_db(cfg)
-    bound, _ = _bound(cfg, db.schema)
-    plan = plan_prediction(bound, _option("at", parse_timestamp, cfg.at))
+def cmd_predict_table(args) -> int:
+    db = _load_db(args)
+    bound = _bound(args, db.schema)
+    plan = plan_prediction(bound, _option("at", parse_timestamp, args.at))
     table = materialize_prediction(plan, db)
-    paths = write_prediction_table(table, Path(cfg.out_dir))
+    paths = write_prediction_table(table, Path(args.out_dir))
     cand = table.metadata.get("candidate_count")
     extra = f" candidates={cand}" if cand is not None else ""
     print(f"rows={len(table.rows)}{extra}")
+    return _wrote(paths, len(table.rows))
+
+
+def _wrote(paths: List[Path], rows: int) -> int:
+    """Name the files written; the exit code for a table of `rows` rows."""
     for p in paths:
         print(f"wrote {p}")
-    if len(table.rows) == 0:
+    if rows == 0:
         print("empty result: no entity passed the filters", file=sys.stderr)
         return EXIT_EMPTY
     return EXIT_OK
 
 
-def cmd_sample(cfg: RunConfig, args) -> int:
-    pairs = _pairs(cfg)
-    db = _load_db(cfg)
-    bound, _ = _bound(cfg, db.schema)
+def cmd_sample(args) -> int:
+    pairs = _at_least_one(args, "pairs")
+    db = _load_db(args)
+    bound = _bound(args, db.schema)
     g = build_row_graph(db)
-    anchor = _option("at", parse_timestamp, cfg.at)
-    anchors = resolve_anchors(bound, _policy(cfg), db) if not bound.is_static else []
-    if anchor is not None and not bound.is_static and anchor not in anchors:
+    anchor = _option("at", parse_timestamp, args.at)
+    anchors = [] if bound.is_static else feasible_anchors(bound, _policy(args), db)
+    if anchors and anchor is None:
+        anchor = anchors[0]
+    elif anchors and anchor not in anchors:
         # Splits rank anchors on this grid, so an anchor off it has no split.
         raise PlanError(f"--at {format_timestamp(anchor)} is not on the anchor grid ({_describe_grid(anchors)}); "
                         "pick one of its anchors, or move the grid with --latest and --stride")
@@ -260,68 +216,54 @@ def cmd_sample(cfg: RunConfig, args) -> int:
         return EXIT_EMPTY
     request = build_request(bound, pair_list)
     sub = collect(g, request)
-    table = compute_on_subgraph(
-        bound, sub, pair_list, anchors_for_split=anchors,
-        split=_split(cfg), keep_empty_labels=cfg.keep_empty_labels,
-    )
-    paths = write_training_table(table, Path(cfg.out_dir), basename="sample")
+    table = compute_on_subgraph(bound, sub, pair_list, anchors_for_split=anchors, split=_split(args),
+                                keep_empty_labels=args.keep_empty_labels)
+    paths = write_training_table(table, Path(args.out_dir), basename="sample")
     frac = sub.touched_rows / max(1, db.total_rows())
     print(
         f"pairs={len(pair_list)} rows={table.row_count} "
         f"rows_touched={sub.touched_rows} ({frac:.3%} of {db.total_rows()})"
     )
-    for p in paths:
-        print(f"wrote {p}")
-    return EXIT_OK if table.row_count else EXIT_EMPTY
+    return _wrote(paths, table.row_count)
 
 
 def _describe_grid(anchors: List[int]) -> str:
-    if not anchors:
-        return "no anchors"
     text = f"{len(anchors)} anchor{'s' if len(anchors) > 1 else ''}, newest {format_timestamp(anchors[0])}"
     if len(anchors) > 1:
         text += f", every {format_duration(anchors[0] - anchors[1])} back to {format_timestamp(anchors[-1])}"
     return text
 
 
-def cmd_gen_data(cfg: RunConfig, args) -> int:
+def cmd_gen_data(args) -> int:
     if args.genspec:
-        spec = GenSpec.from_json(json.loads(Path(args.genspec).read_text()))
+        spec = GenSpec.from_json(json.loads(Path(args.genspec).read_text(encoding="utf-8")))
     else:
-        spec = hm_genspec(scale=args.scale, seed=cfg.seed, validity=args.validity,
-                          upscale=args.upscale)
+        spec = hm_genspec(scale=_scale(args), seed=args.seed, validity=args.validity,
+                          upscale=_at_least_one(args, "upscale"))
     db = generate(spec)
-    out = Path(cfg.out_dir)
+    out = Path(args.out_dir)
     save_database(db, out)
-    (out / "genspec.json").write_text(json.dumps(spec.to_json(), indent=2) + "\n")
+    (out / "genspec.json").write_text(json.dumps(spec.to_json(), indent=2) + "\n", encoding="utf-8")
     counts = ", ".join(f"{name.lower()}={db.nrows(name)}" for name in db.schema.tables)
     print(f"wrote {out}: {counts}")
     return EXIT_OK
 
 
-def cmd_bench(cfg: RunConfig, args) -> int:
-    if cfg.data_dir:
-        db = _load_db(cfg)
+def cmd_bench(args) -> int:
+    runs, pairs = _at_least_one(args, "runs"), _at_least_one(args, "pairs")
+    if args.data_dir:
+        db = _load_db(args)
     else:
-        db = generate(hm_genspec(scale=args.scale, seed=cfg.seed))
-    query = _query_text(cfg)
+        db = generate(hm_genspec(scale=_scale(args), seed=args.seed))
     paths = [p.strip() for p in args.paths.split(",") if p.strip()]
-    report = run_bench(
-        db,
-        query,
-        paths=paths,
-        runs=cfg.runs,
-        pairs=_pairs(cfg),
-        anchors=cfg.anchors,
-        seed=cfg.seed,
-        # Timing comparisons run single-threaded unless asked otherwise.
-        workers=cfg.workers if cfg.workers > 0 else 1,
-    )
+    # Timing comparisons run single-threaded unless asked otherwise.
+    report = run_bench(db, _query_text(args), paths=paths, runs=runs, pairs=pairs, anchors=args.anchors,
+                       seed=args.seed, workers=args.workers if args.workers > 0 else 1)
     print(format_report(report))
     if args.out:
         out = Path(args.out)
         out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n")
+        out.write_text(json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n", encoding="utf-8")
         print(f"wrote {out}")
     return EXIT_OK
 
@@ -330,42 +272,61 @@ def cmd_bench(cfg: RunConfig, args) -> int:
 # Argument parsing
 
 
-def _add_common(p: argparse.ArgumentParser, *, query: bool = True, data: bool = False, seed: bool = False):
-    p.add_argument("--config", help="JSON config file; flags override it")
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that keeps each option's action by its dest, and
+    each command's parser by its name, so a config file can be checked
+    against the options of the command it configures."""
+
+    def __init__(self, **kwargs):
+        self.options: Dict[str, argparse.Action] = {}
+        self.commands: Dict[str, _Parser] = {}
+        super().__init__(**kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        self.options[action.dest] = action
+        return action
+
+    def add_subparsers(self, **kwargs):
+        sub = super().add_subparsers(**kwargs)
+        self.commands = sub.choices
+        return sub
+
+
+def _add_common(p: argparse.ArgumentParser, *, query: bool = True, data: bool = False,
+                out_dir: bool = False, seed: bool = False):
+    p.add_argument("--config", help="JSON file of option defaults; flags override it")
     if query:
         p.add_argument("--schema", help="schema JSON path")
         p.add_argument("--query", help="query text")
         p.add_argument("--query-file", dest="query_file", help="file containing the query")
     if seed:
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", type=int, default=0)
+    if data or out_dir:
+        p.add_argument("--out-dir", dest="out_dir", default="out")
     if data:
         p.add_argument("--data-dir", dest="data_dir", help="directory of <table>.csv files")
-        p.add_argument("--out-dir", dest="out_dir", default=None)
-        p.add_argument("--lenient-fk", dest="lenient_fk", action="store_const", const=True,
-                       default=None, help="keep rows with dangling foreign keys")
-        p.add_argument("--workers", type=int, default=None)
+        p.add_argument("--lenient-fk", dest="lenient_fk", action="store_true",
+                       help="keep rows with dangling foreign keys")
+        p.add_argument("--workers", type=int, default=0)
 
 
-def _add_anchor_flags(p: argparse.ArgumentParser):
-    p.add_argument("--anchors", type=int, default=None, help="anchor count (default 10)")
-    p.add_argument("--stride", default=None, help="anchor spacing, e.g. 45d (default: one timeframe)")
-    p.add_argument("--latest", default=None, help="latest anchor timestamp (ISO-8601)")
+def _add_anchor_flags(p: argparse.ArgumentParser, *, grid: bool = True):
+    p.add_argument("--anchors", type=int, default=10, help="anchor count (default %(default)s)")
+    if grid:
+        p.add_argument("--stride", help="anchor spacing, e.g. 45d (default: one timeframe)")
+        p.add_argument("--latest", help="latest anchor timestamp (ISO-8601)")
 
 
 def _add_label_flags(p: argparse.ArgumentParser):
-    p.add_argument("--split", default=None, help="train,val,test ratios for static splits")
-    p.add_argument(
-        "--keep-empty-labels",
-        dest="keep_empty_labels",
-        action="store_const",
-        const=True,
-        default=None,
-        help="keep rows whose list label is empty (default: dropped for ranking tasks)",
-    )
+    p.add_argument("--split", default="0.8,0.1,0.1",
+                   help="train,val,test ratios for static splits (default %(default)s)")
+    p.add_argument("--keep-empty-labels", dest="keep_empty_labels", action="store_const", const=True,
+                   help="keep rows whose list label is empty (default: dropped for ranking tasks)")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    root = argparse.ArgumentParser(
+    root = _Parser(
         prog="pql",
         description="Predictive query toolchain: validate, plan and materialize "
         "leakage-free training tables over relational CSV data.",
@@ -383,9 +344,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("plan", help="print the staged logical plan")
     _add_common(p)
-    p.add_argument("--mode", choices=["training", "prediction"], default=None)
-    p.add_argument("--strategy", choices=["optimized", "naive"], default=None)
-    p.add_argument("--at", default=None, help="prediction anchor (ISO-8601)")
+    p.add_argument("--mode", choices=["training", "prediction"], default="training")
+    p.add_argument("--strategy", choices=["optimized", "naive"], default="optimized")
+    p.add_argument("--at", help="prediction anchor (ISO-8601)")
     _add_anchor_flags(p)
     p.add_argument("--json", action="store_true", help="dump the plan as JSON")
     p.set_defaults(fn=cmd_plan)
@@ -394,59 +355,96 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, data=True, seed=True)
     _add_anchor_flags(p)
     _add_label_flags(p)
-    p.add_argument("--strategy", choices=["optimized", "naive"], default=None)
+    p.add_argument("--strategy", choices=["optimized", "naive"], default="optimized")
     p.set_defaults(fn=cmd_train_table)
 
+    # --workers on predict-table and sample (both run on one thread) and
+    # --out-dir on bench (--out names its report) are accepted and unused,
+    # so callers can pass the same flags to every data command.
     p = sub.add_parser("predict-table", help="materialize the prediction table")
-    # --workers is accepted and unused (prediction runs on one thread), so
-    # callers can pass the same flags to every data command.
     _add_common(p, data=True)
-    p.add_argument("--at", default=None, help="prediction anchor (ISO-8601, default: latest event)")
+    p.add_argument("--at", help="prediction anchor (ISO-8601, default: latest event)")
     p.set_defaults(fn=cmd_predict_table)
 
     p = sub.add_parser("sample", help="low-latency labels for the most recently active entities")
-    # --workers is accepted and unused (sampling runs on one thread), so
-    # callers can pass the same flags to every data command.
     _add_common(p, data=True, seed=True)
     _add_anchor_flags(p)
     _add_label_flags(p)
-    p.add_argument("--pairs", type=int, default=None, help="number of (entity, anchor) pairs")
-    p.add_argument("--at", default=None, help="anchor override (ISO-8601)")
+    p.add_argument("--pairs", type=int, default=100, help="number of (entity, anchor) pairs")
+    p.add_argument("--at", help="anchor, on the anchor grid (ISO-8601, default: its newest)")
     p.set_defaults(fn=cmd_sample)
 
     p = sub.add_parser("gen-data", help="generate a synthetic retail-shaped database")
-    _add_common(p, query=False, seed=True)
-    p.add_argument("--out-dir", dest="out_dir", default=None)
+    _add_common(p, query=False, out_dir=True, seed=True)
     p.add_argument("--scale", type=float, default=0.001,
-                   help="template scale; 1.0 = 31M transactions (default 0.001)")
-    p.add_argument("--genspec", default=None, help="generator spec JSON file")
+                   help="template scale; 1.0 = 31M transactions (default %(default)s)")
+    p.add_argument("--genspec", help="generator spec JSON file")
     p.add_argument("--validity", action="store_true", help="add customer validity intervals")
     p.add_argument("--upscale", type=int, default=1,
                    help="duplicate customer/transaction partitions this many times")
     p.set_defaults(fn=cmd_gen_data)
 
     p = sub.add_parser("bench", help="compare execution paths on one query")
-    # --out-dir is accepted and unused (--out names the report file), so
-    # callers can pass the same flags to every data command.
     _add_common(p, data=True, seed=True)
     p.add_argument("--paths", default="optimized,unoptimized,sampler,oracle",
                    help="comma list: optimized,unoptimized,sampler,oracle")
-    p.add_argument("--runs", type=int, default=None, help="timed runs per path (median reported)")
-    p.add_argument("--pairs", type=int, default=None, help="pairs for the sampler path")
-    p.add_argument("--anchors", type=int, default=None, help="anchor count (default 10)")
+    p.add_argument("--runs", type=int, default=5, help="timed runs per path (median reported)")
+    p.add_argument("--pairs", type=int, default=100, help="pairs for the sampler path")
+    _add_anchor_flags(p, grid=False)
     p.add_argument("--scale", type=float, default=0.001,
                    help="template scale when no --data-dir is given")
-    p.add_argument("--out", default=None, help="write the JSON report here")
+    p.add_argument("--out", help="write the JSON report here")
     p.set_defaults(fn=cmd_bench)
 
     return root
 
 
+# The JSON types a config value may have, by the type of its option.
+_JSON_TYPES = {int: int, float: (int, float), None: str}
+
+
+def _config_default(key: str, value, action: argparse.Action):
+    """`value` from a config file as the default of `action`'s option. A
+    JSON type the option cannot take fails as a `PqlError` naming the key."""
+    if value is None:
+        ok = action.default is None
+    elif action.nargs == 0:  # a flag
+        ok = isinstance(value, bool)
+    else:
+        ok = not isinstance(value, bool) and isinstance(value, _JSON_TYPES[action.type])
+    if not ok:
+        raise PqlError(f"config key {key!r} has the wrong type: {value!r}")
+    if action.choices and value not in action.choices:
+        raise PqlError(f"config key {key!r} must be one of {action.choices}, got {value!r}")
+    # argparse converts a text default with the option's type, so a number
+    # parses exactly as the same number given as a flag does.
+    return str(value) if action.type else value
+
+
+def parse_args(argv: Optional[List[str]] = None) -> argparse.Namespace:
+    """The parsed command line. With `--config`, the file's keys first
+    become the defaults of the running command's options."""
+    root = build_parser()
+    args = root.parse_args(argv)
+    if not args.config:
+        return args
+    doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    if not isinstance(doc, dict):
+        raise PqlError("the config file must hold a JSON object")
+    known = {key for command in root.commands.values() for key in command.options} - {"help", "config"}
+    unknown = set(doc) - known
+    if unknown:
+        raise PqlError(f"unknown config keys: {sorted(unknown)}")
+    command = root.commands[args.command]
+    command.set_defaults(**{key: _config_default(key, value, command.options[key])
+                            for key, value in doc.items() if key in command.options})
+    return root.parse_args(argv)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        cfg = _merge_config(args)
-        return args.fn(cfg, args)
+        args = parse_args(argv)
+        return args.fn(args)
     except ExecutionError as exc:
         print(f"error: {exc.message}", file=sys.stderr)
         return EXIT_EMPTY

@@ -32,9 +32,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .binder import BoundQuery, TaskType
-from .errors import ExecutionError
+from .errors import ExecutionError, PlanError
 from .kernels import SumOverflow, VecCtx, eval_condition_vec, eval_target_vec
-from .planner import LogicalPlan, PlanNode, plan_training, resolve_anchors
+from .planner import LogicalPlan, PlanNode, feasible_anchors, plan_training
 from .splits import SplitPolicy, split_for_anchor_rank, split_for_keys
 from .store import Database, ListType, RowGraph, RowRef, build_row_graph
 from .times import format_timestamp
@@ -350,13 +350,7 @@ def materialize_training(
     bound = plan.bound
     g = g or build_row_graph(db)
     split = split or SplitPolicy()
-    anchors: List[int] = []
-    if not bound.is_static:
-        anchors = resolve_anchors(bound, plan.policy, db)
-        if not anchors:
-            raise ExecutionError(
-                "no feasible anchors: the data span is shorter than one anchor stride"
-            )
+    anchors = feasible_anchors(bound, plan.policy, db)
     run = _Run(
         plan,
         VecCtx(db, g, fullscan=not plan.optimized),
@@ -456,13 +450,19 @@ def evaluate_pairs(
             )
         by_anchor.setdefault(anchor, []).append(ref.index)
 
+    ranks = _anchor_ranks(anchors_for_split)
+    off_grid = [a for a in by_anchor if a is not None and a not in ranks]
+    if off_grid:
+        # Splits rank each pair's anchor among these, so an anchor off them has no split.
+        raise PlanError(f"pair anchor {format_timestamp(max(off_grid))} is not in anchors_for_split")
+
     plan = plan_training(bound)
     run = _Run(
         plan,
         VecCtx(db, g),
         _drop_empty_labels(bound.task, keep_empty_labels),
         split or SplitPolicy(),
-        _anchor_ranks(anchors_for_split),
+        ranks,
     )
     blocks = [  # newest anchor first: canonical order
         _Block(a, np.array(by_anchor[a], dtype=np.int64))

@@ -45,7 +45,7 @@ def _write(table, out_dir: Path, basename: str, dtypes: List[DataType], columns:
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = _write_rows(out_dir / f"{basename}.csv", table.columns, table.rows, dtypes, columns)
     meta_path = out_dir / f"{basename}.meta.json"
-    meta_path.write_text(json.dumps(table.metadata, indent=2, sort_keys=True) + "\n")
+    meta_path.write_text(json.dumps(table.metadata, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return [csv_path, meta_path]
 
 

@@ -31,7 +31,7 @@ from typing import List, Optional, Tuple, Union
 
 from .ast import Aggregation, And, ColumnRef, Compare, Constant, Not, Or, unparse_expr
 from .binder import BoundAggregation, BoundAnd, BoundColumn, BoundCompare, BoundNot, BoundQuery, TaskType
-from .errors import PlanError
+from .errors import ExecutionError, PlanError
 from .store import ListType
 from .times import format_duration, format_timestamp
 
@@ -289,6 +289,15 @@ def resolve_anchors(bound: BoundQuery, policy: AnchorPolicy, db) -> List[int]:
             break
         anchors.append(t)
         t -= stride
+    return anchors
+
+
+def feasible_anchors(bound: BoundQuery, policy: AnchorPolicy, db) -> List[int]:
+    """`resolve_anchors`, refusing an empty grid for a temporal query as an
+    `ExecutionError`: no anchor leaves room for its windows in the data."""
+    anchors = resolve_anchors(bound, policy, db)
+    if not anchors and not bound.is_static:
+        raise ExecutionError("no feasible anchors: the data span is shorter than one anchor stride")
     return anchors
 
 

@@ -38,6 +38,7 @@ from .binder import (
 from .engine import TrainingTable, evaluate_pairs
 from .errors import ExecutionError
 from .kernels import VecCtx, _edge_slot_arrays, gather_children
+from .planner import AnchorPolicy, feasible_anchors
 from .splits import SplitPolicy
 from .store import Database, RowGraph, RowRef
 
@@ -171,8 +172,9 @@ def sample_pairs(
     anchor: Optional[int] = None,
 ) -> List[Tuple[RowRef, Optional[int]]]:
     """Default context selection: the `n` most recently active entities at
-    the latest feasible anchor (ties by entity key). Activity is the newest
-    child event strictly before the anchor across the query's child edges.
+    `anchor`, by default the newest anchor of the default grid (ties by
+    entity key). Activity is the newest child event strictly before the
+    anchor across the query's child edges.
     """
     etable = bound.entity_table
     n_entities = db.nrows(etable)
@@ -180,10 +182,7 @@ def sample_pairs(
         sel = range(min(n, n_entities))
         return [(RowRef(etable, i), None) for i in sel]
     if anchor is None:
-        max_t = db.max_event_time()
-        if max_t is None:
-            raise ExecutionError("temporal query over a database with no dated rows")
-        anchor = max_t - bound.timeframe.future
+        anchor = feasible_anchors(bound, AnchorPolicy(), db)[0]
     latest = np.full(n_entities, np.iinfo(np.int64).min, dtype=np.int64)
     edges = {a.group_edge for a in _request_edges(bound) if a.group_edge.parent_table == etable}
     for edge in edges:

@@ -11,7 +11,8 @@ time column and validity columns must hold timestamps (stored as integer
 microseconds since epoch, UTC). Databases are immutable once loaded; the
 row graph and each table's primary-key index are built lazily and cached.
 
-CSV load works column at a time, by one of two tokenizers and one set of
+Every file pql reads or writes is UTF-8 text, whatever the locale. CSV
+load works column at a time, by one of two tokenizers and one set of
 converters. A file given as a `Path` goes to the byte tokenizer
 (`_read_file`): it reads blocks of about `_CHUNK_ROWS` records cut after a
 line break, numpy finds the offsets of each block's commas and line
@@ -38,13 +39,11 @@ loaded.
 
 from __future__ import annotations
 
-import codecs
 import csv
 import enum
 import io
 import itertools
 import json
-import locale
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -195,7 +194,7 @@ def _parse_column(raw: dict, table: str) -> ColumnDef:
 def load_schema(source: Union[str, dict, Path]) -> Schema:
     """Load and validate a schema from its JSON document (text, dict, or path)."""
     if isinstance(source, Path):
-        source = source.read_text()
+        source = source.read_text(encoding="utf-8")
     if isinstance(source, str):
         try:
             doc = json.loads(source)
@@ -731,16 +730,13 @@ def load_table_data(
 def _read_file(tdef: TableDef, path: Path) -> Optional[Tuple[Dict[str, Column], int]]:
     """The byte tokenizer: the columns of a CSV file, or None when the file
     needs the csv tokenizer. That is when the header does not match the
-    schema, when the text encoding `open` uses is not UTF-8, and when a
-    block fails `_convert_block`; the file then loads as if this function
-    did not exist, errors and row numbers included.
+    schema, and when a block fails `_convert_block`; the file then loads
+    as if this function did not exist, errors and row numbers included.
 
     A first pass counts the line breaks, so each column is allocated once
     at its final size; the second reads blocks of about `_CHUNK_ROWS`
     records, cut after a line break, and converts them into place. Only
     one block's temporaries are alive at a time."""
-    if codecs.lookup(locale.getpreferredencoding(False)).name != "utf-8":
-        return None
     with open(path, "rb") as fh:
         line = fh.readline()
         if not line.endswith(b"\n") or any(b in line for b in (b'"', b"\r", b"\0")):
@@ -839,12 +835,21 @@ def _decode_block(block: bytes, buf: np.ndarray, offsets: type) -> Tuple[str, Op
 
 
 def _read_csv(tdef: TableDef, rows) -> Tuple[Dict[str, Column], int]:
-    """The csv tokenizer: the columns of CSV text, read by the csv module."""
+    """The csv tokenizer: the columns of CSV text, read by the csv module.
+    A file is UTF-8 text; the first record holding bytes that are not
+    fails as a `DataError` with its row."""
     if isinstance(rows, Path):
         # newline="" hands line breaks inside quoted cells to the csv
         # reader intact; only \r and \n end records, never U+2028 etc.
-        with open(rows, newline="") as fh:
-            return _read_csv(tdef, fh)
+        with open(rows, encoding="utf-8", newline="") as fh:
+            try:
+                return _read_csv(tdef, fh)
+            except UnicodeDecodeError:
+                pass
+        # The decoder reads ahead of the records, so read again with the
+        # bad bytes escaped to find the record that holds them.
+        with open(rows, encoding="utf-8", errors="surrogateescape", newline="") as fh:
+            return _read_csv(tdef, map(_utf8_line, fh))
     if isinstance(rows, str):
         rows = io.StringIO(rows, newline="")
     reader = csv.reader(rows)
@@ -852,6 +857,8 @@ def _read_csv(tdef: TableDef, rows) -> Tuple[Dict[str, Column], int]:
         header = next(reader)
     except StopIteration:
         raise DataError(f"table {tdef.name}: empty input, header row required")
+    except csv.Error as exc:
+        raise DataError(f"table {tdef.name}: header: {exc}")
     header = [h.upper() for h in header]
     if sorted(header) != sorted(tdef.column_names):
         raise DataError(
@@ -859,6 +866,15 @@ def _read_csv(tdef: TableDef, rows) -> Tuple[Dict[str, Column], int]:
             f"{list(tdef.column_names)}"
         )
     return _read_columns(tdef, header, reader)
+
+
+def _utf8_line(line: str) -> str:
+    """`line`, or a `csv.Error` when it holds an escaped byte that is not UTF-8."""
+    try:
+        line.encode("utf-8")
+    except UnicodeEncodeError:
+        raise csv.Error("text is not UTF-8") from None
+    return line
 
 
 def _read_columns(tdef: TableDef, header: List[str], reader) -> Tuple[Dict[str, Column], int]:
@@ -949,7 +965,7 @@ def write_csv(path: Path, header: Sequence[str], dtypes: Sequence[DataType], chu
     the values of that column's dtype and a bool null mask or None. Every
     CSV file pql writes goes through here."""
     strings = [i for i, dtype in enumerate(dtypes) if dtype is DataType.STRING]
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
         writer.writerow(header)
@@ -978,7 +994,8 @@ def save_table_csv(db: Database, table: str, path: Path) -> None:
 def save_database(db: Database, directory: Path) -> None:
     """Write schema.json plus one <table>.csv per table into `directory`."""
     directory.mkdir(parents=True, exist_ok=True)
-    (directory / "schema.json").write_text(json.dumps(schema_to_json(db.schema), indent=2) + "\n")
+    schema_text = json.dumps(schema_to_json(db.schema), indent=2) + "\n"
+    (directory / "schema.json").write_text(schema_text, encoding="utf-8")
     for name in db.schema.tables:
         save_table_csv(db, name, directory / f"{name.lower()}.csv")
 

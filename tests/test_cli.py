@@ -1,12 +1,18 @@
 """Command-line surface: exit codes, outputs, file formats, determinism."""
 
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from corpus import CORPUS_BY_NAME, SCHEMA_DOCS
 
-from pql.cli import build_parser, main
+import pql
+from pql.cli import build_parser, main, parse_args
 from pql.store import load_database, save_database
 from conftest import ARTICLES_CSV, CUSTOMERS_CSV, NOTIFICATIONS_CSV, TRANSACTIONS_CSV
 
@@ -189,6 +195,10 @@ BAD_OPTIONS = {
     "pairs_negative": ("sample", ["--pairs", "-5"], "--pairs"),
     "pairs_zero": ("sample", ["--pairs", "0"], "--pairs"),
     "bench_pairs": ("bench", ["--pairs", "-1", "--paths", "sampler"], "--pairs"),
+    "bench_runs_zero": ("bench", ["--runs", "0", "--paths", "sampler"], "--runs"),
+    "bench_runs_negative": ("bench", ["--runs", "-1", "--paths", "sampler"], "--runs"),
+    "config_anchors_bool": ("train-table", ["--config", {"anchors": True}], "'anchors'"),
+    "config_strategy_choice": ("train-table", ["--config", {"strategy": "fast"}], "'strategy'"),
 }
 
 
@@ -208,6 +218,49 @@ def test_malformed_option_is_a_typed_error(case, retail_dir, tmp_path, capsys):
     err = capsys.readouterr().err
     assert option in err and "Traceback" not in err, err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--scale", "nan"], ["--scale", "inf"], ["--scale", "-1"], ["--scale", "0"],
+     ["--upscale", "-3"], ["--upscale", "0"]],
+    ids=" ".join,
+)
+def test_gen_data_bad_size_is_a_typed_error(flags, tmp_path, capsys):
+    assert main(["gen-data", "--out-dir", str(tmp_path / "out"), *flags]) == 1
+    err = capsys.readouterr().err
+    assert f"{flags[0]} must be" in err, err
+    assert not (tmp_path / "out").exists()
+
+
+# A value for every long option of every command, unlike its default.
+OPTION_VALUES = {
+    "schema": "s.json", "query": "PREDICT T.C FOR EACH T.K", "query_file": "q.pql",
+    "data_dir": "data", "out_dir": "elsewhere", "lenient_fk": True, "workers": 3, "seed": 7,
+    "anchors": 12, "stride": "30d", "latest": "2024-01-01", "at": "2024-02-01",
+    "split": "0.6,0.2,0.2", "keep_empty_labels": True, "strategy": "naive", "mode": "prediction",
+    "json": True, "pairs": 9, "runs": 2, "paths": "oracle", "out": "report.json", "scale": 0.25,
+    "genspec": "spec.json", "validity": True, "upscale": 3,
+}
+CONFIG_KEYS = [
+    (command, key)
+    for command, parser in build_parser().commands.items()
+    for key in parser.options
+    if key not in ("help", "config")
+]
+
+
+@pytest.mark.parametrize("command,key", CONFIG_KEYS, ids=lambda v: v)
+def test_config_key_parses_as_its_long_option(command, key, tmp_path):
+    action = build_parser().commands[command].options[key]
+    value = OPTION_VALUES[key]
+    flag = action.option_strings[-1:] if action.nargs == 0 else [action.option_strings[-1], str(value)]
+    from_flag = parse_args([command, *flag])
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({key: value}))
+    from_config = parse_args([command, "--config", str(config)])
+    assert vars(from_config) == {**vars(from_flag), "config": str(config)}
+    assert getattr(from_flag, key) != getattr(parse_args([command]), key)
 
 
 # Flags a command does not read: argparse refuses them rather than letting
@@ -239,6 +292,47 @@ def test_unread_flag_is_refused(command, flag, capsys):
         build_parser().parse_args([command, *flag])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+
+
+def test_lenient_fk_reports_kept_keys_on_stderr(retail_dir, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(retail_dir, data)
+    args = ["train-table", "--data-dir", str(data), "--out-dir", str(tmp_path / "out"),
+            "--query", CORPUS_BY_NAME["ny_monthly_spend"].text, "--anchors", "1", "--latest", "2024-01-01"]
+    assert main(args) == 0
+    clean = capsys.readouterr()
+    with open(data / "transactions.csv", "a", encoding="utf-8") as fh:
+        fh.write("9,5.0,2024-01-02,987654,1\n")
+    assert main(args) == 1
+    assert "987654" in capsys.readouterr().err
+    assert main(args + ["--lenient-fk"]) == 0
+    lenient = capsys.readouterr()
+    assert lenient.out == clean.out
+    assert lenient.err == "--lenient-fk: kept 1 dangling foreign key in TRANSACTIONS: CUSTOMER_ID=987654\n"
+
+
+def test_text_files_are_utf8_whatever_the_locale(retail_dir, tmp_path):
+    data = tmp_path / "data"
+    shutil.copytree(retail_dir, data)
+    (data / "articles.csv").write_text(ARTICLES_CSV.replace("Blue Shirt", "Café"), encoding="utf-8")
+    src = str(Path(pql.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONUTF8": "0", "LC_ALL": "C",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    args = [sys.executable, "-m", "pql.cli", "train-table", "--data-dir", str(data),
+            "--query", CORPUS_BY_NAME["ny_monthly_spend"].text, "--anchors", "1", "--latest", "2024-01-01"]
+
+    def run(out):
+        done = subprocess.run(args + ["--out-dir", str(out)], env=env, capture_output=True, timeout=120)
+        return done.returncode, done.stderr.decode("utf-8", "replace")
+
+    assert run(tmp_path / "c") == (0, "")
+    assert main(args[3:] + ["--out-dir", str(tmp_path / "utf8")]) == 0
+    for name in ("training.csv", "training.meta.json"):
+        assert (tmp_path / "c" / name).read_bytes() == (tmp_path / "utf8" / name).read_bytes()
+    with open(data / "articles.csv", "ab") as fh:
+        fh.write(b"4,Caf\xe9,shirt,latin-1 text,red\n")
+    code, err = run(tmp_path / "bad")
+    assert (code, err) == (1, "error: [data] table ARTICLES: row 4: text is not UTF-8\n")
 
 
 class TestPredictTable:
@@ -289,6 +383,25 @@ class TestSampleAndGenData:
         # Moving the grid onto the anchor makes it a valid request.
         assert main(args + ["--at", "2023-06-03", "--latest", "2023-06-03"]) == 0
         assert (tmp_path / "s" / "sample.csv").exists()
+
+    def test_sample_anchors_on_the_grid_it_resolves(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert main(["gen-data", "--out-dir", str(data), "--scale", "0.0003", "--seed", "5"]) == 0
+        capsys.readouterr()
+        args = ["sample", "--data-dir", str(data), "--pairs", "5",
+                "--query", "PREDICT COUNT(TRANSACTIONS.*, 0, 7, days) FOR EACH CUSTOMERS.CUSTOMER_ID"]
+        assert main(args + ["--out-dir", str(tmp_path / "s"), "--latest", "2023-06-01"]) == 0
+        meta = json.loads((tmp_path / "s" / "sample.meta.json").read_text())
+        assert meta["row_count"] == 5
+        rows = (tmp_path / "s" / "sample.csv").read_text().splitlines()[1:]
+        assert {row.split(",")[1] for row in rows} == {"2023-06-01T00:00:00Z"}
+        capsys.readouterr()
+        # A grid before the data holds no anchor: no row can be labelled.
+        assert main(args + ["--out-dir", str(tmp_path / "e"), "--latest", "1990-01-01"]) == 2
+        assert capsys.readouterr().err == (
+            "error: no feasible anchors: the data span is shorter than one anchor stride\n"
+        )
+        assert not (tmp_path / "e").exists()
 
     def test_gen_data_determinism(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

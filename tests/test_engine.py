@@ -9,7 +9,7 @@ from corpus import CORPUS, CORPUS_BY_NAME, schema
 from pql import engine
 from pql.binder import bind
 from pql.engine import evaluate_pairs, materialize_prediction, materialize_training
-from pql.errors import ExecutionError
+from pql.errors import ExecutionError, PlanError
 from pql.kernels import VecCtx, eval_agg_vec, eval_condition_vec
 from pql.oracle import oracle_training
 from pql.parser import parse
@@ -424,6 +424,12 @@ class TestEvaluatePairs:
         bad_anchor = cust.column(start_col).get(row) - MICROS_PER_DAY
         got = evaluate_pairs(db, g, b, [(RowRef("CUSTOMERS", row), bad_anchor)])
         assert got.rows == [] and got.metadata["dropped"]["validity_pruned"] == 1
+
+    def test_anchor_off_the_split_anchors_is_a_plan_error(self, toy_db, toy_graph):
+        b = bind_text(CORPUS_BY_NAME["active_spender"].text)
+        pairs = [(CUSTOMER(0), ANCHOR), (CUSTOMER(1), ANCHOR + MICROS_PER_DAY)]
+        with pytest.raises(PlanError, match="^pair anchor 2024-01-02T00:00:00Z is not in anchors_for_split$"):
+            evaluate_pairs(toy_db, toy_graph, b, pairs, anchors_for_split=[ANCHOR])
 
 
 class TestInt64Sum:

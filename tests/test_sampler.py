@@ -132,6 +132,15 @@ class TestSamplePairs:
         pairs = sample_pairs(toy_db, toy_graph, b, 10, anchor=parse_timestamp("2023-12-01"))
         assert [p[0].index for p in pairs] == []  # nobody active before December
 
+    def test_default_anchor_comes_from_the_default_grid(self, toy_db, toy_graph):
+        b = bind_text("PREDICT COUNT(TRANSACTIONS.*, 0, 7, days) FOR EACH CUSTOMERS.CUSTOMER_ID")
+        newest = resolve_anchors(b, AnchorPolicy(), toy_db)[0]
+        assert {anchor for _, anchor in sample_pairs(toy_db, toy_graph, b, 3)} == {newest}
+        # A window longer than the data leaves the grid empty, as in training.
+        b = bind_text("PREDICT COUNT(TRANSACTIONS.*, 0, 400, days) FOR EACH CUSTOMERS.CUSTOMER_ID")
+        with pytest.raises(ExecutionError, match="^no feasible anchors"):
+            sample_pairs(toy_db, toy_graph, b, 3)
+
     def test_work_proportional_to_pairs(self):
         db = generate(GenSpec(seed=11, customers=2000, articles=50, transactions=40000,
                               notifications=100))

@@ -828,7 +828,10 @@ class TestByteTokenizer:
     def test_undecodable_file_fails_as_the_csv_path_does(self, tmp_path):
         path = tmp_path / "sp.csv"
         path.write_bytes(b"ID\na\n\xff\n")
-        with pytest.raises(UnicodeDecodeError):
+        with pytest.raises(DataError, match=r"^table SP: row 2: text is not UTF-8$"):
+            load_table_data(new_database(ADVERSARIAL), "SP", path)
+        path.write_bytes(b"I\xffD\na\n")
+        with pytest.raises(DataError, match=r"^table SP: header: text is not UTF-8$"):
             load_table_data(new_database(ADVERSARIAL), "SP", path)
 
     def test_unquoted_files_take_the_byte_path(self, monkeypatch, chunk_rows, tmp_path):
