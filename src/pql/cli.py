@@ -31,7 +31,7 @@ from .parser import parse
 from .planner import AnchorPolicy, explain, feasible_anchors, plan_prediction, plan_to_json, plan_training
 from .sampler import build_request, collect, compute_on_subgraph, sample_pairs
 from .splits import SplitPolicy
-from .store import build_row_graph, load_database, load_schema, save_database
+from .store import build_row_graph, load_database, load_schema, parse_json, save_database
 from .synth import GenSpec, generate, hm_genspec
 from .times import format_duration, format_timestamp, parse_duration, parse_timestamp
 
@@ -236,7 +236,7 @@ def _describe_grid(anchors: List[int]) -> str:
 
 def cmd_gen_data(args) -> int:
     if args.genspec:
-        spec = GenSpec.from_json(json.loads(Path(args.genspec).read_text(encoding="utf-8")))
+        spec = GenSpec.from_json(parse_json(Path(args.genspec).read_text(encoding="utf-8")))
     else:
         spec = hm_genspec(scale=_scale(args), seed=args.seed, validity=args.validity,
                           upscale=_at_least_one(args, "upscale"))
@@ -428,7 +428,7 @@ def parse_args(argv: Optional[List[str]] = None) -> argparse.Namespace:
     args = root.parse_args(argv)
     if not args.config:
         return args
-    doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    doc = parse_json(Path(args.config).read_text(encoding="utf-8"))
     if not isinstance(doc, dict):
         raise PqlError("the config file must hold a JSON object")
     known = {key for command in root.commands.values() for key in command.options} - {"help", "config"}

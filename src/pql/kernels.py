@@ -3,9 +3,10 @@
 Everything here computes per-row numpy arrays for a batch of base rows at
 one anchor. Two gather modes drive the two execution strategies:
 
-* restricted — each selected parent's (dated) child slice is taken out of
-  the CSR adjacency in one vectorized pass and then masked by the window's
-  time bounds, so work scales with the selected parents' children;
+* restricted — a binary-searched window: each selected parent's window is
+  cut out of the CSR adjacency by two `searchsorted` calls on the edge's
+  sorted (parent, time-rank) keys, and only the window's slots are taken,
+  so work scales with parents x log(children) plus the rows kept;
 * full scan — one boolean mask over a whole child table per anchor, the
   shape of the baseline cross-product strategy.
 
@@ -75,16 +76,12 @@ def like_regex(pattern: str) -> "re.Pattern":
     return re.compile("".join(out), re.DOTALL)
 
 
-def _edge_slot_arrays(idx: EdgeIndex) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-slot parent ids and dated flags for full-scan gathers, built on
-    first use and kept on the edge index."""
-    if idx.slot_parent is None:
-        n_parent = len(idx.indptr) - 1
-        slot_parent = np.repeat(np.arange(n_parent, dtype=np.int64), np.diff(idx.indptr))
-        slot_pos = np.arange(len(idx.order), dtype=np.int64)
-        idx.slot_dated = slot_pos < idx.dated_end[slot_parent]
-        idx.slot_parent = slot_parent
-    return idx.slot_parent, idx.slot_dated
+def _edge_slot_arrays(idx: EdgeIndex) -> np.ndarray:
+    """Per-slot time ranks (`keys % K`) for full-scan gathers, built on first
+    use and kept on the edge index."""
+    if idx.slot_ranks is None:
+        idx.slot_ranks = idx.keys % idx.radix
+    return idx.slot_ranks
 
 
 def _multiarange(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -92,8 +89,7 @@ def _multiarange(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     if total == 0:
         return np.empty(0, dtype=np.int64)
     offset = np.cumsum(lengths) - lengths
-    within = np.arange(total, dtype=np.int64) - np.repeat(offset, lengths)
-    return np.repeat(starts, lengths) + within
+    return np.repeat(starts - offset, lengths) + np.arange(total, dtype=np.int64)
 
 
 @dataclass
@@ -111,11 +107,9 @@ class Gather:
         return self.idx.order[self.pos]
 
     @property
-    def times(self) -> np.ndarray:
-        return self.idx.times[self.pos]
-
-    def dated_mask(self, parents: np.ndarray) -> np.ndarray:
-        return self.pos < self.idx.dated_end[parents[self.seg]]
+    def ranks(self) -> np.ndarray:
+        """Time rank of every slot (`EdgeIndex.radix - 1` when undated)."""
+        return self.idx.keys[self.pos] % self.idx.radix
 
     def keep(self, mask: np.ndarray) -> "Gather":
         return Gather(self.idx, self.pos[mask], self.seg[mask], self.n_seg)
@@ -128,28 +122,34 @@ def gather_children(
     anchor: Optional[int],
 ) -> Gather:
     """Collect child slots for each of the given parent rows. Windowed
-    gathers slice the dated prefix; unwindowed gathers take every child,
-    undated included."""
+    gathers take the dated children in [anchor + start, anchor + end);
+    unwindowed gathers take every child, undated included.
+
+    The restricted gather is a binary-searched window: the window's time
+    bounds become ranks in the child table's `time_values`, and each
+    parent's slot range is found by searching `parent * K + rank` in the
+    edge's sorted keys. The full scan masks every slot's rank instead."""
     idx = ctx.g.edge_index(agg.group_edge)
     windowed = agg.window is not None
     if windowed:
         if anchor is None:
             raise ExecutionError("windowed gather requires an anchor")
         start = agg.window.start_micros
-        lo = None if start is None else anchor + start
-        hi = anchor + agg.window.end_micros
+        # Time bounds as ranks: time >= lo iff rank >= lo_rank, time < hi
+        # iff rank < hi_rank, and hi_rank never exceeds the undated rank.
+        lo_rank = None if start is None else idx.time_values.searchsorted(anchor + start)
+        hi_rank = idx.time_values.searchsorted(anchor + agg.window.end_micros)
 
     if ctx.fullscan:
-        slot_parent, slot_dated = _edge_slot_arrays(idx)
         if windowed:
-            mask = slot_dated.copy()
-            if lo is not None:
-                mask &= idx.times >= lo
-            mask &= idx.times < hi
+            ranks = _edge_slot_arrays(idx)
+            mask = ranks < hi_rank
+            if lo_rank is not None:
+                mask &= ranks >= lo_rank
+            pos = np.nonzero(mask)[0]
         else:
-            mask = np.ones(len(idx.order), dtype=np.bool_)
-        pos = np.nonzero(mask)[0]
-        seg = slot_parent[pos]
+            pos = np.arange(len(idx.order), dtype=np.int64)
+        seg = idx.keys[pos] // idx.radix
         # Remap global parent rows onto the requested selection.
         local = np.full(len(idx.indptr) - 1, -1, dtype=np.int64)
         local[parents] = np.arange(len(parents), dtype=np.int64)
@@ -157,20 +157,19 @@ def gather_children(
         inside = seg_local >= 0
         return Gather(idx, pos[inside], seg_local[inside], len(parents))
 
-    # Restricted: pull the selected parents' (dated) child slices in one
-    # vectorized pass, then mask by the window. Work scales with the
-    # selected parents' children, never with the table.
-    starts = idx.indptr[parents]
-    ends = idx.dated_end[parents] if windowed else idx.indptr[parents + 1]
+    # Restricted: binary-search each selected parent's window bounds in the
+    # sorted keys and take only the window's slots. Work scales with the
+    # selected parents and the rows kept, never with the table.
+    if windowed:
+        base = parents * idx.radix
+        starts = idx.indptr[parents] if lo_rank is None else idx.keys.searchsorted(base + lo_rank)
+        ends = idx.keys.searchsorted(base + hi_rank)
+    else:
+        starts = idx.indptr[parents]
+        ends = idx.indptr[parents + 1]
     lengths = ends - starts
     pos = _multiarange(starts, lengths)
     seg = np.repeat(np.arange(len(parents), dtype=np.int64), lengths)
-    if windowed and len(pos):
-        t = idx.times[pos]
-        mask = t < hi
-        if lo is not None:
-            mask &= t >= lo
-        pos, seg = pos[mask], seg[mask]
     return Gather(idx, pos, seg, len(parents))
 
 
@@ -314,10 +313,10 @@ def eval_agg_vec(
             parents = np.bincount(gathered.seg[exc.segments], minlength=gathered.n_seg) > 0
             raise SumOverflow(parents) from None
         gathered = gathered.keep(keep)
-    return _fold(ctx, agg, gathered, rows)
+    return _fold(ctx, agg, gathered)
 
 
-def _fold(ctx: VecCtx, agg: BoundAggregation, gth: Gather, parents) -> Tuple[np.ndarray, np.ndarray]:
+def _fold(ctx: VecCtx, agg: BoundAggregation, gth: Gather) -> Tuple[np.ndarray, np.ndarray]:
     n = gth.n_seg
     kind = agg.kind
     seg = gth.seg
@@ -332,15 +331,17 @@ def _fold(ctx: VecCtx, agg: BoundAggregation, gth: Gather, parents) -> Tuple[np.
     null = col.null[child_rows]
 
     if kind in (AggKind.FIRST, AggKind.LAST):
-        dated = gth.dated_mask(parents)
+        # Rank order is time order, so ranks pick and tie as times do.
+        ranks = gth.ranks
+        dated = ranks < gth.idx.radix - 1
         big = _INT_MAX
         if kind is AggKind.FIRST:
             pick = np.full(n, big, dtype=np.int64)
             np.minimum.at(pick, seg[dated], gth.pos[dated])
         else:
-            t_max = np.full(n, _INT_MIN, dtype=np.int64)
-            np.maximum.at(t_max, seg[dated], gth.times[dated])
-            tie = dated & (gth.times == t_max[seg])
+            r_max = np.full(n, -1, dtype=np.int64)
+            np.maximum.at(r_max, seg[dated], ranks[dated])
+            tie = dated & (ranks == r_max[seg])
             pick = np.full(n, big, dtype=np.int64)
             np.minimum.at(pick, seg[tie], gth.pos[tie])
         has = pick < big

@@ -37,7 +37,7 @@ from .binder import (
 )
 from .engine import TrainingTable, evaluate_pairs
 from .errors import ExecutionError
-from .kernels import VecCtx, _edge_slot_arrays, gather_children
+from .kernels import VecCtx, gather_children
 from .planner import AnchorPolicy, feasible_anchors
 from .splits import SplitPolicy
 from .store import Database, RowGraph, RowRef
@@ -184,12 +184,18 @@ def sample_pairs(
     if anchor is None:
         anchor = feasible_anchors(bound, AnchorPolicy(), db)[0]
     latest = np.full(n_entities, np.iinfo(np.int64).min, dtype=np.int64)
+    entities = np.arange(n_entities, dtype=np.int64)
     edges = {a.group_edge for a in _request_edges(bound) if a.group_edge.parent_table == etable}
     for edge in edges:
         idx = g.edge_index(edge)
-        slot_parent, slot_dated = _edge_slot_arrays(idx)
-        mask = slot_dated & (idx.times < anchor)
-        np.maximum.at(latest, slot_parent[mask], idx.times[mask])
+        # Each entity's children before the anchor end where its keys reach
+        # the anchor's rank; the slot before that end is the newest one.
+        # Ranks belong to one child table, so compare times across edges.
+        base = entities * idx.radix
+        end = idx.keys.searchsorted(base + idx.time_values.searchsorted(anchor))
+        has = np.nonzero(end > idx.indptr[:-1])[0]
+        newest = idx.time_values[idx.keys[end[has] - 1] - base[has]]
+        latest[has] = np.maximum(latest[has], newest)
     active = np.nonzero(latest > np.iinfo(np.int64).min)[0]
     pk = db.table(etable).column(db.table(etable).definition.primary_key)
     ranked = sorted(active.tolist(), key=lambda i: (-int(latest[i]), pk.get(i)))

@@ -45,6 +45,8 @@ import io
 import itertools
 import json
 import math
+import re
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
@@ -191,13 +193,34 @@ def _parse_column(raw: dict, table: str) -> ColumnDef:
     return ColumnDef(name, dtype, stype, nullable=bool(raw.get("nullable", True)))
 
 
+# A JSON string, or an integer literal (group 1): digits that are not part
+# of a string, a fraction or an exponent.
+_JSON_STRING_OR_INT = re.compile(r'"(?:[^"\\]|\\.)*"|(?<![\w.+-])(-?[0-9]+)(?![\w.])')
+
+
+def parse_json(text: str):
+    """`json.loads`, except that an integer literal longer than `int` takes
+    (`sys.get_int_max_str_digits()`) fails as a malformed document does,
+    with a `json.JSONDecodeError` at the literal."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        for found in _JSON_STRING_OR_INT.finditer(text) if limit else ():
+            if found.group(1) and len(found.group(1).lstrip("-")) > limit:
+                raise json.JSONDecodeError(f"integer of more than {limit} digits", text, found.start(1)) from None
+        raise
+
+
 def load_schema(source: Union[str, dict, Path]) -> Schema:
     """Load and validate a schema from its JSON document (text, dict, or path)."""
     if isinstance(source, Path):
         source = source.read_text(encoding="utf-8")
     if isinstance(source, str):
         try:
-            doc = json.loads(source)
+            doc = parse_json(source)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"schema document is not valid JSON: {exc}")
     else:
@@ -1042,19 +1065,32 @@ class EdgeIndex:
 
     `order` lists child row indices grouped by parent; within a parent the
     dated children come first sorted by time (ties keep load order), then
-    undated children in load order. `times` aligns with `order`.
+    undated children in load order.
+
+    `keys` aligns with `order` and is non-decreasing: slot `s` holding a
+    child of parent `p` has key `p * K + rank`, where `rank` is the dense
+    rank of the child's time in `time_values` (the child table's sorted
+    distinct times, shared by its edges) and an undated child has rank
+    `K - 1`, with `K = radix = len(time_values) + 1`. Rank order is time
+    order, so a window [lo, hi) of parent `p` is the slot range between
+    `searchsorted(keys, p * K + searchsorted(time_values, lo))` and the
+    same search with `hi`.
     """
 
     edge: FkEdge
     forward: np.ndarray  # child row -> parent row, -1 when null/dangling
     indptr: np.ndarray  # parent row -> slice start in `order`
-    dated_end: np.ndarray  # parent row -> end of the dated prefix
     order: np.ndarray
-    times: np.ndarray
-    # Per-slot parent row and dated flag for full-scan gathers, aligned with
-    # `order`; `kernels._edge_slot_arrays` builds them on first use.
-    slot_parent: Optional[np.ndarray] = None
-    slot_dated: Optional[np.ndarray] = None
+    keys: np.ndarray
+    time_values: np.ndarray
+    # Per-slot time rank for full-scan gathers, aligned with `order`;
+    # `kernels._edge_slot_arrays` builds it on first use.
+    slot_ranks: Optional[np.ndarray] = None
+
+    @property
+    def radix(self) -> int:
+        """K: one more than the number of distinct child times."""
+        return len(self.time_values) + 1
 
 
 class RowGraph:
@@ -1063,14 +1099,31 @@ class RowGraph:
     def __init__(self, db: Database):
         self.db = db
         self.edges: Dict[FkEdge, EdgeIndex] = {}
+        ranked: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
         for edge in db.schema.edges():
-            self.edges[edge] = self._build_edge(db, edge)
+            if edge.child_table not in ranked:
+                ranked[edge.child_table] = self._time_ranks(db.tables.get(edge.child_table))
+            self.edges[edge] = self._build_edge(db, edge, *ranked[edge.child_table])
 
     @staticmethod
-    def _build_edge(db: Database, edge: FkEdge) -> EdgeIndex:
+    def _time_ranks(child: Optional[TableData]) -> Tuple[np.ndarray, np.ndarray]:
+        """A child table's sorted distinct times, and each row's dense rank
+        among them (undated rows rank last, at `len(time_values)`)."""
+        tname = child.definition.time_column if child is not None else None
+        if tname is None:
+            n = child.nrows if child is not None else 0
+            return np.empty(0, dtype=np.int64), np.zeros(n, dtype=np.int64)
+        tcol = child.column(tname)
+        dated = ~tcol.null
+        time_values, inverse = np.unique(tcol.values[dated], return_inverse=True)
+        ranks = np.full(len(tcol.values), len(time_values), dtype=np.int64)
+        ranks[dated] = inverse
+        return time_values, ranks
+
+    @staticmethod
+    def _build_edge(db: Database, edge: FkEdge, time_values: np.ndarray, ranks: np.ndarray) -> EdgeIndex:
         child = db.tables.get(edge.child_table)
         parent = db.tables.get(edge.parent_table)
-        n_child = child.nrows if child else 0
         n_parent = parent.nrows if parent else 0
 
         if child:
@@ -1080,35 +1133,16 @@ class RowGraph:
         else:
             forward = np.empty(0, dtype=np.int64)
         linked = np.nonzero(forward >= 0)[0]
-        tdef = child.definition if child else None
-        if tdef is not None and tdef.time_column is not None and len(linked):
-            tcol = child.column(tdef.time_column)
-            undated = tcol.null[linked]
-            times = tcol.values[linked]
-        else:
-            undated = np.zeros(len(linked), dtype=np.bool_)
-            times = np.zeros(len(linked), dtype=np.int64)
-            if tdef is None or tdef.time_column is None:
-                undated[:] = True
-
-        # Stable sort: parent, dated-before-undated, then time. Ties keep
-        # load order, which is what the window tie rule requires.
-        perm = np.lexsort((times, undated, forward[linked]))
+        radix = len(time_values) + 1
+        # One stable sort of (parent, rank): dated before undated, then
+        # time. Ties keep load order, which is what the window tie rule
+        # requires.
+        keys = forward[linked] * radix + ranks[linked]
+        perm = np.argsort(keys, kind="stable")
         order = linked[perm]
-        sorted_parents = forward[order]
-        counts = np.bincount(sorted_parents, minlength=n_parent)
-        indptr = np.zeros(n_parent + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        dated_counts = np.bincount(sorted_parents[~undated[perm]], minlength=n_parent)
-        dated_end = indptr[:-1] + dated_counts
-        return EdgeIndex(
-            edge,
-            forward,
-            indptr,
-            dated_end,
-            order,
-            times[perm].astype(np.int64, copy=False),
-        )
+        keys = keys[perm]
+        indptr = np.searchsorted(keys, np.arange(n_parent + 1, dtype=np.int64) * radix)
+        return EdgeIndex(edge, forward, indptr, order, keys, time_values)
 
     def edge_index(self, edge: FkEdge) -> EdgeIndex:
         if edge not in self.edges:

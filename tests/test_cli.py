@@ -294,6 +294,30 @@ def test_unread_flag_is_refused(command, flag, capsys):
     assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
 
 
+# A JSON file of each kind pql reads, and the error a malformed one gets:
+# (the command line before the file, exit code, text on stderr).
+QUERY = ["--query", "PREDICT CUSTOMERS.AGE FOR EACH CUSTOMERS.CUSTOMER_ID"]
+JSON_FILES = {
+    "config": (["train-table", "--out-dir", "unused", *QUERY, "--config"], 3, "i/o error: bad JSON: "),
+    "genspec": (["gen-data", "--out-dir", "unused", "--genspec"], 3, "i/o error: bad JSON: "),
+    "schema": (["validate", *QUERY, "--schema"], 1, "schema document is not valid JSON: "),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(JSON_FILES))
+def test_oversized_json_integer_is_bad_json(kind, tmp_path, capsys):
+    args, code, text = JSON_FILES[kind]
+    # int() refuses more than 4,300 digits; such a file fails as one that
+    # does not parse does, never with a traceback.
+    for name, doc in (("malformed", '{"anchors": 1,}'), ("oversized", '{"anchors": ' + "1" * 5000 + "}")):
+        path = tmp_path / f"{name}.json"
+        path.write_text(doc)
+        assert main([*args, str(path)]) == code, name
+        err = capsys.readouterr().err
+        assert text in err and "Traceback" not in err, err
+    assert "integer of more than 4300 digits: line 1 column 13 (char 12)" in err
+
+
 def test_lenient_fk_reports_kept_keys_on_stderr(retail_dir, tmp_path, capsys):
     data = tmp_path / "data"
     shutil.copytree(retail_dir, data)

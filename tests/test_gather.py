@@ -1,0 +1,225 @@
+"""Binary-searched window gathers: the restricted gather equals the full-scan
+gather, and the row graph's (parent, time-rank) keys give the documented
+child order."""
+
+import numpy as np
+import pytest
+
+from pql.ast import AggKind, TimeUnit, Window
+from pql.binder import BoundAggregation
+from pql.kernels import Gather, VecCtx, gather_children
+from pql.store import (
+    DataType,
+    FkEdge,
+    SemanticType,
+    build_row_graph,
+    load_schema,
+    load_table_data,
+    new_database,
+)
+from pql.synth import random_database, random_schema
+from pql.times import MICROS_PER_DAY, MICROS_PER_SECOND, parse_timestamp
+
+T = parse_timestamp
+
+HAND_SCHEMA = load_schema(
+    {
+        "tables": [
+            {"name": "P", "primary_key": "ID",
+             "columns": [{"name": "ID", "dtype": "int64", "stype": "key"}]},
+            {"name": "C", "primary_key": "ID", "time_column": "AT",
+             "foreign_keys": [{"column": "P_ID", "references": "P"}],
+             "columns": [{"name": "ID", "dtype": "int64", "stype": "key"},
+                         {"name": "P_ID", "dtype": "int64", "stype": "key"},
+                         {"name": "AT", "dtype": "timestamp", "stype": "temporal"}]},
+            {"name": "D", "primary_key": "ID",
+             "foreign_keys": [{"column": "P_ID", "references": "P"}],
+             "columns": [{"name": "ID", "dtype": "int64", "stype": "key"},
+                         {"name": "P_ID", "dtype": "int64", "stype": "key"}]},
+        ]
+    }
+)
+
+# P row i holds ID i + 1. P 1 has two children on one day (tie) and an
+# undated one loaded between dated ones; C rows 0 and 2 share a time across
+# parents; P 3's history lies before, P 4's after the windows below; P 5 is
+# childless; C row 5 has a null FK.
+HAND_C = """ID,P_ID,AT
+1,1,2024-01-02
+2,1,2024-01-05
+3,2,2024-01-02
+4,2,
+5,1,2024-01-05
+6,,2024-01-03
+7,3,2023-06-01
+8,4,2025-06-01
+9,2,2024-01-04
+10,1,
+11,1,2024-01-01
+"""
+HAND_D = """ID,P_ID
+1,1
+2,3
+3,
+4,1
+"""
+C_EDGE = FkEdge("C", "P_ID", "P")
+D_EDGE = FkEdge("D", "P_ID", "P")
+
+
+@pytest.fixture(scope="module")
+def hand_graph():
+    db = new_database(HAND_SCHEMA)
+    load_table_data(db, "P", "ID\n1\n2\n3\n4\n5\n")
+    load_table_data(db, "C", HAND_C)
+    load_table_data(db, "D", HAND_D)
+    return build_row_graph(db)
+
+
+def count_over(edge: FkEdge, window) -> BoundAggregation:
+    return BoundAggregation(AggKind.COUNT, edge.child_table, None, None, None, edge, None, window,
+                            DataType.INT64, SemanticType.NUMERICAL)
+
+
+def both(g, agg, parents, anchor) -> Gather:
+    """The restricted gather, after checking that the full scan agrees."""
+    parents = np.asarray(parents, dtype=np.int64)
+    got = gather_children(VecCtx(g.db, g), agg, parents, anchor)
+    scan = gather_children(VecCtx(g.db, g, fullscan=True), agg, parents, anchor)
+    assert got.pos.tolist() == scan.pos.tolist()
+    assert got.seg.tolist() == scan.seg.tolist()
+    assert got.n_seg == scan.n_seg == len(parents)
+    return got
+
+
+def by_parent(gth: Gather, parents) -> dict:
+    rows = gth.child_rows.tolist()
+    out = {p: [] for p in parents}
+    for s, r in zip(gth.seg.tolist(), rows):
+        out[parents[s]].append(r)
+    return out
+
+
+def lexsort_order(db, idx) -> np.ndarray:
+    """The reference child order of an edge: parent, dated before undated,
+    time, then load order. A null cell's stored value is a placeholder, so
+    undated children sort by load order alone."""
+    child = db.table(idx.edge.child_table)
+    forward = idx.forward
+    linked = np.nonzero(forward >= 0)[0]
+    tname = child.definition.time_column
+    if tname is None:
+        undated = np.ones(len(linked), dtype=np.bool_)
+        times = np.zeros(len(linked), dtype=np.int64)
+    else:
+        undated = child.column(tname).null[linked]
+        times = np.where(undated, 0, child.column(tname).values[linked])
+    return linked[np.lexsort((times, undated, forward[linked]))]
+
+
+class TestHandBuiltEdges:
+    ALL = [0, 1, 2, 3, 4]
+
+    def test_lo_is_kept_and_hi_dropped(self, hand_graph):
+        agg = count_over(C_EDGE, Window(0, 3, TimeUnit.DAYS))
+        got = by_parent(both(hand_graph, agg, self.ALL, T("2024-01-02")), self.ALL)
+        # [Jan 2, Jan 5): rows at Jan 2 kept, Jan 5 (rows 1 and 4) dropped;
+        # the shared Jan 2 time counts for both parents.
+        assert got == {0: [0], 1: [2, 8], 2: [], 3: [], 4: []}
+
+    def test_ties_keep_load_order(self, hand_graph):
+        agg = count_over(C_EDGE, Window(-1, 0, TimeUnit.DAYS))
+        got = by_parent(both(hand_graph, agg, [0], T("2024-01-06")), [0])
+        assert got == {0: [1, 4]}
+
+    def test_unbounded_lookback(self, hand_graph):
+        agg = count_over(C_EDGE, Window(None, 0, TimeUnit.DAYS))
+        got = by_parent(both(hand_graph, agg, self.ALL, T("2024-01-05")), self.ALL)
+        assert got == {0: [10, 0], 1: [2, 8], 2: [6], 3: [], 4: []}
+        got = by_parent(both(hand_graph, agg, self.ALL, T("2030-01-01")), self.ALL)
+        # Undated children never fall in a window.
+        assert got == {0: [10, 0, 1, 4], 1: [2, 8], 2: [6], 3: [7], 4: []}
+
+    def test_histories_before_or_after_the_window(self, hand_graph):
+        agg = count_over(C_EDGE, Window(-7, 7, TimeUnit.DAYS))
+        got = by_parent(both(hand_graph, agg, [2, 3], T("2024-01-03")), [2, 3])
+        assert got == {2: [], 3: []}
+        got = by_parent(both(hand_graph, agg, self.ALL, T("1990-01-01")), self.ALL)
+        assert got == {p: [] for p in self.ALL}
+        got = by_parent(both(hand_graph, agg, self.ALL, T("2040-01-01")), self.ALL)
+        assert got == {p: [] for p in self.ALL}
+
+    def test_unwindowed_takes_undated_children_too(self, hand_graph):
+        got = by_parent(both(hand_graph, count_over(C_EDGE, None), self.ALL, None), self.ALL)
+        assert got == {0: [10, 0, 1, 4, 9], 1: [2, 8, 3], 2: [6], 3: [7], 4: []}
+
+    def test_child_table_without_time_column(self, hand_graph):
+        idx = hand_graph.edge_index(D_EDGE)
+        assert idx.radix == 1 and len(idx.time_values) == 0
+        got = by_parent(both(hand_graph, count_over(D_EDGE, None), self.ALL, None), self.ALL)
+        assert got == {0: [0, 3], 1: [], 2: [1], 3: [], 4: []}
+        windowed = count_over(D_EDGE, Window(None, 1, TimeUnit.DAYS))
+        got = by_parent(both(hand_graph, windowed, self.ALL, T("2024-01-01")), self.ALL)
+        assert got == {p: [] for p in self.ALL}
+
+    def test_null_foreign_keys_have_no_slot(self, hand_graph):
+        for edge, null_row in ((C_EDGE, 5), (D_EDGE, 2)):
+            idx = hand_graph.edge_index(edge)
+            assert idx.forward[null_row] == -1
+            assert null_row not in idx.order.tolist()
+
+    def test_keys_and_order(self, hand_graph):
+        idx = hand_graph.edge_index(C_EDGE)
+        # Seven distinct times, the null-FK child's included: K = 8 and
+        # undated children rank 7.
+        assert idx.time_values.tolist() == [
+            T(d) for d in ("2023-06-01", "2024-01-01", "2024-01-02", "2024-01-03",
+                           "2024-01-04", "2024-01-05", "2025-06-01")
+        ]
+        assert idx.radix == 8
+        assert idx.keys.tolist() == [1, 2, 5, 5, 7, 8 + 2, 8 + 4, 8 + 7, 16 + 0, 24 + 6]
+        assert idx.order.tolist() == [10, 0, 1, 4, 9, 2, 8, 3, 6, 7]
+        assert idx.order.tolist() == lexsort_order(hand_graph.db, idx).tolist()
+        assert idx.indptr.tolist() == [0, 5, 8, 9, 10, 10]
+
+
+class TestRandomDatabases:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_row_graph_keys_and_order(self, seed):
+        db = random_database(seed, random_schema(seed % 10), scale=1.0 + seed % 3)
+        g = build_row_graph(db)
+        for edge, idx in g.edges.items():
+            assert (np.diff(idx.keys) >= 0).all(), edge
+            assert idx.order.tolist() == lexsort_order(db, idx).tolist(), edge
+            assert (np.diff(idx.time_values) > 0).all(), edge
+            parents = idx.keys // idx.radix
+            assert parents.tolist() == idx.forward[idx.order].tolist(), edge
+            assert idx.indptr.tolist() == np.searchsorted(
+                parents, np.arange(len(idx.indptr))).tolist(), edge
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_restricted_equals_full_scan(self, seed):
+        db = random_database(seed, random_schema(seed % 10), scale=1.0 + seed % 3)
+        g = build_row_graph(db)
+        rng = np.random.default_rng(seed)
+        windows = [Window(None, 0, TimeUnit.DAYS), Window(-30, 0, TimeUnit.DAYS),
+                   Window(0, 45, TimeUnit.DAYS), Window(-200, 400, TimeUnit.DAYS),
+                   Window(-5, 5, TimeUnit.SECONDS), None]
+        for edge, idx in g.edges.items():
+            n_parent = len(idx.indptr) - 1
+            if not n_parent:
+                continue
+            times = idx.time_values
+            anchors = [int(times[0]) - MICROS_PER_DAY, int(times[-1]) + MICROS_PER_DAY] if len(times) else [0]
+            if len(times):
+                # Anchors that put a child time exactly on a window bound.
+                picks = times[rng.integers(0, len(times), 4)]
+                anchors += [int(t) + 5 * MICROS_PER_SECOND for t in picks]
+                anchors += [int(t) - 5 * MICROS_PER_SECOND for t in picks]
+                anchors += [int(t) for t in picks]
+            for window in windows:
+                agg = count_over(edge, window)
+                for anchor in anchors:
+                    for parents in (np.arange(n_parent),
+                                    np.unique(rng.integers(0, n_parent, max(1, n_parent // 3)))):
+                        both(g, agg, parents, None if window is None else anchor)

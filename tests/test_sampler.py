@@ -13,7 +13,7 @@ from pql.oracle import oracle_touches, oracle_training
 from pql.parser import parse
 from pql.planner import AnchorPolicy, plan_training, resolve_anchors
 from pql.sampler import build_request, collect, compute_on_subgraph, sample_pairs
-from pql.store import RowRef, build_row_graph
+from pql.store import FkEdge, RowRef, build_row_graph
 from pql.synth import GenSpec, generate, random_database, random_query, random_schema
 from pql.times import MICROS_PER_DAY, parse_timestamp
 
@@ -140,6 +140,35 @@ class TestSamplePairs:
         b = bind_text("PREDICT COUNT(TRANSACTIONS.*, 0, 400, days) FOR EACH CUSTOMERS.CUSTOMER_ID")
         with pytest.raises(ExecutionError, match="^no feasible anchors"):
             sample_pairs(toy_db, toy_graph, b, 3)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_a_scan_of_child_times(self, seed):
+        # Transactions and notifications both lead into customers; the
+        # generator leaves some event times null.
+        db = generate(GenSpec(seed=seed, customers=300, articles=20, transactions=3000,
+                              notifications=600))
+        g = build_row_graph(db)
+        b = bind(parse(CORPUS_BY_NAME["active_spender_notified"].text), db.schema)
+        pk = db.table("CUSTOMERS").column("CUSTOMER_ID")
+        rnd = random.Random(seed)
+        times = db.table("TRANSACTIONS").column("TIMESTAMP")
+        dated = times.values[~times.null].tolist()
+        for anchor in [min(dated), max(dated) + 1, *rnd.sample(dated, 6)]:
+            # The newest dated child strictly before the anchor, per customer.
+            latest = {}
+            for table, tcol in (("TRANSACTIONS", "TIMESTAMP"), ("NOTIFICATIONS", "TIME_SENT")):
+                data = db.table(table)
+                forward = g.edge_index(FkEdge(table, "CUSTOMER_ID", "CUSTOMERS")).forward
+                col = data.column(tcol)
+                for row in range(data.nrows):
+                    t = col.get(row)
+                    if forward[row] >= 0 and t is not None and t < anchor:
+                        latest[int(forward[row])] = max(latest.get(int(forward[row]), t), t)
+            want = sorted(latest, key=lambda i: (-latest[i], pk.get(i)))
+            for n in (len(want) + 5, 7):
+                got = sample_pairs(db, g, b, n, anchor=anchor)
+                assert [ref.index for ref, _ in got] == want[:n]
+                assert {a for _, a in got} <= {anchor}
 
     def test_work_proportional_to_pairs(self):
         db = generate(GenSpec(seed=11, customers=2000, articles=50, transactions=40000,

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import json
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -171,6 +172,17 @@ class TestLoadSchema:
         assert raw["tables"][0]["columns"][1] == {"name": "X", "dtype": "int64", "stype": "numerical"}
         assert [c.nullable for c in load_schema(raw).table("A").columns] == [False, True]
 
+    def test_oversized_integer_is_located_outside_strings(self):
+        # Long digit runs in a string, a fraction and an exponent parse;
+        # the error points at the integer literal that int() refuses.
+        digits = "1" * 5000
+        doc = f'{{"s": "{digits} ,{digits}", "f": 1.{digits}, "e": 1e-{digits}, "i": [2, -{digits}]}}'
+        with pytest.raises(json.JSONDecodeError, match="integer of more than 4300 digits") as exc:
+            store.parse_json(doc)
+        assert exc.value.pos == doc.index(f"[2, -{digits}") + 4
+        with pytest.raises(SchemaError, match="^schema document is not valid JSON: integer of more"):
+            load_schema(doc)
+
 
 class TestLoadData:
     def test_row_counts(self, toy_db):
@@ -268,17 +280,15 @@ class TestRowGraph:
         assert children_in_window(toy_graph, 0, exact - second, exact) == []
         assert children_in_window(toy_graph, 0, exact + 1 - second, exact + 1) == [0]
 
-    def test_slot_arrays_are_built_once_per_edge(self, toy_graph):
+    def test_slot_arrays_are_built_once_per_edge(self, toy_graph, toy_db):
         idx = toy_graph.edge_index(FkEdge("TRANSACTIONS", "CUSTOMER_ID", "CUSTOMERS"))
-        parent, dated = _edge_slot_arrays(idx)
-        assert idx.slot_parent is parent and idx.slot_dated is dated
-        again = _edge_slot_arrays(idx)
-        assert again[0] is parent and again[1] is dated
-        counts = np.diff(idx.indptr)
-        assert parent.tolist() == np.repeat(np.arange(len(counts)), counts).tolist()
-        assert dated.tolist() == [
-            slot < idx.dated_end[p] for slot, p in enumerate(parent.tolist())
-        ]
+        ranks = _edge_slot_arrays(idx)
+        assert idx.slot_ranks is ranks
+        assert _edge_slot_arrays(idx) is ranks
+        tcol = toy_db.table("TRANSACTIONS").column("TIMESTAMP")
+        dated = ~tcol.null[idx.order]
+        assert (ranks[~dated] == idx.radix - 1).all()
+        assert idx.time_values[ranks[dated]].tolist() == tcol.values[idx.order][dated].tolist()
 
     def test_wrong_parent_table(self, toy_graph):
         # Rows reach the kernels as indices of the aggregation's parent
