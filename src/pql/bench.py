@@ -165,7 +165,7 @@ def run_bench(
                 return oracle_training(bound, db, resolved, split=split)
 
             table, samples = _timed(oracle, runs, warmup=False)
-            results["oracle"] = PathResult("oracle", samples, rows_out=table.row_count)
+            results["oracle"] = PathResult("oracle", samples, rows_out=len(table.rows))
 
     if "sampler" in paths:
         pair_list = sample_pairs(db, g, bound0, pairs)

@@ -79,10 +79,10 @@ def _option(name: str, parse: Callable, text: Optional[str], default=None):
         raise PqlError(f"--{name}: {exc}") from None
 
 
-def _at_least_one(args, name: str) -> int:
+def _at_least(args, name: str, low: int = 1) -> int:
     value = getattr(args, name)
-    if value < 1:
-        raise PqlError(f"--{name} must be at least 1, got {value}")
+    if value < low:
+        raise PqlError(f"--{name} must be at least {low}, got {value}")
     return value
 
 
@@ -163,7 +163,7 @@ def cmd_train_table(args) -> int:
     db = _load_db(args)
     bound = _bound(args, db.schema)
     plan = plan_training(bound, _policy(args), optimized=args.strategy != "naive")
-    workers = args.workers if args.workers > 0 else os.cpu_count() or 1
+    workers = _at_least(args, "workers", 0) or os.cpu_count() or 1
     table = materialize_training(plan, db, split=_split(args), workers=workers,
                                  keep_empty_labels=args.keep_empty_labels)
     paths = write_training_table(table, Path(args.out_dir))
@@ -183,8 +183,8 @@ def cmd_predict_table(args) -> int:
     paths = write_prediction_table(table, Path(args.out_dir))
     cand = table.metadata.get("candidate_count")
     extra = f" candidates={cand}" if cand is not None else ""
-    print(f"rows={len(table.rows)}{extra}")
-    return _wrote(paths, len(table.rows))
+    print(f"rows={table.row_count}{extra}")
+    return _wrote(paths, table.row_count)
 
 
 def _wrote(paths: List[Path], rows: int) -> int:
@@ -198,7 +198,7 @@ def _wrote(paths: List[Path], rows: int) -> int:
 
 
 def cmd_sample(args) -> int:
-    pairs = _at_least_one(args, "pairs")
+    pairs = _at_least(args, "pairs")
     db = _load_db(args)
     bound = _bound(args, db.schema)
     g = build_row_graph(db)
@@ -239,7 +239,7 @@ def cmd_gen_data(args) -> int:
         spec = GenSpec.from_json(parse_json(Path(args.genspec).read_text(encoding="utf-8")))
     else:
         spec = hm_genspec(scale=_scale(args), seed=args.seed, validity=args.validity,
-                          upscale=_at_least_one(args, "upscale"))
+                          upscale=_at_least(args, "upscale"))
     db = generate(spec)
     out = Path(args.out_dir)
     save_database(db, out)
@@ -250,7 +250,7 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    runs, pairs = _at_least_one(args, "runs"), _at_least_one(args, "pairs")
+    runs, pairs = _at_least(args, "runs"), _at_least(args, "pairs")
     if args.data_dir:
         db = _load_db(args)
     else:
@@ -258,7 +258,7 @@ def cmd_bench(args) -> int:
     paths = [p.strip() for p in args.paths.split(",") if p.strip()]
     # Timing comparisons run single-threaded unless asked otherwise.
     report = run_bench(db, _query_text(args), paths=paths, runs=runs, pairs=pairs, anchors=args.anchors,
-                       seed=args.seed, workers=args.workers if args.workers > 0 else 1)
+                       seed=args.seed, workers=_at_least(args, "workers", 0) or 1)
     print(format_report(report))
     if args.out:
         out = Path(args.out)
@@ -308,7 +308,8 @@ def _add_common(p: argparse.ArgumentParser, *, query: bool = True, data: bool = 
         p.add_argument("--data-dir", dest="data_dir", help="directory of <table>.csv files")
         p.add_argument("--lenient-fk", dest="lenient_fk", action="store_true",
                        help="keep rows with dangling foreign keys")
-        p.add_argument("--workers", type=int, default=0)
+        p.add_argument("--workers", type=int, default=0,
+                       help="anchor threads; 0 means one per core (bench: one) (default %(default)s)")
 
 
 def _add_anchor_flags(p: argparse.ArgumentParser, *, grid: bool = True):

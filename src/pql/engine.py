@@ -12,7 +12,8 @@ threads when asked. Each row a node drops is counted by cause, once, under
 the first node that drops it. Optimized plans use the restricted kernels
 on the selected rows; the cross-product baseline gathers with full-table
 scans and computes targets for every pair before any filter. All paths
-produce identical tables.
+produce identical tables, held as column arrays: Project sorts each block's
+keys, values and split codes, and the blocks concatenate. `rows` is a view.
 
 Undefined values: aggregations over an empty (or all-null) set are
 undefined for SUM/AVG/MIN/MAX/FIRST/LAST, zero for COUNT/COUNT_DISTINCT,
@@ -35,32 +36,53 @@ from .binder import BoundQuery, TaskType
 from .errors import ExecutionError, PlanError
 from .kernels import SumOverflow, VecCtx, eval_condition_vec, eval_target_vec
 from .planner import LogicalPlan, PlanNode, feasible_anchors, plan_training
-from .splits import SplitPolicy, split_for_anchor_rank, split_for_keys
-from .store import Database, ListType, RowGraph, RowRef, build_row_graph
+from .splits import SPLITS, SplitPolicy, split_code_for_anchor_rank, split_counts, split_for_keys
+from .store import _NUMPY_DTYPE, Column, Database, DataType, ListType, RowGraph, RowRef, build_row_graph
 from .times import format_timestamp
 
 
 # ---------------------------------------------------------------------------
-# Output tables
+# Output tables: columns in canonical order, newest anchor first, then key
 
 
 @dataclass
-class TrainingTable:
+class _Table:
     columns: Tuple[str, ...]
-    rows: List[Tuple]  # (entity_key, anchor_micros | None, target, split)
-    metadata: dict
+    key_dtype: DataType
+    keys: np.ndarray
+    anchors: Optional[np.ndarray]  # int64 micros per row; None for a static table
 
     @property
     def row_count(self) -> int:
-        return len(self.rows)
+        return len(self.keys)
+
+    def _view(self, *more: np.ndarray) -> List[Tuple]:
+        """Rows of Python values: key, anchor (None when static), then `more`."""
+        anchors = [None] * len(self.keys) if self.anchors is None else self.anchors.tolist()
+        return list(zip(self.keys.tolist(), anchors, *(column.tolist() for column in more)))
 
 
 @dataclass
-class PredictionTable:
-    columns: Tuple[str, ...]
-    rows: List[Tuple]  # (entity_key, anchor_micros | None)
+class TrainingTable(_Table):
+    values: np.ndarray  # of the target's dtype; object (tuples) for list targets
+    splits: np.ndarray  # int8 codes into `splits.SPLITS`
+    metadata: dict
+
+    @property
+    def rows(self) -> List[Tuple]:
+        """(entity_key, anchor_micros | None, target, split) per row."""
+        return self._view(self.values, SPLITS[self.splits])
+
+
+@dataclass
+class PredictionTable(_Table):
     candidates: Optional[List] = None
     metadata: dict = field(default_factory=dict)
+
+    @property
+    def rows(self) -> List[Tuple]:
+        """(entity_key, anchor_micros | None) per row."""
+        return self._view()
 
 
 def _drop_empty_labels(task, keep_empty_labels: Optional[bool]) -> bool:
@@ -101,7 +123,8 @@ class _Block:
     values: Optional[np.ndarray] = None
     labelled: Optional[np.ndarray] = None
     overflow: Optional[np.ndarray] = None
-    rows: List[Tuple] = field(default_factory=list)  # set by Project
+    keys: Optional[np.ndarray] = None  # set by Project, as are `values` in key order
+    splits: Optional[np.ndarray] = None  # set by Project: split codes
     candidates: Optional[List] = None  # set by CandidateSet
 
     def keep(self, mask: np.ndarray, cause: Optional[str]):
@@ -126,17 +149,21 @@ class _Run:
     ctx: VecCtx
     drop_empty: bool
     split: Optional[SplitPolicy] = None
-    anchor_rank: Dict[int, int] = field(default_factory=dict)
+    split_codes: Dict[int, int] = field(default_factory=dict)  # by anchor
     bound: BoundQuery = field(init=False)
     list_target: bool = field(init=False)
+    key_column: Column = field(init=False)
+    value_dtype: type = field(init=False)
 
     def __post_init__(self):
         self.bound = self.plan.bound
         self.list_target = _is_list_target(self.bound)
+        self.key_column = self.ctx.db.table(self.bound.entity_table).column(self.bound.entity_column)
+        self.value_dtype = _NUMPY_DTYPE.get(self.bound.task.target_dtype, object)  # object for lists
 
 
-def _anchor_ranks(anchors: Sequence[int]) -> Dict[int, int]:
-    return {a: i for i, a in enumerate(sorted(anchors, reverse=True))}
+def _split_codes(anchors: Sequence[int]) -> Dict[int, int]:
+    return {a: split_code_for_anchor_rank(i) for i, a in enumerate(sorted(anchors, reverse=True))}
 
 
 def _execute(
@@ -144,22 +171,18 @@ def _execute(
     anchors: Sequence[int] = (),
     blocks: Optional[List[_Block]] = None,
     workers: int = 1,
-) -> Tuple[List[_Block], List[Tuple], Dict[str, int], int]:
+) -> Tuple[List[_Block], list, Dict[str, int], int]:
     """Walk the plan's nodes over the entity table, or over pre-anchored
     `blocks` of pairs. Returns the finished blocks, newest anchor first,
-    their rows, their drops by cause, and the number of pairs that entered
-    them.
+    their columns end to end (keys, anchors or None when static and, for
+    training, values and split codes), their drops by cause, and the number
+    of pairs that entered them.
 
     Without blocks the leading scan and static filters run once, and their
     drops go uncounted: those rows are not pairs yet. The expansion node
     then fans the survivors out over `anchors`. Pre-anchored blocks are
     pairs already, so every node, the leading ones included, runs on them
     and counts its drops; the expansion node only prunes by validity."""
-    # The list for the rows of several blocks is made before the walk, so
-    # the garbage collector has aged it by the time it fills: made after,
-    # it would still be young when the caller goes on, and the caller's
-    # young-generation collections would read every row of it.
-    rows: List[Tuple] = []
     nodes = run.plan.nodes
     if blocks is None:
         head = _Block(None, None)
@@ -179,13 +202,19 @@ def _execute(
         return block
 
     blocks = _map_anchors(walk, blocks, workers)
-    if len(blocks) == 1:  # no copy of a large static table's rows
-        rows = blocks[0].rows
-    else:
-        for block in blocks:
-            rows.extend(block.rows)
+
+    def concat(name: str, dtype) -> np.ndarray:  # a lone block's column is not copied
+        parts = [getattr(b, name) for b in blocks]
+        return parts[0] if len(parts) == 1 else np.concatenate([np.empty(0, dtype), *parts])
+
+    columns = [concat("keys", run.key_column.values.dtype), None]
+    if not run.bound.is_static:
+        sizes = [len(b.keys) for b in blocks]
+        columns[1] = np.repeat(np.array([b.anchor for b in blocks], dtype=np.int64), sizes)
+    if run.plan.mode == "training":
+        columns += [concat("values", run.value_dtype), concat("splits", np.int8)]
     drops = {cause: sum(b.drops[cause] for b in blocks) for cause in _CAUSES}
-    return blocks, rows, drops, pairs
+    return blocks, columns, drops, pairs
 
 
 def _map_anchors(fn, blocks: List[_Block], workers: int) -> List[_Block]:
@@ -293,25 +322,25 @@ def _candidate_set(run: _Run, block: _Block, node: PlanNode):
 
 
 def _project(run: _Run, block: _Block, node: PlanNode):
-    """Emit the block's rows, sorted by entity key (keys are unique per
-    block, and blocks run newest anchor first, so concatenated blocks come
-    out in canonical order with no global sort). A training row without a
-    label leaves here, after every filter."""
-    keys = run.ctx.db.table(run.bound.entity_table).column(run.bound.entity_column).values
-    if run.plan.mode == "prediction":
-        block.rows = [(k, block.anchor) for k in sorted(keys[block.sel].tolist())]
-        return
-    _refuse_overflow(block)
-    block.keep(block.labelled, "empty_label" if run.list_target else "undefined_target")
-    keys = keys[block.sel]
+    """Sort the block's columns by entity key (keys are unique per block,
+    and blocks run newest anchor first, so concatenated blocks come out in
+    canonical order with no global sort). A training row without a label
+    leaves here, after every filter."""
+    training = run.plan.mode == "training"
+    if training:
+        _refuse_overflow(block)
+        block.keep(block.labelled, "empty_label" if run.list_target else "undefined_target")
+    keys = run.key_column.values[block.sel]
     order = np.argsort(keys, kind="stable")
-    keys_l = keys[order].tolist()
-    vals_l = block.values[order].tolist() if len(block.values) else []
+    block.keys = keys[order]
+    if not training:
+        return
+    # An empty block's values may have another dtype, which would spread in concatenation.
+    block.values = block.values[order].astype(run.value_dtype, copy=False)
     if block.anchor is None:  # static split hashes each key
-        splits = split_for_keys(keys_l, run.split)
+        block.splits = split_for_keys(block.keys, run.split)
     else:
-        splits = [split_for_anchor_rank(run.anchor_rank[block.anchor])] * len(keys_l)
-    block.rows = list(zip(keys_l, [block.anchor] * len(keys_l), vals_l, splits))
+        block.splits = np.full(len(order), run.split_codes[block.anchor], dtype=np.int8)
 
 
 _HANDLERS: Dict[str, Callable[[_Run, _Block, PlanNode], None]] = {
@@ -356,12 +385,9 @@ def materialize_training(
         VecCtx(db, g, fullscan=not plan.optimized),
         _drop_empty_labels(bound.task, keep_empty_labels),
         split,
-        _anchor_ranks(anchors),
+        _split_codes(anchors),
     )
-    _, rows, drops, pairs_expanded = _execute(run, anchors, workers=workers)
-    split_counts: Dict[str, int] = {}
-    for r in rows:
-        split_counts[r[3]] = split_counts.get(r[3], 0) + 1
+    _, columns, drops, pairs_expanded = _execute(run, anchors, workers=workers)
     metadata = {
         "mode": "training",
         "strategy": "staged" if plan.optimized else "cross_product",
@@ -372,12 +398,12 @@ def materialize_training(
         "anchors": [format_timestamp(a) for a in sorted(anchors, reverse=True)],
         "entities_scanned": db.nrows(bound.entity_table),
         "pairs_expanded": pairs_expanded,
-        "row_count": len(rows),
-        "split_counts": split_counts,
+        "row_count": len(columns[0]),
+        "split_counts": split_counts(columns[3]),
         "dropped": drops,
         "split_policy": {"train": split.train, "val": split.val, "test": split.test, "seed": split.seed},
     }
-    return TrainingTable(plan.output_columns, rows, metadata)
+    return TrainingTable(plan.output_columns, run.key_column.dtype, *columns, metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +427,7 @@ def materialize_prediction(
                 raise ExecutionError("temporal query over a database with no dated rows")
         anchors = [anchor]
     run = _Run(plan, VecCtx(db, g or build_row_graph(db)), _drop_empty_labels(bound.task, None))
-    (block,), _, _, _ = _execute(run, anchors)
+    (block,), columns, _, _ = _execute(run, anchors)
     metadata = {
         "mode": "prediction",
         "task": bound.task.to_json(),
@@ -409,10 +435,10 @@ def materialize_prediction(
         "entity_table": bound.entity_table,
         "entity_column": bound.entity_column,
         "anchor": None if block.anchor is None else format_timestamp(block.anchor),
-        "row_count": len(block.rows),
+        "row_count": len(columns[0]),
         "candidate_count": None if block.candidates is None else len(block.candidates),
     }
-    return PredictionTable(plan.output_columns, block.rows, block.candidates, metadata)
+    return PredictionTable(plan.output_columns, run.key_column.dtype, *columns, block.candidates, metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -450,8 +476,8 @@ def evaluate_pairs(
             )
         by_anchor.setdefault(anchor, []).append(ref.index)
 
-    ranks = _anchor_ranks(anchors_for_split)
-    off_grid = [a for a in by_anchor if a is not None and a not in ranks]
+    codes = _split_codes(anchors_for_split)
+    off_grid = [a for a in by_anchor if a is not None and a not in codes]
     if off_grid:
         # Splits rank each pair's anchor among these, so an anchor off them has no split.
         raise PlanError(f"pair anchor {format_timestamp(max(off_grid))} is not in anchors_for_split")
@@ -462,19 +488,19 @@ def evaluate_pairs(
         VecCtx(db, g),
         _drop_empty_labels(bound.task, keep_empty_labels),
         split or SplitPolicy(),
-        ranks,
+        codes,
     )
     blocks = [  # newest anchor first: canonical order
         _Block(a, np.array(by_anchor[a], dtype=np.int64))
         for a in sorted(by_anchor, reverse=True)
     ]
-    _, rows, drops, _ = _execute(run, blocks=blocks)
+    _, columns, drops, _ = _execute(run, blocks=blocks)
     metadata = {
         "mode": "training",
         "strategy": "pairwise",
         "task": bound.task.to_json(),
         "pairs_expanded": len(pairs),
-        "row_count": len(rows),
+        "row_count": len(columns[0]),
         "dropped": drops,
     }
-    return TrainingTable(plan.output_columns, rows, metadata)
+    return TrainingTable(plan.output_columns, run.key_column.dtype, *columns, metadata)

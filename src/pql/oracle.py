@@ -12,7 +12,7 @@ leakage mask.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .ast import AggKind, RelOp, NULL_OPS
 from .binder import (
@@ -26,10 +26,10 @@ from .binder import (
     BoundQuery,
     BoundTarget,
 )
-from .engine import TrainingTable, _drop_empty_labels, _is_list_target
+from .engine import _drop_empty_labels, _is_list_target
 from .errors import ExecutionError
 from .kernels import like_regex
-from .splits import SplitPolicy, split_for_anchor_rank, split_for_key
+from .splits import SPLITS, SplitPolicy, split_code_for_anchor_rank, split_for_key
 from .store import Database, DataType, RowRef
 from .times import format_timestamp
 
@@ -52,6 +52,14 @@ class _Tables:
 
     def value(self, table: str, row: int, column: str):
         return self.cols[table][column][row]
+
+
+class OracleTable(NamedTuple):
+    """The oracle's rows: (entity_key, anchor_micros | None, target, split)."""
+
+    columns: Tuple[str, ...]
+    rows: List[Tuple]
+    metadata: dict
 
 
 class _Touches:
@@ -283,7 +291,7 @@ def oracle_training(
     *,
     split: Optional[SplitPolicy] = None,
     keep_empty_labels: Optional[bool] = None,
-) -> TrainingTable:
+) -> OracleTable:
     """Ground-truth training table via exhaustive per-pair linear scans."""
     t = _Tables(db)
     split = split or SplitPolicy()
@@ -319,7 +327,7 @@ def oracle_training(
             if anchor is None:
                 rows.append((key, None, value, split_for_key(key, split)))
             else:
-                rows.append((key, anchor, value, split_for_anchor_rank(rank[anchor])))
+                rows.append((key, anchor, value, SPLITS[split_code_for_anchor_rank(rank[anchor])]))
 
     if bound.is_static:
         rows.sort(key=lambda r: r[0])
@@ -333,7 +341,7 @@ def oracle_training(
         "anchors": [format_timestamp(a) for a in sorted(anchors, reverse=True)],
         "row_count": len(rows),
     }
-    return TrainingTable(columns, rows, metadata)
+    return OracleTable(columns, rows, metadata)
 
 
 def oracle_touches(

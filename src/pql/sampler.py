@@ -61,8 +61,12 @@ def build_request(
     return SampleRequest(
         entity_table=bound.entity_table,
         pairs=tuple((RowRef(r.table.upper(), r.index), a) for r, a in pairs),
-        parts=(bound.target, *(c.condition for c in bound.conjuncts), bound.assuming),
+        parts=_parts(bound),
     )
+
+
+def _parts(bound: BoundQuery) -> Tuple[Optional[BoundTarget], ...]:
+    return (bound.target, *(c.condition for c in bound.conjuncts), bound.assuming)
 
 
 @dataclass
@@ -185,7 +189,8 @@ def sample_pairs(
         anchor = feasible_anchors(bound, AnchorPolicy(), db)[0]
     latest = np.full(n_entities, np.iinfo(np.int64).min, dtype=np.int64)
     entities = np.arange(n_entities, dtype=np.int64)
-    edges = {a.group_edge for a in _request_edges(bound) if a.group_edge.parent_table == etable}
+    aggs = [a for part in _parts(bound) for a in iter_bound_aggregations(part)]
+    edges = {a.group_edge for a in aggs if a.group_edge.parent_table == etable}
     for edge in edges:
         idx = g.edge_index(edge)
         # Each entity's children before the anchor end where its keys reach
@@ -197,14 +202,8 @@ def sample_pairs(
         newest = idx.time_values[idx.keys[end[has] - 1] - base[has]]
         latest[has] = np.maximum(latest[has], newest)
     active = np.nonzero(latest > np.iinfo(np.int64).min)[0]
-    pk = db.table(etable).column(db.table(etable).definition.primary_key)
-    ranked = sorted(active.tolist(), key=lambda i: (-int(latest[i]), pk.get(i)))
-    return [(RowRef(etable, i), anchor) for i in ranked[:n]]
-
-
-def _request_edges(bound: BoundQuery) -> List[BoundAggregation]:
-    aggs = list(iter_bound_aggregations(bound.target))
-    for conj in bound.conjuncts:
-        aggs.extend(iter_bound_aggregations(conj.condition))
-    aggs.extend(iter_bound_aggregations(bound.assuming))
-    return aggs
+    keys = db.table(etable).column(db.table(etable).definition.primary_key).values[active]
+    # Newest first, then by key: `~latest` orders as `-latest` without
+    # overflow, and argsort ranks keys of any dtype, strings too.
+    ranked = active[np.lexsort((np.argsort(np.argsort(keys, kind="stable")), ~latest[active]))]
+    return [(RowRef(etable, i), anchor) for i in ranked[:n].tolist()]

@@ -30,8 +30,9 @@ one cell per line; `_parse_cell`, which defines the accepted values and
 the error text, reads each cell they refuse. The first error in row order
 raises `DataError` with its row number, so errors never depend on the
 tokenizer. `write_csv` writes every CSV file pql writes, tables and
-results alike: `_format_cells` spells each column of a chunk in one pass,
-and a row holding a lone carriage return is quoted whole.
+results alike, from whole columns: `_format_cells` spells a column's
+chunk of `_CHUNK_ROWS` cells in one pass, and a row holding a lone
+carriage return is quoted whole.
 `_resolve_fk` maps foreign keys to parent rows once, for the load check;
 the row graph reuses that mapping while its parent table is still the one
 loaded.
@@ -54,7 +55,7 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, 
 import numpy as np
 
 from .errors import DataError, SchemaError
-from .times import canonical_micros, format_timestamps, parse_timestamp
+from .times import canonical_micros, format_timestamp, format_timestamps, parse_timestamp
 
 
 class DataType(enum.Enum):
@@ -585,12 +586,18 @@ def _convert_slice(cells: Tuple[str, ...], cdef: ColumnDef) -> Tuple[np.ndarray,
     return values, null
 
 
-def _format_cells(dtype: DataType, values, null: Optional[np.ndarray]) -> list:
+def _format_cells(dtype: Union[DataType, ListType], values, null: Optional[np.ndarray]) -> list:
     """CSV cells of one column slice, given as a numpy array or a sequence
     of Python values: '' at nulls, canonical timestamps, `repr` floats,
-    `str` ints, true/false."""
-    if dtype is DataType.TIMESTAMP:
-        cells = format_timestamps(values)
+    `str` ints, true/false, and a list as the JSON array of its elements'
+    values (timestamps as text)."""
+    if isinstance(dtype, ListType):
+        spell = format_timestamp if dtype.element is DataType.TIMESTAMP else lambda v: v
+        cells = [json.dumps([spell(v) for v in value]) for value in values]
+    elif dtype is DataType.TIMESTAMP:
+        # A column of anchors repeats a few values on every row.
+        distinct, index = np.unique(values, return_inverse=True)
+        cells = np.array(format_timestamps(distinct), dtype=object)[index].tolist()
     elif dtype is DataType.BOOL:
         cells = np.where(values, "true", "false").tolist()
     else:
@@ -982,18 +989,21 @@ def _resolve_fk(fkcol: Column, parent: Optional[TableData]) -> np.ndarray:
     return forward
 
 
-def write_csv(path: Path, header: Sequence[str], dtypes: Sequence[DataType], chunks: Iterable[list]) -> None:
+def write_csv(path: Path, header: Sequence[str], columns: Sequence[Tuple]) -> None:
     """Write an RFC-4180 file with LF line endings: the header, then the
-    rows of each chunk. A chunk holds one `(values, null)` pair per column,
-    the values of that column's dtype and a bool null mask or None. Every
-    CSV file pql writes goes through here."""
-    strings = [i for i, dtype in enumerate(dtypes) if dtype is DataType.STRING]
+    rows, `_CHUNK_ROWS` at a time. A column is a `(dtype, values, null)`
+    triple: its values as a numpy array or a list of Python values, and a
+    bool null mask or None. Every CSV file pql writes goes through here."""
+    strings = [i for i, (dtype, _, _) in enumerate(columns) if dtype is DataType.STRING]
+    nrows = len(columns[0][1]) if columns else 0
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
         writer.writerow(header)
-        for chunk in chunks:
-            cells = [_format_cells(dtype, values, null) for dtype, (values, null) in zip(dtypes, chunk)]
+        for lo in range(0, nrows, _CHUNK_ROWS):
+            part = slice(lo, lo + _CHUNK_ROWS)
+            cells = [_format_cells(dtype, values[part], None if null is None else null[part])
+                     for dtype, values, null in columns]
             # The writer quotes only cells holding a character of its "\n"
             # line terminator, so a row with a lone "\r" in a string is
             # quoted whole.
@@ -1007,11 +1017,7 @@ def write_csv(path: Path, header: Sequence[str], dtypes: Sequence[DataType], chu
 def save_table_csv(db: Database, table: str, path: Path) -> None:
     data = db.table(table)
     cols = [data.column(n) for n in data.definition.column_names]
-    chunks = (
-        [(c.values[lo : lo + _CHUNK_ROWS], c.null[lo : lo + _CHUNK_ROWS]) for c in cols]
-        for lo in range(0, data.nrows, _CHUNK_ROWS)
-    )
-    write_csv(path, data.definition.column_names, [c.dtype for c in cols], chunks)
+    write_csv(path, data.definition.column_names, [(c.dtype, c.values, c.null) for c in cols])
 
 
 def save_database(db: Database, directory: Path) -> None:

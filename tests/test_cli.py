@@ -1,10 +1,13 @@
 """Command-line surface: exit codes, outputs, file formats, determinism."""
 
+import csv
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -156,6 +159,42 @@ class TestTrainTable:
         assert lines[1] == "1,2024-01-01T00:00:00Z,[],test"
         assert lines[2] == "2,2024-01-01T00:00:00Z,[3],test"
 
+    def test_list_of_timestamps_target(self, retail_dir, tmp_path):
+        out = tmp_path / "times"
+        code = main(
+            ["train-table", "--data-dir", str(retail_dir), "--out-dir", str(out),
+             "--query", "PREDICT LIST_DISTINCT(TRANSACTIONS.TIMESTAMP, 0, 30, days) "
+             "FOR EACH CUSTOMERS.CUSTOMER_ID",
+             "--anchors", "2", "--stride", "10d", "--latest", "2024-01-01", "--keep-empty-labels"]
+        )
+        assert code == 0
+        one = '"[""2024-01-05T00:00:00Z"", ""2024-01-10T00:00:00Z""]"'
+        two = '"[""2024-01-03T00:00:00Z"", ""2024-01-07T00:00:00Z"", ""2024-01-20T00:00:00Z""]"'
+        assert (out / "training.csv").read_text().splitlines()[1:] == [
+            f"1,2024-01-01T00:00:00Z,{one},test",
+            f"2,2024-01-01T00:00:00Z,{two},test",
+            "3,2024-01-01T00:00:00Z,[],test",
+            f"1,2023-12-22T00:00:00Z,{one},val",
+            f"2,2023-12-22T00:00:00Z,{two},val",
+            "3,2023-12-22T00:00:00Z,[],val",
+        ]
+
+    @pytest.mark.parametrize("name", ["impute_value", "ny_monthly_spend", "next_month_spend"])
+    def test_printed_split_counts_follow_the_rows(self, name, retail_dir, tmp_path, capsys):
+        out = tmp_path / "splits"
+        code = main(
+            ["train-table", "--data-dir", str(retail_dir), "--out-dir", str(out),
+             "--query", CORPUS_BY_NAME[name].text, "--anchors", "4", "--stride", "7d",
+             "--split", "0.4,0.3,0.3", "--seed", "3"]
+        )
+        assert code == 0
+        printed = re.search(r"splits=(\{.*?\})", capsys.readouterr().out).group(1)
+        with open(out / "training.csv", newline="") as fh:
+            labels = [row[-1] for row in list(csv.reader(fh))[1:]]
+        # Keyed in the order the labels first appear in the file.
+        assert printed == str(dict(Counter(labels)))
+        assert len(set(labels)) > 1
+
     def test_missing_data_dir_is_io_error(self, retail_dir, tmp_path):
         code = main(
             ["train-table", "--data-dir", str(tmp_path / "nope"), *schema_arg(retail_dir),
@@ -185,6 +224,10 @@ BAD_OPTIONS = {
     "split_words": ("train-table", ["--split", "a,b,c"], "--split"),
     "split_sum": ("train-table", ["--split", "1,1,1"], "split ratios must sum to 1"),
     "split_count": ("train-table", ["--split", "0.5,0.5"], "--split"),
+    "split_nan": ("train-table", ["--split", "nan,0,0"], "split ratios must sum to 1, got nan"),
+    "split_inf": ("train-table", ["--split", "inf,0,0"], "split ratios must sum to 1, got inf"),
+    "workers_negative": ("train-table", ["--workers", "-3"], "--workers"),
+    "bench_workers_negative": ("bench", ["--workers", "-1", "--paths", "sampler"], "--workers"),
     "stride": ("train-table", ["--stride", "5x"], "--stride"),
     "latest": ("train-table", ["--latest", "notadate"], "--latest"),
     "predict_at": ("predict-table", ["--at", "yesterday"], "--at"),

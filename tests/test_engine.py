@@ -260,6 +260,31 @@ class TestMaterializeTraining:
         table = materialize_training(plan_training(b, AnchorPolicy()), toy_db)
         assert table.rows == []
 
+    @pytest.mark.parametrize(
+        "target,dtype",
+        [("COUNT(TRANSACTIONS.*, 0, 7, days)", np.int64),
+         ("SUM(TRANSACTIONS.VALUE, 0, 7, days)", np.float64),
+         ("COUNT(TRANSACTIONS.*, 0, 7, days) > 0", np.bool_)],
+    )
+    def test_empty_anchor_blocks_keep_the_target_dtype(self, toy_db, target, dtype):
+        # Nobody bought in the 5 days before Jan 16 or Jan 19, so those
+        # anchors' blocks are empty and the others are not.
+        b = bind_text(f"PREDICT {target} FOR EACH CUSTOMERS.CUSTOMER_ID "
+                      "WHERE COUNT(TRANSACTIONS.*, -5, 0, days) > 0")
+        policy = AnchorPolicy(count=6, stride=3 * MICROS_PER_DAY, latest=parse_timestamp("2024-01-25"))
+        for optimized in (True, False):
+            table = materialize_training(plan_training(b, policy, optimized=optimized), toy_db)
+            anchors = {r[1] for r in table.rows}
+            assert anchors and not anchors & {parse_timestamp("2024-01-16"), parse_timestamp("2024-01-19")}
+            assert table.values.dtype == dtype
+            assert all(type(r[2]) is type(np.zeros(1, dtype).item()) for r in table.rows)
+        # With every block empty the columns keep their dtypes too.
+        b = bind_text(f"PREDICT {target} FOR EACH CUSTOMERS.CUSTOMER_ID WHERE CUSTOMERS.LOCATION_ID = 'Atlantis'")
+        table = materialize_training(plan_training(b, policy), toy_db)
+        assert table.row_count == 0 and table.rows == []
+        assert (table.keys.dtype, table.anchors.dtype, table.values.dtype, table.splits.dtype) == (
+            np.int64, np.int64, dtype, np.int8)
+
     def test_zero_feasible_anchors_is_error(self, toy_db):
         b = bind_text("PREDICT COUNT(TRANSACTIONS.*, 0, 7, days) FOR EACH CUSTOMERS.CUSTOMER_ID")
         policy = AnchorPolicy(latest=parse_timestamp("2020-01-01"))

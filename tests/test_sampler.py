@@ -13,7 +13,7 @@ from pql.oracle import oracle_touches, oracle_training
 from pql.parser import parse
 from pql.planner import AnchorPolicy, plan_training, resolve_anchors
 from pql.sampler import build_request, collect, compute_on_subgraph, sample_pairs
-from pql.store import FkEdge, RowRef, build_row_graph
+from pql.store import FkEdge, RowRef, build_row_graph, load_schema, load_table_data, new_database
 from pql.synth import GenSpec, generate, random_database, random_query, random_schema
 from pql.times import MICROS_PER_DAY, parse_timestamp
 
@@ -169,6 +169,40 @@ class TestSamplePairs:
                 got = sample_pairs(db, g, b, n, anchor=anchor)
                 assert [ref.index for ref, _ in got] == want[:n]
                 assert {a for _, a in got} <= {anchor}
+
+    @pytest.mark.parametrize(
+        "keys",
+        [["b", "a", "\u00e9", "B", "a2", "\u4e2d", "z", "A b"],
+         [2**63 - 1, -(2**63), 0, -1, 1, 2**62, -(2**62), 7]],
+        ids=["string", "int64_extremes"],
+    )
+    def test_order_is_newest_first_then_key(self, keys):
+        # Days of each customer's events: ties on the newest day, an older
+        # event under a newer one, no events, and only an event at the anchor.
+        days = [[3], [1], [3, 1], [2], [1], [3], [], [4]]
+        dtype = "string" if isinstance(keys[0], str) else "int64"
+        db = new_database(load_schema({"tables": [
+            {"name": "C", "columns": [{"name": "ID", "dtype": dtype, "stype": "key"}], "primary_key": "ID"},
+            {"name": "E", "columns": [{"name": "EV_ID", "dtype": "int64", "stype": "key"},
+                                      {"name": "C_ID", "dtype": dtype, "stype": "key"},
+                                      {"name": "T", "dtype": "timestamp", "stype": "temporal"}],
+             "primary_key": "EV_ID", "time_column": "T",
+             "foreign_keys": [{"column": "C_ID", "references": "C"}]},
+        ]}))
+        load_table_data(db, "C", "ID\n" + "".join(f"{k}\n" for k in keys))
+        events = [(k, d) for k, ds in zip(keys, days) for d in ds]
+        load_table_data(db, "E", "EV_ID,C_ID,T\n" + "".join(
+            f"{i},{k},2024-01-0{d}\n" for i, (k, d) in enumerate(reversed(events))))
+        g = build_row_graph(db)
+        b = bind(parse("PREDICT COUNT(E.*, 0, 7, days) FOR EACH C.ID"), db.schema)
+        anchor = parse_timestamp("2024-01-04")
+        latest = {i: max(ds) for i, ds in enumerate(days) if ds and min(ds) < 4}
+        want = sorted(latest, key=lambda i: (-latest[i], keys[i]))
+        assert len(want) == 6
+        for n in (len(want) + 2, 3, 0):
+            got = sample_pairs(db, g, b, n, anchor=anchor)
+            assert [ref.index for ref, _ in got] == want[:n]
+            assert {a for _, a in got} <= {anchor}
 
     def test_work_proportional_to_pairs(self):
         db = generate(GenSpec(seed=11, customers=2000, articles=50, transactions=40000,
