@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
+
+import numpy as np
 
 from .binder import bind
 from .engine import evaluate_pairs, materialize_training
@@ -180,14 +182,25 @@ def run_bench(
             )
             return table, sub
 
-        # Reference: full batch materialization, then restrict to the pairs.
+        # Reference: full batch materialization, then restrict to the pairs:
+        # the key column picks the candidate rows, and only their tuples are
+        # built for the exact (key, anchor) check.
         def batch_restricted():
             table = optimized()
             keys = {
                 (db.value(ref, db.table(ref.table).definition.primary_key), anchor)
                 for ref, anchor in pair_list
             }
-            return [r for r in table.rows if (r[0], r[1]) in keys]
+            wanted = np.array([k for k, _ in keys], dtype=table.keys.dtype)
+            near = np.nonzero(np.isin(table.keys, wanted))[0]
+            near_table = replace(
+                table,
+                keys=table.keys[near],
+                anchors=None if table.anchors is None else table.anchors[near],
+                values=table.values[near],
+                splits=table.splits[near],
+            )
+            return [r for r in near_table.rows if (r[0], r[1]) in keys]
 
         outs, samples = _timed_group(
             {"sampler": sampler, "batch_restricted": batch_restricted}, runs

@@ -6,6 +6,12 @@ at most one value), assigns every aggregation the FK it groups by, type
 checks comparisons, infers the task type and the temporal frame, and
 derives the leakage bookkeeping downstream consumers need.
 
+`walk` is the one traversal of a bound tree: every stage that only visits
+nodes (temporality and timeframe here, undefined-target flags in the
+kernels, the sampler's entity edges, the leakage mask's direct reads)
+filters what it yields, and `BoundQuery.parts` lists the trees that read
+rows.
+
 Window placement rules enforced here keep label generation leak-free by
 construction: windows under PREDICT or ASSUMING must start at or after the
 anchor, windows under the entity filter must end at or before it.
@@ -15,7 +21,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Tuple, Union
+from typing import Iterator, List, Optional, Tuple, Union
 
 from . import ast
 from .ast import AggKind, ConstKind, Hint, RelOp, Window
@@ -213,54 +219,54 @@ class BoundQuery:
     def is_static(self) -> bool:
         return self.task.temporality == "static"
 
+    @property
+    def parts(self) -> Tuple[Optional[BoundTarget], ...]:
+        """The parts that read rows: the target, each WHERE conjunct's
+        condition and ASSUMING (None when absent)."""
+        return (self.target, *(c.condition for c in self.conjuncts), self.assuming)
+
 
 # ---------------------------------------------------------------------------
 # Bound-tree helpers
 
 
-def iter_bound_aggregations(node) -> List[BoundAggregation]:
-    out: List[BoundAggregation] = []
-
-    def walk(n):
+def walk(node, *, filters: bool = True) -> Iterator:
+    """Every node of a bound target or condition, constants aside (nothing
+    for None): each node before its operands, left before right. An
+    aggregation's WHERE is entered only when `filters` is set."""
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        if n is None:
+            continue
+        yield n
         if isinstance(n, BoundAggregation):
-            out.append(n)
-            if n.where is not None:
-                walk(n.where)
+            if filters:
+                stack.append(n.where)
         elif isinstance(n, BoundCompare):
-            walk(n.lhs)
+            stack.append(n.lhs)
         elif isinstance(n, BoundNot):
-            walk(n.operand)
+            stack.append(n.operand)
         elif isinstance(n, (BoundAnd, BoundOr)):
-            walk(n.left)
-            walk(n.right)
-
-    if node is not None:
-        walk(node)
-    return out
+            stack += (n.right, n.left)
 
 
-def iter_bound_columns(node) -> List[BoundColumn]:
-    """Raw column reads in a subtree, not descending into aggregations."""
-    out: List[BoundColumn] = []
-
-    def walk(n):
-        if isinstance(n, BoundColumn):
-            out.append(n)
-        elif isinstance(n, BoundCompare):
-            walk(n.lhs)
-        elif isinstance(n, BoundNot):
-            walk(n.operand)
-        elif isinstance(n, (BoundAnd, BoundOr)):
-            walk(n.left)
-            walk(n.right)
-
-    if node is not None:
-        walk(node)
-    return out
+def iter_bound_aggregations(node) -> List[BoundAggregation]:
+    return [n for n in walk(node) if isinstance(n, BoundAggregation)]
 
 
-def has_window(node) -> bool:
-    return any(a.window is not None for a in iter_bound_aggregations(node))
+def _windows(node) -> List[Window]:
+    return [a.window for a in iter_bound_aggregations(node) if a.window is not None]
+
+
+def and_operands(node) -> List[BoundCondition]:
+    """The operands of an AND chain, left to right: `[node]` when it is no
+    AND, nothing for None."""
+    if node is None:
+        return []
+    if isinstance(node, BoundAnd):
+        return and_operands(node.left) + and_operands(node.right)
+    return [node]
 
 
 # ---------------------------------------------------------------------------
@@ -660,67 +666,48 @@ def infer_task(
 
 def compute_timeframe(
     target: BoundTarget,
-    conjuncts: Tuple[EntityConjunct, ...],
+    entity_filter: Optional[BoundCondition],
     assuming: Optional[BoundCondition],
 ) -> Timeframe:
     """Future extent covers target and ASSUMING windows; past covers the
     entity filter's lookback; static queries are (0, 0)."""
-    future = 0
-    past: Optional[int] = 0
-    saw_window = False
-    for agg in iter_bound_aggregations(target) + iter_bound_aggregations(assuming):
-        if agg.window is not None:
-            saw_window = True
-            future = max(future, agg.window.end_micros)
-    for conj in conjuncts:
-        for agg in iter_bound_aggregations(conj.condition):
-            if agg.window is not None:
-                saw_window = True
-                start = agg.window.start_micros
-                if start is None:
-                    past = None
-                elif past is not None:
-                    past = max(past, -start)
-    if not saw_window:
+    future = [w for p in (target, assuming) for w in _windows(p)]
+    lookback = _windows(entity_filter)
+    if not future and not lookback:
         return Timeframe(0, 0)
-    return Timeframe(past, future)
+    starts = [w.start_micros for w in lookback]
+    past = None if None in starts else max([0, *(-s for s in starts)])
+    return Timeframe(past, max([0, *(w.end_micros for w in future)]))
 
 
 def derive_leakage(target: BoundTarget, assuming: Optional[BoundCondition]) -> LeakageSpec:
-    windows = []
-    for agg in iter_bound_aggregations(target) + iter_bound_aggregations(assuming):
-        if agg.window is not None:
-            windows.append((agg.table, agg.window.start_micros, agg.window.end_micros))
-    return LeakageSpec(tuple(sorted(set(windows))))
+    windows = {
+        (a.table, a.window.start_micros, a.window.end_micros)
+        for part in (target, assuming)
+        for a in iter_bound_aggregations(part)
+        if a.window is not None
+    }
+    return LeakageSpec(tuple(sorted(windows)))
 
 
-def extract_prediction_filter(bound_or_target, task: Optional[TaskSpec] = None) -> Optional[BoundCondition]:
+def extract_prediction_filter(target: BoundTarget, task: TaskSpec) -> Optional[BoundCondition]:
     """For link prediction, the maximal sub-conjunction of the LIST_DISTINCT
     filter that reads only the link target table; applied to the candidate
     set at prediction time. Anything under OR/NOT that mixes tables, and any
     nested aggregation, stays behind.
     """
-    if isinstance(bound_or_target, BoundQuery):
-        target, task = bound_or_target.target, bound_or_target.task
-    else:
-        target = bound_or_target
-    if task is None or task.task_type is not TaskType.LINK_PREDICTION:
+    if task.task_type is not TaskType.LINK_PREDICTION:
         return None
     assert isinstance(target, BoundAggregation)
-    if target.where is None:
-        return None
     link_table = task.link_target_table
 
-    def conjuncts_of(node):
-        if isinstance(node, BoundAnd):
-            return conjuncts_of(node.left) + conjuncts_of(node.right)
-        return [node]
-
     def reads_only_link_table(node) -> bool:
-        if iter_bound_aggregations(node):
-            return False
-        cols = iter_bound_columns(node)
-        return bool(cols) and all(c.table == link_table for c in cols)
+        # Every comparison reads a column or an aggregation, so a conjunct
+        # without aggregations reads at least one column.
+        return all(
+            n.table == link_table if isinstance(n, BoundColumn) else not isinstance(n, BoundAggregation)
+            for n in walk(node)
+        )
 
     def reroot(node):
         if isinstance(node, BoundCompare):
@@ -734,7 +721,7 @@ def extract_prediction_filter(bound_or_target, task: Optional[TaskSpec] = None) 
             return BoundOr(reroot(node.left), reroot(node.right))
         raise AssertionError(type(node))
 
-    extracted = [reroot(c) for c in conjuncts_of(target.where) if reads_only_link_table(c)]
+    extracted = [reroot(c) for c in and_operands(target.where) if reads_only_link_table(c)]
     if not extracted:
         return None
     out = extracted[0]
@@ -780,18 +767,10 @@ def bind(query: ast.Query, schema: Schema) -> BoundQuery:
         target = binder.bind_condition(query.target, etable.name, Place.TARGET)
 
     # Entity filter, split into conjuncts labelled static/temporal.
-    conjuncts: List[EntityConjunct] = []
+    entity_filter = None
     if query.entity_where is not None:
-        bound_filter = binder.bind_condition(query.entity_where, etable.name, Place.ENTITY)
-
-        def flatten(node):
-            if isinstance(node, BoundAnd):
-                flatten(node.left)
-                flatten(node.right)
-            else:
-                conjuncts.append(EntityConjunct(node, temporal=has_window(node)))
-
-        flatten(bound_filter)
+        entity_filter = binder.bind_condition(query.entity_where, etable.name, Place.ENTITY)
+    conjuncts = tuple(EntityConjunct(c, temporal=bool(_windows(c))) for c in and_operands(entity_filter))
 
     assuming = None
     if query.assuming is not None:
@@ -800,11 +779,7 @@ def bind(query: ast.Query, schema: Schema) -> BoundQuery:
     # Temporality: any window anywhere makes the query temporal, and then
     # every aggregation must carry a window (an unwindowed aggregate has no
     # meaning relative to an anchor; use -INF for "all history up to now").
-    all_aggs = (
-        iter_bound_aggregations(target)
-        + [a for c in conjuncts for a in iter_bound_aggregations(c.condition)]
-        + iter_bound_aggregations(assuming)
-    )
+    all_aggs = [a for part in (target, entity_filter, assuming) for a in iter_bound_aggregations(part)]
     temporal = any(a.window is not None for a in all_aggs)
     if temporal:
         for a in all_aggs:
@@ -826,7 +801,7 @@ def bind(query: ast.Query, schema: Schema) -> BoundQuery:
 
     temporality = "temporal" if temporal else "static"
     task = infer_task(target, schema, query.hint, query.top_k, temporality, span=query.span)
-    timeframe = compute_timeframe(target, tuple(conjuncts), assuming)
+    timeframe = compute_timeframe(target, entity_filter, assuming)
     leakage = derive_leakage(target, assuming)
     prediction_filter = extract_prediction_filter(target, task)
 
@@ -834,7 +809,7 @@ def bind(query: ast.Query, schema: Schema) -> BoundQuery:
         entity_table=etable.name,
         entity_column=ecol.name,
         entity_validity=etable.validity,
-        conjuncts=tuple(conjuncts),
+        conjuncts=conjuncts,
         target=target,
         assuming=assuming,
         task=task,

@@ -302,7 +302,7 @@ def _add_common(p: argparse.ArgumentParser, *, query: bool = True, data: bool = 
         p.add_argument("--query-file", dest="query_file", help="file containing the query")
     if seed:
         p.add_argument("--seed", type=int, default=0)
-    if data or out_dir:
+    if out_dir:
         p.add_argument("--out-dir", dest="out_dir", default="out")
     if data:
         p.add_argument("--data-dir", dest="data_dir", help="directory of <table>.csv files")
@@ -353,22 +353,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_plan)
 
     p = sub.add_parser("train-table", help="materialize the training table")
-    _add_common(p, data=True, seed=True)
+    _add_common(p, data=True, out_dir=True, seed=True)
     _add_anchor_flags(p)
     _add_label_flags(p)
     p.add_argument("--strategy", choices=["optimized", "naive"], default="optimized")
     p.set_defaults(fn=cmd_train_table)
 
-    # --workers on predict-table and sample (both run on one thread) and
-    # --out-dir on bench (--out names its report) are accepted and unused,
-    # so callers can pass the same flags to every data command.
+    # --workers on predict-table and sample (both run on one thread) is
+    # accepted and unused, so callers can pass it to every data command.
     p = sub.add_parser("predict-table", help="materialize the prediction table")
-    _add_common(p, data=True)
+    _add_common(p, data=True, out_dir=True)
     p.add_argument("--at", help="prediction anchor (ISO-8601, default: latest event)")
     p.set_defaults(fn=cmd_predict_table)
 
     p = sub.add_parser("sample", help="low-latency labels for the most recently active entities")
-    _add_common(p, data=True, seed=True)
+    _add_common(p, data=True, out_dir=True, seed=True)
     _add_anchor_flags(p)
     _add_label_flags(p)
     p.add_argument("--pairs", type=int, default=100, help="number of (entity, anchor) pairs")

@@ -463,10 +463,8 @@ def evaluate_pairs(
     optimized training plan, on the restricted kernels over the shared
     store. Used by the low-latency sampler and by the verification suites.
     """
-    pairs = list(dict.fromkeys(pairs))  # (entity, anchor) rows are unique
-    if anchors_for_split is None:
-        anchors_for_split = sorted({a for _, a in pairs if a is not None}, reverse=True)
-    by_anchor: Dict[Optional[int], List[int]] = {}
+    # Entity rows by anchor; a dict keeps each (row, anchor) once, in order.
+    by_anchor: Dict[Optional[int], Dict[int, None]] = {}
     for ref, anchor in pairs:
         if ref.table.upper() != bound.entity_table:
             raise ExecutionError(f"pair entity {ref} is not from {bound.entity_table}")
@@ -474,7 +472,9 @@ def evaluate_pairs(
             raise ExecutionError(
                 "static query takes no anchor" if bound.is_static else "temporal query needs an anchor"
             )
-        by_anchor.setdefault(anchor, []).append(ref.index)
+        by_anchor.setdefault(anchor, {})[ref.index] = None
+    if anchors_for_split is None:
+        anchors_for_split = sorted((a for a in by_anchor if a is not None), reverse=True)
 
     codes = _split_codes(anchors_for_split)
     off_grid = [a for a in by_anchor if a is not None and a not in codes]
@@ -491,7 +491,7 @@ def evaluate_pairs(
         codes,
     )
     blocks = [  # newest anchor first: canonical order
-        _Block(a, np.array(by_anchor[a], dtype=np.int64))
+        _Block(a, np.fromiter(by_anchor[a], dtype=np.int64, count=len(by_anchor[a])))
         for a in sorted(by_anchor, reverse=True)
     ]
     _, columns, drops, _ = _execute(run, blocks=blocks)
@@ -499,7 +499,7 @@ def evaluate_pairs(
         "mode": "training",
         "strategy": "pairwise",
         "task": bound.task.to_json(),
-        "pairs_expanded": len(pairs),
+        "pairs_expanded": sum(map(len, by_anchor.values())),
         "row_count": len(columns[0]),
         "dropped": drops,
     }

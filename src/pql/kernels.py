@@ -35,6 +35,7 @@ from .binder import (
     BoundNot,
     BoundOr,
     BoundTarget,
+    walk,
 )
 from .errors import ExecutionError
 from .store import Database, DataType, EdgeIndex, RowGraph
@@ -188,12 +189,12 @@ def fetch_rows(ctx: VecCtx, bc: BoundColumn, rows: np.ndarray) -> Tuple[np.ndarr
         null = bad if null is None else (null | bad)
         cur = np.where(bad, 0, nxt)
     col = ctx.db.table(bc.table).column(bc.column)
-    if len(cur):
+    if len(cur) and len(col.values):
         vals = col.values[cur]
         null = col.null[cur] if null is None else (null | col.null[cur])
-    else:
-        vals = col.values[:0]
-        null = np.zeros(0, dtype=np.bool_)
+    else:  # no rows, or hops into an empty table, which reads null
+        vals = np.zeros(len(cur), dtype=col.values.dtype)
+        null = np.ones(len(cur), dtype=np.bool_)
     return vals, null
 
 
@@ -455,28 +456,6 @@ def _distinct_lists(seg: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
 # Target kernels
 
 
-def _flag_leaves(cond: BoundCondition) -> list:
-    """Raw column reads whose null makes a condition target undefined.
-
-    Reads under IS / IS NOT are exempt (they interrogate null), and reads
-    inside aggregation filters never escape the aggregation.
-    """
-    out = []
-
-    def walk(n):
-        if isinstance(n, BoundCompare):
-            if isinstance(n.lhs, BoundColumn) and n.op not in NULL_OPS:
-                out.append(n.lhs)
-        elif isinstance(n, BoundNot):
-            walk(n.operand)
-        elif isinstance(n, (BoundAnd, BoundOr)):
-            walk(n.left)
-            walk(n.right)
-
-    walk(cond)
-    return out
-
-
 def eval_target_vec(
     ctx: VecCtx, target: BoundTarget, table: str, rows: np.ndarray, anchor: Optional[int]
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -486,7 +465,8 @@ def eval_target_vec(
     aggregation target where the aggregate is undefined; a condition target
     where any raw column read feeding a comparison is null (the value the
     label should be computed from is missing, so the row is an imputation
-    candidate, not a labelled example).
+    candidate, not a labelled example). Reads inside an aggregation's
+    filter never escape the aggregation.
     """
     if isinstance(target, BoundColumn):
         vals, null = fetch_rows(ctx, target, rows)
@@ -494,8 +474,9 @@ def eval_target_vec(
     if isinstance(target, BoundAggregation):
         return eval_agg_vec(ctx, target, table, rows, anchor)
     flags = np.zeros(len(rows), dtype=np.bool_)
-    for leaf in _flag_leaves(target):
-        _, null = fetch_rows(ctx, leaf, rows)
-        flags = flags | null
+    for node in walk(target, filters=False):
+        # Reads under IS / IS NOT interrogate null, so they are exempt.
+        if isinstance(node, BoundCompare) and isinstance(node.lhs, BoundColumn) and node.op not in NULL_OPS:
+            flags |= fetch_rows(ctx, node.lhs, rows)[1]
     result = eval_condition_vec(ctx, target, table, rows, anchor)
     return result, ~flags

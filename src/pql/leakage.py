@@ -18,7 +18,7 @@ from typing import Optional, Set
 
 import numpy as np
 
-from .binder import BoundQuery, iter_bound_columns
+from .binder import BoundColumn, BoundQuery, walk
 from .engine import _validity_mask
 from .errors import ExecutionError
 from .kernels import VecCtx
@@ -64,7 +64,9 @@ def leakage_rows(
     # label part reads one of its columns directly.
     labels = (bound.target, bound.assuming)
     reached, entities = _reached_rows(g, SampleRequest(bound.entity_table, ((entity, anchor),), labels))
-    if any(not c.hops for part in labels for c in iter_bound_columns(part)):
+    if any(
+        isinstance(n, BoundColumn) and not n.hops for part in labels for n in walk(part, filters=False)
+    ):
         reached.setdefault(bound.entity_table, []).extend(entities)
     mask: Set[RowRef] = {
         RowRef(table, i) for table, arrays in reached.items() for rows in arrays for i in rows.tolist()

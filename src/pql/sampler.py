@@ -2,8 +2,8 @@
 
 Instead of scanning tables, this path walks the row graph from the
 requested entities and collects exactly the rows the query can touch.
-`_reached_rows` walks the bound query's parts (the target, each WHERE
-conjunct's condition and ASSUMING) from the entity rows of each anchor:
+`_reached_rows` walks `BoundQuery.parts` (the target, each WHERE conjunct's
+condition and ASSUMING) from the entity rows of each anchor:
 
 * a column read follows its FK hops and pulls each hop's parent row;
 * an aggregation gathers its window's children (every qualifying neighbor,
@@ -61,12 +61,8 @@ def build_request(
     return SampleRequest(
         entity_table=bound.entity_table,
         pairs=tuple((RowRef(r.table.upper(), r.index), a) for r, a in pairs),
-        parts=_parts(bound),
+        parts=bound.parts,
     )
-
-
-def _parts(bound: BoundQuery) -> Tuple[Optional[BoundTarget], ...]:
-    return (bound.target, *(c.condition for c in bound.conjuncts), bound.assuming)
 
 
 @dataclass
@@ -189,7 +185,7 @@ def sample_pairs(
         anchor = feasible_anchors(bound, AnchorPolicy(), db)[0]
     latest = np.full(n_entities, np.iinfo(np.int64).min, dtype=np.int64)
     entities = np.arange(n_entities, dtype=np.int64)
-    aggs = [a for part in _parts(bound) for a in iter_bound_aggregations(part)]
+    aggs = [a for part in bound.parts for a in iter_bound_aggregations(part)]
     edges = {a.group_edge for a in aggs if a.group_edge.parent_table == etable}
     for edge in edges:
         idx = g.edge_index(edge)

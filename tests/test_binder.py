@@ -8,9 +8,12 @@ from corpus import CORPUS_BY_NAME, schema
 from pql.binder import (
     BoundAggregation,
     BoundAnd,
+    BoundColumn,
     BoundCompare,
     TaskType,
+    and_operands,
     bind,
+    walk,
 )
 from pql.errors import BindError
 from pql.leakage import leakage_rows
@@ -146,12 +149,31 @@ class TestBind:
         )
         assert b.assuming is not None and not b.is_static
 
-    def test_unwindowed_aggregation_in_temporal_query(self):
-        with pytest.raises(BindError, match="unwindowed"):
-            bind_text(
-                "PREDICT SUM(TRANSACTIONS.VALUE, 0, 30, days) FOR EACH CUSTOMERS.CUSTOMER_ID "
-                "WHERE COUNT(TRANSACTIONS.*) > 0"
-            )
+    # The error names the leftmost unwindowed aggregation: target, then the
+    # entity filter left to right, then ASSUMING.
+    @pytest.mark.parametrize(
+        "text,first",
+        [
+            ("PREDICT SUM(TRANSACTIONS.VALUE, 0, 30, days) FOR EACH CUSTOMERS.CUSTOMER_ID "
+             "WHERE COUNT(TRANSACTIONS.*) > 0", "COUNT(TRANSACTIONS"),
+            ("PREDICT SUM(TRANSACTIONS.VALUE) FOR EACH CUSTOMERS.CUSTOMER_ID "
+             "WHERE COUNT(NOTIFICATIONS.*) > 0 AND COUNT(TRANSACTIONS.*, -30, 0, days) > 0", "SUM("),
+            ("PREDICT SUM(TRANSACTIONS.VALUE, 0, 30, days) FOR EACH CUSTOMERS.CUSTOMER_ID "
+             "WHERE COUNT(NOTIFICATIONS.*) > 0 AND MAX(TRANSACTIONS.VALUE) > 5", "COUNT(NOTIFICATIONS"),
+            ("PREDICT SUM(TRANSACTIONS.VALUE, 0, 30, days) FOR EACH CUSTOMERS.CUSTOMER_ID "
+             "WHERE NOT MAX(TRANSACTIONS.VALUE) > 5 OR COUNT(NOTIFICATIONS.*) > 0", "MAX("),
+            ("PREDICT COUNT(TRANSACTIONS.*, 0, 7, days) FOR EACH CUSTOMERS.CUSTOMER_ID "
+             "WHERE COUNT(NOTIFICATIONS.*) > 0 ASSUMING MAX(TRANSACTIONS.VALUE) > 5", "COUNT(NOTIFICATIONS"),
+            ("PREDICT COUNT(TRANSACTIONS.*, 0, 7, days) FOR EACH CUSTOMERS.CUSTOMER_ID "
+             "ASSUMING MAX(TRANSACTIONS.VALUE) > 5 AND COUNT(NOTIFICATIONS.*) > 0", "MAX("),
+        ],
+        ids=["filter", "target_first", "filter_left", "under_not_or", "filter_before_assuming", "assuming_left"],
+    )
+    def test_unwindowed_aggregation_in_temporal_query(self, text, first):
+        with pytest.raises(BindError, match="unwindowed") as exc:
+            bind_text(text)
+        assert exc.value.code == "mixed-temporality"
+        assert exc.value.span.col == text.index(first) + 1
 
     def test_datetime_literal_binds_against_temporal_column(self):
         b = bind_text(
@@ -216,6 +238,37 @@ class TestBind:
 
         with pytest.raises(BindError, match="SENDER_ID, RECEIVER_ID"):
             bind(parse("PREDICT COUNT(TRANSFERS.*, 0, 7, days) FOR EACH USERS.ID"), load_schema(doc))
+
+
+class TestWalk:
+    QUERY = (
+        'PREDICT COUNT(TRANSACTIONS.* WHERE ARTICLES.COLOR = "blue" OR NOT TRANSACTIONS.VALUE > 5, '
+        "0, 7, days) > 0 FOR EACH CUSTOMERS.CUSTOMER_ID "
+        "WHERE CUSTOMERS.MEMBERSHIP_TYPE = 'gold' AND (CUSTOMERS.LOCATION_ID = 'Paris' "
+        "OR COUNT(TRANSACTIONS.*, -30, 0, days) > 0) AND CUSTOMERS.LOCATION_ID IS NOT NULL"
+    )
+
+    def test_each_node_before_its_operands_left_before_right(self):
+        target = bind_text(self.QUERY).target
+        names = [type(n).__name__ for n in walk(target)]
+        assert names == [
+            "BoundCompare", "BoundAggregation",
+            "BoundOr", "BoundCompare", "BoundColumn", "BoundNot", "BoundCompare", "BoundColumn",
+        ]
+        assert [n.table for n in walk(target) if isinstance(n, BoundColumn)] == ["ARTICLES", "TRANSACTIONS"]
+
+    def test_filters_off_stays_out_of_aggregation_where(self):
+        target = bind_text(self.QUERY).target
+        assert list(walk(target, filters=False)) == [target, target.lhs]
+        assert list(walk(None)) == []
+
+    def test_parts_are_target_conjuncts_and_assuming(self):
+        b = bind_text(self.QUERY)
+        conditions = [c.condition for c in b.conjuncts]
+        assert [c.temporal for c in b.conjuncts] == [False, True, False]
+        assert conditions == and_operands(BoundAnd(BoundAnd(*conditions[:2]), conditions[2]))
+        assert b.parts == (b.target, *conditions, None)
+        assert and_operands(None) == [] and and_operands(conditions[1]) == [conditions[1]]
 
 
 class TestPurity:

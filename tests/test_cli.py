@@ -256,7 +256,9 @@ def test_malformed_option_is_a_typed_error(case, retail_dir, tmp_path, capsys):
     if command == "plan":
         args += schema_arg(retail_dir)
     else:
-        args += ["--data-dir", str(retail_dir), "--out-dir", str(tmp_path / "out")]
+        args += ["--data-dir", str(retail_dir)]
+        if command != "bench":  # bench writes no output directory
+            args += ["--out-dir", str(tmp_path / "out")]
     assert main(args) == 1
     err = capsys.readouterr().err
     assert option in err and "Traceback" not in err, err
@@ -307,8 +309,8 @@ def test_config_key_parses_as_its_long_option(command, key, tmp_path):
 
 
 # Flags a command does not read: argparse refuses them rather than letting
-# them be ignored. `--workers` on predict-table and sample, and `--out-dir` on
-# bench, stay accepted: callers pass them to every data command alike.
+# them be ignored. `--workers` on predict-table and sample stays accepted:
+# callers pass it to every data command alike.
 DROPPED_FLAGS = [
     ("gen-data", ["--schema", "s.json"]),
     ("gen-data", ["--query", "q"]),
@@ -323,6 +325,7 @@ DROPPED_FLAGS = [
     ("bench", ["--latest", "2024-01-01"]),
     ("bench", ["--split", "0.8,0.1,0.1"]),
     ("bench", ["--keep-empty-labels"]),
+    ("bench", ["--out-dir", "o"]),
     ("validate", ["--seed", "1"]),
     ("infer", ["--seed", "1"]),
     ("predict-table", ["--seed", "1"]),

@@ -200,6 +200,40 @@ class TestMaterializeTraining:
         labels = {k: v for k, _, v, _ in table.rows}
         assert labels[3] is True and labels[1] is False
 
+    # Transaction 6 has a null VALUE; transaction 9, added here, a null
+    # CUSTOMER_ID, so its hop to CUSTOMERS reads null.
+    @pytest.mark.parametrize(
+        "query,undefined",
+        [
+            ("PREDICT TRANSACTIONS.VALUE IS NULL FOR EACH TRANSACTIONS.TRANSACTION_ID", []),
+            ("PREDICT TRANSACTIONS.VALUE IS NOT NULL FOR EACH TRANSACTIONS.TRANSACTION_ID", []),
+            ("PREDICT TRANSACTIONS.VALUE = 10.0 FOR EACH TRANSACTIONS.TRANSACTION_ID", [6]),
+            ("PREDICT NOT TRANSACTIONS.VALUE > 50 OR TRANSACTIONS.VALUE IS NULL "
+             "FOR EACH TRANSACTIONS.TRANSACTION_ID", [6]),
+            ("PREDICT CUSTOMERS.LOCATION_ID = 'Paris' FOR EACH TRANSACTIONS.TRANSACTION_ID", [9]),
+            ("PREDICT CUSTOMERS.LOCATION_ID IS NULL FOR EACH TRANSACTIONS.TRANSACTION_ID", []),
+            ("PREDICT COUNT(TRANSACTIONS.* WHERE TRANSACTIONS.VALUE > 50) > 0 "
+             "FOR EACH CUSTOMERS.CUSTOMER_ID", []),
+            ("PREDICT COUNT(TRANSACTIONS.* WHERE CUSTOMERS.LOCATION_ID = 'Paris') > 0 "
+             "FOR EACH ARTICLES.ARTICLE_ID", []),
+        ],
+        ids=["is_null", "is_not_null", "eq", "eq_under_not_or", "eq_through_hop", "is_null_through_hop",
+             "null_in_agg_filter", "hop_in_agg_filter"],
+    )
+    def test_condition_target_undefined_where_a_compared_read_is_null(self, retail_schema, query, undefined):
+        from conftest import TRANSACTIONS_CSV, build_toy_db
+        from pql.store import load_table_data
+
+        db = build_toy_db(retail_schema)
+        load_table_data(db, "TRANSACTIONS", TRANSACTIONS_CSV + "9,5.0,2024-01-02,,1\n")
+        b = bind(parse(query), db.schema)
+        table = materialize_training(plan_training(b, AnchorPolicy()), db)
+        entities = db.table(b.entity_table)
+        every = entities.column(entities.definition.primary_key).values.tolist()
+        assert sorted(set(every) - set(table.keys.tolist())) == undefined
+        assert table.metadata["dropped"]["undefined_target"] == len(undefined)
+        assert table.rows == oracle_training(b, db, []).rows
+
     def test_twelve_anchor_split_rule(self, toy_db):
         b = bind_text("PREDICT COUNT(TRANSACTIONS.*, 0, 1, days) FOR EACH CUSTOMERS.CUSTOMER_ID")
         policy = AnchorPolicy(count=12, stride=MICROS_PER_DAY, latest=ANCHOR)
@@ -450,11 +484,76 @@ class TestEvaluatePairs:
         got = evaluate_pairs(db, g, b, [(RowRef("CUSTOMERS", row), bad_anchor)])
         assert got.rows == [] and got.metadata["dropped"]["validity_pruned"] == 1
 
+    def test_a_pair_repeated_in_another_case_counts_once(self, toy_db, toy_graph):
+        b = bind_text("PREDICT COUNT(TRANSACTIONS.*, 0, 30, days) FOR EACH CUSTOMERS.CUSTOMER_ID")
+        once = [(CUSTOMER(0), ANCHOR)]
+        got = evaluate_pairs(
+            toy_db, toy_graph, b, [(RowRef("customers", 0), ANCHOR), *once, *once], anchors_for_split=[ANCHOR]
+        )
+        want = evaluate_pairs(toy_db, toy_graph, b, once, anchors_for_split=[ANCHOR])
+        assert got.rows == want.rows == [(1, ANCHOR, 2, "test")]
+        assert got.metadata == want.metadata and got.metadata["pairs_expanded"] == 1
+
     def test_anchor_off_the_split_anchors_is_a_plan_error(self, toy_db, toy_graph):
         b = bind_text(CORPUS_BY_NAME["active_spender"].text)
         pairs = [(CUSTOMER(0), ANCHOR), (CUSTOMER(1), ANCHOR + MICROS_PER_DAY)]
         with pytest.raises(PlanError, match="^pair anchor 2024-01-02T00:00:00Z is not in anchors_for_split$"):
             evaluate_pairs(toy_db, toy_graph, b, pairs, anchors_for_split=[ANCHOR])
+
+
+class TestEmptyParentTable:
+    """ARTICLES holds no rows, so every transaction's ARTICLE_ID dangles and
+    `--lenient-fk` keeps it: a hop into the empty table reads null."""
+
+    QUERIES = {
+        "count_blue": ('PREDICT COUNT(TRANSACTIONS.* WHERE ARTICLES.COLOR = "blue", 0, 30, days) '
+                       "FOR EACH CUSTOMERS.CUSTOMER_ID", 0),
+        "blue_values": ("PREDICT TRANSACTIONS.VALUE FOR EACH TRANSACTIONS.TRANSACTION_ID "
+                        'WHERE ARTICLES.COLOR = "blue"', 2),
+        "blue_target": ('PREDICT ARTICLES.COLOR = "blue" FOR EACH TRANSACTIONS.TRANSACTION_ID', 2),
+    }
+
+    @pytest.fixture(scope="class")
+    def data_dir(self, tmp_path_factory):
+        import json
+
+        from conftest import ARTICLES_CSV, CUSTOMERS_CSV, NOTIFICATIONS_CSV, TRANSACTIONS_CSV
+        from corpus import SCHEMA_DOCS
+
+        root = tmp_path_factory.mktemp("no_articles")
+        (root / "schema.json").write_text(json.dumps(SCHEMA_DOCS["retail"]))
+        (root / "customers.csv").write_text(CUSTOMERS_CSV)
+        (root / "articles.csv").write_text(ARTICLES_CSV.splitlines()[0] + "\n")
+        (root / "transactions.csv").write_text(TRANSACTIONS_CSV)
+        (root / "notifications.csv").write_text(NOTIFICATIONS_CSV)
+        return root
+
+    @pytest.mark.parametrize("name", sorted(QUERIES))
+    def test_every_path_reads_null(self, name, data_dir, tmp_path, capsys):
+        from pql.cli import main
+        from pql.sampler import build_request, collect, compute_on_subgraph
+        from pql.store import load_database
+
+        text, exit_code = self.QUERIES[name]
+        db = load_database(data_dir / "schema.json", data_dir, strict=False)
+        g = build_row_graph(db)
+        b = bind(parse(text), db.schema)
+        policy = AnchorPolicy(count=2, latest=ANCHOR)
+        anchors = resolve_anchors(b, policy, db)
+        pairs = [(RowRef(b.entity_table, i), a) for i in range(db.nrows(b.entity_table)) for a in anchors or [None]]
+        want = oracle_training(b, db, anchors).rows
+        assert bool(want) == (exit_code == 0)
+        assert materialize_training(plan_training(b, policy), db).rows == want
+        assert materialize_training(plan_training(b, policy, optimized=False), db).rows == want
+        assert evaluate_pairs(db, g, b, pairs, anchors_for_split=anchors).rows == want
+        sub = collect(g, build_request(b, pairs))
+        assert compute_on_subgraph(b, sub, pairs, anchors_for_split=anchors).rows == want
+
+        args = ["train-table", "--data-dir", str(data_dir), "--schema", str(data_dir / "schema.json"),
+                "--out-dir", str(tmp_path / "out"), "--lenient-fk", "--anchors", "2",
+                "--latest", "2024-01-01", "--query", text]
+        assert main(args) == exit_code
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestInt64Sum:

@@ -1,8 +1,9 @@
 """What the benchmark under perfbench/ looks up in pql: the layer functions
-its tracer wraps, the flags its cold commands pass, and what it reads of the
-tables its warm operations return. perfbench's own smoke test runs the
-workloads end to end; this catches a renamed function, a dropped flag or a
-changed table in a second. The perfbench files are only read."""
+its tracer wraps, the flags its cold commands pass, what it reads of the
+tables its warm operations return, and the store and kernel calls of its
+set-up and reference. perfbench's own smoke test runs the workloads end to
+end; this catches a renamed function, a dropped flag or a changed table in
+a second. The perfbench files are only read."""
 
 import importlib
 import sys
@@ -11,14 +12,17 @@ from pathlib import Path
 
 import pytest
 
+from conftest import ARTICLES_CSV, CUSTOMERS_CSV, TRANSACTIONS_CSV
 from corpus import CORPUS_BY_NAME, schema
 
+from pql import kernels, store
 from pql.binder import bind
 from pql.cli import build_parser
 from pql.engine import materialize_prediction, materialize_training
 from pql.parser import parse
 from pql.planner import AnchorPolicy, plan_prediction, plan_training
 from pql.sampler import build_request, collect, compute_on_subgraph, sample_pairs
+from pql.times import parse_timestamp
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -105,3 +109,22 @@ def test_sampled_table_reads(name, toy_db, toy_graph):
     table = compute_on_subgraph(bound, sub, pairs)
     _check_rows(table, 4)
     assert table.metadata["pairs_expanded"] == len(pairs)
+
+
+# perfbench/warm.py's set-up builds every edge's full-scan slot arrays and
+# reads the newest event time; its sampler requests map entity keys to rows
+# through `pk_index`.
+def test_warm_set_up_lookups(toy_db, toy_graph):
+    for edge in toy_db.schema.edges():
+        idx = toy_graph.edge_index(edge)
+        assert len(kernels._edge_slot_arrays(idx)) == len(idx.order)
+    assert toy_db.max_event_time() == parse_timestamp("2024-02-10")
+    assert [toy_db.table("CUSTOMERS").pk_index[k] for k in (1, 2, 3)] == [0, 1, 2]
+
+
+# perfbench/reference.py loads each table's CSV text into a new database.
+def test_reference_loads_csv_text(retail_schema):
+    db = store.new_database(retail_schema)
+    for name, text in [("CUSTOMERS", CUSTOMERS_CSV), ("ARTICLES", ARTICLES_CSV), ("TRANSACTIONS", TRANSACTIONS_CSV)]:
+        store.load_table_data(db, name, text)
+    assert [db.nrows(name) for name in ("CUSTOMERS", "ARTICLES", "TRANSACTIONS")] == [3, 3, 8]
