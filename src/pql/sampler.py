@@ -35,7 +35,7 @@ from .binder import (
     BoundTarget,
     iter_bound_aggregations,
 )
-from .engine import TrainingTable, evaluate_pairs
+from .engine import TrainingTable, check_pair_entity, evaluate_pairs
 from .errors import ExecutionError
 from .kernels import VecCtx, gather_children
 from .planner import AnchorPolicy, feasible_anchors
@@ -108,9 +108,9 @@ def _reached_rows(
             walk(node.right, rows, anchor)
 
     by_anchor: Dict[Optional[int], List[int]] = {}
+    nrows = g.db.nrows(request.entity_table)
     for ref, anchor in request.pairs:
-        if ref.table.upper() != request.entity_table:
-            raise ExecutionError(f"pair entity {ref} is not from {request.entity_table}")
+        check_pair_entity(ref, request.entity_table, nrows)
         by_anchor.setdefault(anchor, []).append(ref.index)
     entities = []
     for anchor, indices in by_anchor.items():

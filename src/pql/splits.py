@@ -2,8 +2,11 @@
 
 Temporal tables split at the anchor level: the newest anchor is the test
 set, the second newest validation, everything older trains. Static tables
-split per entity by a seeded hash so reruns are byte-identical. Result
-tables hold each split as an int8 code, its label's index in `SPLITS`.
+split per entity by a seeded hash so reruns are byte-identical. The hash
+is paid once per entity row, per split policy, per loaded table: the
+engine keeps the codes on the entity table's `TableData.split_memo` and
+hashes only rows it has not seen. Result tables hold each split as an
+int8 code, its label's index in `SPLITS`.
 """
 
 from __future__ import annotations

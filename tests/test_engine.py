@@ -1,9 +1,12 @@
 """Batch engine: kernel semantics on single rows, materialization, splits,
 drop accounting, strategy equivalence, determinism, prediction tables."""
 
+import re
+
 import numpy as np
 import pytest
 
+from conftest import TRANSACTIONS_CSV, build_toy_db
 from corpus import CORPUS, CORPUS_BY_NAME, schema
 
 from pql import engine
@@ -14,9 +17,10 @@ from pql.kernels import VecCtx, eval_agg_vec, eval_condition_vec
 from pql.oracle import oracle_training
 from pql.parser import parse
 from pql.planner import AnchorPolicy, plan_prediction, plan_training, resolve_anchors
-from pql.splits import SplitPolicy
-from pql.store import RowRef, build_row_graph
+from pql.splits import SplitPolicy, split_for_key
+from pql.store import RowRef, build_row_graph, load_schema, load_table_data, new_database
 from pql.synth import (
+    GenSpec,
     generate,
     hm_genspec,
     random_database,
@@ -500,6 +504,24 @@ class TestEvaluatePairs:
         with pytest.raises(PlanError, match="^pair anchor 2024-01-02T00:00:00Z is not in anchors_for_split$"):
             evaluate_pairs(toy_db, toy_graph, b, pairs, anchors_for_split=[ANCHOR])
 
+    @pytest.mark.parametrize("index", [-1, 3])
+    def test_temporal_pair_row_outside_the_table_is_refused(self, toy_db, toy_graph, index):
+        b = bind_text("PREDICT COUNT(TRANSACTIONS.*, 0, 30, days) FOR EACH CUSTOMERS.CUSTOMER_ID")
+        ref = CUSTOMER(index)
+        message = f"^pair entity {re.escape(repr(ref))} is outside the 3 rows of CUSTOMERS$"
+        with pytest.raises(ExecutionError, match=message):
+            evaluate_pairs(toy_db, toy_graph, b, [(CUSTOMER(0), ANCHOR), (ref, ANCHOR)])
+
+    @pytest.mark.parametrize("index", [-1, 8])
+    def test_static_pair_row_outside_the_table_is_refused(self, retail_schema, index):
+        db = build_toy_db(retail_schema)
+        b = bind_text("PREDICT TRANSACTIONS.VALUE FOR EACH TRANSACTIONS.TRANSACTION_ID")
+        ref = RowRef("TRANSACTIONS", index)
+        message = f"^pair entity {re.escape(repr(ref))} is outside the 8 rows of TRANSACTIONS$"
+        with pytest.raises(ExecutionError, match=message):
+            evaluate_pairs(db, build_row_graph(db), b, [(ref, None)])
+        assert db.table("TRANSACTIONS").split_memo == {}  # refused before any row ran
+
 
 class TestEmptyParentTable:
     """ARTICLES holds no rows, so every transaction's ARTICLE_ID dangles and
@@ -739,3 +761,135 @@ class TestPlanExecutor:
         assert staged["dropped"]["static_filtered"] == 0
         for meta in (staged, naive):
             assert meta["pairs_expanded"] == meta["row_count"] + sum(meta["dropped"].values())
+
+
+class TestStaticSplitMemo:
+    """A static query hashes each entity row's key once per split policy and
+    loaded table; the codes are kept on the entity table's TableData. Tables
+    must equal the same queries on a fresh database, column by column."""
+
+    UNFILTERED = "PREDICT TRANSACTIONS.VALUE FOR EACH TRANSACTIONS.TRANSACTION_ID"
+    FILTERED = (
+        "PREDICT TRANSACTIONS.VALUE > 200 FOR EACH TRANSACTIONS.TRANSACTION_ID "
+        "WHERE CUSTOMERS.AGE > 20 AND TRANSACTIONS.VALUE > 150"
+    )
+
+    @staticmethod
+    def fresh_db():
+        return generate(GenSpec(seed=2, customers=30, articles=5, transactions=300, notifications=10))
+
+    @staticmethod
+    def train(db, text, split=None):
+        return materialize_training(plan_training(bind(parse(text), db.schema)), db, split=split)
+
+    @staticmethod
+    def assert_same_table(got, want):
+        assert got.anchors is None and want.anchors is None
+        for name in ("keys", "values", "splits"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+            assert getattr(got, name).dtype == getattr(want, name).dtype, name
+        assert got.metadata == want.metadata
+
+    @pytest.fixture()
+    def hashed(self, monkeypatch):
+        """Every key `engine` hands to `split_for_keys`, which still runs."""
+        keys = []
+        real = engine.split_for_keys
+
+        def counting(batch, policy):
+            keys.extend(batch.tolist())
+            return real(batch, policy)
+
+        monkeypatch.setattr(engine, "split_for_keys", counting)
+        return keys
+
+    def test_filtered_then_unfiltered_equal_fresh_databases(self):
+        db = self.fresh_db()
+        filtered = self.train(db, self.FILTERED)
+        unfiltered = self.train(db, self.UNFILTERED)
+        assert 0 < filtered.row_count < unfiltered.row_count
+        self.assert_same_table(filtered, self.train(self.fresh_db(), self.FILTERED))
+        self.assert_same_table(unfiltered, self.train(self.fresh_db(), self.UNFILTERED))
+        # A repeat reads the memo alone and still matches.
+        self.assert_same_table(self.train(db, self.FILTERED), filtered)
+
+    def test_split_policies_keep_separate_codes(self):
+        db = self.fresh_db()
+        policies = (SplitPolicy(seed=7), SplitPolicy(), SplitPolicy(0.5, 0.25, 0.25, seed=7))
+        got = [(self.train(db, text, p), text, p) for p in policies for text in (self.FILTERED, self.UNFILTERED)]
+        assert set(db.table("TRANSACTIONS").split_memo) == set(policies)
+        for table, text, policy in got:
+            self.assert_same_table(table, self.train(self.fresh_db(), text, policy))
+        assert len({got[i][0].splits.tobytes() for i in (1, 3, 5)}) == 3
+
+    def test_pairs_after_a_warm_memo_match_the_batch(self):
+        db = self.fresh_db()
+        g = build_row_graph(db)
+        b = bind(parse(self.UNFILTERED), db.schema)
+        batch = self.train(db, self.UNFILTERED)
+        pairs = [(RowRef("TRANSACTIONS", i), None) for i in reversed(range(db.nrows("TRANSACTIONS")))]
+        assert evaluate_pairs(db, g, b, pairs).rows == batch.rows
+        # Pairs on a cold database fill part of the memo; the batch then matches a fresh one.
+        db = self.fresh_db()
+        evaluate_pairs(db, build_row_graph(db), b, pairs[::3])
+        self.assert_same_table(self.train(db, self.UNFILTERED), batch)
+
+    def test_reloaded_entity_table_hashes_its_new_keys(self, retail_schema):
+        db = build_toy_db(retail_schema)
+        old = self.train(db, self.UNFILTERED)
+        lines = TRANSACTIONS_CSV.splitlines()
+        renumbered = [lines[0]] + [f"{1000 + i},{line.split(',', 1)[1]}" for i, line in enumerate(lines[1:])]
+        load_table_data(db, "TRANSACTIONS", "\n".join(renumbered) + "\n")
+        new = self.train(db, self.UNFILTERED)
+        assert new.keys.tolist() == [k + 1000 - 1 for k in old.keys.tolist()]
+        want = [split_for_key(k, SplitPolicy()) for k in new.keys.tolist()]
+        assert [r[3] for r in new.rows] == want
+        assert want != [r[3] for r in old.rows]  # stale codes would show
+
+    def test_string_primary_keys(self):
+        sch = load_schema({"tables": [{
+            "name": "ITEMS",
+            "columns": [{"name": "ITEM_ID", "dtype": "string", "stype": "key"},
+                        {"name": "PRICE", "dtype": "float64", "stype": "numerical"}],
+            "primary_key": "ITEM_ID",
+        }]})
+        # Rows out of key order, so a code stored under the wrong row shows.
+        csv = "ITEM_ID,PRICE\n" + "".join(f"item-{i * 7 % 40:03d},{i}.5\n" for i in range(40))
+
+        def fresh():
+            return load_table_data(new_database(sch), "ITEMS", csv)
+
+        db = fresh()
+        texts = ("PREDICT ITEMS.PRICE FOR EACH ITEMS.ITEM_ID WHERE ITEMS.PRICE > 20",
+                 "PREDICT ITEMS.PRICE FOR EACH ITEMS.ITEM_ID")
+        for text in texts:
+            table = self.train(db, text)
+            self.assert_same_table(table, self.train(fresh(), text))
+            assert [r[3] for r in table.rows] == [split_for_key(k, SplitPolicy()) for k in table.keys.tolist()]
+        assert table.keys.dtype == object and table.row_count == 40
+
+    def test_temporal_queries_make_no_memo(self):
+        db = self.fresh_db()
+        b = bind(parse("PREDICT SUM(TRANSACTIONS.VALUE, 0, 30, days) FOR EACH CUSTOMERS.CUSTOMER_ID"), db.schema)
+        policy = AnchorPolicy(count=3)
+        materialize_training(plan_training(b, policy), db)
+        anchors = resolve_anchors(b, policy, db)
+        evaluate_pairs(db, build_row_graph(db), b, [(CUSTOMER(1), anchors[0])], anchors_for_split=anchors)
+        assert all(not t.split_memo for t in db.tables.values())
+
+    def test_each_row_hashes_once(self, hashed):
+        db = self.fresh_db()
+        nrows = db.nrows("TRANSACTIONS")
+        every_row = "PREDICT TRANSACTIONS.VALUE IS NULL FOR EACH TRANSACTIONS.TRANSACTION_ID"  # never undefined
+        first = self.train(db, every_row)
+        assert first.row_count == nrows and len(hashed) == nrows
+        hashed.clear()
+        for text in (every_row, self.UNFILTERED, self.FILTERED):
+            self.train(db, text)
+        assert hashed == []
+
+        db = self.fresh_db()
+        self.train(db, self.FILTERED)
+        assert 0 < len(hashed) < nrows
+        self.train(db, every_row)
+        assert sorted(hashed) == first.keys.tolist()  # each key once overall

@@ -1,6 +1,7 @@
 """Subgraph sampler: collection contents, path equivalence, proportional work."""
 
 import random
+import re
 
 import pytest
 
@@ -39,6 +40,19 @@ class TestCollect:
         sub = collect(toy_graph, build_request(b, pairs))
         assert sub.rows["TRANSACTIONS"].tolist() == [3, 4, 5]
         assert sub.rows["ARTICLES"].tolist() == [0, 1, 2]  # parents of those rows
+
+    @pytest.mark.parametrize(
+        "ref,anchor",
+        [(RowRef("CUSTOMERS", -1), ANCHOR), (RowRef("CUSTOMERS", 3), ANCHOR),
+         (RowRef("TRANSACTIONS", -1), None), (RowRef("TRANSACTIONS", 8), None)],
+    )
+    def test_pair_row_outside_the_table_is_refused(self, toy_db, toy_graph, ref, anchor):
+        temporal = "PREDICT COUNT(TRANSACTIONS.*, 0, 30, days) FOR EACH CUSTOMERS.CUSTOMER_ID"
+        static = "PREDICT TRANSACTIONS.VALUE FOR EACH TRANSACTIONS.TRANSACTION_ID"
+        b = bind_text(static if anchor is None else temporal)
+        message = f"^pair entity {re.escape(repr(ref))} is outside the {toy_db.nrows(ref.table)} rows of {ref.table}$"
+        with pytest.raises(ExecutionError, match=message):
+            collect(toy_graph, build_request(b, [(RowRef(ref.table, 0), anchor), (ref, anchor)]))
 
     @pytest.mark.parametrize("seed", range(30))
     def test_equals_oracle_touch_set(self, seed):
