@@ -37,17 +37,7 @@ from .errors import ExecutionError, PlanError
 from .kernels import SumOverflow, VecCtx, eval_condition_vec, eval_target_vec
 from .planner import LogicalPlan, PlanNode, feasible_anchors, plan_training
 from .splits import SPLITS, SplitPolicy, split_code_for_anchor_rank, split_counts, split_for_keys
-from .store import (
-    _NUMPY_DTYPE,
-    Column,
-    Database,
-    DataType,
-    ListType,
-    RowGraph,
-    RowRef,
-    TableData,
-    build_row_graph,
-)
+from .store import _NUMPY_DTYPE, Column, Database, DataType, ListType, RowGraph, RowRef, build_row_graph
 from .times import format_timestamp
 
 
@@ -162,15 +152,13 @@ class _Run:
     split_codes: Dict[int, int] = field(default_factory=dict)  # by anchor
     bound: BoundQuery = field(init=False)
     list_target: bool = field(init=False)
-    entity: TableData = field(init=False)
     key_column: Column = field(init=False)
     value_dtype: type = field(init=False)
 
     def __post_init__(self):
         self.bound = self.plan.bound
         self.list_target = _is_list_target(self.bound)
-        self.entity = self.ctx.db.table(self.bound.entity_table)
-        self.key_column = self.entity.column(self.bound.entity_column)
+        self.key_column = self.ctx.db.table(self.bound.entity_table).column(self.bound.entity_column)
         self.value_dtype = _NUMPY_DTYPE.get(self.bound.task.target_dtype, object)  # object for lists
 
 
@@ -349,30 +337,10 @@ def _project(run: _Run, block: _Block, node: PlanNode):
         return
     # An empty block's values may have another dtype, which would spread in concatenation.
     block.values = block.values[order].astype(run.value_dtype, copy=False)
-    if block.anchor is None:  # static: hashed once per entity row, split policy and loaded table
-        block.splits = _static_splits(run, block.sel, keys)[order]
+    if block.anchor is None:  # static split hashes each key
+        block.splits = split_for_keys(block.keys, run.split)
     else:
         block.splits = np.full(len(order), run.split_codes[block.anchor], dtype=np.int8)
-
-
-def _static_splits(run: _Run, sel: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Split codes of the entity rows `sel`, whose keys are `keys`. The
-    entity table's memo for the policy supplies every row hashed before, on
-    this query or another; only the rest go through `split_for_keys`, and
-    their codes join the memo. Temporaries are int8 and bool, apart from the
-    keys still to hash."""
-    memo = run.entity.split_memo.get(run.split)
-    if memo is None:
-        codes = split_for_keys(keys, run.split)
-        memo = run.entity.split_memo[run.split] = np.full(run.entity.nrows, -1, dtype=np.int8)
-    else:
-        codes = memo[sel]
-        todo = codes < 0
-        if not todo.any():
-            return codes
-        codes[todo] = split_for_keys(keys[todo], run.split)
-    memo[sel] = codes
-    return codes
 
 
 _HANDLERS: Dict[str, Callable[[_Run, _Block, PlanNode], None]] = {

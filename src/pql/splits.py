@@ -2,11 +2,8 @@
 
 Temporal tables split at the anchor level: the newest anchor is the test
 set, the second newest validation, everything older trains. Static tables
-split per entity by a seeded hash so reruns are byte-identical. The hash
-is paid once per entity row, per split policy, per loaded table: the
-engine keeps the codes on the entity table's `TableData.split_memo` and
-hashes only rows it has not seen. Result tables hold each split as an
-int8 code, its label's index in `SPLITS`.
+split per entity by a seeded hash so reruns are byte-identical. Result
+tables hold each split as an int8 code, its label's index in `SPLITS`.
 """
 
 from __future__ import annotations
@@ -21,8 +18,9 @@ from .errors import PlanError
 
 TRAIN, VAL, TEST = "train", "val", "test"
 SPLITS = np.array([TRAIN, VAL, TEST], dtype=object)  # `SPLITS[codes]` labels codes
-# Keys hashed per block in `split_for_keys`; bounds the digests alive at once.
-_HASH_BLOCK = 8192
+# Keys hashed per block in `split_for_keys`; bounds the key strings,
+# messages and digests alive at once.
+_HASH_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -56,18 +54,22 @@ def split_for_key(key, policy: SplitPolicy) -> str:
 
 
 def split_for_keys(keys: np.ndarray, policy: SplitPolicy) -> np.ndarray:
-    """`split_for_key` for an array of keys, as split codes: the hashes of a
-    block of keys are joined and read as big-endian uint64 by numpy. A
-    uint64 converts to the nearest float64, and dividing by 2**64 is exact,
-    so each fraction equals `int.from_bytes(...) / 2**64` bit for bit."""
+    """`split_for_key` for an array of keys, as split codes. Each block of
+    keys is encoded as one string and split at its newlines: `repr` writes
+    none (a string's own are escaped) and UTF-8 puts no newline byte inside
+    another character, so the parts are each key's hashed bytes. The
+    digests are joined, and numpy reads the first 8 bytes of each 32 as a
+    big-endian uint64. A uint64 converts to the nearest float64, and
+    dividing by 2**64 is exact, so each fraction equals
+    `int.from_bytes(...) / 2**64` bit for bit."""
     prefix = f"{policy.seed}|"
+    sha256 = hashlib.sha256
     u = np.empty(len(keys), dtype=np.float64)
     for lo in range(0, len(keys), _HASH_BLOCK):
-        digests = b"".join(
-            hashlib.sha256((prefix + repr(k)).encode()).digest()[:8]
-            for k in keys[lo : lo + _HASH_BLOCK].tolist()
-        )
-        u[lo : lo + _HASH_BLOCK] = np.frombuffer(digests, dtype=">u8")
+        block = keys[lo : lo + _HASH_BLOCK].tolist()
+        messages = (prefix + ("\n" + prefix).join(map(repr, block))).encode().split(b"\n")
+        digests = b"".join([sha256(m).digest() for m in messages])
+        u[lo : lo + len(block)] = np.frombuffer(digests, dtype=">u8")[::4]
     u /= 2**64
     return (u >= policy.train).astype(np.int8) + (u >= policy.train + policy.val)
 

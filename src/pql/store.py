@@ -55,7 +55,6 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, 
 import numpy as np
 
 from .errors import DataError, SchemaError
-from .splits import SplitPolicy
 from .times import canonical_micros, format_timestamp, format_timestamps, parse_timestamp
 
 
@@ -623,10 +622,6 @@ class TableData:
     # it against, child row -> parent row); the row graph reuses it while
     # that parent is still the loaded one.
     fk_forward: Dict[str, Tuple[Optional["TableData"], np.ndarray]] = field(default_factory=dict, repr=False)
-    # Static split codes per policy, one int8 per row, -1 until the row's
-    # key is hashed; filled by `engine._static_splits` as static queries
-    # project rows, and dropped with this TableData when the table reloads.
-    split_memo: Dict[SplitPolicy, np.ndarray] = field(default_factory=dict, repr=False)
 
     def column(self, name: str) -> Column:
         return self.columns[name.upper()]

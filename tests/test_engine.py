@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import TRANSACTIONS_CSV, build_toy_db
+from conftest import build_toy_db
 from corpus import CORPUS, CORPUS_BY_NAME, schema
 
 from pql import engine
@@ -520,7 +520,6 @@ class TestEvaluatePairs:
         message = f"^pair entity {re.escape(repr(ref))} is outside the 8 rows of TRANSACTIONS$"
         with pytest.raises(ExecutionError, match=message):
             evaluate_pairs(db, build_row_graph(db), b, [(ref, None)])
-        assert db.table("TRANSACTIONS").split_memo == {}  # refused before any row ran
 
 
 class TestEmptyParentTable:
@@ -763,88 +762,28 @@ class TestPlanExecutor:
             assert meta["pairs_expanded"] == meta["row_count"] + sum(meta["dropped"].values())
 
 
-class TestStaticSplitMemo:
-    """A static query hashes each entity row's key once per split policy and
-    loaded table; the codes are kept on the entity table's TableData. Tables
-    must equal the same queries on a fresh database, column by column."""
+class TestStaticSplits:
+    """A static table's split codes are `split_for_key` of each row's key,
+    whatever the key type, the row order or the path that computed them."""
 
     UNFILTERED = "PREDICT TRANSACTIONS.VALUE FOR EACH TRANSACTIONS.TRANSACTION_ID"
-    FILTERED = (
-        "PREDICT TRANSACTIONS.VALUE > 200 FOR EACH TRANSACTIONS.TRANSACTION_ID "
-        "WHERE CUSTOMERS.AGE > 20 AND TRANSACTIONS.VALUE > 150"
-    )
-
-    @staticmethod
-    def fresh_db():
-        return generate(GenSpec(seed=2, customers=30, articles=5, transactions=300, notifications=10))
 
     @staticmethod
     def train(db, text, split=None):
         return materialize_training(plan_training(bind(parse(text), db.schema)), db, split=split)
 
     @staticmethod
-    def assert_same_table(got, want):
-        assert got.anchors is None and want.anchors is None
-        for name in ("keys", "values", "splits"):
-            np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
-            assert getattr(got, name).dtype == getattr(want, name).dtype, name
-        assert got.metadata == want.metadata
+    def labels(table):
+        return [r[3] for r in table.rows]
 
-    @pytest.fixture()
-    def hashed(self, monkeypatch):
-        """Every key `engine` hands to `split_for_keys`, which still runs."""
-        keys = []
-        real = engine.split_for_keys
-
-        def counting(batch, policy):
-            keys.extend(batch.tolist())
-            return real(batch, policy)
-
-        monkeypatch.setattr(engine, "split_for_keys", counting)
-        return keys
-
-    def test_filtered_then_unfiltered_equal_fresh_databases(self):
-        db = self.fresh_db()
-        filtered = self.train(db, self.FILTERED)
-        unfiltered = self.train(db, self.UNFILTERED)
-        assert 0 < filtered.row_count < unfiltered.row_count
-        self.assert_same_table(filtered, self.train(self.fresh_db(), self.FILTERED))
-        self.assert_same_table(unfiltered, self.train(self.fresh_db(), self.UNFILTERED))
-        # A repeat reads the memo alone and still matches.
-        self.assert_same_table(self.train(db, self.FILTERED), filtered)
-
-    def test_split_policies_keep_separate_codes(self):
-        db = self.fresh_db()
-        policies = (SplitPolicy(seed=7), SplitPolicy(), SplitPolicy(0.5, 0.25, 0.25, seed=7))
-        got = [(self.train(db, text, p), text, p) for p in policies for text in (self.FILTERED, self.UNFILTERED)]
-        assert set(db.table("TRANSACTIONS").split_memo) == set(policies)
-        for table, text, policy in got:
-            self.assert_same_table(table, self.train(self.fresh_db(), text, policy))
-        assert len({got[i][0].splits.tobytes() for i in (1, 3, 5)}) == 3
-
-    def test_pairs_after_a_warm_memo_match_the_batch(self):
-        db = self.fresh_db()
-        g = build_row_graph(db)
+    @pytest.mark.parametrize("policy", [SplitPolicy(), SplitPolicy(0.5, 0.25, 0.25, seed=7)])
+    def test_pairs_in_any_order_match_the_batch(self, policy):
+        db = generate(GenSpec(seed=2, customers=30, articles=5, transactions=300, notifications=10))
+        batch = self.train(db, self.UNFILTERED, policy)
+        assert self.labels(batch) == [split_for_key(k, policy) for k in batch.keys.tolist()]
         b = bind(parse(self.UNFILTERED), db.schema)
-        batch = self.train(db, self.UNFILTERED)
         pairs = [(RowRef("TRANSACTIONS", i), None) for i in reversed(range(db.nrows("TRANSACTIONS")))]
-        assert evaluate_pairs(db, g, b, pairs).rows == batch.rows
-        # Pairs on a cold database fill part of the memo; the batch then matches a fresh one.
-        db = self.fresh_db()
-        evaluate_pairs(db, build_row_graph(db), b, pairs[::3])
-        self.assert_same_table(self.train(db, self.UNFILTERED), batch)
-
-    def test_reloaded_entity_table_hashes_its_new_keys(self, retail_schema):
-        db = build_toy_db(retail_schema)
-        old = self.train(db, self.UNFILTERED)
-        lines = TRANSACTIONS_CSV.splitlines()
-        renumbered = [lines[0]] + [f"{1000 + i},{line.split(',', 1)[1]}" for i, line in enumerate(lines[1:])]
-        load_table_data(db, "TRANSACTIONS", "\n".join(renumbered) + "\n")
-        new = self.train(db, self.UNFILTERED)
-        assert new.keys.tolist() == [k + 1000 - 1 for k in old.keys.tolist()]
-        want = [split_for_key(k, SplitPolicy()) for k in new.keys.tolist()]
-        assert [r[3] for r in new.rows] == want
-        assert want != [r[3] for r in old.rows]  # stale codes would show
+        assert evaluate_pairs(db, build_row_graph(db), b, pairs, split=policy).rows == batch.rows
 
     def test_string_primary_keys(self):
         sch = load_schema({"tables": [{
@@ -853,43 +792,11 @@ class TestStaticSplitMemo:
                         {"name": "PRICE", "dtype": "float64", "stype": "numerical"}],
             "primary_key": "ITEM_ID",
         }]})
-        # Rows out of key order, so a code stored under the wrong row shows.
+        # Rows out of key order, so a code taken from the wrong row shows.
         csv = "ITEM_ID,PRICE\n" + "".join(f"item-{i * 7 % 40:03d},{i}.5\n" for i in range(40))
-
-        def fresh():
-            return load_table_data(new_database(sch), "ITEMS", csv)
-
-        db = fresh()
-        texts = ("PREDICT ITEMS.PRICE FOR EACH ITEMS.ITEM_ID WHERE ITEMS.PRICE > 20",
-                 "PREDICT ITEMS.PRICE FOR EACH ITEMS.ITEM_ID")
-        for text in texts:
+        db = load_table_data(new_database(sch), "ITEMS", csv)
+        for text in ("PREDICT ITEMS.PRICE FOR EACH ITEMS.ITEM_ID WHERE ITEMS.PRICE > 20",
+                     "PREDICT ITEMS.PRICE FOR EACH ITEMS.ITEM_ID"):
             table = self.train(db, text)
-            self.assert_same_table(table, self.train(fresh(), text))
-            assert [r[3] for r in table.rows] == [split_for_key(k, SplitPolicy()) for k in table.keys.tolist()]
+            assert self.labels(table) == [split_for_key(k, SplitPolicy()) for k in table.keys.tolist()]
         assert table.keys.dtype == object and table.row_count == 40
-
-    def test_temporal_queries_make_no_memo(self):
-        db = self.fresh_db()
-        b = bind(parse("PREDICT SUM(TRANSACTIONS.VALUE, 0, 30, days) FOR EACH CUSTOMERS.CUSTOMER_ID"), db.schema)
-        policy = AnchorPolicy(count=3)
-        materialize_training(plan_training(b, policy), db)
-        anchors = resolve_anchors(b, policy, db)
-        evaluate_pairs(db, build_row_graph(db), b, [(CUSTOMER(1), anchors[0])], anchors_for_split=anchors)
-        assert all(not t.split_memo for t in db.tables.values())
-
-    def test_each_row_hashes_once(self, hashed):
-        db = self.fresh_db()
-        nrows = db.nrows("TRANSACTIONS")
-        every_row = "PREDICT TRANSACTIONS.VALUE IS NULL FOR EACH TRANSACTIONS.TRANSACTION_ID"  # never undefined
-        first = self.train(db, every_row)
-        assert first.row_count == nrows and len(hashed) == nrows
-        hashed.clear()
-        for text in (every_row, self.UNFILTERED, self.FILTERED):
-            self.train(db, text)
-        assert hashed == []
-
-        db = self.fresh_db()
-        self.train(db, self.FILTERED)
-        assert 0 < len(hashed) < nrows
-        self.train(db, every_row)
-        assert sorted(hashed) == first.keys.tolist()  # each key once overall

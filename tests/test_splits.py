@@ -7,6 +7,7 @@ import pytest
 
 from pql.errors import PlanError
 from pql.splits import (
+    _HASH_BLOCK,
     SPLITS,
     TEST,
     TRAIN,
@@ -22,7 +23,7 @@ KEYS = (
     list(range(-500, 500))
     + [2**63 - 1, -(2**63 - 1), -(2**63), 2**62]
     + ["", "a", "A", "'", '"', "it's", 'say "hi"', "é", "é", "中文", "\U0001F600",
-       "line\nbreak", "tab\t", "\\", "1", "-1"]
+       "line\nbreak", "tab\t", "\\", "1", "-1", "\r\n", "\x00", "\x85", "\u2028", "\n"]
     + [f"customer-{i}" for i in range(500)]
 )
 
@@ -51,6 +52,14 @@ def test_batched_split_matches_per_key(policy):
     assert SPLITS[split_for_keys(np.array(ints, dtype=np.int64), policy)].tolist() == [
         split_for_key(k, policy) for k in ints
     ]
+
+
+def test_keys_over_several_hash_blocks():
+    ints = np.arange(-3, 2 * _HASH_BLOCK + 5, dtype=np.int64)[::-1]
+    strings = np.array([f"k\n{i}" for i in ints.tolist()], dtype=object)
+    policy = SplitPolicy(0.6, 0.2, 0.2, seed=9)
+    for keys in (ints, strings):
+        assert SPLITS[split_for_keys(keys, policy)].tolist() == [split_for_key(k, policy) for k in keys.tolist()]
 
 
 def test_no_keys():
