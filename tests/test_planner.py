@@ -217,6 +217,25 @@ class TestExplain:
         got = explain(plan_training(b, AnchorPolicy(), optimized=False))
         assert got == (GOLDEN / "weekly_transactions.naive.txt").read_text()
 
+    @pytest.mark.parametrize(
+        "name,suffix",
+        [
+            ("active_spender_notified", "train"),
+            ("impute_value", "train"),
+            ("weekly_transactions", "naive"),
+            ("blue_articles", "predict"),
+        ],
+    )
+    def test_json_goldens(self, name, suffix):
+        # Byte for byte what `pql plan --json` prints.
+        b = bind_corpus(name)
+        if suffix == "predict":
+            plan = plan_prediction(b)
+        else:
+            plan = plan_training(b, AnchorPolicy(), optimized=suffix == "train")
+        got = json.dumps(plan_to_json(plan), indent=2) + "\n"
+        assert got == (GOLDEN / f"{name}.{suffix}.json").read_text()
+
     def test_naive_plan_lists_late_filters_in_run_order(self):
         # The cross-product plan drops a pair under the first late filter,
         # in the order printed: static conjuncts, validity, temporal
