@@ -38,13 +38,22 @@ from .times import format_duration, format_timestamp, parse_duration, parse_time
 EXIT_OK, EXIT_VALIDATION, EXIT_EMPTY, EXIT_IO = 0, 1, 2, 3
 
 
+def _read_text(path: str) -> str:
+    """The UTF-8 text of the file at `path`; a file that is not UTF-8 fails
+    as an I/O error that names it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise OSError(f"{path} is not UTF-8: {exc.reason} at byte {exc.start}") from None
+
+
 def _query_text(args) -> str:
     if args.query and args.query_file:
         raise PqlError("give exactly one of --query / --query-file")
     if args.query:
         return args.query
     if args.query_file:
-        return Path(args.query_file).read_text(encoding="utf-8")
+        return _read_text(args.query_file)
     raise PqlError("no query given; use --query or --query-file")
 
 
@@ -203,6 +212,8 @@ def cmd_sample(args) -> int:
     bound = _bound(args, db.schema)
     g = build_row_graph(db)
     anchor = _option("at", parse_timestamp, args.at)
+    if bound.is_static and anchor is not None:
+        raise PlanError("static query takes no anchor")
     anchors = [] if bound.is_static else feasible_anchors(bound, _policy(args), db)
     if anchors and anchor is None:
         anchor = anchors[0]
@@ -236,7 +247,7 @@ def _describe_grid(anchors: List[int]) -> str:
 
 def cmd_gen_data(args) -> int:
     if args.genspec:
-        spec = GenSpec.from_json(parse_json(Path(args.genspec).read_text(encoding="utf-8")))
+        spec = GenSpec.from_json(parse_json(_read_text(args.genspec)))
     else:
         spec = hm_genspec(scale=_scale(args), seed=args.seed, validity=args.validity,
                           upscale=_at_least(args, "upscale"))
@@ -428,7 +439,7 @@ def parse_args(argv: Optional[List[str]] = None) -> argparse.Namespace:
     args = root.parse_args(argv)
     if not args.config:
         return args
-    doc = parse_json(Path(args.config).read_text(encoding="utf-8"))
+    doc = parse_json(_read_text(args.config))
     if not isinstance(doc, dict):
         raise PqlError("the config file must hold a JSON object")
     known = {key for command in root.commands.values() for key in command.options} - {"help", "config"}

@@ -1,10 +1,12 @@
 """Logical planning: lower a bound query into a staged plan of operator nodes.
 
-A plan is a chain of nodes, each fed by the one before it, grouped into
-stages for display. `pql.engine` runs a plan by walking its nodes in order,
-one column-at-a-time kernel call per node, so the plan `explain` prints is
-the plan that runs. The optimized training plan has four stages with
-materialization barriers between them:
+A plan is a chain of nodes, each fed by the one before it. `pql.engine`
+runs a plan by walking its nodes in order, one column-at-a-time kernel call
+per node. The nodes are the whole plan: `explain` and `plan_to_json` derive
+the stages and each node's text from them when the plan is printed, so the
+plan `pql plan` prints is the plan that runs, and building a plan renders
+no text. The optimized training plan has four stages with materialization
+barriers between them:
 
   1. static entity filters       (anchor-independent conjuncts, pushed down)
   2. anchor expansion            (entity x anchor generator, validity-pruned)
@@ -26,7 +28,7 @@ filter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple, Union
 
 from .ast import Aggregation, And, ColumnRef, Compare, Constant, Not, Or, unparse_expr
@@ -59,17 +61,11 @@ class AnchorPolicy:
 
 @dataclass(frozen=True)
 class PlanNode:
+    """One operator: its kind, and what it evaluates (a bound condition or
+    target, or the Project's column names)."""
+
     kind: str
-    detail: str = ""
-    payload: object = field(default=None, compare=False, repr=False)
-    inputs: Tuple[int, ...] = ()
-
-
-@dataclass(frozen=True)
-class Stage:
-    name: str
-    node_ids: Tuple[int, ...]
-    note: str = ""
+    payload: object = None
 
 
 @dataclass(frozen=True)
@@ -79,7 +75,6 @@ class LogicalPlan:
     bound: BoundQuery
     policy: Optional[AnchorPolicy]
     nodes: Tuple[PlanNode, ...]
-    stages: Tuple[Stage, ...]
     prediction_at: Optional[int] = None
 
     @property
@@ -88,50 +83,20 @@ class LogicalPlan:
         return self.nodes[-1].payload
 
 
-_STATIC_SKIPS = (
-    Stage("anchor expansion", (), note="skipped: static query"),
-    Stage("temporal filters", (), note="skipped: static query"),
-)
-
-
-def _as_ast(node):
-    """The parse tree a bound target or condition renders as."""
-    if isinstance(node, BoundColumn):
-        return ColumnRef(node.table, node.column)
-    if isinstance(node, BoundAggregation):
-        where = None if node.where is None else _as_ast(node.where)
-        return Aggregation(node.kind, ColumnRef(node.table, node.column or "*"), where, node.window)
-    if isinstance(node, BoundCompare):
-        return Compare(_as_ast(node.lhs), node.op, Constant(node.rhs.kind, node.rhs.value))
-    if isinstance(node, BoundNot):
-        return Not(_as_ast(node.operand))
-    return (And if isinstance(node, BoundAnd) else Or)(_as_ast(node.left), _as_ast(node.right))
-
-
-def _describe(node) -> str:
-    """A bound target or condition as canonical query text."""
-    return unparse_expr(_as_ast(node))
-
-
-def _append(nodes: List[PlanNode], kind: str, detail: str = "", payload: object = None) -> int:
-    """Append a node fed by the previous one; returns its id."""
-    nid = len(nodes)
-    nodes.append(PlanNode(kind, detail, payload, (nid - 1,) if nid else ()))
-    return nid
-
-
-def _append_project(nodes: List[PlanNode], bound: BoundQuery, mode: str) -> int:
+def _project(bound: BoundQuery, mode: str) -> PlanNode:
     cols: Tuple[str, ...] = ("ENTITY",) if bound.is_static else ("ENTITY", "TIMESTAMP")
     if mode == "training":
         cols += ("TARGET", "SPLIT")
-    return _append(nodes, "Project", ", ".join(cols), cols)
+    return PlanNode("Project", cols)
 
 
-def _entity_stage_nodes(bound: BoundQuery, nodes: List[PlanNode]) -> List[int]:
-    return [_append(nodes, "ScanEntities", bound.entity_table)] + [
-        _append(nodes, "StaticEntityFilter", _describe(c), c)
-        for c in bound.static_conjuncts
-    ]
+def _entity_nodes(bound: BoundQuery) -> List[PlanNode]:
+    return [PlanNode("ScanEntities")] + [PlanNode("StaticEntityFilter", c) for c in bound.static_conjuncts]
+
+
+def _temporal_nodes(bound: BoundQuery) -> List[PlanNode]:
+    """Anchor expansion, then the anchor-dependent conjuncts."""
+    return [PlanNode("AnchorExpand")] + [PlanNode("TemporalEntityFilter", c) for c in bound.temporal_conjuncts]
 
 
 def plan_training(
@@ -142,111 +107,45 @@ def plan_training(
     if not optimized:
         return _plan_training_naive(bound, policy)
 
-    nodes: List[PlanNode] = []
-    stages = [Stage("static entity filters", tuple(_entity_stage_nodes(bound, nodes)))]
-    if bound.is_static:
-        stages += _STATIC_SKIPS
-    else:
-        validity = "validity-pruned" if bound.entity_validity else "no validity columns"
-        detail = (
-            f"count={policy.count} stride={_fmt_stride(policy)} "
-            f"latest={_fmt_latest(policy)} ({validity})"
-        )
-        stages.append(Stage("anchor expansion", (_append(nodes, "AnchorExpand", detail, policy),)))
-        stage3 = [
-            _append(nodes, "TemporalEntityFilter", _describe(c), c)
-            for c in bound.temporal_conjuncts
-        ]
+    nodes = _entity_nodes(bound)
+    if not bound.is_static:
+        nodes += _temporal_nodes(bound)
         if bound.assuming is not None:
-            stage3.append(
-                _append(nodes, "AssumingFilter", _describe(bound.assuming), bound.assuming)
-            )
-        stages.append(Stage("temporal filters", tuple(stage3)))
-
-    target = _append(nodes, "TargetCompute", _describe(bound.target), bound.target)
-    stages.append(Stage("target computation", (target, _append_project(nodes, bound, "training"))))
-    return LogicalPlan("training", True, bound, policy, tuple(nodes), tuple(stages))
+            nodes.append(PlanNode("AssumingFilter", bound.assuming))
+    nodes += [PlanNode("TargetCompute", bound.target), _project(bound, "training")]
+    return LogicalPlan("training", True, bound, policy, tuple(nodes))
 
 
 def _plan_training_naive(bound: BoundQuery, policy: AnchorPolicy) -> LogicalPlan:
     """Baseline plan: real cross product, targets for every pair, then the
     filters in the order they run, no stage barriers."""
-    nodes: List[PlanNode] = []
-    _append(nodes, "ScanEntities", bound.entity_table)
+    nodes = [PlanNode("ScanEntities")]
     if not bound.is_static:
-        detail = f"count={policy.count} stride={_fmt_stride(policy)} (materialized cross product)"
-        _append(nodes, "CrossJoinAnchors", detail, policy)
-    _append(nodes, "TargetCompute", _describe(bound.target) + " (all pairs)", bound.target)
-    for cond in bound.static_conjuncts:
-        _append(nodes, "LateEntityFilter", _describe(cond), cond)
+        nodes.append(PlanNode("CrossJoinAnchors"))
+    nodes.append(PlanNode("TargetCompute", bound.target))
+    nodes += [PlanNode("LateEntityFilter", c) for c in bound.static_conjuncts]
     if bound.entity_validity and not bound.is_static:
-        _append(nodes, "LateValidityFilter", "drop anchors outside entity validity")
-    for cond in bound.temporal_conjuncts:
-        _append(nodes, "LateTemporalFilter", _describe(cond), cond)
+        nodes.append(PlanNode("LateValidityFilter"))
+    nodes += [PlanNode("LateTemporalFilter", c) for c in bound.temporal_conjuncts]
     if bound.assuming is not None:
-        _append(nodes, "AssumingFilter", _describe(bound.assuming), bound.assuming)
-    _append_project(nodes, bound, "training")
-    return LogicalPlan(
-        "training",
-        False,
-        bound,
-        policy,
-        tuple(nodes),
-        (Stage("single pass (no materialization barriers)", tuple(range(len(nodes)))),),
-    )
+        nodes.append(PlanNode("AssumingFilter", bound.assuming))
+    nodes.append(_project(bound, "training"))
+    return LogicalPlan("training", False, bound, policy, tuple(nodes))
 
 
 def plan_prediction(bound: BoundQuery, at: Optional[int] = None) -> LogicalPlan:
     """Prediction-table plan: one anchor, no target computation, no ASSUMING."""
-    nodes: List[PlanNode] = []
-    stage1 = _entity_stage_nodes(bound, nodes)
+    if bound.is_static and at is not None:
+        raise PlanError("static query takes no anchor")
+    nodes = _entity_nodes(bound)
     if bound.is_static:
-        stage1.append(
-            _append(nodes, "SelectMissingTarget", _missing_target_detail(bound), bound.target)
-        )
-        stages = [Stage("static entity filters", tuple(stage1)), *_STATIC_SKIPS]
+        nodes.append(PlanNode("SelectMissingTarget", bound.target))
     else:
-        at_text = "latest event time" if at is None else format_timestamp(at)
-        expand = _append(nodes, "AnchorExpand", f"single anchor = {at_text}")
-        stage3 = [
-            _append(nodes, "TemporalEntityFilter", _describe(c), c)
-            for c in bound.temporal_conjuncts
-        ]
-        stages = [
-            Stage("static entity filters", tuple(stage1)),
-            Stage("anchor expansion", (expand,)),
-            Stage("temporal filters", tuple(stage3)),
-        ]
-
-    extra: List[int] = []
+        nodes += _temporal_nodes(bound)
     if bound.task.task_type is TaskType.LINK_PREDICTION:
-        detail = f"candidates = {bound.task.link_target_table}"
-        if bound.prediction_filter is not None:
-            detail += f" where {_describe(bound.prediction_filter)}"
-        extra.append(_append(nodes, "CandidateSet", detail, bound.prediction_filter))
-    extra.append(_append_project(nodes, bound, "prediction"))
-    stages.append(Stage("target computation", tuple(extra), note="skipped: labels are predicted"))
-    return LogicalPlan("prediction", True, bound, None, tuple(nodes), tuple(stages), prediction_at=at)
-
-
-def _missing_target_detail(bound: BoundQuery) -> str:
-    """The entities a static prediction keeps: those whose training row is
-    dropped for its label. A ranking drops an empty list; a multilabel task
-    keeps it as an all-negative label, so it predicts for no entity."""
-    target = _describe(bound.target)
-    if not isinstance(bound.task.target_dtype, ListType):
-        return f"keep entities whose target {target} is undefined"
-    if bound.task.task_type is TaskType.LINK_PREDICTION:
-        return f"keep entities whose target {target} is an empty list"
-    return f"keep no entities: an empty {target} is a label"
-
-
-def _fmt_stride(policy: AnchorPolicy) -> str:
-    return policy.stride if isinstance(policy.stride, str) else format_duration(policy.stride)
-
-
-def _fmt_latest(policy: AnchorPolicy) -> str:
-    return policy.latest if isinstance(policy.latest, str) else format_timestamp(policy.latest)
+        nodes.append(PlanNode("CandidateSet", bound.prediction_filter))
+    nodes.append(_project(bound, "prediction"))
+    return LogicalPlan("prediction", True, bound, None, tuple(nodes), prediction_at=at)
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +204,100 @@ def feasible_anchors(bound: BoundQuery, policy: AnchorPolicy, db) -> List[int]:
 # Explain / serialization
 
 
+# The printed stage of each node kind in an optimized plan.
+_STAGE_NAMES = ("static entity filters", "anchor expansion", "temporal filters", "target computation")
+_STAGE_OF = {
+    "ScanEntities": 0,
+    "StaticEntityFilter": 0,
+    "SelectMissingTarget": 0,
+    "AnchorExpand": 1,
+    "TemporalEntityFilter": 2,
+    "AssumingFilter": 2,
+    "TargetCompute": 3,
+    "CandidateSet": 3,
+    "Project": 3,
+}
+
+
+def _stages(plan: LogicalPlan) -> List[Tuple[str, str, List[int]]]:
+    """The printed stages: (name, note, ids of their nodes). The
+    cross-product plan is one stage, as it has no materialization barriers."""
+    if not plan.optimized:
+        return [("single pass (no materialization barriers)", "", list(range(len(plan.nodes))))]
+    ids: List[List[int]] = [[] for _ in _STAGE_NAMES]
+    for nid, node in enumerate(plan.nodes):
+        ids[_STAGE_OF[node.kind]].append(nid)
+    skipped = "skipped: static query" if plan.bound.is_static else ""
+    predicted = "skipped: labels are predicted" if plan.mode == "prediction" else ""
+    return list(zip(_STAGE_NAMES, ("", skipped, skipped, predicted), ids))
+
+
+def _as_ast(node):
+    """The parse tree a bound target or condition renders as."""
+    if isinstance(node, BoundColumn):
+        return ColumnRef(node.table, node.column)
+    if isinstance(node, BoundAggregation):
+        where = None if node.where is None else _as_ast(node.where)
+        return Aggregation(node.kind, ColumnRef(node.table, node.column or "*"), where, node.window)
+    if isinstance(node, BoundCompare):
+        return Compare(_as_ast(node.lhs), node.op, Constant(node.rhs.kind, node.rhs.value))
+    if isinstance(node, BoundNot):
+        return Not(_as_ast(node.operand))
+    return (And if isinstance(node, BoundAnd) else Or)(_as_ast(node.left), _as_ast(node.right))
+
+
+def _describe(node) -> str:
+    """A bound target or condition as canonical query text."""
+    return unparse_expr(_as_ast(node))
+
+
+def _fmt_stride(policy: AnchorPolicy) -> str:
+    return policy.stride if isinstance(policy.stride, str) else format_duration(policy.stride)
+
+
+def _fmt_latest(policy: AnchorPolicy) -> str:
+    return policy.latest if isinstance(policy.latest, str) else format_timestamp(policy.latest)
+
+
+def _missing_target_detail(bound: BoundQuery) -> str:
+    """The entities a static prediction keeps: those whose training row is
+    dropped for its label. A ranking drops an empty list; a multilabel task
+    keeps it as an all-negative label, so it predicts for no entity."""
+    target = _describe(bound.target)
+    if not isinstance(bound.task.target_dtype, ListType):
+        return f"keep entities whose target {target} is undefined"
+    if bound.task.task_type is TaskType.LINK_PREDICTION:
+        return f"keep entities whose target {target} is an empty list"
+    return f"keep no entities: an empty {target} is a label"
+
+
+def _detail(plan: LogicalPlan, node: PlanNode) -> str:
+    """The text printed after a node's kind."""
+    bound, kind, policy = plan.bound, node.kind, plan.policy
+    if kind == "ScanEntities":
+        return bound.entity_table
+    if kind == "AnchorExpand" and plan.mode == "prediction":
+        at = plan.prediction_at
+        return "single anchor = " + ("latest event time" if at is None else format_timestamp(at))
+    if kind == "AnchorExpand":
+        validity = "validity-pruned" if bound.entity_validity else "no validity columns"
+        return f"count={policy.count} stride={_fmt_stride(policy)} latest={_fmt_latest(policy)} ({validity})"
+    if kind == "CrossJoinAnchors":
+        return f"count={policy.count} stride={_fmt_stride(policy)} (materialized cross product)"
+    if kind == "LateValidityFilter":
+        return "drop anchors outside entity validity"
+    if kind == "SelectMissingTarget":
+        return _missing_target_detail(bound)
+    if kind == "CandidateSet":
+        where = "" if node.payload is None else f" where {_describe(node.payload)}"
+        return f"candidates = {bound.task.link_target_table}{where}"
+    if kind == "Project":
+        return ", ".join(node.payload)
+    if kind == "TargetCompute" and not plan.optimized:
+        return _describe(node.payload) + " (all pairs)"
+    return _describe(node.payload)
+
+
 def explain(plan: LogicalPlan) -> str:
     """Stable, human-readable rendering of a plan, stage by stage."""
     bound = plan.bound
@@ -313,19 +306,15 @@ def explain(plan: LogicalPlan) -> str:
         f"({'optimized' if plan.optimized else 'unoptimized'}, "
         f"task={bound.task.task_type.value}, {bound.timeframe.describe()})"
     ]
-    for i, stage in enumerate(plan.stages, start=1):
-        head = f"Stage {i}: {stage.name}" if plan.optimized else stage.name.capitalize()
-        if stage.note:
-            head += f" ({stage.note})"
-        lines.append(head)
-        for nid in stage.node_ids:
-            node = plan.nodes[nid]
-            detail = f" {node.detail}" if node.detail else ""
-            lines.append(f"  {node.kind}{detail}")
+    for i, (name, note, ids) in enumerate(_stages(plan), start=1):
+        head = f"Stage {i}: {name}" if plan.optimized else name.capitalize()
+        lines.append(f"{head} ({note})" if note else head)
+        lines += [f"  {plan.nodes[nid].kind} {_detail(plan, plan.nodes[nid])}" for nid in ids]
     return "\n".join(lines) + "\n"
 
 
 def plan_to_json(plan: LogicalPlan) -> dict:
+    """The plan as JSON, stage by stage; each node is fed by the one before it."""
     return {
         "mode": plan.mode,
         "optimized": plan.optimized,
@@ -335,18 +324,18 @@ def plan_to_json(plan: LogicalPlan) -> dict:
         "output_columns": list(plan.output_columns),
         "stages": [
             {
-                "name": s.name,
-                "note": s.note or None,
+                "name": name,
+                "note": note or None,
                 "nodes": [
                     {
                         "id": nid,
                         "kind": plan.nodes[nid].kind,
-                        "detail": plan.nodes[nid].detail,
-                        "inputs": list(plan.nodes[nid].inputs),
+                        "detail": _detail(plan, plan.nodes[nid]),
+                        "inputs": [nid - 1] if nid else [],
                     }
-                    for nid in s.node_ids
+                    for nid in ids
                 ],
             }
-            for s in plan.stages
+            for name, note, ids in _stages(plan)
         ],
     }

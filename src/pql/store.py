@@ -218,7 +218,11 @@ def parse_json(text: str):
 def load_schema(source: Union[str, dict, Path]) -> Schema:
     """Load and validate a schema from its JSON document (text, dict, or path)."""
     if isinstance(source, Path):
-        source = source.read_text(encoding="utf-8")
+        try:
+            source = source.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            reason = f"{exc.reason} at byte {exc.start}"
+            raise SchemaError(f"schema document {source} is not UTF-8: {reason}") from None
     if isinstance(source, str):
         try:
             doc = parse_json(source)

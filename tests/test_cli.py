@@ -364,6 +364,40 @@ def test_oversized_json_integer_is_bad_json(kind, tmp_path, capsys):
     assert "integer of more than 4300 digits: line 1 column 13 (char 12)" in err
 
 
+# Each file pql reads as text, and the error one that is not UTF-8 gets:
+# (the command line before the file, exit code, text on stderr before its path).
+NOT_UTF8_FILES = {
+    "query": (["validate", "--query-file"], 3, "i/o error: "),
+    "config": (JSON_FILES["config"][0], 3, "i/o error: "),
+    "genspec": (JSON_FILES["genspec"][0], 3, "i/o error: "),
+    "schema": (JSON_FILES["schema"][0], 1, "error: [schema] schema document "),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NOT_UTF8_FILES))
+def test_file_that_is_not_utf8_is_a_typed_error(kind, tmp_path, capsys):
+    args, code, text = NOT_UTF8_FILES[kind]
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b'{"anchors": "caf\xe9"}')
+    assert main([*args, str(path)]) == code
+    assert capsys.readouterr().err == f"{text}{path} is not UTF-8: invalid continuation byte at byte 16\n"
+    assert not (tmp_path / "unused").exists()
+
+
+@pytest.mark.parametrize(
+    "command", [["plan", "--mode", "prediction"], ["predict-table"], ["sample"]], ids=lambda c: c[0]
+)
+def test_anchor_on_a_static_query_is_refused(command, retail_dir, tmp_path, capsys):
+    args = [*command, "--query", CORPUS_BY_NAME["impute_value"].text, "--at", "2024-01-01"]
+    if command[0] == "plan":
+        args += schema_arg(retail_dir)
+    else:
+        args += ["--data-dir", str(retail_dir), "--out-dir", str(tmp_path / "out")]
+    assert main(args) == 1
+    assert capsys.readouterr().err == "error: [plan] static query takes no anchor\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_lenient_fk_reports_kept_keys_on_stderr(retail_dir, tmp_path, capsys):
     data = tmp_path / "data"
     shutil.copytree(retail_dir, data)
@@ -403,6 +437,18 @@ def test_text_files_are_utf8_whatever_the_locale(retail_dir, tmp_path):
         fh.write(b"4,Caf\xe9,shirt,latin-1 text,red\n")
     code, err = run(tmp_path / "bad")
     assert (code, err) == (1, "error: [data] table ARTICLES: row 4: text is not UTF-8\n")
+
+
+def test_demo_script_runs_every_command(tmp_path):
+    root = Path(__file__).resolve().parent.parent
+    src = str(root / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, str(root / "scripts" / "demo_retail.py"), "--scale", "0.0005", "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "$ pql plan " in done.stdout and (tmp_path / "sample" / "sample.csv").exists()
 
 
 class TestPredictTable:

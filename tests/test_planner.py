@@ -7,8 +7,9 @@ import pytest
 
 from corpus import CORPUS, CORPUS_BY_NAME, schema
 
+from pql import engine, planner
 from pql.binder import bind
-from pql.engine import materialize_training
+from pql.engine import evaluate_pairs, materialize_training
 from pql.errors import PlanError
 from pql.parser import parse
 from pql.planner import (
@@ -20,6 +21,7 @@ from pql.planner import (
     resolve_anchors,
     resolve_stride,
 )
+from pql.store import RowRef
 from pql.synth import GenSpec, generate, hm_genspec
 from pql.times import MICROS_PER_DAY, parse_timestamp
 
@@ -38,6 +40,15 @@ def bind_corpus(name):
     return bind(parse(entry.text), schema(entry.schema_key))
 
 
+def printed_stages(plan):
+    """The stages as `plan --json` prints them."""
+    return plan_to_json(plan)["stages"]
+
+
+def printed_kinds(stage):
+    return [n["kind"] for n in stage["nodes"]]
+
+
 class TestStages:
     def test_static_conjunct_pushed_to_stage_one(self):
         # Mixed filter: the location conjunct runs before anchor expansion,
@@ -50,18 +61,19 @@ class TestStages:
             schema("retail"),
         )
         plan = plan_training(b, AnchorPolicy())
-        stage1, stage2, stage3, stage4 = plan.stages
-        kinds1 = [plan.nodes[i].kind for i in stage1.node_ids]
-        assert kinds1 == ["ScanEntities", "StaticEntityFilter"]
-        assert "LOCATION_ID" in plan.nodes[stage1.node_ids[1]].detail
-        kinds3 = [plan.nodes[i].kind for i in stage3.node_ids]
-        assert kinds3 == ["TemporalEntityFilter"]
-        assert "COUNT" in plan.nodes[stage3.node_ids[0]].detail
+        stage1, stage2, stage3, stage4 = printed_stages(plan)
+        assert printed_kinds(stage1) == ["ScanEntities", "StaticEntityFilter"]
+        assert "LOCATION_ID" in stage1["nodes"][1]["detail"]
+        assert printed_kinds(stage3) == ["TemporalEntityFilter"]
+        assert "COUNT" in stage3["nodes"][0]["detail"]
+        text = explain(plan)
+        assert text.index("Stage 1") < text.index("StaticEntityFilter CUSTOMERS.LOCATION_ID") < text.index("Stage 2")
+        assert text.index("Stage 3") < text.index("TemporalEntityFilter COUNT") < text.index("Stage 4")
 
     def test_filterless_query_has_bare_scan(self):
         plan = plan_training(bind_corpus("next_month_spend"), AnchorPolicy())
-        stage1 = plan.stages[0]
-        assert [plan.nodes[i].kind for i in stage1.node_ids] == ["ScanEntities"]
+        assert printed_kinds(printed_stages(plan)[0]) == ["ScanEntities"]
+        assert "Stage 1: static entity filters\n  ScanEntities CUSTOMERS\nStage 2" in explain(plan)
 
     def test_assuming_in_training_not_in_prediction(self):
         b = bind_corpus("active_spender_notified")
@@ -73,19 +85,22 @@ class TestStages:
 
     def test_static_query_skips_stages_two_and_three(self):
         plan = plan_training(bind_corpus("impute_value"), AnchorPolicy())
-        assert plan.stages[1].note == "skipped: static query"
-        assert plan.stages[2].note == "skipped: static query"
+        stages = printed_stages(plan)
+        for stage in stages[1:3]:
+            assert stage["note"] == "skipped: static query" and stage["nodes"] == []
+        assert stages[0]["note"] is None and stages[3]["note"] is None
+        text = explain(plan)
+        assert "Stage 2: anchor expansion (skipped: static query)\n" in text
+        assert "Stage 3: temporal filters (skipped: static query)\n" in text
         assert not any(n.kind == "AnchorExpand" for n in plan.nodes)
 
     def test_stage_order_is_fixed(self):
+        names = ["static entity filters", "anchor expansion", "temporal filters", "target computation"]
         for name in ("active_spender", "impute_value", "blue_articles"):
             plan = plan_training(bind_corpus(name), AnchorPolicy())
-            assert [s.name for s in plan.stages] == [
-                "static entity filters",
-                "anchor expansion",
-                "temporal filters",
-                "target computation",
-            ]
+            assert [s["name"] for s in printed_stages(plan)] == names
+            heads = [line for line in explain(plan).splitlines() if line.startswith("Stage")]
+            assert [h.split(": ", 1)[1].split(" (")[0] for h in heads] == names
 
     def test_prediction_differs_only_by_label_nodes(self):
         # For temporal non-link queries the prediction plan is the training
@@ -99,12 +114,47 @@ class TestStages:
 
     def test_prediction_carries_candidates(self):
         plan = plan_prediction(bind_corpus("blue_articles"))
-        node = next(n for n in plan.nodes if n.kind == "CandidateSet")
-        assert "ARTICLES" in node.detail and "blue" in node.detail
+        node = next(n for s in printed_stages(plan) for n in s["nodes"] if n["kind"] == "CandidateSet")
+        assert "ARTICLES" in node["detail"] and "blue" in node["detail"]
+        assert f"  CandidateSet {node['detail']}\n" in explain(plan)
 
     def test_static_prediction_selects_missing_target(self):
         plan = plan_prediction(bind_corpus("impute_value"))
         assert any(n.kind == "SelectMissingTarget" for n in plan.nodes)
+
+    def test_static_prediction_takes_no_anchor(self):
+        with pytest.raises(PlanError, match="^static query takes no anchor$"):
+            plan_prediction(bind_corpus("impute_value"), parse_timestamp("2024-01-01"))
+
+    def test_building_a_plan_renders_no_text(self, monkeypatch, toy_db, toy_graph):
+        # Only explain and plan_to_json render node text.
+        def refuse(expr):
+            raise AssertionError("rendered while building or running a plan")
+
+        monkeypatch.setattr(planner, "unparse_expr", refuse)
+        b = bind_corpus("active_spender_notified")
+        policy = AnchorPolicy(count=2)
+        plan = plan_training(b, policy)
+        plan_training(b, policy, optimized=False)
+        plan_prediction(b)
+        plan_prediction(bind_corpus("blue_articles"))
+        plan_prediction(bind_corpus("impute_value"))
+        materialize_training(plan, toy_db, toy_graph)
+        anchors = resolve_anchors(b, policy, toy_db)
+        evaluate_pairs(toy_db, toy_graph, b, [(RowRef("CUSTOMERS", 0), anchors[0])], anchors_for_split=anchors)
+        with pytest.raises(AssertionError, match="rendered"):
+            explain(plan)
+
+    @pytest.mark.parametrize("entry", CORPUS, ids=lambda e: e.name)
+    def test_every_node_runs_and_prints_once(self, entry):
+        b = bind(parse(entry.text), schema(entry.schema_key))
+        plans = [plan_training(b), plan_training(b, optimized=False), plan_prediction(b)]
+        for plan in plans:
+            kinds = [n.kind for n in plan.nodes]
+            assert set(kinds) <= set(engine._HANDLERS)
+            printed = [line.split()[0] for line in explain(plan).splitlines() if line.startswith("  ")]
+            assert printed == kinds
+            assert [n["kind"] for s in printed_stages(plan) for n in s["nodes"]] == kinds
 
 
 class TestAnchors:
