@@ -3,17 +3,20 @@
 One executor runs every plan: training tables under both strategies,
 prediction tables, and the training rows of explicit (entity, anchor)
 pairs. It walks `LogicalPlan.nodes` in order, the plan `pql plan` prints,
-and runs each node as one kernel call over a block: one anchor's entity
-rows, plus their target values once TargetCompute has run (the Volcano
-operator-tree design, a column at a time). The leading scan and static
+and runs each node as one kernel call over a block: (entity, anchor) pairs
+as entity rows with one anchor for the block or one per row, plus their
+target values once TargetCompute has run (the Volcano operator-tree
+design, a column at a time). The batch engine's leading scan and static
 filters run once over the entity table; the expansion node fans that block
-out over the anchors, and every later node runs per block, on worker
-threads when asked. Each row a node drops is counted by cause, once, under
-the first node that drops it. Optimized plans use the restricted kernels
-on the selected rows; the cross-product baseline gathers with full-table
-scans and computes targets for every pair before any filter. All paths
-produce identical tables, held as column arrays: Project sorts each block's
-keys, values and split codes, and the blocks concatenate. `rows` is a view.
+out into one block per anchor, and every later node runs per block, on
+worker threads when asked. Explicit pairs run as one block whatever their
+anchors. Each row a node drops is counted by cause, once, under the first
+node that drops it. Optimized plans use the restricted kernels on the
+selected rows; the cross-product baseline gathers with full-table scans
+and computes targets for every pair before any filter. All paths produce
+identical tables, held as column arrays: Project sorts each block's keys,
+anchors, values and split codes, and the blocks concatenate. `rows` is a
+view.
 
 Undefined values: aggregations over an empty (or all-null) set are
 undefined for SUM/AVG/MIN/MAX/FIRST/LAST, zero for COUNT/COUNT_DISTINCT,
@@ -34,7 +37,7 @@ import numpy as np
 
 from .binder import BoundQuery, TaskType
 from .errors import ExecutionError, PlanError
-from .kernels import SumOverflow, VecCtx, eval_condition_vec, eval_target_vec
+from .kernels import Anchor, SumOverflow, VecCtx, distinct, eval_condition_vec, eval_target_vec
 from .planner import LogicalPlan, PlanNode, feasible_anchors, plan_training
 from .splits import SPLITS, SplitPolicy, split_code_for_anchor_rank, split_counts, split_for_keys
 from .store import _NUMPY_DTYPE, Column, Database, DataType, ListType, RowGraph, RowRef, build_row_graph
@@ -112,9 +115,9 @@ _CAUSES = (
 
 @dataclass
 class _Block:
-    """One anchor's (entity, anchor) pairs on their way through the plan."""
+    """(entity, anchor) pairs on their way through the plan."""
 
-    anchor: Optional[int]
+    anchor: Anchor  # None when static; an int64 array holds one per row of `sel`
     sel: Optional[np.ndarray]  # entity rows; None before ScanEntities
     drops: Dict[str, int] = field(default_factory=lambda: dict.fromkeys(_CAUSES, 0))
     # Set by TargetCompute, aligned with `sel`: the target values, whether
@@ -134,6 +137,8 @@ class _Block:
         if not dropped:
             return
         self.sel = self.sel[mask]
+        if isinstance(self.anchor, np.ndarray):
+            self.anchor = self.anchor[mask]
         if self.values is not None:
             self.values = self.values[mask]
             self.labelled = self.labelled[mask]
@@ -203,16 +208,17 @@ def _execute(
 
     blocks = _map_anchors(walk, blocks, workers)
 
-    def concat(name: str, dtype) -> np.ndarray:  # a lone block's column is not copied
-        parts = [getattr(b, name) for b in blocks]
+    def concat(parts: List[np.ndarray], dtype) -> np.ndarray:  # a lone block's column is not copied
         return parts[0] if len(parts) == 1 else np.concatenate([np.empty(0, dtype), *parts])
 
-    columns = [concat("keys", run.key_column.values.dtype), None]
+    def column(name: str, dtype) -> np.ndarray:
+        return concat([getattr(b, name) for b in blocks], dtype)
+
+    columns = [column("keys", run.key_column.values.dtype), None]
     if not run.bound.is_static:
-        sizes = [len(b.keys) for b in blocks]
-        columns[1] = np.repeat(np.array([b.anchor for b in blocks], dtype=np.int64), sizes)
+        columns[1] = concat([np.full(len(b.keys), b.anchor, dtype=np.int64) for b in blocks], np.int64)
     if run.plan.mode == "training":
-        columns += [concat("values", run.value_dtype), concat("splits", np.int8)]
+        columns += [column("values", run.value_dtype), column("splits", np.int8)]
     drops = {cause: sum(b.drops[cause] for b in blocks) for cause in _CAUSES}
     return blocks, columns, drops, pairs
 
@@ -242,7 +248,7 @@ def _filter(cause: str, at_anchor: bool) -> Callable:
     return handler
 
 
-def _validity_mask(ctx: VecCtx, bound: BoundQuery, sel: np.ndarray, anchor: int) -> np.ndarray:
+def _validity_mask(ctx: VecCtx, bound: BoundQuery, sel: np.ndarray, anchor: Anchor) -> np.ndarray:
     start_col, end_col = bound.entity_validity
     table = ctx.db.table(bound.entity_table)
     mask = np.ones(len(sel), dtype=np.bool_)
@@ -273,10 +279,11 @@ def _target(run: _Run, block: _Block, node: PlanNode):
     live: Optional[np.ndarray] = None  # None: every row
     while True:
         try:
-            rows = sel if live is None else sel[live]
-            values, defined = eval_target_vec(
-                run.ctx, node.payload, run.bound.entity_table, rows, block.anchor
-            )
+            rows, at = sel, block.anchor
+            if live is not None:
+                rows = sel[live]
+                at = at[live] if isinstance(at, np.ndarray) else at
+            values, defined = eval_target_vec(run.ctx, node.payload, run.bound.entity_table, rows, at)
             break
         except SumOverflow as exc:
             if over is None:
@@ -322,16 +329,20 @@ def _candidate_set(run: _Run, block: _Block, node: PlanNode):
 
 
 def _project(run: _Run, block: _Block, node: PlanNode):
-    """Sort the block's columns by entity key (keys are unique per block,
-    and blocks run newest anchor first, so concatenated blocks come out in
-    canonical order with no global sort). A training row without a label
-    leaves here, after every filter."""
+    """Sort the block's columns into canonical order, newest anchor first,
+    then by entity key (pairs are unique per block, and blocks run newest
+    anchor first, so concatenated blocks need no global sort). A training
+    row without a label leaves here, after every filter."""
     training = run.plan.mode == "training"
     if training:
         _refuse_overflow(block)
         block.keep(block.labelled, "empty_label" if run.list_target else "undefined_target")
     keys = run.key_column.values[block.sel]
     order = np.argsort(keys, kind="stable")
+    per_row = isinstance(block.anchor, np.ndarray)
+    if per_row:  # `~anchor` orders as `-anchor` without overflow
+        order = order[np.argsort(~block.anchor[order], kind="stable")]
+        block.anchor = block.anchor[order]
     block.keys = keys[order]
     if not training:
         return
@@ -339,6 +350,10 @@ def _project(run: _Run, block: _Block, node: PlanNode):
     block.values = block.values[order].astype(run.value_dtype, copy=False)
     if block.anchor is None:  # static split hashes each key
         block.splits = split_for_keys(block.keys, run.split)
+    elif per_row:
+        grid = sorted(run.split_codes)
+        codes = np.array([run.split_codes[a] for a in grid], dtype=np.int8)
+        block.splits = codes[np.searchsorted(grid, block.anchor)]
     else:
         block.splits = np.full(len(order), run.split_codes[block.anchor], dtype=np.int8)
 
@@ -445,6 +460,18 @@ def materialize_prediction(
 # Pairwise evaluation of explicit (entity, anchor) pairs
 
 
+Pairs = Sequence[Tuple[RowRef, Optional[int]]]
+
+
+def pair_columns(pairs: Pairs) -> Tuple[tuple, np.ndarray, tuple]:
+    """The pairs' entity refs, their row indices as an int64 array and
+    their anchors, unchecked."""
+    if not pairs:
+        return (), np.empty(0, dtype=np.int64), ()
+    refs, anchors = zip(*pairs)
+    return refs, np.array([ref.index for ref in refs], dtype=np.int64), anchors
+
+
 def check_pair_entity(ref: RowRef, table: str, nrows: int):
     """Refuse a pair entity from another table than `table` or outside its
     `nrows` rows (a negative index would read a row from the end)."""
@@ -454,11 +481,39 @@ def check_pair_entity(ref: RowRef, table: str, nrows: int):
         raise ExecutionError(f"pair entity {ref} is outside the {nrows} rows of {table}")
 
 
+def check_pairs(refs: tuple, rows: np.ndarray, anchors: tuple, table: str, nrows: int,
+                is_static: Optional[bool] = None):
+    """Refuse the first pair, in input order, whose entity is not a row of
+    `table` or, unless `is_static` is None, whose anchor does not fit the
+    query: a static query takes none, a temporal query needs one."""
+    bad = (rows < 0) | (rows >= nrows)
+    if any(t.upper() != table for t in {ref.table for ref in refs}):
+        bad |= np.array([ref.table.upper() != table for ref in refs], dtype=np.bool_)
+    if is_static is not None and anchors.count(None) != (len(anchors) if is_static else 0):
+        bad |= np.array([(a is None) != is_static for a in anchors], dtype=np.bool_)
+    if bad.any():
+        first = int(bad.argmax())
+        check_pair_entity(refs[first], table, nrows)
+        raise PlanError("static query takes no anchor" if is_static else "temporal query needs an anchor")
+
+
+def unique_pairs(rows: np.ndarray, anchors: Anchor) -> Tuple[np.ndarray, Anchor]:
+    """Each distinct (row, anchor) pair once, ordered by anchor then row;
+    a scalar anchor is every row's."""
+    if not isinstance(anchors, np.ndarray):
+        return distinct(rows), anchors
+    order = np.lexsort((rows, anchors))
+    rows, anchors = rows[order], anchors[order]
+    first = np.ones(len(rows), dtype=np.bool_)
+    first[1:] = (rows[1:] != rows[:-1]) | (anchors[1:] != anchors[:-1])
+    return rows[first], anchors[first]
+
+
 def evaluate_pairs(
     db: Database,
     g: RowGraph,
     bound: BoundQuery,
-    pairs: Sequence[Tuple[RowRef, Optional[int]]],
+    pairs: Pairs,
     *,
     anchors_for_split: Optional[Sequence[int]] = None,
     split: Optional[SplitPolicy] = None,
@@ -467,26 +522,34 @@ def evaluate_pairs(
     """Training rows for the given (entity, anchor) pairs only.
 
     Produces exactly the rows the batch engine would emit for those pairs:
-    filters, validity pruning, drops and splits all apply. Pairs are grouped
-    by anchor, and each group runs as a pre-anchored block through the
-    optimized training plan, on the restricted kernels over the shared
-    store. Used by the low-latency sampler and by the verification suites.
+    filters, validity pruning, drops and splits all apply. The distinct
+    pairs run as one pre-anchored block, each row at its own anchor,
+    through the optimized training plan, on the restricted kernels over the
+    shared store. Used by the low-latency sampler and by the verification
+    suites.
     """
-    # Entity rows by anchor; a dict keeps each (row, anchor) once, in order.
-    by_anchor: Dict[Optional[int], Dict[int, None]] = {}
-    nrows = db.nrows(bound.entity_table)
-    for ref, anchor in pairs:
-        check_pair_entity(ref, bound.entity_table, nrows)
-        if (anchor is None) != bound.is_static:
-            raise ExecutionError(
-                "static query takes no anchor" if bound.is_static else "temporal query needs an anchor"
-            )
-        by_anchor.setdefault(anchor, {})[ref.index] = None
-    if anchors_for_split is None:
-        anchors_for_split = sorted((a for a in by_anchor if a is not None), reverse=True)
+    return _evaluate_columns(db, g, bound, *pair_columns(pairs), anchors_for_split=anchors_for_split,
+                             split=split, keep_empty_labels=keep_empty_labels)
 
-    codes = _split_codes(anchors_for_split)
-    off_grid = [a for a in by_anchor if a is not None and a not in codes]
+
+def _evaluate_columns(
+    db: Database,
+    g: RowGraph,
+    bound: BoundQuery,
+    refs: tuple,
+    rows: np.ndarray,
+    anchors: tuple,
+    *,
+    anchors_for_split: Optional[Sequence[int]],
+    split: Optional[SplitPolicy],
+    keep_empty_labels: Optional[bool],
+) -> TrainingTable:
+    """`evaluate_pairs` over the pairs' `pair_columns`."""
+    check_pairs(refs, rows, anchors, bound.entity_table, db.nrows(bound.entity_table), bound.is_static)
+    rows, at = unique_pairs(rows, None if bound.is_static else np.array(anchors, dtype=np.int64))
+    requested = [] if at is None else distinct(at).tolist()
+    codes = _split_codes(requested if anchors_for_split is None else anchors_for_split)
+    off_grid = [a for a in requested if a not in codes]
     if off_grid:
         # Splits rank each pair's anchor among these, so an anchor off them has no split.
         raise PlanError(f"pair anchor {format_timestamp(max(off_grid))} is not in anchors_for_split")
@@ -499,16 +562,12 @@ def evaluate_pairs(
         split or SplitPolicy(),
         codes,
     )
-    blocks = [  # newest anchor first: canonical order
-        _Block(a, np.fromiter(by_anchor[a], dtype=np.int64, count=len(by_anchor[a])))
-        for a in sorted(by_anchor, reverse=True)
-    ]
-    _, columns, drops, _ = _execute(run, blocks=blocks)
+    _, columns, drops, _ = _execute(run, blocks=[_Block(at, rows)] if len(rows) else [])
     metadata = {
         "mode": "training",
         "strategy": "pairwise",
         "task": bound.task.to_json(),
-        "pairs_expanded": sum(map(len, by_anchor.values())),
+        "pairs_expanded": len(rows),
         "row_count": len(columns[0]),
         "dropped": drops,
     }

@@ -1,14 +1,17 @@
 """Vectorized evaluation kernels over the columnar store and row graph.
 
-Everything here computes per-row numpy arrays for a batch of base rows at
-one anchor. Two gather modes drive the two execution strategies:
+Everything here computes per-row numpy arrays for a batch of base rows.
+The anchor is one int for the whole batch or an int64 array with one
+anchor per row, so pairs at several anchors run in one pass. Two gather
+modes drive the two execution strategies:
 
 * restricted — a binary-searched window: each selected parent's window is
   cut out of the CSR adjacency by two `searchsorted` calls on the edge's
-  sorted (parent, time-rank) keys, and only the window's slots are taken,
-  so work scales with parents x log(children) plus the rows kept;
+  sorted (parent, time-rank) keys, at that parent's anchor, and only the
+  window's slots are taken, so work scales with parents x log(children)
+  plus the rows kept;
 * full scan — one boolean mask over a whole child table per anchor, the
-  shape of the baseline cross-product strategy.
+  shape of the baseline cross-product strategy; it takes one anchor.
 
 These kernels are the one production definition of PQL semantics: the
 batch engine, the pairwise evaluator and the sampler all run on them, and
@@ -21,7 +24,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -42,6 +45,9 @@ from .store import Database, DataType, EdgeIndex, RowGraph
 
 _INT_MIN = np.iinfo(np.int64).min
 _INT_MAX = np.iinfo(np.int64).max
+
+# No anchor, one anchor for the batch, or an int64 anchor per row.
+Anchor = Union[None, int, np.ndarray]
 
 
 @dataclass
@@ -85,6 +91,16 @@ def _edge_slot_arrays(idx: EdgeIndex) -> np.ndarray:
     return idx.slot_ranks
 
 
+def distinct(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of an int64 array. A sort and a neighbour
+    compare: `np.unique` hashes, which at a few thousand values costs about
+    ten times as much."""
+    values = np.sort(values)
+    if len(values) < 2:
+        return values
+    return values[np.concatenate(([True], values[1:] != values[:-1]))]
+
+
 def _multiarange(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     total = int(lengths.sum())
     if total == 0:
@@ -120,11 +136,12 @@ def gather_children(
     ctx: VecCtx,
     agg: BoundAggregation,
     parents: np.ndarray,
-    anchor: Optional[int],
+    anchor: Anchor,
 ) -> Gather:
     """Collect child slots for each of the given parent rows. Windowed
-    gathers take the dated children in [anchor + start, anchor + end);
-    unwindowed gathers take every child, undated included.
+    gathers take the dated children in [anchor + start, anchor + end), at
+    each parent's own anchor when `anchor` is an array aligned with
+    `parents`; unwindowed gathers take every child, undated included.
 
     The restricted gather is a binary-searched window: the window's time
     bounds become ranks in the child table's `time_values`, and each
@@ -142,6 +159,8 @@ def gather_children(
         hi_rank = idx.time_values.searchsorted(anchor + agg.window.end_micros)
 
     if ctx.fullscan:
+        if isinstance(anchor, np.ndarray):
+            raise ExecutionError("a full-scan gather takes one anchor")
         if windowed:
             ranks = _edge_slot_arrays(idx)
             mask = ranks < hi_rank
@@ -160,7 +179,8 @@ def gather_children(
 
     # Restricted: binary-search each selected parent's window bounds in the
     # sorted keys and take only the window's slots. Work scales with the
-    # selected parents and the rows kept, never with the table.
+    # selected parents and the rows kept, never with the table. Per-row
+    # anchors give per-row ranks, and the searches run elementwise.
     if windowed:
         base = parents * idx.radix
         starts = idx.indptr[parents] if lo_rank is None else idx.keys.searchsorted(base + lo_rank)
@@ -210,7 +230,7 @@ def _string_loop(vals, null, fn) -> np.ndarray:
 
 
 def eval_compare_vec(
-    ctx: VecCtx, cmp: BoundCompare, table: str, rows: np.ndarray, anchor: Optional[int]
+    ctx: VecCtx, cmp: BoundCompare, table: str, rows: np.ndarray, anchor: Anchor
 ) -> np.ndarray:
     if isinstance(cmp.lhs, BoundAggregation):
         vals, defined = eval_agg_vec(ctx, cmp.lhs, table, rows, anchor)
@@ -276,7 +296,7 @@ def eval_compare_vec(
 
 
 def eval_condition_vec(
-    ctx: VecCtx, cond: BoundCondition, table: str, rows: np.ndarray, anchor: Optional[int]
+    ctx: VecCtx, cond: BoundCondition, table: str, rows: np.ndarray, anchor: Anchor
 ) -> np.ndarray:
     if isinstance(cond, BoundCompare):
         return eval_compare_vec(ctx, cond, table, rows, anchor)
@@ -302,13 +322,15 @@ def eval_agg_vec(
     agg: BoundAggregation,
     table: str,
     rows: np.ndarray,
-    anchor: Optional[int],
+    anchor: Anchor,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Aggregate values per base row. Returns (values, defined)."""
     gathered = gather_children(ctx, agg, rows, anchor)
     if agg.where is not None:
         try:
-            keep = eval_condition_vec(ctx, agg.where, agg.table, gathered.child_rows, anchor)
+            # A child's filter runs at its parent's anchor.
+            at = anchor[gathered.seg] if isinstance(anchor, np.ndarray) else anchor
+            keep = eval_condition_vec(ctx, agg.where, agg.table, gathered.child_rows, at)
         except SumOverflow as exc:
             # A nested SUM overflowed for some children: report their parents.
             parents = np.bincount(gathered.seg[exc.segments], minlength=gathered.n_seg) > 0
@@ -457,7 +479,7 @@ def _distinct_lists(seg: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
 
 
 def eval_target_vec(
-    ctx: VecCtx, target: BoundTarget, table: str, rows: np.ndarray, anchor: Optional[int]
+    ctx: VecCtx, target: BoundTarget, table: str, rows: np.ndarray, anchor: Anchor
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Target values and definedness for a batch of entity rows.
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .binder import BoundColumn, BoundQuery, walk
 from .engine import _validity_mask
-from .errors import ExecutionError
+from .errors import ExecutionError, PlanError
 from .kernels import VecCtx
 from .sampler import SampleRequest, _reached_rows
 from .store import Database, RowRef, build_row_graph
@@ -47,11 +47,8 @@ def leakage_rows(
     """All rows that would leak label information into features for this
     (entity, anchor): a superset of everything the target computation reads.
     """
-    if bound.is_static:
-        if anchor is not None:
-            raise ExecutionError("static query takes no anchor")
-    elif anchor is None:
-        raise ExecutionError("temporal query needs an anchor")
+    if (anchor is None) != bound.is_static:
+        raise PlanError("static query takes no anchor" if bound.is_static else "temporal query needs an anchor")
     g = build_row_graph(db)
     if anchor is not None and bound.entity_validity is not None:
         if not _validity_mask(VecCtx(db, g), bound, np.array([entity.index]), anchor)[0]:
@@ -67,7 +64,7 @@ def leakage_rows(
     if any(
         isinstance(n, BoundColumn) and not n.hops for part in labels for n in walk(part, filters=False)
     ):
-        reached.setdefault(bound.entity_table, []).extend(entities)
+        reached.setdefault(bound.entity_table, []).append(entities)
     mask: Set[RowRef] = {
         RowRef(table, i) for table, arrays in reached.items() for rows in arrays for i in rows.tolist()
     }

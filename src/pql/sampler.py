@@ -3,7 +3,8 @@
 Instead of scanning tables, this path walks the row graph from the
 requested entities and collects exactly the rows the query can touch.
 `_reached_rows` walks `BoundQuery.parts` (the target, each WHERE conjunct's
-condition and ASSUMING) from the entity rows of each anchor:
+condition and ASSUMING) once from the request's distinct (entity row,
+anchor) pairs, each row at its own anchor:
 
 * a column read follows its FK hops and pulls each hop's parent row;
 * an aggregation gathers its window's children (every qualifying neighbor,
@@ -35,9 +36,9 @@ from .binder import (
     BoundTarget,
     iter_bound_aggregations,
 )
-from .engine import TrainingTable, check_pair_entity, evaluate_pairs
+from .engine import TrainingTable, _evaluate_columns, check_pairs, pair_columns, unique_pairs
 from .errors import ExecutionError
-from .kernels import VecCtx, gather_children
+from .kernels import Anchor, VecCtx, distinct, gather_children
 from .planner import AnchorPolicy, feasible_anchors
 from .splits import SplitPolicy
 from .store import Database, RowGraph, RowRef
@@ -77,10 +78,10 @@ class Subgraph:
 
 def _reached_rows(
     g: RowGraph, request: SampleRequest
-) -> Tuple[Dict[str, List[np.ndarray]], List[np.ndarray]]:
+) -> Tuple[Dict[str, List[np.ndarray]], np.ndarray]:
     """Rows the request reads, apart from its entity rows, by table; and the
-    entity rows, one sorted array per anchor. Pairs sharing an anchor walk
-    the query together, one array pass per edge."""
+    entity rows. All pairs walk the query together, each at its own anchor,
+    one array pass per edge (when any pair has no anchor, none has one)."""
     ctx = VecCtx(g.db, g)
     acc: Dict[str, List[np.ndarray]] = {}
 
@@ -88,17 +89,20 @@ def _reached_rows(
         if len(rows):
             acc.setdefault(table, []).append(rows)
 
-    def walk(node, rows: np.ndarray, anchor: Optional[int]):
+    def walk(node, rows: np.ndarray, anchor: Anchor):
         if isinstance(node, BoundColumn):
             for edge in node.hops:
                 rows = g.edge_index(edge).forward[rows]
                 rows = rows[rows >= 0]
                 add(edge.parent_table, rows)
         elif isinstance(node, BoundAggregation):
-            children = gather_children(ctx, node, rows, anchor).child_rows
+            gathered = gather_children(ctx, node, rows, anchor)
+            children = gathered.child_rows
             add(node.table, children)
             if len(children) and node.where is not None:
-                walk(node.where, children, anchor)
+                # A child's filter runs at its parent's anchor.
+                at = anchor[gathered.seg] if isinstance(anchor, np.ndarray) else anchor
+                walk(node.where, children, at)
         elif isinstance(node, BoundCompare):
             walk(node.lhs, rows, anchor)
         elif isinstance(node, BoundNot):
@@ -107,27 +111,22 @@ def _reached_rows(
             walk(node.left, rows, anchor)
             walk(node.right, rows, anchor)
 
-    by_anchor: Dict[Optional[int], List[int]] = {}
-    nrows = g.db.nrows(request.entity_table)
-    for ref, anchor in request.pairs:
-        check_pair_entity(ref, request.entity_table, nrows)
-        by_anchor.setdefault(anchor, []).append(ref.index)
-    entities = []
-    for anchor, indices in by_anchor.items():
-        base = np.unique(np.array(indices, dtype=np.int64))
-        entities.append(base)
+    refs, rows, anchors = pair_columns(request.pairs)
+    check_pairs(refs, rows, anchors, request.entity_table, g.db.nrows(request.entity_table))
+    if len(rows):
+        rows, at = unique_pairs(rows, None if None in anchors else np.array(anchors, dtype=np.int64))
         for part in request.parts:
-            walk(part, base, anchor)
-    return acc, entities
+            walk(part, rows, at)
+    return acc, rows
 
 
 def collect(g: RowGraph, request: SampleRequest) -> Subgraph:
     """Breadth-first collection of the connected row subgraph the request
     touches: the entity rows plus every row `_reached_rows` finds."""
     acc, entities = _reached_rows(g, request)
-    if entities:
-        acc.setdefault(request.entity_table, []).extend(entities)
-    packed = {t: np.unique(np.concatenate(arrays)) for t, arrays in acc.items()}
+    if len(entities):
+        acc.setdefault(request.entity_table, []).append(entities)
+    packed = {t: distinct(np.concatenate(arrays)) for t, arrays in acc.items()}
     touched = sum(len(v) for v in packed.values())
     return Subgraph(g, packed, touched)
 
@@ -145,22 +144,16 @@ def compute_on_subgraph(
     kernels evaluate exactly these pairs on the shared store, so the rows
     are the batch engine's rows for the same pairs."""
     collected = sub.rows.get(bound.entity_table, np.empty(0, dtype=np.int64))
-    indices = np.fromiter((ref.index for ref, _ in pairs), dtype=np.int64, count=len(pairs))
-    missing = np.nonzero(~np.isin(indices, collected))[0]
-    if len(missing):
-        ref = pairs[int(missing[0])][0]
+    refs, rows, anchors = pair_columns(pairs)
+    # `collected` is sorted, so a row is collected where its search lands on it.
+    found = np.minimum(collected.searchsorted(rows), len(collected) - 1)
+    missing = collected[found] != rows if len(collected) else np.ones(len(rows), dtype=np.bool_)
+    if missing.any():
         raise ExecutionError(
-            f"entity row {ref} was not collected; build the request from the same pairs"
+            f"entity row {refs[int(missing.argmax())]} was not collected; build the request from the same pairs"
         )
-    return evaluate_pairs(
-        sub.g.db,
-        sub.g,
-        bound,
-        pairs,
-        anchors_for_split=anchors_for_split,
-        split=split,
-        keep_empty_labels=keep_empty_labels,
-    )
+    return _evaluate_columns(sub.g.db, sub.g, bound, refs, rows, anchors, anchors_for_split=anchors_for_split,
+                             split=split, keep_empty_labels=keep_empty_labels)
 
 
 def sample_pairs(
@@ -183,23 +176,46 @@ def sample_pairs(
         return [(RowRef(etable, i), None) for i in sel]
     if anchor is None:
         anchor = feasible_anchors(bound, AnchorPolicy(), db)[0]
-    latest = np.full(n_entities, np.iinfo(np.int64).min, dtype=np.int64)
     entities = np.arange(n_entities, dtype=np.int64)
     aggs = [a for part in bound.parts for a in iter_bound_aggregations(part)]
     edges = {a.group_edge for a in aggs if a.group_edge.parent_table == etable}
+    newest = []  # per edge: the child times, and each entity's newest rank before the anchor (-1: none)
     for edge in edges:
         idx = g.edge_index(edge)
-        # Each entity's children before the anchor end where its keys reach
-        # the anchor's rank; the slot before that end is the newest one.
-        # Ranks belong to one child table, so compare times across edges.
+        hi = idx.time_values.searchsorted(anchor)
+        if not hi or not len(idx.keys):  # no child is older than the anchor
+            continue
+        # A slot is an entity's newest child before the anchor if its key
+        # minus the entity's base is a rank in [0, hi). Most entities' last
+        # slot is; the rest are searched for where their keys reach the
+        # anchor's rank, and the slot before that is taken. (An entity
+        # without slots reads its predecessor's last slot, a negative rank;
+        # an index of -1 wraps to the table's last slot, a rank past hi.)
         base = entities * idx.radix
-        end = idx.keys.searchsorted(base + idx.time_values.searchsorted(anchor))
-        has = np.nonzero(end > idx.indptr[:-1])[0]
-        newest = idx.time_values[idx.keys[end[has] - 1] - base[has]]
-        latest[has] = np.maximum(latest[has], newest)
-    active = np.nonzero(latest > np.iinfo(np.int64).min)[0]
-    keys = db.table(etable).column(db.table(etable).definition.primary_key).values[active]
+        rank = idx.keys[idx.indptr[1:] - 1] - base
+        later = np.nonzero(rank >= hi)[0]
+        rank[later] = idx.keys[idx.keys.searchsorted(base[later] + hi) - 1] - base[later]
+        newest.append((idx.time_values, np.where((rank >= 0) & (rank < hi), rank, -1)))
+    # Ranks order one child table's times, so the n newest entities are among
+    # each edge's n newest by rank and the entities tied with the n-th.
+    candidates = distinct(np.concatenate([_top(rank, n) for _, rank in newest] or [entities[:0]]))
+    latest = np.full(len(candidates), np.iinfo(np.int64).min, dtype=np.int64)
+    for times, rank in newest:
+        r = rank[candidates]
+        np.maximum(latest, np.where(r >= 0, times[r], latest), out=latest)
     # Newest first, then by key: `~latest` orders as `-latest` without
     # overflow, and argsort ranks keys of any dtype, strings too.
-    ranked = active[np.lexsort((np.argsort(np.argsort(keys, kind="stable")), ~latest[active]))]
+    keys = db.table(etable).column(db.table(etable).definition.primary_key).values[candidates]
+    ranked = candidates[np.lexsort((np.argsort(np.argsort(keys, kind="stable")), ~latest))]
     return [(RowRef(etable, i), anchor) for i in ranked[:n].tolist()]
+
+
+def _top(rank: np.ndarray, n: int) -> np.ndarray:
+    """The entities with a rank, only the `n` highest and those tied with
+    the n-th when there are more."""
+    active = np.nonzero(rank >= 0)[0]
+    if 0 < n < len(active):
+        # argpartition puts the n-th highest at n - 1 without sorting the rest.
+        lowest = ~rank[active]
+        active = active[lowest <= lowest[np.argpartition(lowest, n - 1)[n - 1]]]
+    return active
