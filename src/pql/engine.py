@@ -472,29 +472,25 @@ def pair_columns(pairs: Pairs) -> Tuple[tuple, np.ndarray, tuple]:
     return refs, np.array([ref.index for ref in refs], dtype=np.int64), anchors
 
 
-def check_pair_entity(ref: RowRef, table: str, nrows: int):
-    """Refuse a pair entity from another table than `table` or outside its
-    `nrows` rows (a negative index would read a row from the end)."""
-    if ref.table.upper() != table:
-        raise ExecutionError(f"pair entity {ref} is not from {table}")
-    if not 0 <= ref.index < nrows:
-        raise ExecutionError(f"pair entity {ref} is outside the {nrows} rows of {table}")
-
-
 def check_pairs(refs: tuple, rows: np.ndarray, anchors: tuple, table: str, nrows: int,
                 is_static: Optional[bool] = None):
-    """Refuse the first pair, in input order, whose entity is not a row of
-    `table` or, unless `is_static` is None, whose anchor does not fit the
+    """Refuse the first pair, in input order, whose entity is not one of the
+    `nrows` rows of `table` (a negative index would read a row from the
+    end) or, unless `is_static` is None, whose anchor does not fit the
     query: a static query takes none, a temporal query needs one."""
     bad = (rows < 0) | (rows >= nrows)
     if any(t.upper() != table for t in {ref.table for ref in refs}):
         bad |= np.array([ref.table.upper() != table for ref in refs], dtype=np.bool_)
     if is_static is not None and anchors.count(None) != (len(anchors) if is_static else 0):
         bad |= np.array([(a is None) != is_static for a in anchors], dtype=np.bool_)
-    if bad.any():
-        first = int(bad.argmax())
-        check_pair_entity(refs[first], table, nrows)
-        raise PlanError("static query takes no anchor" if is_static else "temporal query needs an anchor")
+    if not bad.any():
+        return
+    ref = refs[int(bad.argmax())]
+    if ref.table.upper() != table:
+        raise ExecutionError(f"pair entity {ref} is not from {table}")
+    if not 0 <= ref.index < nrows:
+        raise ExecutionError(f"pair entity {ref} is outside the {nrows} rows of {table}")
+    raise PlanError("static query takes no anchor" if is_static else "temporal query needs an anchor")
 
 
 def unique_pairs(rows: np.ndarray, anchors: Anchor) -> Tuple[np.ndarray, Anchor]:

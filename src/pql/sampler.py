@@ -80,7 +80,8 @@ def _reached_rows(
     g: RowGraph, request: SampleRequest
 ) -> Tuple[Dict[str, List[np.ndarray]], np.ndarray]:
     """Rows the request reads, apart from its entity rows, by table; and the
-    entity rows. All pairs walk the query together, each at its own anchor,
+    entity rows of its distinct pairs (a row repeats at each of its
+    anchors). All pairs walk the query together, each at its own anchor,
     one array pass per edge (when any pair has no anchor, none has one)."""
     ctx = VecCtx(g.db, g)
     acc: Dict[str, List[np.ndarray]] = {}

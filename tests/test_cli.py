@@ -451,6 +451,22 @@ def test_demo_script_runs_every_command(tmp_path):
     assert "$ pql plan " in done.stdout and (tmp_path / "sample" / "sample.csv").exists()
 
 
+def test_benchmark_script_runs_and_the_sampler_agrees(tmp_path):
+    root = Path(__file__).resolve().parent.parent
+    src = str(root / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = tmp_path / "bench.json"
+    done = subprocess.run(
+        [sys.executable, str(root / "scripts" / "run_benchmarks.py"), "--large", "0.001", "--small", "0.0005",
+         "--runs", "1", "--pairs", "20", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    sampler = json.loads(out.read_text())["large"]["sampler"]["paths"]["sampler"]
+    # A note would say the restricted batch disagrees with evaluate_pairs.
+    assert sampler["note"] is None and sampler["rows_out"] > 0
+
+
 class TestPredictTable:
     def test_latest_default_and_at_override(self, retail_dir, tmp_path, capsys):
         out = tmp_path / "p"

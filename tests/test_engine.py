@@ -522,6 +522,54 @@ class TestEvaluatePairs:
             evaluate_pairs(db, build_row_graph(db), b, [(ref, None)])
 
 
+class TestPairAnchorsThatDoNotFit:
+    """An anchor on a static query's pair, or none on a temporal query's,
+    is a plan error wherever pairs enter, as in `plan_prediction` and
+    `pql sample`; entity faults stay execution errors, and the first
+    offending pair in input order decides."""
+
+    STATIC = "PREDICT TRANSACTIONS.VALUE FOR EACH TRANSACTIONS.TRANSACTION_ID"
+    TEMPORAL = "PREDICT COUNT(TRANSACTIONS.*, 0, 30, days) FOR EACH CUSTOMERS.CUSTOMER_ID"
+
+    @staticmethod
+    def run(entry, db, g, b, pairs):
+        from pql.leakage import leakage_rows
+        from pql.sampler import build_request, collect, compute_on_subgraph
+
+        if entry == "evaluate_pairs":
+            return evaluate_pairs(db, g, b, pairs)
+        if entry == "leakage_rows":
+            for ref, anchor in pairs:
+                leakage_rows(b, db, ref, anchor)
+            return None
+        # Collect the same entities at anchors that fit, so the collected check passes.
+        fitting = [(ref, None if b.is_static else ANCHOR) for ref, _ in pairs]
+        return compute_on_subgraph(b, collect(g, build_request(b, fitting)), pairs)
+
+    @pytest.mark.parametrize("entry", ["evaluate_pairs", "compute_on_subgraph", "leakage_rows"])
+    @pytest.mark.parametrize(
+        "query,table,anchor,message",
+        [(STATIC, "TRANSACTIONS", ANCHOR, "static query takes no anchor"),
+         (TEMPORAL, "CUSTOMERS", None, "temporal query needs an anchor")],
+        ids=["static", "temporal"],
+    )
+    def test_is_a_plan_error(self, toy_db, toy_graph, entry, query, table, anchor, message):
+        b = bind_text(query)
+        fits = None if anchor is not None else ANCHOR
+        pairs = [(RowRef(table, 0), fits), (RowRef(table, 1), anchor)]
+        with pytest.raises(PlanError, match=f"^{message}$"):
+            self.run(entry, toy_db, toy_graph, b, pairs)
+
+    @pytest.mark.parametrize("outside", [CUSTOMER(3), RowRef("TRANSACTIONS", 1)])
+    def test_the_first_offending_pair_decides(self, toy_db, toy_graph, outside):
+        b = bind_text(self.TEMPORAL)
+        first = [(CUSTOMER(0), ANCHOR), (outside, ANCHOR), (CUSTOMER(2), None)]
+        with pytest.raises(ExecutionError, match=f"^pair entity {re.escape(repr(outside))} is "):
+            evaluate_pairs(toy_db, toy_graph, b, first)
+        with pytest.raises(PlanError, match="^temporal query needs an anchor$"):
+            evaluate_pairs(toy_db, toy_graph, b, [first[0], first[2], first[1]])
+
+
 class TestEmptyParentTable:
     """ARTICLES holds no rows, so every transaction's ARTICLE_ID dangles and
     `--lenient-fk` keeps it: a hop into the empty table reads null."""

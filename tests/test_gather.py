@@ -7,6 +7,7 @@ import pytest
 
 from pql.ast import AggKind, TimeUnit, Window
 from pql.binder import BoundAggregation
+from pql.errors import ExecutionError
 from pql.kernels import Gather, VecCtx, gather_children
 from pql.store import (
     DataType,
@@ -223,3 +224,49 @@ class TestRandomDatabases:
                     for parents in (np.arange(n_parent),
                                     np.unique(rng.integers(0, n_parent, max(1, n_parent // 3)))):
                         both(g, agg, parents, None if window is None else anchor)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_an_anchor_per_parent_equals_the_per_anchor_gathers(self, seed):
+        db = random_database(seed, random_schema(seed % 10), scale=1.0 + seed % 3)
+        g = build_row_graph(db)
+        rng = np.random.default_rng(seed)
+        windows = [Window(None, 0, TimeUnit.DAYS), Window(-30, 0, TimeUnit.DAYS),
+                   Window(0, 45, TimeUnit.DAYS), Window(-5, 5, TimeUnit.SECONDS)]
+        for edge, idx in g.edges.items():
+            n_parent = len(idx.indptr) - 1
+            if not n_parent or not len(idx.time_values):
+                continue
+            rank = {row: i for i, row in enumerate(lexsort_order(db, idx).tolist())}
+            times = idx.time_values
+            choices = np.concatenate([times[rng.integers(0, len(times), 4)], [times[0] - 1, times[-1] + 1]])
+            for window in windows:
+                agg = count_over(edge, window)
+                # Parents repeat at other anchors, as one entity does in a
+                # request; (parent, anchor) pairs are distinct, in any order.
+                size = 3 * n_parent // 2 + 1
+                drawn = {(int(p), int(a)) for p, a in zip(rng.integers(0, n_parent, size),
+                                                          rng.choice(choices, size))}
+                parents, anchors = np.array(rng.permutation(sorted(drawn)), dtype=np.int64).T
+                got = gather_children(VecCtx(db, g), agg, parents, anchors)
+                assert got.n_seg == len(parents) and (np.diff(got.seg) >= 0).all()
+                for a in np.unique(anchors).tolist():
+                    # `both` compares with the full scan, which takes sorted parents.
+                    at = np.nonzero(anchors == a)[0]
+                    at = at[np.argsort(parents[at])]
+                    one = both(g, agg, parents[at], a)
+                    for local, s in enumerate(at.tolist()):
+                        assert got.pos[got.seg == s].tolist() == one.pos[one.seg == local].tolist()
+                # Within a parent, children keep the reference child order.
+                for s in range(len(parents)):
+                    order = [rank[row] for row in got.child_rows[got.seg == s].tolist()]
+                    assert order == sorted(order)
+
+    def test_a_full_scan_takes_one_anchor(self, hand_graph):
+        agg = count_over(C_EDGE, Window(0, 3, TimeUnit.DAYS))
+        parents = np.array([0, 1], dtype=np.int64)
+        anchors = np.array([T("2024-01-02"), T("2024-01-03")], dtype=np.int64)
+        with pytest.raises(ExecutionError, match="^a full-scan gather takes one anchor$"):
+            gather_children(VecCtx(hand_graph.db, hand_graph, fullscan=True), agg, parents, anchors)
+        got = gather_children(VecCtx(hand_graph.db, hand_graph), agg, parents, anchors)
+        # P 2 at Jan 3 loses its Jan 2 child, which it keeps at Jan 2.
+        assert by_parent(got, [0, 1]) == {0: [0], 1: [8]}
