@@ -15,13 +15,24 @@ rows.
 Window placement rules enforced here keep label generation leak-free by
 construction: windows under PREDICT or ASSUMING must start at or after the
 anchor, windows under the entity filter must end at or before it.
+
+`bind` memoizes its last `_BIND_CACHE_SIZE` results by the identity of the
+query and the schema, so a text that `parse` serves from its cache binds
+once per schema. An entry holds the query and the schema themselves, which
+keeps their ids from being reused while it lives, and a hit checks both
+with `is`. The key is identity, not equality: `Query` equality ignores
+spans, and two texts that differ only in whitespace must not share one
+`BoundQuery` and its spans. Once full, the memo drops its oldest entry.
+Bound trees and schemas are frozen, so sharing a result is safe; an error
+is never memoized.
 """
 
 from __future__ import annotations
 
 import enum
+import threading
 from dataclasses import dataclass, field, replace
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from . import ast
 from .ast import AggKind, ConstKind, Hint, RelOp, Window
@@ -39,6 +50,7 @@ from .times import format_duration, parse_timestamp
 HopChain = Tuple[FkEdge, ...]
 
 _MAX_HOPS = 6
+_BIND_CACHE_SIZE = 256
 
 
 class Place(enum.Enum):
@@ -734,8 +746,31 @@ def extract_prediction_filter(target: BoundTarget, task: TaskSpec) -> Optional[B
 # Entry point
 
 
+_memo: Dict[Tuple[int, int], Tuple[ast.Query, Schema, BoundQuery]] = {}
+_memo_lock = threading.Lock()
+
+
 def bind(query: ast.Query, schema: Schema) -> BoundQuery:
-    """Bind `query` against `schema`, raising BindError on any violation."""
+    """Bind `query` against `schema`, raising BindError on any violation.
+    The same query object on the same schema object gives the same result."""
+    key = (id(query), id(schema))
+    hit = _memo.get(key)
+    if hit is not None and hit[0] is query and hit[1] is schema:
+        return hit[2]
+    bound = _bind(query, schema)
+    with _memo_lock:
+        if key not in _memo and len(_memo) >= _BIND_CACHE_SIZE:
+            del _memo[next(iter(_memo))]
+        _memo[key] = (query, schema, bound)
+    return bound
+
+
+def _clear_memo():
+    with _memo_lock:
+        _memo.clear()
+
+
+def _bind(query: ast.Query, schema: Schema) -> BoundQuery:
     binder = _Binder(schema)
 
     entity_ref = query.entity

@@ -3,10 +3,25 @@
 Connective precedence is NOT > AND > OR with left association; parentheses
 override. A bare aggregation or column is only legal as the whole PREDICT
 target; everywhere else a comparison is required.
+
+Nesting is bounded: a parenthesis, a NOT, an aggregation's WHERE and each
+AND or OR (a chain builds a left-deep tree, so `a AND b AND c` is two
+levels) add a level, and a query deeper than `MAX_DEPTH` levels is a
+`ParseError`. The parser descends up to seven Python frames a level (an
+aggregation's WHERE) and the later stages up to three, so every stage of a
+query at the limit stays far inside the interpreter's default recursion
+limit of 1,000 frames, and a deeper text fails before it gets near it.
+
+`parse` caches query text the way `re` caches patterns: a `str` goes
+through an LRU cache of `_PARSE_CACHE_SIZE` texts, so a repeated text
+returns the same `Query` object (AST nodes are frozen, so sharing one is
+safe). Two texts that differ only in whitespace are two entries, each with
+its own spans. A token list is parsed afresh, and an error is never cached.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import List, Optional, Union
 
@@ -34,6 +49,9 @@ for _u in TimeUnit:
     _UNIT_WORDS[_u.value.upper()] = _u
     _UNIT_WORDS[_u.value[:-1].upper()] = _u  # singular spelling
 
+MAX_DEPTH = 100
+_PARSE_CACHE_SIZE = 256
+
 
 @dataclass
 class _Bare:
@@ -46,6 +64,8 @@ class _Parser:
     def __init__(self, tokens: List[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0  # levels open around the current token
+        self.peak = 0  # deepest level reached, or pushed to by a chain, since the last reset
 
     # -- token helpers ------------------------------------------------
 
@@ -83,6 +103,19 @@ class _Parser:
         tok = self.peek()
         got = tok.text if tok.type is not TokenType.EOF else "end of input"
         raise ParseError(f"expected {expected}, got {got!r}", tok.span)
+
+    # -- nesting ------------------------------------------------------
+
+    def _check_depth(self, level: int, tok: Token):
+        if level > MAX_DEPTH:
+            raise ParseError(f"query nests deeper than {MAX_DEPTH} levels", tok.span)
+        self.peak = max(self.peak, level)
+
+    def enter(self, tok: Token):
+        """Open one level at `tok` (a parenthesis, NOT or WHERE); the caller
+        closes it with `self.depth -= 1` (an error discards the parser)."""
+        self.depth += 1
+        self._check_depth(self.depth, tok)
 
     # -- grammar ------------------------------------------------------
 
@@ -126,33 +159,28 @@ class _Parser:
         )
 
     def target(self):
-        node = self.or_expr()
+        node = self.chain()
         if isinstance(node, _Bare):
             return node.operand
         return node
 
     def condition(self):
-        node = self.or_expr()
-        if isinstance(node, _Bare):
-            self.fail("a comparison operator")
-        return node
+        return self._require_condition(self.chain())
 
-    def or_expr(self):
-        left = self.and_expr()
-        while self.at_keyword("OR"):
+    def chain(self, word: str = "OR"):
+        """A left-deep chain of `word`: OR joins AND chains, AND joins unary
+        expressions. Each link puts the chain so far one level deeper, so a
+        chain peaks one level above its deepest operand."""
+        outer, self.peak = self.peak, self.depth
+        left = self.chain("AND") if word == "OR" else self.unary_expr()
+        while self.at_keyword(word):
             tok = self.advance()
             left = self._require_condition(left)
-            right = self._require_condition(self.and_expr())
-            left = Or(left, right, span=tok.span)
-        return left
-
-    def and_expr(self):
-        left = self.unary_expr()
-        while self.at_keyword("AND"):
-            tok = self.advance()
-            left = self._require_condition(left)
-            right = self._require_condition(self.unary_expr())
-            left = And(left, right, span=tok.span)
+            left_peak, self.peak = self.peak, self.depth
+            right = self._require_condition(self.chain("AND") if word == "OR" else self.unary_expr())
+            self._check_depth(max(left_peak, self.peak) + 1, tok)
+            left = (Or if word == "OR" else And)(left, right, span=tok.span)
+        self.peak = max(outer, self.peak)
         return left
 
     def _require_condition(self, node):
@@ -163,10 +191,14 @@ class _Parser:
     def unary_expr(self):
         if self.at_keyword("NOT"):
             tok = self.advance()
-            return Not(self._require_condition(self.unary_expr()), span=tok.span)
+            self.enter(tok)
+            operand = self._require_condition(self.unary_expr())
+            self.depth -= 1
+            return Not(operand, span=tok.span)
         if self.peek().type is TokenType.LPAREN:
-            self.advance()
+            self.enter(self.advance())
             inner = self.condition()
+            self.depth -= 1
             self.expect(TokenType.RPAREN, "')'")
             return inner
         return self.leaf()
@@ -201,8 +233,10 @@ class _Parser:
         self.expect(TokenType.LPAREN, "'('")
         column = self.column_ref()
         where = None
-        if self.take_keyword("WHERE"):
+        if self.at_keyword("WHERE"):
+            self.enter(self.advance())
             where = self.condition()
+            self.depth -= 1
         window = None
         if self.peek().type is TokenType.COMMA:
             self.advance()
@@ -306,6 +340,13 @@ class _Parser:
 
 
 def parse(source: Union[str, List[Token]]) -> Query:
-    """Parse query text (or a token list from `tokenize`) into a Query AST."""
-    tokens = tokenize(source) if isinstance(source, str) else source
-    return _Parser(tokens).query()
+    """Parse query text (or a token list from `tokenize`) into a Query AST.
+    Text is cached: the same text gives the same `Query` object."""
+    if isinstance(source, str):
+        return _parse_text(source)
+    return _Parser(source).query()
+
+
+@functools.lru_cache(maxsize=_PARSE_CACHE_SIZE)
+def _parse_text(text: str) -> Query:
+    return _Parser(tokenize(text)).query()

@@ -58,12 +58,12 @@ def build_request(
     bound: BoundQuery, pairs: Sequence[Tuple[RowRef, Optional[int]]]
 ) -> SampleRequest:
     """The request for `pairs` over every query part that reads rows: the
-    target, each WHERE conjunct's condition and ASSUMING."""
-    return SampleRequest(
-        entity_table=bound.entity_table,
-        pairs=tuple((RowRef(r.table.upper(), r.index), a) for r, a in pairs),
-        parts=bound.parts,
-    )
+    target, each WHERE conjunct's condition and ASSUMING. Table names are
+    upper-cased; pairs already in upper case are kept as they are."""
+    pairs = tuple(pairs)
+    if any(t != t.upper() for t in {r.table for r, _ in pairs}):
+        pairs = tuple((RowRef(r.table.upper(), r.index), a) for r, a in pairs)
+    return SampleRequest(entity_table=bound.entity_table, pairs=pairs, parts=bound.parts)
 
 
 @dataclass

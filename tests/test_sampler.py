@@ -28,6 +28,24 @@ def bind_text(text, key="retail"):
     return bind(parse(text), schema(key))
 
 
+class TestBuildRequest:
+    QUERY = "PREDICT COUNT(TRANSACTIONS.*, 0, 30, days) FOR EACH CUSTOMERS.CUSTOMER_ID"
+
+    def test_upper_case_pairs_are_kept(self):
+        pairs = [(RowRef("CUSTOMERS", 2), ANCHOR), (RowRef("CUSTOMERS", 0), None)]
+        request = build_request(bind_text(self.QUERY), pairs)
+        assert request.pairs == tuple(pairs)
+        assert all(got is want for got, want in zip(request.pairs, pairs))
+
+    def test_other_table_names_are_upper_cased(self):
+        pairs = [(RowRef("CUSTOMERS", 2), ANCHOR), (RowRef("customers", 0), ANCHOR), (RowRef("Customers", 1), None)]
+        request = build_request(bind_text(self.QUERY), pairs)
+        assert request.pairs == (
+            (RowRef("CUSTOMERS", 2), ANCHOR), (RowRef("CUSTOMERS", 0), ANCHOR), (RowRef("CUSTOMERS", 1), None)
+        )
+        assert all(type(ref) is RowRef for ref, _ in request.pairs)
+
+
 class TestCollect:
     def test_one_hop_window(self, toy_db, toy_graph):
         b = bind_text("PREDICT COUNT(TRANSACTIONS.*, 0, 30, days) FOR EACH CUSTOMERS.CUSTOMER_ID")
