@@ -37,7 +37,7 @@ import numpy as np
 
 from .binder import BoundQuery, TaskType
 from .errors import ExecutionError, PlanError
-from .kernels import Anchor, SumOverflow, VecCtx, distinct, eval_condition_vec, eval_target_vec
+from .kernels import Anchor, SumOverflow, VecCtx, distinct, distinct_pairs, eval_condition_vec, eval_target_vec
 from .planner import LogicalPlan, PlanNode, feasible_anchors, plan_training
 from .splits import SPLITS, SplitPolicy, split_code_for_anchor_rank, split_counts, split_for_keys
 from .store import _NUMPY_DTYPE, Column, Database, DataType, ListType, RowGraph, RowRef, build_row_graph
@@ -498,11 +498,8 @@ def unique_pairs(rows: np.ndarray, anchors: Anchor) -> Tuple[np.ndarray, Anchor]
     a scalar anchor is every row's."""
     if not isinstance(anchors, np.ndarray):
         return distinct(rows), anchors
-    order = np.lexsort((rows, anchors))
-    rows, anchors = rows[order], anchors[order]
-    first = np.ones(len(rows), dtype=np.bool_)
-    first[1:] = (rows[1:] != rows[:-1]) | (anchors[1:] != anchors[:-1])
-    return rows[first], anchors[first]
+    anchors, rows = distinct_pairs(anchors, rows)
+    return rows, anchors
 
 
 def evaluate_pairs(

@@ -18,6 +18,16 @@ batch engine, the pairwise evaluator and the sampler all run on them, and
 `pql.oracle` is the independent check. A comparison with a null or
 undefined operand is false (IS / IS NOT excepted), connectives are
 two-valued.
+
+Each operator has one code path for every column dtype: numpy compares,
+sorts and tests membership of string (object) arrays element by element,
+and the null mask hides what null and undefined cells hold. Two forks are
+chosen by dtype because they measured faster: `_distinct_lists` builds a
+set per entity for strings (2.2-3.5x faster than an object sort at
+100k-1M rows), and `store._resolve_fk` maps string keys through a dict
+(0.28 s against 1.14 s for a sorted search over 1M keys). `_string_loop`,
+a per-row Python loop, serves only the string-only operators LIKE,
+CONTAINS, STARTS_WITH and ENDS_WITH.
 """
 
 from __future__ import annotations
@@ -250,11 +260,10 @@ def eval_compare_vec(
 
     if op in (RelOp.IN, RelOp.IS_IN):
         members = [e.value for e in rhs.value]
-        if vals.dtype == object:
-            mset = set(members)
-            return _string_loop(vals, null, lambda v: v in mset)
         if not members:
             return np.zeros(len(vals), dtype=np.bool_)
+        # Members keep their own dtype: cast to the column's, a member
+        # outside int64 would raise OverflowError instead of matching nothing.
         return np.isin(vals, np.array(members)) & ok
 
     if op in (RelOp.LIKE, RelOp.NOT_LIKE):
@@ -274,12 +283,6 @@ def eval_compare_vec(
         return _string_loop(vals, null, lambda v: v.endswith(rhs.value))
 
     const = rhs.value
-    if vals.dtype == object:
-        if op is RelOp.EQ:
-            return _string_loop(vals, null, lambda v: v == const)
-        if op is RelOp.NE:
-            return _string_loop(vals, null, lambda v: v != const)
-        raise AssertionError(f"unexpected op {op} on object column")
     if op is RelOp.EQ:
         return (vals == const) & ok
     if op is RelOp.NE:
@@ -374,8 +377,6 @@ def _fold(ctx: VecCtx, agg: BoundAggregation, gth: Gather) -> Tuple[np.ndarray, 
         picked_rows = gth.idx.order[np.where(has, pick, 0)]
         out_vals = col.values[picked_rows]
         out_null = col.null[picked_rows] | ~has
-        if col.values.dtype == object:
-            out_vals = np.where(out_null, None, out_vals)
         return out_vals, ~out_null
 
     m = ~null
@@ -432,26 +433,25 @@ def _int_sums(seg: np.ndarray, vals: np.ndarray, n: int) -> Tuple[np.ndarray, np
     return np.where(over, 0, (high << 32) | (low & 0xFFFFFFFF)), over
 
 
+def distinct_pairs(major: np.ndarray, minor: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Each distinct (major, minor) pair once, ordered by major then minor:
+    a `lexsort` and a neighbour compare. Any dtype numpy orders will do,
+    strings included; of equal values (0.0 and -0.0) the first kept is the
+    first in input order."""
+    order = np.lexsort((minor, major))
+    major, minor = major[order], minor[order]
+    first = np.ones(len(major), dtype=np.bool_)
+    first[1:] = (major[1:] != major[:-1]) | (minor[1:] != minor[:-1])
+    return major[first], minor[first]
+
+
 def _distinct_counts(seg: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
-    if len(seg) == 0:
-        return np.zeros(n, dtype=np.int64)
-    if vals.dtype == object:
-        seen = set()
-        counts = np.zeros(n, dtype=np.int64)
-        for s, v in zip(seg, vals):
-            if (s, v) not in seen:
-                seen.add((s, v))
-                counts[s] += 1
-        return counts
-    order = np.lexsort((vals, seg))
-    s, v = seg[order], vals[order]
-    first = np.ones(len(s), dtype=np.bool_)
-    first[1:] = (s[1:] != s[:-1]) | (v[1:] != v[:-1])
-    return np.bincount(s[first], minlength=n).astype(np.int64)
+    return np.bincount(distinct_pairs(seg, vals)[0], minlength=n).astype(np.int64)
 
 
 def _distinct_lists(seg: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
     out = np.empty(n, dtype=object)
+    # Strings: a set per entity beat an object sort 2.2-3.5x at 100k-1M rows.
     if vals.dtype == object:
         acc = [set() for _ in range(n)]
         for s, v in zip(seg, vals):
@@ -462,11 +462,7 @@ def _distinct_lists(seg: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
     if len(seg) == 0:
         out[:] = [() for _ in range(n)]
         return out
-    order = np.lexsort((vals, seg))
-    s, v = seg[order], vals[order]
-    first = np.ones(len(s), dtype=np.bool_)
-    first[1:] = (s[1:] != s[:-1]) | (v[1:] != v[:-1])
-    s, v = s[first], v[first]
+    s, v = distinct_pairs(seg, vals)
     bounds = np.searchsorted(s, np.arange(n + 1))
     vlist = v.tolist()
     for i in range(n):
