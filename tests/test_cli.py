@@ -137,19 +137,18 @@ class TestTrainTable:
         header = (out / "training.csv").read_text().splitlines()[0]
         assert header == "ENTITY,TARGET,SPLIT"
 
-    # An IN member outside int64 matches no row: the members are not cast
-    # to the column's dtype, which would raise OverflowError.
-    @pytest.mark.parametrize("where", ["CUSTOMERS.LOCATION_ID = 'Atlantis'",
-                                       "CUSTOMERS.CUSTOMER_ID IN [99999999999999999999]"])
-    def test_empty_result_exits_two(self, retail_dir, tmp_path, capsys, where):
-        code = main(
-            ["train-table", "--data-dir", str(retail_dir), "--out-dir", str(tmp_path / "e"),
-             "--query",
-             f"PREDICT SUM(TRANSACTIONS.VALUE, 0, 30, days) FOR EACH CUSTOMERS.CUSTOMER_ID WHERE {where}"]
-        )
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "empty result" in err and "Traceback" not in err
+    def test_empty_result_exits_two(self, retail_dir, tmp_path, capsys):
+        # An IN member outside int64 matches no row: the members are not cast
+        # to the column's dtype, which would raise OverflowError.
+        for where in ("CUSTOMERS.LOCATION_ID = 'Atlantis'", "CUSTOMERS.CUSTOMER_ID IN [99999999999999999999]"):
+            code = main(
+                ["train-table", "--data-dir", str(retail_dir), "--out-dir", str(tmp_path / "e"),
+                 "--query",
+                 f"PREDICT SUM(TRANSACTIONS.VALUE, 0, 30, days) FOR EACH CUSTOMERS.CUSTOMER_ID WHERE {where}"]
+            )
+            assert code == 2, where
+            err = capsys.readouterr().err
+            assert "empty result" in err and "Traceback" not in err, where
 
     def test_list_targets_json_encoded(self, retail_dir, tmp_path):
         out = tmp_path / "link"
