@@ -367,6 +367,79 @@ def test_oversized_json_integer_is_bad_json(kind, tmp_path, capsys):
     assert "integer of more than 4300 digits: line 1 column 13 (char 12)" in err
 
 
+def one_table(**table) -> dict:
+    """A schema document of one table T whose key column is ID."""
+    return {"tables": [{"name": "T", "columns": [{"name": "ID", "dtype": "int64", "stype": "key"}], **table}]}
+
+
+# Schema documents that parse as JSON but hold no schema, and the start of
+# the error each gets: the table and the field at fault.
+BAD_SCHEMAS = {
+    "tables_not_a_list": ({"tables": {"name": "T"}}, "schema document must be an object with a 'tables' list"),
+    "table_not_an_object": ({"tables": ["T"]}, "schema document: tables[0] must be an object"),
+    "columns_not_a_list": (one_table(columns={"name": "ID"}), "table T: 'columns' must be a list"),
+    "column_not_an_object": (one_table(columns=["ID"]), "table T: columns[0] must be an object"),
+    "table_name": ({"tables": [{"name": 7}]}, "tables[0]: 'name' must be a string"),
+    "column_name": (one_table(columns=[{"name": 1, "dtype": "int64", "stype": "key"}]),
+                    "table T: column entry: 'name' must be a string"),
+    "dtype": (one_table(columns=[{"name": "ID", "dtype": 64, "stype": "key"}]),
+              "table T: column ID: 'dtype' must be a string"),
+    "primary_key": (one_table(primary_key=["ID"]), "table T: 'primary_key' must be a string"),
+    "foreign_keys_not_a_list": (one_table(foreign_keys={"column": "ID"}), "table T: 'foreign_keys' must be a list"),
+    "foreign_key_without_references": (one_table(foreign_keys=[{"column": "ID"}]),
+                                       "table T: foreign key ID missing 'references'"),
+    "validity_not_an_object": (one_table(validity="ID"), "table T: 'validity' must be an object"),
+    "nullable_as_text": (one_table(columns=[{"name": "ID", "dtype": "int64", "stype": "key", "nullable": "false"}]),
+                         "table T: column ID: 'nullable' must be true or false"),
+}
+
+
+@pytest.mark.parametrize("doc,fault", BAD_SCHEMAS.values(), ids=list(BAD_SCHEMAS))
+def test_schema_document_that_holds_no_schema_is_a_schema_error(doc, fault, tmp_path, capsys):
+    path = tmp_path / "schema.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", *QUERY, "--schema", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: [schema] {fault}") and "Traceback" not in err, err
+
+
+# Genspec documents that parse as JSON but hold no spec, and the start of
+# the error each gets.
+BAD_GENSPECS = {
+    "not_an_object": ([1300], "a genspec must be a JSON object"),
+    "unknown_key": ({"customer": 10}, "unknown genspec key 'customer'"),
+    "count_as_text": ({"customers": "10"}, "genspec key 'customers' must be a whole number of at least 0"),
+    "fractional_count": ({"transactions": 10.5}, "genspec key 'transactions' must be a whole number of at least 0"),
+    "span_start": ({"span_start": "2022-13-01"}, "genspec key 'span_start' must be an ISO-8601 date"),
+    "null_rates": ({"null_rates": [0.1]}, "genspec key 'null_rates' must be an object of finite numbers"),
+    "zipf_a": ({"zipf_a": "1.1"}, "genspec key 'zipf_a' must be a finite number"),
+    "upscale_zero": ({"upscale": 0}, "genspec key 'upscale' must be a whole number of at least 1"),
+}
+
+
+@pytest.mark.parametrize("doc,fault", BAD_GENSPECS.values(), ids=list(BAD_GENSPECS))
+def test_genspec_that_holds_no_spec_is_a_data_error(doc, fault, tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    assert main(["gen-data", "--out-dir", str(tmp_path / "unused"), "--genspec", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: [data] {fault}") and "Traceback" not in err, err
+    assert not (tmp_path / "unused").exists()
+
+
+@pytest.mark.parametrize("command", ["train-table", "predict-table", "sample"])
+def test_temporal_query_over_no_dated_rows_is_a_plan_error(command, retail_dir, tmp_path, capsys):
+    # Only TRANSACTIONS and NOTIFICATIONS have time columns; empty them.
+    data = tmp_path / "data"
+    shutil.copytree(retail_dir, data)
+    for name, text in (("transactions", TRANSACTIONS_CSV), ("notifications", NOTIFICATIONS_CSV)):
+        (data / f"{name}.csv").write_text(text.splitlines(keepends=True)[0])
+    args = [command, "--data-dir", str(data), "--out-dir", str(tmp_path / "out"),
+            "--query", "PREDICT COUNT(TRANSACTIONS.*, 0, 30, days) FOR EACH CUSTOMERS.CUSTOMER_ID"]
+    assert main(args) == 1
+    assert capsys.readouterr().err == "error: [plan] temporal query over a database with no dated rows\n"
+
+
 # Each file pql reads as text, and the error one that is not UTF-8 gets:
 # (the command line before the file, exit code, text on stderr before its path).
 NOT_UTF8_FILES = {

@@ -542,11 +542,13 @@ class TestPairAnchorsThatDoNotFit:
             for ref, anchor in pairs:
                 leakage_rows(b, db, ref, anchor)
             return None
+        if entry == "collect":
+            return collect(g, build_request(b, pairs))
         # Collect the same entities at anchors that fit, so the collected check passes.
         fitting = [(ref, None if b.is_static else ANCHOR) for ref, _ in pairs]
         return compute_on_subgraph(b, collect(g, build_request(b, fitting)), pairs)
 
-    @pytest.mark.parametrize("entry", ["evaluate_pairs", "compute_on_subgraph", "leakage_rows"])
+    @pytest.mark.parametrize("entry", ["evaluate_pairs", "collect", "compute_on_subgraph", "leakage_rows"])
     @pytest.mark.parametrize(
         "query,table,anchor,message",
         [(STATIC, "TRANSACTIONS", ANCHOR, "static query takes no anchor"),
@@ -560,14 +562,34 @@ class TestPairAnchorsThatDoNotFit:
         with pytest.raises(PlanError, match=f"^{message}$"):
             self.run(entry, toy_db, toy_graph, b, pairs)
 
+    # compute_on_subgraph cannot collect an outside entity to check it later.
+    @pytest.mark.parametrize("entry", ["evaluate_pairs", "collect", "leakage_rows"])
     @pytest.mark.parametrize("outside", [CUSTOMER(3), RowRef("TRANSACTIONS", 1)])
-    def test_the_first_offending_pair_decides(self, toy_db, toy_graph, outside):
+    def test_the_first_offending_pair_decides(self, toy_db, toy_graph, entry, outside):
         b = bind_text(self.TEMPORAL)
         first = [(CUSTOMER(0), ANCHOR), (outside, ANCHOR), (CUSTOMER(2), None)]
         with pytest.raises(ExecutionError, match=f"^pair entity {re.escape(repr(outside))} is "):
-            evaluate_pairs(toy_db, toy_graph, b, first)
+            self.run(entry, toy_db, toy_graph, b, first)
         with pytest.raises(PlanError, match="^temporal query needs an anchor$"):
-            evaluate_pairs(toy_db, toy_graph, b, [first[0], first[2], first[1]])
+            self.run(entry, toy_db, toy_graph, b, [first[0], first[2], first[1]])
+
+    @pytest.mark.parametrize(
+        "entity,fault",
+        [(CUSTOMER(10**6), "is outside the 650 rows of CUSTOMERS"),
+         (CUSTOMER(-1), "is outside the 650 rows of CUSTOMERS"),
+         (RowRef("ARTICLES", 0), "is not from CUSTOMERS")],
+        ids=["past_the_end", "negative", "other_table"],
+    )
+    def test_leakage_checks_the_entity_before_its_validity(self, entity, fault):
+        # Customers 0 and 649 both sign up after the anchor, so reading
+        # either one's validity in place of the entity's would refuse the
+        # pair for its anchor instead.
+        db = generate(hm_genspec(scale=0.0005, seed=1, validity=True))
+        b = bind(parse(self.TEMPORAL), db.schema)
+        from pql.leakage import leakage_rows
+
+        with pytest.raises(ExecutionError, match=f"^pair entity {re.escape(repr(entity))} {fault}$"):
+            leakage_rows(b, db, entity, parse_timestamp("2022-01-01"))
 
 
 class TestEmptyParentTable:
