@@ -38,7 +38,7 @@ import numpy as np
 from .binder import BoundQuery, TaskType
 from .errors import ExecutionError, PlanError
 from .kernels import Anchor, SumOverflow, VecCtx, distinct, distinct_pairs, eval_condition_vec, eval_target_vec
-from .planner import LogicalPlan, PlanNode, feasible_anchors, plan_training
+from .planner import LogicalPlan, PlanNode, feasible_anchors, latest_event_time, plan_training
 from .splits import SPLITS, SplitPolicy, split_code_for_anchor_rank, split_counts, split_for_keys
 from .store import _NUMPY_DTYPE, Column, Database, DataType, ListType, RowGraph, RowRef, build_row_graph
 from .times import format_timestamp
@@ -248,9 +248,9 @@ def _filter(cause: str, at_anchor: bool) -> Callable:
     return handler
 
 
-def _validity_mask(ctx: VecCtx, bound: BoundQuery, sel: np.ndarray, anchor: Anchor) -> np.ndarray:
+def _validity_mask(db: Database, bound: BoundQuery, sel: np.ndarray, anchor: Anchor) -> np.ndarray:
     start_col, end_col = bound.entity_validity
-    table = ctx.db.table(bound.entity_table)
+    table = db.table(bound.entity_table)
     mask = np.ones(len(sel), dtype=np.bool_)
     if start_col is not None:
         col = table.column(start_col)
@@ -263,7 +263,7 @@ def _validity_mask(ctx: VecCtx, bound: BoundQuery, sel: np.ndarray, anchor: Anch
 
 def _validity(run: _Run, block: _Block, node: PlanNode):
     if block.anchor is not None and run.bound.entity_validity is not None and len(block.sel):
-        block.keep(_validity_mask(run.ctx, run.bound, block.sel, block.anchor), "validity_pruned")
+        block.keep(_validity_mask(run.ctx.db, run.bound, block.sel, block.anchor), "validity_pruned")
 
 
 def _cross_join(run: _Run, block: _Block, node: PlanNode):
@@ -435,12 +435,7 @@ def materialize_prediction(
     bound = plan.bound
     anchors: List[int] = []
     if not bound.is_static:
-        anchor = plan.prediction_at
-        if anchor is None:
-            anchor = db.max_event_time()
-            if anchor is None:
-                raise ExecutionError("temporal query over a database with no dated rows")
-        anchors = [anchor]
+        anchors = [latest_event_time(db) if plan.prediction_at is None else plan.prediction_at]
     run = _Run(plan, VecCtx(db, g or build_row_graph(db)), _drop_empty_labels(bound.task, None))
     (block,), columns, _, _ = _execute(run, anchors)
     metadata = {
@@ -463,43 +458,32 @@ def materialize_prediction(
 Pairs = Sequence[Tuple[RowRef, Optional[int]]]
 
 
-def pair_columns(pairs: Pairs) -> Tuple[tuple, np.ndarray, tuple]:
-    """The pairs' entity refs, their row indices as an int64 array and
-    their anchors, unchecked."""
-    if not pairs:
-        return (), np.empty(0, dtype=np.int64), ()
-    refs, anchors = zip(*pairs)
-    return refs, np.array([ref.index for ref in refs], dtype=np.int64), anchors
-
-
-def check_pairs(refs: tuple, rows: np.ndarray, anchors: tuple, table: str, nrows: int,
-                is_static: Optional[bool] = None):
-    """Refuse the first pair, in input order, whose entity is not one of the
-    `nrows` rows of `table` (a negative index would read a row from the
-    end) or, unless `is_static` is None, whose anchor does not fit the
-    query: a static query takes none, a temporal query needs one."""
+def check_pairs(pairs: Pairs, table: str, nrows: int, is_static: bool) -> Tuple[tuple, np.ndarray, Anchor]:
+    """The pairs' entity refs in input order, and each distinct (row,
+    anchor) pair once, ordered by anchor then row: the rows as an int64
+    array, the anchors as another (None for a static query). Refuses the
+    first pair, in input order, whose entity is not one of the `nrows` rows
+    of `table` (a negative index would read a row from the end) or whose
+    anchor does not fit the query: a static query takes none, a temporal
+    query needs one."""
+    refs, anchors = zip(*pairs) if pairs else ((), ())
+    rows = np.array([ref.index for ref in refs], dtype=np.int64)
     bad = (rows < 0) | (rows >= nrows)
     if any(t.upper() != table for t in {ref.table for ref in refs}):
         bad |= np.array([ref.table.upper() != table for ref in refs], dtype=np.bool_)
-    if is_static is not None and anchors.count(None) != (len(anchors) if is_static else 0):
+    if anchors.count(None) != (len(anchors) if is_static else 0):
         bad |= np.array([(a is None) != is_static for a in anchors], dtype=np.bool_)
-    if not bad.any():
-        return
-    ref = refs[int(bad.argmax())]
-    if ref.table.upper() != table:
-        raise ExecutionError(f"pair entity {ref} is not from {table}")
-    if not 0 <= ref.index < nrows:
-        raise ExecutionError(f"pair entity {ref} is outside the {nrows} rows of {table}")
-    raise PlanError("static query takes no anchor" if is_static else "temporal query needs an anchor")
-
-
-def unique_pairs(rows: np.ndarray, anchors: Anchor) -> Tuple[np.ndarray, Anchor]:
-    """Each distinct (row, anchor) pair once, ordered by anchor then row;
-    a scalar anchor is every row's."""
-    if not isinstance(anchors, np.ndarray):
-        return distinct(rows), anchors
-    anchors, rows = distinct_pairs(anchors, rows)
-    return rows, anchors
+    if bad.any():
+        ref = refs[int(bad.argmax())]
+        if ref.table.upper() != table:
+            raise ExecutionError(f"pair entity {ref} is not from {table}")
+        if not 0 <= ref.index < nrows:
+            raise ExecutionError(f"pair entity {ref} is outside the {nrows} rows of {table}")
+        raise PlanError("static query takes no anchor" if is_static else "temporal query needs an anchor")
+    if is_static:
+        return refs, distinct(rows), None
+    at, rows = distinct_pairs(np.array(anchors, dtype=np.int64), rows)
+    return refs, rows, at
 
 
 def evaluate_pairs(
@@ -521,25 +505,21 @@ def evaluate_pairs(
     shared store. Used by the low-latency sampler and by the verification
     suites.
     """
-    return _evaluate_columns(db, g, bound, *pair_columns(pairs), anchors_for_split=anchors_for_split,
-                             split=split, keep_empty_labels=keep_empty_labels)
+    _, rows, at = check_pairs(pairs, bound.entity_table, db.nrows(bound.entity_table), bound.is_static)
+    return _evaluate_distinct(db, g, bound, rows, at, anchors_for_split, split, keep_empty_labels)
 
 
-def _evaluate_columns(
+def _evaluate_distinct(
     db: Database,
     g: RowGraph,
     bound: BoundQuery,
-    refs: tuple,
     rows: np.ndarray,
-    anchors: tuple,
-    *,
+    at: Anchor,
     anchors_for_split: Optional[Sequence[int]],
     split: Optional[SplitPolicy],
     keep_empty_labels: Optional[bool],
 ) -> TrainingTable:
-    """`evaluate_pairs` over the pairs' `pair_columns`."""
-    check_pairs(refs, rows, anchors, bound.entity_table, db.nrows(bound.entity_table), bound.is_static)
-    rows, at = unique_pairs(rows, None if bound.is_static else np.array(anchors, dtype=np.int64))
+    """`evaluate_pairs` over the distinct pairs `check_pairs` returns."""
     requested = [] if at is None else distinct(at).tolist()
     codes = _split_codes(requested if anchors_for_split is None else anchors_for_split)
     off_grid = [a for a in requested if a not in codes]

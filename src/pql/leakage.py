@@ -19,10 +19,9 @@ from typing import Optional, Set
 import numpy as np
 
 from .binder import BoundColumn, BoundQuery, walk
-from .engine import _validity_mask
-from .errors import ExecutionError, PlanError
-from .kernels import VecCtx
-from .sampler import SampleRequest, _reached_rows
+from .engine import _validity_mask, check_pairs
+from .errors import ExecutionError
+from .sampler import _reached_rows
 from .store import Database, RowRef, build_row_graph
 
 
@@ -47,30 +46,26 @@ def leakage_rows(
     """All rows that would leak label information into features for this
     (entity, anchor): a superset of everything the target computation reads.
     """
-    if (anchor is None) != bound.is_static:
-        raise PlanError("static query takes no anchor" if bound.is_static else "temporal query needs an anchor")
-    g = build_row_graph(db)
-    if anchor is not None and bound.entity_validity is not None:
-        if not _validity_mask(VecCtx(db, g), bound, np.array([entity.index]), anchor)[0]:
-            raise ExecutionError(
-                f"anchor {anchor} is outside the validity interval of {entity}"
-            )
+    table = bound.entity_table
+    _, rows, at = check_pairs(((entity, anchor),), table, db.nrows(table), bound.is_static)
+    if at is not None and bound.entity_validity is not None and not _validity_mask(db, bound, rows, at)[0]:
+        raise ExecutionError(f"anchor {anchor} is outside the validity interval of {entity}")
 
     # The rows the label parts (target and ASSUMING) read, collected as
     # the sampler collects them. The entity row itself counts only when a
     # label part reads one of its columns directly.
     labels = (bound.target, bound.assuming)
-    reached, entities = _reached_rows(g, SampleRequest(bound.entity_table, ((entity, anchor),), labels))
+    reached = _reached_rows(build_row_graph(db), labels, rows, at)
     if any(
         isinstance(n, BoundColumn) and not n.hops for part in labels for n in walk(part, filters=False)
     ):
-        reached.setdefault(bound.entity_table, []).append(entities)
+        reached.setdefault(table, []).append(rows)
     mask: Set[RowRef] = {
-        RowRef(table, i) for table, arrays in reached.items() for rows in arrays for i in rows.tolist()
+        RowRef(name, i) for name, arrays in reached.items() for found in arrays for i in found.tolist()
     }
 
     if anchor is not None:
-        for name in reachable_tables(db, bound.entity_table):
+        for name in reachable_tables(db, table):
             tdata = db.tables.get(name)
             if tdata is None or tdata.definition.time_column is None:
                 continue

@@ -162,6 +162,15 @@ def resolve_stride(bound: BoundQuery, policy: AnchorPolicy) -> int:
     return tf.future if tf.past is None else tf.past + tf.future
 
 
+def latest_event_time(db) -> int:
+    """The newest time in any time column: a temporal query's anchors
+    count back from it, and a prediction without `--at` is made at it."""
+    max_t = db.max_event_time()
+    if max_t is None:
+        raise PlanError("temporal query over a database with no dated rows")
+    return max_t
+
+
 def resolve_anchors(bound: BoundQuery, policy: AnchorPolicy, db) -> List[int]:
     """Concrete anchor timestamps, newest first.
 
@@ -172,10 +181,8 @@ def resolve_anchors(bound: BoundQuery, policy: AnchorPolicy, db) -> List[int]:
     """
     if bound.is_static:
         return []
-    max_t = db.max_event_time()
+    max_t = latest_event_time(db)
     min_t = db.min_event_time()
-    if max_t is None:
-        raise PlanError("temporal query over a database with no dated rows")
     stride = resolve_stride(bound, policy)
     latest = policy.latest if isinstance(policy.latest, int) else max_t - bound.timeframe.future
     if stride == 0:

@@ -2,15 +2,17 @@
 
 Instead of scanning tables, this path walks the row graph from the
 requested entities and collects exactly the rows the query can touch.
-`_reached_rows` walks `BoundQuery.parts` (the target, each WHERE conjunct's
-condition and ASSUMING) once from the request's distinct (entity row,
-anchor) pairs, each row at its own anchor:
+`engine.check_pairs` checks the request's (entity, anchor) pairs and keeps
+each distinct pair once, as at every entry that takes pairs. `_reached_rows`
+then walks `BoundQuery.parts` (the target, each WHERE conjunct's condition
+and ASSUMING) once from those pairs, each row at its own anchor, visiting
+each part's nodes by `binder.walk` outside aggregation filters:
 
 * a column read follows its FK hops and pulls each hop's parent row;
 * an aggregation gathers its window's children (every qualifying neighbor,
-  no fan-out cap), then walks its filter over all of them, so filter
-  columns pull parent rows and nested aggregations gather again;
-* a comparison walks its left side, NOT its operand, AND and OR both.
+  no fan-out cap), then walks its filter over all of them at their
+  parent's anchor, so filter columns pull parent rows and nested
+  aggregations gather again.
 
 The collected row sets account for the work a request does and can be
 exported as the entities' subgraph; labels are computed for the requested
@@ -25,18 +27,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .binder import (
-    BoundAggregation,
-    BoundAnd,
-    BoundColumn,
-    BoundCompare,
-    BoundNot,
-    BoundOr,
-    BoundQuery,
-    BoundTarget,
-    iter_bound_aggregations,
-)
-from .engine import TrainingTable, _evaluate_columns, check_pairs, pair_columns, unique_pairs
+from .binder import BoundAggregation, BoundColumn, BoundQuery, BoundTarget, iter_bound_aggregations, walk
+from .engine import TrainingTable, _evaluate_distinct, check_pairs
 from .errors import ExecutionError
 from .kernels import Anchor, VecCtx, distinct, gather_children
 from .planner import AnchorPolicy, feasible_anchors
@@ -46,12 +38,14 @@ from .store import Database, RowGraph, RowRef
 
 @dataclass(frozen=True)
 class SampleRequest:
-    """Everything `collect` needs: the pairs and the query parts whose reads
-    it follows (a None part, such as a missing ASSUMING, reads nothing)."""
+    """Everything `collect` needs: the pairs, the query parts whose reads
+    it follows (a None part, such as a missing ASSUMING, reads nothing), and
+    whether the query is static, so that its pairs take no anchor."""
 
     entity_table: str
     pairs: Tuple[Tuple[RowRef, Optional[int]], ...]
     parts: Tuple[Optional[BoundTarget], ...]
+    is_static: bool
 
 
 def build_request(
@@ -63,7 +57,7 @@ def build_request(
     pairs = tuple(pairs)
     if any(t != t.upper() for t in {r.table for r, _ in pairs}):
         pairs = tuple((RowRef(r.table.upper(), r.index), a) for r, a in pairs)
-    return SampleRequest(entity_table=bound.entity_table, pairs=pairs, parts=bound.parts)
+    return SampleRequest(bound.entity_table, pairs, bound.parts, bound.is_static)
 
 
 @dataclass
@@ -77,56 +71,49 @@ class Subgraph:
 
 
 def _reached_rows(
-    g: RowGraph, request: SampleRequest
-) -> Tuple[Dict[str, List[np.ndarray]], np.ndarray]:
-    """Rows the request reads, apart from its entity rows, by table; and the
-    entity rows of its distinct pairs (a row repeats at each of its
-    anchors). All pairs walk the query together, each at its own anchor,
-    one array pass per edge (when any pair has no anchor, none has one)."""
+    g: RowGraph, parts: Sequence[Optional[BoundTarget]], rows: np.ndarray, at: Anchor
+) -> Dict[str, List[np.ndarray]]:
+    """Rows that `parts` read, apart from the entity rows, by table, for the
+    distinct pairs of entity `rows` and anchors `at` that `check_pairs`
+    returns. All pairs walk the query together, each at its own anchor, one
+    array pass per edge."""
     ctx = VecCtx(g.db, g)
     acc: Dict[str, List[np.ndarray]] = {}
 
-    def add(table: str, rows: np.ndarray):
-        if len(rows):
-            acc.setdefault(table, []).append(rows)
+    def add(table: str, found: np.ndarray):
+        if len(found):
+            acc.setdefault(table, []).append(found)
 
-    def walk(node, rows: np.ndarray, anchor: Anchor):
-        if isinstance(node, BoundColumn):
-            for edge in node.hops:
-                rows = g.edge_index(edge).forward[rows]
-                rows = rows[rows >= 0]
-                add(edge.parent_table, rows)
-        elif isinstance(node, BoundAggregation):
-            gathered = gather_children(ctx, node, rows, anchor)
-            children = gathered.child_rows
-            add(node.table, children)
-            if len(children) and node.where is not None:
-                # A child's filter runs at its parent's anchor.
-                at = anchor[gathered.seg] if isinstance(anchor, np.ndarray) else anchor
-                walk(node.where, children, at)
-        elif isinstance(node, BoundCompare):
-            walk(node.lhs, rows, anchor)
-        elif isinstance(node, BoundNot):
-            walk(node.operand, rows, anchor)
-        elif isinstance(node, (BoundAnd, BoundOr)):
-            walk(node.left, rows, anchor)
-            walk(node.right, rows, anchor)
+    def reach(node, rows: np.ndarray, anchor: Anchor):
+        for n in walk(node, filters=False):
+            if isinstance(n, BoundColumn):
+                parents = rows
+                for edge in n.hops:
+                    parents = g.edge_index(edge).forward[parents]
+                    parents = parents[parents >= 0]
+                    add(edge.parent_table, parents)
+            elif isinstance(n, BoundAggregation):
+                gathered = gather_children(ctx, n, rows, anchor)
+                children = gathered.child_rows
+                add(n.table, children)
+                if len(children) and n.where is not None:
+                    # A child's filter runs at its parent's anchor.
+                    reach(n.where, children, anchor[gathered.seg] if isinstance(anchor, np.ndarray) else anchor)
 
-    refs, rows, anchors = pair_columns(request.pairs)
-    check_pairs(refs, rows, anchors, request.entity_table, g.db.nrows(request.entity_table))
     if len(rows):
-        rows, at = unique_pairs(rows, None if None in anchors else np.array(anchors, dtype=np.int64))
-        for part in request.parts:
-            walk(part, rows, at)
-    return acc, rows
+        for part in parts:
+            reach(part, rows, at)
+    return acc
 
 
 def collect(g: RowGraph, request: SampleRequest) -> Subgraph:
     """Breadth-first collection of the connected row subgraph the request
     touches: the entity rows plus every row `_reached_rows` finds."""
-    acc, entities = _reached_rows(g, request)
-    if len(entities):
-        acc.setdefault(request.entity_table, []).append(entities)
+    table = request.entity_table
+    _, rows, at = check_pairs(request.pairs, table, g.db.nrows(table), request.is_static)
+    acc = _reached_rows(g, request.parts, rows, at)
+    if len(rows):
+        acc.setdefault(table, []).append(rows)
     packed = {t: distinct(np.concatenate(arrays)) for t, arrays in acc.items()}
     touched = sum(len(v) for v in packed.values())
     return Subgraph(g, packed, touched)
@@ -144,17 +131,17 @@ def compute_on_subgraph(
     """Training rows for pairs whose subgraph was collected: the restricted
     kernels evaluate exactly these pairs on the shared store, so the rows
     are the batch engine's rows for the same pairs."""
-    collected = sub.rows.get(bound.entity_table, np.empty(0, dtype=np.int64))
-    refs, rows, anchors = pair_columns(pairs)
+    db, table = sub.g.db, bound.entity_table
+    refs, rows, at = check_pairs(pairs, table, db.nrows(table), bound.is_static)
+    collected = sub.rows.get(table, np.empty(0, dtype=np.int64))
     # `collected` is sorted, so a row is collected where its search lands on it.
     found = np.minimum(collected.searchsorted(rows), len(collected) - 1)
     missing = collected[found] != rows if len(collected) else np.ones(len(rows), dtype=np.bool_)
     if missing.any():
-        raise ExecutionError(
-            f"entity row {refs[int(missing.argmax())]} was not collected; build the request from the same pairs"
-        )
-    return _evaluate_columns(sub.g.db, sub.g, bound, refs, rows, anchors, anchors_for_split=anchors_for_split,
-                             split=split, keep_empty_labels=keep_empty_labels)
+        lost = set(rows[missing].tolist())
+        ref = next(ref for ref in refs if ref.index in lost)
+        raise ExecutionError(f"entity row {ref} was not collected; build the request from the same pairs")
+    return _evaluate_distinct(db, sub.g, bound, rows, at, anchors_for_split, split, keep_empty_labels)
 
 
 def sample_pairs(

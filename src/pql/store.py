@@ -177,13 +177,38 @@ class RowRef(NamedTuple):
 # Schema loading
 
 
+_JSON_KINDS = {str: "a string", list: "a list", dict: "an object", bool: "true or false"}
+
+
+def _field(raw: dict, key: str, kind: type, where: str, required: bool = False):
+    """`raw[key]`, None when it is absent or null, unless `required`. A
+    value of another kind than `kind` is a SchemaError naming `where` and
+    the key, as is a missing required one."""
+    value = raw.get(key)
+    if value is None:
+        if required:
+            raise SchemaError(f"{where} missing {key!r}")
+        return None
+    if not isinstance(value, kind):
+        raise SchemaError(f"{where}: {key!r} must be {_JSON_KINDS[kind]}, got {value!r}")
+    return value
+
+
+def _objects(raw: dict, key: str, where: str) -> List[dict]:
+    """The objects listed under `key`; none when it is absent."""
+    entries = _field(raw, key, list, where) or []
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise SchemaError(f"{where}: {key}[{i}] must be an object, got {entry!r}")
+    return entries
+
+
 def _parse_column(raw: dict, table: str) -> ColumnDef:
+    name = _field(raw, "name", str, f"table {table}: column entry", required=True).upper()
+    where = f"table {table}: column {name}"
     try:
-        name = raw["name"].upper()
-        dtype = DataType(raw["dtype"].lower())
-        stype = SemanticType(raw["stype"].lower())
-    except KeyError as exc:
-        raise SchemaError(f"table {table}: column entry missing {exc}")
+        dtype = DataType(_field(raw, "dtype", str, where, required=True).lower())
+        stype = SemanticType(_field(raw, "stype", str, where, required=True).lower())
     except ValueError as exc:
         raise SchemaError(f"table {table}: {exc}")
     if dtype not in _STYPE_DTYPES[stype]:
@@ -191,7 +216,8 @@ def _parse_column(raw: dict, table: str) -> ColumnDef:
             f"table {table}: column {name}: bad dtype/stype combination "
             f"({dtype.value}/{stype.value})"
         )
-    return ColumnDef(name, dtype, stype, nullable=bool(raw.get("nullable", True)))
+    nullable = _field(raw, "nullable", bool, where)
+    return ColumnDef(name, dtype, stype, nullable=nullable is not False)
 
 
 # A JSON string, or an integer literal (group 1): digits that are not part
@@ -230,17 +256,18 @@ def load_schema(source: Union[str, dict, Path]) -> Schema:
             raise SchemaError(f"schema document is not valid JSON: {exc}")
     else:
         doc = source
-    if not isinstance(doc, dict) or "tables" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("tables"), list):
         raise SchemaError("schema document must be an object with a 'tables' list")
 
     tables: Dict[str, TableDef] = {}
-    for raw in doc["tables"]:
-        name = raw.get("name", "").upper()
+    for i, raw in enumerate(_objects(doc, "tables", "schema document")):
+        name = (_field(raw, "name", str, f"tables[{i}]") or "").upper()
         if not name:
             raise SchemaError("table entry missing 'name'")
         if name in tables:
             raise SchemaError(f"duplicate table {name}")
-        columns = tuple(_parse_column(c, name) for c in raw.get("columns", []))
+        where = f"table {name}"
+        columns = tuple(_parse_column(c, name) for c in _objects(raw, "columns", where))
         seen = set()
         for col in columns:
             if col.name in seen:
@@ -256,24 +283,24 @@ def load_schema(source: Union[str, dict, Path]) -> Schema:
             return found
 
         primary_key = None
-        if raw.get("primary_key"):
+        if _field(raw, "primary_key", str, where):
             pk = _col(raw["primary_key"], "primary key")
             if pk.stype is not SemanticType.KEY:
                 raise SchemaError(f"table {name}: primary key {pk.name} must have stype 'key'")
             primary_key = pk.name
 
         time_column = None
-        if raw.get("time_column"):
+        if _field(raw, "time_column", str, where):
             tc = _col(raw["time_column"], "time")
             if tc.dtype is not DataType.TIMESTAMP:
                 raise SchemaError(f"table {name}: time column {tc.name} must be a timestamp")
             time_column = tc.name
 
         validity = None
-        if raw.get("validity"):
+        if _field(raw, "validity", dict, where):
             v = raw["validity"]
-            start = v.get("start")
-            end = v.get("end")
+            start = _field(v, "start", str, f"{where}: validity")
+            end = _field(v, "end", str, f"{where}: validity")
             if start is None and end is None:
                 raise SchemaError(f"table {name}: validity needs a start or end column")
             for part in (start, end):
@@ -282,11 +309,12 @@ def load_schema(source: Union[str, dict, Path]) -> Schema:
             validity = (start.upper() if start else None, end.upper() if end else None)
 
         fks = []
-        for rawfk in raw.get("foreign_keys", []):
-            col = _col(rawfk["column"], "foreign key")
+        for rawfk in _objects(raw, "foreign_keys", where):
+            col = _col(_field(rawfk, "column", str, f"{where}: foreign key entry", required=True), "foreign key")
             if col.stype is not SemanticType.KEY:
                 raise SchemaError(f"table {name}: foreign key {col.name} must have stype 'key'")
-            fks.append(ForeignKey(col.name, rawfk["references"].upper()))
+            references = _field(rawfk, "references", str, f"{where}: foreign key {col.name}", required=True)
+            fks.append(ForeignKey(col.name, references.upper()))
 
         tables[name] = TableDef(
             name,

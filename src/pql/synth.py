@@ -19,9 +19,10 @@ bit and tables can be compared exactly.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -84,8 +85,50 @@ class GenSpec:
         }
 
     @staticmethod
-    def from_json(doc: dict) -> "GenSpec":
+    def from_json(doc) -> "GenSpec":
+        """The spec a JSON document holds. An unknown key, or a value that
+        does not fit its key, is a DataError naming the key."""
+        if not isinstance(doc, dict):
+            raise DataError(f"a genspec must be a JSON object, got {doc!r}")
+        for key, value in doc.items():
+            if key not in _GENSPEC_FIELDS:
+                raise DataError(f"unknown genspec key {key!r}")
+            fits, kind = _GENSPEC_FIELDS[key]
+            if not fits(value):
+                raise DataError(f"genspec key {key!r} must be {kind}, got {value!r}")
         return GenSpec(**doc)
+
+
+def _whole(low: int):
+    return lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= low
+
+
+def _real(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _date(v) -> bool:
+    try:
+        parse_timestamp(v)
+    except (TypeError, AttributeError, ValueError, OverflowError):
+        return False
+    return True
+
+
+# Per GenSpec field: whether a JSON value fits it, and what fits.
+_GENSPEC_FIELDS = {
+    "seed": (_whole(0), "a whole number of at least 0"),
+    "customers": (_whole(0), "a whole number of at least 0"),
+    "articles": (_whole(0), "a whole number of at least 0"),
+    "transactions": (_whole(0), "a whole number of at least 0"),
+    "notifications": (_whole(0), "a whole number of at least 0"),
+    "span_start": (_date, "an ISO-8601 date"),
+    "span_end": (_date, "an ISO-8601 date"),
+    "zipf_a": (_real, "a finite number"),
+    "null_rates": (lambda v: isinstance(v, dict) and all(map(_real, v.values())), "an object of finite numbers"),
+    "validity": (lambda v: isinstance(v, bool), "true or false"),
+    "upscale": (_whole(1), "a whole number of at least 1"),
+}
 
 
 def hm_genspec(scale: float = 0.001, seed: int = 0, **overrides) -> GenSpec:
