@@ -458,14 +458,15 @@ def materialize_prediction(
 Pairs = Sequence[Tuple[RowRef, Optional[int]]]
 
 
-def check_pairs(pairs: Pairs, table: str, nrows: int, is_static: bool) -> Tuple[tuple, np.ndarray, Anchor]:
+def check_pairs(pairs: Pairs, db: Database, table: str, is_static: bool) -> Tuple[tuple, np.ndarray, Anchor]:
     """The pairs' entity refs in input order, and each distinct (row,
     anchor) pair once, ordered by anchor then row: the rows as an int64
     array, the anchors as another (None for a static query). Refuses the
-    first pair, in input order, whose entity is not one of the `nrows` rows
-    of `table` (a negative index would read a row from the end) or whose
+    first pair, in input order, whose entity is not one of the rows of
+    `table` (a negative index would read a row from the end) or whose
     anchor does not fit the query: a static query takes none, a temporal
     query needs one."""
+    nrows = db.nrows(table)
     refs, anchors = zip(*pairs) if pairs else ((), ())
     rows = np.array([ref.index for ref in refs], dtype=np.int64)
     bad = (rows < 0) | (rows >= nrows)
@@ -505,7 +506,7 @@ def evaluate_pairs(
     shared store. Used by the low-latency sampler and by the verification
     suites.
     """
-    _, rows, at = check_pairs(pairs, bound.entity_table, db.nrows(bound.entity_table), bound.is_static)
+    _, rows, at = check_pairs(pairs, db, bound.entity_table, bound.is_static)
     return _evaluate_distinct(db, g, bound, rows, at, anchors_for_split, split, keep_empty_labels)
 
 

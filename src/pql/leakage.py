@@ -47,7 +47,7 @@ def leakage_rows(
     (entity, anchor): a superset of everything the target computation reads.
     """
     table = bound.entity_table
-    _, rows, at = check_pairs(((entity, anchor),), table, db.nrows(table), bound.is_static)
+    _, rows, at = check_pairs(((entity, anchor),), db, table, bound.is_static)
     if at is not None and bound.entity_validity is not None and not _validity_mask(db, bound, rows, at)[0]:
         raise ExecutionError(f"anchor {anchor} is outside the validity interval of {entity}")
 

@@ -109,11 +109,10 @@ def _reached_rows(
 def collect(g: RowGraph, request: SampleRequest) -> Subgraph:
     """Breadth-first collection of the connected row subgraph the request
     touches: the entity rows plus every row `_reached_rows` finds."""
-    table = request.entity_table
-    _, rows, at = check_pairs(request.pairs, table, g.db.nrows(table), request.is_static)
+    _, rows, at = check_pairs(request.pairs, g.db, request.entity_table, request.is_static)
     acc = _reached_rows(g, request.parts, rows, at)
     if len(rows):
-        acc.setdefault(table, []).append(rows)
+        acc.setdefault(request.entity_table, []).append(rows)
     packed = {t: distinct(np.concatenate(arrays)) for t, arrays in acc.items()}
     touched = sum(len(v) for v in packed.values())
     return Subgraph(g, packed, touched)
@@ -131,9 +130,8 @@ def compute_on_subgraph(
     """Training rows for pairs whose subgraph was collected: the restricted
     kernels evaluate exactly these pairs on the shared store, so the rows
     are the batch engine's rows for the same pairs."""
-    db, table = sub.g.db, bound.entity_table
-    refs, rows, at = check_pairs(pairs, table, db.nrows(table), bound.is_static)
-    collected = sub.rows.get(table, np.empty(0, dtype=np.int64))
+    refs, rows, at = check_pairs(pairs, sub.g.db, bound.entity_table, bound.is_static)
+    collected = sub.rows.get(bound.entity_table, np.empty(0, dtype=np.int64))
     # `collected` is sorted, so a row is collected where its search lands on it.
     found = np.minimum(collected.searchsorted(rows), len(collected) - 1)
     missing = collected[found] != rows if len(collected) else np.ones(len(rows), dtype=np.bool_)
@@ -141,7 +139,7 @@ def compute_on_subgraph(
         lost = set(rows[missing].tolist())
         ref = next(ref for ref in refs if ref.index in lost)
         raise ExecutionError(f"entity row {ref} was not collected; build the request from the same pairs")
-    return _evaluate_distinct(db, sub.g, bound, rows, at, anchors_for_split, split, keep_empty_labels)
+    return _evaluate_distinct(sub.g.db, sub.g, bound, rows, at, anchors_for_split, split, keep_empty_labels)
 
 
 def sample_pairs(

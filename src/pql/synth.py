@@ -108,9 +108,11 @@ def _real(v) -> bool:
 
 
 def _date(v) -> bool:
+    if not isinstance(v, str):
+        return False
     try:
         parse_timestamp(v)
-    except (TypeError, AttributeError, ValueError, OverflowError):
+    except ValueError:
         return False
     return True
 

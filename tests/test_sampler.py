@@ -121,8 +121,11 @@ class TestComputeOnSubgraph:
         collected = [(RowRef("CUSTOMERS", 0), ANCHOR)]
         sub = collect(toy_graph, build_request(b, collected))
         assert len(compute_on_subgraph(b, sub, collected).rows) == 1
-        with pytest.raises(ExecutionError, match="CUSTOMERS.*was not collected"):
-            compute_on_subgraph(b, sub, collected + [(RowRef("CUSTOMERS", 1), ANCHOR)])
+        # The first uncollected pair in input order is named, though the
+        # distinct pairs are checked in row order.
+        uncollected = [(RowRef("CUSTOMERS", 2), ANCHOR), (RowRef("CUSTOMERS", 1), ANCHOR)]
+        with pytest.raises(ExecutionError, match=r"CUSTOMERS', index=2\).*was not collected"):
+            compute_on_subgraph(b, sub, collected + uncollected)
 
     @pytest.mark.parametrize("seed", range(40))
     def test_differential_against_batch(self, seed):
