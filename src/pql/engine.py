@@ -40,7 +40,7 @@ from .errors import ExecutionError, PlanError
 from .kernels import Anchor, SumOverflow, VecCtx, distinct, distinct_pairs, eval_condition_vec, eval_target_vec
 from .planner import LogicalPlan, PlanNode, feasible_anchors, latest_event_time, plan_training
 from .splits import SPLITS, SplitPolicy, split_code_for_anchor_rank, split_counts, split_for_keys
-from .store import _NUMPY_DTYPE, Column, Database, DataType, ListType, RowGraph, RowRef, build_row_graph
+from .store import _INT64_MAX, _INT64_MIN, _NUMPY_DTYPE, Column, Database, DataType, ListType, RowGraph, RowRef, build_row_graph
 from .times import format_timestamp
 
 
@@ -458,32 +458,52 @@ def materialize_prediction(
 Pairs = Sequence[Tuple[RowRef, Optional[int]]]
 
 
+def _int64s(values: Sequence) -> Tuple[np.ndarray, np.ndarray]:
+    """`values` as an int64 array, and a mask of those that are not
+    integers within int64 (each read as 0). Python or numpy integers
+    convert in one step; anything else is read one value at a time."""
+    array = np.array(values)
+    if array.dtype.kind in "bi" or not len(values):
+        return array.astype(np.int64), np.zeros(len(values), dtype=np.bool_)
+    bad = [not isinstance(v, (int, np.integer)) or not _INT64_MIN <= v <= _INT64_MAX for v in values]
+    return np.array([0 if b else v for v, b in zip(values, bad)], dtype=np.int64), np.array(bad, dtype=np.bool_)
+
+
 def check_pairs(pairs: Pairs, db: Database, table: str, is_static: bool) -> Tuple[tuple, np.ndarray, Anchor]:
     """The pairs' entity refs in input order, and each distinct (row,
     anchor) pair once, ordered by anchor then row: the rows as an int64
     array, the anchors as another (None for a static query). Refuses the
     first pair, in input order, whose entity is not one of the rows of
-    `table` (a negative index would read a row from the end) or whose
-    anchor does not fit the query: a static query takes none, a temporal
-    query needs one."""
+    `table` (a negative index would read a row from the end; a float,
+    a string or a value past int64 is no index) or whose anchor does not
+    fit the query: a static query takes none, a temporal query needs an
+    integer within int64."""
     nrows = db.nrows(table)
     refs, anchors = zip(*pairs) if pairs else ((), ())
-    rows = np.array([ref.index for ref in refs], dtype=np.int64)
-    bad = (rows < 0) | (rows >= nrows)
+    rows, bad_index = _int64s([ref.index for ref in refs])
+    bad = bad_index | (rows < 0) | (rows >= nrows)
     if any(t.upper() != table for t in {ref.table for ref in refs}):
         bad |= np.array([ref.table.upper() != table for ref in refs], dtype=np.bool_)
     if anchors.count(None) != (len(anchors) if is_static else 0):
         bad |= np.array([(a is None) != is_static for a in anchors], dtype=np.bool_)
+    if not is_static:
+        at, bad_at = _int64s(anchors)
+        bad |= bad_at
     if bad.any():
-        ref = refs[int(bad.argmax())]
+        first = int(bad.argmax())
+        ref, anchor = refs[first], anchors[first]
         if ref.table.upper() != table:
             raise ExecutionError(f"pair entity {ref} is not from {table}")
+        if bad_index[first]:
+            raise ExecutionError(f"pair entity {ref} has no int64 row index")
         if not 0 <= ref.index < nrows:
             raise ExecutionError(f"pair entity {ref} is outside the {nrows} rows of {table}")
-        raise PlanError("static query takes no anchor" if is_static else "temporal query needs an anchor")
+        if (anchor is None) != is_static:
+            raise PlanError("static query takes no anchor" if is_static else "temporal query needs an anchor")
+        raise PlanError(f"pair anchor {anchor!r} is not an int64 timestamp")
     if is_static:
         return refs, distinct(rows), None
-    at, rows = distinct_pairs(np.array(anchors, dtype=np.int64), rows)
+    at, rows = distinct_pairs(at, rows)
     return refs, rows, at
 
 

@@ -32,9 +32,10 @@ CONTAINS, STARTS_WITH and ENDS_WITH.
 
 from __future__ import annotations
 
+import functools
 import re
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -64,7 +65,6 @@ Anchor = Union[None, int, np.ndarray]
 class VecCtx:
     db: Database
     g: RowGraph
-    regexes: Dict[int, "re.Pattern"] = field(default_factory=dict)
     # When set, child gathers always scan the whole child table (the shape
     # of the unoptimized cross-product strategy) instead of slicing the CSR
     # adjacency per selected parent.
@@ -80,8 +80,10 @@ class SumOverflow(ExecutionError):
         self.segments = segments
 
 
+@functools.lru_cache(maxsize=None)
 def like_regex(pattern: str) -> "re.Pattern":
-    """Translate a LIKE pattern (% = any run, _ = one char) to a regex."""
+    """Translate a LIKE pattern (% = any run, _ = one char) to a regex,
+    compiled once per pattern."""
     out = []
     for ch in pattern:
         if ch == "%":
@@ -267,10 +269,7 @@ def eval_compare_vec(
         return np.isin(vals, np.array(members)) & ok
 
     if op in (RelOp.LIKE, RelOp.NOT_LIKE):
-        pat = ctx.regexes.get(id(cmp))
-        if pat is None:
-            pat = like_regex(rhs.value)
-            ctx.regexes[id(cmp)] = pat
+        pat = like_regex(rhs.value)
         hit = _string_loop(vals, null, lambda v: pat.fullmatch(v) is not None)
         return hit if op is RelOp.LIKE else (~hit & ok)
     if op in (RelOp.CONTAINS, RelOp.NOT_CONTAINS):

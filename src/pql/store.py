@@ -12,23 +12,24 @@ microseconds since epoch, UTC). Databases are immutable once loaded; the
 row graph and each table's primary-key index are built lazily and cached.
 
 Every file pql reads or writes is UTF-8 text, whatever the locale. CSV
-load works column at a time, by one of two tokenizers and one set of
-converters. A file given as a `Path` goes to the byte tokenizer
-(`_read_file`): it reads blocks of about `_CHUNK_ROWS` records cut after a
-line break, numpy finds the offsets of each block's commas and line
-breaks, one check confirms that every record has one field per column, and
-the converters turn each column's cells into values straight from their
-bytes (int64, float64, bool, canonical timestamps via
-`times.canonical_micros`; strings are cut from the block's decoded text).
-Anything the byte tokenizer does not fully accept (a quote, carriage
-return or NUL byte, a blank line, a missing final line break, a wrong
-field count, a cell a converter refuses, a disallowed null, text that is
-not UTF-8) sends the whole table to the csv tokenizer (`_read_csv`), which
-reads text and file objects too: the `csv` module splits records, a chunk
-of them at a time, and each column slice goes to the same converters as
-one cell per line; `_parse_cell`, which defines the accepted values and
-the error text, reads each cell they refuse. The first error in row order
-raises `DataError` with its row number, so errors never depend on the
+load works column at a time, by one of two tokenizers and one converter.
+A file given as a `Path`, and text given as a `str`, go to the byte
+tokenizer (`_read_file`): it reads blocks of about `_CHUNK_ROWS` records
+cut after a line break, numpy finds the offsets of each block's commas and
+line breaks, and one check confirms that every record has one field per
+column. It sends the whole table to the csv tokenizer (`_read_csv`) only
+when it cannot cut the records (a quote, carriage return or NUL byte, a
+blank line, a missing final line break, a wrong field count, text that is
+not UTF-8) or a cell is in error. The csv tokenizer also reads any other
+stream of lines: the `csv` module splits records, a chunk of them at a
+time, and each column slice is laid out as bytes, one cell per line.
+Either tokenizer hands each column's cells to `_convert_cells`: the
+dtype's converter reads them from their bytes (int64, float64, bool,
+canonical timestamps via `times.canonical_micros`), `_parse_cell`, which
+defines the accepted values and the error text, reads the text of each
+cell the converter refuses, and a string column's values are its cells'
+text. The first error in row order raises `DataError` with its row
+number, written by the csv tokenizer, so errors never depend on the
 tokenizer. `write_csv` writes every CSV file pql writes, tables and
 results alike, from whole columns: `_format_cells` spells a column's
 chunk of `_CHUNK_ROWS` cells in one pass, and a row holding a lone
@@ -50,7 +51,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import BinaryIO, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -570,38 +571,30 @@ def _shared(cells: Iterable[str]) -> List[str]:
     return [memo.setdefault(c, c) for c in cells]
 
 
-def _convert_slice(cells: Tuple[str, ...], cdef: ColumnDef) -> Tuple[np.ndarray, np.ndarray]:
-    """(values, null mask) of one column slice of the csv tokenizer, as
-    `_parse_cell` reads each cell; raises `_CellError` at the slice's first
-    bad or disallowed cell. The converters read the slice's text as bytes,
-    one cell per line; `_parse_cell` reads each cell they refuse."""
-    if cdef.dtype is DataType.STRING:
-        values = np.array(_shared(cells), dtype=object)
-        null = values == ""
-        values[null] = None
-        refused: Iterable[int] = ()
-    else:
-        # An unencodable character becomes "?", which every converter refuses.
-        buf = np.frombuffer(("\n".join(cells) + "\n").encode(errors="replace"), dtype=np.uint8)
-        ends = np.flatnonzero(buf == _NL)
-        if len(ends) == len(cells):
-            starts = np.concatenate(([0], ends[:-1] + 1))
-            values, refused_mask = _CONVERTERS[cdef.dtype](buf, starts, ends)
-            null = starts == ends
-            refused = np.flatnonzero(refused_mask).tolist()
-        else:  # a cell holds a line break
-            values = np.zeros(len(cells), dtype=_NUMPY_DTYPE[cdef.dtype])
-            null = np.zeros(len(cells), dtype=np.bool_)
-            refused = range(len(cells))
+def _convert_cells(
+    cdef: ColumnDef, buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, texts: Callable[..., Sequence[str]]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """(values, null mask) of one column's cells buf[starts[i]:ends[i]], for
+    both tokenizers, as `_parse_cell` reads each one; raises `_CellError` at
+    the first bad cell or disallowed null. `texts(index)` gives the text of
+    the cells at an index array or slice: a string column's values, and
+    each cell the dtype's converter refuses, for `_parse_cell` to read."""
+    null = starts == ends
     bad = None
-    for i in refused:
-        try:
-            value = _parse_cell(cells[i], cdef.dtype)
-        except (ValueError, OverflowError) as exc:
-            bad = (i, str(exc))
-            break
-        null[i] = value is None
-        values[i] = 0 if value is None else value
+    if cdef.dtype is DataType.STRING:
+        values = np.array(_shared(texts(slice(None))), dtype=object)
+        values[null] = None
+    else:
+        values, refused = _CONVERTERS[cdef.dtype](buf, starts, ends)
+        refused = np.flatnonzero(refused)
+        for i, cell in zip(refused.tolist(), texts(refused)):
+            try:
+                value = _parse_cell(cell, cdef.dtype)
+            except (ValueError, OverflowError) as exc:
+                bad = (i, str(exc))
+                break
+            null[i] = value is None
+            values[i] = 0 if value is None else value
     if not cdef.nullable and null.any():
         first = int(np.argmax(null))
         if bad is None or first < bad[0]:
@@ -609,6 +602,19 @@ def _convert_slice(cells: Tuple[str, ...], cdef: ColumnDef) -> Tuple[np.ndarray,
     if bad is not None:
         raise _CellError(*bad)
     return values, null
+
+
+def _slice_bytes(cells: Sequence[str]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One column slice of the csv tokenizer as `_convert_cells` reads it:
+    the cells' UTF-8 bytes one per line, and each cell's start and end. A
+    line break inside a cell, and a character UTF-8 cannot encode, become
+    "?", which every converter refuses."""
+    text = "\n".join(cells) + "\n"
+    if text.count("\n") != len(cells):
+        text = "\n".join(c.replace("\n", "?") for c in cells) + "\n"
+    buf = np.frombuffer(text.encode(errors="replace"), dtype=np.uint8)
+    ends = np.flatnonzero(buf == _NL)
+    return buf, np.concatenate(([0], ends[:-1] + 1)), ends
 
 
 def _format_cells(dtype: Union[DataType, ListType], values, null: Optional[np.ndarray]) -> list:
@@ -742,14 +748,20 @@ def load_table_data(
     *,
     strict: bool = True,
 ) -> Database:
-    """Load CSV rows (header required, '' = null) into `table`.
+    """Load CSV rows (header required, '' = null) into `table`: a file
+    path or text goes to the byte tokenizer first, a stream of lines to the
+    csv tokenizer.
 
     In strict mode a foreign key value that does not resolve to a parent row
     is an error; in lenient mode the row is kept and counted in the report.
     Checks run against parents loaded so far, so load parent tables first.
     """
     tdef = db.schema.table(table)
-    loaded = _read_file(tdef, rows) if isinstance(rows, Path) else None
+    loaded = None
+    if isinstance(rows, (str, Path)):
+        # A lone surrogate's bytes are not UTF-8, so the csv tokenizer reads it.
+        with open(rows, "rb") if isinstance(rows, Path) else io.BytesIO(rows.encode(errors="surrogatepass")) as fh:
+            loaded = _read_file(tdef, fh)
     if loaded is None:
         loaded = _read_csv(tdef, rows)
     columns, nrows = loaded
@@ -782,60 +794,60 @@ def load_table_data(
     return db
 
 
-def _read_file(tdef: TableDef, path: Path) -> Optional[Tuple[Dict[str, Column], int]]:
-    """The byte tokenizer: the columns of a CSV file, or None when the file
-    needs the csv tokenizer. That is when the header does not match the
-    schema, and when a block fails `_convert_block`; the file then loads
-    as if this function did not exist, errors and row numbers included.
+def _read_file(tdef: TableDef, fh: BinaryIO) -> Optional[Tuple[Dict[str, Column], int]]:
+    """The byte tokenizer: the columns of the CSV bytes `fh` reads, or None
+    when the csv tokenizer must read them. That is when the header does
+    not match the schema, when a block fails `_convert_block`, and when
+    the last record has no line break; the table then loads as if this
+    function did not exist, errors and row numbers included.
 
     A first pass counts the line breaks, so each column is allocated once
     at its final size; the second reads blocks of about `_CHUNK_ROWS`
     records, cut after a line break, and converts them into place. Only
     one block's temporaries are alive at a time."""
-    with open(path, "rb") as fh:
-        line = fh.readline()
-        if not line.endswith(b"\n") or any(b in line for b in (b'"', b"\r", b"\0")):
-            return None
-        try:
-            header = line[:-1].decode().upper().split(",")
-        except UnicodeDecodeError:
-            return None
-        if sorted(header) != sorted(tdef.column_names):
-            return None
-        total = sum(piece.count(b"\n") for piece in iter(lambda: fh.read(1 << 20), b""))
-        fh.seek(len(line))
-        columns = {
-            c.name: Column(c.dtype, np.empty(total, dtype=_NUMPY_DTYPE[c.dtype]), np.empty(total, dtype=np.bool_))
-            for c in tdef.columns
-        }
-        cdefs = [tdef.column(name) for name in header]
-        nrows, row_bytes, tail = 0, len(line), b""
-        while True:
-            data = fh.read(max(_CHUNK_ROWS * row_bytes, 2 * len(tail)))
-            if not data:
-                if tail:  # no line break after the last record
-                    return None
-                break
-            data = tail + data
-            cut = data.rfind(b"\n") + 1
-            block, tail = data[:cut], data[cut:]
-            if not block:
-                continue
-            count = _convert_block(block, cdefs, columns, nrows)
-            if count is None:
+    line = fh.readline()
+    if not line.endswith(b"\n") or any(b in line for b in (b'"', b"\r", b"\0")):
+        return None
+    try:
+        header = line[:-1].decode().upper().split(",")
+    except UnicodeDecodeError:
+        return None
+    if sorted(header) != sorted(tdef.column_names):
+        return None
+    total = sum(piece.count(b"\n") for piece in iter(lambda: fh.read(1 << 20), b""))
+    fh.seek(len(line))
+    columns = {
+        c.name: Column(c.dtype, np.empty(total, dtype=_NUMPY_DTYPE[c.dtype]), np.empty(total, dtype=np.bool_))
+        for c in tdef.columns
+    }
+    cdefs = [tdef.column(name) for name in header]
+    nrows, row_bytes, tail = 0, len(line), b""
+    while True:
+        data = fh.read(max(_CHUNK_ROWS * row_bytes, 2 * len(tail)))
+        if not data:
+            if tail:  # no line break after the last record
                 return None
-            nrows += count
-            row_bytes = -(-len(block) // count)
+            break
+        data = tail + data
+        cut = data.rfind(b"\n") + 1
+        block, tail = data[:cut], data[cut:]
+        if not block:
+            continue
+        count = _convert_block(block, cdefs, columns, nrows)
+        if count is None:
+            return None
+        nrows += count
+        row_bytes = -(-len(block) // count)
     return (columns, nrows) if nrows == total else None
 
 
 def _convert_block(block: bytes, cdefs: List[ColumnDef], columns: Dict[str, Column], offset: int) -> Optional[int]:
     """Convert whole CSV records into rows `offset`.. of `columns` and
-    return their number, or None when the csv module could read them
-    differently or `_parse_cell` must read a cell: any quote, carriage
-    return or NUL byte, a blank line, a record without exactly one field
-    per column, a cell a converter refuses, a null where none is allowed,
-    or text that is not UTF-8."""
+    return their number, or None when the csv tokenizer must read them:
+    any quote, carriage return or NUL byte, a blank line, a record without
+    exactly one field per column, a cell whose text is needed but is not
+    UTF-8, or a cell in error, whose message and row the csv tokenizer
+    writes."""
     if any(b in block for b in (b'"', b"\r", b"\0", b"\n\n")) or block[0] == _NL:
         return None
     buf = np.frombuffer(block, dtype=np.uint8)
@@ -852,41 +864,18 @@ def _convert_block(block: bytes, cdefs: List[ColumnDef], columns: Dict[str, Colu
     if (buf[ends[:, -1]] != _NL).any():
         return None
     rows = slice(offset, offset + nrecords)
-    text = before = None
     for j, cdef in enumerate(cdefs):
         s, e = starts[:, j], ends[:, j]
-        null = s == e
-        if not cdef.nullable and null.any():
+        try:
+            values, null = _convert_cells(
+                cdef, buf, s, e, lambda i: [block[a:b].decode() for a, b in zip(s[i].tolist(), e[i].tolist())]
+            )
+        except (_CellError, UnicodeDecodeError):
             return None
         column = columns[cdef.name]
-        if cdef.dtype is DataType.STRING:
-            if text is None:
-                try:
-                    text, before = _decode_block(block, buf, offsets)
-                except UnicodeDecodeError:
-                    return None
-            if before is not None:  # byte offsets to character offsets
-                s, e = s - before[s], e - before[e]
-            column.values[rows] = _shared(map(text.__getitem__, map(slice, s.tolist(), e.tolist())))
-            column.values[rows][null] = None
-        else:
-            values, refused = _CONVERTERS[cdef.dtype](buf, s, e)
-            if refused.any():
-                return None
-            column.values[rows] = values
+        column.values[rows] = values
         column.null[rows] = null
     return nrecords
-
-
-def _decode_block(block: bytes, buf: np.ndarray, offsets: type) -> Tuple[str, Optional[np.ndarray]]:
-    """The block's UTF-8 text and, unless it is ASCII, the number of UTF-8
-    continuation bytes before each byte offset (0..len(block))."""
-    text = block.decode()
-    if len(text) == len(block):
-        return text, None
-    before = np.zeros(len(block) + 1, dtype=offsets)
-    np.cumsum((buf & 0xC0) == 0x80, out=before[1:])
-    return text, before
 
 
 def _read_csv(tdef: TableDef, rows) -> Tuple[Dict[str, Column], int]:
@@ -956,7 +945,8 @@ def _read_columns(tdef: TableDef, header: List[str], reader) -> Tuple[Dict[str, 
         first: Optional[Tuple[int, str]] = None
         for cdef, cells in zip(cdefs, zip(*chunk)):
             try:
-                values, null = _convert_slice(cells, cdef)
+                texts = np.array(cells, dtype=object).__getitem__
+                values, null = _convert_cells(cdef, *_slice_bytes(cells), texts)
             except _CellError as err:
                 if first is None or err.offset < first[0]:
                     first = (err.offset, f"column {cdef.name}: {err}")

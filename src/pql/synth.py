@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, Optional, Sequence
 
 import numpy as np
@@ -70,19 +70,7 @@ class GenSpec:
     upscale: int = 1
 
     def to_json(self) -> dict:
-        return {
-            "seed": self.seed,
-            "customers": self.customers,
-            "articles": self.articles,
-            "transactions": self.transactions,
-            "notifications": self.notifications,
-            "span_start": self.span_start,
-            "span_end": self.span_end,
-            "zipf_a": self.zipf_a,
-            "null_rates": dict(self.null_rates),
-            "validity": self.validity,
-            "upscale": self.upscale,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_json(doc) -> "GenSpec":
@@ -530,9 +518,6 @@ def random_database(seed: int, schema: Schema, scale: float = 1.0) -> Database:
 
 # ---------------------------------------------------------------------------
 # Random queries
-
-
-_NUMERIC_AGGS = [AggKind.SUM, AggKind.AVG, AggKind.MIN, AggKind.MAX]
 
 
 class _QueryGen:

@@ -591,6 +591,52 @@ class TestPairAnchorsThatDoNotFit:
         with pytest.raises(ExecutionError, match=f"^pair entity {re.escape(repr(entity))} {fault}$"):
             leakage_rows(b, db, entity, parse_timestamp("2022-01-01"))
 
+    ENTRIES = ["evaluate_pairs", "collect", "compute_on_subgraph", "leakage_rows"]
+    NOT_INT64 = [1.5, "3", np.float64(2.0), 10**30, -(10**30), 2**63, None]
+
+    # compute_on_subgraph collects the entity it is given, so the collect
+    # refuses an entity that is no row before compute_on_subgraph runs.
+    @pytest.mark.parametrize("entry", ENTRIES)
+    @pytest.mark.parametrize("index", NOT_INT64, ids=repr)
+    def test_an_index_that_is_no_int64_is_an_execution_error(self, toy_db, toy_graph, entry, index):
+        b = bind_text(self.TEMPORAL)
+        entity = CUSTOMER(index)
+        pairs = [(CUSTOMER(0), ANCHOR), (entity, ANCHOR), (CUSTOMER(2), None)]
+        with pytest.raises(ExecutionError, match=f"^pair entity {re.escape(repr(entity))} has no int64 row index$"):
+            self.run(entry, toy_db, toy_graph, b, pairs)
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    @pytest.mark.parametrize("anchor", [ANCHOR + 0.5, str(ANCHOR), np.float64(ANCHOR), 10**30, -(10**30), 2**63],
+                             ids=repr)
+    def test_an_anchor_that_is_no_int64_is_a_plan_error(self, toy_db, toy_graph, entry, anchor):
+        b = bind_text(self.TEMPORAL)
+        pairs = [(CUSTOMER(0), ANCHOR), (CUSTOMER(1), anchor), (CUSTOMER(2), None)]
+        with pytest.raises(PlanError, match=f"^pair anchor {re.escape(repr(anchor))} is not an int64 timestamp$"):
+            self.run(entry, toy_db, toy_graph, b, pairs)
+
+    @pytest.mark.parametrize("entry", ["evaluate_pairs", "collect", "leakage_rows"])
+    def test_the_first_pair_that_is_no_int64_decides(self, toy_db, toy_graph, entry):
+        b = bind_text(self.TEMPORAL)
+        bad_index, bad_anchor = (CUSTOMER(1.5), ANCHOR), (CUSTOMER(1), ANCHOR + 0.5)
+        with pytest.raises(ExecutionError, match="^pair entity .* has no int64 row index$"):
+            self.run(entry, toy_db, toy_graph, b, [(CUSTOMER(0), ANCHOR), bad_index, bad_anchor])
+        with pytest.raises(PlanError, match="^pair anchor .* is not an int64 timestamp$"):
+            self.run(entry, toy_db, toy_graph, b, [(CUSTOMER(0), ANCHOR), bad_anchor, bad_index])
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_numpy_integers_read_as_python_ints(self, toy_db, toy_graph, entry):
+        from pql.leakage import leakage_rows
+
+        b = bind_text(self.TEMPORAL)
+        plain = [(CUSTOMER(i), ANCHOR - i * MICROS_PER_DAY) for i in range(3)]
+        typed = [(CUSTOMER(np.int32(ref.index)), np.int64(a)) for ref, a in plain]
+        if entry == "leakage_rows":
+            got = [leakage_rows(b, toy_db, ref, a) for ref, a in typed]
+            assert got == [leakage_rows(b, toy_db, ref, a) for ref, a in plain]
+        else:
+            got = self.run(entry, toy_db, toy_graph, b, typed).rows
+            assert repr(got) == repr(self.run(entry, toy_db, toy_graph, b, plain).rows)
+
 
 class TestEmptyParentTable:
     """ARTICLES holds no rows, so every transaction's ARTICLE_ID dangles and

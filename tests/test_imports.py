@@ -1,7 +1,9 @@
-"""Every name imported into a `pql` module is used there. A name the module
+"""Every name imported into a `pql` module is used there, and every private
+module-level name of `pql` is read somewhere in `pql`. A name the module
 re-exports through `__all__` counts as used."""
 
 import ast
+import functools
 from pathlib import Path
 
 import pytest
@@ -35,3 +37,45 @@ def test_every_import_is_used(path):
 def test_an_unused_import_is_found():
     source = "from typing import List, Optional\nimport numpy as np\n__all__ = ['Optional']\n"
     assert unused_imports(source) == [(1, "List"), (2, "np")]
+
+
+def private_definitions(source: str):
+    """(line, name) for each module-level function, class or assignment
+    whose name starts with `_` (dunder names aside)."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        found.extend((node.lineno, n) for n in names if n.startswith("_") and not n.endswith("__"))
+    return found
+
+
+def names_read(source: str):
+    """Every name the source loads, bare or as an attribute."""
+    tree = ast.parse(source)
+    return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)} | {
+        n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)
+    }
+
+
+@functools.lru_cache(maxsize=None)
+def package_reads():
+    return set().union(*(names_read(m.read_text(encoding="utf-8")) for m in MODULES))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_private_name_is_read(path):
+    read = package_reads()
+    defined = private_definitions(path.read_text(encoding="utf-8"))
+    assert [(line, name) for line, name in defined if name not in read] == []
+
+
+def test_an_unread_private_name_is_found():
+    source = "_A, _B = 1, 2\n_C: int = _A\ndef _f():\n    return _g.x\nclass _G:\n    pass\n__all__ = []\n"
+    assert private_definitions(source) == [(1, "_A"), (1, "_B"), (2, "_C"), (3, "_f"), (5, "_G")]
+    assert {"_A", "_g", "x"} <= names_read(source) and not {"_B", "_C", "_f", "_G"} & names_read(source)

@@ -358,7 +358,8 @@ class TestCsvRoundTrip:
         path = tmp_path / "customers.csv"
         save_table_csv(db, "CUSTOMERS", path)
 
-        for source in (path, path.read_bytes().decode()):
+        text = path.read_bytes().decode()
+        for source in (path, text, io.StringIO(text, newline="")):
             again = new_database(retail_schema)
             load_table_data(again, "CUSTOMERS", source)
             table = again.table("CUSTOMERS")
@@ -375,9 +376,11 @@ class TestCsvRoundTrip:
         ))
         path = tmp_path / "articles.csv"
         save_table_csv(db, "ARTICLES", path)
-        again = new_database(retail_schema)
-        load_table_data(again, "ARTICLES", path)
-        assert again.table("ARTICLES").column("ARTICLE_NAME").to_pylist() == [long_name, "short"]
+        text = path.read_text(encoding="utf-8")
+        for source in (path, text, io.StringIO(text, newline="")):
+            again = new_database(retail_schema)
+            load_table_data(again, "ARTICLES", source)
+            assert again.table("ARTICLES").column("ARTICLE_NAME").to_pylist() == [long_name, "short"]
 
     def test_timestamps_before_year_1000(self, retail_schema, tmp_path):
         stamps = [
@@ -388,9 +391,10 @@ class TestCsvRoundTrip:
         ]
         text = "CUSTOMER_ID,LOCATION_ID,SIGNUP_DATE,MEMBERSHIP_TYPE\n"
         text += "".join(f"{i},x,{t},y\n" for i, t in enumerate(stamps))
-        db = new_database(retail_schema)
-        load_table_data(db, "CUSTOMERS", text)
-        assert db.table("CUSTOMERS").column("SIGNUP_DATE").to_pylist() == [T(t) for t in stamps]
+        for source in (text, io.StringIO(text, newline="")):
+            db = new_database(retail_schema)
+            load_table_data(db, "CUSTOMERS", source)
+            assert db.table("CUSTOMERS").column("SIGNUP_DATE").to_pylist() == [T(t) for t in stamps]
         path = tmp_path / "customers.csv"
         save_table_csv(db, "CUSTOMERS", path)
         assert path.read_text() == text
@@ -522,7 +526,7 @@ def loaded_outcome(db, table):
 
 
 def load_source(db_factory, table, source, strict=True):
-    """Load `source` (CSV text or a file path) with `load_table_data`;
+    """Load `source` (CSV text, a stream or a file path) with `load_table_data`;
     ("error", message) or ("ok", columns, report)."""
     db = db_factory()
     try:
@@ -532,33 +536,43 @@ def load_source(db_factory, table, source, strict=True):
     return loaded_outcome(db, table)
 
 
-def load_raw(db_factory, table, raw, strict=True):
-    """Outcomes of the per-cell reference, of the CSV text `raw` itself and
-    of a file holding exactly `raw`; the file takes the byte tokenizer
-    unless that refuses it."""
+def reference_outcome(db_factory, table, raw, strict=True):
+    """The per-cell reference's outcome for the CSV text `raw`."""
     try:
         cols, report = load_by_cell(db_factory(), table, raw, strict)
-        reference = ("ok", repr(cols), report)
     except DataError as exc:
-        reference = ("error", str(exc))
+        return ("error", str(exc))
+    return ("ok", repr(cols), report)
+
+
+def load_raw(db_factory, table, raw, strict=True):
+    """Outcomes of the per-cell reference, of the csv tokenizer reading
+    `raw` as a stream, and of the byte tokenizer reading `raw` as text and
+    as a file holding exactly `raw` (each falls back to the csv tokenizer
+    where the byte tokenizer refuses it). Checks that the text and the
+    file load alike and returns (reference, stream, text)."""
+    reference = reference_outcome(db_factory, table, raw, strict)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "table.csv"
         path.write_bytes(raw.encode())
         from_file = load_source(db_factory, table, path, strict)
-    return reference, load_source(db_factory, table, raw, strict), from_file
+    from_text = load_source(db_factory, table, raw, strict)
+    assert from_file == from_text
+    return reference, load_source(db_factory, table, io.StringIO(raw, newline=""), strict), from_text
 
 
 def load_both(db_factory, table, text, strict=True):
     """Load `text` with the per-cell reference and with both tokenizers:
-    the quoted text itself takes the csv tokenizer, and the same records
-    written unquoted to a file take the byte tokenizer unless it refuses
-    them. Checks that the tokenizers agree and returns (reference,
-    columnar), each either ("error", message) or ("ok", columns, report)."""
+    the csv tokenizer reads the quoted text as a stream, and the byte
+    tokenizer reads it, and the same records written unquoted, as text
+    and as a file, unless it refuses them. Checks that the tokenizers
+    agree and returns (reference, columnar), each either ("error",
+    message) or ("ok", columns, report)."""
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(csv.reader(io.StringIO(text, newline="")))
-    reference, columnar, quoted_file = load_raw(db_factory, table, text, strict)
-    unquoted_file = load_raw(db_factory, table, buf.getvalue(), strict)[2]
-    assert unquoted_file == quoted_file == columnar
+    reference, columnar, quoted = load_raw(db_factory, table, text, strict)
+    unquoted_stream, unquoted = load_raw(db_factory, table, buf.getvalue(), strict)[1:]
+    assert unquoted_stream == unquoted == quoted == columnar
     return reference, columnar
 
 
@@ -797,6 +811,9 @@ class TestByteTokenizer:
             ("A", HEADER_A + row_a(S="é中") + row_a(S="x") + row_a(S="\U0001f600")),
             ("A", HEADER_A + row_a(S="é中", I="7") + row_a(S="s t")),
             ("A", HEADER_A + row_a(I="٣")),
+            # Refused cells after non-ASCII text are cut at character offsets.
+            ("A", HEADER_A + row_a(S="é中", F="1E5") + row_a(S="\U0001f600", I=" 7", T="2024-01-01")),
+            ("A", HEADER_A + row_a(S="é", I="٣٣") + row_a(S="中", B=" TRUE ")),
             ("SP", "ID\né\né\n"),
             # Integers: 19 digits fit when in range, 20 never do.
             ("A", HEADER_A + row_a(I="9223372036854775807") + row_a(I="-9223372036854775808")),
@@ -825,9 +842,17 @@ class TestByteTokenizer:
         ],
     )
     def test_refusals_match_the_per_cell_reference(self, table, raw, chunk_rows):
-        reference, from_text, from_file = load_raw(lambda: new_database(ADVERSARIAL), table, raw)
+        reference, from_stream, from_text = load_raw(lambda: new_database(ADVERSARIAL), table, raw)
+        assert from_stream == reference
         assert from_text == reference
-        assert from_file == reference
+
+    @pytest.mark.parametrize("cells", [{"S": "a\ud800b"}, {"I": "\udcff"}, {"B": "\ud83d"}], ids=["S", "I", "B"])
+    def test_text_holding_a_lone_surrogate(self, cells):
+        # Such text has no UTF-8 bytes, so no file can hold it.
+        raw = HEADER_A + ROW_A + row_a(**cells)
+        factory = lambda: new_database(ADVERSARIAL)  # noqa: E731
+        reference = reference_outcome(factory, "A", raw)
+        assert load_source(factory, "A", raw) == load_source(factory, "A", io.StringIO(raw, newline="")) == reference
 
     def test_empty_file_needs_a_header(self, tmp_path):
         path = tmp_path / "p.csv"
@@ -856,6 +881,21 @@ class TestByteTokenizer:
         monkeypatch.setattr(store, "_read_csv", refuse)
         assert load_source(lambda: new_database(ADVERSARIAL), "A", path) == reference
 
+    def test_non_canonical_cells_are_read_in_place(self, monkeypatch, chunk_rows, tmp_path):
+        raw = (HEADER_A + row_a(I=" 7", F="1E5", B="TRUE", T="2024-01-01") + ROW_A
+               + row_a(F="nan", T="2024-01-01 09:16:37") + ROW_A)
+        reference = load_raw(lambda: new_database(ADVERSARIAL), "A", raw)[0]
+        assert reference[0] == "ok"
+        path = tmp_path / "a.csv"
+        path.write_bytes(raw.encode())
+
+        def refuse(*args):
+            raise AssertionError("read by the csv tokenizer")
+
+        monkeypatch.setattr(store, "_read_csv", refuse)
+        for source in (path, raw):
+            assert load_source(lambda: new_database(ADVERSARIAL), "A", source) == reference
+
     @settings(max_examples=200, deadline=None)
     @given(
         st.lists(
@@ -879,7 +919,8 @@ class TestByteTokenizer:
                 except (ValueError, OverflowError):
                     expected.append("error")
             try:
-                values, null = store._convert_slice(tuple(cells), cdef)
+                texts = np.array(cells, dtype=object).__getitem__
+                values, null = store._convert_cells(cdef, *store._slice_bytes(cells), texts)
             except store._CellError as err:
                 assert expected[err.offset] == "error"
                 assert "error" not in expected[: err.offset]
