@@ -40,7 +40,7 @@ from .errors import ExecutionError, PlanError
 from .kernels import Anchor, SumOverflow, VecCtx, distinct, distinct_pairs, eval_condition_vec, eval_target_vec
 from .planner import LogicalPlan, PlanNode, feasible_anchors, latest_event_time, plan_training
 from .splits import SPLITS, SplitPolicy, split_code_for_anchor_rank, split_counts, split_for_keys
-from .store import _INT64_MAX, _INT64_MIN, _NUMPY_DTYPE, Column, Database, DataType, ListType, RowGraph, RowRef, build_row_graph
+from .store import _NUMPY_DTYPE, Column, Database, DataType, ListType, RowGraph, RowRef, build_row_graph
 from .times import format_timestamp
 
 
@@ -464,8 +464,8 @@ def _int64s(values: Sequence) -> Tuple[np.ndarray, np.ndarray]:
     convert in one step; anything else is read one value at a time."""
     array = np.array(values)
     if array.dtype.kind in "bi" or not len(values):
-        return array.astype(np.int64), np.zeros(len(values), dtype=np.bool_)
-    bad = [not isinstance(v, (int, np.integer)) or not _INT64_MIN <= v <= _INT64_MAX for v in values]
+        return array.astype(np.int64, copy=False), np.zeros(len(values), dtype=np.bool_)
+    bad = [not isinstance(v, (int, np.integer)) or not -(2**63) <= v < 2**63 for v in values]
     return np.array([0 if b else v for v, b in zip(values, bad)], dtype=np.int64), np.array(bad, dtype=np.bool_)
 
 
@@ -484,11 +484,11 @@ def check_pairs(pairs: Pairs, db: Database, table: str, is_static: bool) -> Tupl
     bad = bad_index | (rows < 0) | (rows >= nrows)
     if any(t.upper() != table for t in {ref.table for ref in refs}):
         bad |= np.array([ref.table.upper() != table for ref in refs], dtype=np.bool_)
-    if anchors.count(None) != (len(anchors) if is_static else 0):
-        bad |= np.array([(a is None) != is_static for a in anchors], dtype=np.bool_)
-    if not is_static:
+    if not is_static:  # a missing anchor is no integer either
         at, bad_at = _int64s(anchors)
         bad |= bad_at
+    elif anchors.count(None) != len(anchors):
+        bad |= np.array([a is not None for a in anchors], dtype=np.bool_)
     if bad.any():
         first = int(bad.argmax())
         ref, anchor = refs[first], anchors[first]

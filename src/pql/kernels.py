@@ -80,7 +80,7 @@ class SumOverflow(ExecutionError):
         self.segments = segments
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=256)
 def like_regex(pattern: str) -> "re.Pattern":
     """Translate a LIKE pattern (% = any run, _ = one char) to a regex,
     compiled once per pattern."""
