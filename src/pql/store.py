@@ -572,7 +572,7 @@ def _shared(cells: Iterable[str]) -> List[str]:
 
 
 def _convert_cells(
-    cdef: ColumnDef, buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, texts: Callable[..., Sequence[str]]
+    cdef: ColumnDef, buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, texts: Callable[..., Iterable[str]]
 ) -> Tuple[np.ndarray, np.ndarray]:
     """(values, null mask) of one column's cells buf[starts[i]:ends[i]], for
     both tokenizers, as `_parse_cell` reads each one; raises `_CellError` at
@@ -868,7 +868,7 @@ def _convert_block(block: bytes, cdefs: List[ColumnDef], columns: Dict[str, Colu
         s, e = starts[:, j], ends[:, j]
         try:
             values, null = _convert_cells(
-                cdef, buf, s, e, lambda i: [block[a:b].decode() for a, b in zip(s[i].tolist(), e[i].tolist())]
+                cdef, buf, s, e, lambda i: (block[a:b].decode() for a, b in zip(s[i].tolist(), e[i].tolist()))
             )
         except (_CellError, UnicodeDecodeError):
             return None
