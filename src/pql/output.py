@@ -1,12 +1,13 @@
 """Deterministic file output for materialized tables.
 
 Training, sample and prediction tables go to CSV with a JSON metadata
-sidecar. `store.write_csv` writes every CSV file, so result cells are
-spelled, and rows quoted, exactly as `save_table_csv` writes table cells.
-This module only hands it a table's whole columns with their dtypes: the
-entity key's, timestamps for anchors, the target's (a list target becomes
-one JSON cell) and split labels. Identical tables produce identical bytes
-at any worker count.
+sidecar. `store.write_csv` writes every CSV file as bytes that numpy
+assembles a chunk of rows at a time, so result cells are spelled, and
+rows quoted, exactly as `save_table_csv` writes table cells. This module
+only hands it a table's whole columns with their dtypes: the entity
+key's, timestamps for anchors, the target's (a list target becomes one
+JSON cell) and the split codes, written as their `SPLITS` labels by
+lookup. Identical tables produce identical bytes at any worker count.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import List, Tuple, Union
 
 from .engine import PredictionTable, TrainingTable
 from .splits import SPLITS
-from .store import DataType, ListType, write_csv
+from .store import DataType, LabelType, ListType, write_csv
 
 
 def _target_dtype(table) -> Union[DataType, ListType]:
@@ -39,7 +40,7 @@ def _write(table, out_dir: Path, basename: str, *more: Tuple) -> List[Path]:
 
 def write_training_table(table: TrainingTable, out_dir: Path, basename: str = "training") -> List[Path]:
     return _write(table, out_dir, basename, (_target_dtype(table), table.values, None),
-                  (DataType.STRING, SPLITS[table.splits], None))
+                  (LabelType(tuple(SPLITS)), table.splits, None))
 
 
 def write_prediction_table(

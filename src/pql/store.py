@@ -31,9 +31,15 @@ cell the converter refuses, and a string column's values are its cells'
 text. The first error in row order raises `DataError` with its row
 number, written by the csv tokenizer, so errors never depend on the
 tokenizer. `write_csv` writes every CSV file pql writes, tables and
-results alike, from whole columns: `_format_cells` spells a column's
-chunk of `_CHUNK_ROWS` cells in one pass, and a row holding a lone
-carriage return is quoted whole.
+results alike, from whole columns, as bytes that numpy assembles a chunk
+of `_CHUNK_ROWS` rows at a time: `_column_cells` turns each column's
+chunk into an (n, width) byte array (ints and the digits of short
+decimal floats four at a time from a table, timestamps by
+`times.canonical_cells`, bools and labels by lookup, other floats by
+`repr`, text encoded once), one byte scan marks the text cells to quote,
+and `_rows` lays the cells out with their separators and keeps their
+bytes with one boolean compaction. A row with a carriage return in a
+text cell is quoted whole.
 `_resolve_fk` maps foreign keys to parent rows once, for the load check;
 the row graph reuses that mapping while its parent table is still the one
 loaded.
@@ -56,7 +62,7 @@ from typing import BinaryIO, Callable, Dict, Iterable, List, NamedTuple, Optiona
 import numpy as np
 
 from .errors import DataError, SchemaError
-from .times import canonical_micros, format_timestamp, format_timestamps, parse_timestamp
+from .times import MAX_MICROS, MIN_MICROS, canonical_cells, canonical_micros, format_timestamp, parse_timestamp
 
 
 class DataType(enum.Enum):
@@ -75,6 +81,14 @@ class ListType:
 
     def __str__(self) -> str:
         return f"list<{self.element.value}>"
+
+
+@dataclass(frozen=True)
+class LabelType:
+    """Int codes, each written to CSV as its label `labels[code]`; a result
+    table's split column."""
+
+    labels: Tuple[str, ...]
 
 
 class SemanticType(enum.Enum):
@@ -617,32 +631,6 @@ def _slice_bytes(cells: Sequence[str]) -> Tuple[np.ndarray, np.ndarray, np.ndarr
     return buf, np.concatenate(([0], ends[:-1] + 1)), ends
 
 
-def _format_cells(dtype: Union[DataType, ListType], values, null: Optional[np.ndarray]) -> list:
-    """CSV cells of one column slice, given as a numpy array or a sequence
-    of Python values: '' at nulls, canonical timestamps, `repr` floats,
-    `str` ints, true/false, and a list as the JSON array of its elements'
-    values (timestamps as text)."""
-    if isinstance(dtype, ListType):
-        spell = format_timestamp if dtype.element is DataType.TIMESTAMP else lambda v: v
-        cells = [json.dumps([spell(v) for v in value]) for value in values]
-    elif dtype is DataType.TIMESTAMP:
-        # A column of anchors repeats a few values on every row.
-        distinct, index = np.unique(values, return_inverse=True)
-        cells = np.array(format_timestamps(distinct), dtype=object)[index].tolist()
-    elif dtype is DataType.BOOL:
-        cells = np.where(values, "true", "false").tolist()
-    else:
-        if isinstance(values, np.ndarray):
-            values = values.tolist()
-        if dtype is not DataType.STRING:
-            values = map(repr if dtype is DataType.FLOAT64 else str, values)
-        cells = list(values)
-    if null is not None:
-        for i in np.flatnonzero(null).tolist():
-            cells[i] = ""
-    return cells
-
-
 @dataclass
 class TableData:
     definition: TableDef
@@ -1004,29 +992,271 @@ def _resolve_fk(fkcol: Column, parent: Optional[TableData]) -> np.ndarray:
     return forward
 
 
+# ---------------------------------------------------------------------------
+# CSV writer
+
+_QUOTE, _CR = b'"\r'
+# A block of rows is laid out in one (rows, width) array, padding included;
+# a chunk whose widest cells would make it larger is written in halves.
+_BLOCK_BYTES = 1 << 24
+# Digits after the point that a float's cell is built from, at most.
+_FLOAT_PLACES = 6
+# Each number below 10,000 as four ASCII digits in one uint32, and its digit count.
+_FOUR_DIGITS = np.ascontiguousarray(np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T + ord("0"))
+_FOUR_DIGITS = _FOUR_DIGITS.view(np.uint32)[:, 0]
+_GROUP_DIGITS = np.repeat(np.arange(1, 5), [10, 90, 900, 9000])
+
+
+class _Cells(NamedTuple):
+    """One column's cells in a block of rows, as bytes. `data` is an
+    (n, width) uint8 array whose row i holds cell i, from its column
+    `starts[i]` (0 if `starts` is None) on; or the cells' bytes back to
+    back. `lengths` holds each cell's length in bytes, `quote` marks the
+    cells to quote and `cr` those holding a carriage return (None: no such
+    cell)."""
+
+    data: np.ndarray
+    lengths: np.ndarray
+    starts: Optional[np.ndarray] = None
+    quote: Optional[np.ndarray] = None
+    cr: Optional[np.ndarray] = None
+
+    @property
+    def width(self) -> int:
+        return self.data.shape[1] if self.data.ndim == 2 else int(self.lengths.max(initial=0))
+
+
+def _digits(magnitude: np.ndarray, negative: np.ndarray, places: int = 1) -> Tuple[np.ndarray, np.ndarray]:
+    """The decimal digits of uint64 magnitudes, four at a time from a
+    table: an (n, width) uint8 array whose row i ends with the digits of
+    value i, zero-padded to `places` digits or more, after a minus sign
+    where `negative`; and each value's length, sign and digits without
+    leading zeros."""
+    groups = -(-max(len(str(magnitude.max(initial=0))), places) // 4)
+    data = np.empty((len(magnitude), groups + 1), dtype=np.uint32)  # room for a sign, then the groups
+    digits = np.ones(len(magnitude), dtype=np.int64)
+    for g in range(groups):
+        magnitude, low = np.divmod(magnitude, 10000)
+        data[:, groups - g] = _FOUR_DIGITS[low]
+        np.copyto(digits, 4 * g + _GROUP_DIGITS[low], where=low > 0)
+    data = data.view(np.uint8)
+    lengths = digits + negative
+    data[negative, data.shape[1] - lengths[negative]] = _MINUS
+    return data, lengths
+
+
+def _int_cells(values: np.ndarray) -> _Cells:
+    """Decimal int64 cells, from each value's magnitude as a uint64 (so
+    -2**63 is exact)."""
+    negative = values < 0
+    magnitude = values.view(np.uint64)
+    data, lengths = _digits(np.where(negative, -magnitude, magnitude), negative)
+    data = data[:, data.shape[1] - int(lengths.max(initial=1)):]
+    return _Cells(data, lengths, starts=data.shape[1] - lengths)
+
+
+def _float_cells(values: np.ndarray, null: Optional[np.ndarray]) -> _Cells:
+    """`repr` cells. A value from 1e-4 up to 1e15 that is the float nearest
+    a decimal of at most 15 significant digits, at most `_FLOAT_PLACES` of
+    them after the point, has that decimal as its shortest round-trip text,
+    which `repr` spells in fixed notation: such cells are built from the
+    decimal's digits, and the other cells by `repr`."""
+    magnitude = np.abs(values)
+    small = np.where(magnitude < 1e15, magnitude, 0.0)  # no overflow below
+    places = np.full(len(values), -1)  # digits after the point, or -1 for `repr`
+    if null is not None:
+        places[null] = 0
+    scaled = np.zeros(len(values))
+    for k in range(_FLOAT_PLACES + 1):  # the fewest places win
+        m = np.rint(small * 10.0**k)
+        hit = (m / 10.0**k == magnitude) & (m < 1e15) & (places < 0)
+        np.copyto(places, k, where=hit)
+        np.copyto(scaled, m, where=hit)
+        if places.min(initial=0) >= 0:
+            break
+    places[(magnitude < 1e-4) & (magnitude != 0)] = -1
+    slow = np.flatnonzero(places < 0)
+    places[slow] = 0  # their cells are replaced below
+    width = max(int(places.max(initial=0)), 1)  # the fraction digits laid out
+    whole, fraction = np.divmod(scaled.astype(np.uint64), _POW10_INT[places])
+    head, lengths = _digits(whole, np.signbit(values))
+    tail = _digits(fraction * _POW10_INT[width - places], np.zeros(len(values), dtype=np.bool_), width)[0]
+    data = np.concatenate([head, np.full((len(values), 1), _DOT, dtype=np.uint8), tail[:, -width:]], axis=1)
+    starts = head.shape[1] - lengths
+    lengths += 1 + np.maximum(places, 1)  # a whole number shows ".0"
+    if len(slow):
+        text = _text_cells(list(map(repr, values[slow].tolist())))
+        if text.width > data.shape[1]:
+            data = np.pad(data, ((0, 0), (0, text.width - data.shape[1])))
+        data[slow, :text.width] = _left_aligned(text)
+        starts[slow], lengths[slow] = 0, text.lengths
+    return _Cells(data, lengths, starts)
+
+
+def _text_cells(cells: List[str]) -> _Cells:
+    """Text cells back to back in UTF-8. A cell holding a comma, a quote or
+    a line feed is to be quoted, and each of its quotes is doubled."""
+    try:
+        text = "".join(cells)
+    except TypeError:  # None is an empty cell, and other values are spelled by `str`
+        cells = ["" if c is None else str(c) for c in cells]
+        text = "".join(cells)
+    data = np.frombuffer(text.encode(), dtype=np.uint8)
+    lengths = np.fromiter(map(len, cells if text.isascii() else map(str.encode, cells)), np.int64, len(cells))
+    if not any(c in text for c in ',"\n\r'):
+        return _Cells(data, lengths)
+    ends = np.cumsum(lengths)
+
+    def cells_with(mask: np.ndarray) -> np.ndarray:
+        return np.searchsorted(ends, np.flatnonzero(mask), side="right")
+
+    quotes = data == _QUOTE
+    quote = np.zeros(len(cells), dtype=np.bool_)
+    quote[cells_with(quotes | (data == _COMMA) | (data == _NL))] = True
+    cr = np.zeros(len(cells), dtype=np.bool_)
+    cr[cells_with(data == _CR)] = True
+    if quotes.any():
+        lengths = lengths + np.bincount(cells_with(quotes), minlength=len(cells))
+        data = np.repeat(data, quotes + 1)
+    return _Cells(data, lengths, quote=quote, cr=cr if cr.any() else None)
+
+
+def _left_aligned(cells: _Cells) -> np.ndarray:
+    """The (n, width) array of cells given back to back."""
+    data = np.zeros((len(cells.lengths), cells.width), dtype=np.uint8)
+    data[np.arange(cells.width) < cells.lengths[:, None]] = cells.data
+    return data
+
+
+def _label_cells(labels: Sequence[str], codes: np.ndarray, null: Optional[np.ndarray]) -> _Cells:
+    """The cells `labels[codes]` by table lookup, empty at nulls."""
+    table = _text_cells([*labels, ""])
+    if null is not None:
+        codes = np.where(null, len(labels), codes)
+    return _Cells(_left_aligned(table)[codes], table.lengths[codes],
+                  quote=None if table.quote is None else table.quote[codes],
+                  cr=None if table.cr is None else table.cr[codes])
+
+
+def _column_cells(dtype: Union[DataType, ListType, LabelType], values, null: Optional[np.ndarray]) -> _Cells:
+    """The CSV cells of one column slice, given as a numpy array or a list
+    of Python values: '' at nulls, `str` ints, canonical timestamps,
+    true/false, `repr` floats, and a list as the JSON array of its
+    elements' values (timestamps as text). Raises `_CellError` at the first
+    timestamp outside years 0001-9999."""
+    if dtype is DataType.BOOL:
+        return _label_cells(("false", "true"), np.asarray(values, dtype=np.bool_).view(np.uint8), null)
+    if isinstance(dtype, LabelType):
+        return _label_cells(dtype.labels, values, null)
+    if dtype is DataType.INT64:
+        cells = _int_cells(np.asarray(values, dtype=np.int64))
+    elif dtype is DataType.FLOAT64:
+        cells = _float_cells(np.asarray(values, dtype=np.float64), null)
+    elif dtype is DataType.TIMESTAMP:
+        values = np.asarray(values, dtype=np.int64)
+        if null is not None:  # a null cell's value is never written
+            values = np.where(null, 0, values)
+        outside = (values < MIN_MICROS) | (values > MAX_MICROS)
+        if outside.any():
+            i = int(np.argmax(outside))
+            raise _CellError(i, f"timestamp {values[i]} is outside years 0001-9999")
+        data, lengths = canonical_cells(values)
+        cells = _Cells(data.T, lengths)
+    else:
+        if isinstance(dtype, ListType):
+            spell = format_timestamp if dtype.element is DataType.TIMESTAMP else lambda v: v
+            text = [json.dumps([spell(v) for v in value]) for value in values]
+        else:
+            text = values.tolist() if isinstance(values, np.ndarray) else list(values)
+        if null is not None:
+            for i in np.flatnonzero(null).tolist():
+                text[i] = ""
+        return _text_cells(text)
+    if null is not None:
+        cells.lengths[null] = 0
+    return cells
+
+
+def _rows(columns: Sequence[_Cells]) -> np.ndarray:
+    """The CSV bytes of a block of rows. Each row's cells, quotes and
+    separators are laid out in one (n, width) array, and one boolean
+    compaction keeps their bytes in row-major order. A row with a carriage
+    return in any cell has every cell quoted, and a row of one empty cell
+    is written as a quoted empty cell."""
+    if not columns:
+        return np.frombuffer(b"\n", dtype=np.uint8)
+    crs = [c.cr for c in columns if c.cr is not None]
+    whole = np.logical_or.reduce(crs) if crs else None
+    quotes = []
+    for c in columns:
+        marks = [m for m in (c.quote, whole) if m is not None]
+        if len(columns) == 1:
+            marks.append(c.lengths == 0)
+        quote = np.logical_or.reduce(marks) if marks else None
+        quotes.append(quote if quote is not None and quote.any() else None)
+    n = len(columns[0].lengths)
+    width = sum(c.width + 1 + 2 * (q is not None) for c, q in zip(columns, quotes))
+    out = np.empty((n, width), dtype=np.uint8)
+    # Built a byte position at a time, so each of its rows is contiguous.
+    keep = np.empty((width, n), dtype=np.bool_)
+    at = 0
+    for c, quote in zip(columns, quotes):
+        if quote is not None:
+            out[:, at], keep[at] = _QUOTE, quote
+            at += 1
+        w = c.width
+        span, mask = np.arange(w)[:, None], keep[at:at + w]
+        if c.starts is None:
+            np.less(span, c.lengths, out=mask)
+        else:
+            ends = c.starts + c.lengths
+            np.greater_equal(span, c.starts, out=mask)
+            if ends.min(initial=w) < w:
+                mask &= span < ends
+        if c.data.ndim == 2:
+            out[:, at:at + w] = c.data
+        else:
+            out[:, at:at + w][mask.T] = c.data
+        at += w
+        if quote is not None:
+            out[:, at], keep[at] = _QUOTE, quote
+            at += 1
+        out[:, at], keep[at] = _COMMA, True
+        at += 1
+    out[:, -1] = _NL
+    return np.compress(keep.T.ravel(), out.ravel())
+
+
+def _write_block(fh: BinaryIO, header: Sequence[str], columns: Sequence[Tuple], lo: int, hi: int) -> None:
+    cells = []
+    for name, (dtype, values, null) in zip(header, columns):
+        try:
+            cells.append(_column_cells(dtype, values[lo:hi], None if null is None else null[lo:hi]))
+        except _CellError as exc:
+            raise DataError(f"column {name}: row {lo + exc.offset + 1}: {exc}") from None
+    if hi - lo > 1 and (hi - lo) * sum(c.width + 3 for c in cells) > _BLOCK_BYTES:
+        mid = (lo + hi) // 2
+        _write_block(fh, header, columns, lo, mid)
+        _write_block(fh, header, columns, mid, hi)
+    else:
+        fh.write(_rows(cells))
+
+
 def write_csv(path: Path, header: Sequence[str], columns: Sequence[Tuple]) -> None:
     """Write an RFC-4180 file with LF line endings: the header, then the
-    rows, `_CHUNK_ROWS` at a time. A column is a `(dtype, values, null)`
-    triple: its values as a numpy array or a list of Python values, and a
-    bool null mask or None. Every CSV file pql writes goes through here."""
-    strings = [i for i, (dtype, _, _) in enumerate(columns) if dtype is DataType.STRING]
+    rows, `_CHUNK_ROWS` at a time, each chunk's bytes assembled by numpy
+    and written at once. A column is a `(dtype, values, null)` triple: its
+    values as a numpy array or a list of Python values, and a bool null
+    mask or None. Every CSV file pql writes goes through here. A
+    timestamp outside years 0001-9999 is a `DataError` naming its column
+    and row."""
     nrows = len(columns[0][1]) if columns else 0
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
-        writer.writerow(header)
+    with open(path, "wb") as fh:
+        # The header's cells are quoted as any cell is, except that a
+        # carriage return in a name does not quote the whole row.
+        fh.write(_rows([_text_cells([name])._replace(cr=None) for name in header]))
         for lo in range(0, nrows, _CHUNK_ROWS):
-            part = slice(lo, lo + _CHUNK_ROWS)
-            cells = [_format_cells(dtype, values[part], None if null is None else null[part])
-                     for dtype, values, null in columns]
-            # The writer quotes only cells holding a character of its "\n"
-            # line terminator, so a row with a lone "\r" in a string is
-            # quoted whole.
-            if not any("\r" in "".join(cells[i]) for i in strings):
-                writer.writerows(zip(*cells))
-                continue
-            for row in zip(*cells):
-                (quoted if any("\r" in row[i] for i in strings) else writer).writerow(row)
+            _write_block(fh, header, columns, lo, min(lo + _CHUNK_ROWS, nrows))
 
 
 def save_table_csv(db: Database, table: str, path: Path) -> None:

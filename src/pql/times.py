@@ -4,11 +4,11 @@ All timestamps are integers: microseconds since the Unix epoch, UTC.
 Input accepts ISO-8601 dates and datetimes (naive values are taken as UTC,
 offsets are honored, a trailing ``Z`` is accepted on Python 3.10). The
 canonical form, which `format_timestamp` writes, is
-``YYYY-MM-DDTHH:MM:SS[.ffffff]Z``; `format_timestamps` writes a whole
-column of it with numpy, and `canonical_micros` reads a whole column of
-its bytes back with integer arithmetic (days from the civil date), for
-the CSV loader in `pql.store`. `parse_timestamp` defines the accepted
-text: `canonical_micros` accepts only the canonical form, which it reads
+``YYYY-MM-DDTHH:MM:SS[.ffffff]Z``. The CSV writer and loader in
+`pql.store` handle a whole column of its bytes, one function each way,
+both in integer arithmetic: `canonical_cells` writes the bytes (the civil
+date from days) and `canonical_micros` reads them back (days from the
+civil date). `parse_timestamp` defines the accepted text: `canonical_micros` accepts only the canonical form, which it reads
 as `parse_timestamp` does, and refuses every other cell (offsets, dates
 without a time, spaces, ``.000000``), which the loader then hands to
 `parse_timestamp` one cell at a time.
@@ -17,7 +17,7 @@ without a time, spaces, ``.000000``), which the loader then hands to
 from __future__ import annotations
 
 from datetime import datetime, timedelta, timezone
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -56,13 +56,14 @@ def format_timestamp(micros: int) -> str:
     return text + "Z"
 
 
-_MIN_MICROS = -62135596800 * MICROS_PER_SECOND  # 0001-01-01T00:00:00Z
-_MAX_MICROS = 253402300800 * MICROS_PER_SECOND - 1  # 9999-12-31T23:59:59.999999Z
+MIN_MICROS = -62135596800 * MICROS_PER_SECOND  # 0001-01-01T00:00:00Z
+MAX_MICROS = 253402300800 * MICROS_PER_SECOND - 1  # 9999-12-31T23:59:59.999999Z
 
 
 # The canonical form's bytes; "0" marks a digit. A cell without a
 # fraction is the first 19 bytes and "Z".
 _CANONICAL = np.frombuffer(b"0000-00-00T00:00:00.000000Z", dtype=np.uint8)
+_ZERO = _CANONICAL[0]
 _MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
 
 
@@ -108,15 +109,39 @@ def canonical_micros(cells: np.ndarray, lengths: np.ndarray) -> Tuple[np.ndarray
     return np.where(ok, seconds * MICROS_PER_SECOND + fraction, 0), ok
 
 
-def format_timestamps(micros: np.ndarray) -> List[str]:
-    """`format_timestamp` over an int64 array, in one numpy pass."""
-    micros = np.asarray(micros, dtype=np.int64)
-    # Outside years 0001-9999 numpy would still format; `format_timestamp` raises.
-    if len(micros) and not (_MIN_MICROS <= micros.min() and micros.max() <= _MAX_MICROS):
-        return [format_timestamp(m) for m in micros.tolist()]
-    text = np.datetime_as_string(micros.view("datetime64[us]"), unit="us")
-    whole = np.char.add(text.astype("<U19"), "Z")  # cut ".ffffff" off whole seconds
-    return np.where(micros % MICROS_PER_SECOND == 0, whole, np.char.add(text, "Z")).tolist()
+def canonical_cells(micros: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The canonical text of epoch microseconds, as `format_timestamp`
+    writes it, laid out as `canonical_micros` reads it: a (27, n) uint8
+    array whose row k holds byte k of each of n cells, and each cell's
+    length in bytes, 20 for a whole second (``YYYY-MM-DDTHH:MM:SSZ``) and
+    27 otherwise; bytes past a cell's end are unset. Every value must lie
+    in `MIN_MICROS..MAX_MICROS` (years 0001-9999); others give meaningless
+    bytes.
+    """
+    seconds, fraction = np.divmod(np.asarray(micros, dtype=np.int64), MICROS_PER_SECOND)
+    days, second = np.divmod(seconds, MICROS_PER_DAY // MICROS_PER_SECOND)
+    # The civil date from days (H. Hinnant), with years starting in March.
+    z = days + 719468
+    era = z // 146097
+    doe = z - era * 146097
+    yoe = (doe - doe // 1460 + doe // 36524 - doe // 146096) // 365
+    doy = doe - (365 * yoe + yoe // 4 - yoe // 100)
+    mp = (5 * doy + 2) // 153
+    day = doy - (153 * mp + 2) // 5 + 1
+    month = np.where(mp < 10, mp + 3, mp - 9)
+    year = era * 400 + yoe + (month <= 2)
+    cells = np.empty((len(_CANONICAL), len(days)), dtype=np.uint8)
+    cells[:] = _CANONICAL[:, None]
+    for at, number in ((0, year // 100), (2, year % 100), (5, month), (8, day), (11, second // 3600),
+                       (14, second // 60 % 60), (17, second % 60), (20, fraction // 10000),
+                       (22, fraction // 100 % 100), (24, fraction % 100)):
+        number = number.astype(np.uint8)  # two digits, 0-99
+        tens = number // 10
+        cells[at] = tens + _ZERO
+        cells[at + 1] = number - tens * 10 + _ZERO
+    whole = fraction == 0
+    cells[19, whole] = _CANONICAL[-1]  # "Z" ends a whole second
+    return cells, np.where(whole, 20, 27)
 
 
 def format_duration(micros: int) -> str:

@@ -1,6 +1,7 @@
 """Every name imported into a `pql` module is used there, and every private
 module-level name of `pql` is read somewhere in `pql`. A name the module
-re-exports through `__all__` counts as used."""
+re-exports through `__all__` counts as used. No module but `store` writes
+CSV, and it writes without the csv module."""
 
 import ast
 import functools
@@ -79,3 +80,20 @@ def test_an_unread_private_name_is_found():
     source = "_A, _B = 1, 2\n_C: int = _A\ndef _f():\n    return _g.x\nclass _G:\n    pass\n__all__ = []\n"
     assert private_definitions(source) == [(1, "_A"), (1, "_B"), (2, "_C"), (3, "_f"), (5, "_G")]
     assert {"_A", "_g", "x"} <= names_read(source) and not {"_B", "_C", "_f", "_G"} & names_read(source)
+
+
+def second_writers(source: str):
+    """(line, text) for each line that names the csv module's writer or its
+    quote-everything mode: `store.write_csv` writes every CSV file."""
+    return [(i, line.strip()) for i, line in enumerate(source.splitlines(), 1)
+            if "csv.writer" in line or "QUOTE_ALL" in line]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_second_csv_writer(path):
+    assert second_writers(path.read_text(encoding="utf-8")) == []
+
+
+def test_a_second_csv_writer_is_found():
+    source = "import csv\nw = csv.writer(fh)\nq = csv.QUOTE_ALL\nr = csv.reader(fh)\n"
+    assert second_writers(source) == [(2, "w = csv.writer(fh)"), (3, "q = csv.QUOTE_ALL")]

@@ -7,10 +7,12 @@ from pql.times import (
     MICROS_PER_DAY,
     MICROS_PER_HOUR,
     MICROS_PER_MINUTE,
+    MAX_MICROS,
+    MIN_MICROS,
+    canonical_cells,
     canonical_micros,
     format_duration,
     format_timestamp,
-    format_timestamps,
     parse_duration,
     parse_timestamp,
 )
@@ -56,9 +58,17 @@ def parse_canonical(cells):
     return micros
 
 
+def format_canonical(micros):
+    """`canonical_cells` as text, one string per value."""
+    cells, lengths = canonical_cells(micros)
+    assert cells.shape == (27, len(micros)) and set(lengths.tolist()) <= {20, 27}
+    return [cells[:n, i].tobytes().decode() for i, n in enumerate(lengths.tolist())]
+
+
 def test_columns_match_the_scalar_functions():
     rng = np.random.default_rng(0)
     lo, hi = parse_timestamp("0001-01-01T00:00:00Z"), parse_timestamp("9999-12-31T23:59:59.999999Z")
+    assert (lo, hi) == (MIN_MICROS, MAX_MICROS)
     micros = np.concatenate(
         [
             rng.integers(lo, hi, 2000, endpoint=True),
@@ -66,11 +76,38 @@ def test_columns_match_the_scalar_functions():
             np.array([lo, hi, 0, -1, 1, 10**6, -(10**6)]),
         ]
     )
-    texts = format_timestamps(micros)
+    texts = format_canonical(micros)
     assert texts == [format_timestamp(m) for m in micros.tolist()]
     assert parse_canonical(texts).tolist() == micros.tolist()
-    assert format_timestamps(micros[:0]) == []
+    assert format_canonical(micros[:0]) == []
     assert parse_canonical([]).tolist() == []
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "0001-01-01T00:00:00Z",
+        "9999-12-31T23:59:59.999999Z",
+        "1969-12-31T23:59:59.999999Z",
+        "1969-12-31T23:59:59Z",
+        "1900-01-01T00:00:00.000001Z",
+        "0400-03-01T12:00:00Z",
+        "1600-02-29T23:59:59Z",
+        "1900-02-28T00:00:00Z",
+        "1900-03-01T00:00:00Z",
+        "2000-02-29T00:00:00.000001Z",
+        "2100-02-28T23:59:59.999999Z",
+        "2100-03-01T00:00:00Z",
+        "1970-01-01T00:00:00Z",
+        "1970-01-01T00:00:00.000001Z",
+        "2024-06-01T12:34:56Z",
+    ],
+)
+def test_calendar_edges_match_the_scalar_formatter(text):
+    micros = parse_timestamp(text)
+    assert format_canonical(np.array([micros])) == [format_timestamp(micros)] == [text]
+    cells, lengths = canonical_cells(np.array([micros]))
+    assert canonical_micros(cells, lengths)[0].tolist() == [micros]
 
 
 @pytest.mark.parametrize(
