@@ -1004,7 +1004,7 @@ _FLOAT_PLACES = 6
 # Each number below 10,000 as four ASCII digits in one uint32, and its digit count.
 _FOUR_DIGITS = np.ascontiguousarray(np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T + ord("0"))
 _FOUR_DIGITS = _FOUR_DIGITS.view(np.uint32)[:, 0]
-_GROUP_DIGITS = np.repeat(np.arange(1, 5), [10, 90, 900, 9000])
+_GROUP_DIGITS = np.repeat(np.arange(1, 5, dtype=np.uint8), [10, 90, 900, 9000])
 
 
 class _Cells(NamedTuple):
@@ -1028,9 +1028,10 @@ class _Cells(NamedTuple):
 
 def _digits(magnitude: np.ndarray, negative: np.ndarray, places: int = 1) -> Tuple[np.ndarray, np.ndarray]:
     """The decimal digits of uint64 magnitudes, four at a time from a
-    table: an (n, width) uint8 array whose row i ends with the digits of
-    value i, zero-padded to `places` digits or more, after a minus sign
-    where `negative`; and each value's length, sign and digits without
+    table: an (n, width) uint8 array whose row i ends with value i's
+    digits, zero-padded to whole groups of four and to `places` digits or
+    more, with a minus sign just before its leading digit where
+    `negative`; and each value's length, its sign and its digits without
     leading zeros."""
     groups = -(-max(len(str(magnitude.max(initial=0))), places) // 4)
     data = np.empty((len(magnitude), groups + 1), dtype=np.uint32)  # room for a sign, then the groups
@@ -1095,7 +1096,8 @@ def _float_cells(values: np.ndarray, null: Optional[np.ndarray]) -> _Cells:
 
 def _text_cells(cells: List[str]) -> _Cells:
     """Text cells back to back in UTF-8. A cell holding a comma, a quote or
-    a line feed is to be quoted, and each of its quotes is doubled."""
+    a line feed is to be quoted, and each of its quotes is doubled; `cr`
+    marks the cells holding a carriage return."""
     try:
         text = "".join(cells)
     except TypeError:  # None is an empty cell, and other values are spelled by `str`
@@ -1228,6 +1230,7 @@ def _rows(columns: Sequence[_Cells]) -> np.ndarray:
 
 
 def _write_block(fh: BinaryIO, header: Sequence[str], columns: Sequence[Tuple], lo: int, hi: int) -> None:
+    """Write rows lo..hi, in halves while their byte array would pass `_BLOCK_BYTES`."""
     cells = []
     for name, (dtype, values, null) in zip(header, columns):
         try:

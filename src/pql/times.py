@@ -8,8 +8,9 @@ canonical form, which `format_timestamp` writes, is
 `pql.store` handle a whole column of its bytes, one function each way,
 both in integer arithmetic: `canonical_cells` writes the bytes (the civil
 date from days) and `canonical_micros` reads them back (days from the
-civil date). `parse_timestamp` defines the accepted text: `canonical_micros` accepts only the canonical form, which it reads
-as `parse_timestamp` does, and refuses every other cell (offsets, dates
+civil date). `parse_timestamp` defines the accepted text:
+`canonical_micros` accepts only the canonical form, which it reads as
+`parse_timestamp` does, and refuses every other cell (offsets, dates
 without a time, spaces, ``.000000``), which the loader then hands to
 `parse_timestamp` one cell at a time.
 """
@@ -114,9 +115,9 @@ def canonical_cells(micros: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     writes it, laid out as `canonical_micros` reads it: a (27, n) uint8
     array whose row k holds byte k of each of n cells, and each cell's
     length in bytes, 20 for a whole second (``YYYY-MM-DDTHH:MM:SSZ``) and
-    27 otherwise; bytes past a cell's end are unset. Every value must lie
-    in `MIN_MICROS..MAX_MICROS` (years 0001-9999); others give meaningless
-    bytes.
+    27 otherwise; the bytes past a cell's end are not part of it. Every
+    value must lie in `MIN_MICROS..MAX_MICROS` (years 0001-9999); others
+    give meaningless bytes.
     """
     seconds, fraction = np.divmod(np.asarray(micros, dtype=np.int64), MICROS_PER_SECOND)
     days, second = np.divmod(seconds, MICROS_PER_DAY // MICROS_PER_SECOND)
