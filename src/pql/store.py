@@ -1098,11 +1098,7 @@ def _text_cells(cells: List[str]) -> _Cells:
     """Text cells back to back in UTF-8. A cell holding a comma, a quote or
     a line feed is to be quoted, and each of its quotes is doubled; `cr`
     marks the cells holding a carriage return."""
-    try:
-        text = "".join(cells)
-    except TypeError:  # None is an empty cell, and other values are spelled by `str`
-        cells = ["" if c is None else str(c) for c in cells]
-        text = "".join(cells)
+    text = "".join(cells)
     data = np.frombuffer(text.encode(), dtype=np.uint8)
     lengths = np.fromiter(map(len, cells if text.isascii() else map(str.encode, cells)), np.int64, len(cells))
     if not any(c in text for c in ',"\n\r'):
