@@ -12,27 +12,21 @@ microseconds since epoch, UTC). Databases are immutable once loaded; the
 row graph and each table's primary-key index are built lazily and cached.
 
 Every file pql reads or writes is UTF-8 text, whatever the locale. CSV
-load works column at a time, by one of two tokenizers and one converter.
-A file given as a `Path`, and text given as a `str`, go to the byte
-tokenizer (`_read_file`): it reads blocks of about `_CHUNK_ROWS` records
-cut after a line break, numpy finds the offsets of each block's commas and
-line breaks, and one check confirms that every record has one field per
-column. It sends the whole table to the csv tokenizer (`_read_csv`) only
-when it cannot cut the records (a quote, carriage return or NUL byte, a
-blank line, a missing final line break, a wrong field count, text that is
-not UTF-8) or a cell is in error. The csv tokenizer also reads any other
-stream of lines: the `csv` module splits records, a chunk of them at a
-time, and each column slice is laid out as bytes, one cell per line.
-Either tokenizer hands each column's cells to `_convert_cells`: the
-dtype's converter reads them from their bytes (int64, float64, bool,
+load works column at a time, from a file (`Path`) or text (`str`), with
+one tokenizer and one converter. `_tokenize` cuts blocks of about
+`_CHUNK_ROWS` records with numpy, as the csv module reads them (commas;
+line feeds, CRLFs and lone carriage returns; quotes), and a quoted field is
+read between its quotes. `_convert_cells` converts each column's cells:
+the dtype's converter reads them from their bytes (int64, float64, bool,
 canonical timestamps via `times.canonical_micros`), `_parse_cell`, which
 defines the accepted values and the error text, reads the text of each
 cell the converter refuses, and a string column's values are its cells'
-text. The first error in row order raises `DataError` with its row
-number, written by the csv tokenizer, so errors never depend on the
-tokenizer. `write_csv` writes every CSV file pql writes, tables and
-results alike, from whole columns, as bytes that numpy assembles a chunk
-of `_CHUNK_ROWS` rows at a time: `_column_cells` turns each column's
+text. The first error in row order raises `DataError` with its 1-based
+record number.
+
+`write_csv` writes every CSV file pql writes, tables and results alike,
+from whole columns, as bytes that numpy assembles a chunk of
+`_CHUNK_ROWS` rows at a time: `_column_cells` turns each column's
 chunk into an (n, width) byte array (ints and the digits of short
 decimal floats four at a time from a table, timestamps by
 `times.canonical_cells`, bools and labels by lookup, other floats by
@@ -40,6 +34,7 @@ decimal floats four at a time from a table, timestamps by
 and `_rows` lays the cells out with their separators and keeps their
 bytes with one boolean compaction. A row with a carriage return in a
 text cell is quoted whole.
+
 `_resolve_fk` maps foreign keys to parent rows once, for the load check;
 the row graph reuses that mapping while its parent table is still the one
 loaded.
@@ -47,10 +42,8 @@ loaded.
 
 from __future__ import annotations
 
-import csv
 import enum
 import io
-import itertools
 import json
 import math
 import re
@@ -452,13 +445,8 @@ def _parse_cell(text: str, dtype: DataType):
 # temporaries alive at once while loading and saving, so peak memory stays
 # near that of the final arrays.
 _CHUNK_ROWS = 16384
-# The csv module refuses a field over 131,072 characters by default, while
-# `save_table_csv` writes cells of any length. The limit is process-wide in
-# the csv module, so it is raised once here, to the largest C long on every
-# platform, for every saved table to load back.
-csv.field_size_limit(2**31 - 1)
 _BOOL_CELLS = {"true": True, "1": True, "t": True, "false": False, "0": False, "f": False}
-_NL, _COMMA, _MINUS, _PLUS, _DOT, _EXP = b"\n,-+.e"
+_NL, _COMMA, _MINUS, _PLUS, _DOT, _EXP, _QUOTE, _CR = b'\n,-+.e"\r'
 _POW10_INT = 10 ** np.arange(20, dtype=np.uint64)
 _POW10_FLOAT = 10.0 ** np.arange(20)  # every one exact in float64
 _INT64_LIMIT = np.uint64(2**63 - 1)
@@ -588,8 +576,8 @@ def _shared(cells: Iterable[str]) -> List[str]:
 def _convert_cells(
     cdef: ColumnDef, buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, texts: Callable[..., Iterable[str]]
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """(values, null mask) of one column's cells buf[starts[i]:ends[i]], for
-    both tokenizers, as `_parse_cell` reads each one; raises `_CellError` at
+    """(values, null mask) of one column's cells buf[starts[i]:ends[i]], as
+    `_parse_cell` reads each one; raises `_CellError` at
     the first bad cell or disallowed null. `texts(index)` gives the text of
     the cells at an index array or slice: a string column's values, and
     each cell the dtype's converter refuses, for `_parse_cell` to read."""
@@ -616,19 +604,6 @@ def _convert_cells(
     if bad is not None:
         raise _CellError(*bad)
     return values, null
-
-
-def _slice_bytes(cells: Sequence[str]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One column slice of the csv tokenizer as `_convert_cells` reads it:
-    the cells' UTF-8 bytes one per line, and each cell's start and end. A
-    line break inside a cell, and a character UTF-8 cannot encode, become
-    "?", which every converter refuses."""
-    text = "\n".join(cells) + "\n"
-    if text.count("\n") != len(cells):
-        text = "\n".join(c.replace("\n", "?") for c in cells) + "\n"
-    buf = np.frombuffer(text.encode(errors="replace"), dtype=np.uint8)
-    ends = np.flatnonzero(buf == _NL)
-    return buf, np.concatenate(([0], ends[:-1] + 1)), ends
 
 
 @dataclass
@@ -729,30 +704,22 @@ def new_database(schema: Schema) -> Database:
     return db
 
 
-def load_table_data(
-    db: Database,
-    table: str,
-    rows: Union[str, Path, Iterable[str], io.TextIOBase],
-    *,
-    strict: bool = True,
-) -> Database:
-    """Load CSV rows (header required, '' = null) into `table`: a file
-    path or text goes to the byte tokenizer first, a stream of lines to the
-    csv tokenizer.
+def load_table_data(db: Database, table: str, rows: Union[str, Path], *, strict: bool = True) -> Database:
+    """Load CSV records (header required, '' = null) into `table`, from a
+    file path or from text, as `csv.reader` reads them. Text after a
+    closing quote, and a quote open at the end of the input, are errors.
 
     In strict mode a foreign key value that does not resolve to a parent row
     is an error; in lenient mode the row is kept and counted in the report.
     Checks run against parents loaded so far, so load parent tables first.
     """
     tdef = db.schema.table(table)
-    loaded = None
-    if isinstance(rows, (str, Path)):
-        # A lone surrogate's bytes are not UTF-8, so the csv tokenizer reads it.
-        with open(rows, "rb") if isinstance(rows, Path) else io.BytesIO(rows.encode(errors="surrogatepass")) as fh:
-            loaded = _read_file(tdef, fh)
-    if loaded is None:
-        loaded = _read_csv(tdef, rows)
-    columns, nrows = loaded
+    if isinstance(rows, Path):
+        with open(rows, "rb") as fh:
+            columns, nrows = _read_file(tdef, fh, "strict")
+    else:
+        # A lone surrogate has no UTF-8 bytes; these bytes decode back to it.
+        columns, nrows = _read_file(tdef, io.BytesIO(rows.encode(errors="surrogatepass")), "surrogatepass")
     data = TableData(tdef, columns, nrows)
     report = LoadReport(tdef.name, nrows)
     if tdef.primary_key is not None:
@@ -782,182 +749,213 @@ def load_table_data(
     return db
 
 
-def _read_file(tdef: TableDef, fh: BinaryIO) -> Optional[Tuple[Dict[str, Column], int]]:
-    """The byte tokenizer: the columns of the CSV bytes `fh` reads, or None
-    when the csv tokenizer must read them. That is when the header does
-    not match the schema, when a block fails `_convert_block`, and when
-    the last record has no line break; the table then loads as if this
-    function did not exist, errors and row numbers included.
-
-    A first pass counts the line breaks, so each column is allocated once
-    at its final size; the second reads blocks of about `_CHUNK_ROWS`
-    records, cut after a line break, and converts them into place. Only
-    one block's temporaries are alive at a time."""
-    line = fh.readline()
-    if not line.endswith(b"\n") or any(b in line for b in (b'"', b"\r", b"\0")):
-        return None
-    try:
-        header = line[:-1].decode().upper().split(",")
-    except UnicodeDecodeError:
-        return None
-    if sorted(header) != sorted(tdef.column_names):
-        return None
-    total = sum(piece.count(b"\n") for piece in iter(lambda: fh.read(1 << 20), b""))
-    fh.seek(len(line))
+def _read_file(tdef: TableDef, fh: BinaryIO, errors: str) -> Tuple[Dict[str, Column], int]:
+    """The columns of the CSV bytes `fh` reads, and their number of rows;
+    text is decoded from UTF-8 with the `errors` handler. After the header,
+    a first pass counts the record ends, so each column is allocated once
+    (and cut to size if quotes held some); the second reads blocks of about
+    `_CHUNK_ROWS` records and converts them into place, so only one block's
+    temporaries are alive at a time."""
+    cdefs, at = _header(tdef, fh, errors)
+    fh.seek(at)
+    # At least the records: line feeds, lone carriage returns, a last one without an end.
+    total, last = 0, b"\n"
+    for piece in iter(lambda: fh.read(1 << 20), b""):
+        total += piece.count(b"\n") - (last.endswith(b"\r") and piece.startswith(b"\n"))
+        if b"\r" in piece:
+            total += piece.count(b"\r") - piece.count(b"\r\n")
+        last = piece
+    total += not last.endswith((b"\n", b"\r"))
+    fh.seek(at)
     columns = {
         c.name: Column(c.dtype, np.empty(total, dtype=_NUMPY_DTYPE[c.dtype]), np.empty(total, dtype=np.bool_))
         for c in tdef.columns
     }
-    cdefs = [tdef.column(name) for name in header]
-    nrows, row_bytes, tail = 0, len(line), b""
+    nrows, row_bytes, tail = 0, at, b""
     while True:
         data = fh.read(max(_CHUNK_ROWS * row_bytes, 2 * len(tail)))
-        if not data:
-            if tail:  # no line break after the last record
-                return None
-            break
+        final = not data
         data = tail + data
-        cut = data.rfind(b"\n") + 1
-        block, tail = data[:cut], data[cut:]
-        if not block:
-            continue
-        count = _convert_block(block, cdefs, columns, nrows)
-        if count is None:
-            return None
-        nrows += count
-        row_bytes = -(-len(block) // count)
-    return (columns, nrows) if nrows == total else None
+        if not data:
+            break
+        tokens = _tokenize(data, final)
+        if nrows + tokens.records > total:
+            raise DataError(f"table {tdef.name}: row {total + 1}: the file grew while it was read")
+        _convert_block(tdef.name, tokens, cdefs, columns, nrows, errors)
+        nrows += tokens.records
+        row_bytes = -(-tokens.size // tokens.records) if tokens.records else row_bytes
+        tail = data[tokens.size:]
+    if nrows < total:
+        for column in columns.values():
+            column.values, column.null = column.values[:nrows].copy(), column.null[:nrows].copy()
+    return columns, nrows
 
 
-def _convert_block(block: bytes, cdefs: List[ColumnDef], columns: Dict[str, Column], offset: int) -> Optional[int]:
-    """Convert whole CSV records into rows `offset`.. of `columns` and
-    return their number, or None when the csv tokenizer must read them:
-    any quote, carriage return or NUL byte, a blank line, a record without
-    exactly one field per column, a cell whose text is needed but is not
-    UTF-8, or a cell in error, whose message and row the csv tokenizer
-    writes."""
-    if any(b in block for b in (b'"', b"\r", b"\0", b"\n\n")) or block[0] == _NL:
-        return None
-    buf = np.frombuffer(block, dtype=np.uint8)
-    ncols, nrecords = len(cdefs), block.count(b"\n")
-    offsets = np.int32 if len(block) < 2**31 else np.int64
-    ends = np.flatnonzero((buf == _COMMA) | (buf == _NL)).astype(offsets)
-    if len(ends) != nrecords * ncols or offset + nrecords > len(columns[cdefs[0].name].null):
-        return None
-    starts = np.empty_like(ends)
-    starts[0], starts[1:] = 0, ends[:-1] + 1
-    ends, starts = ends.reshape(nrecords, ncols), starts.reshape(nrecords, ncols)
-    # Every record's last delimiter is a line break; with the count above,
-    # each record holds exactly ncols fields.
-    if (buf[ends[:, -1]] != _NL).any():
-        return None
-    rows = slice(offset, offset + nrecords)
-    for j, cdef in enumerate(cdefs):
-        s, e = starts[:, j], ends[:, j]
+def _header(tdef: TableDef, fh: BinaryIO, errors: str) -> Tuple[List[ColumnDef], int]:
+    """The columns that the first record of `fh` names, in its order, and
+    the bytes that record takes. Lines are read until it is whole."""
+    head = line = fh.readline(1 << 16)
+    if not head:
+        raise DataError(f"table {tdef.name}: empty input, header row required")
+    while not ((tokens := _tokenize(head, not line)).records or tokens.bad):
+        line = fh.readline(1 << 16)
+        head += line
+    if not tokens.records:
+        raise DataError(f"table {tdef.name}: header: {tokens.bad}")
+    k = int(np.argmax(tokens.buf[tokens.seps] != _COMMA)) + 1  # the first record's fields
+    try:
+        header = [name.upper() for name in _cell_texts(tokens.data, tokens.starts, tokens.ends, tokens.escaped,
+                                                       errors)(slice(0, k))]
+    except UnicodeDecodeError:
+        raise DataError(f"table {tdef.name}: header: text is not UTF-8") from None
+    if sorted(header) != sorted(names := list(tdef.column_names)):
+        raise DataError(f"table {tdef.name}: header {header} does not match schema columns {names}")
+    return [tdef.column(name) for name in header], int(tokens.seps[k - 1]) + 1
+
+
+class _Tokens(NamedTuple):
+    """The `records` whole records in the first `size` bytes of `data` (also
+    `buf`). Field k is data[starts[k]:ends[k]], inside any quotes, and is
+    ended by seps[k]. `escaped` marks the quoted fields holding a doubled
+    quote, if any. `bad` is why the next record cannot be read."""
+
+    data: bytes
+    buf: np.ndarray
+    size: int
+    records: int
+    starts: np.ndarray
+    ends: np.ndarray
+    seps: np.ndarray
+    escaped: Optional[np.ndarray] = None
+    bad: Optional[str] = None
+
+
+def _field_starts(seps: np.ndarray) -> np.ndarray:
+    return np.concatenate((np.zeros(min(len(seps), 1), seps.dtype), seps[:-1] + 1))
+
+
+def _tokenize(data: bytes, final: bool) -> _Tokens:
+    """The fields of the whole records at the front of `data`, as the csv
+    module reads them; `final` when no bytes follow, so that the last
+    record needs no record end. Data with no quote and no carriage return
+    takes one comparison pass.
+
+    Cut at each comma, line feed and lone carriage return, the bytes fall
+    into pieces. A piece that starts with a quote, or inside quotes, flips
+    the quote state once per quote it holds; one that starts outside
+    quotes with another byte is an unquoted field, whose quotes are text.
+    So the state after a piece is the parity of the flips since the last
+    unquoted field holding an odd number of quotes, and a cut inside quotes
+    ends no field. Every second quote that is not text closes a quoted
+    field, and must be followed by a comma, a record end or a quote that it
+    escapes: text after it, or a quote open at the end, is `bad`."""
+    if final and not data.endswith((b"\n", b"\r")):
+        data += b"\n"
+    buf = np.frombuffer(data, dtype=np.uint8)
+    offsets = np.int32 if len(data) < 2**31 else np.int64
+    if b'"' not in data and b"\r" not in data:
+        size = data.rfind(b"\n") + 1
+        seps = np.flatnonzero((buf[:size] == _COMMA) | (buf[:size] == _NL)).astype(offsets)
+        return _Tokens(data, buf, size, data.count(b"\n", 0, size), _field_starts(seps), seps, seps)
+    # A carriage return that ends data before its end may start a CRLF.
+    block = buf[:len(data) - (not final and data.endswith(b"\r"))]
+    cuts = (block == _COMMA) | (block == _NL)
+    crs = np.flatnonzero(block == _CR)
+    cuts[crs[buf[np.minimum(crs + 1, len(buf) - 1)] != _NL]] = True
+    cuts = np.flatnonzero(cuts).astype(offsets)
+    inside, bad, quotes = np.zeros(len(cuts), dtype=np.bool_), None, None
+    if b'"' in data and len(cuts):
+        quotes = np.flatnonzero(block == _QUOTE).astype(offsets)
+        before = np.searchsorted(quotes, cuts)
+        counts = np.diff(before, prepend=0)  # quotes in the piece each cut ends
+        odd = counts % 2 == 1
+        opens = buf[_field_starts(cuts)] == _QUOTE
+        flips = np.cumsum(opens & odd)
+        reset = np.maximum.accumulate(np.where(odd & ~opens, np.arange(len(cuts)), -1))
+        inside = (flips - np.where(reset >= 0, flips[reset], 0)) % 2 == 1
+        text = np.concatenate(([True], ~inside[:-1])) & ~opens
+        live = quotes[:before[-1]][~np.repeat(text, counts)]
+        closing, reopening = live[1::2], live[2::2]
+        after = buf[closing + 1]
+        fine = (after == _COMMA) | (after == _NL) | (after == _CR)
+        fine[:len(reopening)] |= reopening == closing[:len(reopening)] + 1
+        if not fine.all():  # before any quote left open
+            bad = (int(closing[np.argmin(fine)]), "text after a closing quote")
+        elif final and len(live) % 2:
+            bad = (int(live[-1]), "quote not closed at the end of the input")
+    seps = cuts[~inside]
+    last = np.flatnonzero(buf[seps] != _COMMA)
+    records = int(np.searchsorted(seps[last], bad[0])) if bad else len(last)
+    seps = seps[:last[records - 1] + 1] if records else seps[:0]
+    starts = _field_starts(seps)
+    ends = seps - ((buf[seps] == _NL) & (buf[np.maximum(seps - 1, 0)] == _CR))
+    escaped = None
+    if quotes is not None:
+        quoted = buf[starts] == _QUOTE
+        starts, ends = starts + quoted, ends - quoted
+        escaped = quoted & (np.searchsorted(quotes, ends) > np.searchsorted(quotes, starts))
+    size = int(seps[-1]) + 1 if records else 0
+    return _Tokens(data, buf, size, records, starts, ends, seps,
+                   escaped if escaped is not None and escaped.any() else None, bad and bad[1])
+
+
+def _cell_texts(
+    data: bytes, starts: np.ndarray, ends: np.ndarray, escaped: Optional[np.ndarray], errors: str
+) -> Callable[..., Iterable[str]]:
+    """texts(i): the text of the cells data[starts[i]:ends[i]] at an index
+    array or slice `i`, each doubled quote of an `escaped` cell made one."""
+
+    def texts(i):
+        cells = (data[a:b].decode("utf-8", errors) for a, b in zip(starts[i].tolist(), ends[i].tolist()))
+        if escaped is None:
+            return cells
+        return (c.replace('""', '"') if x else c for c, x in zip(cells, escaped[i].tolist()))
+
+    return texts
+
+
+def _convert_block(
+    table: str, tokens: _Tokens, cdefs: List[ColumnDef], columns: Dict[str, Column], offset: int, errors: str
+) -> None:
+    """Convert the records of `tokens` into rows `offset`.. of `columns`.
+    The first error in row order raises `DataError` with its row: in a
+    record, bytes that are not UTF-8, malformed quoting, not one field per
+    column, then a bad cell or null in header order. Only the records
+    before the first that cannot be read are converted."""
+    data, buf, size, n, starts, ends, seps, escaped, bad = tokens
+    ncols = len(cdefs)
+    unreadable = [(n, 1, f": {bad}")] if bad else []  # (record, rank, text)
+    if ncols == 1 or len(seps) != n * ncols or (buf[seps[ncols - 1::ncols]] == _COMMA).any():
+        last = np.flatnonzero(buf[seps] != _COMMA)
+        fields = np.diff(last, prepend=-1)
+        # A blank record has no field; a quoted empty cell starts at its closing quote.
+        fields[(fields == 1) & (starts[last] == ends[last]) & (buf[starts[last]] != _QUOTE)] = 0
+        wrong = np.flatnonzero(fields != ncols)
+        if len(wrong):
+            unreadable.append((int(wrong[0]), 2, f": expected {ncols} fields"))
+    if not data.isascii():
         try:
-            values, null = _convert_cells(
-                cdef, buf, s, e, lambda i: (block[a:b].decode() for a, b in zip(s[i].tolist(), e[i].tolist()))
-            )
-        except (_CellError, UnicodeDecodeError):
-            return None
+            data[:size].decode("utf-8", errors)
+        except UnicodeDecodeError as exc:
+            unreadable.append((int(np.searchsorted(seps[buf[seps] != _COMMA], exc.start)), 0, ": text is not UTF-8"))
+    stop = min(unreadable)[0] if unreadable else n
+    starts, ends = starts[:stop * ncols].reshape(stop, ncols), ends[:stop * ncols].reshape(stop, ncols)
+    escaped = None if escaped is None else escaped[:stop * ncols].reshape(stop, ncols)
+    rows = slice(offset, offset + stop)
+    for j, cdef in enumerate(cdefs if stop else ()):
+        s, e = starts[:, j], ends[:, j]
+        texts = _cell_texts(data, s, e, None if escaped is None else escaped[:, j], errors)
+        try:
+            values, null = _convert_cells(cdef, buf, s, e, texts)
+        except _CellError as err:  # in a record before `stop`, so before those above
+            unreadable.append((err.offset, 3 + j, f", column {cdef.name}: {err}"))
+            continue
         column = columns[cdef.name]
         column.values[rows] = values
         column.null[rows] = null
-    return nrecords
-
-
-def _read_csv(tdef: TableDef, rows) -> Tuple[Dict[str, Column], int]:
-    """The csv tokenizer: the columns of CSV text, read by the csv module.
-    A file is UTF-8 text; the first record holding bytes that are not
-    fails as a `DataError` with its row."""
-    if isinstance(rows, Path):
-        # newline="" hands line breaks inside quoted cells to the csv
-        # reader intact; only \r and \n end records, never U+2028 etc.
-        with open(rows, encoding="utf-8", newline="") as fh:
-            try:
-                return _read_csv(tdef, fh)
-            except UnicodeDecodeError:
-                pass
-        # The decoder reads ahead of the records, so read again with the
-        # bad bytes escaped to find the record that holds them.
-        with open(rows, encoding="utf-8", errors="surrogateescape", newline="") as fh:
-            return _read_csv(tdef, map(_utf8_line, fh))
-    if isinstance(rows, str):
-        rows = io.StringIO(rows, newline="")
-    reader = csv.reader(rows)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DataError(f"table {tdef.name}: empty input, header row required")
-    except csv.Error as exc:
-        raise DataError(f"table {tdef.name}: header: {exc}")
-    header = [h.upper() for h in header]
-    if sorted(header) != sorted(tdef.column_names):
-        raise DataError(
-            f"table {tdef.name}: header {header} does not match schema columns "
-            f"{list(tdef.column_names)}"
-        )
-    return _read_columns(tdef, header, reader)
-
-
-def _utf8_line(line: str) -> str:
-    """`line`, or a `csv.Error` when it holds an escaped byte that is not UTF-8."""
-    try:
-        line.encode("utf-8")
-    except UnicodeEncodeError:
-        raise csv.Error("text is not UTF-8") from None
-    return line
-
-
-def _read_columns(tdef: TableDef, header: List[str], reader) -> Tuple[Dict[str, Column], int]:
-    """Convert the CSV records after the header, a chunk of rows and one
-    column slice at a time. The first error in row order (a short or long
-    record, a bad cell, a disallowed null, a record the csv module refuses)
-    raises `DataError` with its 1-based row."""
-    cdefs = [tdef.column(name) for name in header]
-    parts: Dict[str, list] = {name: [] for name in header}
-    nrows = 0
-    while True:
-        chunk: List[list] = []
-        try:
-            chunk.extend(itertools.islice(reader, _CHUNK_ROWS))
-            pending = None
-        except csv.Error as exc:  # reported after the rows read before it
-            pending = exc
-        if not chunk and pending is None:
-            break
-        short = None
-        if set(map(len, chunk)) - {len(header)}:
-            short = next(i for i, record in enumerate(chunk) if len(record) != len(header))
-            del chunk[short:]
-        first: Optional[Tuple[int, str]] = None
-        for cdef, cells in zip(cdefs, zip(*chunk)):
-            try:
-                texts = np.array(cells, dtype=object).__getitem__
-                values, null = _convert_cells(cdef, *_slice_bytes(cells), texts)
-            except _CellError as err:
-                if first is None or err.offset < first[0]:
-                    first = (err.offset, f"column {cdef.name}: {err}")
-                continue
-            parts[cdef.name].append((values, null))
-        if first is not None:
-            raise DataError(f"table {tdef.name}: row {nrows + first[0] + 1}, {first[1]}")
-        if short is not None:
-            raise DataError(f"table {tdef.name}: row {nrows + short + 1}: expected {len(header)} fields")
-        nrows += len(chunk)
-        if pending is not None:
-            raise DataError(f"table {tdef.name}: row {nrows + 1}: {pending}")
-
-    columns: Dict[str, Column] = {}
-    for cdef in tdef.columns:
-        chunks = parts.pop(cdef.name)  # freed column by column
-        if not chunks:
-            empty = np.empty(0, dtype=_NUMPY_DTYPE[cdef.dtype])
-            chunks = [(empty, np.empty(0, dtype=np.bool_))]
-        values = np.concatenate([v for v, _ in chunks])
-        null = np.concatenate([n for _, n in chunks])
-        columns[cdef.name] = Column(cdef.dtype, values, null)
-    return columns, nrows
+    if unreadable:
+        row, _, text = min(unreadable)
+        raise DataError(f"table {table}: row {offset + row + 1}{text}")
 
 
 def _check_primary_key(tdef: TableDef, col: Column) -> None:
@@ -995,7 +993,6 @@ def _resolve_fk(fkcol: Column, parent: Optional[TableData]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # CSV writer
 
-_QUOTE, _CR = b'"\r'
 # A block of rows is laid out in one (rows, width) array, padding included;
 # a chunk whose widest cells would make it larger is written in halves.
 _BLOCK_BYTES = 1 << 24

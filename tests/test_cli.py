@@ -619,6 +619,28 @@ class TestSampleAndGenData:
             assert path.read_bytes() == (b / path.name).read_bytes()
 
 
+    def test_crlf_and_quoted_data_train_alike(self, tmp_path):
+        """A generated database rewritten with CRLF record ends and quoted
+        headers, and with every cell of TRANSACTIONS quoted, trains to the
+        same bytes as the original."""
+        data, crlf = tmp_path / "data", tmp_path / "crlf"
+        assert main(["gen-data", "--out-dir", str(data), "--scale", "0.0005", "--seed", "11"]) == 0
+        crlf.mkdir()
+        (crlf / "schema.json").write_bytes((data / "schema.json").read_bytes())
+        for path in data.glob("*.csv"):
+            header, body = path.read_bytes().split(b"\n", 1)
+            assert b'"' not in body and b"\r" not in body
+            if path.name == "transactions.csv":
+                body = b"".join(b'"' + line.replace(b",", b'","') + b'"\n' for line in body.splitlines())
+            quoted = b",".join(b'"' + name + b'"' for name in header.split(b","))
+            (crlf / path.name).write_bytes((quoted + b"\n" + body).replace(b"\n", b"\r\n"))
+        query = "PREDICT COUNT(TRANSACTIONS.*, 0, 7, days) > 0 FOR EACH CUSTOMERS.CUSTOMER_ID"
+        for source in (data, crlf):
+            assert main(["train-table", "--data-dir", str(source), "--out-dir", str(tmp_path / f"{source.name}-out"),
+                         "--query", query, "--workers", "1"]) == 0
+        for name in ("training.csv", "training.meta.json"):
+            assert (tmp_path / "crlf-out" / name).read_bytes() == (tmp_path / "data-out" / name).read_bytes()
+
     @pytest.mark.parametrize("validity", [[], ["--validity"]], ids=["plain", "validity"])
     def test_generated_data_survives_load_and_save(self, tmp_path, validity):
         data, again = tmp_path / "data", tmp_path / "again"

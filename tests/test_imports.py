@@ -1,7 +1,7 @@
 """Every name imported into a `pql` module is used there, and every private
 module-level name of `pql` is read somewhere in `pql`. A name the module
-re-exports through `__all__` counts as used. No module but `store` writes
-CSV, and it writes without the csv module."""
+re-exports through `__all__` counts as used. No module uses the csv
+module: `store` reads and writes every CSV file without it."""
 
 import ast
 import functools
@@ -82,18 +82,28 @@ def test_an_unread_private_name_is_found():
     assert {"_A", "_g", "x"} <= names_read(source) and not {"_B", "_C", "_f", "_G"} & names_read(source)
 
 
-def second_writers(source: str):
-    """(line, text) for each line that names the csv module's writer or its
-    quote-everything mode: `store.write_csv` writes every CSV file."""
-    return [(i, line.strip()) for i, line in enumerate(source.splitlines(), 1)
-            if "csv.writer" in line or "QUOTE_ALL" in line]
+def csv_module_uses(source: str):
+    """(line, text) for each line that imports the csv module or reads a
+    name from it: `store.write_csv` writes every CSV file and
+    `store.load_table_data` reads every one."""
+    lines = source.splitlines()
+    found = {
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Import) and any(alias.name == "csv" for alias in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "csv"
+        or isinstance(node, ast.Name) and node.id == "csv"
+    }
+    return [(i, lines[i - 1].strip()) for i in sorted(found)]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_second_csv_writer(path):
-    assert second_writers(path.read_text(encoding="utf-8")) == []
+    assert csv_module_uses(path.read_text(encoding="utf-8")) == []
 
 
 def test_a_second_csv_writer_is_found():
-    source = "import csv\nw = csv.writer(fh)\nq = csv.QUOTE_ALL\nr = csv.reader(fh)\n"
-    assert second_writers(source) == [(2, "w = csv.writer(fh)"), (3, "q = csv.QUOTE_ALL")]
+    source = ("import csv as c\nw = csv.writer(fh)\nq = csv.QUOTE_ALL\nr = csv.reader(fh)\n"
+              "from csv import reader\npath = 'training.csv'\n# csv.reader\n")
+    assert csv_module_uses(source) == [(1, "import csv as c"), (2, "w = csv.writer(fh)"), (3, "q = csv.QUOTE_ALL"),
+                                       (4, "r = csv.reader(fh)"), (5, "from csv import reader")]

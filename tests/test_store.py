@@ -6,6 +6,7 @@ import json
 import tempfile
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -359,7 +360,7 @@ class TestCsvRoundTrip:
         save_table_csv(db, "CUSTOMERS", path)
 
         text = path.read_bytes().decode()
-        for source in (path, text, io.StringIO(text, newline="")):
+        for source in (path, text):
             again = new_database(retail_schema)
             load_table_data(again, "CUSTOMERS", source)
             table = again.table("CUSTOMERS")
@@ -377,7 +378,7 @@ class TestCsvRoundTrip:
         path = tmp_path / "articles.csv"
         save_table_csv(db, "ARTICLES", path)
         text = path.read_text(encoding="utf-8")
-        for source in (path, text, io.StringIO(text, newline="")):
+        for source in (path, text):
             again = new_database(retail_schema)
             load_table_data(again, "ARTICLES", source)
             assert again.table("ARTICLES").column("ARTICLE_NAME").to_pylist() == [long_name, "short"]
@@ -391,10 +392,9 @@ class TestCsvRoundTrip:
         ]
         text = "CUSTOMER_ID,LOCATION_ID,SIGNUP_DATE,MEMBERSHIP_TYPE\n"
         text += "".join(f"{i},x,{t},y\n" for i, t in enumerate(stamps))
-        for source in (text, io.StringIO(text, newline="")):
-            db = new_database(retail_schema)
-            load_table_data(db, "CUSTOMERS", source)
-            assert db.table("CUSTOMERS").column("SIGNUP_DATE").to_pylist() == [T(t) for t in stamps]
+        db = new_database(retail_schema)
+        load_table_data(db, "CUSTOMERS", text)
+        assert db.table("CUSTOMERS").column("SIGNUP_DATE").to_pylist() == [T(t) for t in stamps]
         path = tmp_path / "customers.csv"
         save_table_csv(db, "CUSTOMERS", path)
         assert path.read_text() == text
@@ -450,6 +450,15 @@ ADVERSARIAL = load_schema(
         ]
     }
 )
+
+# Text cells for the round trip: any character a file can hold, with the
+# ones CSV quoting and line splitting care about drawn often, and padding.
+CHARACTERS = st.characters(blacklist_categories=("Cs",))
+TEXT_CELLS = st.text(
+    st.sampled_from([",", '"', "\r", "\n", "\u2028", "\u0085", " ", "\u00e9", "\u4e2d"]) | CHARACTERS, max_size=6
+) | st.text(CHARACTERS, max_size=3).map(lambda text: f"  {text} ")
+TEXT_SCHEMA = load_schema({"tables": [_table_doc(
+    "X", [("ID", "int64", "key", True), ("A", "string", "text", True), ("B", "string", "text", True)], "ID")]})
 
 # Cells per column of table A; each is also loaded on its own, between
 # valid neighbours, so a bad cell sends only its own slice down the
@@ -526,7 +535,7 @@ def loaded_outcome(db, table):
 
 
 def load_source(db_factory, table, source, strict=True):
-    """Load `source` (CSV text, a stream or a file path) with `load_table_data`;
+    """Load `source` (CSV text or a file path) with `load_table_data`;
     ("error", message) or ("ok", columns, report)."""
     db = db_factory()
     try:
@@ -546,11 +555,9 @@ def reference_outcome(db_factory, table, raw, strict=True):
 
 
 def load_raw(db_factory, table, raw, strict=True):
-    """Outcomes of the per-cell reference, of the csv tokenizer reading
-    `raw` as a stream, and of the byte tokenizer reading `raw` as text and
-    as a file holding exactly `raw` (each falls back to the csv tokenizer
-    where the byte tokenizer refuses it). Checks that the text and the
-    file load alike and returns (reference, stream, text)."""
+    """Outcomes of the per-cell reference and of `load_table_data` reading
+    `raw` as text and as a file holding exactly `raw`. Checks that the text
+    and the file load alike and returns (reference, text)."""
     reference = reference_outcome(db_factory, table, raw, strict)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "table.csv"
@@ -558,21 +565,19 @@ def load_raw(db_factory, table, raw, strict=True):
         from_file = load_source(db_factory, table, path, strict)
     from_text = load_source(db_factory, table, raw, strict)
     assert from_file == from_text
-    return reference, load_source(db_factory, table, io.StringIO(raw, newline=""), strict), from_text
+    return reference, from_text
 
 
 def load_both(db_factory, table, text, strict=True):
-    """Load `text` with the per-cell reference and with both tokenizers:
-    the csv tokenizer reads the quoted text as a stream, and the byte
-    tokenizer reads it, and the same records written unquoted, as text
-    and as a file, unless it refuses them. Checks that the tokenizers
-    agree and returns (reference, columnar), each either ("error",
-    message) or ("ok", columns, report)."""
+    """Load `text`, quoted, and the same records written with minimal
+    quoting, with the per-cell reference and with `load_table_data`, as
+    text and as a file. Checks that both spellings load alike and returns
+    (reference, columnar), each either ("error", message) or ("ok",
+    columns, report)."""
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(csv.reader(io.StringIO(text, newline="")))
-    reference, columnar, quoted = load_raw(db_factory, table, text, strict)
-    unquoted_stream, unquoted = load_raw(db_factory, table, buf.getvalue(), strict)[1:]
-    assert unquoted_stream == unquoted == quoted == columnar
+    reference, columnar = load_raw(db_factory, table, text, strict)
+    assert load_raw(db_factory, table, buf.getvalue(), strict)[1] == columnar
     return reference, columnar
 
 
@@ -625,11 +630,10 @@ class TestColumnarLoader:
         save_table_csv(db, "A", path)
 
         def refuse(*args):
-            raise AssertionError("a cell was parsed by _parse_cell or the csv module")
+            raise AssertionError("a cell was parsed by _parse_cell")
 
         monkeypatch.setattr(store, "_parse_cell", refuse)
         assert load_both(lambda: new_database(ADVERSARIAL), "A", text)[1] == reference
-        monkeypatch.setattr(store, "_read_csv", refuse)
         assert load_source(lambda: new_database(ADVERSARIAL), "A", path) == reference
 
     def test_header_order_is_free(self, chunk_rows):
@@ -696,16 +700,8 @@ class TestColumnarLoader:
             load_table_data(new_database(ADVERSARIAL), "A", text)
 
     def test_unreadable_record_is_a_data_error(self, chunk_rows):
-        # pql.store lifts the csv module's field limit; a small limit for
-        # this test's duration makes the csv module refuse a record.
-        limit = csv.field_size_limit(1000)
-        try:
-            huge = "x" * 1001
-            text = csv_text(list(VALID), [GOOD] * 4 + [["1", "1", "true", "", huge, "1"]])
-            with pytest.raises(DataError, match=r"^table A: row 5: field larger than field limit"):
-                load_table_data(new_database(ADVERSARIAL), "A", text)
-        finally:
-            csv.field_size_limit(limit)
+        huge = "x" * 1001
+        text = csv_text(list(VALID), [GOOD] * 4 + [["1", "1", "true", "", huge, "1"]])
         bad_first = csv_text(list(VALID), [["x"] + GOOD[1:]] * 4)
         with pytest.raises(DataError, match=r"^table A: row 1, column I: invalid literal"):
             load_table_data(new_database(ADVERSARIAL), "A", bad_first + text.split("\n", 1)[1])
@@ -778,6 +774,32 @@ def row_a(**cells):
     return ",".join(cells.get(name, VALID[name]) for name in VALID) + "\n"
 
 
+# Malformed quoting, each with the error it gives after `table A: `.
+MALFORMED = [
+    # Text after a closing quote, which the csv module reads leniently.
+    (HEADER_A + ROW_A + row_a(S='"a"b') + ROW_A, "row 2: text after a closing quote"),
+    (HEADER_A + row_a(S='"a" ') + ROW_A, "row 1: text after a closing quote"),
+    (HEADER_A + ROW_A + row_a(S='""a'), "row 2: text after a closing quote"),
+    (HEADER_A + ROW_A * 2 + row_a(S='"a\nb"c\nd"'), "row 3: text after a closing quote"),
+    # A quote left open at the end of the input.
+    (HEADER_A + ROW_A + row_a(S='"abc'), "row 2: quote not closed at the end of the input"),
+    (HEADER_A + row_a(S='a"b,"c') + ROW_A, "row 1: quote not closed at the end of the input"),
+    (HEADER_A + ROW_A + row_a(S='"a""') + ROW_A, "row 2: quote not closed at the end of the input"),
+    # The first error in row order wins.
+    (HEADER_A + row_a(I="x") + row_a(S='"a"b'), "row 1, column I: invalid literal for int() "
+     "with base 10: 'x'"),
+    (HEADER_A + row_a(S='"a"b') + row_a(I="x"), "row 1: text after a closing quote"),
+    (HEADER_A + ROW_A + "1,2\n" + row_a(S='"a"b'), "row 2: expected 6 fields"),
+    # The header is read by the same rules.
+    ('"I"x,F,B,T,S,N\n' + ROW_A, "header: text after a closing quote"),
+    ('"I,F,B,T,S,N\n' + ROW_A, "header: quote not closed at the end of the input"),
+    ('"I""",F,B,T,S,N\n', "header ['I\"', 'F', 'B', 'T', 'S', 'N'] does not match schema columns "
+     "['I', 'F', 'B', 'T', 'S', 'N']"),
+    ('"I\r\n",F,B,T,S,N\n', "header ['I\\r\\n', 'F', 'B', 'T', 'S', 'N'] does not match schema "
+     "columns ['I', 'F', 'B', 'T', 'S', 'N']"),
+]
+
+
 class TestByteTokenizer:
     @pytest.mark.parametrize(
         "table,raw",
@@ -839,12 +861,43 @@ class TestByteTokenizer:
             # Nulls where none is allowed, and a repeated key.
             ("A", HEADER_A + ROW_A + row_a(N="")),
             ("P", "ID\n1\n2\n1\n"),
+            # Record ends: a lone carriage return, blank records, CRLF.
+            ("A", (HEADER_A + ROW_A + row_a(S="x") + ROW_A).replace("\n", "\r")),
+            ("P", "ID\r1\r2"),
+            ("P", "ID\r\n1\r\n\r\n2\r\n"),
+            ("P", "ID\r\n1\r\r\n2\r\n"),
+            ("P", "ID\n1\n\r2\n"),
+            ("A", HEADER_A + ROW_A + "\r\n" + ROW_A),
+            # Quoted record ends, commas and carriage returns inside a cell.
+            ("A", HEADER_A + row_a(S='"a\r\nb"')[:-1] + "\r\n" + ROW_A.replace("\n", "\r\n")),
+            ("A", HEADER_A + row_a(S='"a\rb"') + row_a(S='"a,\n,b"') + row_a(S='"\n"')),
+            ("A", (HEADER_A + row_a(S='"x,y"')).replace("\n", "\r") + ROW_A),
+            # A quoted header.
+            ("A", ",".join(f'"{name}"' for name in VALID) + "\r\n" + ROW_A),
+            ("A", ",".join(f'"{name.lower()}"' for name in reversed(VALID)) + "\n" + ROW_A[::-1]),
+            # Doubled quotes, and quotes inside an unquoted cell, which are text.
+            ("A", HEADER_A + row_a(S='"say ""hi"""') + row_a(S='""""') + row_a(S='"a""b""c"')),
+            ("A", HEADER_A + row_a(S='a""b') + row_a(S='5"') + row_a(S='x"y"')),
+            ("SP", 'ID\n"a""b"\na"b\n'),
+            # Quoted numbers, bools, timestamps and nulls read as unquoted ones.
+            ("A", HEADER_A + row_a(I='"7"', F='"1.5"', B='"true"', T='"2020-01-01T00:00:00Z"', N='"1"')),
+            ("A", HEADER_A + row_a(I='"-9223372036854775808"', F='"1e5"', B='"T"', T='"2020-01-01"')),
+            ("A", HEADER_A + row_a(I='""', F='""', B='""', T='""', S='""') + row_a(N='""')),
+            ("A", HEADER_A + ROW_A + row_a(I='"x"')),
+            ("A", HEADER_A + ROW_A + row_a(I='"1""2"')),
+            ("A", HEADER_A + ROW_A + row_a(F='" 2.5"', T='"2022-02-29T00:00:00Z"')),
+            ("P", 'ID\n"1"\n""\n'),
+            ("SP", 'ID\n"a"\n""\n'),
+            # A quoted cell longer than a block of `chunk3` holds, so that
+            # block cuts fall inside it, and errors after it.
+            ("A", HEADER_A + ROW_A * 2 + row_a(S='"' + "x,\r\n\n\r" * 40 + '"') + ROW_A * 2),
+            ("A", HEADER_A + ROW_A * 2 + row_a(S='"' + '""\n,' * 40 + '"') + ROW_A + row_a(I="x")),
+            ("A", (HEADER_A + ROW_A * 2 + row_a(S='"' + "\n" * 60 + '"') + ROW_A * 3).replace("\n", "\r")),
         ],
     )
     def test_refusals_match_the_per_cell_reference(self, table, raw, chunk_rows):
-        reference, from_stream, from_text = load_raw(lambda: new_database(ADVERSARIAL), table, raw)
-        assert from_stream == reference
-        assert from_text == reference
+        reference, loaded = load_raw(lambda: new_database(ADVERSARIAL), table, raw)
+        assert loaded == reference
 
     @pytest.mark.parametrize("cells", [{"S": "a\ud800b"}, {"I": "\udcff"}, {"B": "\ud83d"}], ids=["S", "I", "B"])
     def test_text_holding_a_lone_surrogate(self, cells):
@@ -852,7 +905,32 @@ class TestByteTokenizer:
         raw = HEADER_A + ROW_A + row_a(**cells)
         factory = lambda: new_database(ADVERSARIAL)  # noqa: E731
         reference = reference_outcome(factory, "A", raw)
-        assert load_source(factory, "A", raw) == load_source(factory, "A", io.StringIO(raw, newline="")) == reference
+        assert load_source(factory, "A", raw) == reference
+
+    @pytest.mark.parametrize("raw,message", MALFORMED, ids=[message for _, message in MALFORMED])
+    def test_malformed_quoting_is_a_data_error(self, raw, message, chunk_rows, tmp_path):
+        path = tmp_path / "a.csv"
+        path.write_bytes(raw.encode())
+        for source in (path, raw):
+            with pytest.raises(DataError) as exc:
+                load_table_data(new_database(ADVERSARIAL), "A", source)
+            assert str(exc.value) == f"table A: {message}"
+
+    @pytest.mark.parametrize("cell,reason", [('"a"b', "text after a closing quote"),
+                                             ('"a', "quote not closed at the end of the input")])
+    def test_malformed_quoting_past_the_first_chunk(self, cell, reason):
+        raw = HEADER_A + ROW_A * 20000 + row_a(S=cell)
+        with pytest.raises(DataError, match=rf"^table A: row 20001: {reason}$"):
+            load_table_data(new_database(ADVERSARIAL), "A", raw)
+
+    def test_a_quote_inside_an_unquoted_cell_is_text(self, chunk_rows):
+        cells = ['a"b', '5"', 'x""y', 'a"b"', '"a"']
+        raw = HEADER_A + "".join(row_a(S=c) for c in cells[:-1]) + row_a(S='"""a"""')
+        factory = lambda: new_database(ADVERSARIAL)  # noqa: E731
+        assert load_raw(factory, "A", raw)[1] == reference_outcome(factory, "A", raw)
+        db = new_database(ADVERSARIAL)
+        load_table_data(db, "A", raw)
+        assert db.table("A").column("S").to_pylist() == cells
 
     def test_empty_file_needs_a_header(self, tmp_path):
         path = tmp_path / "p.csv"
@@ -869,30 +947,20 @@ class TestByteTokenizer:
         with pytest.raises(DataError, match=r"^table SP: header: text is not UTF-8$"):
             load_table_data(new_database(ADVERSARIAL), "SP", path)
 
-    def test_unquoted_files_take_the_byte_path(self, monkeypatch, chunk_rows, tmp_path):
+    def test_unquoted_files_take_the_byte_path(self, chunk_rows, tmp_path):
         rows = [row_a(I=str(i), S=f"s{i}é" * (i % 3)) for i in range(50)]
         path = tmp_path / "a.csv"
         path.write_text(HEADER_A + "".join(rows), encoding="utf-8")
         reference = load_raw(lambda: new_database(ADVERSARIAL), "A", path.read_text())[0]
-
-        def refuse(*args):
-            raise AssertionError("read by the csv tokenizer")
-
-        monkeypatch.setattr(store, "_read_csv", refuse)
         assert load_source(lambda: new_database(ADVERSARIAL), "A", path) == reference
 
-    def test_non_canonical_cells_are_read_in_place(self, monkeypatch, chunk_rows, tmp_path):
+    def test_non_canonical_cells_are_read_in_place(self, chunk_rows, tmp_path):
         raw = (HEADER_A + row_a(I=" 7", F="1E5", B="TRUE", T="2024-01-01") + ROW_A
                + row_a(F="nan", T="2024-01-01 09:16:37") + ROW_A)
         reference = load_raw(lambda: new_database(ADVERSARIAL), "A", raw)[0]
         assert reference[0] == "ok"
         path = tmp_path / "a.csv"
         path.write_bytes(raw.encode())
-
-        def refuse(*args):
-            raise AssertionError("read by the csv tokenizer")
-
-        monkeypatch.setattr(store, "_read_csv", refuse)
         for source in (path, raw):
             assert load_source(lambda: new_database(ADVERSARIAL), "A", source) == reference
 
@@ -918,15 +986,55 @@ class TestByteTokenizer:
                     expected.append(_parse_cell(cell, dtype))
                 except (ValueError, OverflowError):
                     expected.append("error")
+            buf = np.frombuffer("".join(c + "\n" for c in cells).encode(), dtype=np.uint8)
+            ends = np.flatnonzero(buf == ord("\n"))
+            starts = np.concatenate(([0], ends[:-1] + 1))
             try:
                 texts = np.array(cells, dtype=object).__getitem__
-                values, null = store._convert_cells(cdef, *store._slice_bytes(cells), texts)
+                values, null = store._convert_cells(cdef, buf, starts, ends, texts)
             except store._CellError as err:
                 assert expected[err.offset] == "error"
                 assert "error" not in expected[: err.offset]
                 continue
             got = [None if n else v for v, n in zip(values.tolist(), null.tolist())]
             assert repr(got) == repr(expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(TEXT_CELLS, TEXT_CELLS), max_size=6), st.sampled_from([1, 2, 3, 16384]))
+    def test_text_cells_round_trip(self, cells, chunk):
+        """Text written by `write_csv` and by the csv module (minimal
+        quoting and quoting all), with LF and CRLF record ends, loads from a
+        file and from text as the csv module reads it. The minimal writer
+        leaves a carriage return unquoted under LF record ends, where the
+        csv module reads it as a record end, and `write_csv`'s file with
+        every line feed made CRLF holds cells that changed: those two only
+        match the reference; the others also give back the cells."""
+        header = ["ID", "A", "B"]
+        rows = [[str(i), a, b] for i, (a, b) in enumerate(cells, start=1)]
+        written = {}
+        for ends in ("\n", "\r\n"):
+            for quoting in (csv.QUOTE_MINIMAL, csv.QUOTE_ALL):
+                buf = io.StringIO(newline="")
+                csv.writer(buf, lineterminator=ends, quoting=quoting).writerows([header] + rows)
+                written[ends, quoting] = buf.getvalue().encode()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "x.csv"
+            ids = list(range(1, len(rows) + 1))
+            texts = [(store.DataType.STRING, [row[j] for row in rows], None) for j in (1, 2)]
+            store.write_csv(path, header, [(store.DataType.INT64, ids, None), *texts])
+            written["write_csv"] = path.read_bytes()
+            written["write_csv", "\r\n"] = written["write_csv"].replace(b"\n", b"\r\n")
+            expected = {"ID": ids, "A": [a or None for a, _ in cells],
+                        "B": [b or None for _, b in cells]}
+            factory = lambda: new_database(TEXT_SCHEMA)  # noqa: E731
+            with mock.patch.object(store, "_CHUNK_ROWS", chunk):
+                for kind, raw in written.items():
+                    path.write_bytes(raw)
+                    text = raw.decode()
+                    reference = reference_outcome(factory, "X", text)
+                    assert load_source(factory, "X", path) == load_source(factory, "X", text) == reference, kind
+                    if kind not in {("\n", csv.QUOTE_MINIMAL), ("write_csv", "\r\n")}:
+                        assert reference == ("ok", repr(expected), (0, [])), kind
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10_000))
