@@ -785,6 +785,8 @@ def _read_file(tdef: TableDef, fh: BinaryIO, errors: str) -> Tuple[Dict[str, Col
         nrows += tokens.records
         row_bytes = -(-tokens.size // tokens.records) if tokens.records else row_bytes
         tail = data[tokens.size:]
+        if final:  # the last record was whole, or its error was raised
+            break
     if nrows < total:
         for column in columns.values():
             column.values, column.null = column.values[:nrows].copy(), column.null[:nrows].copy()
@@ -797,7 +799,7 @@ def _header(tdef: TableDef, fh: BinaryIO, errors: str) -> Tuple[List[ColumnDef],
     head = line = fh.readline(1 << 16)
     if not head:
         raise DataError(f"table {tdef.name}: empty input, header row required")
-    while not ((tokens := _tokenize(head, not line)).records or tokens.bad):
+    while not ((tokens := _tokenize(head, not line)).records or tokens.bad or not line):
         line = fh.readline(1 << 16)
         head += line
     if not tokens.records:
