@@ -14,15 +14,15 @@ row graph and each table's primary-key index are built lazily and cached.
 Every file pql reads or writes is UTF-8 text, whatever the locale. CSV
 load works column at a time, from a file (`Path`) or text (`str`), with
 one tokenizer and one converter. `_tokenize` cuts blocks of about
-`_CHUNK_ROWS` records with numpy, as the csv module reads them (commas;
-line feeds, CRLFs and lone carriage returns; quotes), and a quoted field is
-read between its quotes. `_convert_cells` converts each column's cells:
-the dtype's converter reads them from their bytes (int64, float64, bool,
-canonical timestamps via `times.canonical_micros`), `_parse_cell`, which
-defines the accepted values and the error text, reads the text of each
-cell the converter refuses, and a string column's values are its cells'
-text. The first error in row order raises `DataError` with its 1-based
-record number.
+`_CHUNK_ROWS` records with numpy as `csv.reader` reads them: a record ends
+at a line feed, CRLF or lone carriage return, a quoted field is read
+between its quotes, a quote in an unquoted field is text, and text after a
+closing quote or a quote open at the end is an error. `_convert_cells`
+converts each column: the dtype's converter reads cells from their bytes
+(int64, float64, bool, canonical timestamps via `times.canonical_micros`),
+`_parse_cell`, which defines the accepted values and the error text, reads
+each cell the converter refuses, and a string column's values are its
+cells' text. The first error in row order is a `DataError` with its record.
 
 `write_csv` writes every CSV file pql writes, tables and results alike,
 from whole columns, as bytes that numpy assembles a chunk of
