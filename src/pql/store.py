@@ -577,10 +577,9 @@ def _convert_cells(
     cdef: ColumnDef, buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, texts: Callable[..., Iterable[str]]
 ) -> Tuple[np.ndarray, np.ndarray]:
     """(values, null mask) of one column's cells buf[starts[i]:ends[i]], as
-    `_parse_cell` reads each one; raises `_CellError` at
-    the first bad cell or disallowed null. `texts(index)` gives the text of
-    the cells at an index array or slice: a string column's values, and
-    each cell the dtype's converter refuses, for `_parse_cell` to read."""
+    `_parse_cell` reads each one; raises `_CellError` at the first bad cell
+    or disallowed null. `texts(i)`, the text of the cells at an index array
+    or slice, gives a string column's values and each refused cell."""
     null = starts == ends
     bad = None
     if cdef.dtype is DataType.STRING:
@@ -750,12 +749,11 @@ def load_table_data(db: Database, table: str, rows: Union[str, Path], *, strict:
 
 
 def _read_file(tdef: TableDef, fh: BinaryIO, errors: str) -> Tuple[Dict[str, Column], int]:
-    """The columns of the CSV bytes `fh` reads, and their number of rows;
-    text is decoded from UTF-8 with the `errors` handler. After the header,
-    a first pass counts the record ends, so each column is allocated once
-    (and cut to size if quotes held some); the second reads blocks of about
-    `_CHUNK_ROWS` records and converts them into place, so only one block's
-    temporaries are alive at a time."""
+    """The columns of the CSV bytes `fh` reads, and their number of rows,
+    text decoded from UTF-8 with the `errors` handler. A first pass counts
+    the record ends, so each column is allocated once (and cut to size if
+    quotes held some); then blocks of about `_CHUNK_ROWS` records convert
+    into place, so only one block's temporaries are alive at a time."""
     cdefs, at = _header(tdef, fh, errors)
     fh.seek(at)
     # At least the records: line feeds, lone carriage returns, a last one without an end.
@@ -795,24 +793,25 @@ def _read_file(tdef: TableDef, fh: BinaryIO, errors: str) -> Tuple[Dict[str, Col
 
 def _header(tdef: TableDef, fh: BinaryIO, errors: str) -> Tuple[List[ColumnDef], int]:
     """The columns that the first record of `fh` names, in its order, and
-    the bytes that record takes. Lines are read until it is whole."""
-    head = line = fh.readline(1 << 16)
+    the bytes that record takes. Reads a line, then doubles what it holds
+    until the record is whole, so that an open quote costs linear time."""
+    head = more = fh.readline(1 << 16)
     if not head:
         raise DataError(f"table {tdef.name}: empty input, header row required")
-    while not ((tokens := _tokenize(head, not line)).records or tokens.bad or not line):
-        line = fh.readline(1 << 16)
-        head += line
+    while not ((tokens := _tokenize(head, not more)).records or tokens.bad or not more):
+        more = fh.read(len(head))
+        head += more
     if not tokens.records:
         raise DataError(f"table {tdef.name}: header: {tokens.bad}")
-    k = int(np.argmax(tokens.buf[tokens.seps] != _COMMA)) + 1  # the first record's fields
+    last, fields = _record_fields(tokens)
     try:
         header = [name.upper() for name in _cell_texts(tokens.data, tokens.starts, tokens.ends, tokens.escaped,
-                                                       errors)(slice(0, k))]
+                                                       errors)(slice(0, fields[0]))]
     except UnicodeDecodeError:
         raise DataError(f"table {tdef.name}: header: text is not UTF-8") from None
     if sorted(header) != sorted(names := list(tdef.column_names)):
         raise DataError(f"table {tdef.name}: header {header} does not match schema columns {names}")
-    return [tdef.column(name) for name in header], int(tokens.seps[k - 1]) + 1
+    return [tdef.column(name) for name in header], int(tokens.seps[last[0]]) + 1
 
 
 class _Tokens(NamedTuple):
@@ -838,9 +837,8 @@ def _field_starts(seps: np.ndarray) -> np.ndarray:
 
 def _tokenize(data: bytes, final: bool) -> _Tokens:
     """The fields of the whole records at the front of `data`, as the csv
-    module reads them; `final` when no bytes follow, so that the last
-    record needs no record end. Data with no quote and no carriage return
-    takes one comparison pass.
+    module reads them; `final` when no bytes follow, so the last record
+    needs no end. Data holding no quote, or no carriage return, skips its steps.
 
     Cut at each comma, line feed and lone carriage return, the bytes fall
     into pieces. A piece that starts with a quote, or inside quotes, flips
@@ -854,20 +852,17 @@ def _tokenize(data: bytes, final: bool) -> _Tokens:
     if final and not data.endswith((b"\n", b"\r")):
         data += b"\n"
     buf = np.frombuffer(data, dtype=np.uint8)
-    offsets = np.int32 if len(data) < 2**31 else np.int64
-    if b'"' not in data and b"\r" not in data:
-        size = data.rfind(b"\n") + 1
-        seps = np.flatnonzero((buf[:size] == _COMMA) | (buf[:size] == _NL)).astype(offsets)
-        return _Tokens(data, buf, size, data.count(b"\n", 0, size), _field_starts(seps), seps, seps)
+    has_cr = b"\r" in data
     # A carriage return that ends data before its end may start a CRLF.
     block = buf[:len(data) - (not final and data.endswith(b"\r"))]
     cuts = (block == _COMMA) | (block == _NL)
-    crs = np.flatnonzero(block == _CR)
-    cuts[crs[buf[np.minimum(crs + 1, len(buf) - 1)] != _NL]] = True
-    cuts = np.flatnonzero(cuts).astype(offsets)
-    inside, bad, quotes = np.zeros(len(cuts), dtype=np.bool_), None, None
+    if has_cr:
+        crs = np.flatnonzero(block == _CR)
+        cuts[crs[buf[np.minimum(crs + 1, len(buf) - 1)] != _NL]] = True
+    seps = cuts = np.flatnonzero(cuts).astype(np.int32 if len(data) < 2**31 else np.int64)
+    bad, quotes = None, None
     if b'"' in data and len(cuts):
-        quotes = np.flatnonzero(block == _QUOTE).astype(offsets)
+        quotes = np.flatnonzero(block == _QUOTE).astype(cuts.dtype)
         before = np.searchsorted(quotes, cuts)
         counts = np.diff(before, prepend=0)  # quotes in the piece each cut ends
         odd = counts % 2 == 1
@@ -885,12 +880,12 @@ def _tokenize(data: bytes, final: bool) -> _Tokens:
             bad = (int(closing[np.argmin(fine)]), "text after a closing quote")
         elif final and len(live) % 2:
             bad = (int(live[-1]), "quote not closed at the end of the input")
-    seps = cuts[~inside]
+        seps = cuts[~inside]
     last = np.flatnonzero(buf[seps] != _COMMA)
     records = int(np.searchsorted(seps[last], bad[0])) if bad else len(last)
     seps = seps[:last[records - 1] + 1] if records else seps[:0]
     starts = _field_starts(seps)
-    ends = seps - ((buf[seps] == _NL) & (buf[np.maximum(seps - 1, 0)] == _CR))
+    ends = seps - ((buf[seps] == _NL) & (buf[np.maximum(seps - 1, 0)] == _CR)) if has_cr else seps
     escaped = None
     if quotes is not None:
         quoted = buf[starts] == _QUOTE
@@ -899,6 +894,15 @@ def _tokenize(data: bytes, final: bool) -> _Tokens:
     size = int(seps[-1]) + 1 if records else 0
     return _Tokens(data, buf, size, records, starts, ends, seps,
                    escaped if escaped is not None and escaped.any() else None, bad and bad[1])
+
+
+def _record_fields(t: _Tokens) -> Tuple[np.ndarray, np.ndarray]:
+    """The index of each record's last field, and its number of fields. A
+    blank record has none; a quoted empty cell starts at its closing quote."""
+    last = np.flatnonzero(t.buf[t.seps] != _COMMA)
+    fields = np.diff(last, prepend=-1)
+    fields[(fields == 1) & (t.starts[last] == t.ends[last]) & (t.buf[t.starts[last]] != _QUOTE)] = 0
+    return last, fields
 
 
 def _cell_texts(
@@ -921,25 +925,21 @@ def _convert_block(
 ) -> None:
     """Convert the records of `tokens` into rows `offset`.. of `columns`.
     The first error in row order raises `DataError` with its row: in a
-    record, bytes that are not UTF-8, malformed quoting, not one field per
+    record, malformed quoting, bytes that are not UTF-8, not one field per
     column, then a bad cell or null in header order. Only the records
     before the first that cannot be read are converted."""
     data, buf, size, n, starts, ends, seps, escaped, bad = tokens
     ncols = len(cdefs)
-    unreadable = [(n, 1, f": {bad}")] if bad else []  # (record, rank, text)
+    unreadable = [(n, 0, f": {bad}")] if bad else []  # (record, rank, text)
     if ncols == 1 or len(seps) != n * ncols or (buf[seps[ncols - 1::ncols]] == _COMMA).any():
-        last = np.flatnonzero(buf[seps] != _COMMA)
-        fields = np.diff(last, prepend=-1)
-        # A blank record has no field; a quoted empty cell starts at its closing quote.
-        fields[(fields == 1) & (starts[last] == ends[last]) & (buf[starts[last]] != _QUOTE)] = 0
-        wrong = np.flatnonzero(fields != ncols)
+        wrong = np.flatnonzero(_record_fields(tokens)[1] != ncols)
         if len(wrong):
             unreadable.append((int(wrong[0]), 2, f": expected {ncols} fields"))
     if not data.isascii():
         try:
             data[:size].decode("utf-8", errors)
         except UnicodeDecodeError as exc:
-            unreadable.append((int(np.searchsorted(seps[buf[seps] != _COMMA], exc.start)), 0, ": text is not UTF-8"))
+            unreadable.append((int(np.searchsorted(seps[buf[seps] != _COMMA], exc.start)), 1, ": text is not UTF-8"))
     stop = min(unreadable)[0] if unreadable else n
     starts, ends = starts[:stop * ncols].reshape(stop, ncols), ends[:stop * ncols].reshape(stop, ncols)
     escaped = None if escaped is None else escaped[:stop * ncols].reshape(stop, ncols)

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -931,6 +932,50 @@ class TestByteTokenizer:
         db = new_database(ADVERSARIAL)
         load_table_data(db, "A", raw)
         assert db.table("A").column("S").to_pylist() == cells
+
+    @pytest.mark.parametrize("source", ["file", "text"])
+    def test_a_header_quote_left_open_costs_linear_time(self, source, tmp_path):
+        # Every record after the open quote is inside it; the header is
+        # read in reads that double, so the tokenizer runs a few times.
+        raw = '"I,F,B,T,S,N\n' + ROW_A * 20000
+        path = tmp_path / "a.csv"
+        path.write_bytes(raw.encode())
+        with mock.patch.object(store, "_tokenize", wraps=store._tokenize) as tokenize:
+            with pytest.raises(DataError, match=r"^table A: header: quote not closed at the end of the input$"):
+                load_table_data(new_database(ADVERSARIAL), "A", path if source == "file" else raw)
+        assert tokenize.call_count <= 2 + math.log2(len(raw))
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    def test_a_blank_header_names_no_column(self, end, tmp_path):
+        # As csv.reader reads a blank line: [], a record of no fields.
+        assert next(csv.reader(io.StringIO(end + ROW_A, newline=""))) == []
+        for raw, header in ((end + ROW_A, "[]"), ('""' + end + ROW_A, "['']")):
+            path = tmp_path / "a.csv"
+            path.write_bytes(raw.encode())
+            for source in (path, raw):
+                with pytest.raises(DataError) as exc:
+                    load_table_data(new_database(ADVERSARIAL), "A", source)
+                assert str(exc.value) == (f"table A: header {header} does not match schema columns "
+                                          "['I', 'F', 'B', 'T', 'S', 'N']")
+
+    def test_malformed_quoting_is_reported_before_bytes_that_are_not_utf8(self, chunk_rows, tmp_path):
+        path = tmp_path / "a.csv"
+        bad = (HEADER_A + ROW_A + row_a(S="\0")).encode()
+        for raw, message in (
+            (bad.replace(b"\0", b'"a"b\xff'), "row 2: text after a closing quote"),
+            (bad.replace(b"Z,\0", b'Z\xff,"a"b'), "row 2: text after a closing quote"),
+            # Quotes in an unquoted cell are text.
+            (bad.replace(b"\0", b'\xff"a"b'), "row 2: text is not UTF-8"),
+            (bad.replace(b"\0", b'"\xff'), "row 2: quote not closed at the end of the input"),
+            # The first error in row order still wins.
+            (bad.replace(b"\0", b"\xff") + row_a(S='"a"b').encode(), "row 2: text is not UTF-8"),
+            (bad.replace(b"\0", b'"a"b') + row_a(S="\0").encode().replace(b"\0", b"\xff"),
+             "row 2: text after a closing quote"),
+        ):
+            path.write_bytes(raw)
+            with pytest.raises(DataError) as exc:
+                load_table_data(new_database(ADVERSARIAL), "A", path)
+            assert str(exc.value) == f"table A: {message}"
 
     def test_empty_file_needs_a_header(self, tmp_path):
         path = tmp_path / "p.csv"
