@@ -134,7 +134,6 @@ def run_bench(
     pairs: int = 100,
     anchors: int = 10,
     seed: int = 0,
-    workers: int = 1,
     g: Optional[RowGraph] = None,
 ) -> BenchReport:
     g = g or build_row_graph(db)
@@ -148,12 +147,12 @@ def run_bench(
     def optimized():
         bound = _cold_bind(query_text, db.schema)
         plan = plan_training(bound, policy)
-        return materialize_training(plan, db, g, split=split, workers=workers)
+        return materialize_training(plan, db, g, split=split)
 
     def unoptimized():
         bound = _cold_bind(query_text, db.schema)
         plan = plan_training(bound, policy, optimized=False)
-        return materialize_training(plan, db, g, split=split, workers=workers)
+        return materialize_training(plan, db, g, split=split)
 
     batch_fns = {}
     if "optimized" in paths:

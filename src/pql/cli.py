@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 from typing import Callable, Dict, List, Optional
@@ -88,10 +87,10 @@ def _option(name: str, parse: Callable, text: Optional[str], default=None):
         raise PqlError(f"--{name}: {exc}") from None
 
 
-def _at_least(args, name: str, low: int = 1) -> int:
+def _at_least(args, name: str) -> int:
     value = getattr(args, name)
-    if value < low:
-        raise PqlError(f"--{name} must be at least {low}, got {value}")
+    if value < 1:
+        raise PqlError(f"--{name} must be at least 1, got {value}")
     return value
 
 
@@ -172,9 +171,7 @@ def cmd_train_table(args) -> int:
     db = _load_db(args)
     bound = _bound(args, db.schema)
     plan = plan_training(bound, _policy(args), optimized=args.strategy != "naive")
-    workers = _at_least(args, "workers", 0) or os.cpu_count() or 1
-    table = materialize_training(plan, db, split=_split(args), workers=workers,
-                                 keep_empty_labels=args.keep_empty_labels)
+    table = materialize_training(plan, db, split=_split(args), keep_empty_labels=args.keep_empty_labels)
     paths = write_training_table(table, Path(args.out_dir))
     dropped = table.metadata["dropped"]
     print(
@@ -267,9 +264,8 @@ def cmd_bench(args) -> int:
     else:
         db = generate(hm_genspec(scale=_scale(args), seed=args.seed))
     paths = [p.strip() for p in args.paths.split(",") if p.strip()]
-    # Timing comparisons run single-threaded unless asked otherwise.
     report = run_bench(db, _query_text(args), paths=paths, runs=runs, pairs=pairs, anchors=args.anchors,
-                       seed=args.seed, workers=_at_least(args, "workers", 0) or 1)
+                       seed=args.seed)
     print(format_report(report))
     if args.out:
         out = Path(args.out)
@@ -319,8 +315,10 @@ def _add_common(p: argparse.ArgumentParser, *, query: bool = True, data: bool = 
         p.add_argument("--data-dir", dest="data_dir", help="directory of <table>.csv files")
         p.add_argument("--lenient-fk", dest="lenient_fk", action="store_true",
                        help="keep rows with dangling foreign keys")
-        p.add_argument("--workers", type=int, default=0,
-                       help="anchor threads; 0 means one per core (bench: one) (default %(default)s)")
+        # Accepted and unused on all four data commands (train-table,
+        # predict-table, sample and bench), which run on one thread, so
+        # callers can pass it to any of them.
+        p.add_argument("--workers", type=int, default=0, help="ignored: every command runs on one thread")
 
 
 def _add_anchor_flags(p: argparse.ArgumentParser, *, grid: bool = True):
@@ -370,8 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", choices=["optimized", "naive"], default="optimized")
     p.set_defaults(fn=cmd_train_table)
 
-    # --workers on predict-table and sample (both run on one thread) is
-    # accepted and unused, so callers can pass it to every data command.
     p = sub.add_parser("predict-table", help="materialize the prediction table")
     _add_common(p, data=True, out_dir=True)
     p.add_argument("--at", help="prediction anchor (ISO-8601, default: latest event)")

@@ -8,10 +8,10 @@ as entity rows with one anchor for the block or one per row, plus their
 target values once TargetCompute has run (the Volcano operator-tree
 design, a column at a time). The batch engine's leading scan and static
 filters run once over the entity table; the expansion node fans that block
-out into one block per anchor, and every later node runs per block, on
-worker threads when asked. Explicit pairs run as one block whatever their
-anchors. Each row a node drops is counted by cause, once, under the first
-node that drops it. Optimized plans use the restricted kernels on the
+out into one block per anchor, and every later node runs per block, the
+blocks in order on one thread. Explicit pairs run as one block whatever
+their anchors. Each row a node drops is counted by cause, once, under the
+first node that drops it. Optimized plans use the restricted kernels on the
 selected rows; the cross-product baseline gathers with full-table scans
 and computes targets for every pair before any filter. All paths produce
 identical tables, held as column arrays: Project sorts each block's keys,
@@ -29,7 +29,6 @@ target is null.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -175,7 +174,6 @@ def _execute(
     run: _Run,
     anchors: Sequence[int] = (),
     blocks: Optional[List[_Block]] = None,
-    workers: int = 1,
 ) -> Tuple[List[_Block], list, Dict[str, int], int]:
     """Walk the plan's nodes over the entity table, or over pre-anchored
     `blocks` of pairs. Returns the finished blocks, newest anchor first,
@@ -200,13 +198,9 @@ def _execute(
             blocks = [_Block(None, head.sel)]
     pairs = sum(len(b.sel) for b in blocks)
     steps = [(_HANDLERS[node.kind], node) for node in nodes]
-
-    def walk(block: _Block) -> _Block:
+    for block in blocks:
         for handler, node in steps:
             handler(run, block, node)
-        return block
-
-    blocks = _map_anchors(walk, blocks, workers)
 
     def concat(parts: List[np.ndarray], dtype) -> np.ndarray:  # a lone block's column is not copied
         return parts[0] if len(parts) == 1 else np.concatenate([np.empty(0, dtype), *parts])
@@ -221,13 +215,6 @@ def _execute(
         columns += [column("values", run.value_dtype), column("splits", np.int8)]
     drops = {cause: sum(b.drops[cause] for b in blocks) for cause in _CAUSES}
     return blocks, columns, drops, pairs
-
-
-def _map_anchors(fn, blocks: List[_Block], workers: int) -> List[_Block]:
-    if workers <= 1 or len(blocks) <= 1:
-        return [fn(b) for b in blocks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, blocks))
 
 
 # -- node handlers: each runs one node over one block -----------------------
@@ -388,7 +375,8 @@ def materialize_training(
     workers: int = 1,
     keep_empty_labels: Optional[bool] = None,
 ) -> TrainingTable:
-    """Execute a training plan, producing the canonical sorted table."""
+    """Execute a training plan, producing the canonical sorted table.
+    `workers` is accepted and ignored: every plan runs on one thread."""
     if plan.mode != "training":
         raise ExecutionError("materialize_training needs a training-mode plan")
     bound = plan.bound
@@ -402,7 +390,7 @@ def materialize_training(
         split,
         _split_codes(anchors),
     )
-    _, columns, drops, pairs_expanded = _execute(run, anchors, workers=workers)
+    _, columns, drops, pairs_expanded = _execute(run, anchors)
     metadata = {
         "mode": "training",
         "strategy": "staged" if plan.optimized else "cross_product",

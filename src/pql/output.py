@@ -7,7 +7,7 @@ rows quoted, exactly as `save_table_csv` writes table cells. This module
 only hands it a table's whole columns with their dtypes: the entity
 key's, timestamps for anchors, the target's (a list target becomes one
 JSON cell) and the split codes, written as their `SPLITS` labels by
-lookup. Identical tables produce identical bytes at any worker count.
+lookup. Identical tables produce identical bytes.
 """
 
 from __future__ import annotations

@@ -229,8 +229,6 @@ BAD_OPTIONS = {
     "split_count": ("train-table", ["--split", "0.5,0.5"], "--split"),
     "split_nan": ("train-table", ["--split", "nan,0,0"], "split ratios must sum to 1, got nan"),
     "split_inf": ("train-table", ["--split", "inf,0,0"], "split ratios must sum to 1, got inf"),
-    "workers_negative": ("train-table", ["--workers", "-3"], "--workers"),
-    "bench_workers_negative": ("bench", ["--workers", "-1", "--paths", "sampler"], "--workers"),
     "stride": ("train-table", ["--stride", "5x"], "--stride"),
     "latest": ("train-table", ["--latest", "notadate"], "--latest"),
     "predict_at": ("predict-table", ["--at", "yesterday"], "--at"),
@@ -312,8 +310,8 @@ def test_config_key_parses_as_its_long_option(command, key, tmp_path):
 
 
 # Flags a command does not read: argparse refuses them rather than letting
-# them be ignored. `--workers` on predict-table and sample stays accepted:
-# callers pass it to every data command alike.
+# them be ignored. `--workers` stays accepted and unread on every data
+# command: callers pass it to each alike.
 DROPPED_FLAGS = [
     ("gen-data", ["--schema", "s.json"]),
     ("gen-data", ["--query", "q"]),
@@ -698,23 +696,3 @@ class TestBenchCommand:
         )
         assert code == 0
         assert "skipped" in capsys.readouterr().out
-
-
-class TestWorkerDeterminism:
-    def test_byte_identical_across_worker_counts(self, tmp_path):
-        data = tmp_path / "d"
-        assert main(["gen-data", "--out-dir", str(data), "--scale", "0.0005", "--seed", "11"]) == 0
-        outs = []
-        for workers in ("1", "8"):
-            out = tmp_path / f"w{workers}"
-            code = main(
-                ["train-table", "--data-dir", str(data), "--out-dir", str(out),
-                 "--workers", workers, "--seed", "1",
-                 "--query",
-                 "PREDICT SUM(TRANSACTIONS.VALUE, 0, 14, days) FOR EACH CUSTOMERS.CUSTOMER_ID "
-                 "WHERE COUNT(TRANSACTIONS.*, -30, 0, days) > 0"]
-            )
-            assert code == 0
-            outs.append(out)
-        for name in ("training.csv", "training.meta.json"):
-            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()

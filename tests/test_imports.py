@@ -1,15 +1,22 @@
 """Every name imported into a `pql` module is used there, and every private
 module-level name of `pql` is read somewhere in `pql`. A name the module
-re-exports through `__all__` counts as used. No module uses the csv
-module: `store` reads and writes every CSV file without it."""
+re-exports through `__all__` counts as used, and every such name resolves.
+No module uses the csv module: `store` reads and writes every CSV file
+without it. The command line starts no thread pool."""
 
 import ast
 import functools
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-MODULES = sorted((Path(__file__).resolve().parent.parent / "src" / "pql").glob("*.py"))
+import pql
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+MODULES = sorted((SRC / "pql").glob("*.py"))
 
 
 def unused_imports(source: str):
@@ -38,6 +45,19 @@ def test_every_import_is_used(path):
 def test_an_unused_import_is_found():
     source = "from typing import List, Optional\nimport numpy as np\n__all__ = ['Optional']\n"
     assert unused_imports(source) == [(1, "List"), (2, "np")]
+
+
+def test_every_exported_name_resolves():
+    assert [name for name in pql.__all__ if not hasattr(pql, name)] == []
+
+
+def test_the_cli_imports_no_thread_pool():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, pql.cli; print('concurrent.futures' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
 
 
 def private_definitions(source: str):
