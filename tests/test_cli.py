@@ -341,6 +341,15 @@ def test_unread_flag_is_refused(command, flag, capsys):
     assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train-table", "predict-table", "sample", "bench"])
+def test_workers_is_accepted_and_must_be_an_integer(command, capsys):
+    assert build_parser().parse_args([command, "--workers", "-3"]).workers == -3
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args([command, "--workers", "two"])
+    assert exc.value.code == 2
+    assert "argument --workers: invalid int value: 'two'" in capsys.readouterr().err
+
+
 # A JSON file of each kind pql reads, and the error a malformed one gets:
 # (the command line before the file, exit code, text on stderr).
 QUERY = ["--query", "PREDICT CUSTOMERS.AGE FOR EACH CUSTOMERS.CUSTOMER_ID"]

@@ -329,6 +329,14 @@ class TestMaterializeTraining:
         with pytest.raises(ExecutionError, match="anchor"):
             materialize_training(plan_training(b, policy), toy_db)
 
+    def test_workers_do_not_change_output(self, toy_db):
+        # The keyword is accepted and ignored; callers still pass it.
+        b = bind_text(CORPUS_BY_NAME["active_spender"].text)
+        policy = AnchorPolicy(count=4, stride=10 * MICROS_PER_DAY, latest=ANCHOR)
+        one = materialize_training(plan_training(b, policy), toy_db, workers=1)
+        eight = materialize_training(plan_training(b, policy), toy_db, workers=8)
+        assert one.rows == eight.rows
+
 
 class TestOracleEdges:
     def test_empty_database(self, retail_schema):
