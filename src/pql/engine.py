@@ -30,7 +30,7 @@ target is null.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -51,6 +51,7 @@ from .times import format_timestamp
 class _Table:
     columns: Tuple[str, ...]
     key_dtype: DataType
+    target_dtype: Union[DataType, ListType]
     keys: np.ndarray
     anchors: Optional[np.ndarray]  # int64 micros per row; None for a static table
 
@@ -406,7 +407,7 @@ def materialize_training(
         "dropped": drops,
         "split_policy": {"train": split.train, "val": split.val, "test": split.test, "seed": split.seed},
     }
-    return TrainingTable(plan.output_columns, run.key_column.dtype, *columns, metadata)
+    return TrainingTable(plan.output_columns, run.key_column.dtype, bound.task.target_dtype, *columns, metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +437,8 @@ def materialize_prediction(
         "row_count": len(columns[0]),
         "candidate_count": None if block.candidates is None else len(block.candidates),
     }
-    return PredictionTable(plan.output_columns, run.key_column.dtype, *columns, block.candidates, metadata)
+    return PredictionTable(plan.output_columns, run.key_column.dtype, bound.task.target_dtype, *columns,
+                           block.candidates, metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -553,4 +555,4 @@ def _evaluate_distinct(
         "row_count": len(columns[0]),
         "dropped": drops,
     }
-    return TrainingTable(plan.output_columns, run.key_column.dtype, *columns, metadata)
+    return TrainingTable(plan.output_columns, run.key_column.dtype, bound.task.target_dtype, *columns, metadata)

@@ -5,11 +5,11 @@ The anchor is one int for the whole batch or an int64 array with one
 anchor per row, so pairs at several anchors run in one pass. Two gather
 modes drive the two execution strategies:
 
-* restricted — a binary-searched window: each selected parent's window is
-  cut out of the CSR adjacency by two `searchsorted` calls on the edge's
-  sorted (parent, time-rank) keys, at that parent's anchor, and only the
-  window's slots are taken, so work scales with parents x log(children)
-  plus the rows kept;
+* restricted — a binary-searched window: `window_slots` cuts each selected
+  parent's window out of the CSR adjacency by two `searchsorted` calls on
+  the edge's sorted (parent, time-rank) keys, at that parent's anchor, and
+  only the window's slots are taken, so work scales with parents x
+  log(children) plus the rows kept;
 * full scan — one boolean mask over a whole child table per anchor, the
   shape of the baseline cross-product strategy; it takes one anchor.
 
@@ -144,6 +144,23 @@ class Gather:
         return Gather(self.idx, self.pos[mask], self.seg[mask], self.n_seg)
 
 
+def window_slots(
+    idx: EdgeIndex, parents: np.ndarray, lo: Anchor, hi: Anchor
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Each parent's slot range [starts, ends) over its children dated in
+    [lo, hi). A None bound leaves that side open, and an open upper bound
+    also takes the undated children, which sort last. Each bound is a
+    scalar or an array with one value per parent.
+
+    A time bound becomes a rank in the child table's `time_values` (time
+    >= lo iff rank >= lo's rank, and the same for < hi), and the slot is
+    found by searching `parent * K + rank` in the edge's sorted keys."""
+    base = parents * idx.radix
+    starts = idx.indptr[parents] if lo is None else idx.keys.searchsorted(base + idx.time_values.searchsorted(lo))
+    ends = idx.indptr[parents + 1] if hi is None else idx.keys.searchsorted(base + idx.time_values.searchsorted(hi))
+    return starts, ends
+
+
 def gather_children(
     ctx: VecCtx,
     agg: BoundAggregation,
@@ -155,29 +172,26 @@ def gather_children(
     each parent's own anchor when `anchor` is an array aligned with
     `parents`; unwindowed gathers take every child, undated included.
 
-    The restricted gather is a binary-searched window: the window's time
-    bounds become ranks in the child table's `time_values`, and each
-    parent's slot range is found by searching `parent * K + rank` in the
-    edge's sorted keys. The full scan masks every slot's rank instead."""
+    The restricted gather takes each parent's `window_slots`. The full scan
+    masks every slot's time rank instead."""
     idx = ctx.g.edge_index(agg.group_edge)
-    windowed = agg.window is not None
-    if windowed:
+    lo = hi = None
+    if agg.window is not None:
         if anchor is None:
             raise ExecutionError("windowed gather requires an anchor")
         start = agg.window.start_micros
-        # Time bounds as ranks: time >= lo iff rank >= lo_rank, time < hi
-        # iff rank < hi_rank, and hi_rank never exceeds the undated rank.
-        lo_rank = None if start is None else idx.time_values.searchsorted(anchor + start)
-        hi_rank = idx.time_values.searchsorted(anchor + agg.window.end_micros)
+        lo = None if start is None else anchor + start
+        hi = anchor + agg.window.end_micros
 
     if ctx.fullscan:
         if isinstance(anchor, np.ndarray):
             raise ExecutionError("a full-scan gather takes one anchor")
-        if windowed:
+        if hi is not None:
+            # time < hi iff rank < hi's rank, which never exceeds the undated rank.
             ranks = _edge_slot_arrays(idx)
-            mask = ranks < hi_rank
-            if lo_rank is not None:
-                mask &= ranks >= lo_rank
+            mask = ranks < idx.time_values.searchsorted(hi)
+            if lo is not None:
+                mask &= ranks >= idx.time_values.searchsorted(lo)
             pos = np.nonzero(mask)[0]
         else:
             pos = np.arange(len(idx.order), dtype=np.int64)
@@ -189,17 +203,10 @@ def gather_children(
         inside = seg_local >= 0
         return Gather(idx, pos[inside], seg_local[inside], len(parents))
 
-    # Restricted: binary-search each selected parent's window bounds in the
-    # sorted keys and take only the window's slots. Work scales with the
-    # selected parents and the rows kept, never with the table. Per-row
-    # anchors give per-row ranks, and the searches run elementwise.
-    if windowed:
-        base = parents * idx.radix
-        starts = idx.indptr[parents] if lo_rank is None else idx.keys.searchsorted(base + lo_rank)
-        ends = idx.keys.searchsorted(base + hi_rank)
-    else:
-        starts = idx.indptr[parents]
-        ends = idx.indptr[parents + 1]
+    # Restricted: take only each selected parent's window of slots. Work
+    # scales with the selected parents and the rows kept, never with the
+    # table. Per-row anchors give per-row bounds, searched elementwise.
+    starts, ends = window_slots(idx, parents, lo, hi)
     lengths = ends - starts
     pos = _multiarange(starts, lengths)
     seg = np.repeat(np.arange(len(parents), dtype=np.int64), lengths)

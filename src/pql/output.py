@@ -14,16 +14,11 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import List, Tuple, Union
+from typing import List, Tuple
 
 from .engine import PredictionTable, TrainingTable
 from .splits import SPLITS
-from .store import DataType, LabelType, ListType, write_csv
-
-
-def _target_dtype(table) -> Union[DataType, ListType]:
-    text = table.metadata["task"]["target_dtype"]
-    return ListType(DataType(text[5:-1])) if text.startswith("list<") else DataType(text)
+from .store import DataType, LabelType, write_csv
 
 
 def _write(table, out_dir: Path, basename: str, *more: Tuple) -> List[Path]:
@@ -39,7 +34,7 @@ def _write(table, out_dir: Path, basename: str, *more: Tuple) -> List[Path]:
 
 
 def write_training_table(table: TrainingTable, out_dir: Path, basename: str = "training") -> List[Path]:
-    return _write(table, out_dir, basename, (_target_dtype(table), table.values, None),
+    return _write(table, out_dir, basename, (table.target_dtype, table.values, None),
                   (LabelType(tuple(SPLITS)), table.splits, None))
 
 
@@ -50,5 +45,5 @@ def write_prediction_table(
     if table.candidates is not None:
         # Candidates are keys of the table the list target's elements reference.
         paths.append(Path(out_dir) / "candidates.csv")
-        write_csv(paths[-1], ["CANDIDATE"], [(_target_dtype(table).element, table.candidates, None)])
+        write_csv(paths[-1], ["CANDIDATE"], [(table.target_dtype.element, table.candidates, None)])
     return paths

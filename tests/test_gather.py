@@ -8,7 +8,7 @@ import pytest
 from pql.ast import AggKind, TimeUnit, Window
 from pql.binder import BoundAggregation
 from pql.errors import ExecutionError
-from pql.kernels import Gather, VecCtx, gather_children
+from pql.kernels import Gather, VecCtx, gather_children, window_slots
 from pql.store import (
     DataType,
     FkEdge,
@@ -260,6 +260,35 @@ class TestRandomDatabases:
                 for s in range(len(parents)):
                     order = [rank[row] for row in got.child_rows[got.seg == s].tolist()]
                     assert order == sorted(order)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_window_slots_hold_the_children_dated_in_the_window(self, seed):
+        db = random_database(seed, random_schema(seed % 10), scale=1.0 + seed % 3)
+        g = build_row_graph(db)
+        rng = np.random.default_rng(seed)
+        for edge, idx in g.edges.items():
+            n_parent = len(idx.indptr) - 1
+            child = db.table(edge.child_table)
+            tname = child.definition.time_column
+            if not n_parent or tname is None or not len(idx.time_values):
+                continue
+            undated, at = child.column(tname).null, child.column(tname).values
+            times = idx.time_values
+            parents = np.unique(rng.integers(0, n_parent, max(1, n_parent // 2)))
+            picks = [None, int(times[0]), int(times[-1]) + 1, *(int(t) for t in rng.choice(times, 3))]
+            # A bound is open, one time for every parent, or a time per parent.
+            bounds = [*picks, times[rng.integers(0, len(times), len(parents))] + rng.integers(-1, 2, len(parents))]
+            order = lexsort_order(db, idx).tolist()
+            for lo in bounds:
+                for hi in bounds:
+                    starts, ends = window_slots(idx, parents, lo, hi)
+                    for i, p in enumerate(parents.tolist()):
+                        lo_p = lo[i] if isinstance(lo, np.ndarray) else lo
+                        hi_p = hi[i] if isinstance(hi, np.ndarray) else hi
+                        want = [c for c in order if idx.forward[c] == p and (
+                            hi_p is None if undated[c]
+                            else (lo_p is None or at[c] >= lo_p) and (hi_p is None or at[c] < hi_p))]
+                        assert idx.order[starts[i]:ends[i]].tolist() == want, (edge, p, lo_p, hi_p)
 
     def test_a_full_scan_takes_one_anchor(self, hand_graph):
         agg = count_over(C_EDGE, Window(0, 3, TimeUnit.DAYS))

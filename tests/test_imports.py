@@ -2,7 +2,8 @@
 module-level name of `pql` is read somewhere in `pql`. A name the module
 re-exports through `__all__` counts as used, and every such name resolves.
 No module uses the csv module: `store` reads and writes every CSV file
-without it. The command line starts no thread pool."""
+without it. Only `store` and `kernels` read the row graph's key layout. The
+command line starts no thread pool."""
 
 import ast
 import functools
@@ -127,3 +128,28 @@ def test_a_second_csv_writer_is_found():
               "from csv import reader\npath = 'training.csv'\n# csv.reader\n")
     assert csv_module_uses(source) == [(1, "import csv as c"), (2, "w = csv.writer(fh)"), (3, "q = csv.QUOTE_ALL"),
                                        (4, "r = csv.reader(fh)"), (5, "from csv import reader")]
+
+
+# The row graph's key layout: `EdgeIndex.keys` are `parent * radix + rank`,
+# CSR-sliced by `indptr`, with ranks into `time_values`.
+KEY_LAYOUT = {"radix", "indptr", "time_values"}
+
+
+def key_layout_uses(source: str):
+    """(line, attribute) for each use of an attribute in `KEY_LAYOUT`:
+    only `store`, which builds the row graph, and `kernels`, which searches
+    it, know how its keys are laid out."""
+    return sorted({(node.lineno, node.attr) for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.Attribute) and node.attr in KEY_LAYOUT})
+
+
+@pytest.mark.parametrize("path", [m for m in MODULES if m.name not in ("store.py", "kernels.py")],
+                         ids=lambda p: p.name)
+def test_key_layout_stays_in_store_and_kernels(path):
+    assert key_layout_uses(path.read_text(encoding="utf-8")) == []
+
+
+def test_a_key_layout_use_is_found():
+    source = ("base = rows * idx.radix\nend = g.edge_index(e).indptr[1:]\nhi = idx.time_values.searchsorted(t)\n"
+              "radix = 3\nk = idx.keys\ntime_values = []\n# idx.indptr\ns = 'idx.radix'\n")
+    assert key_layout_uses(source) == [(1, "radix"), (2, "indptr"), (3, "time_values")]

@@ -10,18 +10,22 @@ from hypothesis import strategies as st
 
 from corpus import CORPUS_BY_NAME, schema
 
-from pql.binder import bind
+from pql.binder import bind, iter_bound_aggregations
+from pql.bench import run_bench
 from pql.engine import evaluate_pairs, materialize_training
-from pql.errors import ExecutionError
+from pql.errors import ExecutionError, PlanError
 from pql.oracle import oracle_touches, oracle_training
 from pql.parser import parse
 from pql.planner import AnchorPolicy, plan_training, resolve_anchors
 from pql.sampler import build_request, collect, compute_on_subgraph, sample_pairs
-from pql.store import FkEdge, RowRef, build_row_graph, load_schema, load_table_data, new_database
-from pql.synth import GenSpec, generate, random_database, random_query, random_schema
+from pql.store import RowRef, build_row_graph, load_schema, load_table_data, new_database
+from pql.synth import GenSpec, generate, hm_genspec, random_database, random_query, random_schema
 from pql.times import MICROS_PER_DAY, parse_timestamp
 
 ANCHOR = parse_timestamp("2024-01-01")
+# Seeds whose `random_query` over `random_schema` of the same seed is temporal.
+TEMPORAL_SEEDS = [seed for seed in range(60) if not bind(random_query(seed * 7 + 1, random_schema(seed)),
+                                                         random_schema(seed)).is_static]
 
 
 def bind_text(text, key="retail"):
@@ -179,34 +183,56 @@ class TestSamplePairs:
         with pytest.raises(ExecutionError, match="^no feasible anchors"):
             sample_pairs(toy_db, toy_graph, b, 3)
 
-    @pytest.mark.parametrize("seed", range(6))
-    def test_matches_a_scan_of_child_times(self, seed):
-        # Transactions and notifications both lead into customers; the
-        # generator leaves some event times null.
-        db = generate(GenSpec(seed=seed, customers=300, articles=20, transactions=3000,
-                              notifications=600))
+    @pytest.mark.parametrize("case", [*range(6), *(f"random-{seed}" for seed in TEMPORAL_SEEDS)])
+    def test_matches_a_scan_of_child_times(self, case):
+        if isinstance(case, int):
+            # Transactions and notifications both lead into customers; the
+            # generator leaves some event times null.
+            db = generate(GenSpec(seed=case, customers=300, articles=20, transactions=3000,
+                                  notifications=600))
+            b = bind(parse(CORPUS_BY_NAME["active_spender_notified"].text), db.schema)
+        else:
+            seed = int(case.split("-")[1])
+            sch = random_schema(seed)
+            db = random_database(seed, sch, scale=1.0 + seed % 3)
+            b = bind(random_query(seed * 7 + 1, sch), sch)
         g = build_row_graph(db)
-        b = bind(parse(CORPUS_BY_NAME["active_spender_notified"].text), db.schema)
-        pk = db.table("CUSTOMERS").column("CUSTOMER_ID")
-        rnd = random.Random(seed)
-        times = db.table("TRANSACTIONS").column("TIMESTAMP")
-        dated = times.values[~times.null].tolist()
-        for anchor in [min(dated), max(dated) + 1, *rnd.sample(dated, 6)]:
-            # The newest dated child strictly before the anchor, per customer.
+        pk = db.table(b.entity_table).column(db.table(b.entity_table).definition.primary_key)
+        # Every edge the query's aggregations group into the entity table, with its child times.
+        edges = {a.group_edge for part in b.parts for a in iter_bound_aggregations(part)
+                 if a.group_edge.parent_table == b.entity_table}
+        times = {e: db.table(e.child_table).column(db.table(e.child_table).definition.time_column) for e in edges}
+        dated = sorted(t for col in times.values() for t, null in zip(col.values.tolist(), col.null) if not null)
+        assert dated
+        rnd = random.Random(str(case))
+        for anchor in [min(dated), max(dated) + 1, *rnd.sample(dated, min(6, len(dated)))]:
+            # The newest dated child strictly before the anchor, per entity.
             latest = {}
-            for table, tcol in (("TRANSACTIONS", "TIMESTAMP"), ("NOTIFICATIONS", "TIME_SENT")):
-                data = db.table(table)
-                forward = g.edge_index(FkEdge(table, "CUSTOMER_ID", "CUSTOMERS")).forward
-                col = data.column(tcol)
-                for row in range(data.nrows):
+            for edge, col in times.items():
+                forward = g.edge_index(edge).forward
+                for row in range(db.nrows(edge.child_table)):
                     t = col.get(row)
                     if forward[row] >= 0 and t is not None and t < anchor:
                         latest[int(forward[row])] = max(latest.get(int(forward[row]), t), t)
             want = sorted(latest, key=lambda i: (-latest[i], pk.get(i)))
-            for n in (len(want) + 5, len(want), 50, 7, 1):
+            for n in (len(want) + 5, len(want), 50, 7, 1, 0):
                 got = sample_pairs(db, g, b, n, anchor=anchor)
                 assert [ref.index for ref, _ in got] == want[:n]
                 assert {a for _, a in got} <= {anchor}
+
+    def test_a_negative_count_is_refused(self):
+        db = generate(hm_genspec(scale=0.0005, seed=1))
+        g = build_row_graph(db)
+        temporal = CORPUS_BY_NAME["next_month_spend"].text
+        static = "PREDICT TRANSACTIONS.VALUE FOR EACH TRANSACTIONS.TRANSACTION_ID"
+        for text in (temporal, static):
+            b = bind(parse(text), db.schema)
+            assert sample_pairs(db, g, b, 0) == []
+            for n in (-1, -5):
+                with pytest.raises(PlanError, match=f"^pair count must not be negative, got {n}$"):
+                    sample_pairs(db, g, b, n)
+        with pytest.raises(PlanError, match="^pair count must not be negative, got -3$"):
+            run_bench(db, temporal, paths=["sampler"], runs=1, pairs=-3, g=g)
 
     @pytest.mark.parametrize(
         "keys",
