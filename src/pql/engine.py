@@ -11,9 +11,10 @@ filters run once over the entity table; the expansion node fans that block
 out into one block per anchor, and every later node runs per block, the
 blocks in order on one thread. Explicit pairs run as one block whatever
 their anchors. Each row a node drops is counted by cause, once, under the
-first node that drops it. Optimized plans use the restricted kernels on the
-selected rows; the cross-product baseline gathers with full-table scans
-and computes targets for every pair before any filter. All paths produce
+first node that drops it. The plans differ only in their nodes: the
+cross-product baseline computes targets for every pair before any filter,
+and each gather picks a full scan or a window search from its block, by
+the one rule `kernels.gather_children` states. All paths produce
 identical tables, held as column arrays: Project sorts each block's keys,
 anchors, values and split codes, and the blocks concatenate. `rows` is a
 view.
@@ -36,10 +37,11 @@ import numpy as np
 
 from .binder import BoundQuery, TaskType
 from .errors import ExecutionError, PlanError
-from .kernels import Anchor, SumOverflow, VecCtx, distinct, distinct_pairs, eval_condition_vec, eval_target_vec
+from .kernels import Anchor, SumOverflow, distinct, distinct_pairs, eval_condition_vec, eval_target_vec, newest_first
 from .planner import LogicalPlan, PlanNode, feasible_anchors, latest_event_time, plan_training
 from .splits import SPLITS, SplitPolicy, split_code_for_anchor_rank, split_counts, split_for_keys
-from .store import _NUMPY_DTYPE, Column, Database, DataType, ListType, RowGraph, RowRef, build_row_graph
+from .store import (_NUMPY_DTYPE, Column, Database, DataType, ListType, RowGraph, RowRef, build_row_graph,
+                    check_row_graph)
 from .times import format_timestamp
 
 
@@ -151,7 +153,7 @@ class _Run:
     """What the node handlers of one execution share."""
 
     plan: LogicalPlan
-    ctx: VecCtx
+    g: RowGraph
     drop_empty: bool
     split: Optional[SplitPolicy] = None
     split_codes: Dict[int, int] = field(default_factory=dict)  # by anchor
@@ -163,7 +165,7 @@ class _Run:
     def __post_init__(self):
         self.bound = self.plan.bound
         self.list_target = _is_list_target(self.bound)
-        self.key_column = self.ctx.db.table(self.bound.entity_table).column(self.bound.entity_column)
+        self.key_column = self.g.db.table(self.bound.entity_table).column(self.bound.entity_column)
         self.value_dtype = _NUMPY_DTYPE.get(self.bound.task.target_dtype, object)  # object for lists
 
 
@@ -223,14 +225,14 @@ def _execute(
 
 def _scan(run: _Run, block: _Block, node: PlanNode):
     if block.sel is None:  # pre-anchored blocks hold their rows already
-        block.sel = np.arange(run.ctx.db.nrows(run.bound.entity_table), dtype=np.int64)
+        block.sel = np.arange(run.g.db.nrows(run.bound.entity_table), dtype=np.int64)
 
 
 def _filter(cause: str, at_anchor: bool) -> Callable:
     def handler(run: _Run, block: _Block, node: PlanNode):
         if len(block.sel):
             at = block.anchor if at_anchor else None
-            mask = eval_condition_vec(run.ctx, node.payload, run.bound.entity_table, block.sel, at)
+            mask = eval_condition_vec(run.g, node.payload, run.bound.entity_table, block.sel, at)
             block.keep(mask, cause)
 
     return handler
@@ -251,7 +253,7 @@ def _validity_mask(db: Database, bound: BoundQuery, sel: np.ndarray, anchor: Anc
 
 def _validity(run: _Run, block: _Block, node: PlanNode):
     if block.anchor is not None and run.bound.entity_validity is not None and len(block.sel):
-        block.keep(_validity_mask(run.ctx.db, run.bound, block.sel, block.anchor), "validity_pruned")
+        block.keep(_validity_mask(run.g.db, run.bound, block.sel, block.anchor), "validity_pruned")
 
 
 def _cross_join(run: _Run, block: _Block, node: PlanNode):
@@ -271,7 +273,7 @@ def _target(run: _Run, block: _Block, node: PlanNode):
             if live is not None:
                 rows = sel[live]
                 at = at[live] if isinstance(at, np.ndarray) else at
-            values, defined = eval_target_vec(run.ctx, node.payload, run.bound.entity_table, rows, at)
+            values, defined = eval_target_vec(run.g, node.payload, run.bound.entity_table, rows, at)
             break
         except SumOverflow as exc:
             if over is None:
@@ -308,10 +310,10 @@ def _select_missing_target(run: _Run, block: _Block, node: PlanNode):
 
 def _candidate_set(run: _Run, block: _Block, node: PlanNode):
     link_table = run.bound.task.link_target_table
-    ltable = run.ctx.db.table(link_table)
+    ltable = run.g.db.table(link_table)
     sel = np.arange(ltable.nrows, dtype=np.int64)
     if node.payload is not None and len(sel):
-        sel = sel[eval_condition_vec(run.ctx, node.payload, link_table, sel, None)]
+        sel = sel[eval_condition_vec(run.g, node.payload, link_table, sel, None)]
     pk = ltable.column(ltable.definition.primary_key)
     block.candidates = sorted(pk.values[sel].tolist())
 
@@ -326,11 +328,12 @@ def _project(run: _Run, block: _Block, node: PlanNode):
         _refuse_overflow(block)
         block.keep(block.labelled, "empty_label" if run.list_target else "undefined_target")
     keys = run.key_column.values[block.sel]
-    order = np.argsort(keys, kind="stable")
     per_row = isinstance(block.anchor, np.ndarray)
-    if per_row:  # `~anchor` orders as `-anchor` without overflow
-        order = order[np.argsort(~block.anchor[order], kind="stable")]
+    if per_row:
+        order = newest_first(block.anchor, keys)
         block.anchor = block.anchor[order]
+    else:
+        order = np.argsort(keys, kind="stable")
     block.keys = keys[order]
     if not training:
         return
@@ -382,15 +385,10 @@ def materialize_training(
         raise ExecutionError("materialize_training needs a training-mode plan")
     bound = plan.bound
     g = g or build_row_graph(db)
+    check_row_graph(db, g)
     split = split or SplitPolicy()
     anchors = feasible_anchors(bound, plan.policy, db)
-    run = _Run(
-        plan,
-        VecCtx(db, g, fullscan=not plan.optimized),
-        _drop_empty_labels(bound.task, keep_empty_labels),
-        split,
-        _split_codes(anchors),
-    )
+    run = _Run(plan, g, _drop_empty_labels(bound.task, keep_empty_labels), split, _split_codes(anchors))
     _, columns, drops, pairs_expanded = _execute(run, anchors)
     metadata = {
         "mode": "training",
@@ -425,7 +423,9 @@ def materialize_prediction(
     anchors: List[int] = []
     if not bound.is_static:
         anchors = [latest_event_time(db) if plan.prediction_at is None else plan.prediction_at]
-    run = _Run(plan, VecCtx(db, g or build_row_graph(db)), _drop_empty_labels(bound.task, None))
+    g = g or build_row_graph(db)
+    check_row_graph(db, g)
+    run = _Run(plan, g, _drop_empty_labels(bound.task, None))
     (block,), columns, _, _ = _execute(run, anchors)
     metadata = {
         "mode": "prediction",
@@ -512,10 +512,11 @@ def evaluate_pairs(
     Produces exactly the rows the batch engine would emit for those pairs:
     filters, validity pruning, drops and splits all apply. The distinct
     pairs run as one pre-anchored block, each row at its own anchor,
-    through the optimized training plan, on the restricted kernels over the
-    shared store. Used by the low-latency sampler and by the verification
-    suites.
+    through the optimized training plan, on the kernels over the shared
+    store; with an anchor per row every gather searches windows. Used by
+    the low-latency sampler and by the verification suites.
     """
+    check_row_graph(db, g)
     _, rows, at = check_pairs(pairs, db, bound.entity_table, bound.is_static)
     return _evaluate_distinct(db, g, bound, rows, at, anchors_for_split, split, keep_empty_labels)
 
@@ -539,13 +540,7 @@ def _evaluate_distinct(
         raise PlanError(f"pair anchor {format_timestamp(max(off_grid))} is not in anchors_for_split")
 
     plan = plan_training(bound)
-    run = _Run(
-        plan,
-        VecCtx(db, g),
-        _drop_empty_labels(bound.task, keep_empty_labels),
-        split or SplitPolicy(),
-        codes,
-    )
+    run = _Run(plan, g, _drop_empty_labels(bound.task, keep_empty_labels), split or SplitPolicy(), codes)
     _, columns, drops, _ = _execute(run, blocks=[_Block(at, rows)] if len(rows) else [])
     metadata = {
         "mode": "training",

@@ -1,17 +1,22 @@
 """Vectorized evaluation kernels over the columnar store and row graph.
 
-Everything here computes per-row numpy arrays for a batch of base rows.
-The anchor is one int for the whole batch or an int64 array with one
-anchor per row, so pairs at several anchors run in one pass. Two gather
-modes drive the two execution strategies:
+Everything here computes per-row numpy arrays for a batch of base rows,
+reading the row graph `g` and its database `g.db`. The anchor is one int
+for the whole batch or an int64 array with one anchor per row, so pairs at
+several anchors run in one pass. Each gather picks its access path from
+its block, whatever plan it runs in:
 
-* restricted — a binary-searched window: `window_slots` cuts each selected
-  parent's window out of the CSR adjacency by two `searchsorted` calls on
-  the edge's sorted (parent, time-rank) keys, at that parent's anchor, and
-  only the window's slots are taken, so work scales with parents x
-  log(children) plus the rows kept;
-* full scan — one boolean mask over a whole child table per anchor, the
-  shape of the baseline cross-product strategy; it takes one anchor.
+* full scan — when the block holds every row of the parent table at one
+  anchor and the window has a lower bound, one mask over the edge's
+  per-slot time ranks (built on first use and kept) takes the window's
+  slots. On such blocks it is about twice as fast as the window search
+  (the unfiltered 7-day COUNT over 10 anchors at `hm_genspec` scale
+  0.005: 2.9 against 6.0 ms on a 2-core VM);
+* window search — otherwise: `window_slots` cuts each selected parent's
+  window out of the CSR adjacency by two `searchsorted` calls on the
+  edge's sorted (parent, time-rank) keys, at that parent's anchor, so work
+  scales with parents x log(children) plus the rows kept. A window open
+  below starts at each parent's first slot, where the search beats a scan.
 
 These kernels are the one production definition of PQL semantics: the
 batch engine, the pairwise evaluator and the sampler all run on them, and
@@ -52,23 +57,13 @@ from .binder import (
     walk,
 )
 from .errors import ExecutionError
-from .store import Database, DataType, EdgeIndex, RowGraph
+from .store import DataType, EdgeIndex, RowGraph
 
 _INT_MIN = np.iinfo(np.int64).min
 _INT_MAX = np.iinfo(np.int64).max
 
 # No anchor, one anchor for the batch, or an int64 anchor per row.
 Anchor = Union[None, int, np.ndarray]
-
-
-@dataclass
-class VecCtx:
-    db: Database
-    g: RowGraph
-    # When set, child gathers always scan the whole child table (the shape
-    # of the unoptimized cross-product strategy) instead of slicing the CSR
-    # adjacency per selected parent.
-    fullscan: bool = False
 
 
 class SumOverflow(ExecutionError):
@@ -111,6 +106,15 @@ def distinct(values: np.ndarray) -> np.ndarray:
     if len(values) < 2:
         return values
     return values[np.concatenate(([True], values[1:] != values[:-1]))]
+
+
+def newest_first(times: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """The order that puts the newest of int64 `times` first, then the
+    smallest key (any dtype numpy sorts, strings too), then input order: a
+    stable sort by key, then a stable sort by `~times`, which orders as
+    `-times` without overflow."""
+    order = np.argsort(keys, kind="stable")
+    return order[np.argsort(~times[order], kind="stable")]
 
 
 def _multiarange(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -162,7 +166,7 @@ def window_slots(
 
 
 def gather_children(
-    ctx: VecCtx,
+    g: RowGraph,
     agg: BoundAggregation,
     parents: np.ndarray,
     anchor: Anchor,
@@ -172,9 +176,11 @@ def gather_children(
     each parent's own anchor when `anchor` is an array aligned with
     `parents`; unwindowed gathers take every child, undated included.
 
-    The restricted gather takes each parent's `window_slots`. The full scan
-    masks every slot's time rank instead."""
-    idx = ctx.g.edge_index(agg.group_edge)
+    The block picks the access path, as the module docstring states: a
+    window with a lower bound at one anchor over every row of the parent
+    table (a scalar-anchor block holds each row once) masks every slot's
+    time rank; any other gather takes each parent's `window_slots`."""
+    idx = g.edge_index(agg.group_edge)
     lo = hi = None
     if agg.window is not None:
         if anchor is None:
@@ -183,29 +189,15 @@ def gather_children(
         lo = None if start is None else anchor + start
         hi = anchor + agg.window.end_micros
 
-    if ctx.fullscan:
-        if isinstance(anchor, np.ndarray):
-            raise ExecutionError("a full-scan gather takes one anchor")
-        if hi is not None:
-            # time < hi iff rank < hi's rank, which never exceeds the undated rank.
-            ranks = _edge_slot_arrays(idx)
-            mask = ranks < idx.time_values.searchsorted(hi)
-            if lo is not None:
-                mask &= ranks >= idx.time_values.searchsorted(lo)
-            pos = np.nonzero(mask)[0]
-        else:
-            pos = np.arange(len(idx.order), dtype=np.int64)
-        seg = idx.keys[pos] // idx.radix
-        # Remap global parent rows onto the requested selection.
-        local = np.full(len(idx.indptr) - 1, -1, dtype=np.int64)
+    if lo is not None and not isinstance(anchor, np.ndarray) and len(parents) == len(idx.indptr) - 1:
+        # Every parent at one anchor: one pass over the slots' time ranks.
+        # time < hi iff rank < hi's rank, which never exceeds the undated rank.
+        ranks = _edge_slot_arrays(idx)
+        pos = np.flatnonzero((ranks >= idx.time_values.searchsorted(lo)) & (ranks < idx.time_values.searchsorted(hi)))
+        local = np.empty(len(parents), dtype=np.int64)
         local[parents] = np.arange(len(parents), dtype=np.int64)
-        seg_local = local[seg]
-        inside = seg_local >= 0
-        return Gather(idx, pos[inside], seg_local[inside], len(parents))
+        return Gather(idx, pos, local[idx.keys[pos] // idx.radix], len(parents))
 
-    # Restricted: take only each selected parent's window of slots. Work
-    # scales with the selected parents and the rows kept, never with the
-    # table. Per-row anchors give per-row bounds, searched elementwise.
     starts, ends = window_slots(idx, parents, lo, hi)
     lengths = ends - starts
     pos = _multiarange(starts, lengths)
@@ -217,17 +209,17 @@ def gather_children(
 # Column fetch
 
 
-def fetch_rows(ctx: VecCtx, bc: BoundColumn, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def fetch_rows(g: RowGraph, bc: BoundColumn, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Values and null mask of a bound column for a batch of base rows,
     walking child-to-parent hops; an unresolvable hop yields null."""
     cur = rows
     null: Optional[np.ndarray] = None
     for edge in bc.hops:
-        nxt = ctx.g.edge_index(edge).forward[cur]
+        nxt = g.edge_index(edge).forward[cur]
         bad = nxt < 0
         null = bad if null is None else (null | bad)
         cur = np.where(bad, 0, nxt)
-    col = ctx.db.table(bc.table).column(bc.column)
+    col = g.db.table(bc.table).column(bc.column)
     if len(cur) and len(col.values):
         vals = col.values[cur]
         null = col.null[cur] if null is None else (null | col.null[cur])
@@ -249,13 +241,13 @@ def _string_loop(vals, null, fn) -> np.ndarray:
 
 
 def eval_compare_vec(
-    ctx: VecCtx, cmp: BoundCompare, table: str, rows: np.ndarray, anchor: Anchor
+    g: RowGraph, cmp: BoundCompare, table: str, rows: np.ndarray, anchor: Anchor
 ) -> np.ndarray:
     if isinstance(cmp.lhs, BoundAggregation):
-        vals, defined = eval_agg_vec(ctx, cmp.lhs, table, rows, anchor)
+        vals, defined = eval_agg_vec(g, cmp.lhs, table, rows, anchor)
         null = ~defined
     else:
-        vals, null = fetch_rows(ctx, cmp.lhs, rows)
+        vals, null = fetch_rows(g, cmp.lhs, rows)
 
     op, rhs = cmp.op, cmp.rhs
     if op is RelOp.IS:
@@ -305,19 +297,19 @@ def eval_compare_vec(
 
 
 def eval_condition_vec(
-    ctx: VecCtx, cond: BoundCondition, table: str, rows: np.ndarray, anchor: Anchor
+    g: RowGraph, cond: BoundCondition, table: str, rows: np.ndarray, anchor: Anchor
 ) -> np.ndarray:
     if isinstance(cond, BoundCompare):
-        return eval_compare_vec(ctx, cond, table, rows, anchor)
+        return eval_compare_vec(g, cond, table, rows, anchor)
     if isinstance(cond, BoundNot):
-        return ~eval_condition_vec(ctx, cond.operand, table, rows, anchor)
+        return ~eval_condition_vec(g, cond.operand, table, rows, anchor)
     if isinstance(cond, BoundAnd):
-        return eval_condition_vec(ctx, cond.left, table, rows, anchor) & eval_condition_vec(
-            ctx, cond.right, table, rows, anchor
+        return eval_condition_vec(g, cond.left, table, rows, anchor) & eval_condition_vec(
+            g, cond.right, table, rows, anchor
         )
     if isinstance(cond, BoundOr):
-        return eval_condition_vec(ctx, cond.left, table, rows, anchor) | eval_condition_vec(
-            ctx, cond.right, table, rows, anchor
+        return eval_condition_vec(g, cond.left, table, rows, anchor) | eval_condition_vec(
+            g, cond.right, table, rows, anchor
         )
     raise AssertionError(type(cond))
 
@@ -327,28 +319,28 @@ def eval_condition_vec(
 
 
 def eval_agg_vec(
-    ctx: VecCtx,
+    g: RowGraph,
     agg: BoundAggregation,
     table: str,
     rows: np.ndarray,
     anchor: Anchor,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Aggregate values per base row. Returns (values, defined)."""
-    gathered = gather_children(ctx, agg, rows, anchor)
+    gathered = gather_children(g, agg, rows, anchor)
     if agg.where is not None:
         try:
             # A child's filter runs at its parent's anchor.
             at = anchor[gathered.seg] if isinstance(anchor, np.ndarray) else anchor
-            keep = eval_condition_vec(ctx, agg.where, agg.table, gathered.child_rows, at)
+            keep = eval_condition_vec(g, agg.where, agg.table, gathered.child_rows, at)
         except SumOverflow as exc:
             # A nested SUM overflowed for some children: report their parents.
             parents = np.bincount(gathered.seg[exc.segments], minlength=gathered.n_seg) > 0
             raise SumOverflow(parents) from None
         gathered = gathered.keep(keep)
-    return _fold(ctx, agg, gathered)
+    return _fold(g, agg, gathered)
 
 
-def _fold(ctx: VecCtx, agg: BoundAggregation, gth: Gather) -> Tuple[np.ndarray, np.ndarray]:
+def _fold(g: RowGraph, agg: BoundAggregation, gth: Gather) -> Tuple[np.ndarray, np.ndarray]:
     n = gth.n_seg
     kind = agg.kind
     seg = gth.seg
@@ -357,7 +349,7 @@ def _fold(ctx: VecCtx, agg: BoundAggregation, gth: Gather) -> Tuple[np.ndarray, 
         counts = np.bincount(seg, minlength=n).astype(np.int64)
         return counts, np.ones(n, dtype=np.bool_)
 
-    col = ctx.db.table(agg.table).column(agg.column)
+    col = g.db.table(agg.table).column(agg.column)
     child_rows = gth.child_rows
     vals = col.values[child_rows]
     null = col.null[child_rows]
@@ -481,7 +473,7 @@ def _distinct_lists(seg: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
 
 
 def eval_target_vec(
-    ctx: VecCtx, target: BoundTarget, table: str, rows: np.ndarray, anchor: Anchor
+    g: RowGraph, target: BoundTarget, table: str, rows: np.ndarray, anchor: Anchor
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Target values and definedness for a batch of entity rows.
 
@@ -493,14 +485,14 @@ def eval_target_vec(
     filter never escape the aggregation.
     """
     if isinstance(target, BoundColumn):
-        vals, null = fetch_rows(ctx, target, rows)
+        vals, null = fetch_rows(g, target, rows)
         return vals, ~null
     if isinstance(target, BoundAggregation):
-        return eval_agg_vec(ctx, target, table, rows, anchor)
+        return eval_agg_vec(g, target, table, rows, anchor)
     flags = np.zeros(len(rows), dtype=np.bool_)
     for node in walk(target, filters=False):
         # Reads under IS / IS NOT interrogate null, so they are exempt.
         if isinstance(node, BoundCompare) and isinstance(node.lhs, BoundColumn) and node.op not in NULL_OPS:
-            flags |= fetch_rows(ctx, node.lhs, rows)[1]
-    result = eval_condition_vec(ctx, target, table, rows, anchor)
+            flags |= fetch_rows(g, node.lhs, rows)[1]
+    result = eval_condition_vec(g, target, table, rows, anchor)
     return result, ~flags

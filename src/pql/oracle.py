@@ -25,12 +25,11 @@ from .binder import (
     BoundOr,
     BoundQuery,
     BoundTarget,
+    TaskType,
 )
-from .engine import _drop_empty_labels, _is_list_target
 from .errors import ExecutionError
-from .kernels import like_regex
 from .splits import SPLITS, SplitPolicy, split_code_for_anchor_rank, split_for_key
-from .store import Database, DataType, RowRef
+from .store import Database, DataType, ListType, RowRef
 from .times import format_timestamp
 
 
@@ -93,6 +92,27 @@ def _fetch(t: _Tables, bc: BoundColumn, table: str, row: int, touch: Optional[_T
     return t.value(cur_table, cur_row, bc.column)
 
 
+def _like(value: str, pattern: str) -> bool:
+    """Whether `pattern` matches the whole of `value`: `%` matches any run
+    of characters, `_` exactly one, any other character itself. Characters
+    are matched left to right; on a mismatch the last `%` takes one more
+    character and matching resumes after it."""
+    v = p = 0
+    star, resume = -1, 0
+    while v < len(value):
+        if p < len(pattern) and pattern[p] == "%":
+            star, resume = p, v
+            p += 1
+        elif p < len(pattern) and pattern[p] in ("_", value[v]):
+            v, p = v + 1, p + 1
+        elif star >= 0:
+            resume += 1
+            v, p = resume, star + 1
+        else:
+            return False
+    return all(ch == "%" for ch in pattern[p:])
+
+
 def _compare(op: RelOp, value, rhs) -> bool:
     if op is RelOp.IS:
         return value is None
@@ -116,9 +136,9 @@ def _compare(op: RelOp, value, rhs) -> bool:
     if op in (RelOp.IN, RelOp.IS_IN):
         return any(value == e.value for e in const)
     if op is RelOp.LIKE:
-        return like_regex(const).fullmatch(value) is not None
+        return _like(value, const)
     if op is RelOp.NOT_LIKE:
-        return like_regex(const).fullmatch(value) is None
+        return not _like(value, const)
     if op is RelOp.CONTAINS:
         return const in value
     if op is RelOp.NOT_CONTAINS:
@@ -295,7 +315,12 @@ def oracle_training(
     """Ground-truth training table via exhaustive per-pair linear scans."""
     t = _Tables(db)
     split = split or SplitPolicy()
-    drop_empty = _drop_empty_labels(bound.task, keep_empty_labels)
+    # By default only ranking drops a row with an empty label list: it needs
+    # positive links, and multilabel admits all-negative rows.
+    if keep_empty_labels is None:
+        drop_empty = bound.task.task_type is TaskType.LINK_PREDICTION
+    else:
+        drop_empty = not keep_empty_labels
     etable = bound.entity_table
     pk = t.defs[etable].primary_key
     rank = {a: i for i, a in enumerate(sorted(anchors, reverse=True))}
@@ -318,7 +343,7 @@ def oracle_training(
                 if not _eval_cond(t, bound.assuming, etable, entity_row, anchor, None):
                     continue
             value, defined = _eval_target(t, bound.target, etable, entity_row, anchor, None)
-            if _is_list_target(bound):
+            if isinstance(bound.task.target_dtype, ListType):
                 if drop_empty and len(value) == 0:
                     continue
             elif not defined:

@@ -14,10 +14,10 @@ each part's nodes by `binder.walk` outside aggregation filters:
   parent's anchor, so filter columns pull parent rows and nested
   aggregations gather again.
 
-The collected row sets account for the work a request does and can be
-exported as the entities' subgraph; labels are computed for the requested
-pairs by the restricted kernels on the shared store, so results match the
-batch engine row for row.
+The collected row sets, a `Subgraph`, account for the work a request
+does: the sorted row indices of each table it reads, and their count.
+Labels are computed for the requested pairs by the same kernels on the
+shared store, so results match the batch engine row for row.
 """
 
 from __future__ import annotations
@@ -30,10 +30,10 @@ import numpy as np
 from .binder import BoundAggregation, BoundColumn, BoundQuery, BoundTarget, iter_bound_aggregations, walk
 from .engine import TrainingTable, _evaluate_distinct, check_pairs
 from .errors import ExecutionError, PlanError
-from .kernels import Anchor, VecCtx, distinct, gather_children, window_slots
+from .kernels import Anchor, distinct, gather_children, newest_first, window_slots
 from .planner import AnchorPolicy, feasible_anchors
 from .splits import SplitPolicy
-from .store import Database, RowGraph, RowRef
+from .store import Database, RowGraph, RowRef, check_row_graph
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,6 @@ def _reached_rows(
     distinct pairs of entity `rows` and anchors `at` that `check_pairs`
     returns. All pairs walk the query together, each at its own anchor, one
     array pass per edge."""
-    ctx = VecCtx(g.db, g)
     acc: Dict[str, List[np.ndarray]] = {}
 
     def add(table: str, found: np.ndarray):
@@ -93,7 +92,7 @@ def _reached_rows(
                     parents = parents[parents >= 0]
                     add(edge.parent_table, parents)
             elif isinstance(n, BoundAggregation):
-                gathered = gather_children(ctx, n, rows, anchor)
+                gathered = gather_children(g, n, rows, anchor)
                 children = gathered.child_rows
                 add(n.table, children)
                 if len(children) and n.where is not None:
@@ -127,8 +126,8 @@ def compute_on_subgraph(
     split: Optional[SplitPolicy] = None,
     keep_empty_labels: Optional[bool] = None,
 ) -> TrainingTable:
-    """Training rows for pairs whose subgraph was collected: the restricted
-    kernels evaluate exactly these pairs on the shared store, so the rows
+    """Training rows for pairs whose subgraph was collected: the kernels
+    evaluate exactly these pairs on the shared store, so the rows
     are the batch engine's rows for the same pairs."""
     refs, rows, at = check_pairs(pairs, sub.g.db, bound.entity_table, bound.is_static)
     collected = sub.rows.get(bound.entity_table, np.empty(0, dtype=np.int64))
@@ -155,6 +154,7 @@ def sample_pairs(
     entity key). Activity is the newest child event strictly before the
     anchor across the query's child edges into the entity table.
     """
+    check_row_graph(db, g)
     if n < 0:
         raise PlanError(f"pair count must not be negative, got {n}")
     etable = bound.entity_table
@@ -177,9 +177,7 @@ def sample_pairs(
             child = db.table(edge.child_table)
             times = child.column(child.definition.time_column).values[idx.order[ends[found] - 1]]
             latest[found] = np.maximum(latest[found], times)
-    # Newest first, then by key: `~latest` orders as `-latest` without
-    # overflow, and argsort ranks keys of any dtype, strings too.
     candidates = np.nonzero(latest > none)[0]
     keys = db.table(etable).column(db.table(etable).definition.primary_key).values[candidates]
-    ranked = candidates[np.lexsort((np.argsort(np.argsort(keys, kind="stable")), ~latest[candidates]))]
+    ranked = candidates[newest_first(latest[candidates], keys)]
     return [(RowRef(etable, i), anchor) for i in ranked[:n].tolist()]

@@ -54,7 +54,7 @@ from typing import BinaryIO, Callable, Dict, Iterable, List, NamedTuple, Optiona
 
 import numpy as np
 
-from .errors import DataError, SchemaError
+from .errors import DataError, ExecutionError, SchemaError
 from .times import MAX_MICROS, MIN_MICROS, canonical_cells, canonical_micros, format_timestamp, parse_timestamp
 
 
@@ -533,7 +533,8 @@ def _floats(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> Tuple[np.n
     rest = np.flatnonzero((number & ~fast) | inf)
     if len(rest):
         text = [buf[a:b].tobytes() for a, b in zip(starts[rest].tolist(), ends[rest].tolist())]
-        values[rest] = np.array(text).astype(np.float64)
+        with np.errstate(over="ignore"):  # past float64's range reads +-inf, as `float` reads it
+            values[rest] = np.array(text).astype(np.float64)
     return values, (lengths > 0) & ~number & ~inf
 
 
@@ -1404,3 +1405,13 @@ def build_row_graph(db: Database) -> RowGraph:
     if db._graph is None:
         db._graph = RowGraph(db)
     return db._graph
+
+
+def check_row_graph(db: Database, g: RowGraph) -> None:
+    """Refuse a row graph that is not `db`'s current one: a graph of another
+    database, or one built before a table of `db` was loaded again, would
+    gather rows that `db` does not hold."""
+    if g.db is not db:
+        raise ExecutionError("the row graph was built from another database")
+    if db._graph is not g:
+        raise ExecutionError("the row graph is stale: a table was loaded after it was built")

@@ -410,18 +410,17 @@ class TestPredictionFilter:
 
     def test_soundness_on_toy_data(self, toy_db, toy_graph):
         # No labelled article may be excluded by the extracted candidate filter.
-        from pql.kernels import VecCtx, eval_agg_vec, eval_condition_vec
+        from pql.kernels import eval_agg_vec, eval_condition_vec
         import numpy as np
 
         b = bind_text(CORPUS_BY_NAME["blue_articles"].text)
         anchor = parse_timestamp("2024-01-01")
-        ctx = VecCtx(toy_db, toy_graph)
         labels = set()
         for c in range(toy_db.nrows("CUSTOMERS")):
-            values, _ = eval_agg_vec(ctx, b.target, "CUSTOMERS", np.array([c]), anchor)
+            values, _ = eval_agg_vec(toy_graph, b.target, "CUSTOMERS", np.array([c]), anchor)
             labels |= set(values[0])
         all_articles = np.arange(toy_db.nrows("ARTICLES"))
-        passing = all_articles[eval_condition_vec(ctx, b.prediction_filter, "ARTICLES", all_articles, None)]
+        passing = all_articles[eval_condition_vec(toy_graph, b.prediction_filter, "ARTICLES", all_articles, None)]
         candidate_keys = {toy_db.value(RowRef("ARTICLES", int(i)), "ARTICLE_ID") for i in passing}
         assert labels <= candidate_keys
 

@@ -6,17 +6,18 @@ import re
 import numpy as np
 import pytest
 
-from conftest import build_toy_db
+from conftest import TRANSACTIONS_CSV, build_toy_db
 from corpus import CORPUS, CORPUS_BY_NAME, schema
 
 from pql import engine
 from pql.binder import bind
 from pql.engine import evaluate_pairs, materialize_prediction, materialize_training
 from pql.errors import ExecutionError, PlanError
-from pql.kernels import VecCtx, eval_agg_vec, eval_condition_vec
+from pql.kernels import eval_agg_vec, eval_condition_vec
 from pql.oracle import oracle_training
 from pql.parser import parse
 from pql.planner import AnchorPolicy, plan_prediction, plan_training, resolve_anchors
+from pql.sampler import sample_pairs
 from pql.splits import SplitPolicy, split_for_key
 from pql.store import RowRef, build_row_graph, load_schema, load_table_data, new_database
 from pql.synth import (
@@ -47,13 +48,13 @@ CUSTOMER = lambda i: RowRef("CUSTOMERS", i)  # noqa: E731
 def eval_aggregation(db, g, agg, entity, anchor=None):
     """One aggregation for one entity, as a one-row kernel batch; None when
     undefined."""
-    values, defined = eval_agg_vec(VecCtx(db, g), agg, entity.table, np.array([entity.index]), anchor)
+    values, defined = eval_agg_vec(g, agg, entity.table, np.array([entity.index]), anchor)
     return values.tolist()[0] if defined[0] else None
 
 
 def eval_condition(db, g, cond, row, anchor=None):
     """One condition for one row, as a one-row kernel batch."""
-    return bool(eval_condition_vec(VecCtx(db, g), cond, row.table, np.array([row.index]), anchor)[0])
+    return bool(eval_condition_vec(g, cond, row.table, np.array([row.index]), anchor)[0])
 
 
 class TestEvalAggregation:
@@ -917,3 +918,35 @@ class TestStaticSplits:
             table = self.train(db, text)
             assert self.labels(table) == [split_for_key(k, SplitPolicy()) for k in table.keys.tolist()]
         assert table.keys.dtype == object and table.row_count == 40
+
+
+class TestRowGraphOfAnotherDatabase:
+    """Every entry that takes a database and a row graph refuses a graph
+    that is not the database's current one, instead of gathering rows the
+    database does not hold."""
+
+    TEXT = "PREDICT COUNT(TRANSACTIONS.*, 0, 7, days) FOR EACH CUSTOMERS.CUSTOMER_ID"
+    ENTRIES = {
+        "materialize_training": lambda db, g, bound: materialize_training(plan_training(bound), db, g),
+        "materialize_prediction": lambda db, g, bound: materialize_prediction(plan_prediction(bound), db, g),
+        "evaluate_pairs": lambda db, g, bound: evaluate_pairs(db, g, bound, [(CUSTOMER(0), ANCHOR)]),
+        "sample_pairs": lambda db, g, bound: sample_pairs(db, g, bound, 2),
+    }
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_a_graph_of_another_database(self, retail_schema, entry):
+        db, other = build_toy_db(retail_schema), build_toy_db(retail_schema)
+        bound = bind_text(self.TEXT)
+        with pytest.raises(ExecutionError, match="^the row graph was built from another database$"):
+            self.ENTRIES[entry](db, build_row_graph(other), bound)
+        self.ENTRIES[entry](db, build_row_graph(db), bound)
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_a_graph_built_before_a_reload(self, retail_schema, entry):
+        db = build_toy_db(retail_schema)
+        stale = build_row_graph(db)
+        load_table_data(db, "TRANSACTIONS", TRANSACTIONS_CSV)
+        bound = bind_text(self.TEXT)
+        with pytest.raises(ExecutionError, match="^the row graph is stale: a table was loaded after it was built$"):
+            self.ENTRIES[entry](db, stale, bound)
+        self.ENTRIES[entry](db, build_row_graph(db), bound)

@@ -1,14 +1,19 @@
-"""Binary-searched window gathers: the restricted gather equals the full-scan
-gather, and the row graph's (parent, time-rank) keys give the documented
-child order."""
+"""Window gathers: the full scan and the window search both equal a scan of
+the child times, each block takes the access path its shape picks, and the
+row graph's (parent, time-rank) keys give the documented child order."""
 
 import numpy as np
 import pytest
 
+from conftest import build_toy_db
+
 from pql.ast import AggKind, TimeUnit, Window
-from pql.binder import BoundAggregation
-from pql.errors import ExecutionError
-from pql.kernels import Gather, VecCtx, gather_children, window_slots
+from pql.binder import BoundAggregation, bind
+from pql.engine import materialize_training
+from pql.kernels import Gather, gather_children, window_slots
+from pql.parser import parse
+from pql.planner import AnchorPolicy, plan_training
+from pql.sampler import build_request, collect, compute_on_subgraph, sample_pairs
 from pql.store import (
     DataType,
     FkEdge,
@@ -82,15 +87,37 @@ def count_over(edge: FkEdge, window) -> BoundAggregation:
                             DataType.INT64, SemanticType.NUMERICAL)
 
 
-def both(g, agg, parents, anchor) -> Gather:
-    """The restricted gather, after checking that the full scan agrees."""
+def checked(g, agg, parents, anchor) -> Gather:
+    """The gather, after checking it against `scan_reference`."""
     parents = np.asarray(parents, dtype=np.int64)
-    got = gather_children(VecCtx(g.db, g), agg, parents, anchor)
-    scan = gather_children(VecCtx(g.db, g, fullscan=True), agg, parents, anchor)
-    assert got.pos.tolist() == scan.pos.tolist()
-    assert got.seg.tolist() == scan.seg.tolist()
-    assert got.n_seg == scan.n_seg == len(parents)
+    got = gather_children(g, agg, parents, anchor)
+    assert got.n_seg == len(parents)
+    by_segment = np.argsort(got.seg, kind="stable")
+    assert (got.seg[by_segment].tolist(), got.child_rows[by_segment].tolist()) == scan_reference(
+        g.db, got.idx, agg, parents, anchor)
     return got
+
+
+def scan_reference(db, idx, agg, parents, anchor):
+    """(segment, child row) of every child `agg` gathers for `parents` at
+    `anchor` (one anchor, or one per parent), by segment and then in the
+    reference child order: every child's parent and time is compared with
+    every parent's and its window."""
+    order = lexsort_order(db, idx)
+    take = parents[:, None] == idx.forward[order][None, :]
+    if agg.window is not None:
+        tname = db.table(idx.edge.child_table).definition.time_column
+        if tname is None:
+            take[:] = False
+        else:
+            col = db.table(idx.edge.child_table).column(tname)
+            times, dated = col.values[order][None, :], ~col.null[order][None, :]
+            at = np.broadcast_to(np.asarray(anchor, dtype=np.int64), parents.shape)[:, None]
+            take &= dated & (times < at + agg.window.end_micros)
+            if agg.window.start_micros is not None:
+                take &= times >= at + agg.window.start_micros
+    seg, slot = np.nonzero(take)
+    return seg.tolist(), order[slot].tolist()
 
 
 def by_parent(gth: Gather, parents) -> dict:
@@ -123,44 +150,51 @@ class TestHandBuiltEdges:
 
     def test_lo_is_kept_and_hi_dropped(self, hand_graph):
         agg = count_over(C_EDGE, Window(0, 3, TimeUnit.DAYS))
-        got = by_parent(both(hand_graph, agg, self.ALL, T("2024-01-02")), self.ALL)
+        got = by_parent(checked(hand_graph, agg, self.ALL, T("2024-01-02")), self.ALL)
         # [Jan 2, Jan 5): rows at Jan 2 kept, Jan 5 (rows 1 and 4) dropped;
         # the shared Jan 2 time counts for both parents.
         assert got == {0: [0], 1: [2, 8], 2: [], 3: [], 4: []}
 
+    def test_each_parent_at_its_own_anchor(self, hand_graph):
+        agg = count_over(C_EDGE, Window(0, 3, TimeUnit.DAYS))
+        anchors = np.array([T("2024-01-02"), T("2024-01-03")], dtype=np.int64)
+        got = checked(hand_graph, agg, [0, 1], anchors)
+        # P 2 at Jan 3 loses its Jan 2 child, which it keeps at Jan 2.
+        assert by_parent(got, [0, 1]) == {0: [0], 1: [8]}
+
     def test_ties_keep_load_order(self, hand_graph):
         agg = count_over(C_EDGE, Window(-1, 0, TimeUnit.DAYS))
-        got = by_parent(both(hand_graph, agg, [0], T("2024-01-06")), [0])
+        got = by_parent(checked(hand_graph, agg, [0], T("2024-01-06")), [0])
         assert got == {0: [1, 4]}
 
     def test_unbounded_lookback(self, hand_graph):
         agg = count_over(C_EDGE, Window(None, 0, TimeUnit.DAYS))
-        got = by_parent(both(hand_graph, agg, self.ALL, T("2024-01-05")), self.ALL)
+        got = by_parent(checked(hand_graph, agg, self.ALL, T("2024-01-05")), self.ALL)
         assert got == {0: [10, 0], 1: [2, 8], 2: [6], 3: [], 4: []}
-        got = by_parent(both(hand_graph, agg, self.ALL, T("2030-01-01")), self.ALL)
+        got = by_parent(checked(hand_graph, agg, self.ALL, T("2030-01-01")), self.ALL)
         # Undated children never fall in a window.
         assert got == {0: [10, 0, 1, 4], 1: [2, 8], 2: [6], 3: [7], 4: []}
 
     def test_histories_before_or_after_the_window(self, hand_graph):
         agg = count_over(C_EDGE, Window(-7, 7, TimeUnit.DAYS))
-        got = by_parent(both(hand_graph, agg, [2, 3], T("2024-01-03")), [2, 3])
+        got = by_parent(checked(hand_graph, agg, [2, 3], T("2024-01-03")), [2, 3])
         assert got == {2: [], 3: []}
-        got = by_parent(both(hand_graph, agg, self.ALL, T("1990-01-01")), self.ALL)
+        got = by_parent(checked(hand_graph, agg, self.ALL, T("1990-01-01")), self.ALL)
         assert got == {p: [] for p in self.ALL}
-        got = by_parent(both(hand_graph, agg, self.ALL, T("2040-01-01")), self.ALL)
+        got = by_parent(checked(hand_graph, agg, self.ALL, T("2040-01-01")), self.ALL)
         assert got == {p: [] for p in self.ALL}
 
     def test_unwindowed_takes_undated_children_too(self, hand_graph):
-        got = by_parent(both(hand_graph, count_over(C_EDGE, None), self.ALL, None), self.ALL)
+        got = by_parent(checked(hand_graph, count_over(C_EDGE, None), self.ALL, None), self.ALL)
         assert got == {0: [10, 0, 1, 4, 9], 1: [2, 8, 3], 2: [6], 3: [7], 4: []}
 
     def test_child_table_without_time_column(self, hand_graph):
         idx = hand_graph.edge_index(D_EDGE)
         assert idx.radix == 1 and len(idx.time_values) == 0
-        got = by_parent(both(hand_graph, count_over(D_EDGE, None), self.ALL, None), self.ALL)
+        got = by_parent(checked(hand_graph, count_over(D_EDGE, None), self.ALL, None), self.ALL)
         assert got == {0: [0, 3], 1: [], 2: [1], 3: [], 4: []}
         windowed = count_over(D_EDGE, Window(None, 1, TimeUnit.DAYS))
-        got = by_parent(both(hand_graph, windowed, self.ALL, T("2024-01-01")), self.ALL)
+        got = by_parent(checked(hand_graph, windowed, self.ALL, T("2024-01-01")), self.ALL)
         assert got == {p: [] for p in self.ALL}
 
     def test_null_foreign_keys_have_no_slot(self, hand_graph):
@@ -199,7 +233,7 @@ class TestRandomDatabases:
                 parents, np.arange(len(idx.indptr))).tolist(), edge
 
     @pytest.mark.parametrize("seed", range(12))
-    def test_restricted_equals_full_scan(self, seed):
+    def test_both_paths_equal_a_scan_of_the_child_times(self, seed):
         db = random_database(seed, random_schema(seed % 10), scale=1.0 + seed % 3)
         g = build_row_graph(db)
         rng = np.random.default_rng(seed)
@@ -218,12 +252,22 @@ class TestRandomDatabases:
                 anchors += [int(t) + 5 * MICROS_PER_SECOND for t in picks]
                 anchors += [int(t) - 5 * MICROS_PER_SECOND for t in picks]
                 anchors += [int(t) for t in picks]
+            scanned = False
             for window in windows:
                 agg = count_over(edge, window)
                 for anchor in anchors:
-                    for parents in (np.arange(n_parent),
-                                    np.unique(rng.integers(0, n_parent, max(1, n_parent // 3)))):
-                        both(g, agg, parents, None if window is None else anchor)
+                    # Every parent in order or shuffled, or a subset; one
+                    # anchor for all, or one per parent.
+                    every = np.arange(n_parent)
+                    blocks = [(every, anchor), (rng.permutation(n_parent), anchor),
+                              (np.unique(rng.integers(0, n_parent, max(1, n_parent // 3))), anchor),
+                              (every, rng.choice(anchors, n_parent))]
+                    for parents, at in blocks:
+                        checked(g, agg, parents, None if window is None else at)
+                        # Only a bounded window at one anchor over every parent scans.
+                        scanned |= (window is not None and window.start is not None
+                                    and len(parents) == n_parent and not isinstance(at, np.ndarray))
+                        assert (idx.slot_ranks is not None) == scanned, (edge, window, len(parents), at)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_an_anchor_per_parent_equals_the_per_anchor_gathers(self, seed):
@@ -247,13 +291,12 @@ class TestRandomDatabases:
                 drawn = {(int(p), int(a)) for p, a in zip(rng.integers(0, n_parent, size),
                                                           rng.choice(choices, size))}
                 parents, anchors = np.array(rng.permutation(sorted(drawn)), dtype=np.int64).T
-                got = gather_children(VecCtx(db, g), agg, parents, anchors)
+                got = checked(g, agg, parents, anchors)
                 assert got.n_seg == len(parents) and (np.diff(got.seg) >= 0).all()
                 for a in np.unique(anchors).tolist():
-                    # `both` compares with the full scan, which takes sorted parents.
                     at = np.nonzero(anchors == a)[0]
                     at = at[np.argsort(parents[at])]
-                    one = both(g, agg, parents[at], a)
+                    one = checked(g, agg, parents[at], a)
                     for local, s in enumerate(at.tolist()):
                         assert got.pos[got.seg == s].tolist() == one.pos[one.seg == local].tolist()
                 # Within a parent, children keep the reference child order.
@@ -290,12 +333,46 @@ class TestRandomDatabases:
                             else (lo_p is None or at[c] >= lo_p) and (hi_p is None or at[c] < hi_p))]
                         assert idx.order[starts[i]:ends[i]].tolist() == want, (edge, p, lo_p, hi_p)
 
-    def test_a_full_scan_takes_one_anchor(self, hand_graph):
-        agg = count_over(C_EDGE, Window(0, 3, TimeUnit.DAYS))
-        parents = np.array([0, 1], dtype=np.int64)
-        anchors = np.array([T("2024-01-02"), T("2024-01-03")], dtype=np.int64)
-        with pytest.raises(ExecutionError, match="^a full-scan gather takes one anchor$"):
-            gather_children(VecCtx(hand_graph.db, hand_graph, fullscan=True), agg, parents, anchors)
-        got = gather_children(VecCtx(hand_graph.db, hand_graph), agg, parents, anchors)
-        # P 2 at Jan 3 loses its Jan 2 child, which it keeps at Jan 2.
-        assert by_parent(got, [0, 1]) == {0: [0], 1: [8]}
+
+class TestAccessPath:
+    """On a fresh row graph, a gather builds its edge's per-slot time ranks
+    exactly when it scans: a bounded window at one anchor over every row of
+    the parent table, whichever plan runs it."""
+
+    COUNT_7D = "PREDICT COUNT(TRANSACTIONS.*, 0, 7, days) FOR EACH CUSTOMERS.CUSTOMER_ID"
+
+    @staticmethod
+    def scanned(retail_schema, run) -> set:
+        """The child tables whose edges scanned while `run(g)` ran."""
+        g = build_row_graph(build_toy_db(retail_schema))
+        run(g)
+        return {edge.child_table for edge, idx in g.edges.items() if idx.slot_ranks is not None}
+
+    @staticmethod
+    def train(text: str, optimized: bool = True):
+        def run(g):
+            plan = plan_training(bind(parse(text), g.db.schema), AnchorPolicy(count=3), optimized=optimized)
+            assert materialize_training(plan, g.db, g).row_count
+        return run
+
+    @pytest.mark.parametrize("optimized", [True, False])
+    def test_an_unfiltered_bounded_window_scans(self, retail_schema, optimized):
+        assert self.scanned(retail_schema, self.train(self.COUNT_7D, optimized)) == {"TRANSACTIONS"}
+
+    def test_a_filtered_query_searches(self, retail_schema):
+        text = self.COUNT_7D + ' WHERE CUSTOMERS.MEMBERSHIP_TYPE = "gold"'
+        assert self.scanned(retail_schema, self.train(text)) == set()
+        # The cross-product plan computes the target for every customer.
+        assert self.scanned(retail_schema, self.train(text, optimized=False)) == {"TRANSACTIONS"}
+
+    def test_an_unbounded_lookback_searches(self, retail_schema):
+        text = ("PREDICT COUNT(NOTIFICATIONS.*, 0, 7, days) FOR EACH CUSTOMERS.CUSTOMER_ID "
+                "WHERE COUNT(TRANSACTIONS.*, -INF, 0, days) > 0")
+        assert "TRANSACTIONS" not in self.scanned(retail_schema, self.train(text))
+
+    def test_a_sampler_request_searches(self, retail_schema):
+        def run(g):
+            bound = bind(parse(self.COUNT_7D), g.db.schema)
+            pairs = sample_pairs(g.db, g, bound, 3)
+            assert compute_on_subgraph(bound, collect(g, build_request(bound, pairs)), pairs).row_count
+        assert self.scanned(retail_schema, run) == set()

@@ -3,7 +3,8 @@ module-level name of `pql` is read somewhere in `pql`. A name the module
 re-exports through `__all__` counts as used, and every such name resolves.
 No module uses the csv module: `store` reads and writes every CSV file
 without it. Only `store` and `kernels` read the row graph's key layout. The
-command line starts no thread pool."""
+command line starts no thread pool. The oracle imports nothing from the
+modules it checks."""
 
 import ast
 import functools
@@ -153,3 +154,39 @@ def test_a_key_layout_use_is_found():
     source = ("base = rows * idx.radix\nend = g.edge_index(e).indptr[1:]\nhi = idx.time_values.searchsorted(t)\n"
               "radix = 3\nk = idx.keys\ntime_values = []\n# idx.indptr\ns = 'idx.radix'\n")
     assert key_layout_uses(source) == [(1, "radix"), (2, "indptr"), (3, "time_values")]
+
+
+# The oracle is the independent second definition of PQL semantics, so it
+# shares no code with the execution path it checks.
+EXECUTION_MODULES = {"engine", "kernels", "sampler"}
+
+
+def execution_imports(source: str):
+    """(line, module) for each import of a pql module in
+    `EXECUTION_MODULES`, relative (`from .engine import x`, `from . import
+    kernels`) or absolute (`import pql.sampler`, `from pql import engine`)."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["pql" if node.level else None, node.module]))
+            dotted = [f"pql.{alias.name}" for alias in node.names] if module == "pql" else [module]
+        elif isinstance(node, ast.Import):
+            dotted = [alias.name for alias in node.names]
+        else:
+            continue
+        parts = [name.split(".") for name in dotted]
+        found.update((node.lineno, p[1]) for p in parts if p[0] == "pql" and p[1:2] and p[1] in EXECUTION_MODULES)
+    return sorted(found)
+
+
+def test_the_oracle_imports_no_execution_module():
+    assert execution_imports((SRC / "pql" / "oracle.py").read_text(encoding="utf-8")) == []
+
+
+def test_an_execution_import_is_found():
+    source = ("from .engine import _drop_empty_labels\nfrom .kernels import like_regex\nfrom . import sampler, times\n"
+              "import pql.engine\nfrom pql.kernels import x\nfrom .binder import bind\nimport engine\n"
+              "from . import store\nfrom engine import y\n# from .engine import z\ns = 'from .sampler import w'\n"
+              "from pql import engine as e\n")
+    assert execution_imports(source) == [(1, "engine"), (2, "kernels"), (3, "sampler"), (4, "engine"),
+                                         (5, "kernels"), (12, "engine")]

@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corpus import SCHEMA_DOCS
@@ -20,7 +20,7 @@ from conftest import TRANSACTIONS_CSV, build_toy_db
 from pql.ast import TimeUnit, Window
 from pql.binder import bind
 from pql.errors import DataError, ExecutionError, SchemaError
-from pql.kernels import VecCtx, _edge_slot_arrays, gather_children
+from pql.kernels import _edge_slot_arrays, gather_children
 from pql.parser import parse
 from pql import store
 from pql.store import (
@@ -46,7 +46,7 @@ FAR_FUTURE = T("2100-01-01")
 
 def all_children(g, parent):
     """Every child row of one customer, in CSR order (restricted gather)."""
-    return gather_children(VecCtx(g.db, g), TX_COUNT, np.array([parent]), None).child_rows.tolist()
+    return gather_children(g, TX_COUNT, np.array([parent]), None).child_rows.tolist()
 
 
 def children_in_window(g, parent, lo, hi):
@@ -55,7 +55,7 @@ def children_in_window(g, parent, lo, hi):
     hi - lo must be whole seconds."""
     start = None if lo is None else -((hi - lo) // MICROS_PER_SECOND)
     agg = replace(TX_COUNT, window=Window(start, 0, TimeUnit.SECONDS))
-    return gather_children(VecCtx(g.db, g), agg, np.array([parent]), hi).child_rows.tolist()
+    return gather_children(g, agg, np.array([parent]), hi).child_rows.tolist()
 
 
 class TestLoadSchema:
@@ -265,7 +265,7 @@ class TestRowGraph:
             parse("PREDICT COUNT(NOTIFICATIONS.*) FOR EACH CUSTOMERS.CUSTOMER_ID"), RETAIL
         ).target
         assert count.group_edge == FkEdge("NOTIFICATIONS", "CUSTOMER_ID", "CUSTOMERS")
-        gathered = gather_children(VecCtx(toy_graph.db, toy_graph), count, np.array([2]), None)
+        gathered = gather_children(toy_graph, count, np.array([2]), None)
         assert gathered.child_rows.tolist() == []
 
     def test_window_half_open(self, toy_graph, toy_db):
@@ -1013,6 +1013,9 @@ class TestByteTokenizer:
             max_size=20,
         )
     )
+    # Past float64's range: a float cell reads +-inf, with no overflow warning.
+    @example(["1e400"])
+    @example(["-20000.1e320", "20000.1e320", "1.5"])
     def test_numeric_cells_read_as_parse_cell_reads_them(self, cells):
         for dtype in (store.DataType.INT64, store.DataType.FLOAT64):
             cdef = store.ColumnDef("X", dtype, store.SemanticType.NUMERICAL)
