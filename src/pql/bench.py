@@ -4,7 +4,9 @@ Paths: the brute-force oracle (only sensible on small data), the
 unoptimized cross-product plan, the optimized staged plan, and the
 subgraph-sampler path for a fixed number of (entity, anchor) pairs.
 Each timed region covers parse-bind-plan-execute for that path; the shared
-inputs (loaded database, row graph) are built once outside. `parse` and
+inputs (loaded database, row graph) are built outside it: the row graph
+builds each edge a path reads on first use, in that path's untimed
+warm-up run (the oracle reads no edge). `parse` and
 `bind` serve a repeated query from their caches, so every run goes through
 `_cold_bind`, which empties both first: each run, warm-up included,
 tokenizes, parses and binds the text afresh, as a first request would.

@@ -215,7 +215,7 @@ def fetch_rows(g: RowGraph, bc: BoundColumn, rows: np.ndarray) -> Tuple[np.ndarr
     cur = rows
     null: Optional[np.ndarray] = None
     for edge in bc.hops:
-        nxt = g.edge_index(edge).forward[cur]
+        nxt = g.forward(edge)[cur]
         bad = nxt < 0
         null = bad if null is None else (null | bad)
         cur = np.where(bad, 0, nxt)

@@ -88,7 +88,7 @@ def _reached_rows(
             if isinstance(n, BoundColumn):
                 parents = rows
                 for edge in n.hops:
-                    parents = g.edge_index(edge).forward[parents]
+                    parents = g.forward(edge)[parents]
                     parents = parents[parents >= 0]
                     add(edge.parent_table, parents)
             elif isinstance(n, BoundAggregation):
@@ -108,6 +108,7 @@ def _reached_rows(
 def collect(g: RowGraph, request: SampleRequest) -> Subgraph:
     """Breadth-first collection of the connected row subgraph the request
     touches: the entity rows plus every row `_reached_rows` finds."""
+    check_row_graph(g.db, g)
     _, rows, at = check_pairs(request.pairs, g.db, request.entity_table, request.is_static)
     acc = _reached_rows(g, request.parts, rows, at)
     if len(rows):
@@ -129,6 +130,7 @@ def compute_on_subgraph(
     """Training rows for pairs whose subgraph was collected: the kernels
     evaluate exactly these pairs on the shared store, so the rows
     are the batch engine's rows for the same pairs."""
+    check_row_graph(sub.g.db, sub.g)
     refs, rows, at = check_pairs(pairs, sub.g.db, bound.entity_table, bound.is_static)
     collected = sub.rows.get(bound.entity_table, np.empty(0, dtype=np.int64))
     # `collected` is sorted, so a row is collected where its search lands on it.

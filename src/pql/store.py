@@ -9,7 +9,8 @@ the dated ones in load order.
 Identifiers are case-insensitive and canonicalized to upper case. A table's
 time column and validity columns must hold timestamps (stored as integer
 microseconds since epoch, UTC). Databases are immutable once loaded; the
-row graph and each table's primary-key index are built lazily and cached.
+row graph (edge by edge) and each table's primary-key index are built
+lazily and cached.
 
 Every file pql reads or writes is UTF-8 text, whatever the locale. CSV
 load works column at a time, from a file (`Path`) or text (`str`), with
@@ -1309,9 +1310,28 @@ def _load_order(schema: Schema) -> List[str]:
 # Row graph
 
 
+def _sort_by_key(keys: np.ndarray, rows: np.ndarray, n_rows: int, bound: int) -> Tuple[np.ndarray, np.ndarray]:
+    """`rows` and `keys` ordered by key, ties in row order: what a stable
+    argsort of `keys` gives, for `rows` increasing and below `n_rows` and
+    `keys` in [0, bound). Where the packed key `key * n_rows + row` fits in
+    int64 it is unique, so one plain sort of it gives both (on a 2-core VM,
+    a stable argsort of 1.2M transactions' keys took 5-8x as long);
+    otherwise a stable argsort."""
+    if bound * n_rows > 1 << 63:
+        perm = np.argsort(keys, kind="stable")
+        return rows[perm], keys[perm]
+    packed = keys * n_rows
+    packed += rows
+    packed.sort()
+    order = packed % n_rows
+    packed //= n_rows
+    return order, packed
+
+
 @dataclass
 class EdgeIndex:
-    """CSR adjacency for one FK edge.
+    """CSR adjacency for one FK edge, built by `RowGraph.edge_index` the
+    first time a query reads the edge.
 
     `order` lists child row indices grouped by parent; within a parent the
     dated children come first sorted by time (ties keep load order), then
@@ -1344,64 +1364,99 @@ class EdgeIndex:
 
 
 class RowGraph:
-    """Immutable heterogeneous row graph over a loaded database."""
+    """The heterogeneous row graph of a loaded database, built edge by edge
+    on first use (as database cracking builds an index when a query first
+    asks for it): a command pays only for the edges its query reads.
+
+    `edges` holds the edges built so far. `edge_index` builds an edge and
+    `forward` resolves a child -> parent hop, each once; a child table's
+    time ranks are computed once for its edges and kept until the last of
+    them is built. Both read the tables current when they run, so both
+    refuse once a table is loaded again and this graph is no longer the
+    database's: a graph never mixes edges from before and after a reload.
+    """
 
     def __init__(self, db: Database):
         self.db = db
         self.edges: Dict[FkEdge, EdgeIndex] = {}
-        ranked: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
-        for edge in db.schema.edges():
-            if edge.child_table not in ranked:
-                ranked[edge.child_table] = self._time_ranks(db.tables.get(edge.child_table))
-            self.edges[edge] = self._build_edge(db, edge, *ranked[edge.child_table])
+        self._schema_edges = frozenset(db.schema.edges())
+        self._forwards: Dict[FkEdge, np.ndarray] = {}
+        self._ranks: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
 
-    @staticmethod
-    def _time_ranks(child: Optional[TableData]) -> Tuple[np.ndarray, np.ndarray]:
+    def check_current(self) -> None:
+        """Refuse to read tables once this graph is no longer `db`'s."""
+        if self.db._graph is not self:
+            raise ExecutionError("the row graph is stale: a table was loaded after it was built")
+
+    def _check(self, edge: FkEdge) -> None:
+        self.check_current()
+        if edge not in self._schema_edges:
+            raise DataError(f"no such foreign-key edge: {edge}")
+
+    def forward(self, edge: FkEdge) -> np.ndarray:
+        """Child row -> parent row over `edge`, -1 where the key is null or
+        dangling: the array the load resolved while that parent is still
+        the loaded one, so a hop never sorts."""
+        self._check(edge)
+        forward = self._forwards.get(edge)
+        if forward is None:
+            child = self.db.tables.get(edge.child_table)
+            parent = self.db.tables.get(edge.parent_table)
+            if child is None:
+                forward = np.empty(0, dtype=np.int64)
+            else:
+                resolved_against, forward = child.fk_forward.get(edge.fk_column, (None, None))
+                if forward is None or resolved_against is not parent:
+                    forward = _resolve_fk(child.column(edge.fk_column), parent)
+            self._forwards[edge] = forward
+        return forward
+
+    def edge_index(self, edge: FkEdge) -> EdgeIndex:
+        """The CSR adjacency of `edge`, built the first time it is asked for."""
+        self._check(edge)
+        idx = self.edges.get(edge)
+        if idx is None:
+            idx = self.edges[edge] = self._build_edge(edge)
+            if all(e in self.edges for e in self._schema_edges if e.child_table == edge.child_table):
+                del self._ranks[edge.child_table]  # no edge of the table is left to use them
+        return idx
+
+    def _time_ranks(self, table: str) -> Tuple[np.ndarray, np.ndarray]:
         """A child table's sorted distinct times, and each row's dense rank
         among them (undated rows rank last, at `len(time_values)`)."""
-        tname = child.definition.time_column if child is not None else None
-        if tname is None:
-            n = child.nrows if child is not None else 0
-            return np.empty(0, dtype=np.int64), np.zeros(n, dtype=np.int64)
-        tcol = child.column(tname)
-        dated = ~tcol.null
-        time_values, inverse = np.unique(tcol.values[dated], return_inverse=True)
-        ranks = np.full(len(tcol.values), len(time_values), dtype=np.int64)
-        ranks[dated] = inverse
-        return time_values, ranks
+        if table not in self._ranks:
+            child = self.db.tables.get(table)
+            tname = child.definition.time_column if child is not None else None
+            if tname is None:
+                n = child.nrows if child is not None else 0
+                self._ranks[table] = np.empty(0, dtype=np.int64), np.zeros(n, dtype=np.int64)
+            else:
+                tcol = child.column(tname)
+                dated = ~tcol.null
+                time_values, inverse = np.unique(tcol.values[dated], return_inverse=True)
+                ranks = np.full(len(tcol.values), len(time_values), dtype=np.int64)
+                ranks[dated] = inverse
+                self._ranks[table] = time_values, ranks
+        return self._ranks[table]
 
-    @staticmethod
-    def _build_edge(db: Database, edge: FkEdge, time_values: np.ndarray, ranks: np.ndarray) -> EdgeIndex:
-        child = db.tables.get(edge.child_table)
-        parent = db.tables.get(edge.parent_table)
+    def _build_edge(self, edge: FkEdge) -> EdgeIndex:
+        time_values, ranks = self._time_ranks(edge.child_table)
+        forward = self.forward(edge)
+        parent = self.db.tables.get(edge.parent_table)
         n_parent = parent.nrows if parent else 0
-
-        if child:
-            resolved_against, forward = child.fk_forward.get(edge.fk_column, (None, None))
-            if forward is None or resolved_against is not parent:
-                forward = _resolve_fk(child.column(edge.fk_column), parent)
-        else:
-            forward = np.empty(0, dtype=np.int64)
         linked = np.nonzero(forward >= 0)[0]
         radix = len(time_values) + 1
-        # One stable sort of (parent, rank): dated before undated, then
-        # time. Ties keep load order, which is what the window tie rule
-        # requires.
+        # One sort by (parent, rank): dated before undated, then time. Ties
+        # keep load order, which is what the window tie rule requires.
         keys = forward[linked] * radix + ranks[linked]
-        perm = np.argsort(keys, kind="stable")
-        order = linked[perm]
-        keys = keys[perm]
+        order, keys = _sort_by_key(keys, linked, len(forward), n_parent * radix)
         indptr = np.searchsorted(keys, np.arange(n_parent + 1, dtype=np.int64) * radix)
         return EdgeIndex(edge, forward, indptr, order, keys, time_values)
 
-    def edge_index(self, edge: FkEdge) -> EdgeIndex:
-        if edge not in self.edges:
-            raise DataError(f"no such foreign-key edge: {edge}")
-        return self.edges[edge]
-
 
 def build_row_graph(db: Database) -> RowGraph:
-    """Build (or return the cached) row graph for a loaded database."""
+    """The database's row graph, created (with no edge built) on first call
+    and cached until a table is loaded again."""
     if db._graph is None:
         db._graph = RowGraph(db)
     return db._graph
@@ -1413,5 +1468,4 @@ def check_row_graph(db: Database, g: RowGraph) -> None:
     gather rows that `db` does not hold."""
     if g.db is not db:
         raise ExecutionError("the row graph was built from another database")
-    if db._graph is not g:
-        raise ExecutionError("the row graph is stale: a table was loaded after it was built")
+    g.check_current()

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import TRANSACTIONS_CSV, build_toy_db
 from corpus import CORPUS_BY_NAME, schema
 
 from pql.binder import bind, iter_bound_aggregations
@@ -130,6 +131,22 @@ class TestComputeOnSubgraph:
         uncollected = [(RowRef("CUSTOMERS", 2), ANCHOR), (RowRef("CUSTOMERS", 1), ANCHOR)]
         with pytest.raises(ExecutionError, match=r"CUSTOMERS', index=2\).*was not collected"):
             compute_on_subgraph(b, sub, collected + uncollected)
+
+    def test_a_reload_after_collect_is_refused(self, retail_schema):
+        b = bind_text("PREDICT COUNT(TRANSACTIONS.*, 0, 30, days) FOR EACH CUSTOMERS.CUSTOMER_ID")
+        pairs = [(RowRef("CUSTOMERS", 0), ANCHOR)]
+        db = build_toy_db(retail_schema)
+        stale = build_row_graph(db)
+        sub = collect(stale, build_request(b, pairs))
+        assert compute_on_subgraph(b, sub, pairs).values.tolist() == [2]
+        load_table_data(db, "TRANSACTIONS", TRANSACTIONS_CSV.splitlines()[0])
+        message = "^the row graph is stale: a table was loaded after it was built$"
+        with pytest.raises(ExecutionError, match=message):
+            compute_on_subgraph(b, sub, pairs)
+        with pytest.raises(ExecutionError, match=message):
+            collect(stale, build_request(b, pairs))
+        fresh = collect(build_row_graph(db), build_request(b, pairs))
+        assert compute_on_subgraph(b, fresh, pairs).values.tolist() == [0]
 
     @pytest.mark.parametrize("seed", range(40))
     def test_differential_against_batch(self, seed):

@@ -19,9 +19,11 @@ from conftest import TRANSACTIONS_CSV, build_toy_db
 
 from pql.ast import TimeUnit, Window
 from pql.binder import bind
+from pql.engine import materialize_training
 from pql.errors import DataError, ExecutionError, SchemaError
 from pql.kernels import _edge_slot_arrays, gather_children
 from pql.parser import parse
+from pql.planner import AnchorPolicy, plan_training
 from pql import store
 from pql.store import (
     FkEdge,
@@ -33,7 +35,7 @@ from pql.store import (
     new_database,
     save_table_csv,
 )
-from pql.synth import random_database, random_schema
+from pql.synth import generate, hm_genspec, random_database, random_schema
 from pql.times import MICROS_PER_DAY, MICROS_PER_SECOND, parse_timestamp
 
 T = parse_timestamp
@@ -337,6 +339,87 @@ class TestRowGraph:
         full = children_in_window(toy_graph, parent, None, FAR_FUTURE)
         assert sorted(pieces) == sorted(full)
         assert len(pieces) == len(full)
+
+
+
+@st.composite
+def keys_to_sort(draw):
+    """(keys, rows, n_rows, bound) for `store._sort_by_key`: keys drawn from
+    a few values, so that they tie, below a bound that packs into int64 or
+    one that does not."""
+    bound = draw(st.one_of(st.integers(1, 60), st.integers(2**61, 2**63 - 1)))
+    values = draw(st.lists(st.integers(0, bound - 1), min_size=1, max_size=4))
+    keys = draw(st.lists(st.sampled_from(values), max_size=30))
+    rows = sorted(draw(st.sets(st.integers(0, 2 * len(keys)), min_size=len(keys), max_size=len(keys))))
+    n_rows = (rows[-1] + 1 if rows else 0) + draw(st.integers(0, 3))
+    return np.array(keys, dtype=np.int64), np.array(rows, dtype=np.int64), n_rows, bound
+
+
+class TestEdgesOnFirstUse:
+    COUNT_7D = "PREDICT COUNT(TRANSACTIONS.*, 0, 7, days) FOR EACH CUSTOMERS.CUSTOMER_ID"
+    TX_CUSTOMER = FkEdge("TRANSACTIONS", "CUSTOMER_ID", "CUSTOMERS")
+
+    @settings(max_examples=200, deadline=None)
+    @given(keys_to_sort())
+    # Packed into int64, and at the largest bound that still packs (the
+    # packed key reaches 2**63 - 1); past int64, the stable argsort.
+    @example((np.array([3, 1, 3, 0, 1], dtype=np.int64), np.array([0, 2, 3, 5, 6], dtype=np.int64), 7, 4))
+    @example((np.array([2**62 - 1, 0], dtype=np.int64), np.array([0, 1], dtype=np.int64), 2, 2**62))
+    @example((np.array([2**62 + 1, 5, 2**62 + 1], dtype=np.int64), np.array([0, 1, 4], dtype=np.int64), 5, 2**63 - 1))
+    def test_sort_by_key_is_a_stable_argsort(self, case):
+        keys, rows, n_rows, bound = case
+        perm = np.argsort(keys, kind="stable")
+        order, got = store._sort_by_key(keys.copy(), rows, n_rows, bound)
+        assert order.dtype == got.dtype == np.int64
+        assert order.tolist() == rows[perm].tolist()
+        assert got.tolist() == keys[perm].tolist()
+
+    def test_a_new_graph_builds_no_edge(self, retail_schema):
+        db = build_toy_db(retail_schema)
+        g = build_row_graph(db)
+        assert g.edges == {}
+        idx = g.edge_index(self.TX_CUSTOMER)
+        assert list(g.edges) == [self.TX_CUSTOMER]
+        assert g.edge_index(self.TX_CUSTOMER) is idx
+        # The edge into ARTICLES shares the child table's time ranks.
+        other = g.edge_index(FkEdge("TRANSACTIONS", "ARTICLE_ID", "ARTICLES"))
+        assert other.time_values is idx.time_values
+        # With every edge of TRANSACTIONS built, its rows' ranks are let go.
+        assert "TRANSACTIONS" not in g._ranks
+
+    def test_a_windowed_count_builds_its_one_edge(self):
+        db = generate(hm_genspec(scale=0.0005, seed=1))
+        bound = bind(parse(self.COUNT_7D), db.schema)
+        assert materialize_training(plan_training(bound, AnchorPolicy(count=3)), db).row_count
+        assert list(db._graph.edges) == [self.TX_CUSTOMER]
+
+    def test_a_parent_hop_builds_no_edge(self, tmp_path):
+        store.save_database(generate(hm_genspec(scale=0.0005, seed=1)), tmp_path)
+        db = store.load_database(tmp_path / "schema.json", tmp_path)
+        text = "PREDICT TRANSACTIONS.VALUE FOR EACH TRANSACTIONS.TRANSACTION_ID WHERE CUSTOMERS.AGE > 20"
+        table = materialize_training(plan_training(bind(parse(text), db.schema)), db)
+        assert 0 < table.row_count < db.nrows("TRANSACTIONS")
+        assert db._graph.edges == {}
+        # The hop reads the array the load resolved.
+        forward = db.table("TRANSACTIONS").fk_forward["CUSTOMER_ID"][1]
+        assert db._graph.forward(self.TX_CUSTOMER) is forward
+
+    def test_a_stale_graph_refuses_its_edges(self, retail_schema):
+        db = build_toy_db(retail_schema)
+        stale = build_row_graph(db)
+        stale.edge_index(self.TX_CUSTOMER)
+        load_table_data(db, "TRANSACTIONS", TRANSACTIONS_CSV.splitlines()[0])
+        message = "^the row graph is stale: a table was loaded after it was built$"
+        # Built before the reload or not, no edge and no hop is read.
+        for edge in (self.TX_CUSTOMER, FkEdge("TRANSACTIONS", "ARTICLE_ID", "ARTICLES")):
+            with pytest.raises(ExecutionError, match=message):
+                stale.edge_index(edge)
+            with pytest.raises(ExecutionError, match=message):
+                stale.forward(edge)
+        fresh = build_row_graph(db)
+        assert fresh is not stale
+        assert fresh.edge_index(self.TX_CUSTOMER).order.tolist() == []
+        assert fresh.forward(self.TX_CUSTOMER).tolist() == []
 
 
 class TestCsvRoundTrip:
@@ -1107,10 +1190,11 @@ class TestForeignKeysResolvedOnce:
         db = store.load_database(tmp_path / "schema.json", tmp_path)
         graph = build_row_graph(db)
         assert len(retail_schema.edges()) == 3
-        assert len(calls) == 3
-        for edge, idx in graph.edges.items():
+        for edge in retail_schema.edges():
             fkcol = db.table(edge.child_table).column(edge.fk_column)
-            assert idx.forward.tolist() == real_forward(fkcol, db.table(edge.parent_table))
+            assert graph.edge_index(edge).forward.tolist() == real_forward(fkcol, db.table(edge.parent_table))
+            assert graph.forward(edge) is graph.edge_index(edge).forward
+        assert len(calls) == 3
 
     def test_reloaded_parent_rebuilds_the_edges(self, monkeypatch):
         db = new_database(ADVERSARIAL)
@@ -1119,12 +1203,13 @@ class TestForeignKeysResolvedOnce:
         calls = self.count_resolutions(monkeypatch)
         load_table_data(db, "P", csv_text(["ID"], [["30"], ["7"], ["10"], ["-3"]]))
         graph = build_row_graph(db)
+        p1, p2 = graph.edge_index(FkEdge("C", "P1", "P")), graph.edge_index(FkEdge("C", "P2", "P"))
         # Both edges into the reloaded P resolve again, against the new P;
-        # the empty SC table's edges were never resolved at load.
+        # the edges of the empty SC table are not asked for.
         assert [parent.definition.name for parent in calls].count("P") == 2
         assert all(parent is db.table(parent.definition.name) for parent in calls)
-        assert graph.edge_index(FkEdge("C", "P1", "P")).forward.tolist() == [2, 0]
-        assert graph.edge_index(FkEdge("C", "P2", "P")).forward.tolist() == [0, -1]
+        assert p1.forward.tolist() == [2, 0]
+        assert p2.forward.tolist() == [0, -1]
 
 
 def real_forward(fkcol, parent):
