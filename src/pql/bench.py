@@ -28,7 +28,7 @@ from .oracle import oracle_training
 from .planner import AnchorPolicy, plan_training, resolve_anchors
 from .sampler import build_request, collect, compute_on_subgraph, sample_pairs
 from .splits import SplitPolicy
-from .store import Database, RowGraph, build_row_graph
+from .store import Database, build_row_graph
 
 ORACLE_ROW_LIMIT = 20_000
 
@@ -136,9 +136,7 @@ def run_bench(
     pairs: int = 100,
     anchors: int = 10,
     seed: int = 0,
-    g: Optional[RowGraph] = None,
 ) -> BenchReport:
-    g = g or build_row_graph(db)
     policy = AnchorPolicy(count=anchors)
     split = SplitPolicy(seed=seed)
     results: Dict[str, PathResult] = {}
@@ -149,12 +147,12 @@ def run_bench(
     def optimized():
         bound = _cold_bind(query_text, db.schema)
         plan = plan_training(bound, policy)
-        return materialize_training(plan, db, g, split=split)
+        return materialize_training(plan, db, split=split)
 
     def unoptimized():
         bound = _cold_bind(query_text, db.schema)
         plan = plan_training(bound, policy, optimized=False)
-        return materialize_training(plan, db, g, split=split)
+        return materialize_training(plan, db, split=split)
 
     batch_fns = {}
     if "optimized" in paths:
@@ -181,13 +179,13 @@ def run_bench(
             results["oracle"] = PathResult("oracle", samples, rows_out=len(table.rows))
 
     if "sampler" in paths:
-        pair_list = sample_pairs(db, g, bound0, pairs)
+        pair_list = sample_pairs(db, bound0, pairs)
         resolved = resolve_anchors(bound0, policy, db) if not bound0.is_static else []
 
         def sampler():
             bound = _cold_bind(query_text, db.schema)
             request = build_request(bound, pair_list)
-            sub = collect(g, request)
+            sub = collect(build_row_graph(db), request)
             table = compute_on_subgraph(
                 bound, sub, pair_list, anchors_for_split=resolved, split=split
             )
@@ -225,7 +223,7 @@ def run_bench(
             "batch_restricted", samples["batch_restricted"], rows_out=len(rows)
         )
         pairs_table = evaluate_pairs(
-            db, g, bound0, pair_list, anchors_for_split=resolved, split=split
+            db, bound0, pair_list, anchors_for_split=resolved, split=split
         )
         if rows != pairs_table.rows:
             results["sampler"].note = "WARNING: restricted batch disagrees with pair evaluation"

@@ -532,7 +532,7 @@ def _coerce_scalar(dtype: DataType, const: ast.Constant) -> BoundConstant:
                 return BoundConstant(ConstKind.TIMESTAMP, parse_timestamp(value))
             except ValueError:
                 raise BindError(
-                    f"expected an ISO-8601 datetime literal, got {value!r}", const.span,
+                    f"expected an ISO-8601 datetime literal in years 0001-9999, got {value!r}", const.span,
                     code="type-mismatch",
                 )
     raise BindError(

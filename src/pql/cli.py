@@ -207,7 +207,6 @@ def cmd_sample(args) -> int:
     pairs = _at_least(args, "pairs")
     db = _load_db(args)
     bound = _bound(args, db.schema)
-    g = build_row_graph(db)
     anchor = _option("at", parse_timestamp, args.at)
     if bound.is_static and anchor is not None:
         raise PlanError("static query takes no anchor")
@@ -218,12 +217,12 @@ def cmd_sample(args) -> int:
         # Splits rank anchors on this grid, so an anchor off it has no split.
         raise PlanError(f"--at {format_timestamp(anchor)} is not on the anchor grid ({_describe_grid(anchors)}); "
                         "pick one of its anchors, or move the grid with --latest and --stride")
-    pair_list = sample_pairs(db, g, bound, pairs, anchor=anchor)
+    pair_list = sample_pairs(db, bound, pairs, anchor=anchor)
     if not pair_list:
         print("no active entities to sample", file=sys.stderr)
         return EXIT_EMPTY
     request = build_request(bound, pair_list)
-    sub = collect(g, request)
+    sub = collect(build_row_graph(db), request)
     table = compute_on_subgraph(bound, sub, pair_list, anchors_for_split=anchors, split=_split(args),
                                 keep_empty_labels=args.keep_empty_labels)
     paths = write_training_table(table, Path(args.out_dir), basename="sample")

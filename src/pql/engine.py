@@ -14,10 +14,11 @@ their anchors. Each row a node drops is counted by cause, once, under the
 first node that drops it. The plans differ only in their nodes: the
 cross-product baseline computes targets for every pair before any filter,
 and each gather picks a full scan or a window search from its block, by
-the one rule `kernels.gather_children` states. All paths produce
-identical tables, held as column arrays: Project sorts each block's keys,
-anchors, values and split codes, and the blocks concatenate. `rows` is a
-view.
+the one rule `kernels.gather_children` states. Every entry takes the
+database alone and runs on the row graph it holds (`build_row_graph(db)`).
+All paths produce identical tables, held as column arrays: Project sorts
+each block's keys, anchors, values and split codes, and the blocks
+concatenate. `rows` is a view.
 
 Undefined values: aggregations over an empty (or all-null) set are
 undefined for SUM/AVG/MIN/MAX/FIRST/LAST, zero for COUNT/COUNT_DISTINCT,
@@ -40,9 +41,8 @@ from .errors import ExecutionError, PlanError
 from .kernels import Anchor, SumOverflow, distinct, distinct_pairs, eval_condition_vec, eval_target_vec, newest_first
 from .planner import LogicalPlan, PlanNode, feasible_anchors, latest_event_time, plan_training
 from .splits import SPLITS, SplitPolicy, split_code_for_anchor_rank, split_counts, split_for_keys
-from .store import (_NUMPY_DTYPE, Column, Database, DataType, ListType, RowGraph, RowRef, build_row_graph,
-                    check_row_graph)
-from .times import format_timestamp
+from .store import _NUMPY_DTYPE, Column, Database, DataType, ListType, RowGraph, RowRef, build_row_graph
+from .times import MAX_MICROS, MIN_MICROS, format_timestamp
 
 
 # ---------------------------------------------------------------------------
@@ -150,22 +150,25 @@ class _Block:
 
 @dataclass
 class _Run:
-    """What the node handlers of one execution share."""
+    """What the node handlers of one execution share: the database, and the
+    row graph it holds, taken once."""
 
     plan: LogicalPlan
-    g: RowGraph
+    db: Database
     drop_empty: bool
     split: Optional[SplitPolicy] = None
     split_codes: Dict[int, int] = field(default_factory=dict)  # by anchor
+    g: RowGraph = field(init=False)
     bound: BoundQuery = field(init=False)
     list_target: bool = field(init=False)
     key_column: Column = field(init=False)
     value_dtype: type = field(init=False)
 
     def __post_init__(self):
+        self.g = build_row_graph(self.db)
         self.bound = self.plan.bound
         self.list_target = _is_list_target(self.bound)
-        self.key_column = self.g.db.table(self.bound.entity_table).column(self.bound.entity_column)
+        self.key_column = self.db.table(self.bound.entity_table).column(self.bound.entity_column)
         self.value_dtype = _NUMPY_DTYPE.get(self.bound.task.target_dtype, object)  # object for lists
 
 
@@ -225,7 +228,7 @@ def _execute(
 
 def _scan(run: _Run, block: _Block, node: PlanNode):
     if block.sel is None:  # pre-anchored blocks hold their rows already
-        block.sel = np.arange(run.g.db.nrows(run.bound.entity_table), dtype=np.int64)
+        block.sel = np.arange(run.db.nrows(run.bound.entity_table), dtype=np.int64)
 
 
 def _filter(cause: str, at_anchor: bool) -> Callable:
@@ -253,7 +256,7 @@ def _validity_mask(db: Database, bound: BoundQuery, sel: np.ndarray, anchor: Anc
 
 def _validity(run: _Run, block: _Block, node: PlanNode):
     if block.anchor is not None and run.bound.entity_validity is not None and len(block.sel):
-        block.keep(_validity_mask(run.g.db, run.bound, block.sel, block.anchor), "validity_pruned")
+        block.keep(_validity_mask(run.db, run.bound, block.sel, block.anchor), "validity_pruned")
 
 
 def _cross_join(run: _Run, block: _Block, node: PlanNode):
@@ -310,7 +313,7 @@ def _select_missing_target(run: _Run, block: _Block, node: PlanNode):
 
 def _candidate_set(run: _Run, block: _Block, node: PlanNode):
     link_table = run.bound.task.link_target_table
-    ltable = run.g.db.table(link_table)
+    ltable = run.db.table(link_table)
     sel = np.arange(ltable.nrows, dtype=np.int64)
     if node.payload is not None and len(sel):
         sel = sel[eval_condition_vec(run.g, node.payload, link_table, sel, None)]
@@ -380,15 +383,14 @@ def materialize_training(
     keep_empty_labels: Optional[bool] = None,
 ) -> TrainingTable:
     """Execute a training plan, producing the canonical sorted table.
-    `workers` is accepted and ignored: every plan runs on one thread."""
+    `g` and `workers` are accepted and ignored: the plan runs on `db`'s own
+    row graph, on one thread."""
     if plan.mode != "training":
         raise ExecutionError("materialize_training needs a training-mode plan")
     bound = plan.bound
-    g = g or build_row_graph(db)
-    check_row_graph(db, g)
     split = split or SplitPolicy()
     anchors = feasible_anchors(bound, plan.policy, db)
-    run = _Run(plan, g, _drop_empty_labels(bound.task, keep_empty_labels), split, _split_codes(anchors))
+    run = _Run(plan, db, _drop_empty_labels(bound.task, keep_empty_labels), split, _split_codes(anchors))
     _, columns, drops, pairs_expanded = _execute(run, anchors)
     metadata = {
         "mode": "training",
@@ -416,16 +418,15 @@ def materialize_prediction(
     plan: LogicalPlan, db: Database, g: Optional[RowGraph] = None
 ) -> PredictionTable:
     """Execute a prediction plan: the entity set to predict for, with the
-    candidate list for link tasks. ASSUMING never applies here."""
+    candidate list for link tasks. ASSUMING never applies here. `g` is
+    accepted and ignored: the plan runs on `db`'s own row graph."""
     if plan.mode != "prediction":
         raise ExecutionError("materialize_prediction needs a prediction-mode plan")
     bound = plan.bound
     anchors: List[int] = []
     if not bound.is_static:
         anchors = [latest_event_time(db) if plan.prediction_at is None else plan.prediction_at]
-    g = g or build_row_graph(db)
-    check_row_graph(db, g)
-    run = _Run(plan, g, _drop_empty_labels(bound.task, None))
+    run = _Run(plan, db, _drop_empty_labels(bound.task, None))
     (block,), columns, _, _ = _execute(run, anchors)
     metadata = {
         "mode": "prediction",
@@ -467,7 +468,7 @@ def check_pairs(pairs: Pairs, db: Database, table: str, is_static: bool) -> Tupl
     `table` (a negative index would read a row from the end; a float,
     a string or a value past int64 is no index) or whose anchor does not
     fit the query: a static query takes none, a temporal query needs an
-    integer within int64."""
+    integer within int64 that is a time in years 0001-9999."""
     nrows = db.nrows(table)
     refs, anchors = zip(*pairs) if pairs else ((), ())
     rows, bad_index = _int64s([ref.index for ref in refs])
@@ -476,7 +477,7 @@ def check_pairs(pairs: Pairs, db: Database, table: str, is_static: bool) -> Tupl
         bad |= np.array([ref.table.upper() != table for ref in refs], dtype=np.bool_)
     if not is_static:  # a missing anchor is no integer either
         at, bad_at = _int64s(anchors)
-        bad |= bad_at
+        bad |= bad_at | (at < MIN_MICROS) | (at > MAX_MICROS)
     elif anchors.count(None) != len(anchors):
         bad |= np.array([a is not None for a in anchors], dtype=np.bool_)
     if bad.any():
@@ -490,7 +491,9 @@ def check_pairs(pairs: Pairs, db: Database, table: str, is_static: bool) -> Tupl
             raise ExecutionError(f"pair entity {ref} is outside the {nrows} rows of {table}")
         if (anchor is None) != is_static:
             raise PlanError("static query takes no anchor" if is_static else "temporal query needs an anchor")
-        raise PlanError(f"pair anchor {anchor!r} is not an int64 timestamp")
+        if bad_at[first]:
+            raise PlanError(f"pair anchor {anchor!r} is not an int64 timestamp")
+        raise PlanError(f"pair anchor {int(anchor)} is outside years 0001-9999")
     if is_static:
         return refs, distinct(rows), None
     at, rows = distinct_pairs(at, rows)
@@ -499,7 +502,6 @@ def check_pairs(pairs: Pairs, db: Database, table: str, is_static: bool) -> Tupl
 
 def evaluate_pairs(
     db: Database,
-    g: RowGraph,
     bound: BoundQuery,
     pairs: Pairs,
     *,
@@ -516,14 +518,12 @@ def evaluate_pairs(
     store; with an anchor per row every gather searches windows. Used by
     the low-latency sampler and by the verification suites.
     """
-    check_row_graph(db, g)
     _, rows, at = check_pairs(pairs, db, bound.entity_table, bound.is_static)
-    return _evaluate_distinct(db, g, bound, rows, at, anchors_for_split, split, keep_empty_labels)
+    return _evaluate_distinct(db, bound, rows, at, anchors_for_split, split, keep_empty_labels)
 
 
 def _evaluate_distinct(
     db: Database,
-    g: RowGraph,
     bound: BoundQuery,
     rows: np.ndarray,
     at: Anchor,
@@ -540,7 +540,7 @@ def _evaluate_distinct(
         raise PlanError(f"pair anchor {format_timestamp(max(off_grid))} is not in anchors_for_split")
 
     plan = plan_training(bound)
-    run = _Run(plan, g, _drop_empty_labels(bound.task, keep_empty_labels), split or SplitPolicy(), codes)
+    run = _Run(plan, db, _drop_empty_labels(bound.task, keep_empty_labels), split or SplitPolicy(), codes)
     _, columns, drops, _ = _execute(run, blocks=[_Block(at, rows)] if len(rows) else [])
     metadata = {
         "mode": "training",

@@ -58,9 +58,13 @@ from .binder import (
 )
 from .errors import ExecutionError
 from .store import DataType, EdgeIndex, RowGraph
+from .times import MAX_MICROS, MIN_MICROS
 
 _INT_MIN = np.iinfo(np.int64).min
 _INT_MAX = np.iinfo(np.int64).max
+# From any anchor in years 0001-9999, a window offset of this span or more
+# reaches past every time there is, so longer offsets are cut to it.
+_SPAN = MAX_MICROS - MIN_MICROS + 1
 
 # No anchor, one anchor for the batch, or an int64 anchor per row.
 Anchor = Union[None, int, np.ndarray]
@@ -174,7 +178,9 @@ def gather_children(
     """Collect child slots for each of the given parent rows. Windowed
     gathers take the dated children in [anchor + start, anchor + end), at
     each parent's own anchor when `anchor` is an array aligned with
-    `parents`; unwindowed gathers take every child, undated included.
+    `parents`; unwindowed gathers take every child, undated included. Each
+    anchor lies in years 0001-9999, and each offset is cut to `_SPAN`, so
+    the bounds fit int64 and keep the same times.
 
     The block picks the access path, as the module docstring states: a
     window with a lower bound at one anchor over every row of the parent
@@ -186,8 +192,8 @@ def gather_children(
         if anchor is None:
             raise ExecutionError("windowed gather requires an anchor")
         start = agg.window.start_micros
-        lo = None if start is None else anchor + start
-        hi = anchor + agg.window.end_micros
+        lo = None if start is None else anchor + max(-_SPAN, min(_SPAN, start))
+        hi = anchor + max(-_SPAN, min(_SPAN, agg.window.end_micros))
 
     if lo is not None and not isinstance(anchor, np.ndarray) and len(parents) == len(idx.indptr) - 1:
         # Every parent at one anchor: one pass over the slots' time ranks.
@@ -389,7 +395,10 @@ def _fold(g: RowGraph, agg: BoundAggregation, gth: Gather) -> Tuple[np.ndarray, 
         return out, defined
 
     if kind is AggKind.AVG:
-        sums = np.bincount(seg[m], weights=vals[m].astype(np.float64), minlength=n)
+        if col.dtype is DataType.INT64:
+            sums = _int_float_sums(seg[m], vals[m], n)
+        else:
+            sums = np.bincount(seg[m], weights=vals[m].astype(np.float64), minlength=n)
         cnts = np.bincount(seg[m], minlength=n)
         defined = cnts > 0
         return sums / np.maximum(cnts, 1), defined
@@ -416,19 +425,35 @@ def _fold(g: RowGraph, agg: BoundAggregation, gth: Gather) -> Tuple[np.ndarray, 
     raise AssertionError(kind)
 
 
-def _int_sums(seg: np.ndarray, vals: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Exact per-segment sums of int64 values, and the mask of segments whose
-    true sum falls outside int64 (their sum reads 0).
-
-    The low and high 32-bit halves are summed apart, where neither can
-    overflow, then carried and range-checked."""
+def _int_halves(seg: np.ndarray, vals: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Exact per-segment sums of int64 values as `high * 2**32 + low`, with
+    `low` in [0, 2**32). The low and high 32-bit halves are summed apart,
+    where neither can overflow, then carried."""
     low = np.zeros(n, dtype=np.int64)
     high = np.zeros(n, dtype=np.int64)
     np.add.at(low, seg, vals & 0xFFFFFFFF)
     np.add.at(high, seg, vals >> 32)
     high += low >> 32
+    return high, low & 0xFFFFFFFF
+
+
+def _int_sums(seg: np.ndarray, vals: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Exact per-segment sums of int64 values, and the mask of segments whose
+    true sum falls outside int64 (their sum reads 0)."""
+    high, low = _int_halves(seg, vals, n)
     over = (high < -(1 << 31)) | (high >= 1 << 31)
-    return np.where(over, 0, (high << 32) | (low & 0xFFFFFFFF)), over
+    return np.where(over, 0, (high << 32) | low), over
+
+
+def _int_float_sums(seg: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
+    """Per-segment sums of int64 values, each the float64 nearest its exact
+    sum, however large: `high * 2**32` is exact while `high` has at most 53
+    bits, so adding `low` rounds once, and a larger `high` sums in Python."""
+    high, low = _int_halves(seg, vals, n)
+    sums = high.astype(np.float64) * 2.0**32 + low
+    for i in np.flatnonzero(np.abs(high) >= 1 << 53).tolist():
+        sums[i] = float((int(high[i]) << 32) + int(low[i]))
+    return sums
 
 
 def distinct_pairs(major: np.ndarray, minor: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

@@ -35,7 +35,7 @@ from .ast import Aggregation, And, ColumnRef, Compare, Constant, Not, Or, unpars
 from .binder import BoundAggregation, BoundAnd, BoundColumn, BoundCompare, BoundNot, BoundQuery, TaskType
 from .errors import ExecutionError, PlanError
 from .store import ListType
-from .times import format_duration, format_timestamp
+from .times import MAX_MICROS, MIN_MICROS, format_duration, format_timestamp
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,8 @@ class AnchorPolicy:
     `stride` and `latest` default to "auto": stride becomes one full
     timeframe (past + future when the past is bounded, else one future
     extent), and the latest anchor becomes the dataset's maximum event time
-    minus the future extent. Anchors walk back from the latest one.
+    minus the future extent. Anchors walk back from the latest one. An
+    explicit `latest` must be a time in years 0001-9999.
     """
 
     count: int = 10
@@ -57,6 +58,8 @@ class AnchorPolicy:
             raise PlanError("anchor count must be positive")
         if isinstance(self.stride, int) and self.stride <= 0:
             raise PlanError("anchor stride must be positive")
+        if isinstance(self.latest, int) and not MIN_MICROS <= self.latest <= MAX_MICROS:
+            raise PlanError(f"latest anchor {self.latest} is outside years 0001-9999")
 
 
 @dataclass(frozen=True)
@@ -134,9 +137,12 @@ def _plan_training_naive(bound: BoundQuery, policy: AnchorPolicy) -> LogicalPlan
 
 
 def plan_prediction(bound: BoundQuery, at: Optional[int] = None) -> LogicalPlan:
-    """Prediction-table plan: one anchor, no target computation, no ASSUMING."""
+    """Prediction-table plan: one anchor, no target computation, no ASSUMING.
+    An explicit anchor `at` must be a time in years 0001-9999."""
     if bound.is_static and at is not None:
         raise PlanError("static query takes no anchor")
+    if at is not None and not MIN_MICROS <= at <= MAX_MICROS:
+        raise PlanError(f"prediction anchor {at} is outside years 0001-9999")
     nodes = _entity_nodes(bound)
     if bound.is_static:
         nodes.append(PlanNode("SelectMissingTarget", bound.target))

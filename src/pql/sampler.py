@@ -14,10 +14,12 @@ each part's nodes by `binder.walk` outside aggregation filters:
   parent's anchor, so filter columns pull parent rows and nested
   aggregations gather again.
 
-The collected row sets, a `Subgraph`, account for the work a request
-does: the sorted row indices of each table it reads, and their count.
+`collect` takes the row graph alone, which carries its database. The
+collected row sets, a `Subgraph`, account for the work a request does: the
+database, the sorted row indices of each table it reads, and their count.
 Labels are computed for the requested pairs by the same kernels on the
-shared store, so results match the batch engine row for row.
+database's current row graph, so results match the batch engine row for
+row.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .errors import ExecutionError, PlanError
 from .kernels import Anchor, distinct, gather_children, newest_first, window_slots
 from .planner import AnchorPolicy, feasible_anchors
 from .splits import SplitPolicy
-from .store import Database, RowGraph, RowRef, check_row_graph
+from .store import Database, RowGraph, RowRef, build_row_graph
 
 
 @dataclass(frozen=True)
@@ -62,10 +64,10 @@ def build_request(
 
 @dataclass
 class Subgraph:
-    """Per-table row index sets (sorted), closed under the request's
+    """Per-table row index sets (sorted) of `db`, closed under the request's
     hop/window specification and connected to the requested entities."""
 
-    g: RowGraph
+    db: Database
     rows: Dict[str, np.ndarray]
     touched_rows: int = 0
 
@@ -107,15 +109,15 @@ def _reached_rows(
 
 def collect(g: RowGraph, request: SampleRequest) -> Subgraph:
     """Breadth-first collection of the connected row subgraph the request
-    touches: the entity rows plus every row `_reached_rows` finds."""
-    check_row_graph(g.db, g)
+    touches: the entity rows plus every row `_reached_rows` finds. The graph
+    carries its database; a stale graph refuses when the walk reads it."""
     _, rows, at = check_pairs(request.pairs, g.db, request.entity_table, request.is_static)
     acc = _reached_rows(g, request.parts, rows, at)
     if len(rows):
         acc.setdefault(request.entity_table, []).append(rows)
     packed = {t: distinct(np.concatenate(arrays)) for t, arrays in acc.items()}
     touched = sum(len(v) for v in packed.values())
-    return Subgraph(g, packed, touched)
+    return Subgraph(g.db, packed, touched)
 
 
 def compute_on_subgraph(
@@ -128,10 +130,9 @@ def compute_on_subgraph(
     keep_empty_labels: Optional[bool] = None,
 ) -> TrainingTable:
     """Training rows for pairs whose subgraph was collected: the kernels
-    evaluate exactly these pairs on the shared store, so the rows
-    are the batch engine's rows for the same pairs."""
-    check_row_graph(sub.g.db, sub.g)
-    refs, rows, at = check_pairs(pairs, sub.g.db, bound.entity_table, bound.is_static)
+    evaluate exactly these pairs on the row graph `sub.db` holds now, so the
+    rows are the batch engine's rows for the same pairs."""
+    refs, rows, at = check_pairs(pairs, sub.db, bound.entity_table, bound.is_static)
     collected = sub.rows.get(bound.entity_table, np.empty(0, dtype=np.int64))
     # `collected` is sorted, so a row is collected where its search lands on it.
     found = np.minimum(collected.searchsorted(rows), len(collected) - 1)
@@ -140,12 +141,11 @@ def compute_on_subgraph(
         lost = set(rows[missing].tolist())
         ref = next(ref for ref in refs if ref.index in lost)
         raise ExecutionError(f"entity row {ref} was not collected; build the request from the same pairs")
-    return _evaluate_distinct(sub.g.db, sub.g, bound, rows, at, anchors_for_split, split, keep_empty_labels)
+    return _evaluate_distinct(sub.db, bound, rows, at, anchors_for_split, split, keep_empty_labels)
 
 
 def sample_pairs(
     db: Database,
-    g: RowGraph,
     bound: BoundQuery,
     n: int,
     *,
@@ -156,7 +156,6 @@ def sample_pairs(
     entity key). Activity is the newest child event strictly before the
     anchor across the query's child edges into the entity table.
     """
-    check_row_graph(db, g)
     if n < 0:
         raise PlanError(f"pair count must not be negative, got {n}")
     etable = bound.entity_table
@@ -165,6 +164,7 @@ def sample_pairs(
         return [(RowRef(etable, i), None) for i in range(min(n, n_entities))]
     if anchor is None:
         anchor = feasible_anchors(bound, AnchorPolicy(), db)[0]
+    g = build_row_graph(db)
     entities = np.arange(n_entities, dtype=np.int64)
     none = np.iinfo(np.int64).min  # no child before the anchor: times start at year 1
     latest = np.full(n_entities, none, dtype=np.int64)

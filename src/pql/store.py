@@ -10,7 +10,8 @@ Identifiers are case-insensitive and canonicalized to upper case. A table's
 time column and validity columns must hold timestamps (stored as integer
 microseconds since epoch, UTC). Databases are immutable once loaded; the
 row graph (edge by edge) and each table's primary-key index are built
-lazily and cached.
+lazily and cached. The database owns its row graph: every entry reaches it
+through `build_row_graph(db)`, and a load drops it.
 
 Every file pql reads or writes is UTF-8 text, whatever the locale. CSV
 load works column at a time, from a file (`Path`) or text (`str`), with
@@ -728,7 +729,8 @@ def load_table_data(db: Database, table: str, rows: Union[str, Path], *, strict:
 
     for fk in tdef.foreign_keys:
         fkcol = columns[fk.column]
-        parent = db.tables.get(fk.references)
+        # A key into its own table resolves against the rows being loaded.
+        parent = data if fk.references == tdef.name else db.tables.get(fk.references)
         forward = _resolve_fk(fkcol, parent)
         data.fk_forward[fk.column] = (parent, forward)
         dangling = np.flatnonzero((forward < 0) & ~fkcol.null)
@@ -1374,6 +1376,7 @@ class RowGraph:
     them is built. Both read the tables current when they run, so both
     refuse once a table is loaded again and this graph is no longer the
     database's: a graph never mixes edges from before and after a reload.
+    The database holds its graph, which `build_row_graph` returns.
     """
 
     def __init__(self, db: Database):
@@ -1383,13 +1386,9 @@ class RowGraph:
         self._forwards: Dict[FkEdge, np.ndarray] = {}
         self._ranks: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
 
-    def check_current(self) -> None:
-        """Refuse to read tables once this graph is no longer `db`'s."""
-        if self.db._graph is not self:
-            raise ExecutionError("the row graph is stale: a table was loaded after it was built")
-
     def _check(self, edge: FkEdge) -> None:
-        self.check_current()
+        if self.db._graph is not self:  # a table was loaded again: read no more tables
+            raise ExecutionError("the row graph is stale: a table was loaded after it was built")
         if edge not in self._schema_edges:
             raise DataError(f"no such foreign-key edge: {edge}")
 
@@ -1461,11 +1460,3 @@ def build_row_graph(db: Database) -> RowGraph:
         db._graph = RowGraph(db)
     return db._graph
 
-
-def check_row_graph(db: Database, g: RowGraph) -> None:
-    """Refuse a row graph that is not `db`'s current one: a graph of another
-    database, or one built before a table of `db` was loaded again, would
-    gather rows that `db` does not hold."""
-    if g.db is not db:
-        raise ExecutionError("the row graph was built from another database")
-    g.check_current()

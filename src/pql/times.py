@@ -34,7 +34,9 @@ _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 
 
 def parse_timestamp(text: str) -> int:
-    """Parse an ISO-8601 date or datetime to epoch microseconds (UTC)."""
+    """Parse an ISO-8601 date or datetime to epoch microseconds (UTC). A
+    time outside years 0001-9999 in UTC, which an offset can reach, is a
+    `ValueError`: the CSV writer could not write it."""
     raw = text.strip()
     if raw.endswith(("Z", "z")):
         raw = raw[:-1] + "+00:00"
@@ -42,7 +44,10 @@ def parse_timestamp(text: str) -> int:
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
     delta = dt - _EPOCH
-    return (delta.days * MICROS_PER_DAY) + delta.seconds * MICROS_PER_SECOND + delta.microseconds
+    micros = (delta.days * MICROS_PER_DAY) + delta.seconds * MICROS_PER_SECOND + delta.microseconds
+    if not MIN_MICROS <= micros <= MAX_MICROS:
+        raise ValueError(f"timestamp {text!r} is outside years 0001-9999 in UTC")
+    return micros
 
 
 def format_timestamp(micros: int) -> str:

@@ -705,3 +705,52 @@ class TestBenchCommand:
         )
         assert code == 0
         assert "skipped" in capsys.readouterr().out
+
+
+# Each cell is a time in years 0001-9999 at its offset, and outside them in UTC.
+OUTSIDE_THE_YEARS = ["0001-01-01T00:00:00+01:00", "9999-12-31T23:59:59-01:00"]
+
+
+class TestTimestampsOutsideTheWrittenYears:
+    """A time the CSV writer could not write is refused where it is read:
+    a load as a `DataError` naming its record, `--at` and `--latest` naming
+    the option, a query literal as a bind error."""
+
+    QUERY = "PREDICT COUNT(TRANSACTIONS.*, 0, 7, days) FOR EACH CUSTOMERS.CUSTOMER_ID"
+
+    def run(self, retail_dir, tmp_path, capsys, *args, query=QUERY):
+        code = main([*args, *schema_arg(retail_dir), "--out-dir", str(tmp_path / "out"), "--query", query])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and not (tmp_path / "out").exists()
+        return code, err
+
+    @pytest.mark.parametrize("cell", OUTSIDE_THE_YEARS)
+    def test_a_load(self, cell, retail_dir, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(retail_dir, data)
+        (data / "transactions.csv").write_text(TRANSACTIONS_CSV + f"9,1.0,{cell},1,1\n")
+        code, err = self.run(retail_dir, tmp_path, capsys, "train-table", "--data-dir", str(data))
+        assert code == 1 and "TRANSACTIONS" in err and "row 9" in err and "outside years 0001-9999" in err, err
+
+    @pytest.mark.parametrize("cell", OUTSIDE_THE_YEARS)
+    @pytest.mark.parametrize("command, option", [("predict-table", "--at"), ("sample", "--at"),
+                                                 ("train-table", "--latest"), ("sample", "--latest")])
+    def test_an_option(self, command, option, cell, retail_dir, tmp_path, capsys):
+        code, err = self.run(retail_dir, tmp_path, capsys, command, "--data-dir", str(retail_dir), option, cell)
+        assert code == 1 and f"{option}: " in err and "outside years 0001-9999" in err, err
+
+    @pytest.mark.parametrize("cell", OUTSIDE_THE_YEARS)
+    def test_a_query_literal(self, cell, retail_dir, tmp_path, capsys):
+        query = f"{self.QUERY} WHERE CUSTOMERS.SIGNUP_DATE > '{cell}'"
+        code, err = self.run(retail_dir, tmp_path, capsys, "train-table", "--data-dir", str(retail_dir),
+                             query=query)
+        assert code == 1 and "in years 0001-9999" in err and cell in err, err
+
+
+@pytest.mark.parametrize("command", ["train-table", "predict-table", "sample"])
+def test_a_lookback_past_int64_runs_everywhere(command, retail_dir, tmp_path, capsys):
+    query = ("PREDICT COUNT(TRANSACTIONS.*, 0, 30, days) FOR EACH CUSTOMERS.CUSTOMER_ID "
+             "WHERE COUNT(TRANSACTIONS.*, -100000000000, 0, days) > 0")
+    code = main([command, "--data-dir", str(retail_dir), "--out-dir", str(tmp_path / "out"), "--query", query])
+    err = capsys.readouterr().err
+    assert (code, err) == (0, "")

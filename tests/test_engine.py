@@ -2,14 +2,17 @@
 drop accounting, strategy equivalence, determinism, prediction tables."""
 
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import TRANSACTIONS_CSV, build_toy_db
 from corpus import CORPUS, CORPUS_BY_NAME, schema
 
-from pql import engine
+from pql import engine, kernels
 from pql.binder import bind
 from pql.engine import evaluate_pairs, materialize_prediction, materialize_training
 from pql.errors import ExecutionError, PlanError
@@ -17,7 +20,6 @@ from pql.kernels import eval_agg_vec, eval_condition_vec
 from pql.oracle import oracle_training
 from pql.parser import parse
 from pql.planner import AnchorPolicy, plan_prediction, plan_training, resolve_anchors
-from pql.sampler import sample_pairs
 from pql.splits import SplitPolicy, split_for_key
 from pql.store import RowRef, build_row_graph, load_schema, load_table_data, new_database
 from pql.synth import (
@@ -29,7 +31,7 @@ from pql.synth import (
     random_schema,
     template_schema,
 )
-from pql.times import MICROS_PER_DAY, parse_timestamp
+from pql.times import MAX_MICROS, MICROS_PER_DAY, MIN_MICROS, parse_timestamp
 
 ANCHOR = parse_timestamp("2024-01-01")
 
@@ -472,7 +474,7 @@ class TestEvaluatePairs:
         anchors = resolve_anchors(b, policy, toy_db)
         batch = materialize_training(plan_training(b, policy), toy_db)
         pairs = [(CUSTOMER(i), a) for i in range(3) for a in anchors]
-        got = evaluate_pairs(toy_db, toy_graph, b, pairs, anchors_for_split=anchors)
+        got = evaluate_pairs(toy_db, b, pairs, anchors_for_split=anchors)
         assert got.rows == batch.rows
 
     def test_validity_infeasible_pair_dropped(self):
@@ -487,16 +489,16 @@ class TestEvaluatePairs:
         start_col = cust.definition.validity[0]
         row = next(i for i in range(cust.nrows) if cust.column(start_col).get(i) is not None)
         bad_anchor = cust.column(start_col).get(row) - MICROS_PER_DAY
-        got = evaluate_pairs(db, g, b, [(RowRef("CUSTOMERS", row), bad_anchor)])
+        got = evaluate_pairs(db, b, [(RowRef("CUSTOMERS", row), bad_anchor)])
         assert got.rows == [] and got.metadata["dropped"]["validity_pruned"] == 1
 
     def test_a_pair_repeated_in_another_case_counts_once(self, toy_db, toy_graph):
         b = bind_text("PREDICT COUNT(TRANSACTIONS.*, 0, 30, days) FOR EACH CUSTOMERS.CUSTOMER_ID")
         once = [(CUSTOMER(0), ANCHOR)]
         got = evaluate_pairs(
-            toy_db, toy_graph, b, [(RowRef("customers", 0), ANCHOR), *once, *once], anchors_for_split=[ANCHOR]
+            toy_db, b, [(RowRef("customers", 0), ANCHOR), *once, *once], anchors_for_split=[ANCHOR]
         )
-        want = evaluate_pairs(toy_db, toy_graph, b, once, anchors_for_split=[ANCHOR])
+        want = evaluate_pairs(toy_db, b, once, anchors_for_split=[ANCHOR])
         assert got.rows == want.rows == [(1, ANCHOR, 2, "test")]
         assert got.metadata == want.metadata and got.metadata["pairs_expanded"] == 1
 
@@ -504,7 +506,7 @@ class TestEvaluatePairs:
         b = bind_text(CORPUS_BY_NAME["active_spender"].text)
         pairs = [(CUSTOMER(0), ANCHOR), (CUSTOMER(1), ANCHOR + MICROS_PER_DAY)]
         with pytest.raises(PlanError, match="^pair anchor 2024-01-02T00:00:00Z is not in anchors_for_split$"):
-            evaluate_pairs(toy_db, toy_graph, b, pairs, anchors_for_split=[ANCHOR])
+            evaluate_pairs(toy_db, b, pairs, anchors_for_split=[ANCHOR])
 
     @pytest.mark.parametrize("index", [-1, 3])
     def test_temporal_pair_row_outside_the_table_is_refused(self, toy_db, toy_graph, index):
@@ -512,7 +514,7 @@ class TestEvaluatePairs:
         ref = CUSTOMER(index)
         message = f"^pair entity {re.escape(repr(ref))} is outside the 3 rows of CUSTOMERS$"
         with pytest.raises(ExecutionError, match=message):
-            evaluate_pairs(toy_db, toy_graph, b, [(CUSTOMER(0), ANCHOR), (ref, ANCHOR)])
+            evaluate_pairs(toy_db, b, [(CUSTOMER(0), ANCHOR), (ref, ANCHOR)])
 
     @pytest.mark.parametrize("index", [-1, 8])
     def test_static_pair_row_outside_the_table_is_refused(self, retail_schema, index):
@@ -521,7 +523,7 @@ class TestEvaluatePairs:
         ref = RowRef("TRANSACTIONS", index)
         message = f"^pair entity {re.escape(repr(ref))} is outside the 8 rows of TRANSACTIONS$"
         with pytest.raises(ExecutionError, match=message):
-            evaluate_pairs(db, build_row_graph(db), b, [(ref, None)])
+            evaluate_pairs(db, b, [(ref, None)])
 
 
 class TestPairAnchorsThatDoNotFit:
@@ -539,7 +541,7 @@ class TestPairAnchorsThatDoNotFit:
         from pql.sampler import build_request, collect, compute_on_subgraph
 
         if entry == "evaluate_pairs":
-            return evaluate_pairs(db, g, b, pairs)
+            return evaluate_pairs(db, b, pairs)
         if entry == "leakage_rows":
             for ref, anchor in pairs:
                 leakage_rows(b, db, ref, anchor)
@@ -616,6 +618,14 @@ class TestPairAnchorsThatDoNotFit:
         with pytest.raises(PlanError, match=f"^pair anchor {re.escape(repr(anchor))} is not an int64 timestamp$"):
             self.run(entry, toy_db, toy_graph, b, pairs)
 
+    @pytest.mark.parametrize("entry", ENTRIES)
+    @pytest.mark.parametrize("anchor", [MIN_MICROS - 1, MAX_MICROS + 1, -(2**63), 2**63 - 1])
+    def test_an_anchor_outside_the_years_is_a_plan_error(self, toy_db, toy_graph, entry, anchor):
+        b = bind_text(self.TEMPORAL)
+        pairs = [(CUSTOMER(0), ANCHOR), (CUSTOMER(1), anchor), (CUSTOMER(2), None)]
+        with pytest.raises(PlanError, match=f"^pair anchor {anchor} is outside years 0001-9999$"):
+            self.run(entry, toy_db, toy_graph, b, pairs)
+
     @pytest.mark.parametrize("entry", ["evaluate_pairs", "collect", "leakage_rows"])
     def test_the_first_pair_that_is_no_int64_decides(self, toy_db, toy_graph, entry):
         b = bind_text(self.TEMPORAL)
@@ -638,6 +648,36 @@ class TestPairAnchorsThatDoNotFit:
         else:
             got = self.run(entry, toy_db, toy_graph, b, typed).rows
             assert repr(got) == repr(self.run(entry, toy_db, toy_graph, b, plain).rows)
+
+
+class TestWindowsPastTheYears:
+    """A window offset that reaches past years 0001-9999 from the anchor
+    keeps every time on that side, on every path: the per-row-anchor paths
+    add each anchor to the offset in int64, where it must not wrap."""
+
+    QUERIES = {
+        # The lookback alone leaves int64.
+        "long_lookback": ("PREDICT COUNT(TRANSACTIONS.*, 0, 30, days) FOR EACH CUSTOMERS.CUSTOMER_ID "
+                          "WHERE COUNT(TRANSACTIONS.*, -100000000000, 0, days) > 0"),
+        # The offset fits int64, the anchor plus the offset does not.
+        "long_horizon": "PREDICT COUNT(TRANSACTIONS.*, 0, 106740000, days) FOR EACH CUSTOMERS.CUSTOMER_ID",
+    }
+    # Targets by customer: only customer 3 buys before the anchor; the horizon takes every dated buy after it.
+    TARGETS = {"long_lookback": {3: 0}, "long_horizon": {1: 3, 2: 3, 3: 0}}
+
+    @pytest.mark.parametrize("name", QUERIES)
+    def test_every_path_agrees(self, toy_db, name):
+        from pql.sampler import build_request, collect, compute_on_subgraph
+
+        b = bind_text(self.QUERIES[name])
+        want = oracle_training(b, toy_db, [ANCHOR]).rows
+        assert {key: target for key, _, target, _ in want} == self.TARGETS[name]
+        batch = materialize_training(plan_training(b, AnchorPolicy(count=1, latest=ANCHOR)), toy_db)
+        assert batch.rows == want
+        pairs = [(CUSTOMER(i), ANCHOR) for i in range(3)]
+        assert evaluate_pairs(toy_db, b, pairs, anchors_for_split=[ANCHOR]).rows == want
+        sub = collect(build_row_graph(toy_db), build_request(b, pairs))
+        assert compute_on_subgraph(b, sub, pairs, anchors_for_split=[ANCHOR]).rows == want
 
 
 class TestEmptyParentTable:
@@ -684,7 +724,7 @@ class TestEmptyParentTable:
         assert bool(want) == (exit_code == 0)
         assert materialize_training(plan_training(b, policy), db).rows == want
         assert materialize_training(plan_training(b, policy, optimized=False), db).rows == want
-        assert evaluate_pairs(db, g, b, pairs, anchors_for_split=anchors).rows == want
+        assert evaluate_pairs(db, b, pairs, anchors_for_split=anchors).rows == want
         sub = collect(g, build_request(b, pairs))
         assert compute_on_subgraph(b, sub, pairs, anchors_for_split=anchors).rows == want
 
@@ -747,7 +787,7 @@ class TestInt64Sum:
         return [
             lambda: materialize_training(plan_training(b, policy), db),
             lambda: materialize_training(plan_training(b, policy, optimized=False), db),
-            lambda: evaluate_pairs(db, build_row_graph(db), b, pairs, anchors_for_split=anchors),
+            lambda: evaluate_pairs(db, b, pairs, anchors_for_split=anchors),
             lambda: oracle_training(b, db, anchors),
         ]
 
@@ -774,6 +814,29 @@ class TestInt64Sum:
                 (3, ANCHOR, top - 4, "test"), (4, ANCHOR, 4, "test")]
         for rows in self.run_all(db):
             assert rows == want
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.lists(st.one_of(st.integers(-(2**63), 2**63 - 1), st.sampled_from([-(2**63), 2**63 - 1, 2**53])),
+                             min_size=1, max_size=6), min_size=1, max_size=3))
+    @example([[2**53, 1, 1]])
+    @example([[2**63 - 1] * 4, [-(2**63)] * 3 + [2**63 - 1]])
+    def test_avg_is_the_oracle_s_to_the_bit(self, values):
+        # The exact sum, rounded to float once, then divided once: past 2**53
+        # a running float sum would round at every step, and past int64 the
+        # sum could not be held.
+        db = self.db_with(dict(enumerate(values, start=1)))
+        *paths, want = self.run_all(db, "PREDICT AVG(T.V, 0, 30, days) FOR EACH C.ID")
+        for rows in paths:
+            assert repr(rows) == repr(want)
+
+    def test_a_sum_past_2_to_the_85_rounds_once(self):
+        # (2**53 + 1) * 2**32 + 1 lies just above the tie between two floats:
+        # rounding the high half first would land on the lower one. Reaching
+        # it takes 2**22 values, so the halves are given directly.
+        halves = (np.array([2**53 + 1]), np.array([1]))
+        with mock.patch.object(kernels, "_int_halves", return_value=halves):
+            got = kernels._int_float_sums(np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64), 1)
+        assert got.tolist() == [float((2**53 + 1) * 2**32 + 1)] != [float(2**85)]
 
     def test_overflow_in_a_filtered_out_target_fails_no_path(self):
         # Customer 1's target overflows, but the filter drops it first; the
@@ -859,7 +922,7 @@ class TestPlanExecutor:
         db, b, policy, anchors = validity_case
         naive = materialize_training(plan_training(b, policy, optimized=False), db)
         pairs = [(RowRef("CUSTOMERS", i), a) for a in anchors for i in range(db.nrows("CUSTOMERS"))]
-        got = evaluate_pairs(db, build_row_graph(db), b, pairs, anchors_for_split=anchors)
+        got = evaluate_pairs(db, b, pairs, anchors_for_split=anchors)
         assert got.rows == naive.rows
         assert got.metadata["dropped"] == naive.metadata["dropped"]
         assert got.metadata["pairs_expanded"] == naive.metadata["pairs_expanded"]
@@ -901,7 +964,7 @@ class TestStaticSplits:
         assert self.labels(batch) == [split_for_key(k, policy) for k in batch.keys.tolist()]
         b = bind(parse(self.UNFILTERED), db.schema)
         pairs = [(RowRef("TRANSACTIONS", i), None) for i in reversed(range(db.nrows("TRANSACTIONS")))]
-        assert evaluate_pairs(db, build_row_graph(db), b, pairs, split=policy).rows == batch.rows
+        assert evaluate_pairs(db, b, pairs, split=policy).rows == batch.rows
 
     def test_string_primary_keys(self):
         sch = load_schema({"tables": [{
@@ -921,32 +984,38 @@ class TestStaticSplits:
 
 
 class TestRowGraphOfAnotherDatabase:
-    """Every entry that takes a database and a row graph refuses a graph
-    that is not the database's current one, instead of gathering rows the
-    database does not hold."""
+    """The entries that keep a `g` parameter ignore it: a graph of another
+    database, or one built before a reload, gives the table that passing
+    none gives, from the database's own current graph. No other entry takes
+    a graph besides the database (`test_imports` guards that)."""
 
-    TEXT = "PREDICT COUNT(TRANSACTIONS.*, 0, 7, days) FOR EACH CUSTOMERS.CUSTOMER_ID"
+    TEXT = ("PREDICT COUNT(TRANSACTIONS.*, 0, 7, days) FOR EACH CUSTOMERS.CUSTOMER_ID "
+            "WHERE COUNT(TRANSACTIONS.*, -60, 0, days) > 0")
     ENTRIES = {
         "materialize_training": lambda db, g, bound: materialize_training(plan_training(bound), db, g),
         "materialize_prediction": lambda db, g, bound: materialize_prediction(plan_prediction(bound), db, g),
-        "evaluate_pairs": lambda db, g, bound: evaluate_pairs(db, g, bound, [(CUSTOMER(0), ANCHOR)]),
-        "sample_pairs": lambda db, g, bound: sample_pairs(db, g, bound, 2),
     }
+    # The toy transactions without customer 3's only one.
+    FEWER = "".join(f"{line}\n" for line in TRANSACTIONS_CSV.splitlines() if not line.startswith("7,"))
+
+    def table(self, entry, db, g):
+        table = self.ENTRIES[entry](db, g, bind_text(self.TEXT))
+        return table.rows, table.metadata
 
     @pytest.mark.parametrize("entry", ENTRIES)
     def test_a_graph_of_another_database(self, retail_schema, entry):
         db, other = build_toy_db(retail_schema), build_toy_db(retail_schema)
-        bound = bind_text(self.TEXT)
-        with pytest.raises(ExecutionError, match="^the row graph was built from another database$"):
-            self.ENTRIES[entry](db, build_row_graph(other), bound)
-        self.ENTRIES[entry](db, build_row_graph(db), bound)
+        load_table_data(other, "TRANSACTIONS", self.FEWER)
+        want = self.table(entry, db, None)
+        assert self.table(entry, other, None) != want
+        assert self.table(entry, db, build_row_graph(other)) == want
 
     @pytest.mark.parametrize("entry", ENTRIES)
     def test_a_graph_built_before_a_reload(self, retail_schema, entry):
         db = build_toy_db(retail_schema)
         stale = build_row_graph(db)
-        load_table_data(db, "TRANSACTIONS", TRANSACTIONS_CSV)
-        bound = bind_text(self.TEXT)
-        with pytest.raises(ExecutionError, match="^the row graph is stale: a table was loaded after it was built$"):
-            self.ENTRIES[entry](db, stale, bound)
-        self.ENTRIES[entry](db, build_row_graph(db), bound)
+        before = self.table(entry, db, None)
+        load_table_data(db, "TRANSACTIONS", self.FEWER)
+        want = self.table(entry, db, None)
+        assert want != before
+        assert self.table(entry, db, stale) == want

@@ -379,6 +379,6 @@ class TestAccessPath:
     def test_a_sampler_request_searches(self, retail_schema):
         def run(g):
             bound = bind(parse(self.COUNT_7D), g.db.schema)
-            pairs = sample_pairs(g.db, g, bound, 3)
+            pairs = sample_pairs(g.db, bound, 3)
             assert compute_on_subgraph(bound, collect(g, build_request(bound, pairs)), pairs).row_count
         assert self.scanned(retail_schema, run) == set()

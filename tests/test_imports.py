@@ -2,13 +2,17 @@
 module-level name of `pql` is read somewhere in `pql`. A name the module
 re-exports through `__all__` counts as used, and every such name resolves.
 No module uses the csv module: `store` reads and writes every CSV file
-without it. Only `store` and `kernels` read the row graph's key layout. The
-command line starts no thread pool. The oracle imports nothing from the
-modules it checks."""
+without it. Only `store` and `kernels` read the row graph's key layout. No
+function takes both a database and a row graph, but for the two that ignore
+the graph. The command line starts no thread pool. The oracle imports
+nothing from the modules it checks."""
 
 import ast
 import functools
+import importlib
+import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -190,3 +194,51 @@ def test_an_execution_import_is_found():
               "from pql import engine as e\n")
     assert execution_imports(source) == [(1, "engine"), (2, "kernels"), (3, "sampler"), (4, "engine"),
                                          (5, "kernels"), (12, "engine")]
+
+
+# The database owns its row graph: no function takes the two handles, which
+# could disagree. These two keep a `g` they ignore, as their callers pass one.
+IGNORED_GRAPHS = {("pql.engine", "materialize_training"), ("pql.engine", "materialize_prediction")}
+
+
+def takes_db_and_graph(fn) -> bool:
+    """Whether `fn` has a parameter annotated as (or named like) a
+    `Database` and another annotated as (or named like) a `RowGraph`.
+    Annotations are read as their text, as postponed annotations are."""
+    kinds = set()
+    for param in inspect.signature(fn).parameters.values():
+        text = param.annotation if isinstance(param.annotation, str) else getattr(param.annotation, "__name__", "")
+        if param.name == "db" or re.search(r"\bDatabase\b", text):
+            kinds.add("db")
+        if param.name == "g" or re.search(r"\bRowGraph\b", text):
+            kinds.add("g")
+    return kinds == {"db", "g"}
+
+
+def pql_functions():
+    """(module, qualified name, function) of every function and method the
+    `pql` modules define."""
+    for path in MODULES:
+        module = importlib.import_module(f"pql.{path.stem}" if path.stem != "__init__" else "pql")
+        for name, value in vars(module).items():
+            if getattr(value, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(value):
+                yield module.__name__, name, value
+            elif inspect.isclass(value):
+                for attr, method in vars(value).items():
+                    if inspect.isfunction(method):
+                        yield module.__name__, f"{name}.{attr}", method
+
+
+def test_no_function_takes_a_database_and_its_row_graph():
+    found = {(module, name) for module, name, fn in pql_functions() if takes_db_and_graph(fn)}
+    assert found == IGNORED_GRAPHS
+
+
+def test_a_function_taking_both_is_found():
+    def both(db, bound, g=None): ...
+    def annotated(data: "Database", graph: "Optional[RowGraph]"): ...
+    def graph_only(g: "RowGraph", rows): ...
+    def db_only(db: "Database", grid: "Graph"): ...
+    assert [takes_db_and_graph(f) for f in (both, annotated, graph_only, db_only)] == [True, True, False, False]

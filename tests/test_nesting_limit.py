@@ -97,7 +97,7 @@ def test_query_at_the_limit_runs_everywhere(shape, data_dirs, tmp_path, capsys):
         plan_to_json(plan)
         materialize_training(plan, db, g)
     oracle_training(bound, db, resolve_anchors(bound, policy, db))
-    pairs = sample_pairs(db, g, bound, 3)
+    pairs = sample_pairs(db, bound, 3)
     compute_on_subgraph(bound, collect(g, build_request(bound, pairs)), pairs)
 
     data = ["--data-dir", str(data_dirs[key]), "--out-dir", str(tmp_path), "--anchors", "3", "--query", text]

@@ -103,7 +103,7 @@ def test_prediction_table_reads(name, toy_db, toy_graph):
 @pytest.mark.parametrize("name", ["next_month_spend", "blue_articles"])
 def test_sampled_table_reads(name, toy_db, toy_graph):
     bound = _bind(name)
-    pairs = sample_pairs(toy_db, toy_graph, bound, 10)
+    pairs = sample_pairs(toy_db, bound, 10)
     assert pairs
     sub = collect(toy_graph, build_request(bound, pairs))
     table = compute_on_subgraph(bound, sub, pairs)

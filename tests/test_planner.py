@@ -23,7 +23,7 @@ from pql.planner import (
 )
 from pql.store import RowRef
 from pql.synth import GenSpec, generate, hm_genspec
-from pql.times import MICROS_PER_DAY, parse_timestamp
+from pql.times import MAX_MICROS, MICROS_PER_DAY, MIN_MICROS, parse_timestamp
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -141,7 +141,7 @@ class TestStages:
         plan_prediction(bind_corpus("impute_value"))
         materialize_training(plan, toy_db, toy_graph)
         anchors = resolve_anchors(b, policy, toy_db)
-        evaluate_pairs(toy_db, toy_graph, b, [(RowRef("CUSTOMERS", 0), anchors[0])], anchors_for_split=anchors)
+        evaluate_pairs(toy_db, b, [(RowRef("CUSTOMERS", 0), anchors[0])], anchors_for_split=anchors)
         with pytest.raises(AssertionError, match="rendered"):
             explain(plan)
 
@@ -232,6 +232,19 @@ class TestAnchors:
             AnchorPolicy(count=0)
         with pytest.raises(PlanError):
             AnchorPolicy(stride=0)
+
+    @pytest.mark.parametrize("latest", [MIN_MICROS - 1, MAX_MICROS + 1, -(2**63), 2**63 - 1])
+    def test_an_explicit_latest_outside_the_years_is_refused(self, latest):
+        with pytest.raises(PlanError, match=f"^latest anchor {latest} is outside years 0001-9999$"):
+            AnchorPolicy(latest=latest)
+        AnchorPolicy(latest=min(max(latest, MIN_MICROS), MAX_MICROS))
+
+    @pytest.mark.parametrize("at", [MIN_MICROS - 1, MAX_MICROS + 1, -(2**63), 2**63 - 1])
+    def test_a_prediction_anchor_outside_the_years_is_refused(self, at):
+        b = bind_corpus("ny_monthly_spend")
+        with pytest.raises(PlanError, match=f"^prediction anchor {at} is outside years 0001-9999$"):
+            plan_prediction(b, at)
+        plan_prediction(b, min(max(at, MIN_MICROS), MAX_MICROS))
 
 
 class TestExplain:

@@ -163,8 +163,8 @@ def test_warm_bind_plans_and_evaluates_like_a_cold_bind(seed):
     pairs = [(RowRef(warm.entity_table, i), None if warm.is_static else anchors[i % len(anchors)])
              for i in range(min(n, 12))]
     g = build_row_graph(db)
-    got = evaluate_pairs(db, g, warm, pairs, anchors_for_split=anchors)
-    want = evaluate_pairs(db, g, cold, pairs, anchors_for_split=anchors)
+    got = evaluate_pairs(db, warm, pairs, anchors_for_split=anchors)
+    want = evaluate_pairs(db, cold, pairs, anchors_for_split=anchors)
     assert got.rows == want.rows
     assert got.metadata == want.metadata
 
@@ -206,7 +206,7 @@ class TestBenchFrontEnd:
         text = CORPUS_BY_NAME["active_spender"].text
         bind(parse(text), toy_db.schema)  # warm both caches first
         counts.update(tokenize=0, binder=0)
-        run_bench(toy_db, text, paths=[path], runs=self.RUNS, pairs=3, anchors=3, g=toy_graph)
+        run_bench(toy_db, text, paths=[path], runs=self.RUNS, pairs=3, anchors=3)
         # One more for the untimed bind that picks the pairs and anchors.
         assert counts == {"tokenize": 1 + timed_calls, "binder": 1 + timed_calls}
 

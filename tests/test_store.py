@@ -238,6 +238,22 @@ class TestLoadData:
         load_table_data(db, "TRANSACTIONS", rows, strict=True)
         assert db.nrows("TRANSACTIONS") == 1
 
+    @pytest.mark.parametrize("dtype", ["int64", "string"])
+    def test_a_key_into_its_own_table(self, dtype):
+        """A foreign key into its own table resolves against the rows being
+        loaded, so the load's check counts what the row graph reads."""
+        key = {"dtype": dtype, "stype": "key"}
+        schema = load_schema({"tables": [{"name": "E", "columns": [{"name": "ID", **key}, {"name": "BOSS", **key}],
+                                          "primary_key": "ID", "foreign_keys": [{"column": "BOSS", "references": "E"}]}]})
+        (edge,) = schema.edges()
+        db = load_table_data(new_database(schema), "E", "ID,BOSS\n1,\n2,1\n3,1\n")
+        assert db.reports[-1].dangling_fk == 0 and build_row_graph(db).forward(edge).tolist() == [-1, 0, 0]
+        dangling = "ID,BOSS\n1,\n2,1\n3,4\n"
+        with pytest.raises(DataError, match="row 3: foreign key BOSS=.?4.? has no match in E$"):
+            load_table_data(new_database(schema), "E", dangling)
+        db = load_table_data(new_database(schema), "E", dangling, strict=False)
+        assert db.reports[-1].dangling_fk == 1 and build_row_graph(db).forward(edge).tolist() == [-1, 0, -1]
+
 
 class TestRowGraph:
     def test_children_time_sorted(self, toy_db, toy_graph):
@@ -306,7 +322,7 @@ class TestRowGraph:
         with pytest.raises(ExecutionError, match="not from CUSTOMERS"):
             collect(toy_graph, build_request(b, pairs))
         with pytest.raises(ExecutionError, match="not from CUSTOMERS"):
-            evaluate_pairs(toy_graph.db, toy_graph, b, pairs)
+            evaluate_pairs(toy_graph.db, b, pairs)
         with pytest.raises(DataError, match="no such foreign-key edge"):
             toy_graph.edge_index(FkEdge("ARTICLES", "CUSTOMER_ID", "CUSTOMERS"))
 

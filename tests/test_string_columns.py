@@ -118,7 +118,7 @@ def test_every_path_gives_the_same_cells(string_db, text):
     assert _cells(naive.rows) == want
     pairs = [(RowRef("CUSTOMERS", i), a) for i in range(db.nrows("CUSTOMERS"))
              for a in ([None] if b.is_static else anchors)]
-    assert _cells(evaluate_pairs(db, g, b, pairs, anchors_for_split=anchors).rows) == want
+    assert _cells(evaluate_pairs(db, b, pairs, anchors_for_split=anchors).rows) == want
     sub = collect(g, build_request(b, pairs))
     assert _cells(compute_on_subgraph(b, sub, pairs, anchors_for_split=anchors).rows) == want
     assert _cells(oracle_training(b, db, anchors).rows) == want

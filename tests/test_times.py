@@ -153,6 +153,20 @@ def test_bad_timestamp_raises():
         parse_timestamp("yesterday")
 
 
+@pytest.mark.parametrize("text", ["0001-01-01T00:00:00+01:00", "9999-12-31T23:59:59-01:00",
+                                  "0001-01-01T00:59:59.999999+01:00", "9999-12-31T23:00:00-01:00"])
+def test_a_time_outside_the_written_years_is_refused(text):
+    """An offset can move a time in years 0001-9999 outside them in UTC,
+    where the CSV writer could not write it back."""
+    with pytest.raises(ValueError, match="outside years 0001-9999"):
+        parse_timestamp(text)
+
+
+def test_the_written_years_read_to_their_ends():
+    assert parse_timestamp("0001-01-01T01:00:00+01:00") == MIN_MICROS
+    assert parse_timestamp("9999-12-31T22:59:59.999999-01:00") == MAX_MICROS
+
+
 def test_parse_duration():
     assert parse_duration("45d") == 45 * MICROS_PER_DAY
     assert parse_duration("12h") == 12 * MICROS_PER_HOUR
