@@ -30,7 +30,9 @@ and the null mask hides what null and undefined cells hold. Two forks are
 chosen by dtype because they measured faster: `_distinct_lists` builds a
 set per entity for strings (2.2-3.5x faster than an object sort at
 100k-1M rows), and `store._resolve_fk` maps string keys through a dict
-(0.28 s against 1.14 s for a sorted search over 1M keys). `_string_loop`,
+(0.28 s against 1.14 s for a sorted search over 1M keys); its int keys
+resolve by offset into a dense parent key and by a sorted search into
+any other, a choice by key layout, not dtype. `_string_loop`,
 a per-row Python loop, serves only the string-only operators LIKE,
 CONTAINS, STARTS_WITH and ENDS_WITH.
 """

@@ -37,9 +37,13 @@ and `_rows` lays the cells out with their separators and keeps their
 bytes with one boolean compaction. A row with a carriage return in a
 text cell is quoted whole.
 
-`_resolve_fk` maps foreign keys to parent rows once, for the load check;
-the row graph reuses that mapping while its parent table is still the one
-loaded.
+An int64 primary key that strictly increases is unique as it stands;
+any other key is checked with a set. `_resolve_fk` maps foreign keys to
+parent rows once, for the load check: an int64 key into a dense parent
+key (strictly increasing, `last - first == n - 1`) by its offset from the
+first, any other int64 key by a sorted search, a key of another dtype
+by a dict. The row graph reuses that mapping while its parent table is
+still the one loaded.
 """
 
 from __future__ import annotations
@@ -964,8 +968,17 @@ def _convert_block(
         raise DataError(f"table {table}: row {offset + row + 1}{text}")
 
 
+def _increasing(col: Column) -> bool:
+    """Whether `col` holds int64 keys, none null, each larger than the one
+    before: such keys are unique."""
+    v = col.values
+    return col.dtype is DataType.INT64 and not col.null.any() and bool((v[1:] > v[:-1]).all())
+
+
 def _check_primary_key(tdef: TableDef, col: Column) -> None:
     """Raise at the first null or repeated key, in row order."""
+    if _increasing(col):
+        return
     if len(set(col.values.tolist())) == len(col.values) and not col.null.any():
         return
     seen: set = set()
@@ -983,7 +996,14 @@ def _resolve_fk(fkcol: Column, parent: Optional[TableData]) -> np.ndarray:
     if parent is None or not parent.nrows or not len(forward):
         return forward
     if fkcol.dtype is DataType.INT64:
-        pk = parent.column(parent.definition.primary_key).values
+        pkcol = parent.column(parent.definition.primary_key)
+        pk = pkcol.values
+        if int(pk[-1]) - int(pk[0]) == len(pk) - 1 and _increasing(pkcol):
+            # Dense keys: key k is row k - first. The range test comes
+            # first, so the subtraction stays inside int64.
+            hit = (fkcol.values >= pk[0]) & (fkcol.values <= pk[-1]) & ~fkcol.null
+            np.subtract(fkcol.values, pk[0], out=forward, where=hit)
+            return forward
         sorter = np.argsort(pk, kind="stable")
         sorted_pk = pk[sorter]
         pos = np.minimum(np.searchsorted(sorted_pk, fkcol.values), len(sorted_pk) - 1)

@@ -462,17 +462,52 @@ def random_schema(seed: int) -> Schema:
     return load_schema({"tables": tables})
 
 
+_INT64_LO, _INT64_HI = -(2**63), 2**63 - 1
+
+
+def _primary_keys(rng: np.random.Generator, n: int, shuffle: bool = True) -> np.ndarray:
+    """`n` distinct int64 keys in one of four layouts, so that each of the
+    store's key paths runs: dense from 0; dense from an offset, at times
+    ending at int64's top or starting at its bottom; sparse ascending,
+    with small gaps or spread over int64 from end to end; shuffled."""
+    layout = int(rng.integers(0, 4 if shuffle else 3))
+    if layout == 0:
+        return np.arange(n, dtype=np.int64)
+    if layout == 1:
+        first = (int(rng.integers(-1000, 1000)), _INT64_HI - (n - 1), _INT64_LO)[int(rng.integers(0, 3))]
+        return np.int64(first) + np.arange(n, dtype=np.int64)
+    if layout == 2:
+        if rng.random() < 0.5:
+            gaps = rng.integers(1, 6, n, dtype=np.int64)
+            gaps[-1] += 1  # never dense
+            return int(rng.integers(-1000, 1000)) + np.cumsum(gaps)
+        while True:
+            inner = np.unique(rng.integers(_INT64_LO + 1, _INT64_HI, n - 2, dtype=np.int64))
+            if len(inner) == n - 2:
+                return np.concatenate([[_INT64_LO], inner, [_INT64_HI]])
+    return rng.permutation(_primary_keys(rng, n, shuffle=False))
+
+
 def random_database(seed: int, schema: Schema, scale: float = 1.0) -> Database:
     """Random data for `schema` with nulls, undated rows and dangling-free
-    FKs; float columns are dyadic so sums are order-independent."""
+    FKs; float columns are dyadic so sums are order-independent. Int64
+    primary keys take a layout of `_primary_keys`, drawn from their own
+    stream, and each FK holds keys of its parent's rows."""
     rng = np.random.default_rng(seed)
+    key_rng = np.random.default_rng([seed, 1])
     db = Database(schema)
     sizes: Dict[str, int] = {}
+    keys: Dict[str, np.ndarray] = {}
     for name, tdef in schema.tables.items():
         if tdef.time_column is None:
             sizes[name] = int(rng.integers(8, 50) * scale) + 2
         else:
             sizes[name] = int(rng.integers(40, 260) * scale) + 5
+        pk = tdef.column(tdef.primary_key) if tdef.primary_key else None
+        if pk is not None and pk.dtype is DataType.INT64:
+            keys[name] = _primary_keys(key_rng, sizes[name])
+        else:
+            keys[name] = np.arange(sizes[name], dtype=np.int64)
     for name, tdef in schema.tables.items():
         n = sizes[name]
         cols: Dict[str, Column] = {}
@@ -480,10 +515,10 @@ def random_database(seed: int, schema: Schema, scale: float = 1.0) -> Database:
             null_rate = 0.0 if cdef.name == tdef.primary_key else 0.07
             null = _null_mask(rng, n, null_rate)
             if cdef.name == tdef.primary_key:
-                vals = np.arange(n, dtype=np.int64)
+                vals = keys[name]
             elif any(fk.column == cdef.name for fk in tdef.foreign_keys):
                 target = next(fk.references for fk in tdef.foreign_keys if fk.column == cdef.name)
-                vals = rng.integers(0, sizes[target], n, dtype=np.int64)
+                vals = keys[target][rng.integers(0, sizes[target], n, dtype=np.int64)]
                 null = _null_mask(rng, n, 0.05)
             elif cdef.dtype is DataType.INT64:
                 vals = rng.integers(0, 12, n, dtype=np.int64)

@@ -6,7 +6,6 @@ schemas, databases and queries from the seeded generators; sizes vary from
 a few hundred to a few thousand rows per database.
 """
 
-import json
 import random
 import statistics
 import time

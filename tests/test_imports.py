@@ -1,11 +1,11 @@
-"""Every name imported into a `pql` module is used there, and every private
-module-level name of `pql` is read somewhere in `pql`. A name the module
-re-exports through `__all__` counts as used, and every such name resolves.
-No module uses the csv module: `store` reads and writes every CSV file
-without it. Only `store` and `kernels` read the row graph's key layout. No
-function takes both a database and a row graph, but for the two that ignore
-the graph. The command line starts no thread pool. The oracle imports
-nothing from the modules it checks."""
+"""Every name imported into a `pql` module or a test module is used there,
+and every private module-level name of `pql` is read somewhere in `pql`. A
+name the module re-exports through `__all__` counts as used, and every such
+name resolves. No `pql` module uses the csv module: `store` reads and
+writes every CSV file without it. Only `store` and `kernels` read the row
+graph's key layout. No function takes both a database and a row graph, but
+for the two that ignore the graph. The command line starts no thread pool.
+The oracle imports nothing from the modules it checks."""
 
 import ast
 import functools
@@ -23,6 +23,7 @@ import pql
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 MODULES = sorted((SRC / "pql").glob("*.py"))
+TEST_MODULES = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def unused_imports(source: str):
@@ -43,7 +44,9 @@ def unused_imports(source: str):
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", MODULES + TEST_MODULES, ids=[p.name for p in MODULES] + [f"tests/{p.name}" for p in TEST_MODULES]
+)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

@@ -814,6 +814,13 @@ class TestColumnarLoader:
             ("P", ["1", "", "1"]),
             ("P", ["1", "2", "1", ""]),
             ("P", ["-9223372036854775808", "9223372036854775807", "-9223372036854775808"]),
+            ("P", ["1", "2", "2"]),
+            ("P", ["3", "2", "1"]),
+            ("P", ["9223372036854775805", "9223372036854775806", "9223372036854775807"]),
+            ("P", ["-9223372036854775808", "-9223372036854775807", "-9223372036854775806"]),
+            ("P", ["-9223372036854775808", "9223372036854775807"]),
+            ("P", ["9223372036854775806", "9223372036854775807", ""]),
+            ("P", ["", "1", "2"]),  # a null reads as 0, which would increase
             ("SP", ["a", "b", "'a'", "a"]),
             ("SP", ["a", "", "b"]),
             ("SP", ["a", "", "a"]),
@@ -1231,3 +1238,120 @@ class TestForeignKeysResolvedOnce:
 def real_forward(fkcol, parent):
     index = parent.pk_index
     return [-1 if v is None else index.get(v, -1) for v in fkcol.to_pylist()]
+
+
+INT64 = st.integers(-(2**63), 2**63 - 1)
+
+
+@st.composite
+def parent_keys(draw):
+    """Distinct int64 keys in one of the layouts `_resolve_fk` tells apart."""
+    n = draw(st.integers(1, 12))
+    layout = draw(st.sampled_from(["dense from 0", "dense", "sparse", "shuffled"]))
+    if layout == "dense from 0":
+        return list(range(n))
+    if layout == "dense":
+        first = draw(st.sampled_from([-(2**63), 2**63 - n]) | st.integers(-(2**63), 2**63 - n))
+        return list(range(first, first + n))
+    keys = sorted(draw(st.sets(INT64, min_size=n, max_size=n)))
+    return keys if layout == "sparse" else draw(st.permutations(keys))
+
+
+@st.composite
+def keys_and_references(draw):
+    """Parent keys, then child keys with nulls: parent keys, keys just past
+    either end, int64's ends and any int64."""
+    keys = draw(parent_keys())
+    near = [keys[0] - 1, keys[-1] + 1, min(keys) - 1, max(keys) + 1, -(2**63), 2**63 - 1]
+    near = [k for k in near if -(2**63) <= k < 2**63]
+    cells = st.sampled_from(keys) | st.sampled_from(near) | INT64
+    fks = draw(st.lists(st.tuples(cells, st.booleans()), min_size=1, max_size=20))
+    return keys, fks
+
+
+def int_parent(keys):
+    tdef = ADVERSARIAL.table("P")
+    values = np.array(keys, dtype=np.int64)
+    return store.TableData(tdef, {"ID": store.Column(store.DataType.INT64, values, np.zeros(len(keys), dtype=bool))}, len(keys))
+
+
+class TestDenseKeys:
+    @settings(max_examples=300, deadline=None)
+    @given(keys_and_references())
+    @example(([2**63 - 2, 2**63 - 1], [(2**63 - 1, False), (-(2**63), False), (2**63 - 2, True)]))
+    @example(([-(2**63), -(2**63) + 1], [(-(2**63), False), (2**63 - 1, False), (-(2**63) + 2, False)]))
+    @example(([-(2**63), 2**63 - 1], [(2**63 - 1, False), (0, False)]))
+    def test_resolve_fk_equals_a_dict_lookup(self, case):
+        keys, fks = case
+        fkcol = store.Column(
+            store.DataType.INT64, np.array([v for v, _ in fks], dtype=np.int64), np.array([null for _, null in fks])
+        )
+        index = {key: row for row, key in enumerate(keys)}
+        want = [-1 if null else index.get(v, -1) for v, null in fks]
+        assert store._resolve_fk(fkcol, int_parent(keys)).tolist() == want
+
+    def record(self, monkeypatch):
+        """Record the sorted searches `_resolve_fk` runs and the sets
+        `_check_primary_key` builds, by table."""
+        calls = []
+
+        def recording(name, real):
+            def call(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            return call
+
+        resolve, check = store._resolve_fk, store._check_primary_key
+
+        def resolving(fkcol, parent):
+            calls.append(("resolve", parent.definition.name))
+            with mock.patch.object(np, "argsort", recording("argsort", np.argsort)), mock.patch.object(
+                np, "searchsorted", recording("searchsorted", np.searchsorted)
+            ):
+                return resolve(fkcol, parent)
+
+        def checking(tdef, col):
+            calls.append(("check", tdef.name))
+            with mock.patch.object(store, "set", recording("set", set), create=True):
+                return check(tdef, col)
+
+        monkeypatch.setattr(store, "_resolve_fk", resolving)
+        monkeypatch.setattr(store, "_check_primary_key", checking)
+        return calls
+
+    def test_the_template_keys_need_no_set_and_no_search(self, tmp_path, monkeypatch):
+        store.save_database(generate(hm_genspec(scale=0.0005, seed=3)), tmp_path)
+        calls = self.record(monkeypatch)
+        db = store.load_database(tmp_path / "schema.json", tmp_path)
+        assert calls == [
+            ("check", "ARTICLES"),
+            ("check", "CUSTOMERS"),
+            ("resolve", "CUSTOMERS"),  # NOTIFICATIONS, which has no primary key
+            ("check", "TRANSACTIONS"), ("resolve", "CUSTOMERS"), ("resolve", "ARTICLES"),
+        ]
+        for edge in db.schema.edges():
+            fkcol = db.table(edge.child_table).column(edge.fk_column)
+            assert build_row_graph(db).forward(edge).tolist() == real_forward(fkcol, db.table(edge.parent_table))
+
+    def test_other_keys_take_the_set_and_the_search(self, monkeypatch):
+        db = new_database(ADVERSARIAL)
+        calls = self.record(monkeypatch)
+        load_table_data(db, "P", csv_text(["ID"], [["10"], ["-3"], ["30"]]))
+        load_table_data(db, "C", csv_text(["ID", "P1", "P2"], [["1", "10", "30"], ["2", "30", ""]]))
+        assert calls == [
+            ("check", "P"), "set",
+            ("check", "C"),
+            ("resolve", "P"), "argsort", "searchsorted",
+            ("resolve", "P"), "argsort", "searchsorted",
+        ]
+        assert db.table("C").fk_forward["P1"][1].tolist() == [0, 2]
+
+    def test_keys_dense_from_an_offset_resolve_by_it(self):
+        db = new_database(ADVERSARIAL)
+        load_table_data(db, "P", csv_text(["ID"], [["-2"], ["-1"], ["0"], ["1"]]))
+        load_table_data(db, "C", csv_text(["ID", "P1", "P2"], [["5", "1", ""], ["7", "-2", "2"]]), strict=False)
+        assert db.table("C").fk_forward["P1"][1].tolist() == [3, 0]
+        assert db.table("C").fk_forward["P2"][1].tolist() == [-1, -1]
+        assert db.reports[-1].dangling_fk == 1
+

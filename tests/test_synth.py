@@ -7,7 +7,6 @@ import pytest
 from pql.ast import AggKind, iter_aggregations
 from pql.binder import bind
 from pql.errors import PqlError
-from pql.parser import parse
 from pql.store import save_database
 from pql.synth import (
     GenSpec,
