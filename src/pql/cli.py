@@ -298,6 +298,11 @@ class _Parser(argparse.ArgumentParser):
         self.commands = sub.choices
         return sub
 
+    def error(self, message: str):
+        """A malformed command line is a validation failure, as a malformed
+        config file is."""
+        raise PqlError(message)
+
 
 def _add_common(p: argparse.ArgumentParser, *, query: bool = True, data: bool = False,
                 out_dir: bool = False, seed: bool = False):

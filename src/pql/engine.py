@@ -15,7 +15,7 @@ first node that drops it. The plans differ only in their nodes: the
 cross-product baseline computes targets for every pair before any filter,
 and each gather picks a full scan or a window search from its block, by
 the one rule `kernels.gather_children` states. Every entry takes the
-database alone and runs on the row graph it holds (`build_row_graph(db)`).
+database alone and runs on its row graph (`build_row_graph(db)`).
 All paths produce identical tables, held as column arrays: Project sorts
 each block's keys, anchors, values and split codes, and the blocks
 concatenate. `rows` is a view.
@@ -150,8 +150,8 @@ class _Block:
 
 @dataclass
 class _Run:
-    """What the node handlers of one execution share: the database, and the
-    row graph it holds, taken once."""
+    """What the node handlers of one execution share: the database, and a
+    view of its row graph, taken once."""
 
     plan: LogicalPlan
     db: Database

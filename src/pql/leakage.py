@@ -66,8 +66,8 @@ def leakage_rows(
 
     if anchor is not None:
         for name in reachable_tables(db, table):
-            tdata = db.tables.get(name)
-            if tdata is None or tdata.definition.time_column is None:
+            tdata = db.table(name)
+            if tdata.definition.time_column is None:
                 continue
             col = tdata.column(tdata.definition.time_column)
             future = np.nonzero(~col.null & (col.values >= anchor))[0]

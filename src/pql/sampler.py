@@ -14,12 +14,12 @@ each part's nodes by `binder.walk` outside aggregation filters:
   parent's anchor, so filter columns pull parent rows and nested
   aggregations gather again.
 
-`collect` takes the row graph alone, which carries its database. The
-collected row sets, a `Subgraph`, account for the work a request does: the
-database, the sorted row indices of each table it reads, and their count.
-Labels are computed for the requested pairs by the same kernels on the
-database's current row graph, so results match the batch engine row for
-row.
+`collect` takes the row graph alone, a view of its database that reads
+the tables as they are loaded. The collected row sets, a `Subgraph`,
+account for the work a request does: the database, the sorted row indices
+of each table it reads, and their count. Labels are computed for the
+requested pairs by the same kernels on the database's row graph, so
+results match the batch engine row for row.
 """
 
 from __future__ import annotations
@@ -109,8 +109,8 @@ def _reached_rows(
 
 def collect(g: RowGraph, request: SampleRequest) -> Subgraph:
     """Breadth-first collection of the connected row subgraph the request
-    touches: the entity rows plus every row `_reached_rows` finds. The graph
-    carries its database; a stale graph refuses when the walk reads it."""
+    touches: the entity rows plus every row `_reached_rows` finds, in the
+    tables the graph's database holds now."""
     _, rows, at = check_pairs(request.pairs, g.db, request.entity_table, request.is_static)
     acc = _reached_rows(g, request.parts, rows, at)
     if len(rows):

@@ -8,10 +8,13 @@ the dated ones in load order.
 
 Identifiers are case-insensitive and canonicalized to upper case. A table's
 time column and validity columns must hold timestamps (stored as integer
-microseconds since epoch, UTC). Databases are immutable once loaded; the
-row graph (edge by edge) and each table's primary-key index are built
-lazily and cached. The database owns its row graph: every entry reaches it
-through `build_row_graph(db)`, and a load drops it.
+microseconds since epoch, UTC). What is derived from a table lives on its
+`TableData` and is built on first use: the primary-key index, the time
+range, and for each foreign key its parent rows (`fk_forward`) and its
+row-graph edge (`edges`). A load replaces one table and drops the entries
+of other tables' foreign keys into it. That is the one place anything is
+invalidated. `RowGraph` is a view that holds its database and nothing
+else, so a graph taken before a load reads the tables loaded after it.
 
 Every file pql reads or writes is UTF-8 text, whatever the locale. CSV
 load works column at a time, from a file (`Path`) or text (`str`), with
@@ -42,8 +45,8 @@ any other key is checked with a set. `_resolve_fk` maps foreign keys to
 parent rows once, for the load check: an int64 key into a dense parent
 key (strictly increasing, `last - first == n - 1`) by its offset from the
 first, any other int64 key by a sorted search, a key of another dtype
-by a dict. The row graph reuses that mapping while its parent table is
-still the one loaded.
+by a dict. The row graph reuses that mapping until the parent is loaded
+again.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ from typing import BinaryIO, Callable, Dict, Iterable, List, NamedTuple, Optiona
 
 import numpy as np
 
-from .errors import DataError, ExecutionError, SchemaError
+from .errors import DataError, SchemaError
 from .times import MAX_MICROS, MIN_MICROS, canonical_cells, canonical_micros, format_timestamp, parse_timestamp
 
 
@@ -614,14 +617,19 @@ def _convert_cells(
 
 @dataclass
 class TableData:
+    """One table's columns, and what is derived from them and from its
+    parents, each built on first use (see the module docstring)."""
+
     definition: TableDef
     columns: Dict[str, Column]
     nrows: int
     _pk_index: Optional[Dict[object, int]] = field(default=None, repr=False)
-    # Foreign-key column -> (the parent TableData the load check resolved
-    # it against, child row -> parent row); the row graph reuses it while
-    # that parent is still the loaded one.
-    fk_forward: Dict[str, Tuple[Optional["TableData"], np.ndarray]] = field(default_factory=dict, repr=False)
+    # Foreign-key column -> child row -> parent row, -1 when null/dangling.
+    fk_forward: Dict[str, np.ndarray] = field(default_factory=dict, repr=False)
+    # Foreign-key column -> the row graph's CSR adjacency of that edge.
+    edges: Dict[str, "EdgeIndex"] = field(default_factory=dict, repr=False)
+    _ranks: Optional[Tuple[np.ndarray, np.ndarray]] = field(default=None, repr=False)
+    _time_range: Optional[Tuple[Optional[int], Optional[int]]] = field(default=None, repr=False)
 
     def column(self, name: str) -> Column:
         return self.columns[name.upper()]
@@ -635,6 +643,33 @@ class TableData:
             self._pk_index = dict(zip(keys, range(len(keys))))
         return self._pk_index
 
+    def time_ranks(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The sorted distinct times of the time column, and each row's
+        dense rank among them (undated rows rank last, at
+        `len(time_values)`); kept until the last edge is built."""
+        if self._ranks is None:
+            tname = self.definition.time_column
+            if tname is None:
+                self._ranks = np.empty(0, dtype=np.int64), np.zeros(self.nrows, dtype=np.int64)
+            else:
+                tcol = self.column(tname)
+                dated = ~tcol.null
+                time_values, inverse = np.unique(tcol.values[dated], return_inverse=True)
+                ranks = np.full(len(tcol.values), len(time_values), dtype=np.int64)
+                ranks[dated] = inverse
+                self._ranks = time_values, ranks
+        return self._ranks
+
+    def time_range(self) -> Tuple[Optional[int], Optional[int]]:
+        """The earliest and latest value of the time column, or (None, None)
+        when no row is dated."""
+        if self._time_range is None:
+            tc = self.definition.time_column
+            col = self.column(tc) if tc is not None else None
+            dated = col.values[~col.null] if col is not None else ()
+            self._time_range = (int(dated.min()), int(dated.max())) if len(dated) else (None, None)
+        return self._time_range
+
 
 @dataclass
 class LoadReport:
@@ -646,11 +681,18 @@ class LoadReport:
 
 @dataclass
 class Database:
+    """A schema and the data of each of its tables: zero rows until loaded."""
+
     schema: Schema
     tables: Dict[str, TableData] = field(default_factory=dict)
     reports: List[LoadReport] = field(default_factory=list)
-    _graph: Optional["RowGraph"] = field(default=None, repr=False)
-    _time_range: Optional[tuple] = field(default=None, repr=False)
+
+    def __post_init__(self):
+        for t in self.schema.tables.values():
+            if t.name not in self.tables:
+                cols = {c.name: Column(c.dtype, np.empty(0, dtype=_NUMPY_DTYPE[c.dtype]), np.empty(0, dtype=np.bool_))
+                        for c in t.columns}
+                self.tables[t.name] = TableData(t, cols, 0)
 
     def table(self, name: str) -> TableData:
         upper = name.upper()
@@ -659,8 +701,7 @@ class Database:
         return self.tables[upper]
 
     def nrows(self, name: str) -> int:
-        upper = name.upper()
-        return self.tables[upper].nrows if upper in self.tables else 0
+        return self.table(name).nrows
 
     def total_rows(self) -> int:
         return sum(t.nrows for t in self.tables.values())
@@ -668,46 +709,20 @@ class Database:
     def value(self, ref: RowRef, column: str):
         return self.table(ref.table).column(column).get(ref.index)
 
-    def _event_time_range(self) -> tuple:
-        # Cached; the database is immutable once loaded.
-        if self._time_range is None:
-            lo = hi = None
-            for t in self.tables.values():
-                tc = t.definition.time_column
-                if tc is None or t.nrows == 0:
-                    continue
-                col = t.column(tc)
-                dated = ~col.null
-                if dated.any():
-                    vals = col.values[dated]
-                    a, b = int(vals.min()), int(vals.max())
-                    lo = a if lo is None else min(lo, a)
-                    hi = b if hi is None else max(hi, b)
-            self._time_range = (lo, hi)
-        return self._time_range
+    def _dated_ranges(self) -> List[Tuple[int, int]]:
+        return [r for r in (t.time_range() for t in self.tables.values()) if r[0] is not None]
 
     def max_event_time(self) -> Optional[int]:
         """Latest value across all time columns, or None if no dated rows."""
-        return self._event_time_range()[1]
+        return max((hi for _, hi in self._dated_ranges()), default=None)
 
     def min_event_time(self) -> Optional[int]:
-        return self._event_time_range()[0]
+        return min((lo for lo, _ in self._dated_ranges()), default=None)
 
 
 def new_database(schema: Schema) -> Database:
     """Create an empty database; every table starts with zero rows."""
-    db = Database(schema)
-    for t in schema.tables.values():
-        cols = {
-            c.name: Column(
-                c.dtype,
-                np.empty(0, dtype=_NUMPY_DTYPE[c.dtype]),
-                np.empty(0, dtype=np.bool_),
-            )
-            for c in t.columns
-        }
-        db.tables[t.name] = TableData(t, cols, 0)
-    return db
+    return Database(schema)
 
 
 def load_table_data(db: Database, table: str, rows: Union[str, Path], *, strict: bool = True) -> Database:
@@ -734,9 +749,8 @@ def load_table_data(db: Database, table: str, rows: Union[str, Path], *, strict:
     for fk in tdef.foreign_keys:
         fkcol = columns[fk.column]
         # A key into its own table resolves against the rows being loaded.
-        parent = data if fk.references == tdef.name else db.tables.get(fk.references)
-        forward = _resolve_fk(fkcol, parent)
-        data.fk_forward[fk.column] = (parent, forward)
+        forward = _resolve_fk(fkcol, data if fk.references == tdef.name else db.tables[fk.references])
+        data.fk_forward[fk.column] = forward
         dangling = np.flatnonzero((forward < 0) & ~fkcol.null)
         if not len(dangling):
             continue
@@ -749,10 +763,14 @@ def load_table_data(db: Database, table: str, rows: Union[str, Path], *, strict:
         for i in dangling[: 5 - len(report.samples)].tolist():
             report.samples.append(f"{fk.column}={fkcol.get(i)!r}")
 
+    # What other tables derived from the rows replaced goes with them.
+    for other in db.tables.values():
+        for fk in other.definition.foreign_keys:
+            if fk.references == tdef.name:
+                other.fk_forward.pop(fk.column, None)
+                other.edges.pop(fk.column, None)
     db.tables[tdef.name] = data
     db.reports.append(report)
-    db._graph = None
-    db._time_range = None
     return db
 
 
@@ -868,10 +886,13 @@ def _tokenize(data: bytes, final: bool) -> _Tokens:
         crs = np.flatnonzero(block == _CR)
         cuts[crs[buf[np.minimum(crs + 1, len(buf) - 1)] != _NL]] = True
     seps = cuts = np.flatnonzero(cuts).astype(np.int32 if len(data) < 2**31 else np.int64)
-    bad, quotes = None, None
+    bad, count = None, None
     if b'"' in data and len(cuts):
-        quotes = np.flatnonzero(block == _QUOTE).astype(cuts.dtype)
-        before = np.searchsorted(quotes, cuts)
+        is_quote = block == _QUOTE
+        quotes = np.flatnonzero(is_quote).astype(cuts.dtype)
+        # count[p]: the quotes before byte p.
+        count = np.concatenate((np.zeros(1, cuts.dtype), np.cumsum(is_quote, dtype=cuts.dtype)))
+        before = count[cuts]
         counts = np.diff(before, prepend=0)  # quotes in the piece each cut ends
         odd = counts % 2 == 1
         opens = buf[_field_starts(cuts)] == _QUOTE
@@ -895,10 +916,10 @@ def _tokenize(data: bytes, final: bool) -> _Tokens:
     starts = _field_starts(seps)
     ends = seps - ((buf[seps] == _NL) & (buf[np.maximum(seps - 1, 0)] == _CR)) if has_cr else seps
     escaped = None
-    if quotes is not None:
+    if count is not None:
         quoted = buf[starts] == _QUOTE
         starts, ends = starts + quoted, ends - quoted
-        escaped = quoted & (np.searchsorted(quotes, ends) > np.searchsorted(quotes, starts))
+        escaped = quoted & (count[ends] > count[starts])
     size = int(seps[-1]) + 1 if records else 0
     return _Tokens(data, buf, size, records, starts, ends, seps,
                    escaped if escaped is not None and escaped.any() else None, bad and bad[1])
@@ -990,10 +1011,10 @@ def _check_primary_key(tdef: TableDef, col: Column) -> None:
         seen.add(key)
 
 
-def _resolve_fk(fkcol: Column, parent: Optional[TableData]) -> np.ndarray:
+def _resolve_fk(fkcol: Column, parent: TableData) -> np.ndarray:
     """Parent row of each child row, -1 where the key is null or dangling."""
     forward = np.full(len(fkcol.values), -1, dtype=np.int64)
-    if parent is None or not parent.nrows or not len(forward):
+    if not parent.nrows or not len(forward):
         return forward
     if fkcol.dtype is DataType.INT64:
         pkcol = parent.column(parent.definition.primary_key)
@@ -1353,7 +1374,7 @@ def _sort_by_key(keys: np.ndarray, rows: np.ndarray, n_rows: int, bound: int) ->
 @dataclass
 class EdgeIndex:
     """CSR adjacency for one FK edge, built by `RowGraph.edge_index` the
-    first time a query reads the edge.
+    first time a query reads the edge, and kept on the child table.
 
     `order` lists child row indices grouped by parent; within a parent the
     dated children come first sorted by time (ties keep load order), then
@@ -1370,7 +1391,6 @@ class EdgeIndex:
     """
 
     edge: FkEdge
-    forward: np.ndarray  # child row -> parent row, -1 when null/dangling
     indptr: np.ndarray  # parent row -> slice start in `order`
     order: np.ndarray
     keys: np.ndarray
@@ -1386,83 +1406,47 @@ class EdgeIndex:
 
 
 class RowGraph:
-    """The heterogeneous row graph of a loaded database, built edge by edge
-    on first use (as database cracking builds an index when a query first
-    asks for it): a command pays only for the edges its query reads.
-
-    `edges` holds the edges built so far. `edge_index` builds an edge and
-    `forward` resolves a child -> parent hop, each once; a child table's
-    time ranks are computed once for its edges and kept until the last of
-    them is built. Both read the tables current when they run, so both
-    refuse once a table is loaded again and this graph is no longer the
-    database's: a graph never mixes edges from before and after a reload.
-    The database holds its graph, which `build_row_graph` returns.
-    """
+    """The heterogeneous row graph of a database: a view that holds the
+    database and nothing else. Each edge is built on first use (as
+    database cracking builds an index when a query first asks for it), so
+    a command pays only for the edges its query reads. `forward` and
+    `edge_index` read the child table's `fk_forward` and `edges` entries,
+    and fill them when they are missing."""
 
     def __init__(self, db: Database):
         self.db = db
-        self.edges: Dict[FkEdge, EdgeIndex] = {}
         self._schema_edges = frozenset(db.schema.edges())
-        self._forwards: Dict[FkEdge, np.ndarray] = {}
-        self._ranks: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
 
-    def _check(self, edge: FkEdge) -> None:
-        if self.db._graph is not self:  # a table was loaded again: read no more tables
-            raise ExecutionError("the row graph is stale: a table was loaded after it was built")
+    def _child(self, edge: FkEdge) -> TableData:
         if edge not in self._schema_edges:
             raise DataError(f"no such foreign-key edge: {edge}")
+        return self.db.tables[edge.child_table]
 
     def forward(self, edge: FkEdge) -> np.ndarray:
         """Child row -> parent row over `edge`, -1 where the key is null or
-        dangling: the array the load resolved while that parent is still
-        the loaded one, so a hop never sorts."""
-        self._check(edge)
-        forward = self._forwards.get(edge)
+        dangling: the array the load resolved, until the parent is loaded
+        again, so a hop never sorts."""
+        child = self._child(edge)
+        forward = child.fk_forward.get(edge.fk_column)
         if forward is None:
-            child = self.db.tables.get(edge.child_table)
-            parent = self.db.tables.get(edge.parent_table)
-            if child is None:
-                forward = np.empty(0, dtype=np.int64)
-            else:
-                resolved_against, forward = child.fk_forward.get(edge.fk_column, (None, None))
-                if forward is None or resolved_against is not parent:
-                    forward = _resolve_fk(child.column(edge.fk_column), parent)
-            self._forwards[edge] = forward
+            parent = self.db.tables[edge.parent_table]
+            forward = child.fk_forward[edge.fk_column] = _resolve_fk(child.column(edge.fk_column), parent)
         return forward
 
     def edge_index(self, edge: FkEdge) -> EdgeIndex:
         """The CSR adjacency of `edge`, built the first time it is asked for."""
-        self._check(edge)
-        idx = self.edges.get(edge)
+        child = self._child(edge)
+        idx = child.edges.get(edge.fk_column)
         if idx is None:
-            idx = self.edges[edge] = self._build_edge(edge)
-            if all(e in self.edges for e in self._schema_edges if e.child_table == edge.child_table):
-                del self._ranks[edge.child_table]  # no edge of the table is left to use them
+            idx = child.edges[edge.fk_column] = self._build_edge(edge, child)
+            if all(fk.column in child.edges for fk in child.definition.foreign_keys):
+                child._ranks = None  # no edge of the table is left to use them
         return idx
 
-    def _time_ranks(self, table: str) -> Tuple[np.ndarray, np.ndarray]:
-        """A child table's sorted distinct times, and each row's dense rank
-        among them (undated rows rank last, at `len(time_values)`)."""
-        if table not in self._ranks:
-            child = self.db.tables.get(table)
-            tname = child.definition.time_column if child is not None else None
-            if tname is None:
-                n = child.nrows if child is not None else 0
-                self._ranks[table] = np.empty(0, dtype=np.int64), np.zeros(n, dtype=np.int64)
-            else:
-                tcol = child.column(tname)
-                dated = ~tcol.null
-                time_values, inverse = np.unique(tcol.values[dated], return_inverse=True)
-                ranks = np.full(len(tcol.values), len(time_values), dtype=np.int64)
-                ranks[dated] = inverse
-                self._ranks[table] = time_values, ranks
-        return self._ranks[table]
-
-    def _build_edge(self, edge: FkEdge) -> EdgeIndex:
-        time_values, ranks = self._time_ranks(edge.child_table)
+    def _build_edge(self, edge: FkEdge, child: TableData) -> EdgeIndex:
+        time_values, ranks = child.time_ranks()
         forward = self.forward(edge)
-        parent = self.db.tables.get(edge.parent_table)
-        n_parent = parent.nrows if parent else 0
+        n_parent = self.db.tables[edge.parent_table].nrows
         linked = np.nonzero(forward >= 0)[0]
         radix = len(time_values) + 1
         # One sort by (parent, rank): dated before undated, then time. Ties
@@ -1470,13 +1454,9 @@ class RowGraph:
         keys = forward[linked] * radix + ranks[linked]
         order, keys = _sort_by_key(keys, linked, len(forward), n_parent * radix)
         indptr = np.searchsorted(keys, np.arange(n_parent + 1, dtype=np.int64) * radix)
-        return EdgeIndex(edge, forward, indptr, order, keys, time_values)
+        return EdgeIndex(edge, indptr, order, keys, time_values)
 
 
 def build_row_graph(db: Database) -> RowGraph:
-    """The database's row graph, created (with no edge built) on first call
-    and cached until a table is loaded again."""
-    if db._graph is None:
-        db._graph = RowGraph(db)
-    return db._graph
-
+    """A view of the database's row graph; it builds no edge."""
+    return RowGraph(db)

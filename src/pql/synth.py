@@ -225,10 +225,6 @@ def _null_mask(rng: np.random.Generator, size: int, rate: float) -> np.ndarray:
     return rng.random(size) < rate
 
 
-def _column(dtype: DataType, values: np.ndarray, null: np.ndarray) -> Column:
-    return Column(dtype, values, null)
-
-
 def generate(spec: GenSpec) -> Database:
     """Build the template database in memory; same spec, same bytes."""
     if spec.customers < 1 or spec.articles < 1:
@@ -246,59 +242,59 @@ def generate(spec: GenSpec) -> Database:
 
     n_c = spec.customers
     cust_cols = {
-        "CUSTOMER_ID": _column(
+        "CUSTOMER_ID": Column(
             DataType.INT64, np.arange(n_c, dtype=np.int64), np.zeros(n_c, dtype=np.bool_)
         ),
-        "LOCATION_ID": _column(
+        "LOCATION_ID": Column(
             DataType.STRING,
             np.array(LOCATIONS, dtype=object)[_zipf_pick(rng, len(LOCATIONS), n_c, 1.0)],
             _null_mask(rng, n_c, rate.get("location", 0.0)),
         ),
-        "SIGNUP_DATE": _column(
+        "SIGNUP_DATE": Column(
             DataType.TIMESTAMP,
             rng.integers(t0 - 365 * MICROS_PER_DAY, t1, n_c, dtype=np.int64),
             _null_mask(rng, n_c, 0.02),
         ),
-        "MEMBERSHIP_TYPE": _column(
+        "MEMBERSHIP_TYPE": Column(
             DataType.STRING,
             np.array(MEMBERSHIPS, dtype=object)[rng.integers(0, len(MEMBERSHIPS), n_c)],
             np.zeros(n_c, dtype=np.bool_),
         ),
-        "AGE": _column(
+        "AGE": Column(
             DataType.INT64, rng.integers(18, 99, n_c, dtype=np.int64), _null_mask(rng, n_c, 0.01)
         ),
     }
     if spec.validity:
         start = cust_cols["SIGNUP_DATE"].values.copy()
         churn_gap = rng.integers(30 * MICROS_PER_DAY, 720 * MICROS_PER_DAY, n_c, dtype=np.int64)
-        cust_cols["VALID_FROM"] = _column(
+        cust_cols["VALID_FROM"] = Column(
             DataType.TIMESTAMP, start, cust_cols["SIGNUP_DATE"].null.copy()
         )
-        cust_cols["VALID_TO"] = _column(
+        cust_cols["VALID_TO"] = Column(
             DataType.TIMESTAMP, start + churn_gap, _null_mask(rng, n_c, 0.8)
         )
 
     n_a = spec.articles
     art_cols = {
-        "ARTICLE_ID": _column(
+        "ARTICLE_ID": Column(
             DataType.INT64, np.arange(n_a, dtype=np.int64), np.zeros(n_a, dtype=np.bool_)
         ),
-        "ARTICLE_NAME": _column(
+        "ARTICLE_NAME": Column(
             DataType.STRING,
             np.array([f"Article {i}" for i in range(n_a)], dtype=object),
             np.zeros(n_a, dtype=np.bool_),
         ),
-        "ARTICLE_TYPE": _column(
+        "ARTICLE_TYPE": Column(
             DataType.STRING,
             np.array(ARTICLE_TYPES, dtype=object)[_zipf_pick(rng, len(ARTICLE_TYPES), n_a, 1.0)],
             _null_mask(rng, n_a, 0.02),
         ),
-        "DESCRIPTION": _column(
+        "DESCRIPTION": Column(
             DataType.STRING,
             np.array([f"Description of article {i}" for i in range(n_a)], dtype=object),
             np.zeros(n_a, dtype=np.bool_),
         ),
-        "COLOR": _column(
+        "COLOR": Column(
             DataType.STRING,
             np.array(COLORS, dtype=object)[_zipf_pick(rng, len(COLORS), n_a, 1.0)],
             _null_mask(rng, n_a, rate.get("color", 0.0)),
@@ -308,47 +304,47 @@ def generate(spec: GenSpec) -> Database:
     n_t = spec.transactions
     fk_null = rate.get("fk", 0.0)
     tx_cols = {
-        "TRANSACTION_ID": _column(
+        "TRANSACTION_ID": Column(
             DataType.INT64, np.arange(n_t, dtype=np.int64), np.zeros(n_t, dtype=np.bool_)
         ),
-        "VALUE": _column(
+        "VALUE": Column(
             DataType.FLOAT64,
             _quarters(rng.lognormal(3.0, 0.7, n_t)),
             _null_mask(rng, n_t, rate.get("value", 0.0)),
         ),
-        "TIMESTAMP": _column(
+        "TIMESTAMP": Column(
             DataType.TIMESTAMP,
             rng.integers(t0, t1, n_t, dtype=np.int64),
             _null_mask(rng, n_t, rate.get("timestamp", 0.0)),
         ),
-        "CUSTOMER_ID": _column(
+        "CUSTOMER_ID": Column(
             DataType.INT64, _zipf_pick(rng, n_c, n_t, spec.zipf_a), _null_mask(rng, n_t, fk_null)
         ),
-        "ARTICLE_ID": _column(
+        "ARTICLE_ID": Column(
             DataType.INT64, _zipf_pick(rng, n_a, n_t, spec.zipf_a), _null_mask(rng, n_t, fk_null)
         ),
     }
 
     n_n = spec.notifications
     notif_cols = {
-        "NOTIFICATION_TYPE": _column(
+        "NOTIFICATION_TYPE": Column(
             DataType.STRING,
             np.array(NOTIFICATION_TYPES, dtype=object)[
                 rng.integers(0, len(NOTIFICATION_TYPES), n_n)
             ],
             np.zeros(n_n, dtype=np.bool_),
         ),
-        "NOTIFICATION_TEXT": _column(
+        "NOTIFICATION_TEXT": Column(
             DataType.STRING,
             np.array([f"message {i}" for i in range(n_n)], dtype=object),
             np.zeros(n_n, dtype=np.bool_),
         ),
-        "TIME_SENT": _column(
+        "TIME_SENT": Column(
             DataType.TIMESTAMP,
             rng.integers(t0, t1, n_n, dtype=np.int64),
             _null_mask(rng, n_n, rate.get("timestamp", 0.0)),
         ),
-        "CUSTOMER_ID": _column(
+        "CUSTOMER_ID": Column(
             DataType.INT64, _zipf_pick(rng, n_c, n_n, spec.zipf_a), _null_mask(rng, n_n, fk_null)
         ),
     }
@@ -360,7 +356,7 @@ def generate(spec: GenSpec) -> Database:
             tiled = np.tile(col.values, k)
             if name == "CUSTOMER_ID":
                 tiled = tiled + np.repeat(np.arange(k, dtype=np.int64) * n_c, n_c)
-            cust_cols[name] = _column(col.dtype, tiled, np.tile(col.null, k))
+            cust_cols[name] = Column(col.dtype, tiled, np.tile(col.null, k))
         n_t_total = n_t * k
         for name, col in list(tx_cols.items()):
             tiled = np.tile(col.values, k)
@@ -368,7 +364,7 @@ def generate(spec: GenSpec) -> Database:
                 tiled = tiled + np.repeat(np.arange(k, dtype=np.int64) * n_t, n_t)
             if name == "CUSTOMER_ID":
                 tiled = tiled + np.repeat(np.arange(k, dtype=np.int64) * n_c, n_t)
-            tx_cols[name] = _column(col.dtype, tiled, np.tile(col.null, k))
+            tx_cols[name] = Column(col.dtype, tiled, np.tile(col.null, k))
         n_c, n_t = n_c_total, n_t_total
 
     def put(name: str, cols: Dict[str, Column], nrows: int):
@@ -540,7 +536,7 @@ def random_database(seed: int, schema: Schema, scale: float = 1.0) -> Database:
                     ],
                     dtype=object,
                 )
-            cols[cdef.name] = _column(cdef.dtype, vals, null)
+            cols[cdef.name] = Column(cdef.dtype, vals, null)
         if tdef.validity and tdef.validity[0] and tdef.validity[1]:
             # Keep intervals well-formed: end after start.
             start = cols[tdef.validity[0]].values

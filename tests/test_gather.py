@@ -104,7 +104,7 @@ def scan_reference(db, idx, agg, parents, anchor):
     reference child order: every child's parent and time is compared with
     every parent's and its window."""
     order = lexsort_order(db, idx)
-    take = parents[:, None] == idx.forward[order][None, :]
+    take = parents[:, None] == build_row_graph(db).forward(idx.edge)[order][None, :]
     if agg.window is not None:
         tname = db.table(idx.edge.child_table).definition.time_column
         if tname is None:
@@ -133,7 +133,7 @@ def lexsort_order(db, idx) -> np.ndarray:
     time, then load order. A null cell's stored value is a placeholder, so
     undated children sort by load order alone."""
     child = db.table(idx.edge.child_table)
-    forward = idx.forward
+    forward = build_row_graph(db).forward(idx.edge)
     linked = np.nonzero(forward >= 0)[0]
     tname = child.definition.time_column
     if tname is None:
@@ -200,7 +200,7 @@ class TestHandBuiltEdges:
     def test_null_foreign_keys_have_no_slot(self, hand_graph):
         for edge, null_row in ((C_EDGE, 5), (D_EDGE, 2)):
             idx = hand_graph.edge_index(edge)
-            assert idx.forward[null_row] == -1
+            assert hand_graph.forward(edge)[null_row] == -1
             assert null_row not in idx.order.tolist()
 
     def test_keys_and_order(self, hand_graph):
@@ -229,7 +229,7 @@ class TestRandomDatabases:
             assert idx.order.tolist() == lexsort_order(db, idx).tolist(), edge
             assert (np.diff(idx.time_values) > 0).all(), edge
             parents = idx.keys // idx.radix
-            assert parents.tolist() == idx.forward[idx.order].tolist(), edge
+            assert parents.tolist() == g.forward(edge)[idx.order].tolist(), edge
             assert idx.indptr.tolist() == np.searchsorted(
                 parents, np.arange(len(idx.indptr))).tolist(), edge
 
@@ -325,14 +325,14 @@ class TestRandomDatabases:
             picks = [None, int(times[0]), int(times[-1]) + 1, *(int(t) for t in rng.choice(times, 3))]
             # A bound is open, one time for every parent, or a time per parent.
             bounds = [*picks, times[rng.integers(0, len(times), len(parents))] + rng.integers(-1, 2, len(parents))]
-            order = lexsort_order(db, idx).tolist()
+            order, forward = lexsort_order(db, idx).tolist(), g.forward(edge)
             for lo in bounds:
                 for hi in bounds:
                     starts, ends = window_slots(idx, parents, lo, hi)
                     for i, p in enumerate(parents.tolist()):
                         lo_p = lo[i] if isinstance(lo, np.ndarray) else lo
                         hi_p = hi[i] if isinstance(hi, np.ndarray) else hi
-                        want = [c for c in order if idx.forward[c] == p and (
+                        want = [c for c in order if forward[c] == p and (
                             hi_p is None if undated[c]
                             else (lo_p is None or at[c] >= lo_p) and (hi_p is None or at[c] < hi_p))]
                         assert idx.order[starts[i]:ends[i]].tolist() == want, (edge, p, lo_p, hi_p)
@@ -352,7 +352,7 @@ class TestAccessPath:
         every edge a scanning block touched."""
         g = build_row_graph(build_toy_db(retail_schema))
         run(g)
-        return {edge.child_table for edge, idx in g.edges.items() if idx.slot_ranks is not None}
+        return {name for name, t in g.db.tables.items() if any(idx.slot_ranks is not None for idx in t.edges.values())}
 
     @staticmethod
     def train(text: str, optimized: bool = True):

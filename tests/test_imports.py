@@ -163,6 +163,28 @@ def test_a_key_layout_use_is_found():
     assert key_layout_uses(source) == [(1, "radix"), (2, "indptr"), (3, "time_values")]
 
 
+# What a table derives (its parent rows per foreign key, its time ranks and
+# range) is kept and dropped by `store` alone, so one rule invalidates it.
+DERIVED = {"fk_forward", "_ranks", "_time_range"}
+
+
+def derived_uses(source: str):
+    """(line, attribute) for each read or write of an attribute in `DERIVED`."""
+    return sorted({(node.lineno, node.attr) for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.Attribute) and node.attr in DERIVED})
+
+
+@pytest.mark.parametrize("path", [m for m in MODULES if m.name != "store.py"], ids=lambda p: p.name)
+def test_derived_data_stays_in_store(path):
+    assert derived_uses(path.read_text(encoding="utf-8")) == []
+
+
+def test_a_derived_data_use_is_found():
+    source = ("f = t.fk_forward['A']\nt._ranks = None\ndel db._time_range\n"
+              "fk_forward = {}\n_ranks = 1\n# t._time_range\ns = 't.fk_forward'\n")
+    assert derived_uses(source) == [(1, "fk_forward"), (2, "_ranks"), (3, "_time_range")]
+
+
 # The oracle is the independent second definition of PQL semantics, so it
 # shares no code with the execution path it checks.
 EXECUTION_MODULES = {"engine", "kernels", "sampler"}

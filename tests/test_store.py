@@ -194,6 +194,13 @@ class TestLoadData:
         assert toy_db.nrows("TRANSACTIONS") == 8
         assert toy_db.total_rows() == 16
 
+    def test_every_schema_table_is_present(self, retail_schema):
+        db = store.Database(retail_schema)
+        assert [db.nrows(name) for name in retail_schema.tables] == [0] * len(retail_schema.tables)
+        assert db.max_event_time() is None and db.min_event_time() is None
+        with pytest.raises(DataError, match="^no data loaded for table NOPE$"):
+            db.nrows("NOPE")
+
     def test_null_parsing(self, toy_db):
         col = toy_db.table("TRANSACTIONS").column("VALUE")
         assert col.get(5) is None  # row 6: empty VALUE cell
@@ -325,6 +332,8 @@ class TestRowGraph:
             evaluate_pairs(toy_graph.db, b, pairs)
         with pytest.raises(DataError, match="no such foreign-key edge"):
             toy_graph.edge_index(FkEdge("ARTICLES", "CUSTOMER_ID", "CUSTOMERS"))
+        with pytest.raises(DataError, match="no such foreign-key edge"):
+            toy_graph.forward(FkEdge("ARTICLES", "CUSTOMER_ID", "CUSTOMERS"))
 
     def test_window_matches_linear_scan(self, toy_db, toy_graph):
         rng = np.random.default_rng(0)
@@ -393,21 +402,23 @@ class TestEdgesOnFirstUse:
     def test_a_new_graph_builds_no_edge(self, retail_schema):
         db = build_toy_db(retail_schema)
         g = build_row_graph(db)
-        assert g.edges == {}
+        assert built_edges(db) == []
         idx = g.edge_index(self.TX_CUSTOMER)
-        assert list(g.edges) == [self.TX_CUSTOMER]
+        assert built_edges(db) == [self.TX_CUSTOMER]
+        # The edge is kept on its child table, so every view reads it.
         assert g.edge_index(self.TX_CUSTOMER) is idx
+        assert build_row_graph(db).edge_index(self.TX_CUSTOMER) is idx
         # The edge into ARTICLES shares the child table's time ranks.
         other = g.edge_index(FkEdge("TRANSACTIONS", "ARTICLE_ID", "ARTICLES"))
         assert other.time_values is idx.time_values
         # With every edge of TRANSACTIONS built, its rows' ranks are let go.
-        assert "TRANSACTIONS" not in g._ranks
+        assert db.table("TRANSACTIONS")._ranks is None
 
     def test_a_windowed_count_builds_its_one_edge(self):
         db = generate(hm_genspec(scale=0.0005, seed=1))
         bound = bind(parse(self.COUNT_7D), db.schema)
         assert materialize_training(plan_training(bound, AnchorPolicy(count=3)), db).row_count
-        assert list(db._graph.edges) == [self.TX_CUSTOMER]
+        assert built_edges(db) == [self.TX_CUSTOMER]
 
     def test_a_parent_hop_builds_no_edge(self, tmp_path):
         store.save_database(generate(hm_genspec(scale=0.0005, seed=1)), tmp_path)
@@ -415,27 +426,124 @@ class TestEdgesOnFirstUse:
         text = "PREDICT TRANSACTIONS.VALUE FOR EACH TRANSACTIONS.TRANSACTION_ID WHERE CUSTOMERS.AGE > 20"
         table = materialize_training(plan_training(bind(parse(text), db.schema)), db)
         assert 0 < table.row_count < db.nrows("TRANSACTIONS")
-        assert db._graph.edges == {}
+        assert built_edges(db) == []
         # The hop reads the array the load resolved.
-        forward = db.table("TRANSACTIONS").fk_forward["CUSTOMER_ID"][1]
-        assert db._graph.forward(self.TX_CUSTOMER) is forward
+        forward = db.table("TRANSACTIONS").fk_forward["CUSTOMER_ID"]
+        assert build_row_graph(db).forward(self.TX_CUSTOMER) is forward
 
-    def test_a_stale_graph_refuses_its_edges(self, retail_schema):
+    def test_a_graph_held_across_a_reload_reads_the_reloaded_tables(self, retail_schema):
         db = build_toy_db(retail_schema)
-        stale = build_row_graph(db)
-        stale.edge_index(self.TX_CUSTOMER)
+        held = build_row_graph(db)
+        held.edge_index(self.TX_CUSTOMER)
         load_table_data(db, "TRANSACTIONS", TRANSACTIONS_CSV.splitlines()[0])
-        message = "^the row graph is stale: a table was loaded after it was built$"
-        # Built before the reload or not, no edge and no hop is read.
-        for edge in (self.TX_CUSTOMER, FkEdge("TRANSACTIONS", "ARTICLE_ID", "ARTICLES")):
-            with pytest.raises(ExecutionError, match=message):
-                stale.edge_index(edge)
-            with pytest.raises(ExecutionError, match=message):
-                stale.forward(edge)
         fresh = build_row_graph(db)
-        assert fresh is not stale
-        assert fresh.edge_index(self.TX_CUSTOMER).order.tolist() == []
-        assert fresh.forward(self.TX_CUSTOMER).tolist() == []
+        # Built before the reload or not, every edge and hop is the fresh graph's.
+        for edge in (self.TX_CUSTOMER, FkEdge("TRANSACTIONS", "ARTICLE_ID", "ARTICLES")):
+            assert held.edge_index(edge) is fresh.edge_index(edge)
+            assert held.edge_index(edge).order.tolist() == []
+            assert held.forward(edge).tolist() == fresh.forward(edge).tolist() == []
+        assert children_in_window(held, 0, None, FAR_FUTURE) == []
+
+
+def built_edges(db):
+    """The edges whose row-graph index is built, in schema order."""
+    return [e for e in db.schema.edges() if e.fk_column in db.table(e.child_table).edges]
+
+
+def graph_state(g):
+    """Each edge's hop and CSR arrays, as lists; builds every edge."""
+    state = {}
+    for edge in g.db.schema.edges():
+        idx = g.edge_index(edge)
+        arrays = (g.forward(edge), idx.indptr, idx.order, idx.keys, idx.time_values)
+        state[edge] = [a.tolist() for a in arrays]
+    return state
+
+
+def write_permuted(db, table, path, seed):
+    """Write `table` to `path` with its rows in a seeded random order."""
+    data = db.table(table)
+    perm = np.random.default_rng(seed).permutation(data.nrows)
+    names = data.definition.column_names
+    store.write_csv(path, names, [(c.dtype, c.values[perm], c.null[perm]) for c in map(data.column, names)])
+
+
+# A self-referencing table (every employee has a manager) with a child.
+SELF_REFERENCING = load_schema({"tables": [
+    {"name": "EMPLOYEES", "primary_key": "ID", "time_column": "HIRED",
+     "columns": [{"name": "ID", "dtype": "int64", "stype": "key"},
+                 {"name": "MANAGER_ID", "dtype": "int64", "stype": "key"},
+                 {"name": "HIRED", "dtype": "timestamp", "stype": "temporal"}],
+     "foreign_keys": [{"column": "MANAGER_ID", "references": "EMPLOYEES"}]},
+    {"name": "SHIFTS", "primary_key": "ID", "time_column": "AT",
+     "columns": [{"name": "ID", "dtype": "int64", "stype": "key"},
+                 {"name": "EMPLOYEE_ID", "dtype": "int64", "stype": "key"},
+                 {"name": "AT", "dtype": "timestamp", "stype": "temporal"}],
+     "foreign_keys": [{"column": "EMPLOYEE_ID", "references": "EMPLOYEES"}]},
+]})
+
+
+class TestOneInvalidationRule:
+    """A load drops what other tables derived from the table it replaces,
+    so after any sequence of loads every hop and every edge, built before
+    the last load or after it, equals a fresh parent-first load's."""
+
+    def saved(self, seed, schema, path):
+        store.save_database(random_database(seed, schema), path)
+        return path
+
+    def fresh_state(self, path):
+        return graph_state(build_row_graph(store.load_database(path / "schema.json", path)))
+
+    def reload_permuted(self, path, table, seed, tmp_path):
+        """A graph that built every edge before `table` was reloaded from a
+        permuted copy, and the state of a fresh load of the same files."""
+        db = store.load_database(path / "schema.json", path)
+        held = build_row_graph(db)
+        graph_state(held)
+        other = tmp_path / "permuted"
+        store.save_database(db, other)
+        write_permuted(db, table, other / f"{table.lower()}.csv", seed)
+        untouched = {e: db.table(e.child_table).edges[e.fk_column] for e in db.schema.edges()
+                     if table not in (e.parent_table, e.child_table)}
+        load_table_data(db, table, other / f"{table.lower()}.csv")
+        # What did not derive from the replaced rows is kept.
+        for edge, idx in untouched.items():
+            assert held.edge_index(edge) is idx, edge
+        return held, self.fresh_state(other)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_a_parent_reloaded_with_its_rows_permuted(self, seed, tmp_path):
+        schema = random_schema(seed)
+        path = self.saved(seed, schema, tmp_path / "data")
+        for parent in sorted({e.parent_table for e in schema.edges()}):
+            held, want = self.reload_permuted(path, parent, seed, tmp_path / parent)
+            assert graph_state(held) == want, parent
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_a_child_loaded_before_its_parent(self, seed, tmp_path):
+        schema = random_schema(seed)
+        path = self.saved(seed, schema, tmp_path)
+        want = self.fresh_state(path)
+        for child in sorted({e.child_table for e in schema.edges()}):
+            db = new_database(schema)
+            held = build_row_graph(db)
+            # Not strict: no parent row is loaded yet, so every key dangles.
+            load_table_data(db, child, path / f"{child.lower()}.csv", strict=False)
+            keys = [db.table(child).column(e.fk_column) for e in schema.edges_from(child)]
+            assert db.reports[-1].dangling_fk == sum(int((~col.null).sum()) for col in keys) > 0
+            for name in store._load_order(schema):
+                graph_state(held)  # every edge built against the tables loaded so far
+                if name != child:
+                    load_table_data(db, name, path / f"{name.lower()}.csv")
+            assert graph_state(held) == want, child
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_a_self_referencing_table_reloaded(self, seed, tmp_path):
+        path = self.saved(seed, SELF_REFERENCING, tmp_path / "data")
+        held, want = self.reload_permuted(path, "EMPLOYEES", seed, tmp_path)
+        assert graph_state(held) == want
+        assert graph_state(held) != self.fresh_state(path)  # the permutation moved rows
 
 
 class TestCsvRoundTrip:
@@ -1215,8 +1323,9 @@ class TestForeignKeysResolvedOnce:
         assert len(retail_schema.edges()) == 3
         for edge in retail_schema.edges():
             fkcol = db.table(edge.child_table).column(edge.fk_column)
-            assert graph.edge_index(edge).forward.tolist() == real_forward(fkcol, db.table(edge.parent_table))
-            assert graph.forward(edge) is graph.edge_index(edge).forward
+            graph.edge_index(edge)
+            assert graph.forward(edge).tolist() == real_forward(fkcol, db.table(edge.parent_table))
+            assert graph.forward(edge) is db.table(edge.child_table).fk_forward[edge.fk_column]
         assert len(calls) == 3
 
     def test_reloaded_parent_rebuilds_the_edges(self, monkeypatch):
@@ -1226,13 +1335,14 @@ class TestForeignKeysResolvedOnce:
         calls = self.count_resolutions(monkeypatch)
         load_table_data(db, "P", csv_text(["ID"], [["30"], ["7"], ["10"], ["-3"]]))
         graph = build_row_graph(db)
-        p1, p2 = graph.edge_index(FkEdge("C", "P1", "P")), graph.edge_index(FkEdge("C", "P2", "P"))
+        p1, p2 = FkEdge("C", "P1", "P"), FkEdge("C", "P2", "P")
+        graph.edge_index(p1), graph.edge_index(p2)
         # Both edges into the reloaded P resolve again, against the new P;
         # the edges of the empty SC table are not asked for.
         assert [parent.definition.name for parent in calls].count("P") == 2
         assert all(parent is db.table(parent.definition.name) for parent in calls)
-        assert p1.forward.tolist() == [2, 0]
-        assert p2.forward.tolist() == [0, -1]
+        assert graph.forward(p1).tolist() == [2, 0]
+        assert graph.forward(p2).tolist() == [0, -1]
 
 
 def real_forward(fkcol, parent):
@@ -1345,13 +1455,13 @@ class TestDenseKeys:
             ("resolve", "P"), "argsort", "searchsorted",
             ("resolve", "P"), "argsort", "searchsorted",
         ]
-        assert db.table("C").fk_forward["P1"][1].tolist() == [0, 2]
+        assert db.table("C").fk_forward["P1"].tolist() == [0, 2]
 
     def test_keys_dense_from_an_offset_resolve_by_it(self):
         db = new_database(ADVERSARIAL)
         load_table_data(db, "P", csv_text(["ID"], [["-2"], ["-1"], ["0"], ["1"]]))
         load_table_data(db, "C", csv_text(["ID", "P1", "P2"], [["5", "1", ""], ["7", "-2", "2"]]), strict=False)
-        assert db.table("C").fk_forward["P1"][1].tolist() == [3, 0]
-        assert db.table("C").fk_forward["P2"][1].tolist() == [-1, -1]
+        assert db.table("C").fk_forward["P1"].tolist() == [3, 0]
+        assert db.table("C").fk_forward["P2"].tolist() == [-1, -1]
         assert db.reports[-1].dangling_fk == 1
 

@@ -130,7 +130,7 @@ def test_awkward_keys_load_and_resolve(string_db):
     assert customers.column("CID").to_pylist() == ["a,b", 'q"x', "中", "é", "e", "E"]
     assert customers.column("SHOP_ID").to_pylist() == ["s1", 's,"2"', None, "zz", "s1", "с3"]
     # The null and the dangling foreign key resolve to no parent row.
-    assert g.edge_index(FkEdge("CUSTOMERS", "SHOP_ID", "SHOPS")).forward.tolist() == [0, 1, -1, -1, 0, 2]
+    assert g.forward(FkEdge("CUSTOMERS", "SHOP_ID", "SHOPS")).tolist() == [0, 1, -1, -1, 0, 2]
 
 
 def test_get_and_to_pylist_on_every_dtype():
