@@ -24,10 +24,8 @@ from .sampler import SampleRequest, Subgraph, build_request, collect, compute_on
 from .splits import SplitPolicy
 from .store import (
     Database,
-    RowGraph,
     RowRef,
     Schema,
-    build_row_graph,
     load_database,
     load_schema,
     load_table_data,
@@ -51,7 +49,6 @@ __all__ = [
     "PqlError",
     "PredictionTable",
     "Query",
-    "RowGraph",
     "RowRef",
     "SampleRequest",
     "Schema",
@@ -64,7 +61,6 @@ __all__ = [
     "TrainingTable",
     "bind",
     "build_request",
-    "build_row_graph",
     "collect",
     "compute_on_subgraph",
     "evaluate_pairs",

@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
-from .bench import format_report, run_bench
+from .bench import PATHS, format_report, run_bench
 from .binder import bind
 from .engine import materialize_prediction, materialize_training
 from .errors import ExecutionError, PlanError, PqlError
@@ -30,7 +30,7 @@ from .parser import parse
 from .planner import AnchorPolicy, explain, feasible_anchors, plan_prediction, plan_to_json, plan_training
 from .sampler import build_request, collect, compute_on_subgraph, sample_pairs
 from .splits import SplitPolicy
-from .store import build_row_graph, load_database, load_schema, parse_json, save_database
+from .store import load_database, load_schema, parse_json, save_database
 from .synth import GenSpec, generate, hm_genspec
 from .times import format_duration, format_timestamp, parse_duration, parse_timestamp
 
@@ -222,7 +222,7 @@ def cmd_sample(args) -> int:
         print("no active entities to sample", file=sys.stderr)
         return EXIT_EMPTY
     request = build_request(bound, pair_list)
-    sub = collect(build_row_graph(db), request)
+    sub = collect(db, request)
     table = compute_on_subgraph(bound, sub, pair_list, anchors_for_split=anchors, split=_split(args),
                                 keep_empty_labels=args.keep_empty_labels)
     paths = write_training_table(table, Path(args.out_dir), basename="sample")
@@ -258,11 +258,13 @@ def cmd_gen_data(args) -> int:
 
 def cmd_bench(args) -> int:
     runs, pairs = _at_least(args, "runs"), _at_least(args, "pairs")
+    paths = [p.strip() for p in args.paths.split(",") if p.strip()]
+    if not paths or not set(paths) <= set(PATHS):
+        raise PqlError(f"--paths must list some of {','.join(PATHS)}, got {args.paths!r}")
     if args.data_dir:
         db = _load_db(args)
     else:
         db = generate(hm_genspec(scale=_scale(args), seed=args.seed))
-    paths = [p.strip() for p in args.paths.split(",") if p.strip()]
     report = run_bench(db, _query_text(args), paths=paths, runs=runs, pairs=pairs, anchors=args.anchors,
                        seed=args.seed)
     print(format_report(report))
@@ -397,8 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="compare execution paths on one query")
     _add_common(p, data=True, seed=True)
-    p.add_argument("--paths", default="optimized,unoptimized,sampler,oracle",
-                   help="comma list: optimized,unoptimized,sampler,oracle")
+    p.add_argument("--paths", default=",".join(PATHS), help=f"comma list: {','.join(PATHS)}")
     p.add_argument("--runs", type=int, default=5, help="timed runs per path (median reported)")
     p.add_argument("--pairs", type=int, default=100, help="pairs for the sampler path")
     _add_anchor_flags(p, grid=False)

@@ -15,7 +15,7 @@ first node that drops it. The plans differ only in their nodes: the
 cross-product baseline computes targets for every pair before any filter,
 and each gather picks a full scan or a window search from its block, by
 the one rule `kernels.gather_children` states. Every entry takes the
-database alone and runs on its row graph (`build_row_graph(db)`).
+database alone, which serves the row-graph edges the kernels read.
 All paths produce identical tables, held as column arrays: Project sorts
 each block's keys, anchors, values and split codes, and the blocks
 concatenate. `rows` is a view.
@@ -41,7 +41,7 @@ from .errors import ExecutionError, PlanError
 from .kernels import Anchor, SumOverflow, distinct, distinct_pairs, eval_condition_vec, eval_target_vec, newest_first
 from .planner import LogicalPlan, PlanNode, feasible_anchors, latest_event_time, plan_training
 from .splits import SPLITS, SplitPolicy, split_code_for_anchor_rank, split_counts, split_for_keys
-from .store import _NUMPY_DTYPE, Column, Database, DataType, ListType, RowGraph, RowRef, build_row_graph
+from .store import _NUMPY_DTYPE, Column, Database, DataType, ListType, RowRef
 from .times import MAX_MICROS, MIN_MICROS, format_timestamp
 
 
@@ -150,22 +150,19 @@ class _Block:
 
 @dataclass
 class _Run:
-    """What the node handlers of one execution share: the database, and a
-    view of its row graph, taken once."""
+    """What the node handlers of one execution share."""
 
     plan: LogicalPlan
     db: Database
     drop_empty: bool
     split: Optional[SplitPolicy] = None
     split_codes: Dict[int, int] = field(default_factory=dict)  # by anchor
-    g: RowGraph = field(init=False)
     bound: BoundQuery = field(init=False)
     list_target: bool = field(init=False)
     key_column: Column = field(init=False)
     value_dtype: type = field(init=False)
 
     def __post_init__(self):
-        self.g = build_row_graph(self.db)
         self.bound = self.plan.bound
         self.list_target = _is_list_target(self.bound)
         self.key_column = self.db.table(self.bound.entity_table).column(self.bound.entity_column)
@@ -235,7 +232,7 @@ def _filter(cause: str, at_anchor: bool) -> Callable:
     def handler(run: _Run, block: _Block, node: PlanNode):
         if len(block.sel):
             at = block.anchor if at_anchor else None
-            mask = eval_condition_vec(run.g, node.payload, run.bound.entity_table, block.sel, at)
+            mask = eval_condition_vec(run.db, node.payload, run.bound.entity_table, block.sel, at)
             block.keep(mask, cause)
 
     return handler
@@ -276,7 +273,7 @@ def _target(run: _Run, block: _Block, node: PlanNode):
             if live is not None:
                 rows = sel[live]
                 at = at[live] if isinstance(at, np.ndarray) else at
-            values, defined = eval_target_vec(run.g, node.payload, run.bound.entity_table, rows, at)
+            values, defined = eval_target_vec(run.db, node.payload, run.bound.entity_table, rows, at)
             break
         except SumOverflow as exc:
             if over is None:
@@ -316,7 +313,7 @@ def _candidate_set(run: _Run, block: _Block, node: PlanNode):
     ltable = run.db.table(link_table)
     sel = np.arange(ltable.nrows, dtype=np.int64)
     if node.payload is not None and len(sel):
-        sel = sel[eval_condition_vec(run.g, node.payload, link_table, sel, None)]
+        sel = sel[eval_condition_vec(run.db, node.payload, link_table, sel, None)]
     pk = ltable.column(ltable.definition.primary_key)
     block.candidates = sorted(pk.values[sel].tolist())
 
@@ -376,15 +373,15 @@ _HANDLERS: Dict[str, Callable[[_Run, _Block, PlanNode], None]] = {
 def materialize_training(
     plan: LogicalPlan,
     db: Database,
-    g: Optional[RowGraph] = None,
+    g=None,
     *,
     split: Optional[SplitPolicy] = None,
     workers: int = 1,
     keep_empty_labels: Optional[bool] = None,
 ) -> TrainingTable:
     """Execute a training plan, producing the canonical sorted table.
-    `g` and `workers` are accepted and ignored: the plan runs on `db`'s own
-    row graph, on one thread."""
+    `g` and `workers` are accepted and ignored: the plan runs on `db`, on
+    one thread."""
     if plan.mode != "training":
         raise ExecutionError("materialize_training needs a training-mode plan")
     bound = plan.bound
@@ -415,11 +412,11 @@ def materialize_training(
 
 
 def materialize_prediction(
-    plan: LogicalPlan, db: Database, g: Optional[RowGraph] = None
+    plan: LogicalPlan, db: Database, g=None
 ) -> PredictionTable:
     """Execute a prediction plan: the entity set to predict for, with the
     candidate list for link tasks. ASSUMING never applies here. `g` is
-    accepted and ignored: the plan runs on `db`'s own row graph."""
+    accepted and ignored: the plan runs on `db`."""
     if plan.mode != "prediction":
         raise ExecutionError("materialize_prediction needs a prediction-mode plan")
     bound = plan.bound

@@ -1,7 +1,8 @@
 """Vectorized evaluation kernels over the columnar store and row graph.
 
 Everything here computes per-row numpy arrays for a batch of base rows,
-reading the row graph `g` and its database `g.db`. The anchor is one int
+reading the columns of the database `db` and the row-graph edges it
+serves (`Database.forward`, `Database.edge_index`). The anchor is one int
 for the whole batch or an int64 array with one anchor per row, so pairs at
 several anchors run in one pass. Each gather picks its access path from
 its block, whatever plan it runs in:
@@ -59,7 +60,7 @@ from .binder import (
     walk,
 )
 from .errors import ExecutionError
-from .store import DataType, EdgeIndex, RowGraph
+from .store import Database, DataType, EdgeIndex
 from .times import MAX_MICROS, MIN_MICROS
 
 _INT_MIN = np.iinfo(np.int64).min
@@ -172,7 +173,7 @@ def window_slots(
 
 
 def gather_children(
-    g: RowGraph,
+    db: Database,
     agg: BoundAggregation,
     parents: np.ndarray,
     anchor: Anchor,
@@ -188,7 +189,7 @@ def gather_children(
     window with a lower bound at one anchor over every row of the parent
     table (a scalar-anchor block holds each row once) masks every slot's
     time rank; any other gather takes each parent's `window_slots`."""
-    idx = g.edge_index(agg.group_edge)
+    idx = db.edge_index(agg.group_edge)
     lo = hi = None
     if agg.window is not None:
         if anchor is None:
@@ -217,17 +218,17 @@ def gather_children(
 # Column fetch
 
 
-def fetch_rows(g: RowGraph, bc: BoundColumn, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def fetch_rows(db: Database, bc: BoundColumn, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Values and null mask of a bound column for a batch of base rows,
     walking child-to-parent hops; an unresolvable hop yields null."""
     cur = rows
     null: Optional[np.ndarray] = None
     for edge in bc.hops:
-        nxt = g.forward(edge)[cur]
+        nxt = db.forward(edge)[cur]
         bad = nxt < 0
         null = bad if null is None else (null | bad)
         cur = np.where(bad, 0, nxt)
-    col = g.db.table(bc.table).column(bc.column)
+    col = db.table(bc.table).column(bc.column)
     if len(cur) and len(col.values):
         vals = col.values[cur]
         null = col.null[cur] if null is None else (null | col.null[cur])
@@ -249,13 +250,13 @@ def _string_loop(vals, null, fn) -> np.ndarray:
 
 
 def eval_compare_vec(
-    g: RowGraph, cmp: BoundCompare, table: str, rows: np.ndarray, anchor: Anchor
+    db: Database, cmp: BoundCompare, table: str, rows: np.ndarray, anchor: Anchor
 ) -> np.ndarray:
     if isinstance(cmp.lhs, BoundAggregation):
-        vals, defined = eval_agg_vec(g, cmp.lhs, table, rows, anchor)
+        vals, defined = eval_agg_vec(db, cmp.lhs, table, rows, anchor)
         null = ~defined
     else:
-        vals, null = fetch_rows(g, cmp.lhs, rows)
+        vals, null = fetch_rows(db, cmp.lhs, rows)
 
     op, rhs = cmp.op, cmp.rhs
     if op is RelOp.IS:
@@ -305,19 +306,19 @@ def eval_compare_vec(
 
 
 def eval_condition_vec(
-    g: RowGraph, cond: BoundCondition, table: str, rows: np.ndarray, anchor: Anchor
+    db: Database, cond: BoundCondition, table: str, rows: np.ndarray, anchor: Anchor
 ) -> np.ndarray:
     if isinstance(cond, BoundCompare):
-        return eval_compare_vec(g, cond, table, rows, anchor)
+        return eval_compare_vec(db, cond, table, rows, anchor)
     if isinstance(cond, BoundNot):
-        return ~eval_condition_vec(g, cond.operand, table, rows, anchor)
+        return ~eval_condition_vec(db, cond.operand, table, rows, anchor)
     if isinstance(cond, BoundAnd):
-        return eval_condition_vec(g, cond.left, table, rows, anchor) & eval_condition_vec(
-            g, cond.right, table, rows, anchor
+        return eval_condition_vec(db, cond.left, table, rows, anchor) & eval_condition_vec(
+            db, cond.right, table, rows, anchor
         )
     if isinstance(cond, BoundOr):
-        return eval_condition_vec(g, cond.left, table, rows, anchor) | eval_condition_vec(
-            g, cond.right, table, rows, anchor
+        return eval_condition_vec(db, cond.left, table, rows, anchor) | eval_condition_vec(
+            db, cond.right, table, rows, anchor
         )
     raise AssertionError(type(cond))
 
@@ -327,28 +328,28 @@ def eval_condition_vec(
 
 
 def eval_agg_vec(
-    g: RowGraph,
+    db: Database,
     agg: BoundAggregation,
     table: str,
     rows: np.ndarray,
     anchor: Anchor,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Aggregate values per base row. Returns (values, defined)."""
-    gathered = gather_children(g, agg, rows, anchor)
+    gathered = gather_children(db, agg, rows, anchor)
     if agg.where is not None:
         try:
             # A child's filter runs at its parent's anchor.
             at = anchor[gathered.seg] if isinstance(anchor, np.ndarray) else anchor
-            keep = eval_condition_vec(g, agg.where, agg.table, gathered.child_rows, at)
+            keep = eval_condition_vec(db, agg.where, agg.table, gathered.child_rows, at)
         except SumOverflow as exc:
             # A nested SUM overflowed for some children: report their parents.
             parents = np.bincount(gathered.seg[exc.segments], minlength=gathered.n_seg) > 0
             raise SumOverflow(parents) from None
         gathered = gathered.keep(keep)
-    return _fold(g, agg, gathered)
+    return _fold(db, agg, gathered)
 
 
-def _fold(g: RowGraph, agg: BoundAggregation, gth: Gather) -> Tuple[np.ndarray, np.ndarray]:
+def _fold(db: Database, agg: BoundAggregation, gth: Gather) -> Tuple[np.ndarray, np.ndarray]:
     n = gth.n_seg
     kind = agg.kind
     seg = gth.seg
@@ -357,7 +358,7 @@ def _fold(g: RowGraph, agg: BoundAggregation, gth: Gather) -> Tuple[np.ndarray, 
         counts = np.bincount(seg, minlength=n).astype(np.int64)
         return counts, np.ones(n, dtype=np.bool_)
 
-    col = g.db.table(agg.table).column(agg.column)
+    col = db.table(agg.table).column(agg.column)
     child_rows = gth.child_rows
     vals = col.values[child_rows]
     null = col.null[child_rows]
@@ -500,7 +501,7 @@ def _distinct_lists(seg: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
 
 
 def eval_target_vec(
-    g: RowGraph, target: BoundTarget, table: str, rows: np.ndarray, anchor: Anchor
+    db: Database, target: BoundTarget, table: str, rows: np.ndarray, anchor: Anchor
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Target values and definedness for a batch of entity rows.
 
@@ -512,14 +513,14 @@ def eval_target_vec(
     filter never escape the aggregation.
     """
     if isinstance(target, BoundColumn):
-        vals, null = fetch_rows(g, target, rows)
+        vals, null = fetch_rows(db, target, rows)
         return vals, ~null
     if isinstance(target, BoundAggregation):
-        return eval_agg_vec(g, target, table, rows, anchor)
+        return eval_agg_vec(db, target, table, rows, anchor)
     flags = np.zeros(len(rows), dtype=np.bool_)
     for node in walk(target, filters=False):
         # Reads under IS / IS NOT interrogate null, so they are exempt.
         if isinstance(node, BoundCompare) and isinstance(node.lhs, BoundColumn) and node.op not in NULL_OPS:
-            flags |= fetch_rows(g, node.lhs, rows)[1]
-    result = eval_condition_vec(g, target, table, rows, anchor)
+            flags |= fetch_rows(db, node.lhs, rows)[1]
+    result = eval_condition_vec(db, target, table, rows, anchor)
     return result, ~flags

@@ -22,7 +22,7 @@ from .binder import BoundColumn, BoundQuery, walk
 from .engine import _validity_mask, check_pairs
 from .errors import ExecutionError
 from .sampler import _reached_rows
-from .store import Database, RowRef, build_row_graph
+from .store import Database, RowRef
 
 
 def reachable_tables(db: Database, start: str) -> Set[str]:
@@ -55,7 +55,7 @@ def leakage_rows(
     # the sampler collects them. The entity row itself counts only when a
     # label part reads one of its columns directly.
     labels = (bound.target, bound.assuming)
-    reached = _reached_rows(build_row_graph(db), labels, rows, at)
+    reached = _reached_rows(db, labels, rows, at)
     if any(
         isinstance(n, BoundColumn) and not n.hops for part in labels for n in walk(part, filters=False)
     ):

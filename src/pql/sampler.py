@@ -14,12 +14,11 @@ each part's nodes by `binder.walk` outside aggregation filters:
   parent's anchor, so filter columns pull parent rows and nested
   aggregations gather again.
 
-`collect` takes the row graph alone, a view of its database that reads
-the tables as they are loaded. The collected row sets, a `Subgraph`,
-account for the work a request does: the database, the sorted row indices
-of each table it reads, and their count. Labels are computed for the
-requested pairs by the same kernels on the database's row graph, so
-results match the batch engine row for row.
+`collect` reads the database's tables as they are loaded. The collected
+row sets, a `Subgraph`, account for the work a request does: the
+database, the sorted row indices of each table it reads, and their count.
+Labels are computed for the requested pairs by the same kernels on the
+same database, so results match the batch engine row for row.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from .errors import ExecutionError, PlanError
 from .kernels import Anchor, distinct, gather_children, newest_first, window_slots
 from .planner import AnchorPolicy, feasible_anchors
 from .splits import SplitPolicy
-from .store import Database, RowGraph, RowRef, build_row_graph
+from .store import Database, RowRef
 
 
 @dataclass(frozen=True)
@@ -73,7 +72,7 @@ class Subgraph:
 
 
 def _reached_rows(
-    g: RowGraph, parts: Sequence[Optional[BoundTarget]], rows: np.ndarray, at: Anchor
+    db: Database, parts: Sequence[Optional[BoundTarget]], rows: np.ndarray, at: Anchor
 ) -> Dict[str, List[np.ndarray]]:
     """Rows that `parts` read, apart from the entity rows, by table, for the
     distinct pairs of entity `rows` and anchors `at` that `check_pairs`
@@ -90,11 +89,11 @@ def _reached_rows(
             if isinstance(n, BoundColumn):
                 parents = rows
                 for edge in n.hops:
-                    parents = g.forward(edge)[parents]
+                    parents = db.forward(edge)[parents]
                     parents = parents[parents >= 0]
                     add(edge.parent_table, parents)
             elif isinstance(n, BoundAggregation):
-                gathered = gather_children(g, n, rows, anchor)
+                gathered = gather_children(db, n, rows, anchor)
                 children = gathered.child_rows
                 add(n.table, children)
                 if len(children) and n.where is not None:
@@ -107,17 +106,17 @@ def _reached_rows(
     return acc
 
 
-def collect(g: RowGraph, request: SampleRequest) -> Subgraph:
+def collect(db: Database, request: SampleRequest) -> Subgraph:
     """Breadth-first collection of the connected row subgraph the request
     touches: the entity rows plus every row `_reached_rows` finds, in the
-    tables the graph's database holds now."""
-    _, rows, at = check_pairs(request.pairs, g.db, request.entity_table, request.is_static)
-    acc = _reached_rows(g, request.parts, rows, at)
+    tables `db` holds now."""
+    _, rows, at = check_pairs(request.pairs, db, request.entity_table, request.is_static)
+    acc = _reached_rows(db, request.parts, rows, at)
     if len(rows):
         acc.setdefault(request.entity_table, []).append(rows)
     packed = {t: distinct(np.concatenate(arrays)) for t, arrays in acc.items()}
     touched = sum(len(v) for v in packed.values())
-    return Subgraph(g.db, packed, touched)
+    return Subgraph(db, packed, touched)
 
 
 def compute_on_subgraph(
@@ -130,7 +129,7 @@ def compute_on_subgraph(
     keep_empty_labels: Optional[bool] = None,
 ) -> TrainingTable:
     """Training rows for pairs whose subgraph was collected: the kernels
-    evaluate exactly these pairs on the row graph `sub.db` holds now, so the
+    evaluate exactly these pairs on the tables `sub.db` holds now, so the
     rows are the batch engine's rows for the same pairs."""
     refs, rows, at = check_pairs(pairs, sub.db, bound.entity_table, bound.is_static)
     collected = sub.rows.get(bound.entity_table, np.empty(0, dtype=np.int64))
@@ -164,7 +163,6 @@ def sample_pairs(
         return [(RowRef(etable, i), None) for i in range(min(n, n_entities))]
     if anchor is None:
         anchor = feasible_anchors(bound, AnchorPolicy(), db)[0]
-    g = build_row_graph(db)
     entities = np.arange(n_entities, dtype=np.int64)
     none = np.iinfo(np.int64).min  # no child before the anchor: times start at year 1
     latest = np.full(n_entities, none, dtype=np.int64)
@@ -172,7 +170,7 @@ def sample_pairs(
     for edge in {a.group_edge for a in aggs if a.group_edge.parent_table == etable}:
         # An entity's newest child before the anchor is the last slot of its
         # window [-INF, anchor), where it has one.
-        idx = g.edge_index(edge)
+        idx = db.edge_index(edge)
         starts, ends = window_slots(idx, entities, None, anchor)
         found = ends > starts
         if found.any():

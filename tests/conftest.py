@@ -64,4 +64,5 @@ def toy_db(retail_schema):
 
 @pytest.fixture(scope="session")
 def toy_graph(toy_db):
+    """What the benchmark's warm set-up passes on as `g`: the database."""
     return build_row_graph(toy_db)

@@ -24,7 +24,7 @@ from pql.oracle import _eval_cond, _eval_target, _Tables, _Touches, _validity_ok
 from pql.parser import parse
 from pql.planner import AnchorPolicy, plan_prediction, plan_training, resolve_anchors
 from pql.sampler import build_request, collect, compute_on_subgraph
-from pql.store import RowRef, build_row_graph
+from pql.store import RowRef
 from pql.synth import GenSpec, generate, hm_genspec, random_database, random_query, random_schema
 from pql.times import MICROS_PER_DAY
 
@@ -138,13 +138,12 @@ def test_criterion_5_path_equivalence():
     pair_sets = 0
     for seed in range(N_TRIPLES // 4):
         _, db, bound = _triple(seed)
-        g = build_row_graph(db)
         policy = AnchorPolicy(count=4)
         anchors = resolve_anchors(bound, policy, db)
         alist, n = _pair_domain(db, bound, anchors)
         if not alist or not n:
             continue
-        batch = materialize_training(plan_training(bound, policy), db, g)
+        batch = materialize_training(plan_training(bound, policy), db)
         pk = db.table(bound.entity_table).column(db.table(bound.entity_table).definition.primary_key)
         rnd = random.Random(seed * 3 + 1)
         for _ in range(5):
@@ -154,7 +153,7 @@ def test_criterion_5_path_equivalence():
                     for _ in range(rnd.randrange(1, 20))
                 )
             )
-            sub = collect(g, build_request(bound, pairs))
+            sub = collect(db, build_request(bound, pairs))
             got = compute_on_subgraph(bound, sub, pairs, anchors_for_split=anchors)
             requested = {(pk.get(ref.index), a) for ref, a in pairs}
             want = [r for r in batch.rows if (r[0], r[1]) in requested]
@@ -181,16 +180,12 @@ UNFILTERED_QUERY = "PREDICT COUNT(TRANSACTIONS.*, 0, 7, days) FOR EACH CUSTOMERS
 
 @pytest.fixture(scope="module")
 def big_db():
-    db = generate(hm_genspec(scale=0.04, seed=3))  # 1.24M transactions
-    build_row_graph(db)
-    return db
+    return generate(hm_genspec(scale=0.04, seed=3))  # 1.24M transactions
 
 
 @pytest.fixture(scope="module")
 def small_db():
-    db = generate(hm_genspec(scale=0.001, seed=3))  # the 1/1000-scale variant
-    build_row_graph(db)
-    return db
+    return generate(hm_genspec(scale=0.001, seed=3))  # the 1/1000-scale variant
 
 
 def test_criterion_7a_optimized_vs_cross_product(big_db):
@@ -258,13 +253,12 @@ def test_criterion_8_determinism(tmp_path):
 def test_criterion_9_assuming_semantics():
     db = generate(GenSpec(seed=6, customers=400, articles=40, transactions=9000,
                           notifications=2500))
-    g = build_row_graph(db)
     plain = bind(parse(CORPUS_BY_NAME["active_spender"].text), db.schema)
     assuming = bind(parse(CORPUS_BY_NAME["active_spender_notified"].text), db.schema)
     policy = AnchorPolicy(count=4)
 
-    t_plain = materialize_training(plan_training(plain, policy), db, g)
-    t_assume = materialize_training(plan_training(assuming, policy), db, g)
+    t_plain = materialize_training(plan_training(plain, policy), db)
+    t_assume = materialize_training(plan_training(assuming, policy), db)
     assert 0 < len(t_assume.rows) < len(t_plain.rows)
     assert set(t_assume.rows) <= set(t_plain.rows)
     # The rows removed are exactly those failing the notification condition.
@@ -275,8 +269,8 @@ def test_criterion_9_assuming_semantics():
         row = key_to_row[key]
         assert _eval_cond(t, assuming.assuming, "CUSTOMERS", row, anchor, None) is False
 
-    p_plain = materialize_prediction(plan_prediction(plain), db, g)
-    p_assume = materialize_prediction(plan_prediction(assuming), db, g)
+    p_plain = materialize_prediction(plan_prediction(plain), db)
+    p_assume = materialize_prediction(plan_prediction(assuming), db)
     assert p_plain.rows == p_assume.rows
     print(
         f"ACCEPTANCE 9 PASS ASSUMING: training {len(t_assume.rows)}/{len(t_plain.rows)} subset, "

@@ -408,7 +408,7 @@ class TestPredictionFilter:
     def test_non_link_task_has_no_filter(self):
         assert bind_text(CORPUS_BY_NAME["active_spender"].text).prediction_filter is None
 
-    def test_soundness_on_toy_data(self, toy_db, toy_graph):
+    def test_soundness_on_toy_data(self, toy_db):
         # No labelled article may be excluded by the extracted candidate filter.
         from pql.kernels import eval_agg_vec, eval_condition_vec
         import numpy as np
@@ -417,10 +417,10 @@ class TestPredictionFilter:
         anchor = parse_timestamp("2024-01-01")
         labels = set()
         for c in range(toy_db.nrows("CUSTOMERS")):
-            values, _ = eval_agg_vec(toy_graph, b.target, "CUSTOMERS", np.array([c]), anchor)
+            values, _ = eval_agg_vec(toy_db, b.target, "CUSTOMERS", np.array([c]), anchor)
             labels |= set(values[0])
         all_articles = np.arange(toy_db.nrows("ARTICLES"))
-        passing = all_articles[eval_condition_vec(toy_graph, b.prediction_filter, "ARTICLES", all_articles, None)]
+        passing = all_articles[eval_condition_vec(toy_db, b.prediction_filter, "ARTICLES", all_articles, None)]
         candidate_keys = {toy_db.value(RowRef("ARTICLES", int(i)), "ARTICLE_ID") for i in passing}
         assert labels <= candidate_keys
 
@@ -444,7 +444,7 @@ class TestLeakageRows:
         mask = leakage_rows(b, toy_db, RowRef("TRANSACTIONS", 0), None)
         assert mask == {RowRef("TRANSACTIONS", 0)}
 
-    def test_covers_engine_reads(self, toy_db, toy_graph):
+    def test_covers_engine_reads(self, toy_db):
         from pql.oracle import _eval_target, _Tables, _Touches
 
         b = bind_text(CORPUS_BY_NAME["active_spender_notified"].text)

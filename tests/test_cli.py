@@ -242,6 +242,8 @@ BAD_OPTIONS = {
     "bench_pairs": ("bench", ["--pairs", "-1", "--paths", "sampler"], "--pairs"),
     "bench_runs_zero": ("bench", ["--runs", "0", "--paths", "sampler"], "--runs"),
     "bench_runs_negative": ("bench", ["--runs", "-1", "--paths", "sampler"], "--runs"),
+    "bench_paths_unknown": ("bench", ["--paths", "optimised,sampler"], "--paths"),
+    "bench_paths_empty": ("bench", ["--paths", " , "], "--paths"),
     "config_anchors_bool": ("train-table", ["--config", {"anchors": True}], "'anchors'"),
     "config_strategy_choice": ("train-table", ["--config", {"strategy": "fast"}], "'strategy'"),
     "flag_anchors": ("train-table", ["--anchors", "ten"], "argument --anchors: invalid int value: 'ten'"),

@@ -21,7 +21,7 @@ from pql.oracle import oracle_training
 from pql.parser import parse
 from pql.planner import AnchorPolicy, plan_prediction, plan_training, resolve_anchors
 from pql.splits import SplitPolicy, split_for_key
-from pql.store import RowRef, build_row_graph, load_schema, load_table_data, new_database
+from pql.store import RowRef, load_schema, load_table_data, new_database
 from pql.synth import (
     GenSpec,
     generate,
@@ -47,73 +47,73 @@ def target_of(text, key="retail"):
 CUSTOMER = lambda i: RowRef("CUSTOMERS", i)  # noqa: E731
 
 
-def eval_aggregation(db, g, agg, entity, anchor=None):
+def eval_aggregation(db, agg, entity, anchor=None):
     """One aggregation for one entity, as a one-row kernel batch; None when
     undefined."""
-    values, defined = eval_agg_vec(g, agg, entity.table, np.array([entity.index]), anchor)
+    values, defined = eval_agg_vec(db, agg, entity.table, np.array([entity.index]), anchor)
     return values.tolist()[0] if defined[0] else None
 
 
-def eval_condition(db, g, cond, row, anchor=None):
+def eval_condition(db, cond, row, anchor=None):
     """One condition for one row, as a one-row kernel batch."""
-    return bool(eval_condition_vec(g, cond, row.table, np.array([row.index]), anchor)[0])
+    return bool(eval_condition_vec(db, cond, row.table, np.array([row.index]), anchor)[0])
 
 
 class TestEvalAggregation:
-    def test_sum_inside_window(self, toy_db, toy_graph):
+    def test_sum_inside_window(self, toy_db):
         agg = target_of("PREDICT SUM(TRANSACTIONS.VALUE, 0, 30, days) FOR EACH CUSTOMERS.CUSTOMER_ID")
-        assert eval_aggregation(toy_db, toy_graph, agg, CUSTOMER(0), ANCHOR) == 30.0
-        assert eval_aggregation(toy_db, toy_graph, agg, CUSTOMER(1), ANCHOR) == 135.0
+        assert eval_aggregation(toy_db, agg, CUSTOMER(0), ANCHOR) == 30.0
+        assert eval_aggregation(toy_db, agg, CUSTOMER(1), ANCHOR) == 135.0
 
-    def test_empty_window_count_zero_max_undefined(self, toy_db, toy_graph):
+    def test_empty_window_count_zero_max_undefined(self, toy_db):
         count = target_of("PREDICT COUNT(TRANSACTIONS.*, 0, 30, days) FOR EACH CUSTOMERS.CUSTOMER_ID")
         biggest = target_of("PREDICT MAX(TRANSACTIONS.VALUE, 0, 30, days) FOR EACH CUSTOMERS.CUSTOMER_ID")
-        assert eval_aggregation(toy_db, toy_graph, count, CUSTOMER(2), ANCHOR) == 0
-        assert eval_aggregation(toy_db, toy_graph, biggest, CUSTOMER(2), ANCHOR) is None
+        assert eval_aggregation(toy_db, count, CUSTOMER(2), ANCHOR) == 0
+        assert eval_aggregation(toy_db, biggest, CUSTOMER(2), ANCHOR) is None
 
-    def test_count_includes_null_valued_rows(self, toy_db, toy_graph):
+    def test_count_includes_null_valued_rows(self, toy_db):
         count = target_of("PREDICT COUNT(TRANSACTIONS.*, 0, 30, days) FOR EACH CUSTOMERS.CUSTOMER_ID")
-        assert eval_aggregation(toy_db, toy_graph, count, CUSTOMER(1), ANCHOR) == 3
+        assert eval_aggregation(toy_db, count, CUSTOMER(1), ANCHOR) == 3
 
-    def test_undated_rows_excluded_from_windows(self, toy_db, toy_graph):
+    def test_undated_rows_excluded_from_windows(self, toy_db):
         count = target_of("PREDICT COUNT(TRANSACTIONS.*, 0, 90, days) FOR EACH CUSTOMERS.CUSTOMER_ID")
         # customer 1 has tx 1, 2, 3 dated in range; tx 8 is undated
-        assert eval_aggregation(toy_db, toy_graph, count, CUSTOMER(0), ANCHOR) == 3
+        assert eval_aggregation(toy_db, count, CUSTOMER(0), ANCHOR) == 3
 
-    def test_windowless_includes_undated(self, toy_db, toy_graph):
+    def test_windowless_includes_undated(self, toy_db):
         count = target_of("PREDICT COUNT(TRANSACTIONS.*) FOR EACH CUSTOMERS.CUSTOMER_ID")
-        assert eval_aggregation(toy_db, toy_graph, count, CUSTOMER(0), None) == 4
+        assert eval_aggregation(toy_db, count, CUSTOMER(0), None) == 4
 
-    def test_recommendation_filter_excludes_red(self, toy_db, toy_graph):
+    def test_recommendation_filter_excludes_red(self, toy_db):
         agg = target_of(CORPUS_BY_NAME["blue_articles"].text)
         # customer 2: tx4 is 60 on a red article, tx5 is 75 on the blue dress
-        assert eval_aggregation(toy_db, toy_graph, agg, CUSTOMER(1), ANCHOR) == (3,)
-        assert eval_aggregation(toy_db, toy_graph, agg, CUSTOMER(0), ANCHOR) == ()
+        assert eval_aggregation(toy_db, agg, CUSTOMER(1), ANCHOR) == (3,)
+        assert eval_aggregation(toy_db, agg, CUSTOMER(0), ANCHOR) == ()
 
-    def test_avg_min_first_last(self, toy_db, toy_graph):
+    def test_avg_min_first_last(self, toy_db):
         mk = lambda kind: target_of(
             f"PREDICT {kind}(TRANSACTIONS.VALUE, 0, 30, days) FOR EACH CUSTOMERS.CUSTOMER_ID"
         )
-        assert eval_aggregation(toy_db, toy_graph, mk("AVG"), CUSTOMER(0), ANCHOR) == 15.0
-        assert eval_aggregation(toy_db, toy_graph, mk("MIN"), CUSTOMER(0), ANCHOR) == 10.0
-        assert eval_aggregation(toy_db, toy_graph, mk("FIRST"), CUSTOMER(1), ANCHOR) == 60.0
-        assert eval_aggregation(toy_db, toy_graph, mk("LAST"), CUSTOMER(1), ANCHOR) == 75.0
+        assert eval_aggregation(toy_db, mk("AVG"), CUSTOMER(0), ANCHOR) == 15.0
+        assert eval_aggregation(toy_db, mk("MIN"), CUSTOMER(0), ANCHOR) == 10.0
+        assert eval_aggregation(toy_db, mk("FIRST"), CUSTOMER(1), ANCHOR) == 60.0
+        assert eval_aggregation(toy_db, mk("LAST"), CUSTOMER(1), ANCHOR) == 75.0
 
-    def test_first_returns_null_when_earliest_value_is_null(self, toy_db, toy_graph):
+    def test_first_returns_null_when_earliest_value_is_null(self, toy_db):
         first = target_of("PREDICT FIRST(TRANSACTIONS.VALUE, 6, 8, days) FOR EACH CUSTOMERS.CUSTOMER_ID")
         # customer 2's only row in [Jan 7, Jan 9) is tx6 with null VALUE
-        assert eval_aggregation(toy_db, toy_graph, first, CUSTOMER(1), ANCHOR) is None
+        assert eval_aggregation(toy_db, first, CUSTOMER(1), ANCHOR) is None
 
-    def test_count_distinct(self, toy_db, toy_graph):
+    def test_count_distinct(self, toy_db):
         cd = target_of(
             "PREDICT COUNT_DISTINCT(TRANSACTIONS.ARTICLE_ID, 0, 90, days) FOR EACH CUSTOMERS.CUSTOMER_ID"
         )
-        assert eval_aggregation(toy_db, toy_graph, cd, CUSTOMER(0), ANCHOR) == 2
+        assert eval_aggregation(toy_db, cd, CUSTOMER(0), ANCHOR) == 2
 
-    def test_anchor_presence_contract(self, toy_db, toy_graph):
+    def test_anchor_presence_contract(self, toy_db):
         windowed = target_of("PREDICT COUNT(TRANSACTIONS.*, 0, 7, days) FOR EACH CUSTOMERS.CUSTOMER_ID")
         with pytest.raises(ExecutionError, match="anchor"):
-            eval_aggregation(toy_db, toy_graph, windowed, CUSTOMER(0), None)
+            eval_aggregation(toy_db, windowed, CUSTOMER(0), None)
 
 
 class TestEvalCondition:
@@ -121,36 +121,36 @@ class TestEvalCondition:
         b = bind_text(f"PREDICT TRANSACTIONS.VALUE FOR EACH TRANSACTIONS.TRANSACTION_ID WHERE {text}")
         return b.conjuncts[0].condition
 
-    def test_simple_comparison(self, toy_db, toy_graph):
+    def test_simple_comparison(self, toy_db):
         b = bind_text(CORPUS_BY_NAME["active_spender"].text)
         # anchored at Dec 19, the [15, 45)-day window covers Jan 3 and Jan 20:
         # customer 2 spends 60 + 75 = 135 > 100
         anchor = parse_timestamp("2023-12-19")
-        assert eval_condition(toy_db, toy_graph, b.target, CUSTOMER(1), anchor) is True
+        assert eval_condition(toy_db, b.target, CUSTOMER(1), anchor) is True
         # one day later the Jan 3 purchase falls out and 75 < 100
-        assert eval_condition(toy_db, toy_graph, b.target, CUSTOMER(1), anchor + MICROS_PER_DAY) is False
+        assert eval_condition(toy_db, b.target, CUSTOMER(1), anchor + MICROS_PER_DAY) is False
 
-    def test_undefined_collapses_to_false(self, toy_db, toy_graph):
+    def test_undefined_collapses_to_false(self, toy_db):
         cond = bind_text(
             "PREDICT MAX(TRANSACTIONS.VALUE, 0, 30, days) < 3 FOR EACH CUSTOMERS.CUSTOMER_ID"
         ).target
         # Explicit three-valued reference: MAX of an empty window is unknown,
         # and unknown < 3 must collapse to False, not True.
-        assert eval_aggregation(toy_db, toy_graph, cond.lhs, CUSTOMER(2), ANCHOR) is None
-        assert eval_condition(toy_db, toy_graph, cond, CUSTOMER(2), ANCHOR) is False
+        assert eval_aggregation(toy_db, cond.lhs, CUSTOMER(2), ANCHOR) is None
+        assert eval_condition(toy_db, cond, CUSTOMER(2), ANCHOR) is False
         flipped = bind_text(
             "PREDICT NOT MAX(TRANSACTIONS.VALUE, 0, 30, days) < 3 FOR EACH CUSTOMERS.CUSTOMER_ID"
         ).target
-        assert eval_condition(toy_db, toy_graph, flipped, CUSTOMER(2), ANCHOR) is True
+        assert eval_condition(toy_db, flipped, CUSTOMER(2), ANCHOR) is True
 
-    def test_null_comparisons_are_false(self, toy_db, toy_graph):
+    def test_null_comparisons_are_false(self, toy_db):
         tx6 = RowRef("TRANSACTIONS", 5)  # null VALUE
         for op in ("=", "!=", "<", ">"):
             cond = self.cond_of(f"TRANSACTIONS.VALUE {op} 60")
-            assert eval_condition(toy_db, toy_graph, cond, tx6, None) is False
-        assert eval_condition(toy_db, toy_graph, self.cond_of("TRANSACTIONS.VALUE IS NULL"), tx6, None)
+            assert eval_condition(toy_db, cond, tx6, None) is False
+        assert eval_condition(toy_db, self.cond_of("TRANSACTIONS.VALUE IS NULL"), tx6, None)
 
-    def test_string_operators(self, toy_db, toy_graph):
+    def test_string_operators(self, toy_db):
         tx1 = RowRef("TRANSACTIONS", 0)  # customer 1, New York
         checks = {
             "CUSTOMERS.LOCATION_ID LIKE 'New%'": True,
@@ -164,11 +164,11 @@ class TestEvalCondition:
             'CUSTOMERS.LOCATION_ID IS IN ["Paris"]': False,
         }
         for text, want in checks.items():
-            assert eval_condition(toy_db, toy_graph, self.cond_of(text), tx1, None) is want, text
+            assert eval_condition(toy_db, self.cond_of(text), tx1, None) is want, text
 
-    def test_null_fk_hop_collapses(self, retail_schema, toy_graph):
+    def test_null_fk_hop_collapses(self, retail_schema):
         from conftest import build_toy_db
-        from pql.store import build_row_graph, load_table_data
+        from pql.store import load_table_data
 
         db = build_toy_db(retail_schema)
         load_table_data(
@@ -176,9 +176,8 @@ class TestEvalCondition:
             "TRANSACTIONS",
             "TRANSACTION_ID,VALUE,TIMESTAMP,CUSTOMER_ID,ARTICLE_ID\n9,5.0,2024-01-02,,1\n",
         )
-        g = build_row_graph(db)
         cond = self.cond_of("CUSTOMERS.LOCATION_ID = 'New York'")
-        assert eval_condition(db, g, cond, RowRef("TRANSACTIONS", 0), None) is False
+        assert eval_condition(db, cond, RowRef("TRANSACTIONS", 0), None) is False
 
 
 class TestMaterializeTraining:
@@ -468,7 +467,7 @@ class TestStaticLinkPrediction:
 
 
 class TestEvaluatePairs:
-    def test_matches_batch_restriction(self, toy_db, toy_graph):
+    def test_matches_batch_restriction(self, toy_db):
         b = bind_text(CORPUS_BY_NAME["active_spender"].text)
         policy = AnchorPolicy(count=2, stride=20 * MICROS_PER_DAY, latest=ANCHOR)
         anchors = resolve_anchors(b, policy, toy_db)
@@ -484,7 +483,6 @@ class TestEvaluatePairs:
                               notifications=10, validity=True))
         b = bind(parse("PREDICT SUM(TRANSACTIONS.VALUE, 0, 30, days) FOR EACH CUSTOMERS.CUSTOMER_ID"),
                  db.schema)
-        g = build_row_graph(db)
         cust = db.table("CUSTOMERS")
         start_col = cust.definition.validity[0]
         row = next(i for i in range(cust.nrows) if cust.column(start_col).get(i) is not None)
@@ -492,7 +490,7 @@ class TestEvaluatePairs:
         got = evaluate_pairs(db, b, [(RowRef("CUSTOMERS", row), bad_anchor)])
         assert got.rows == [] and got.metadata["dropped"]["validity_pruned"] == 1
 
-    def test_a_pair_repeated_in_another_case_counts_once(self, toy_db, toy_graph):
+    def test_a_pair_repeated_in_another_case_counts_once(self, toy_db):
         b = bind_text("PREDICT COUNT(TRANSACTIONS.*, 0, 30, days) FOR EACH CUSTOMERS.CUSTOMER_ID")
         once = [(CUSTOMER(0), ANCHOR)]
         got = evaluate_pairs(
@@ -502,14 +500,14 @@ class TestEvaluatePairs:
         assert got.rows == want.rows == [(1, ANCHOR, 2, "test")]
         assert got.metadata == want.metadata and got.metadata["pairs_expanded"] == 1
 
-    def test_anchor_off_the_split_anchors_is_a_plan_error(self, toy_db, toy_graph):
+    def test_anchor_off_the_split_anchors_is_a_plan_error(self, toy_db):
         b = bind_text(CORPUS_BY_NAME["active_spender"].text)
         pairs = [(CUSTOMER(0), ANCHOR), (CUSTOMER(1), ANCHOR + MICROS_PER_DAY)]
         with pytest.raises(PlanError, match="^pair anchor 2024-01-02T00:00:00Z is not in anchors_for_split$"):
             evaluate_pairs(toy_db, b, pairs, anchors_for_split=[ANCHOR])
 
     @pytest.mark.parametrize("index", [-1, 3])
-    def test_temporal_pair_row_outside_the_table_is_refused(self, toy_db, toy_graph, index):
+    def test_temporal_pair_row_outside_the_table_is_refused(self, toy_db, index):
         b = bind_text("PREDICT COUNT(TRANSACTIONS.*, 0, 30, days) FOR EACH CUSTOMERS.CUSTOMER_ID")
         ref = CUSTOMER(index)
         message = f"^pair entity {re.escape(repr(ref))} is outside the 3 rows of CUSTOMERS$"
@@ -536,7 +534,7 @@ class TestPairAnchorsThatDoNotFit:
     TEMPORAL = "PREDICT COUNT(TRANSACTIONS.*, 0, 30, days) FOR EACH CUSTOMERS.CUSTOMER_ID"
 
     @staticmethod
-    def run(entry, db, g, b, pairs):
+    def run(entry, db, b, pairs):
         from pql.leakage import leakage_rows
         from pql.sampler import build_request, collect, compute_on_subgraph
 
@@ -547,10 +545,10 @@ class TestPairAnchorsThatDoNotFit:
                 leakage_rows(b, db, ref, anchor)
             return None
         if entry == "collect":
-            return collect(g, build_request(b, pairs))
+            return collect(db, build_request(b, pairs))
         # Collect the same entities at anchors that fit, so the collected check passes.
         fitting = [(ref, None if b.is_static else ANCHOR) for ref, _ in pairs]
-        return compute_on_subgraph(b, collect(g, build_request(b, fitting)), pairs)
+        return compute_on_subgraph(b, collect(db, build_request(b, fitting)), pairs)
 
     @pytest.mark.parametrize("entry", ["evaluate_pairs", "collect", "compute_on_subgraph", "leakage_rows"])
     @pytest.mark.parametrize(
@@ -559,23 +557,23 @@ class TestPairAnchorsThatDoNotFit:
          (TEMPORAL, "CUSTOMERS", None, "temporal query needs an anchor")],
         ids=["static", "temporal"],
     )
-    def test_is_a_plan_error(self, toy_db, toy_graph, entry, query, table, anchor, message):
+    def test_is_a_plan_error(self, toy_db, entry, query, table, anchor, message):
         b = bind_text(query)
         fits = None if anchor is not None else ANCHOR
         pairs = [(RowRef(table, 0), fits), (RowRef(table, 1), anchor)]
         with pytest.raises(PlanError, match=f"^{message}$"):
-            self.run(entry, toy_db, toy_graph, b, pairs)
+            self.run(entry, toy_db, b, pairs)
 
     # compute_on_subgraph cannot collect an outside entity to check it later.
     @pytest.mark.parametrize("entry", ["evaluate_pairs", "collect", "leakage_rows"])
     @pytest.mark.parametrize("outside", [CUSTOMER(3), RowRef("TRANSACTIONS", 1)])
-    def test_the_first_offending_pair_decides(self, toy_db, toy_graph, entry, outside):
+    def test_the_first_offending_pair_decides(self, toy_db, entry, outside):
         b = bind_text(self.TEMPORAL)
         first = [(CUSTOMER(0), ANCHOR), (outside, ANCHOR), (CUSTOMER(2), None)]
         with pytest.raises(ExecutionError, match=f"^pair entity {re.escape(repr(outside))} is "):
-            self.run(entry, toy_db, toy_graph, b, first)
+            self.run(entry, toy_db, b, first)
         with pytest.raises(PlanError, match="^temporal query needs an anchor$"):
-            self.run(entry, toy_db, toy_graph, b, [first[0], first[2], first[1]])
+            self.run(entry, toy_db, b, [first[0], first[2], first[1]])
 
     @pytest.mark.parametrize(
         "entity,fault",
@@ -602,41 +600,41 @@ class TestPairAnchorsThatDoNotFit:
     # refuses an entity that is no row before compute_on_subgraph runs.
     @pytest.mark.parametrize("entry", ENTRIES)
     @pytest.mark.parametrize("index", NOT_INT64, ids=repr)
-    def test_an_index_that_is_no_int64_is_an_execution_error(self, toy_db, toy_graph, entry, index):
+    def test_an_index_that_is_no_int64_is_an_execution_error(self, toy_db, entry, index):
         b = bind_text(self.TEMPORAL)
         entity = CUSTOMER(index)
         pairs = [(CUSTOMER(0), ANCHOR), (entity, ANCHOR), (CUSTOMER(2), None)]
         with pytest.raises(ExecutionError, match=f"^pair entity {re.escape(repr(entity))} has no int64 row index$"):
-            self.run(entry, toy_db, toy_graph, b, pairs)
+            self.run(entry, toy_db, b, pairs)
 
     @pytest.mark.parametrize("entry", ENTRIES)
     @pytest.mark.parametrize("anchor", [ANCHOR + 0.5, str(ANCHOR), np.float64(ANCHOR), 10**30, -(10**30), 2**63],
                              ids=repr)
-    def test_an_anchor_that_is_no_int64_is_a_plan_error(self, toy_db, toy_graph, entry, anchor):
+    def test_an_anchor_that_is_no_int64_is_a_plan_error(self, toy_db, entry, anchor):
         b = bind_text(self.TEMPORAL)
         pairs = [(CUSTOMER(0), ANCHOR), (CUSTOMER(1), anchor), (CUSTOMER(2), None)]
         with pytest.raises(PlanError, match=f"^pair anchor {re.escape(repr(anchor))} is not an int64 timestamp$"):
-            self.run(entry, toy_db, toy_graph, b, pairs)
+            self.run(entry, toy_db, b, pairs)
 
     @pytest.mark.parametrize("entry", ENTRIES)
     @pytest.mark.parametrize("anchor", [MIN_MICROS - 1, MAX_MICROS + 1, -(2**63), 2**63 - 1])
-    def test_an_anchor_outside_the_years_is_a_plan_error(self, toy_db, toy_graph, entry, anchor):
+    def test_an_anchor_outside_the_years_is_a_plan_error(self, toy_db, entry, anchor):
         b = bind_text(self.TEMPORAL)
         pairs = [(CUSTOMER(0), ANCHOR), (CUSTOMER(1), anchor), (CUSTOMER(2), None)]
         with pytest.raises(PlanError, match=f"^pair anchor {anchor} is outside years 0001-9999$"):
-            self.run(entry, toy_db, toy_graph, b, pairs)
+            self.run(entry, toy_db, b, pairs)
 
     @pytest.mark.parametrize("entry", ["evaluate_pairs", "collect", "leakage_rows"])
-    def test_the_first_pair_that_is_no_int64_decides(self, toy_db, toy_graph, entry):
+    def test_the_first_pair_that_is_no_int64_decides(self, toy_db, entry):
         b = bind_text(self.TEMPORAL)
         bad_index, bad_anchor = (CUSTOMER(1.5), ANCHOR), (CUSTOMER(1), ANCHOR + 0.5)
         with pytest.raises(ExecutionError, match="^pair entity .* has no int64 row index$"):
-            self.run(entry, toy_db, toy_graph, b, [(CUSTOMER(0), ANCHOR), bad_index, bad_anchor])
+            self.run(entry, toy_db, b, [(CUSTOMER(0), ANCHOR), bad_index, bad_anchor])
         with pytest.raises(PlanError, match="^pair anchor .* is not an int64 timestamp$"):
-            self.run(entry, toy_db, toy_graph, b, [(CUSTOMER(0), ANCHOR), bad_anchor, bad_index])
+            self.run(entry, toy_db, b, [(CUSTOMER(0), ANCHOR), bad_anchor, bad_index])
 
     @pytest.mark.parametrize("entry", ENTRIES)
-    def test_numpy_integers_read_as_python_ints(self, toy_db, toy_graph, entry):
+    def test_numpy_integers_read_as_python_ints(self, toy_db, entry):
         from pql.leakage import leakage_rows
 
         b = bind_text(self.TEMPORAL)
@@ -646,8 +644,8 @@ class TestPairAnchorsThatDoNotFit:
             got = [leakage_rows(b, toy_db, ref, a) for ref, a in typed]
             assert got == [leakage_rows(b, toy_db, ref, a) for ref, a in plain]
         else:
-            got = self.run(entry, toy_db, toy_graph, b, typed).rows
-            assert repr(got) == repr(self.run(entry, toy_db, toy_graph, b, plain).rows)
+            got = self.run(entry, toy_db, b, typed).rows
+            assert repr(got) == repr(self.run(entry, toy_db, b, plain).rows)
 
 
 class TestWindowsPastTheYears:
@@ -676,7 +674,7 @@ class TestWindowsPastTheYears:
         assert batch.rows == want
         pairs = [(CUSTOMER(i), ANCHOR) for i in range(3)]
         assert evaluate_pairs(toy_db, b, pairs, anchors_for_split=[ANCHOR]).rows == want
-        sub = collect(build_row_graph(toy_db), build_request(b, pairs))
+        sub = collect(toy_db, build_request(b, pairs))
         assert compute_on_subgraph(b, sub, pairs, anchors_for_split=[ANCHOR]).rows == want
 
 
@@ -715,7 +713,6 @@ class TestEmptyParentTable:
 
         text, exit_code = self.QUERIES[name]
         db = load_database(data_dir / "schema.json", data_dir, strict=False)
-        g = build_row_graph(db)
         b = bind(parse(text), db.schema)
         policy = AnchorPolicy(count=2, latest=ANCHOR)
         anchors = resolve_anchors(b, policy, db)
@@ -725,7 +722,7 @@ class TestEmptyParentTable:
         assert materialize_training(plan_training(b, policy), db).rows == want
         assert materialize_training(plan_training(b, policy, optimized=False), db).rows == want
         assert evaluate_pairs(db, b, pairs, anchors_for_split=anchors).rows == want
-        sub = collect(g, build_request(b, pairs))
+        sub = collect(db, build_request(b, pairs))
         assert compute_on_subgraph(b, sub, pairs, anchors_for_split=anchors).rows == want
 
         args = ["train-table", "--data-dir", str(data_dir), "--schema", str(data_dir / "schema.json"),
@@ -983,11 +980,12 @@ class TestStaticSplits:
         assert table.keys.dtype == object and table.row_count == 40
 
 
-class TestRowGraphOfAnotherDatabase:
-    """The entries that keep a `g` parameter ignore it: a graph of another
-    database, or one built before a reload, gives the table that passing
-    none gives, from the database's own current graph. No other entry takes
-    a graph besides the database (`test_imports` guards that)."""
+class TestIgnoredGraphArgument:
+    """The two entries that keep a `g` parameter ignore it: another
+    database, or the database itself (what the benchmark passes) across a
+    reload, gives the table that passing none gives, from the database's
+    current tables. No other function takes a `g` (`test_imports` guards
+    that)."""
 
     TEXT = ("PREDICT COUNT(TRANSACTIONS.*, 0, 7, days) FOR EACH CUSTOMERS.CUSTOMER_ID "
             "WHERE COUNT(TRANSACTIONS.*, -60, 0, days) > 0")
@@ -1003,19 +1001,19 @@ class TestRowGraphOfAnotherDatabase:
         return table.rows, table.metadata
 
     @pytest.mark.parametrize("entry", ENTRIES)
-    def test_a_graph_of_another_database(self, retail_schema, entry):
+    def test_another_database(self, retail_schema, entry):
         db, other = build_toy_db(retail_schema), build_toy_db(retail_schema)
         load_table_data(other, "TRANSACTIONS", self.FEWER)
         want = self.table(entry, db, None)
         assert self.table(entry, other, None) != want
-        assert self.table(entry, db, build_row_graph(other)) == want
+        assert self.table(entry, db, other) == want
 
     @pytest.mark.parametrize("entry", ENTRIES)
-    def test_a_graph_built_before_a_reload(self, retail_schema, entry):
+    def test_the_database_itself_across_a_reload(self, retail_schema, entry):
         db = build_toy_db(retail_schema)
-        stale = build_row_graph(db)
-        before = self.table(entry, db, None)
+        before = self.table(entry, db, db)
+        assert before == self.table(entry, db, None)
         load_table_data(db, "TRANSACTIONS", self.FEWER)
         want = self.table(entry, db, None)
         assert want != before
-        assert self.table(entry, db, stale) == want
+        assert self.table(entry, db, db) == want

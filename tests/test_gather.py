@@ -18,7 +18,6 @@ from pql.store import (
     DataType,
     FkEdge,
     SemanticType,
-    build_row_graph,
     load_schema,
     load_table_data,
     new_database,
@@ -74,12 +73,12 @@ D_EDGE = FkEdge("D", "P_ID", "P")
 
 
 @pytest.fixture(scope="module")
-def hand_graph():
+def hand_db():
     db = new_database(HAND_SCHEMA)
     load_table_data(db, "P", "ID\n1\n2\n3\n4\n5\n")
     load_table_data(db, "C", HAND_C)
     load_table_data(db, "D", HAND_D)
-    return build_row_graph(db)
+    return db
 
 
 def count_over(edge: FkEdge, window) -> BoundAggregation:
@@ -87,14 +86,14 @@ def count_over(edge: FkEdge, window) -> BoundAggregation:
                             DataType.INT64, SemanticType.NUMERICAL)
 
 
-def checked(g, agg, parents, anchor) -> Gather:
+def checked(db, agg, parents, anchor) -> Gather:
     """The gather, after checking it against `scan_reference`."""
     parents = np.asarray(parents, dtype=np.int64)
-    got = gather_children(g, agg, parents, anchor)
+    got = gather_children(db, agg, parents, anchor)
     assert got.n_seg == len(parents)
     by_segment = np.argsort(got.seg, kind="stable")
     assert (got.seg[by_segment].tolist(), got.child_rows[by_segment].tolist()) == scan_reference(
-        g.db, got.idx, agg, parents, anchor)
+        db, got.idx, agg, parents, anchor)
     return got
 
 
@@ -104,7 +103,7 @@ def scan_reference(db, idx, agg, parents, anchor):
     reference child order: every child's parent and time is compared with
     every parent's and its window."""
     order = lexsort_order(db, idx)
-    take = parents[:, None] == build_row_graph(db).forward(idx.edge)[order][None, :]
+    take = parents[:, None] == db.forward(idx.edge)[order][None, :]
     if agg.window is not None:
         tname = db.table(idx.edge.child_table).definition.time_column
         if tname is None:
@@ -133,7 +132,7 @@ def lexsort_order(db, idx) -> np.ndarray:
     time, then load order. A null cell's stored value is a placeholder, so
     undated children sort by load order alone."""
     child = db.table(idx.edge.child_table)
-    forward = build_row_graph(db).forward(idx.edge)
+    forward = db.forward(idx.edge)
     linked = np.nonzero(forward >= 0)[0]
     tname = child.definition.time_column
     if tname is None:
@@ -148,63 +147,63 @@ def lexsort_order(db, idx) -> np.ndarray:
 class TestHandBuiltEdges:
     ALL = [0, 1, 2, 3, 4]
 
-    def test_lo_is_kept_and_hi_dropped(self, hand_graph):
+    def test_lo_is_kept_and_hi_dropped(self, hand_db):
         agg = count_over(C_EDGE, Window(0, 3, TimeUnit.DAYS))
-        got = by_parent(checked(hand_graph, agg, self.ALL, T("2024-01-02")), self.ALL)
+        got = by_parent(checked(hand_db, agg, self.ALL, T("2024-01-02")), self.ALL)
         # [Jan 2, Jan 5): rows at Jan 2 kept, Jan 5 (rows 1 and 4) dropped;
         # the shared Jan 2 time counts for both parents.
         assert got == {0: [0], 1: [2, 8], 2: [], 3: [], 4: []}
 
-    def test_each_parent_at_its_own_anchor(self, hand_graph):
+    def test_each_parent_at_its_own_anchor(self, hand_db):
         agg = count_over(C_EDGE, Window(0, 3, TimeUnit.DAYS))
         anchors = np.array([T("2024-01-02"), T("2024-01-03")], dtype=np.int64)
-        got = checked(hand_graph, agg, [0, 1], anchors)
+        got = checked(hand_db, agg, [0, 1], anchors)
         # P 2 at Jan 3 loses its Jan 2 child, which it keeps at Jan 2.
         assert by_parent(got, [0, 1]) == {0: [0], 1: [8]}
 
-    def test_ties_keep_load_order(self, hand_graph):
+    def test_ties_keep_load_order(self, hand_db):
         agg = count_over(C_EDGE, Window(-1, 0, TimeUnit.DAYS))
-        got = by_parent(checked(hand_graph, agg, [0], T("2024-01-06")), [0])
+        got = by_parent(checked(hand_db, agg, [0], T("2024-01-06")), [0])
         assert got == {0: [1, 4]}
 
-    def test_unbounded_lookback(self, hand_graph):
+    def test_unbounded_lookback(self, hand_db):
         agg = count_over(C_EDGE, Window(None, 0, TimeUnit.DAYS))
-        got = by_parent(checked(hand_graph, agg, self.ALL, T("2024-01-05")), self.ALL)
+        got = by_parent(checked(hand_db, agg, self.ALL, T("2024-01-05")), self.ALL)
         assert got == {0: [10, 0], 1: [2, 8], 2: [6], 3: [], 4: []}
-        got = by_parent(checked(hand_graph, agg, self.ALL, T("2030-01-01")), self.ALL)
+        got = by_parent(checked(hand_db, agg, self.ALL, T("2030-01-01")), self.ALL)
         # Undated children never fall in a window.
         assert got == {0: [10, 0, 1, 4], 1: [2, 8], 2: [6], 3: [7], 4: []}
 
-    def test_histories_before_or_after_the_window(self, hand_graph):
+    def test_histories_before_or_after_the_window(self, hand_db):
         agg = count_over(C_EDGE, Window(-7, 7, TimeUnit.DAYS))
-        got = by_parent(checked(hand_graph, agg, [2, 3], T("2024-01-03")), [2, 3])
+        got = by_parent(checked(hand_db, agg, [2, 3], T("2024-01-03")), [2, 3])
         assert got == {2: [], 3: []}
-        got = by_parent(checked(hand_graph, agg, self.ALL, T("1990-01-01")), self.ALL)
+        got = by_parent(checked(hand_db, agg, self.ALL, T("1990-01-01")), self.ALL)
         assert got == {p: [] for p in self.ALL}
-        got = by_parent(checked(hand_graph, agg, self.ALL, T("2040-01-01")), self.ALL)
+        got = by_parent(checked(hand_db, agg, self.ALL, T("2040-01-01")), self.ALL)
         assert got == {p: [] for p in self.ALL}
 
-    def test_unwindowed_takes_undated_children_too(self, hand_graph):
-        got = by_parent(checked(hand_graph, count_over(C_EDGE, None), self.ALL, None), self.ALL)
+    def test_unwindowed_takes_undated_children_too(self, hand_db):
+        got = by_parent(checked(hand_db, count_over(C_EDGE, None), self.ALL, None), self.ALL)
         assert got == {0: [10, 0, 1, 4, 9], 1: [2, 8, 3], 2: [6], 3: [7], 4: []}
 
-    def test_child_table_without_time_column(self, hand_graph):
-        idx = hand_graph.edge_index(D_EDGE)
+    def test_child_table_without_time_column(self, hand_db):
+        idx = hand_db.edge_index(D_EDGE)
         assert idx.radix == 1 and len(idx.time_values) == 0
-        got = by_parent(checked(hand_graph, count_over(D_EDGE, None), self.ALL, None), self.ALL)
+        got = by_parent(checked(hand_db, count_over(D_EDGE, None), self.ALL, None), self.ALL)
         assert got == {0: [0, 3], 1: [], 2: [1], 3: [], 4: []}
         windowed = count_over(D_EDGE, Window(None, 1, TimeUnit.DAYS))
-        got = by_parent(checked(hand_graph, windowed, self.ALL, T("2024-01-01")), self.ALL)
+        got = by_parent(checked(hand_db, windowed, self.ALL, T("2024-01-01")), self.ALL)
         assert got == {p: [] for p in self.ALL}
 
-    def test_null_foreign_keys_have_no_slot(self, hand_graph):
+    def test_null_foreign_keys_have_no_slot(self, hand_db):
         for edge, null_row in ((C_EDGE, 5), (D_EDGE, 2)):
-            idx = hand_graph.edge_index(edge)
-            assert hand_graph.forward(edge)[null_row] == -1
+            idx = hand_db.edge_index(edge)
+            assert hand_db.forward(edge)[null_row] == -1
             assert null_row not in idx.order.tolist()
 
-    def test_keys_and_order(self, hand_graph):
-        idx = hand_graph.edge_index(C_EDGE)
+    def test_keys_and_order(self, hand_db):
+        idx = hand_db.edge_index(C_EDGE)
         # Seven distinct times, the null-FK child's included: K = 8 and
         # undated children rank 7.
         assert idx.time_values.tolist() == [
@@ -214,7 +213,7 @@ class TestHandBuiltEdges:
         assert idx.radix == 8
         assert idx.keys.tolist() == [1, 2, 5, 5, 7, 8 + 2, 8 + 4, 8 + 7, 16 + 0, 24 + 6]
         assert idx.order.tolist() == [10, 0, 1, 4, 9, 2, 8, 3, 6, 7]
-        assert idx.order.tolist() == lexsort_order(hand_graph.db, idx).tolist()
+        assert idx.order.tolist() == lexsort_order(hand_db, idx).tolist()
         assert idx.indptr.tolist() == [0, 5, 8, 9, 10, 10]
 
 
@@ -222,27 +221,25 @@ class TestRandomDatabases:
     @pytest.mark.parametrize("seed", range(12))
     def test_row_graph_keys_and_order(self, seed):
         db = random_database(seed, random_schema(seed % 10), scale=1.0 + seed % 3)
-        g = build_row_graph(db)
         for edge in db.schema.edges():
-            idx = g.edge_index(edge)
+            idx = db.edge_index(edge)
             assert (np.diff(idx.keys) >= 0).all(), edge
             assert idx.order.tolist() == lexsort_order(db, idx).tolist(), edge
             assert (np.diff(idx.time_values) > 0).all(), edge
             parents = idx.keys // idx.radix
-            assert parents.tolist() == g.forward(edge)[idx.order].tolist(), edge
+            assert parents.tolist() == db.forward(edge)[idx.order].tolist(), edge
             assert idx.indptr.tolist() == np.searchsorted(
                 parents, np.arange(len(idx.indptr))).tolist(), edge
 
     @pytest.mark.parametrize("seed", range(12))
     def test_both_paths_equal_a_scan_of_the_child_times(self, seed):
         db = random_database(seed, random_schema(seed % 10), scale=1.0 + seed % 3)
-        g = build_row_graph(db)
         rng = np.random.default_rng(seed)
         windows = [Window(None, 0, TimeUnit.DAYS), Window(-30, 0, TimeUnit.DAYS),
                    Window(0, 45, TimeUnit.DAYS), Window(-200, 400, TimeUnit.DAYS),
                    Window(-5, 5, TimeUnit.SECONDS), None]
         for edge in db.schema.edges():
-            idx = g.edge_index(edge)
+            idx = db.edge_index(edge)
             n_parent = len(idx.indptr) - 1
             if not n_parent:
                 continue
@@ -265,7 +262,7 @@ class TestRandomDatabases:
                               (np.unique(rng.integers(0, n_parent, max(1, n_parent // 3))), anchor),
                               (every, rng.choice(anchors, n_parent))]
                     for parents, at in blocks:
-                        checked(g, agg, parents, None if window is None else at)
+                        checked(db, agg, parents, None if window is None else at)
                         # Only a bounded window at one anchor over every parent scans.
                         scanned |= (window is not None and window.start is not None
                                     and len(parents) == n_parent and not isinstance(at, np.ndarray))
@@ -274,12 +271,11 @@ class TestRandomDatabases:
     @pytest.mark.parametrize("seed", range(12))
     def test_an_anchor_per_parent_equals_the_per_anchor_gathers(self, seed):
         db = random_database(seed, random_schema(seed % 10), scale=1.0 + seed % 3)
-        g = build_row_graph(db)
         rng = np.random.default_rng(seed)
         windows = [Window(None, 0, TimeUnit.DAYS), Window(-30, 0, TimeUnit.DAYS),
                    Window(0, 45, TimeUnit.DAYS), Window(-5, 5, TimeUnit.SECONDS)]
         for edge in db.schema.edges():
-            idx = g.edge_index(edge)
+            idx = db.edge_index(edge)
             n_parent = len(idx.indptr) - 1
             if not n_parent or not len(idx.time_values):
                 continue
@@ -294,12 +290,12 @@ class TestRandomDatabases:
                 drawn = {(int(p), int(a)) for p, a in zip(rng.integers(0, n_parent, size),
                                                           rng.choice(choices, size))}
                 parents, anchors = np.array(rng.permutation(sorted(drawn)), dtype=np.int64).T
-                got = checked(g, agg, parents, anchors)
+                got = checked(db, agg, parents, anchors)
                 assert got.n_seg == len(parents) and (np.diff(got.seg) >= 0).all()
                 for a in np.unique(anchors).tolist():
                     at = np.nonzero(anchors == a)[0]
                     at = at[np.argsort(parents[at])]
-                    one = checked(g, agg, parents[at], a)
+                    one = checked(db, agg, parents[at], a)
                     for local, s in enumerate(at.tolist()):
                         assert got.pos[got.seg == s].tolist() == one.pos[one.seg == local].tolist()
                 # Within a parent, children keep the reference child order.
@@ -310,10 +306,9 @@ class TestRandomDatabases:
     @pytest.mark.parametrize("seed", range(12))
     def test_window_slots_hold_the_children_dated_in_the_window(self, seed):
         db = random_database(seed, random_schema(seed % 10), scale=1.0 + seed % 3)
-        g = build_row_graph(db)
         rng = np.random.default_rng(seed)
         for edge in db.schema.edges():
-            idx = g.edge_index(edge)
+            idx = db.edge_index(edge)
             n_parent = len(idx.indptr) - 1
             child = db.table(edge.child_table)
             tname = child.definition.time_column
@@ -325,7 +320,7 @@ class TestRandomDatabases:
             picks = [None, int(times[0]), int(times[-1]) + 1, *(int(t) for t in rng.choice(times, 3))]
             # A bound is open, one time for every parent, or a time per parent.
             bounds = [*picks, times[rng.integers(0, len(times), len(parents))] + rng.integers(-1, 2, len(parents))]
-            order, forward = lexsort_order(db, idx).tolist(), g.forward(edge)
+            order, forward = lexsort_order(db, idx).tolist(), db.forward(edge)
             for lo in bounds:
                 for hi in bounds:
                     starts, ends = window_slots(idx, parents, lo, hi)
@@ -339,26 +334,26 @@ class TestRandomDatabases:
 
 
 class TestAccessPath:
-    """On a fresh row graph, a gather builds its edge's per-slot time ranks
-    exactly when it scans: a bounded window at one anchor over every row of
-    the parent table, whichever plan runs it."""
+    """On a freshly loaded database, a gather builds its edge's per-slot
+    time ranks exactly when it scans: a bounded window at one anchor over
+    every row of the parent table, whichever plan runs it."""
 
     COUNT_7D = "PREDICT COUNT(TRANSACTIONS.*, 0, 7, days) FOR EACH CUSTOMERS.CUSTOMER_ID"
 
     @staticmethod
     def scanned(retail_schema, run) -> set:
-        """The child tables whose edges scanned while `run(g)` ran. Only an
+        """The child tables whose edges scanned while `run(db)` ran. Only an
         edge built on the way can hold slot ranks, so the built edges cover
         every edge a scanning block touched."""
-        g = build_row_graph(build_toy_db(retail_schema))
-        run(g)
-        return {name for name, t in g.db.tables.items() if any(idx.slot_ranks is not None for idx in t.edges.values())}
+        db = build_toy_db(retail_schema)
+        run(db)
+        return {name for name, t in db.tables.items() if any(idx.slot_ranks is not None for idx in t.edges.values())}
 
     @staticmethod
     def train(text: str, optimized: bool = True):
-        def run(g):
-            plan = plan_training(bind(parse(text), g.db.schema), AnchorPolicy(count=3), optimized=optimized)
-            assert materialize_training(plan, g.db, g).row_count
+        def run(db):
+            plan = plan_training(bind(parse(text), db.schema), AnchorPolicy(count=3), optimized=optimized)
+            assert materialize_training(plan, db).row_count
         return run
 
     @pytest.mark.parametrize("optimized", [True, False])
@@ -377,8 +372,8 @@ class TestAccessPath:
         assert "TRANSACTIONS" not in self.scanned(retail_schema, self.train(text))
 
     def test_a_sampler_request_searches(self, retail_schema):
-        def run(g):
-            bound = bind(parse(self.COUNT_7D), g.db.schema)
-            pairs = sample_pairs(g.db, bound, 3)
-            assert compute_on_subgraph(bound, collect(g, build_request(bound, pairs)), pairs).row_count
+        def run(db):
+            bound = bind(parse(self.COUNT_7D), db.schema)
+            pairs = sample_pairs(db, bound, 3)
+            assert compute_on_subgraph(bound, collect(db, build_request(bound, pairs)), pairs).row_count
         assert self.scanned(retail_schema, run) == set()

@@ -17,7 +17,7 @@ from pql.oracle import oracle_training
 from pql.parser import MAX_DEPTH, parse
 from pql.planner import AnchorPolicy, explain, plan_to_json, plan_training, resolve_anchors
 from pql.sampler import build_request, collect, compute_on_subgraph, sample_pairs
-from pql.store import build_row_graph, load_database
+from pql.store import load_database
 
 # Two tables with foreign keys into each other, so aggregation filters nest
 # as deep as the query does.
@@ -88,17 +88,16 @@ def test_query_at_the_limit_runs_everywhere(shape, data_dirs, tmp_path, capsys):
     query = parse(text)
     assert parse(unparse(query)) == query
     db = load_database(data_dirs[key] / "schema.json", data_dirs[key], strict=False)
-    g = build_row_graph(db)
     bound = bind(query, db.schema)
     policy = AnchorPolicy(count=3)
     for optimized in (True, False):
         plan = plan_training(bound, policy, optimized=optimized)
         explain(plan)
         plan_to_json(plan)
-        materialize_training(plan, db, g)
+        materialize_training(plan, db)
     oracle_training(bound, db, resolve_anchors(bound, policy, db))
     pairs = sample_pairs(db, bound, 3)
-    compute_on_subgraph(bound, collect(g, build_request(bound, pairs)), pairs)
+    compute_on_subgraph(bound, collect(db, build_request(bound, pairs)), pairs)
 
     data = ["--data-dir", str(data_dirs[key]), "--out-dir", str(tmp_path), "--anchors", "3", "--query", text]
     if key == "cyclic":  # the tables reference each other, so neither loads first under strict checks

@@ -111,12 +111,15 @@ def test_sampled_table_reads(name, toy_db, toy_graph):
     assert table.metadata["pairs_expanded"] == len(pairs)
 
 
-# perfbench/warm.py's set-up builds every edge's full-scan slot arrays and
-# reads the newest event time; its sampler requests map entity keys to rows
-# through `pk_index`.
+# perfbench/warm.py's set-up takes `store.build_row_graph(db)`, the database
+# itself, builds every edge's full-scan slot arrays through its `edge_index`
+# and reads the newest event time; its sampler requests map entity keys to
+# rows through `pk_index`.
 def test_warm_set_up_lookups(toy_db, toy_graph):
+    assert store.build_row_graph(toy_db) is toy_db and toy_graph is toy_db
     for edge in toy_db.schema.edges():
         idx = toy_graph.edge_index(edge)
+        assert type(idx) is store.EdgeIndex and idx.edge == edge
         assert len(kernels._edge_slot_arrays(idx)) == len(idx.order)
     assert toy_db.max_event_time() == parse_timestamp("2024-02-10")
     assert [toy_db.table("CUSTOMERS").pk_index[k] for k in (1, 2, 3)] == [0, 1, 2]

@@ -126,7 +126,7 @@ class TestStages:
         with pytest.raises(PlanError, match="^static query takes no anchor$"):
             plan_prediction(bind_corpus("impute_value"), parse_timestamp("2024-01-01"))
 
-    def test_building_a_plan_renders_no_text(self, monkeypatch, toy_db, toy_graph):
+    def test_building_a_plan_renders_no_text(self, monkeypatch, toy_db):
         # Only explain and plan_to_json render node text.
         def refuse(expr):
             raise AssertionError("rendered while building or running a plan")
@@ -139,7 +139,7 @@ class TestStages:
         plan_prediction(b)
         plan_prediction(bind_corpus("blue_articles"))
         plan_prediction(bind_corpus("impute_value"))
-        materialize_training(plan, toy_db, toy_graph)
+        materialize_training(plan, toy_db)
         anchors = resolve_anchors(b, policy, toy_db)
         evaluate_pairs(toy_db, b, [(RowRef("CUSTOMERS", 0), anchors[0])], anchors_for_split=anchors)
         with pytest.raises(AssertionError, match="rendered"):

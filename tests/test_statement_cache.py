@@ -19,7 +19,7 @@ from pql.engine import evaluate_pairs
 from pql.errors import BindError, LexError, ParseError
 from pql.parser import parse
 from pql.planner import AnchorPolicy, plan_to_json, plan_training, resolve_anchors
-from pql.store import RowRef, build_row_graph
+from pql.store import RowRef
 from pql.synth import random_database, random_query, random_schema
 
 TEXT = CORPUS_BY_NAME["active_spender"].text
@@ -162,7 +162,6 @@ def test_warm_bind_plans_and_evaluates_like_a_cold_bind(seed):
         return
     pairs = [(RowRef(warm.entity_table, i), None if warm.is_static else anchors[i % len(anchors)])
              for i in range(min(n, 12))]
-    g = build_row_graph(db)
     got = evaluate_pairs(db, warm, pairs, anchors_for_split=anchors)
     want = evaluate_pairs(db, cold, pairs, anchors_for_split=anchors)
     assert got.rows == want.rows
@@ -202,7 +201,7 @@ class TestBenchFrontEnd:
             ("sampler", 2 * (1 + RUNS)),  # the sampler and its full-batch reference
         ],
     )
-    def test_each_timed_run_pays_the_front_end(self, toy_db, toy_graph, counts, path, timed_calls):
+    def test_each_timed_run_pays_the_front_end(self, toy_db, counts, path, timed_calls):
         text = CORPUS_BY_NAME["active_spender"].text
         bind(parse(text), toy_db.schema)  # warm both caches first
         counts.update(tokenize=0, binder=0)

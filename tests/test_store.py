@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import re
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -29,7 +30,6 @@ from pql.store import (
     FkEdge,
     RowRef,
     _parse_cell,
-    build_row_graph,
     load_schema,
     load_table_data,
     new_database,
@@ -46,18 +46,18 @@ TX_COUNT = bind(parse("PREDICT COUNT(TRANSACTIONS.*) FOR EACH CUSTOMERS.CUSTOMER
 FAR_FUTURE = T("2100-01-01")
 
 
-def all_children(g, parent):
+def all_children(db, parent):
     """Every child row of one customer, in CSR order (restricted gather)."""
-    return gather_children(g, TX_COUNT, np.array([parent]), None).child_rows.tolist()
+    return gather_children(db, TX_COUNT, np.array([parent]), None).child_rows.tolist()
 
 
-def children_in_window(g, parent, lo, hi):
+def children_in_window(db, parent, lo, hi):
     """Dated children of one customer with lo <= time < hi, in time order,
     through a restricted windowed gather. `lo` None is an unbounded past;
     hi - lo must be whole seconds."""
     start = None if lo is None else -((hi - lo) // MICROS_PER_SECOND)
     agg = replace(TX_COUNT, window=Window(start, 0, TimeUnit.SECONDS))
-    return gather_children(g, agg, np.array([parent]), hi).child_rows.tolist()
+    return gather_children(db, agg, np.array([parent]), hi).child_rows.tolist()
 
 
 class TestLoadSchema:
@@ -198,7 +198,7 @@ class TestLoadData:
         db = store.Database(retail_schema)
         assert [db.nrows(name) for name in retail_schema.tables] == [0] * len(retail_schema.tables)
         assert db.max_event_time() is None and db.min_event_time() is None
-        with pytest.raises(DataError, match="^no data loaded for table NOPE$"):
+        with pytest.raises(DataError, match="^unknown table 'NOPE'$"):
             db.nrows("NOPE")
 
     def test_null_parsing(self, toy_db):
@@ -254,17 +254,17 @@ class TestLoadData:
                                           "primary_key": "ID", "foreign_keys": [{"column": "BOSS", "references": "E"}]}]})
         (edge,) = schema.edges()
         db = load_table_data(new_database(schema), "E", "ID,BOSS\n1,\n2,1\n3,1\n")
-        assert db.reports[-1].dangling_fk == 0 and build_row_graph(db).forward(edge).tolist() == [-1, 0, 0]
+        assert db.reports[-1].dangling_fk == 0 and db.forward(edge).tolist() == [-1, 0, 0]
         dangling = "ID,BOSS\n1,\n2,1\n3,4\n"
         with pytest.raises(DataError, match="row 3: foreign key BOSS=.?4.? has no match in E$"):
             load_table_data(new_database(schema), "E", dangling)
         db = load_table_data(new_database(schema), "E", dangling, strict=False)
-        assert db.reports[-1].dangling_fk == 1 and build_row_graph(db).forward(edge).tolist() == [-1, 0, -1]
+        assert db.reports[-1].dangling_fk == 1 and db.forward(edge).tolist() == [-1, 0, -1]
 
 
 class TestRowGraph:
-    def test_children_time_sorted(self, toy_db, toy_graph):
-        kids = all_children(toy_graph, 0)
+    def test_children_time_sorted(self, toy_db):
+        kids = all_children(toy_db, 0)
         times = [toy_db.value(RowRef("TRANSACTIONS", k), "TIMESTAMP") for k in kids]
         dated = [t for t in times if t is not None]
         assert dated == sorted(dated)
@@ -277,38 +277,37 @@ class TestRowGraph:
         shuffled += ["9,1.0,2024-01-20,2,1", "10,2.0,2024-01-20,2,2"]
         db = build_toy_db(retail_schema)
         load_table_data(db, "TRANSACTIONS", "\n".join(shuffled))
-        g = build_row_graph(db)
-        kids = all_children(g, 1)
+        kids = all_children(db, 1)
         times = [db.value(RowRef("TRANSACTIONS", k), "TIMESTAMP") for k in kids]
         assert times == sorted(times)
         ids = [db.value(RowRef("TRANSACTIONS", k), "TRANSACTION_ID") for k in kids]
         assert ids[-3:] == [5, 9, 10]
-        assert children_in_window(g, 1, T("2024-01-20"), T("2024-01-21")) == kids[-3:]
+        assert children_in_window(db, 1, T("2024-01-20"), T("2024-01-21")) == kids[-3:]
 
-    def test_no_children(self, toy_graph):
+    def test_no_children(self, toy_db):
         count = bind(
             parse("PREDICT COUNT(NOTIFICATIONS.*) FOR EACH CUSTOMERS.CUSTOMER_ID"), RETAIL
         ).target
         assert count.group_edge == FkEdge("NOTIFICATIONS", "CUSTOMER_ID", "CUSTOMERS")
-        gathered = gather_children(toy_graph, count, np.array([2]), None)
+        gathered = gather_children(toy_db, count, np.array([2]), None)
         assert gathered.child_rows.tolist() == []
 
-    def test_window_half_open(self, toy_graph, toy_db):
+    def test_window_half_open(self, toy_db):
         lo, hi = T("2024-01-01"), T("2024-01-31")
-        kids = children_in_window(toy_graph, 0, lo, hi)
+        kids = children_in_window(toy_db, 0, lo, hi)
         assert kids == [0, 1]  # tx 1 and 2; tx3 later, tx8 undated
-        assert children_in_window(toy_graph, 0, lo - MICROS_PER_DAY, lo) == []
+        assert children_in_window(toy_db, 0, lo - MICROS_PER_DAY, lo) == []
 
-    def test_window_includes_lower_excludes_upper(self, toy_graph):
+    def test_window_includes_lower_excludes_upper(self, toy_db):
         exact = T("2024-01-05")  # tx 1's time
         second = MICROS_PER_SECOND
-        assert children_in_window(toy_graph, 0, exact, exact + second) == [0]
-        assert children_in_window(toy_graph, 0, exact + 1, exact + 1 + second) == []
-        assert children_in_window(toy_graph, 0, exact - second, exact) == []
-        assert children_in_window(toy_graph, 0, exact + 1 - second, exact + 1) == [0]
+        assert children_in_window(toy_db, 0, exact, exact + second) == [0]
+        assert children_in_window(toy_db, 0, exact + 1, exact + 1 + second) == []
+        assert children_in_window(toy_db, 0, exact - second, exact) == []
+        assert children_in_window(toy_db, 0, exact + 1 - second, exact + 1) == [0]
 
-    def test_slot_arrays_are_built_once_per_edge(self, toy_graph, toy_db):
-        idx = toy_graph.edge_index(FkEdge("TRANSACTIONS", "CUSTOMER_ID", "CUSTOMERS"))
+    def test_slot_arrays_are_built_once_per_edge(self, toy_db):
+        idx = toy_db.edge_index(FkEdge("TRANSACTIONS", "CUSTOMER_ID", "CUSTOMERS"))
         ranks = _edge_slot_arrays(idx)
         assert idx.slot_ranks is ranks
         assert _edge_slot_arrays(idx) is ranks
@@ -317,7 +316,7 @@ class TestRowGraph:
         assert (ranks[~dated] == idx.radix - 1).all()
         assert idx.time_values[ranks[dated]].tolist() == tcol.values[idx.order][dated].tolist()
 
-    def test_wrong_parent_table(self, toy_graph):
+    def test_wrong_parent_table(self, toy_db):
         # Rows reach the kernels as indices of the aggregation's parent
         # table; a pair naming a row of another table is refused on entry.
         from pql.engine import evaluate_pairs
@@ -327,15 +326,21 @@ class TestRowGraph:
                  RETAIL)
         pairs = [(RowRef("ARTICLES", 0), T("2024-01-01"))]
         with pytest.raises(ExecutionError, match="not from CUSTOMERS"):
-            collect(toy_graph, build_request(b, pairs))
+            collect(toy_db, build_request(b, pairs))
         with pytest.raises(ExecutionError, match="not from CUSTOMERS"):
-            evaluate_pairs(toy_graph.db, b, pairs)
-        with pytest.raises(DataError, match="no such foreign-key edge"):
-            toy_graph.edge_index(FkEdge("ARTICLES", "CUSTOMER_ID", "CUSTOMERS"))
-        with pytest.raises(DataError, match="no such foreign-key edge"):
-            toy_graph.forward(FkEdge("ARTICLES", "CUSTOMER_ID", "CUSTOMERS"))
+            evaluate_pairs(toy_db, b, pairs)
+        # An edge from a table without the column, one whose column exists
+        # but references another table, and one from no table at all.
+        built = built_edges(toy_db)
+        for edge in (FkEdge("ARTICLES", "CUSTOMER_ID", "CUSTOMERS"), FkEdge("TRANSACTIONS", "CUSTOMER_ID", "ARTICLES"),
+                     FkEdge("NOPE", "CUSTOMER_ID", "CUSTOMERS")):
+            with pytest.raises(DataError, match=f"^no such foreign-key edge: {re.escape(str(edge))}$"):
+                toy_db.edge_index(edge)
+            with pytest.raises(DataError, match=f"^no such foreign-key edge: {re.escape(str(edge))}$"):
+                toy_db.forward(edge)
+        assert built_edges(toy_db) == built
 
-    def test_window_matches_linear_scan(self, toy_db, toy_graph):
+    def test_window_matches_linear_scan(self, toy_db):
         rng = np.random.default_rng(0)
         base = T("2023-12-01")
         tcol = toy_db.table("TRANSACTIONS").column("TIMESTAMP")
@@ -344,7 +349,7 @@ class TestRowGraph:
             lo = base + int(rng.integers(0, 90)) * MICROS_PER_DAY
             hi = lo + int(rng.integers(1, 40)) * MICROS_PER_DAY
             parent = int(rng.integers(0, 3))
-            got = children_in_window(toy_graph, parent, lo, hi)
+            got = children_in_window(toy_db, parent, lo, hi)
             key = parent + 1
             want = sorted(
                 i
@@ -355,13 +360,13 @@ class TestRowGraph:
 
     @settings(max_examples=60, deadline=None)
     @given(cuts=st.lists(st.integers(0, 120), min_size=0, max_size=6), parent=st.integers(0, 2))
-    def test_partition_tiles_exactly_once(self, toy_graph, cuts, parent):
+    def test_partition_tiles_exactly_once(self, toy_db, cuts, parent):
         base = T("2023-10-01")
         bounds = [None] + sorted({base + c * MICROS_PER_DAY for c in cuts}) + [FAR_FUTURE]
         pieces = []
         for lo, hi in zip(bounds, bounds[1:]):
-            pieces.extend(children_in_window(toy_graph, parent, lo, hi))
-        full = children_in_window(toy_graph, parent, None, FAR_FUTURE)
+            pieces.extend(children_in_window(toy_db, parent, lo, hi))
+        full = children_in_window(toy_db, parent, None, FAR_FUTURE)
         assert sorted(pieces) == sorted(full)
         assert len(pieces) == len(full)
 
@@ -399,17 +404,16 @@ class TestEdgesOnFirstUse:
         assert order.tolist() == rows[perm].tolist()
         assert got.tolist() == keys[perm].tolist()
 
-    def test_a_new_graph_builds_no_edge(self, retail_schema):
+    def test_a_loaded_database_builds_no_edge(self, retail_schema):
         db = build_toy_db(retail_schema)
-        g = build_row_graph(db)
         assert built_edges(db) == []
-        idx = g.edge_index(self.TX_CUSTOMER)
+        idx = db.edge_index(self.TX_CUSTOMER)
         assert built_edges(db) == [self.TX_CUSTOMER]
-        # The edge is kept on its child table, so every view reads it.
-        assert g.edge_index(self.TX_CUSTOMER) is idx
-        assert build_row_graph(db).edge_index(self.TX_CUSTOMER) is idx
+        # The edge is kept on its child table, and served again from there.
+        assert db.table("TRANSACTIONS").edges["CUSTOMER_ID"] is idx
+        assert db.edge_index(self.TX_CUSTOMER) is idx
         # The edge into ARTICLES shares the child table's time ranks.
-        other = g.edge_index(FkEdge("TRANSACTIONS", "ARTICLE_ID", "ARTICLES"))
+        other = db.edge_index(FkEdge("TRANSACTIONS", "ARTICLE_ID", "ARTICLES"))
         assert other.time_values is idx.time_values
         # With every edge of TRANSACTIONS built, its rows' ranks are let go.
         assert db.table("TRANSACTIONS")._ranks is None
@@ -429,20 +433,20 @@ class TestEdgesOnFirstUse:
         assert built_edges(db) == []
         # The hop reads the array the load resolved.
         forward = db.table("TRANSACTIONS").fk_forward["CUSTOMER_ID"]
-        assert build_row_graph(db).forward(self.TX_CUSTOMER) is forward
+        assert db.forward(self.TX_CUSTOMER) is forward
 
-    def test_a_graph_held_across_a_reload_reads_the_reloaded_tables(self, retail_schema):
+    def test_a_database_reloaded_in_place_serves_the_reloaded_tables(self, retail_schema):
         db = build_toy_db(retail_schema)
-        held = build_row_graph(db)
-        held.edge_index(self.TX_CUSTOMER)
+        before = db.edge_index(self.TX_CUSTOMER)
+        assert children_in_window(db, 0, None, FAR_FUTURE) != []
         load_table_data(db, "TRANSACTIONS", TRANSACTIONS_CSV.splitlines()[0])
-        fresh = build_row_graph(db)
-        # Built before the reload or not, every edge and hop is the fresh graph's.
+        # Built before the reload or not, every edge and hop is the reloaded table's.
+        assert db.edge_index(self.TX_CUSTOMER) is not before
         for edge in (self.TX_CUSTOMER, FkEdge("TRANSACTIONS", "ARTICLE_ID", "ARTICLES")):
-            assert held.edge_index(edge) is fresh.edge_index(edge)
-            assert held.edge_index(edge).order.tolist() == []
-            assert held.forward(edge).tolist() == fresh.forward(edge).tolist() == []
-        assert children_in_window(held, 0, None, FAR_FUTURE) == []
+            assert db.edge_index(edge) is db.table("TRANSACTIONS").edges[edge.fk_column]
+            assert db.edge_index(edge).order.tolist() == []
+            assert db.forward(edge).tolist() == []
+        assert children_in_window(db, 0, None, FAR_FUTURE) == []
 
 
 def built_edges(db):
@@ -450,12 +454,12 @@ def built_edges(db):
     return [e for e in db.schema.edges() if e.fk_column in db.table(e.child_table).edges]
 
 
-def graph_state(g):
+def graph_state(db):
     """Each edge's hop and CSR arrays, as lists; builds every edge."""
     state = {}
-    for edge in g.db.schema.edges():
-        idx = g.edge_index(edge)
-        arrays = (g.forward(edge), idx.indptr, idx.order, idx.keys, idx.time_values)
+    for edge in db.schema.edges():
+        idx = db.edge_index(edge)
+        arrays = (db.forward(edge), idx.indptr, idx.order, idx.keys, idx.time_values)
         state[edge] = [a.tolist() for a in arrays]
     return state
 
@@ -493,14 +497,14 @@ class TestOneInvalidationRule:
         return path
 
     def fresh_state(self, path):
-        return graph_state(build_row_graph(store.load_database(path / "schema.json", path)))
+        return graph_state(store.load_database(path / "schema.json", path))
 
     def reload_permuted(self, path, table, seed, tmp_path):
-        """A graph that built every edge before `table` was reloaded from a
-        permuted copy, and the state of a fresh load of the same files."""
+        """A database that built every edge before `table` was reloaded in
+        place from a permuted copy, and the state of a fresh load of the
+        same files."""
         db = store.load_database(path / "schema.json", path)
-        held = build_row_graph(db)
-        graph_state(held)
+        graph_state(db)
         other = tmp_path / "permuted"
         store.save_database(db, other)
         write_permuted(db, table, other / f"{table.lower()}.csv", seed)
@@ -509,16 +513,16 @@ class TestOneInvalidationRule:
         load_table_data(db, table, other / f"{table.lower()}.csv")
         # What did not derive from the replaced rows is kept.
         for edge, idx in untouched.items():
-            assert held.edge_index(edge) is idx, edge
-        return held, self.fresh_state(other)
+            assert db.edge_index(edge) is idx, edge
+        return db, self.fresh_state(other)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_a_parent_reloaded_with_its_rows_permuted(self, seed, tmp_path):
         schema = random_schema(seed)
         path = self.saved(seed, schema, tmp_path / "data")
         for parent in sorted({e.parent_table for e in schema.edges()}):
-            held, want = self.reload_permuted(path, parent, seed, tmp_path / parent)
-            assert graph_state(held) == want, parent
+            db, want = self.reload_permuted(path, parent, seed, tmp_path / parent)
+            assert graph_state(db) == want, parent
 
     @pytest.mark.parametrize("seed", range(8))
     def test_a_child_loaded_before_its_parent(self, seed, tmp_path):
@@ -527,23 +531,22 @@ class TestOneInvalidationRule:
         want = self.fresh_state(path)
         for child in sorted({e.child_table for e in schema.edges()}):
             db = new_database(schema)
-            held = build_row_graph(db)
             # Not strict: no parent row is loaded yet, so every key dangles.
             load_table_data(db, child, path / f"{child.lower()}.csv", strict=False)
             keys = [db.table(child).column(e.fk_column) for e in schema.edges_from(child)]
             assert db.reports[-1].dangling_fk == sum(int((~col.null).sum()) for col in keys) > 0
             for name in store._load_order(schema):
-                graph_state(held)  # every edge built against the tables loaded so far
+                graph_state(db)  # every edge built against the tables loaded so far
                 if name != child:
                     load_table_data(db, name, path / f"{name.lower()}.csv")
-            assert graph_state(held) == want, child
+            assert graph_state(db) == want, child
 
     @pytest.mark.parametrize("seed", range(4))
     def test_a_self_referencing_table_reloaded(self, seed, tmp_path):
         path = self.saved(seed, SELF_REFERENCING, tmp_path / "data")
-        held, want = self.reload_permuted(path, "EMPLOYEES", seed, tmp_path)
-        assert graph_state(held) == want
-        assert graph_state(held) != self.fresh_state(path)  # the permutation moved rows
+        db, want = self.reload_permuted(path, "EMPLOYEES", seed, tmp_path)
+        assert graph_state(db) == want
+        assert graph_state(db) != self.fresh_state(path)  # the permutation moved rows
 
 
 class TestCsvRoundTrip:
@@ -1319,13 +1322,12 @@ class TestForeignKeysResolvedOnce:
         store.save_database(build_toy_db(retail_schema), tmp_path)
         calls = self.count_resolutions(monkeypatch)
         db = store.load_database(tmp_path / "schema.json", tmp_path)
-        graph = build_row_graph(db)
         assert len(retail_schema.edges()) == 3
         for edge in retail_schema.edges():
             fkcol = db.table(edge.child_table).column(edge.fk_column)
-            graph.edge_index(edge)
-            assert graph.forward(edge).tolist() == real_forward(fkcol, db.table(edge.parent_table))
-            assert graph.forward(edge) is db.table(edge.child_table).fk_forward[edge.fk_column]
+            db.edge_index(edge)
+            assert db.forward(edge).tolist() == real_forward(fkcol, db.table(edge.parent_table))
+            assert db.forward(edge) is db.table(edge.child_table).fk_forward[edge.fk_column]
         assert len(calls) == 3
 
     def test_reloaded_parent_rebuilds_the_edges(self, monkeypatch):
@@ -1334,15 +1336,14 @@ class TestForeignKeysResolvedOnce:
         load_table_data(db, "C", csv_text(["ID", "P1", "P2"], [["1", "10", "30"], ["2", "30", ""]]))
         calls = self.count_resolutions(monkeypatch)
         load_table_data(db, "P", csv_text(["ID"], [["30"], ["7"], ["10"], ["-3"]]))
-        graph = build_row_graph(db)
         p1, p2 = FkEdge("C", "P1", "P"), FkEdge("C", "P2", "P")
-        graph.edge_index(p1), graph.edge_index(p2)
+        db.edge_index(p1), db.edge_index(p2)
         # Both edges into the reloaded P resolve again, against the new P;
         # the edges of the empty SC table are not asked for.
         assert [parent.definition.name for parent in calls].count("P") == 2
         assert all(parent is db.table(parent.definition.name) for parent in calls)
-        assert graph.forward(p1).tolist() == [2, 0]
-        assert graph.forward(p2).tolist() == [0, -1]
+        assert db.forward(p1).tolist() == [2, 0]
+        assert db.forward(p2).tolist() == [0, -1]
 
 
 def real_forward(fkcol, parent):
@@ -1442,7 +1443,7 @@ class TestDenseKeys:
         ]
         for edge in db.schema.edges():
             fkcol = db.table(edge.child_table).column(edge.fk_column)
-            assert build_row_graph(db).forward(edge).tolist() == real_forward(fkcol, db.table(edge.parent_table))
+            assert db.forward(edge).tolist() == real_forward(fkcol, db.table(edge.parent_table))
 
     def test_other_keys_take_the_set_and_the_search(self, monkeypatch):
         db = new_database(ADVERSARIAL)

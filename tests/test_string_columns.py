@@ -16,7 +16,7 @@ from pql.oracle import oracle_training
 from pql.parser import parse
 from pql.planner import AnchorPolicy, feasible_anchors, plan_training
 from pql.sampler import build_request, collect, compute_on_subgraph
-from pql.store import FkEdge, RowRef, build_row_graph, load_schema, load_table_data, new_database
+from pql.store import FkEdge, RowRef, load_schema, load_table_data, new_database
 from pql.times import MICROS_PER_DAY, parse_timestamp
 
 KEY = {"dtype": "string", "stype": "key"}
@@ -66,7 +66,7 @@ def string_db():
     load_table_data(db, "CUSTOMERS", "CID,SHOP_ID,TIER\n" + "".join(
         f"{key},{shop},{tier}\n" for key, (shop, tier) in zip(CUSTOMER_KEYS, CUSTOMER_ROWS)), strict=False)
     load_table_data(db, "EVENTS", _events_csv())
-    return db, build_row_graph(db)
+    return db
 
 
 POLICY = AnchorPolicy(count=3, stride=10 * MICROS_PER_DAY, latest=parse_timestamp("2024-01-25"))
@@ -108,29 +108,29 @@ def _cells(rows):
 
 @pytest.mark.parametrize("text", QUERIES)
 def test_every_path_gives_the_same_cells(string_db, text):
-    db, g = string_db
+    db = string_db
     b = bind(parse(text), db.schema)
     anchors = feasible_anchors(b, POLICY, db)
-    staged = materialize_training(plan_training(b, POLICY), db, g)
+    staged = materialize_training(plan_training(b, POLICY), db)
     want = _cells(staged.rows)
     assert want, "the query should label some rows"
-    naive = materialize_training(plan_training(b, POLICY, optimized=False), db, g)
+    naive = materialize_training(plan_training(b, POLICY, optimized=False), db)
     assert _cells(naive.rows) == want
     pairs = [(RowRef("CUSTOMERS", i), a) for i in range(db.nrows("CUSTOMERS"))
              for a in ([None] if b.is_static else anchors)]
     assert _cells(evaluate_pairs(db, b, pairs, anchors_for_split=anchors).rows) == want
-    sub = collect(g, build_request(b, pairs))
+    sub = collect(db, build_request(b, pairs))
     assert _cells(compute_on_subgraph(b, sub, pairs, anchors_for_split=anchors).rows) == want
     assert _cells(oracle_training(b, db, anchors).rows) == want
 
 
 def test_awkward_keys_load_and_resolve(string_db):
-    db, g = string_db
+    db = string_db
     customers = db.table("CUSTOMERS")
     assert customers.column("CID").to_pylist() == ["a,b", 'q"x', "中", "é", "e", "E"]
     assert customers.column("SHOP_ID").to_pylist() == ["s1", 's,"2"', None, "zz", "s1", "с3"]
     # The null and the dangling foreign key resolve to no parent row.
-    assert g.forward(FkEdge("CUSTOMERS", "SHOP_ID", "SHOPS")).tolist() == [0, 1, -1, -1, 0, 2]
+    assert db.forward(FkEdge("CUSTOMERS", "SHOP_ID", "SHOPS")).tolist() == [0, 1, -1, -1, 0, 2]
 
 
 def test_get_and_to_pylist_on_every_dtype():
